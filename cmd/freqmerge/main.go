@@ -11,17 +11,24 @@
 //	freqmerge -nodes node1:8080,node2:8080 -interval 500ms -algo SSH
 //	freqmerge -router http://10.0.0.9:8070 -addr :8090
 //
-// With -router the coordinator pulls the write tier's /shardmap instead
-// of taking -nodes: every replica of every shard is pulled, but the
-// serving view is partition-exact — exactly one replica per shard (the
-// most caught-up), routed by the tier's hash ring — so estimates carry
-// the per-partition error bound instead of merge-inflated noise, and
-// replicas are never double-counted.
+// One model covers every topology: for each namespace and shard the
+// coordinator serves the freshest replica, then combines the shards.
+// With -nodes each node is its own shard and the shards merge. With
+// -router the coordinator pulls the write tier's /shardmap instead:
+// every replica of every shard is pulled, but the serving view is
+// partition-exact — exactly one replica per shard (the most caught-up),
+// routed by the tier's hash ring — so estimates carry the
+// per-partition error bound instead of merge-inflated noise, and
+// replicas are never double-counted. Tenancy needs no flag: a
+// tenant-mode node (freqd -tenants) ships every namespace in its
+// /summary, and each namespace is combined the same way.
 //
 // Query (identical to freqd):
 //
 //	curl 'localhost:8090/topk?phi=0.001&k=20'
 //	curl 'localhost:8090/estimate?item=123'
+//	curl 'localhost:8090/v1/t/eu/topk?phi=0.01'  # one namespace of tenant-mode nodes
+//	curl 'localhost:8090/v1/tenants'             # merged namespaces and their n
 //	curl 'localhost:8090/stats'          # + per-node freshness/epochs/errors
 //	curl -X POST localhost:8090/refresh  # pull every node now
 //
@@ -63,7 +70,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 5*time.Second, "per-node pull timeout")
 		algo      = flag.String("algo", "", "required algorithm code; empty adopts the first node's")
 		maxStale  = flag.Duration("max-stale", 0, "drop a node's contribution once its data is older than this (0 = serve stale forever)")
-		tenants   = flag.Bool("tenants", false, "pull /v1/tenants/summary bundles and merge namespace by namespace (nodes must run freqd -tenants)")
 		logFormat = flag.String("log-format", "text", "structured log format: text | json")
 		slowQuery = flag.Duration("slow-query", 0, "log requests slower than this at warn level with per-stage timings (0 = off)")
 	)
@@ -89,7 +95,6 @@ func main() {
 		Timeout:      *timeout,
 		Algo:         *algo,
 		MaxStale:     *maxStale,
-		TenantMerge:  *tenants,
 		MergeEncoded: streamfreq.MergeEncoded,
 		Obs:          o,
 	}
@@ -126,8 +131,6 @@ func main() {
 		}
 		o.Log.Info("serving partition-exact", "shards", len(opts.ShardMap.Shards),
 			"replicas", replicas, "interval", *interval, "addr", *addr)
-	} else if *tenants {
-		o.Log.Info("serving tenant merge", "nodes", len(opts.Nodes), "interval", *interval, "addr", *addr)
 	} else {
 		o.Log.Info("serving", "nodes", len(opts.Nodes), "interval", *interval, "addr", *addr)
 	}

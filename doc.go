@@ -133,6 +133,14 @@
 // Coordinators serve GET /summary themselves, so tiers stack. Merge
 // fidelity is pinned registry-wide by merge_test.go.
 //
+// The coordinator has one model for every topology: a pull yields a
+// summary per namespace (a plain node ships the default namespace "",
+// a tenant-mode node a bundle of all of them), and each rebuild picks
+// the freshest contribution per (namespace, shard) — each node is its
+// own shard unless a write tier's shard map says otherwise — then
+// combines a namespace's picks by merge, or by disjoint union when the
+// shards partition the stream (below).
+//
 // # Partitioned writes
 //
 // Merging scales reads over independently-fed nodes; the router tier

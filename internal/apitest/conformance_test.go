@@ -1,8 +1,9 @@
 package apitest_test
 
 // One executable API contract, three daemons: freqd (flat and
-// multi-tenant), freqmerge (flat and tenant-merge), and freqrouter all
-// run through apitest.Conform with their route tables. The daemons are
+// multi-tenant), freqmerge (over flat and tenant-mode nodes), and
+// freqrouter all run through apitest.Conform with their route tables.
+// The daemons are
 // built the way their commands build them — real serve.Server,
 // cluster.Coordinator over a loopback node, router.Router over a
 // loopback replica — so a route that drifts out of the contract fails
@@ -54,7 +55,6 @@ var freqdTenantRoutes = []apitest.Route{
 	{Method: http.MethodGet, Path: "/t/demo/estimate"},
 	{Method: http.MethodGet, Path: "/t/demo/stats"},
 	{Method: http.MethodGet, Path: "/tenants"},
-	{Method: http.MethodGet, Path: "/tenants/summary"},
 }
 
 func TestFreqdConformance(t *testing.T) {
@@ -81,28 +81,37 @@ func TestFreqdTenantConformance(t *testing.T) {
 		"freq_tenants_slab_bytes")
 }
 
-func TestFreqmergeConformance(t *testing.T) {
-	routes := []apitest.Route{
-		{Method: http.MethodGet, Path: "/topk", Aliases: []string{"/topk"}},
-		{Method: http.MethodGet, Path: "/estimate", Aliases: []string{"/estimate"}},
-		{Method: http.MethodGet, Path: "/summary", Aliases: []string{"/summary"}},
-		{Method: http.MethodGet, Path: "/stats", Aliases: []string{"/stats"}},
-		{Method: http.MethodGet, Path: "/metrics"},
-		{Method: http.MethodPost, Path: "/refresh", Aliases: []string{"/refresh"}},
-		// POST /ingest answers 501 by design — present, enveloped, not a 404.
-		{Method: http.MethodPost, Path: "/ingest", Aliases: []string{"/ingest"}},
-	}
+// freqmergeRoutes is the coordinator surface, one mux whatever the
+// nodes run.
+var freqmergeRoutes = []apitest.Route{
+	{Method: http.MethodGet, Path: "/topk", Aliases: []string{"/topk"}},
+	{Method: http.MethodGet, Path: "/estimate", Aliases: []string{"/estimate"}},
+	{Method: http.MethodGet, Path: "/summary", Aliases: []string{"/summary"}},
+	{Method: http.MethodGet, Path: "/stats", Aliases: []string{"/stats"}},
+	{Method: http.MethodGet, Path: "/metrics"},
+	{Method: http.MethodPost, Path: "/refresh", Aliases: []string{"/refresh"}},
+	// POST /ingest answers 501 by design — present, enveloped, not a 404.
+	{Method: http.MethodPost, Path: "/ingest", Aliases: []string{"/ingest"}},
+	{Method: http.MethodGet, Path: "/tenants"},
+}
 
-	// A coordinator with merged data, so GET /summary exports instead of
-	// 404ing "no merged summary yet".
-	target := core.NewConcurrent(streamfreq.MustNew("SSH", 0.01, 1)).ServeSnapshots(0)
-	target.UpdateBatch([]core.Item{1, 1, 2})
-	nodeSrv := serve.NewServer(serve.Options{Target: target, Algo: "SSH"})
-	node := httptest.NewServer(nodeSrv.Handler())
-	defer node.Close()
+// freqmergeNamespaceRoutes answer only for a namespace with merged
+// data (a 404 otherwise reads as "unrouted"), so they are probed over
+// tenant-mode nodes that hold "demo".
+var freqmergeNamespaceRoutes = []apitest.Route{
+	{Method: http.MethodGet, Path: "/t/demo/topk"},
+	{Method: http.MethodGet, Path: "/t/demo/estimate"},
+}
 
+// conformFreqmerge runs the coordinator contract over one loopback node
+// after a first pull, so GET /summary exports instead of 404ing "no
+// merged summary yet".
+func conformFreqmerge(t *testing.T, node http.Handler, routes []apitest.Route) {
+	t.Helper()
+	ts := httptest.NewServer(node)
+	defer ts.Close()
 	coord, err := cluster.New(cluster.Options{
-		Nodes:        []string{node.URL},
+		Nodes:        []string{ts.URL},
 		MergeEncoded: streamfreq.MergeEncoded,
 	})
 	if err != nil {
@@ -115,33 +124,19 @@ func TestFreqmergeConformance(t *testing.T) {
 		"freq_cluster_nodes", "freq_merge_age_seconds")
 }
 
-func TestFreqmergeTenantConformance(t *testing.T) {
-	routes := []apitest.Route{
-		{Method: http.MethodGet, Path: "/topk", Aliases: []string{"/topk"}},
-		{Method: http.MethodGet, Path: "/stats", Aliases: []string{"/stats"}},
-		{Method: http.MethodGet, Path: "/metrics"},
-		{Method: http.MethodGet, Path: "/t/demo/topk"},
-		{Method: http.MethodGet, Path: "/t/demo/estimate"},
-		{Method: http.MethodGet, Path: "/tenants"},
-	}
+func TestFreqmergeConformance(t *testing.T) {
+	target := core.NewConcurrent(streamfreq.MustNew("SSH", 0.01, 1)).ServeSnapshots(0)
+	target.UpdateBatch([]core.Item{1, 1, 2})
+	nodeSrv := serve.NewServer(serve.Options{Target: target, Algo: "SSH"})
+	conformFreqmerge(t, nodeSrv.Handler(), freqmergeRoutes)
+}
 
+// TestFreqmergeTenantConformance is the same coordinator over a
+// tenant-mode node: the namespace routes come alive.
+func TestFreqmergeTenantConformance(t *testing.T) {
 	table := newDemoTable(t)
 	nodeSrv := serve.NewServer(serve.Options{Target: table, Algo: "SSH", Tenants: table})
-	node := httptest.NewServer(nodeSrv.Handler())
-	defer node.Close()
-
-	coord, err := cluster.New(cluster.Options{
-		Nodes:        []string{node.URL},
-		TenantMerge:  true,
-		MergeEncoded: streamfreq.MergeEncoded,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.PullAll(context.Background())
-	apitest.Conform(t, coord.Handler(), routes)
-	apitest.ConformMetrics(t, coord.Handler(),
-		"freq_pull_seconds", "freq_merges_total", "freq_cluster_nodes")
+	conformFreqmerge(t, nodeSrv.Handler(), append(freqmergeRoutes, freqmergeNamespaceRoutes...))
 }
 
 func TestFreqrouterConformance(t *testing.T) {

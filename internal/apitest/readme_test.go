@@ -95,8 +95,8 @@ func TestReadmeAPITableMatchesMux(t *testing.T) {
 
 	// Each daemon at its maximal surface, built the way its command
 	// builds it: freqd with tenancy enabled (tenant routes ride the same
-	// mux), freqmerge in tenant-merge mode over a loopback node, and the
-	// router over one replica.
+	// mux), freqmerge over that node on loopback, and the router over one
+	// replica.
 	table := newDemoTable(t)
 	freqd := serve.NewServer(serve.Options{Target: table, Algo: "SSH", Tenants: table})
 
@@ -104,7 +104,6 @@ func TestReadmeAPITableMatchesMux(t *testing.T) {
 	defer node.Close()
 	coord, err := cluster.New(cluster.Options{
 		Nodes:        []string{node.URL},
-		TenantMerge:  true,
 		MergeEncoded: streamfreq.MergeEncoded,
 	})
 	if err != nil {

@@ -1,11 +1,24 @@
 // Package cluster turns N freqd nodes into one logical summary: a
 // coordinator periodically pulls each node's GET /summary blob, decodes
-// and merges them through the registry Merger machinery, and serves the
-// merged state over the same query API as a single node — the paper's X2
-// merge experiment as a network service. Counter and sketch summaries
-// are mergeable with their guarantees intact, so the coordinator answers
-// frequent-items queries over the union of the node streams with the
-// per-node provisioning (same φ, same seed) and no raw-stream shipping.
+// it through the registry, and serves the combined state over the same
+// query API as a single node — the paper's X2 merge experiment as a
+// network service. Counter and sketch summaries are mergeable with
+// their guarantees intact, so the coordinator answers frequent-items
+// queries over the union of the node streams with the per-node
+// provisioning (same φ, same seed) and no raw-stream shipping.
+//
+// One model covers every topology. A pull yields a map from namespace
+// to decoded summary: a plain node ships one summary, stored as the
+// default namespace ""; a tenant-mode node ships every namespace in one
+// bundle (serve.TenantBundleContentType). Each rebuild groups the
+// contributions by (namespace, shard) — the write tier's ring shard
+// when a shard map is configured, otherwise each node is its own shard
+// — picks the freshest replica of each group (the highest stream
+// position among contributions inside the freshness SLO), and combines
+// a namespace's picks by disjoint union when a ring partitions the
+// stream (PartitionedView) or by merge when nodes saw independent
+// streams. The default namespace serves the un-namespaced routes and
+// GET /summary; every namespace answers under /v1/t/{ns}/....
 //
 // The protocol is pull-based and stateless on the nodes: every pull
 // ships a node's full cumulative state, and the coordinator replaces
@@ -18,15 +31,15 @@
 // same way.
 //
 // Failure model: a node that cannot be reached, or ships a blob that
-// does not decode, keeps its last good summary in the merge — served
+// does not decode, keeps its last good summaries in the view — served
 // stale, with the staleness and the error surfaced per node in /stats —
 // unless Options.MaxStale bounds the staleness, in which case the node's
-// contribution is dropped (reflected in /stats and the merged N) until a
-// pull succeeds again: partial-but-fresh for consumers that prefer it
-// over complete-but-stale. A node running a different algorithm is
-// rejected with a clear error and contributes nothing (merging
-// incompatible summaries would either fail or, worse, silently mix
-// estimators).
+// contribution is dropped from every namespace (reflected in /stats and
+// the merged N) until a pull succeeds again: partial-but-fresh for
+// consumers that prefer it over complete-but-stale. A node running a
+// different algorithm is rejected with a clear error and contributes
+// nothing (merging incompatible summaries would either fail or, worse,
+// silently mix estimators).
 //
 // Windowed nodes (freqd -window) merge like any other: their WN01 blobs
 // decode to window.Windowed, whose Merge unions the nodes' recent
@@ -52,6 +65,7 @@ import (
 	"streamfreq/internal/obs"
 	"streamfreq/internal/router"
 	"streamfreq/internal/serve"
+	"streamfreq/internal/tenant"
 )
 
 // maxSummaryBytes bounds one node's /summary body: summaries are
@@ -92,22 +106,15 @@ type Options struct {
 	// and folds the decoded summaries itself via Snapshotter/Merger, so
 	// nothing is decoded twice.
 	MergeEncoded func(blobs ...[]byte) (core.Summary, error)
-	// TenantMerge, when set, pulls each node's GET /v1/tenants/summary
-	// bundle instead of the flat /summary and merges the cluster
-	// namespace by namespace; the /v1/t/{ns}/... read routes come alive
-	// on the coordinator and the un-namespaced routes serve the merged
-	// default namespace. Incompatible with ShardMap (the write tier
-	// shards the flat stream, not namespaces).
-	TenantMerge bool
-	// ShardMap, when set, switches the coordinator to partitioned mode:
-	// Nodes is ignored and the topology comes from the write tier's
-	// published shard map (router.FetchShardMap) — every replica of
-	// every shard is pulled, but the serving view holds exactly one
-	// replica per shard (the highest acknowledged position), routed by
-	// the map's hash ring. Replicas of a shard saw the same substream,
-	// so merging or summing them would double-count; and the shards are
-	// disjoint partitions, so the view answers with per-partition error
-	// bounds instead of merge-inflated ones (see PartitionedView).
+	// ShardMap, when set, takes the topology from the write tier's
+	// published shard map (router.FetchShardMap) instead of Nodes: every
+	// replica of every shard is pulled and grouped by its ring shard, so
+	// the serving view holds exactly one replica per shard (the highest
+	// acknowledged position), routed by the map's hash ring. Replicas of
+	// a shard saw the same substream, so merging or summing them would
+	// double-count; and the shards are disjoint partitions, so the view
+	// answers with per-partition error bounds instead of merge-inflated
+	// ones (see PartitionedView).
 	ShardMap *router.ShardMap
 	// Epoch identifies this coordinator process on its own GET /summary
 	// (coordinators stack); 0 draws one from the clock.
@@ -123,51 +130,47 @@ type Options struct {
 }
 
 // nodeState is the coordinator's view of one freqd node. All fields are
-// guarded by Coordinator.mu; sum is replaced wholesale on every
-// successful pull and never mutated afterwards (Merge reads its operand
-// without modifying it), so a rebuild can merge a reference to it
-// outside the lock.
+// guarded by Coordinator.mu; sums is replaced wholesale on every
+// successful pull and its summaries are never mutated afterwards (Merge
+// reads its operand without modifying it), so a rebuild can combine
+// references to them outside the lock.
 type nodeState struct {
 	url   string
-	shard int // ring shard index in partitioned mode; -1 in flat mode
+	shard int // ring shard index with a shard map; the node's own index without one
 
-	sum        core.Summary            // last good decoded summary; nil until the first pull
-	tenantSums map[string]core.Summary // tenant mode: last good bundle, one summary per namespace
-	n          int64                   // its stream position (tenant mode: sum over namespaces)
-	epoch      uint64                  // node process epoch of the last good pull
-	algo       string                  // its algorithm name
-	lastPull   time.Time
+	sums     map[string]core.Summary // last good pull, namespace → decoded summary; nil until then
+	n        int64                   // its stream position, summed over namespaces
+	epoch    uint64                  // node process epoch of the last good pull
+	algo     string                  // its algorithm name
+	lastPull time.Time
 
 	pulls    int64
 	failures int64
 	restarts int64
 	lastErr  string // error of the most recent attempt; "" on success
 	dropped  bool   // excluded from the last rebuild by the -max-stale bound
-	picked   bool   // the replica serving its shard in the last partitioned rebuild
+	picked   bool   // serving its shard of at least one namespace in the last rebuild
 }
 
 // mergedView is one immutable published epoch of the cluster-wide
-// serving state: a single merged summary in flat mode, a
-// PartitionedView in partitioned mode. view is nil when every known
-// contribution was dropped by the freshness SLO — the coordinator then
+// serving state: one view per namespace — a merged summary, or a
+// PartitionedView when a ring partitions the stream. Without a ring, a
+// namespace no node contributes to is absent; with one, it stays as a
+// view whose shards are all missing. An absent default namespace ""
 // serves the empty stream, exactly like before the first pull.
 type mergedView struct {
-	view    core.ReadView
+	views   map[string]core.ReadView
 	builtAt time.Time
-	fresh   int // nodes whose latest pull succeeded
-	have    int // nodes contributing (fresh or stale)
+	fresh   int // nodes serving a shard whose latest pull succeeded
+	have    int // nodes serving a shard (fresh or stale)
 	dropped int // nodes with data excluded by the -max-stale bound
-	missing int // shards with no usable contribution (partitioned mode)
-
-	// tenants holds the per-namespace merged summaries in tenant-merge
-	// mode (nil otherwise). Immutable once published, like view.
-	tenants map[string]core.Summary
+	missing int // ring shards with no usable contribution
 }
 
 // Coordinator pulls, merges, and serves; see the package comment.
 type Coordinator struct {
 	nodes    []*nodeState
-	ring     *router.Ring // non-nil in partitioned mode
+	ring     *router.Ring // non-nil with a shard map
 	shardIDs []string     // shard names, index-aligned with the ring
 	interval time.Duration
 	timeout  time.Duration
@@ -179,8 +182,6 @@ type Coordinator struct {
 	counters *obs.Set
 	pullH    *obs.Histogram
 	start    time.Time
-
-	tenanted bool // pull and merge per-namespace tenant bundles
 
 	mu       sync.Mutex // guards nodeState fields, algo, mergeErr
 	algo     string
@@ -206,9 +207,6 @@ func New(opts Options) (*Coordinator, error) {
 	if opts.MergeEncoded == nil {
 		return nil, fmt.Errorf("cluster: Options.MergeEncoded is required (streamfreq.MergeEncoded)")
 	}
-	if opts.TenantMerge && opts.ShardMap != nil {
-		return nil, fmt.Errorf("cluster: -tenants and a shard map are incompatible (the write tier shards the flat stream, not namespaces)")
-	}
 	if opts.Interval <= 0 {
 		opts.Interval = time.Second
 	}
@@ -232,7 +230,6 @@ func New(opts Options) (*Coordinator, error) {
 		merge:    opts.MergeEncoded,
 		epoch:    opts.Epoch,
 		algo:     opts.Algo,
-		tenanted: opts.TenantMerge,
 		obs:      opts.Obs,
 		counters: obs.NewSet(opts.Obs.Reg, "freq"),
 		start:    time.Now(),
@@ -274,7 +271,7 @@ func New(opts Options) (*Coordinator, error) {
 		return c, nil
 	}
 	for _, u := range opts.Nodes {
-		if err := addNode(u, -1); err != nil {
+		if err := addNode(u, len(c.nodes)); err != nil { // each node is its own shard
 			return nil, err
 		}
 	}
@@ -346,13 +343,15 @@ func (c *Coordinator) bindMetrics() {
 		func() float64 { return time.Since(c.start).Seconds() })
 }
 
-// pullNode fetches one node's /summary and returns the decoded summary
-// plus its wire metadata. It validates eagerly — decode errors and
-// algorithm mismatches are this node's failure, recorded against it,
-// rather than a later cluster-wide merge failure — and the decode
-// happens exactly once per pull: the summary (not the blob) is what
-// the coordinator retains and merges.
-func (c *Coordinator) pullNode(ctx context.Context, ns *nodeState) (sum core.Summary, epoch uint64, err error) {
+// pullNode fetches one node's /summary and returns its decoded
+// summaries by namespace plus the node's epoch. The Content-Type picks
+// the decoder: a tenant bundle decodes entry by entry, anything else is
+// one registry blob stored as the default namespace "". It validates
+// eagerly — decode errors are this node's failure, recorded against
+// it, rather than a later cluster-wide merge failure — and each blob is
+// decoded exactly once per pull: the summaries (not the blobs) are what
+// the coordinator retains and combines.
+func (c *Coordinator) pullNode(ctx context.Context, ns *nodeState) (sums map[string]core.Summary, epoch uint64, err error) {
 	defer c.pullH.ObserveSince(time.Now())
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
@@ -387,12 +386,30 @@ func (c *Coordinator) pullNode(ctx context.Context, ns *nodeState) (sum core.Sum
 	}
 
 	// The headers describe, the blob decides: position and algorithm
-	// come from the decoded summary.
-	sum, err = c.merge(blob)
-	if err != nil {
-		return nil, 0, fmt.Errorf("undecodable summary: %w", err)
+	// come from the decoded summaries.
+	entries := []tenant.NamespaceBlob{{NS: "", Blob: blob}}
+	if resp.Header.Get("Content-Type") == serve.TenantBundleContentType {
+		if entries, err = tenant.DecodeBundle(blob); err != nil {
+			return nil, 0, fmt.Errorf("undecodable bundle: %w", err)
+		}
 	}
-	return sum, epoch, nil
+	sums = make(map[string]core.Summary, len(entries))
+	for _, e := range entries {
+		sum, err := c.merge(e.Blob)
+		if err != nil {
+			return nil, 0, fmt.Errorf("undecodable summary%s: %w", nsSuffix(e.NS), err)
+		}
+		sums[e.NS] = sum
+	}
+	return sums, epoch, nil
+}
+
+// nsSuffix names a non-default namespace in an error message.
+func nsSuffix(name string) string {
+	if name == "" {
+		return ""
+	}
+	return fmt.Sprintf(" in namespace %q", name)
 }
 
 // PullAll performs one pull round: every node concurrently, then one
@@ -405,195 +422,199 @@ func (c *Coordinator) PullAll(ctx context.Context) {
 	if obs.TraceFrom(ctx) == "" {
 		ctx = obs.WithTrace(ctx, obs.NewTraceID())
 	}
-	tid := obs.TraceFrom(ctx)
 	var wg sync.WaitGroup
 	for _, ns := range c.nodes {
 		wg.Add(1)
 		go func(ns *nodeState) {
 			defer wg.Done()
-			if c.tenanted {
-				c.pullTenantInto(ctx, ns)
-				return
-			}
-			sum, epoch, err := c.pullNode(ctx, ns)
-
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			if err != nil {
-				ns.failures++
-				ns.lastErr = err.Error()
-				c.counters.Add("pulls.failed", 1)
-				c.obs.Log.LogAttrs(ctx, slog.LevelWarn, "pull failed",
-					slog.String("trace", tid), slog.String("node", ns.url), slog.String("error", err.Error()))
-				return
-			}
-			algo := sum.Name()
-			if c.algo == "" {
-				c.algo = algo // adopt the cluster's algorithm from the first pull
-			}
-			if algo != c.algo {
-				ns.failures++
-				ns.lastErr = fmt.Sprintf("algorithm mismatch: node serves %s, cluster is %s", algo, c.algo)
-				c.counters.Add("pulls.mismatched", 1)
-				return
-			}
-			if ns.epoch != 0 && epoch != ns.epoch {
-				// The node restarted since the last good pull. Its summary
-				// is cumulative again (durable nodes replay their WAL), so
-				// the wholesale replacement below is exactly right; the
-				// counter makes the restart visible to operators.
-				ns.restarts++
-				c.counters.Add("nodes.restarts", 1)
-				c.obs.Log.LogAttrs(ctx, slog.LevelInfo, "node restarted",
-					slog.String("trace", tid), slog.String("node", ns.url),
-					slog.Uint64("old_epoch", ns.epoch), slog.Uint64("new_epoch", epoch))
-			}
-			ns.sum, ns.n, ns.epoch, ns.algo = sum, sum.N(), epoch, algo
-			ns.lastPull = time.Now()
-			ns.pulls++
-			ns.lastErr = ""
-			c.counters.Add("pulls.ok", 1)
+			sums, epoch, err := c.pullNode(ctx, ns)
+			c.record(ctx, ns, sums, epoch, err)
 		}(ns)
 	}
 	wg.Wait()
 	c.rebuild()
 }
 
-// rebuild merges the latest good summaries into a fresh serving view.
-// Nodes with nothing pulled yet contribute nothing; nodes whose last
-// attempt failed contribute their stale summary. The stored summaries
-// are never mutated — the merge starts from a clone of the first (one
-// Snapshot, already decoded at pull time) and Merge only reads its
-// operands — so each node's state survives for the next cycle. A merge
-// failure (same algorithm label but incompatible parameters — e.g.
-// nodes provisioned at different φ) keeps the previous view serving
-// and surfaces the error in Stats.
+// record is the bookkeeping of one pull, whatever the node ships:
+// algorithm adoption and mismatch, epoch-change restarts, counters and
+// log lines, then the wholesale replacement of the node's contribution.
+func (c *Coordinator) record(ctx context.Context, ns *nodeState, sums map[string]core.Summary, epoch uint64, err error) {
+	tid := obs.TraceFrom(ctx)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		ns.failures++
+		ns.lastErr = err.Error()
+		c.counters.Add("pulls.failed", 1)
+		c.obs.Log.LogAttrs(ctx, slog.LevelWarn, "pull failed",
+			slog.String("trace", tid), slog.String("node", ns.url), slog.String("error", err.Error()))
+		return
+	}
+	var n int64
+	for name, sum := range sums {
+		algo := sum.Name()
+		if c.algo == "" {
+			c.algo = algo // adopt the cluster's algorithm from the first pull
+		}
+		if algo != c.algo {
+			ns.failures++
+			ns.lastErr = fmt.Sprintf("algorithm mismatch%s: node serves %s, cluster is %s", nsSuffix(name), algo, c.algo)
+			c.counters.Add("pulls.mismatched", 1)
+			return
+		}
+		n += sum.N()
+	}
+	if ns.epoch != 0 && epoch != ns.epoch {
+		// The node restarted since the last good pull. Its summaries are
+		// cumulative again (durable nodes replay their WAL), so the
+		// wholesale replacement below is exactly right; the counter
+		// makes the restart visible to operators.
+		ns.restarts++
+		c.counters.Add("nodes.restarts", 1)
+		c.obs.Log.LogAttrs(ctx, slog.LevelInfo, "node restarted",
+			slog.String("trace", tid), slog.String("node", ns.url),
+			slog.Uint64("old_epoch", ns.epoch), slog.Uint64("new_epoch", epoch))
+	}
+	ns.sums, ns.n, ns.epoch, ns.algo = sums, n, epoch, c.algo
+	ns.lastPull = time.Now()
+	ns.pulls++
+	ns.lastErr = ""
+	c.counters.Add("pulls.ok", 1)
+}
+
+// rebuild combines the latest good summaries into a fresh serving view.
+// Per (namespace, shard) it picks the contribution with the highest
+// stream position among nodes inside the freshness SLO — replicas of a
+// ring shard saw the same substream, so exactly one serves (the most
+// caught-up survivor, which under the router's failover guarantee holds
+// every acknowledged item of the shard; a recovered-but-behind replica
+// is pulled and tracked, but not picked until it catches up). Each
+// namespace's picks are then combined: by disjoint union when a ring
+// partitions the stream, by merge otherwise. Nodes with nothing pulled
+// yet contribute nothing; nodes whose last attempt failed contribute
+// their stale summaries. The stored summaries are never mutated, so
+// each node's state survives for the next cycle. A merge failure (same
+// algorithm label but incompatible parameters — e.g. nodes provisioned
+// at different φ) keeps the previous view serving and surfaces the
+// error in Stats.
 func (c *Coordinator) rebuild() {
 	c.rebuildMu.Lock()
 	defer c.rebuildMu.Unlock()
+	shards := len(c.nodes)
 	if c.ring != nil {
-		c.rebuildPartitioned()
-		return
+		shards = c.ring.Shards()
 	}
-	if c.tenanted {
-		c.rebuildTenants()
-		return
-	}
+
 	c.mu.Lock()
-	sums := make([]core.Summary, 0, len(c.nodes))
-	fresh, have, dropped := 0, 0, 0
+	picks := make(map[string][]*nodeState) // namespace → shard → picked node
+	mv := &mergedView{}
 	for _, ns := range c.nodes {
-		ns.dropped = false
-		if ns.sum == nil {
+		ns.dropped, ns.picked = false, false
+		if len(ns.sums) == 0 {
 			continue
 		}
-		if c.maxStale > 0 && time.Since(ns.lastPull) > c.maxStale {
+		stale := c.maxStale > 0 && time.Since(ns.lastPull) > c.maxStale
+		if stale {
 			// Past the freshness SLO: partial-but-fresh beats complete-
-			// but-stale, so this node's last good state sits out the
-			// merge (and the merged N) until a pull succeeds again. The
-			// flag is set here, at rebuild time, so the per-node rows
+			// but-stale, so this node's last good state sits out every
+			// namespace (and the merged N) until a pull succeeds again.
+			// The flag is set here, at rebuild time, so the per-node rows
 			// and the cluster counters in /stats describe the same
 			// serving view.
 			ns.dropped = true
-			dropped++
-			continue
+			mv.dropped++
 		}
-		sums = append(sums, ns.sum)
-		have++
-		if ns.lastErr == "" {
-			fresh++
+		for name, sum := range ns.sums {
+			p := picks[name]
+			if p == nil {
+				p = make([]*nodeState, shards)
+				picks[name] = p
+			}
+			if b := p[ns.shard]; !stale && (b == nil || sum.N() > b.sums[name].N()) {
+				p[ns.shard] = ns
+			}
+		}
+	}
+	if len(picks) == 0 {
+		c.mu.Unlock()
+		return // before the first good pull: keep serving the empty stream
+	}
+	covered := make([]bool, shards)
+	parts := make(map[string][]core.Summary, len(picks))
+	for name, p := range picks {
+		part := make([]core.Summary, shards)
+		for si, b := range p {
+			if b != nil {
+				b.picked, covered[si] = true, true
+				part[si] = b.sums[name]
+			}
+		}
+		parts[name] = part
+	}
+	for _, ns := range c.nodes {
+		if ns.picked {
+			mv.have++
+			if ns.lastErr == "" {
+				mv.fresh++
+			}
+		}
+	}
+	if c.ring != nil {
+		for _, ok := range covered {
+			if !ok {
+				mv.missing++
+			}
 		}
 	}
 	c.mu.Unlock()
 
-	if len(sums) == 0 {
-		if dropped > 0 {
-			// Every known contribution is over the bound: publish the
-			// empty state rather than keep serving data the SLO forbids.
-			// Any earlier merge error is superseded by this (successful,
-			// if vacuous) rebuild.
+	mv.views = make(map[string]core.ReadView, len(parts))
+	for name, part := range parts {
+		v, err := c.combine(part)
+		if err != nil {
 			c.mu.Lock()
-			c.mergeErr = ""
+			c.mergeErr = err.Error() + nsSuffix(name)
 			c.mu.Unlock()
-			c.merged.Store(&mergedView{builtAt: time.Now(), dropped: dropped})
-			c.merges.Add(1)
-			c.counters.Add("merges.ok", 1)
+			c.counters.Add("merges.failed", 1)
+			return
 		}
-		return
+		if v != nil {
+			mv.views[name] = v
+		}
 	}
-	merged, err := mergeSummaries(sums)
+	mv.builtAt = time.Now()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err != nil {
-		c.mergeErr = err.Error()
-		c.counters.Add("merges.failed", 1)
-		return
-	}
 	c.mergeErr = ""
-	c.merged.Store(&mergedView{view: merged, builtAt: time.Now(), fresh: fresh, have: have, dropped: dropped})
+	c.mu.Unlock()
+	c.merged.Store(mv)
 	c.merges.Add(1)
 	c.counters.Add("merges.ok", 1)
 }
 
-// rebuildPartitioned publishes a PartitionedView: per shard, the
-// contribution with the highest acknowledged position among replicas
-// that have data and are inside the freshness SLO. Replicas of a shard
-// saw the same substream, so exactly one is chosen (never merged or
-// summed); the highest position is the most caught-up survivor, which
-// under the router's failover guarantee holds every acknowledged item
-// of the shard — a recovered-but-behind replica is pulled and tracked,
-// but not chosen until it catches up. The stored summaries are replaced
-// wholesale by pulls, never mutated, so the published view can hold
-// references to them across cycles.
-func (c *Coordinator) rebuildPartitioned() {
-	c.mu.Lock()
-	best := make([]*nodeState, c.ring.Shards())
-	fresh, have, dropped, missing := 0, 0, 0, 0
-	anyData := false
-	for _, ns := range c.nodes {
-		ns.dropped = false
-		ns.picked = false
-		if ns.sum == nil {
-			continue
+// combine builds one namespace's view from its per-shard picks (nil
+// where a shard has none): a PartitionedView over the ring's disjoint
+// partitions, or the merge of independent node streams — nil when no
+// node contributes.
+func (c *Coordinator) combine(part []core.Summary) (core.ReadView, error) {
+	if c.ring != nil {
+		var n int64
+		for _, s := range part {
+			if s != nil {
+				n += s.N()
+			}
 		}
-		anyData = true
-		if c.maxStale > 0 && time.Since(ns.lastPull) > c.maxStale {
-			ns.dropped = true
-			dropped++
-			continue
-		}
-		if b := best[ns.shard]; b == nil || ns.n > b.n {
-			best[ns.shard] = ns
+		return &PartitionedView{ring: c.ring, shards: part, n: n}, nil
+	}
+	var sums []core.Summary
+	for _, s := range part {
+		if s != nil {
+			sums = append(sums, s)
 		}
 	}
-	shards := make([]core.Summary, c.ring.Shards())
-	var total int64
-	for si, b := range best {
-		if b == nil {
-			missing++
-			continue
-		}
-		b.picked = true
-		shards[si] = b.sum
-		total += b.n
-		have++
-		if b.lastErr == "" {
-			fresh++
-		}
+	if len(sums) == 0 {
+		return nil, nil
 	}
-	c.mergeErr = ""
-	c.mu.Unlock()
-
-	if !anyData {
-		return // before the first good pull: keep serving the empty stream
-	}
-	c.merged.Store(&mergedView{
-		view:    &PartitionedView{ring: c.ring, shards: shards, n: total},
-		builtAt: time.Now(),
-		fresh:   fresh, have: have, dropped: dropped, missing: missing,
-	})
-	c.merges.Add(1)
-	c.counters.Add("merges.ok", 1)
+	return mergeSummaries(sums)
 }
 
 // mergeSummaries folds the per-node summaries into one independent
@@ -649,10 +670,20 @@ func (emptyView) Query(int64) []core.ItemCount { return nil }
 // freshness SLO has dropped every contribution, it serves the empty
 // stream.
 func (c *Coordinator) ServingView() core.ReadView {
-	if v := c.merged.Load(); v != nil && v.view != nil {
-		return v.view
+	if v, ok := c.namespace(""); ok {
+		return v
 	}
 	return emptyView{}
+}
+
+// namespace returns one namespace's view in the current merged epoch.
+func (c *Coordinator) namespace(name string) (core.ReadView, bool) {
+	mv := c.merged.Load()
+	if mv == nil {
+		return nil, false
+	}
+	v, ok := mv.views[name]
+	return v, ok
 }
 
 // N implements core.ReadView over the merged state.
@@ -669,9 +700,10 @@ func (c *Coordinator) Query(threshold int64) []core.ItemCount {
 // NodeStats is one node's row in Stats.
 type NodeStats struct {
 	URL string
-	// Shard is the shard ID this node replicates in partitioned mode
-	// ("" in flat mode); Picked whether it is the replica chosen to
-	// serve that shard in the current view.
+	// Shard is the shard ID this node replicates when a shard map is
+	// configured ("" without one, where each node is its own shard);
+	// Picked whether it is the replica chosen to serve its shard, for at
+	// least one namespace, in the current view.
 	Shard    string
 	Picked   bool
 	Algo     string
@@ -709,7 +741,7 @@ type Stats struct {
 	Dropped  int           // nodes excluded from the serving view by -max-stale
 	MaxStale time.Duration // the freshness SLO (0 = serve stale forever)
 	Uptime   time.Duration
-	// Partitioned mode: the shard count of the write tier's map, and
+	// With a shard map: the shard count of the write tier's map, and
 	// how many shards have no usable contribution in the serving view
 	// (their key ranges answer zero).
 	Partitioned bool
@@ -741,12 +773,12 @@ func (c *Coordinator) Stats() Stats {
 			Pulls:    ns.pulls,
 			Failures: ns.failures,
 			Restarts: ns.restarts,
-			HasData:  ns.sum != nil,
-			Stale:    ns.sum != nil && ns.lastErr != "",
+			HasData:  len(ns.sums) > 0,
+			Stale:    len(ns.sums) > 0 && ns.lastErr != "",
 			Dropped:  ns.dropped,
 			LastErr:  ns.lastErr,
 		}
-		if ns.shard >= 0 && ns.shard < len(c.shardIDs) {
+		if c.ring != nil {
 			row.Shard = c.shardIDs[ns.shard]
 		}
 		if !ns.lastPull.IsZero() {
@@ -757,10 +789,8 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Unlock()
 
 	st.Merges = c.merges.Load()
+	st.MergedN = c.N()
 	if v := c.merged.Load(); v != nil {
-		if v.view != nil {
-			st.MergedN = v.view.N()
-		}
 		st.MergeAge = time.Since(v.builtAt)
 		st.Fresh, st.Have, st.Dropped = v.fresh, v.have, v.dropped
 		st.Missing = v.missing

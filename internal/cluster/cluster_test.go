@@ -10,9 +10,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -21,8 +24,10 @@ import (
 	"streamfreq"
 	"streamfreq/internal/cluster"
 	"streamfreq/internal/core"
+	"streamfreq/internal/obs"
 	"streamfreq/internal/serve"
 	"streamfreq/internal/stream"
+	"streamfreq/internal/tenant"
 	"streamfreq/internal/testutil"
 	"streamfreq/internal/zipf"
 )
@@ -594,5 +599,232 @@ func TestCoordinatorMergesWindowedNodes(t *testing.T) {
 	c2.PullAll(context.Background())
 	if st := c2.Stats(); st.MergeErr == "" {
 		t.Fatalf("geometry-mismatched windowed nodes merged without error (stats %+v)", st)
+	}
+}
+
+// tenantNode spins up one in-memory tenant-mode freqd behind a
+// swappable handler, returning its table so a test can restart the
+// node (same state, new epoch) or read its namespace blobs.
+func tenantNode(t *testing.T, epoch uint64) (*httptest.Server, *swappable, *tenant.Table) {
+	t.Helper()
+	table, err := tenant.NewTable(tenant.Options{DefaultPhi: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.NewServer(serve.Options{Target: table, Algo: "SSH", Tenants: table, Epoch: epoch})
+	sw := &swappable{}
+	sw.set(srv.Handler())
+	return httptest.NewServer(sw), sw, table
+}
+
+// tenantCoordinator builds a coordinator over tenant-mode nodes.
+func tenantCoordinator(t *testing.T, maxStale time.Duration, o *obs.Obs, urls ...string) *cluster.Coordinator {
+	t.Helper()
+	c, err := cluster.New(cluster.Options{
+		Nodes:        urls,
+		MaxStale:     maxStale,
+		MergeEncoded: streamfreq.MergeEncoded,
+		Obs:          o,
+		Epoch:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// namespaceBlobs returns each namespace's encoded summary on one node.
+func namespaceBlobs(t *testing.T, table *tenant.Table) map[string][]byte {
+	t.Helper()
+	bundle, err := table.EncodeBundle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := tenant.DecodeBundle(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		out[e.NS] = e.Blob
+	}
+	return out
+}
+
+// status returns the HTTP status of a GET.
+func status(t *testing.T, url string) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+type tenantsResponse struct {
+	Namespaces []struct {
+		NS string `json:"ns"`
+		N  int64  `json:"n"`
+	} `json:"namespaces"`
+}
+
+// listedNamespaces returns the coordinator's /v1/tenants as ns → n.
+func listedNamespaces(t *testing.T, base string) map[string]int64 {
+	t.Helper()
+	var tr tenantsResponse
+	getJSON(t, base+"/v1/tenants", &tr)
+	out := make(map[string]int64, len(tr.Namespaces))
+	for _, row := range tr.Namespaces {
+		out[row.NS] = row.N
+	}
+	return out
+}
+
+// TestCoordinatorMergesTenantNamespaces: two tenant-mode nodes share
+// some namespaces and own others. Each namespace merges exactly like
+// streamfreq.MergeEncoded over the nodes' blobs for it, and the node-
+// level failure semantics (stale serving, -max-stale drops, epoch-
+// change restarts) hold for every namespace at once.
+func TestCoordinatorMergesTenantNamespaces(t *testing.T) {
+	const threshold = 5
+	g, err := zipf.NewGenerator(1<<12, 1.1, 7, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsA, _, tableA := tenantNode(t, 1)
+	defer tsA.Close()
+	tsB, swB, tableB := tenantNode(t, 2)
+	defer tsB.Close()
+	ingest(t, tsA.URL+"/v1/t/shared", g.Stream(3000))
+	ingest(t, tsA.URL+"/v1/t/onlyA", zipf.Sequential(1000))
+	ingest(t, tsB.URL+"/v1/t/shared", g.Stream(2000))
+	ingest(t, tsB.URL+"/v1/t/onlyB", zipf.Sequential(500))
+
+	c := tenantCoordinator(t, 0, nil, tsA.URL, tsB.URL)
+	c.PullAll(context.Background())
+	// A second coordinator with a freshness SLO, primed while both
+	// nodes are up.
+	const maxStale = 80 * time.Millisecond
+	cStale := tenantCoordinator(t, maxStale, nil, tsA.URL, tsB.URL)
+	cStale.PullAll(context.Background())
+
+	cs := httptest.NewServer(c.Handler())
+	defer cs.Close()
+
+	// Every namespace merges like MergeEncoded over the nodes' blobs for
+	// it, in node order; its n is the sum over the nodes.
+	blobsA, blobsB := namespaceBlobs(t, tableA), namespaceBlobs(t, tableB)
+	wantN := map[string]int64{"shared": 5000, "onlyA": 1000, "onlyB": 500}
+	for ns, n := range wantN {
+		var blobs [][]byte
+		for _, node := range []map[string][]byte{blobsA, blobsB} {
+			if b, ok := node[ns]; ok {
+				blobs = append(blobs, b)
+			}
+		}
+		want, err := streamfreq.MergeEncoded(blobs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr topkResponse
+		getJSON(t, fmt.Sprintf("%s/v1/t/%s/topk?threshold=%d", cs.URL, ns, threshold), &tr)
+		if tr.N != n || want.N() != n {
+			t.Fatalf("namespace %s: merged n = %d (MergeEncoded %d), want %d", ns, tr.N, want.N(), n)
+		}
+		wantReport := want.Query(threshold)
+		if len(tr.Items) != len(wantReport) || len(wantReport) == 0 {
+			t.Fatalf("namespace %s: /topk reported %d items, MergeEncoded %d", ns, len(tr.Items), len(wantReport))
+		}
+		for i, ic := range wantReport {
+			got := tr.Items[i]
+			if core.Item(got.Item) != ic.Item || got.Count != ic.Count {
+				t.Fatalf("namespace %s: /topk item %d = %d:%d, MergeEncoded %d:%d",
+					ns, i, got.Item, got.Count, ic.Item, ic.Count)
+			}
+			var est struct {
+				Estimate int64 `json:"estimate"`
+			}
+			getJSON(t, fmt.Sprintf("%s/v1/t/%s/estimate?item=%d", cs.URL, ns, ic.Item), &est)
+			if est.Estimate != want.Estimate(ic.Item) {
+				t.Fatalf("namespace %s: /estimate of %d = %d, MergeEncoded %d",
+					ns, ic.Item, est.Estimate, want.Estimate(ic.Item))
+			}
+		}
+	}
+	if got := listedNamespaces(t, cs.URL); !reflect.DeepEqual(got, wantN) {
+		t.Fatalf("/v1/tenants = %v, want the union %v", got, wantN)
+	}
+	if code := status(t, cs.URL+"/v1/t/nosuch/topk"); code != http.StatusNotFound {
+		t.Fatalf("/v1/t/nosuch/topk: HTTP %d, want 404", code)
+	}
+
+	// B dies; A keeps ingesting. B's namespaces are served stale.
+	swB.set(down())
+	ingest(t, tsA.URL+"/v1/t/shared", g.Stream(1000))
+	c.PullAll(context.Background())
+	wantN = map[string]int64{"shared": 6000, "onlyA": 1000, "onlyB": 500}
+	if got := listedNamespaces(t, cs.URL); !reflect.DeepEqual(got, wantN) {
+		t.Fatalf("/v1/tenants with B down = %v, want %v (B served stale)", got, wantN)
+	}
+
+	// Past -max-stale, B leaves every namespace at once.
+	testutil.Eventually(t, 5*time.Second, func() bool {
+		cStale.PullAll(context.Background())
+		v := cStale.Stats()
+		return v.Dropped == 1
+	}, "down node never aged out (max-stale %v)", maxStale)
+	css := httptest.NewServer(cStale.Handler())
+	defer css.Close()
+	wantN = map[string]int64{"shared": 4000, "onlyA": 1000}
+	if got := listedNamespaces(t, css.URL); !reflect.DeepEqual(got, wantN) {
+		t.Fatalf("/v1/tenants past max-stale = %v, want %v (B dropped everywhere)", got, wantN)
+	}
+	if code := status(t, css.URL+"/v1/t/onlyB/topk"); code != http.StatusNotFound {
+		t.Fatalf("/v1/t/onlyB/topk with its only node dropped: HTTP %d, want 404", code)
+	}
+
+	// B restarts with its state and a new epoch: one restart, and its
+	// namespaces rejoin fresh.
+	restarted := serve.NewServer(serve.Options{Target: tableB, Algo: "SSH", Tenants: tableB, Epoch: 22})
+	swB.set(restarted.Handler())
+	c.PullAll(context.Background())
+	var rowB *cluster.NodeStats
+	st := c.Stats()
+	for i := range st.Nodes {
+		if st.Nodes[i].URL == tsB.URL {
+			rowB = &st.Nodes[i]
+		}
+	}
+	if rowB == nil || rowB.Restarts != 1 || rowB.Epoch != 22 || rowB.LastErr != "" {
+		t.Fatalf("restarted node stats: %+v, want one restart at epoch 22", rowB)
+	}
+	var names []string
+	for ns := range listedNamespaces(t, cs.URL) {
+		names = append(names, ns)
+	}
+	sort.Strings(names)
+	if !reflect.DeepEqual(names, []string{"onlyA", "onlyB", "shared"}) {
+		t.Fatalf("/v1/tenants after the restart lists %v", names)
+	}
+}
+
+// TestTenantNodeWithoutDefaultNamespaceHasData: a tenant node whose
+// namespaces are all named still contributes, so /stats must show it
+// with data — and stale once it goes down.
+func TestTenantNodeWithoutDefaultNamespaceHasData(t *testing.T) {
+	ts, sw, _ := tenantNode(t, 1)
+	defer ts.Close()
+	ingest(t, ts.URL+"/v1/t/eu", zipf.Sequential(400))
+
+	c := tenantCoordinator(t, 0, nil, ts.URL)
+	c.PullAll(context.Background())
+	if row := c.Stats().Nodes[0]; !row.HasData || row.Stale || row.N != 400 {
+		t.Fatalf("node with only named namespaces: %+v, want has_data, not stale, n=400", row)
+	}
+	sw.set(down())
+	c.PullAll(context.Background())
+	if row := c.Stats().Nodes[0]; !row.HasData || !row.Stale {
+		t.Fatalf("down node with only named namespaces: %+v, want has_data and stale", row)
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"net/http"
+	"sort"
 	"time"
 
 	"streamfreq/internal/core"
@@ -22,6 +23,8 @@ import (
 //	                and deterministic" contract)
 //	POST /ingest    rejected with a pointer to the nodes: the coordinator
 //	                aggregates summaries, it does not own a stream
+//	GET  /v1/t/{ns}/topk, /v1/t/{ns}/estimate, /v1/tenants
+//	                the same reads per namespace, over tenant-mode nodes
 
 // Handler returns the coordinator's HTTP API mux — the same /v1
 // surface (with legacy aliases) a node serves, so clients cannot tell
@@ -47,12 +50,44 @@ func (c *Coordinator) API() *serve.API {
 	api.Route("GET", "/stats", c.handleStats, "/stats")
 	api.Route("POST", "/refresh", c.handleRefresh, "/refresh")
 	api.Route("POST", "/ingest", c.handleIngest, "/ingest")
-	if c.tenanted {
-		api.Route("GET", "/t/{ns}/topk", c.handleTenantTopK)
-		api.Route("GET", "/t/{ns}/estimate", c.handleTenantEstimate)
-		api.Route("GET", "/tenants", c.handleTenants)
-	}
+	// Every merged namespace answers under /v1/t/{ns}/...; over plain
+	// nodes the only namespace is the default one, which these routes
+	// cannot name, so they 404 like any namespace without merged data.
+	api.Route("GET", "/t/{ns}/topk", c.namespaceQuery((*serve.QueryHandlers).TopK))
+	api.Route("GET", "/t/{ns}/estimate", c.namespaceQuery((*serve.QueryHandlers).Estimate))
+	api.Route("GET", "/tenants", c.handleTenants)
 	return api
+}
+
+// namespaceQuery serves one /v1/t/{ns}/... read over the namespace's
+// merged view, pinned for the request.
+func (c *Coordinator) namespaceQuery(query func(*serve.QueryHandlers, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name := r.PathValue("ns")
+		v, ok := c.namespace(name)
+		if !ok {
+			serve.HTTPError(w, http.StatusNotFound, "namespace %q has no merged data on this coordinator", name)
+			return
+		}
+		query(&serve.QueryHandlers{View: func() core.ReadView { return v }, Counters: c.counters}, w, r)
+	}
+}
+
+// handleTenants lists the merged namespaces with their union-stream
+// positions.
+func (c *Coordinator) handleTenants(w http.ResponseWriter, r *http.Request) {
+	type row struct {
+		NS string `json:"ns"`
+		N  int64  `json:"n"`
+	}
+	rows := []row{}
+	if mv := c.merged.Load(); mv != nil {
+		for name, v := range mv.views {
+			rows = append(rows, row{NS: name, N: v.N()})
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].NS < rows[j].NS })
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"namespaces": rows})
 }
 
 // handleSummary re-exports the merged state in the node wire format, so
@@ -60,12 +95,12 @@ func (c *Coordinator) API() *serve.API {
 // hierarchically with no new protocol. 404 until the first good pull —
 // there is no algorithm to encode yet.
 func (c *Coordinator) handleSummary(w http.ResponseWriter, r *http.Request) {
-	v := c.merged.Load()
-	if v == nil || v.view == nil {
+	v, ok := c.namespace("")
+	if !ok {
 		serve.HTTPError(w, http.StatusNotFound, "no merged summary to export (no successful pull, or every node is past -max-stale)")
 		return
 	}
-	sum, ok := v.view.(core.Summary)
+	sum, ok := v.(core.Summary)
 	if !ok {
 		// A partitioned view is deliberately not one summary: collapsing
 		// it to a single blob would trade its per-partition bounds for

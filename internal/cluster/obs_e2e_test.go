@@ -188,3 +188,24 @@ func TestTraceEndToEnd(t *testing.T) {
 			pullTID, nodeLog.lines(t))
 	}
 }
+
+// TestTenantPullFailureLogged: a failed pull of a tenant-mode node logs
+// "pull failed" with the round's trace ID, like any other node.
+func TestTenantPullFailureLogged(t *testing.T) {
+	ts, sw, _ := tenantNode(t, 1)
+	defer ts.Close()
+	ingest(t, ts.URL+"/v1/t/eu", zipf.Sequential(100))
+
+	var coordLog logBuffer
+	c := tenantCoordinator(t, 0, jsonObs(t, "freqmerge", &coordLog, 0), ts.URL)
+	c.PullAll(context.Background())
+	sw.set(down())
+	const tid = "0badc0de0badc0de"
+	c.PullAll(obs.WithTrace(context.Background(), tid))
+	if findLine(coordLog.lines(t), map[string]any{
+		"msg": "pull failed", "trace": tid, "node": ts.URL,
+	}) == nil {
+		t.Fatalf("coordinator log has no \"pull failed\" line for %s with trace %s:\n%v",
+			ts.URL, tid, coordLog.lines(t))
+	}
+}

@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"streamfreq/internal/core"
@@ -121,45 +120,6 @@ func (t Throughput) UpdatesPerMilli(n int) float64 {
 		return math.Inf(1)
 	}
 	return float64(n) / (float64(elapsed) / float64(time.Millisecond))
-}
-
-// Meter is a set of named monotone counters safe for concurrent use —
-// the operational-metrics companion to the offline Accuracy/Throughput
-// apparatus. The freqd server meters its ingest and query traffic with
-// one and reports the snapshot through /stats.
-type Meter struct {
-	mu     sync.Mutex
-	counts map[string]int64
-}
-
-// NewMeter returns an empty meter.
-func NewMeter() *Meter {
-	return &Meter{counts: make(map[string]int64)}
-}
-
-// Add increments the named counter by delta.
-func (m *Meter) Add(name string, delta int64) {
-	m.mu.Lock()
-	m.counts[name] += delta
-	m.mu.Unlock()
-}
-
-// Get returns the named counter's current value (0 if never added to).
-func (m *Meter) Get(name string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counts[name]
-}
-
-// Snapshot returns an independent copy of all counters.
-func (m *Meter) Snapshot() map[string]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int64, len(m.counts))
-	for k, v := range m.counts {
-		out[k] = v
-	}
-	return out
 }
 
 // Series is a labeled sequence of (x, y) points, one plotted line of a

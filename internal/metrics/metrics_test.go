@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"streamfreq/internal/core"
@@ -127,37 +126,5 @@ func TestAccuracyString(t *testing.T) {
 	got := a.String()
 	if got == "" {
 		t.Error("empty string")
-	}
-}
-
-func TestMeter(t *testing.T) {
-	m := NewMeter()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				m.Add("a", 1)
-				if i%2 == 0 {
-					m.Add("b", 2)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := m.Get("a"); got != 8000 {
-		t.Errorf("Get(a) = %d, want 8000", got)
-	}
-	snap := m.Snapshot()
-	if snap["a"] != 8000 || snap["b"] != 8000 {
-		t.Errorf("Snapshot = %v, want a=8000 b=8000", snap)
-	}
-	if got := m.Get("missing"); got != 0 {
-		t.Errorf("Get(missing) = %d, want 0", got)
-	}
-	snap["a"] = -1 // Snapshot must be an independent copy
-	if m.Get("a") != 8000 {
-		t.Error("mutating the snapshot changed the meter")
 	}
 }

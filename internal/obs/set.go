@@ -1,11 +1,10 @@
 package obs
 
-// Set replaces metrics.Meter on the serving path: a named-counter set
-// whose Add is lock-free (one atomic add after a lock-free map
-// lookup). It keeps the legacy dotted keys ("ingest.items",
-// "queries.topk") so the /stats JSON "counters" section is
-// byte-compatible with what Meter produced, while registering each
-// key with the Prometheus registry as freq_<key>_total.
+// Set is the serving path's named-counter set, whose Add is lock-free
+// (one atomic add after a lock-free map lookup). Keys are dotted
+// ("ingest.items", "queries.topk") and read back as the /stats JSON
+// "counters" section, while each key is also registered with the
+// Prometheus registry as freq_<key>_total.
 //
 // The map is copy-on-write behind an atomic pointer: the steady state
 // (every key already created) never takes the mutex, and key creation

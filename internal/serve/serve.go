@@ -342,7 +342,6 @@ func (s *Server) API() *API {
 		api.Route("GET", "/t/{ns}/estimate", s.handleTenantEstimate)
 		api.Route("GET", "/t/{ns}/stats", s.handleTenantStats)
 		api.Route("GET", "/tenants", s.handleTenants)
-		api.Route("GET", "/tenants/summary", s.handleTenantBundle)
 	}
 	return api
 }
@@ -463,8 +462,26 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // cluster fan-in primitive — a freqmerge coordinator pulls it from every
 // node and merges the blobs. For a Sharded target, Snapshot() already
 // merges the per-shard clones into one summary of the node's whole
-// stream, so the wire always carries exactly one blob per node.
+// stream, so the wire always carries exactly one blob per node. A
+// tenant-mode node ships every namespace instead, as one bundle
+// (TenantBundleContentType) the coordinator merges per namespace.
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
+	if s.tenants != nil {
+		blob, err := s.tenants.EncodeBundle()
+		if err != nil {
+			HTTPError(w, http.StatusInternalServerError, "encoding tenant bundle: %v", err)
+			return
+		}
+		s.counters.Add("summary.pulls", 1)
+		h := w.Header()
+		h.Set("Content-Type", TenantBundleContentType)
+		h.Set(HeaderAlgo, s.algo)
+		h.Set(HeaderN, strconv.FormatInt(s.tenants.N(), 10))
+		h.Set(HeaderEpoch, strconv.FormatUint(s.epoch, 10))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(blob)
+		return
+	}
 	sn, ok := s.target.(core.Snapshotter)
 	if !ok {
 		HTTPError(w, http.StatusNotImplemented, "target %s cannot snapshot", s.target.Name())

@@ -18,9 +18,9 @@ import (
 // parses and answers exactly like the global one, with the namespace's
 // own φ as the default threshold.
 
-// TenantBundleContentType is the media type of the all-namespaces
-// summary bundle (GET /v1/tenants/summary) freqmerge pulls from
-// tenant-mode nodes.
+// TenantBundleContentType is the media type of a tenant-mode node's
+// GET /summary: every namespace's encoded summary in one bundle, which
+// freqmerge merges namespace by namespace.
 const TenantBundleContentType = "application/x-freq-tenant-bundle"
 
 // tenantView adapts one namespace to core.ReadView. Reads lock the
@@ -220,23 +220,4 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 		"stats":      st,
 		"namespaces": s.tenants.Namespaces(limit),
 	})
-}
-
-// handleTenantBundle ships every namespace's encoded summary in one
-// frame — the tenant-mode analogue of GET /summary, pulled by
-// freqmerge for per-namespace cluster merges.
-func (s *Server) handleTenantBundle(w http.ResponseWriter, r *http.Request) {
-	blob, err := s.tenants.EncodeBundle()
-	if err != nil {
-		HTTPError(w, http.StatusInternalServerError, "encoding tenant bundle: %v", err)
-		return
-	}
-	s.counters.Add("summary.bundle_pulls", 1)
-	h := w.Header()
-	h.Set("Content-Type", TenantBundleContentType)
-	h.Set(HeaderAlgo, s.algo)
-	h.Set(HeaderN, strconv.FormatInt(s.tenants.N(), 10))
-	h.Set(HeaderEpoch, strconv.FormatUint(s.epoch, 10))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(blob)
 }
