@@ -125,6 +125,34 @@ func BenchmarkUpdateBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkUpdateBatchDistinct is BenchmarkUpdateBatch for the linear
+// sketches on a stream without repeats (Mix64 of the stream position):
+// the case where the batch collapse merges nothing and only adds its
+// scratch-table pass. flatCM and flatCS are the registry's sketches
+// without their trackers; registry CM hands its collapsed batch to the
+// sketch, and registry CS replays per arrival.
+func BenchmarkUpdateBatchDistinct(b *testing.B) {
+	stream := make([]Item, benchStreamLen)
+	for i := range stream {
+		stream[i] = Item(hash.Mix64(uint64(i)))
+	}
+	width := sketchWidth(benchPhi)
+	cases := []struct {
+		name string
+		mk   func() Summary
+	}{
+		{"CM", func() Summary { return MustNew("CM", benchPhi, benchSeed) }},
+		{"CS", func() Summary { return MustNew("CS", benchPhi, benchSeed) }},
+		{"CMH", func() Summary { return MustNew("CMH", benchPhi, benchSeed) }},
+		{"CSH", func() Summary { return MustNew("CSH", benchPhi, benchSeed) }},
+		{"flatCM", func() Summary { return NewCountMin(sketchDepth, width, benchSeed) }},
+		{"flatCS", func() Summary { return NewCountSketch(sketchDepth+1, width, benchSeed) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) { benchBatchUpdates(b, c.mk, stream) })
+	}
+}
+
 // BenchmarkUpdateBatchSharded is the acceptance benchmark of the batch
 // pipeline: single-writer Sharded(SSH) ingest, scalar loop vs batched
 // scatter/flush, swept over skew because the batch win is duplicate-
@@ -660,18 +688,24 @@ func BenchmarkAblationMGOffset(b *testing.B) {
 }
 
 // BenchmarkAblationHash compares 2-wise and 4-wise polynomial hashing,
-// the hash-strength design choice DESIGN.md §5 calls out.
+// the hash-strength design choice DESIGN.md §5 calls out. The bucket is
+// a family row, as the sketches hold it, and every index is consumed:
+// with a constant width and a discarded result the compiler folds the
+// range reduction away, and the row would time the polynomial alone.
 func BenchmarkAblationHash(b *testing.B) {
 	for _, k := range []int{2, 4} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			h := hash.NewBucket(k, 4096, benchSeed)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = h.Hash(uint64(i))
+			h := hash.NewFamily(1, 4096, k, benchSeed).Buckets[0]
+			sum := 0
+			for i := 0; b.Loop(); i++ {
+				sum += h.Hash(uint64(i))
 			}
+			hashSink = sum
 		})
 	}
 }
+
+var hashSink int
 
 // BenchmarkAblationHierarchyBits sweeps the hierarchy branching factor,
 // the CMH query/update trade-off.

@@ -424,7 +424,9 @@ func buildTarget(log *slog.Logger, algo string, phi float64, seed uint64, shards
 			"n", stats.RecoveredN,
 			"checkpoint_n", stats.CheckpointN,
 			"wal_records", stats.ReplayedRecords,
-			"truncated_bytes", stats.TruncatedBytes)
+			"truncated_bytes", stats.TruncatedBytes,
+			"elapsed", stats.Elapsed,
+			"replay_items_per_s", int64(float64(stats.ReplayedItems)/stats.Elapsed.Seconds()))
 		durable.PersistTo(store)
 	}
 

@@ -25,6 +25,22 @@ type BatchUpdater interface {
 	UpdateBatch(items []Item)
 }
 
+// PairUpdater is implemented by the linear sketches, which apply a
+// collapsed batch — distinct items with their arrival counts, as
+// Collapse produces — natively. UpdatePairs(items, counts) must equal
+// Update(items[i], counts[i]) for every i, in order. Tracked hands its
+// collapsed batch to the inner sketch through it, so each batch is
+// aggregated once.
+type PairUpdater interface {
+	// Linear reports whether the summary's state depends only on how
+	// often each item arrived, not on the order of the arrivals, so a
+	// collapsed batch applied through UpdatePairs leaves the state the
+	// arrival-by-arrival replay leaves. A conservative Count-Min reports
+	// false, and UpdatePairs must not be called on it.
+	Linear() bool
+	UpdatePairs(items []Item, counts []int64)
+}
+
 // UpdateAll feeds one unit-count arrival per element of items into s,
 // using the native batch path when s implements BatchUpdater and the
 // scalar Update loop otherwise. It is the single ingestion entry point

@@ -14,10 +14,6 @@ type Tracked struct {
 	capacity int
 	index    map[Item]*tkEntry
 	heap     tkHeap
-	// Batch scratch: distinct items of the current batch in
-	// first-appearance order (seen is reused across batches).
-	seen  map[Item]struct{}
-	order []Item
 }
 
 type tkEntry struct {
@@ -78,46 +74,47 @@ func (t *Tracked) admit(x Item, est int64) {
 }
 
 // UpdateBatch implements BatchUpdater. When the inner sketch certifies
-// monotone estimates (Count-Min under insert-only arrivals), the whole
-// batch is pushed through the sketch's native batch path (row-major,
-// hoisted hash state — see CountMin.UpdateBatch), then each distinct
-// item is offered to the heap once, in first-appearance order, at its
-// post-batch estimate: point estimates are unaffected by the linear
-// sketch's reordering, a batch-end admission sees every item at an
-// estimate at least as high as any mid-batch arrival would have (this
-// is where monotonicity is load-bearing), and heavy items are
-// re-offered on every batch in which they appear, so only the
-// sub-threshold tail of the tracked heap can differ from scalar replay.
-// Query re-estimates tracked items against the sketch, so reports above
-// the operating threshold match the scalar path (pinned by the
-// registry-wide equivalence test).
+// monotone estimates (Count-Min under insert-only arrivals), the batch
+// is collapsed once (Collapse) and each distinct item is offered to the
+// heap once, in first-appearance order, at its post-batch estimate: a
+// batch-end admission sees every item at an estimate at least as high as
+// any mid-batch arrival would have (this is where monotonicity is
+// load-bearing), and heavy items are re-offered on every batch in which
+// they appear, so only the sub-threshold tail of the tracked heap can
+// differ from scalar replay. Query re-estimates tracked items against
+// the sketch, so reports above the operating threshold match the scalar
+// path (pinned by the registry-wide equivalence test). A linear inner
+// (PairUpdater) takes the collapsed pairs through its pair path, so the
+// batch is aggregated once. A conservative Count-Min is monotone but not
+// linear — each arrival's write depends on the estimate at that arrival
+// — so it ingests the batch through its own per-arrival batch path
+// first, and its counters match scalar replay exactly.
 //
 // Non-monotone estimators (Count Sketch: a median of signed counters
 // that other items' arrivals can lower) get the exact per-arrival path
 // — deferring their admissions could miss an item whose estimate was
 // transiently above the heap minimum mid-batch.
 func (t *Tracked) UpdateBatch(items []Item) {
-	if m, ok := t.inner.(EstimateMonotone); !ok || !m.MonotoneEstimates() {
+	m, monotone := t.inner.(EstimateMonotone)
+	if !monotone || !m.MonotoneEstimates() {
 		for _, x := range items {
 			t.Update(x, 1)
 		}
 		return
 	}
-	UpdateAll(t.inner, items)
-	if t.seen == nil {
-		t.seen = make(map[Item]struct{}, len(items))
+	p, ok := t.inner.(PairUpdater)
+	if !ok || !p.Linear() {
+		UpdateAll(t.inner, items)
+		p = nil
 	}
-	for _, x := range items {
-		if _, dup := t.seen[x]; !dup {
-			t.seen[x] = struct{}{}
-			t.order = append(t.order, x)
+	Collapse(items, func(items []Item, counts []int64) {
+		if p != nil {
+			p.UpdatePairs(items, counts)
 		}
-	}
-	for _, x := range t.order {
-		t.admit(x, t.inner.Estimate(x))
-	}
-	clear(t.seen)
-	t.order = t.order[:0]
+		for _, x := range items {
+			t.admit(x, t.inner.Estimate(x))
+		}
+	})
 }
 
 // Estimate returns the sketch's point estimate.
@@ -125,9 +122,7 @@ func (t *Tracked) Estimate(x Item) int64 { return t.inner.Estimate(x) }
 
 // Clone returns an independent deep copy: the inner sketch is cloned via
 // its own Snapshotter implementation and the heap entries are copied at
-// their positions. The batch dedup scratch is not copied — a clone
-// starts with fresh (empty) scratch, which is state the summary's
-// observable behaviour never depends on.
+// their positions.
 func (t *Tracked) Clone() *Tracked {
 	nt := &Tracked{
 		inner:    mustSnapshot(t.inner),
@@ -171,13 +166,10 @@ func (t *Tracked) TopK(k int) []ItemCount {
 	return all
 }
 
-// Bytes adds the heap footprint to the sketch's, plus (after batched
-// ingest) the retained dedup scratch — charged at one map entry and one
-// order slot per distinct item of the largest batch seen.
+// Bytes adds the heap footprint to the sketch's.
 func (t *Tracked) Bytes() int {
 	const entry = 2 * (8 + 8 + 8)
-	const scratchEntry = 8 + 16 // order slot + map key/overhead share
-	return t.inner.Bytes() + entry*t.capacity + scratchEntry*cap(t.order)
+	return t.inner.Bytes() + entry*t.capacity
 }
 
 // Merge merges the inner sketches and re-selects tracked items from the

@@ -105,21 +105,11 @@ func (f *Frequent) Update(x core.Item, count int64) {
 // units, always within the n/(k+1) deficit bound both replays
 // guarantee (see querySlack in the root package's batch_test.go).
 func (f *Frequent) UpdateBatch(items []core.Item) {
-	for len(items) > maxAggChunk {
-		f.applyBatch(items[:maxAggChunk])
-		items = items[maxAggChunk:]
-	}
-	f.applyBatch(items)
-}
-
-func (f *Frequent) applyBatch(items []core.Item) {
-	a := getAgg()
-	distinct := a.aggregate(items)
-	for i := 0; i < distinct; i++ {
-		f.Update(a.pair(i))
-	}
-	a.release()
-	putAgg(a)
+	core.Collapse(items, func(items []core.Item, counts []int64) {
+		for i, x := range items {
+			f.Update(x, counts[i])
+		}
+	})
 }
 
 // Estimate returns the Misra–Gries lower-bound estimate of x's count

@@ -117,21 +117,11 @@ func (s *SpaceSavingHeap) Update(x core.Item, count int64) {
 // aggregated replay exactly as for the scalar one, since a weighted
 // update is the unit rule applied with the arrivals adjacent.
 func (s *SpaceSavingHeap) UpdateBatch(items []core.Item) {
-	for len(items) > maxAggChunk {
-		s.applyBatch(items[:maxAggChunk])
-		items = items[maxAggChunk:]
-	}
-	s.applyBatch(items)
-}
-
-func (s *SpaceSavingHeap) applyBatch(items []core.Item) {
-	a := getAgg()
-	distinct := a.aggregate(items)
-	for i := 0; i < distinct; i++ {
-		s.Update(a.pair(i))
-	}
-	a.release()
-	putAgg(a)
+	core.Collapse(items, func(items []core.Item, counts []int64) {
+		for i, x := range items {
+			s.Update(x, counts[i])
+		}
+	})
 }
 
 // Estimate returns the (over-)estimate for tracked items and the global

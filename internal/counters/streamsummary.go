@@ -173,21 +173,11 @@ func (s *SpaceSavingList) Update(x core.Item, count int64) {
 // item per batch — and a weighted relink skips the intermediate buckets
 // a unit-at-a-time walk would have created and destroyed.
 func (s *SpaceSavingList) UpdateBatch(items []core.Item) {
-	for len(items) > maxAggChunk {
-		s.applyBatch(items[:maxAggChunk])
-		items = items[maxAggChunk:]
-	}
-	s.applyBatch(items)
-}
-
-func (s *SpaceSavingList) applyBatch(items []core.Item) {
-	a := getAgg()
-	distinct := a.aggregate(items)
-	for i := 0; i < distinct; i++ {
-		s.Update(a.pair(i))
-	}
-	a.release()
-	putAgg(a)
+	core.Collapse(items, func(items []core.Item, counts []int64) {
+		for i, x := range items {
+			s.Update(x, counts[i])
+		}
+	})
 }
 
 // Estimate mirrors SpaceSavingHeap.Estimate.

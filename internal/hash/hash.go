@@ -14,10 +14,22 @@
 // what the Count-Min and Count-Sketch analyses require, and degree-3
 // polynomials (4-wise) are provided for the ablation study of hash
 // strength (experiment BenchmarkAblationHash).
+//
+// A bucket index is the field value modulo the row width, computed
+// without a hardware divide: each Bucket precomputes ⌊(2⁶⁴−1)/width⌋,
+// and a high multiply by it estimates the quotient, which one multiply-
+// subtract and at most one correcting subtract turn into the remainder
+// (Granlund & Montgomery, "Division by Invariant Integers using
+// Multiplication", PLDI 1994). The result is exact for every field value
+// and every width, so the indices — and every sketch built on them — are
+// those of the plain remainder. Buckets and Signs are the batch forms of
+// Bucket.Hash and Sign.Hash: one call per slice, with the polynomial's
+// coefficients held in registers across it.
 package hash
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"streamfreq/internal/prng"
@@ -61,7 +73,7 @@ func reduce(x uint64) uint64 {
 // mod p over GF(2^61−1). A degree-(k−1) polynomial with random
 // coefficients is a k-wise independent family.
 type Poly struct {
-	coeff []uint64 // degree increasing order: coeff[0] + coeff[1]*x + ...
+	coeff []uint64 // degree decreasing order: coeff[0] = c_{k-1}, ..., coeff[k-1] = c_0
 }
 
 // NewPoly draws a fresh k-wise independent polynomial hash using
@@ -72,12 +84,13 @@ func NewPoly(k int, seed uint64) Poly {
 	}
 	sm := prng.NewSplitMix64(seed)
 	coeff := make([]uint64, k)
-	for i := range coeff {
+	// Draws run from c_0 up to c_{k-1}.
+	for i := k - 1; i >= 0; i-- {
 		coeff[i] = reduce(sm.Next())
 	}
 	// The leading coefficient must be nonzero for full independence.
-	for coeff[k-1] == 0 {
-		coeff[k-1] = reduce(sm.Next())
+	for coeff[0] == 0 {
+		coeff[0] = reduce(sm.Next())
 	}
 	return Poly{coeff: coeff}
 }
@@ -85,11 +98,28 @@ func NewPoly(k int, seed uint64) Poly {
 // Hash evaluates the polynomial at x (reduced into the field first) and
 // returns a value uniform on [0, 2^61−1).
 func (p Poly) Hash(x uint64) uint64 {
-	xr := reduce(x)
-	// Horner evaluation.
-	acc := p.coeff[len(p.coeff)-1]
-	for i := len(p.coeff) - 2; i >= 0; i-- {
-		acc = addmod(mulmod(acc, xr), p.coeff[i])
+	if len(p.coeff) == 2 {
+		return line(p.coeff[0], p.coeff[1], x)
+	}
+	return horner(p.coeff, reduce(x))
+}
+
+// line evaluates the pairwise family's polynomial c1·x + c0 at item x:
+// the one Horner step every sketch's hashes take.
+func line(c1, c0, x uint64) uint64 {
+	v := mulmod(c1, reduce(x)) + c0
+	if v >= MersennePrime {
+		v -= MersennePrime
+	}
+	return v
+}
+
+// horner evaluates the polynomial with coefficients c (degree decreasing)
+// at the field element x.
+func horner(c []uint64, x uint64) uint64 {
+	acc := c[0]
+	for _, ci := range c[1:] {
+		acc = addmod(mulmod(acc, x), ci)
 	}
 	return acc
 }
@@ -101,6 +131,7 @@ func (p Poly) K() int { return len(p.coeff) }
 type Bucket struct {
 	p     Poly
 	width uint64
+	recip uint64 // ⌊(2⁶⁴−1)/width⌋, the divisor's reciprocal for mod
 }
 
 // NewBucket returns a k-wise independent hash onto [0, width).
@@ -108,20 +139,47 @@ func NewBucket(k int, width int, seed uint64) Bucket {
 	if width <= 0 {
 		panic("hash: bucket width must be positive")
 	}
-	return Bucket{p: NewPoly(k, seed), width: uint64(width)}
+	w := uint64(width)
+	return Bucket{p: NewPoly(k, seed), width: w, recip: math.MaxUint64 / w}
 }
 
-// Hash returns the bucket index of x in [0, width).
-func (b Bucket) Hash(x uint64) int {
-	// Multiply-shift style range reduction of the field value. The field
-	// value is uniform on [0, p); taking it mod width introduces a bias of
-	// at most width/p < 2^-37 for any practical width, which is far below
-	// the sketch error terms.
-	return int(b.p.Hash(x) % b.width)
+// Hash returns the bucket index of x in [0, width): the field value
+// modulo width. The field value is uniform on [0, p), so the remainder's
+// bias is at most width/p < 2^-37 for any practical width, far below the
+// sketch error terms. Hash inlines into its caller; index is its one
+// out-of-line call, polynomial and reduction together.
+func (b *Bucket) Hash(x uint64) int { return int(b.index(x)) }
+
+// index repeats Poly.Hash's pairwise dispatch rather than calling it:
+// Poly.Hash is too large to inline, and the second call per hash would
+// show on every scalar sketch update.
+func (b *Bucket) index(x uint64) uint64 {
+	var v uint64
+	if c := b.p.coeff; len(c) == 2 {
+		v = line(c[0], c[1], x)
+	} else {
+		v = horner(c, reduce(x))
+	}
+	return mod(v, b.width, b.recip)
+}
+
+// mod returns v mod width for a field value v < 2^61−1, given recip =
+// ⌊(2⁶⁴−1)/width⌋. The quotient estimate q = ⌊v·recip / 2⁶⁴⌋ never
+// exceeds ⌊v/width⌋ and falls short of it by at most one: v·recip/2⁶⁴
+// lies below v/width by less than 2v/2⁶⁴ < 1/4. So v − q·width lies in
+// [0, 2·width), and one conditional subtract makes it the exact
+// remainder.
+func mod(v, width, recip uint64) uint64 {
+	q, _ := bits.Mul64(v, recip)
+	r := v - q*width
+	if r >= width {
+		r -= width
+	}
+	return r
 }
 
 // Width returns the bucket range.
-func (b Bucket) Width() int { return int(b.width) }
+func (b *Bucket) Width() int { return int(b.width) }
 
 // Sign is a pairwise-independent hash from items to {+1, −1}, as required
 // by the Count Sketch estimator. It is derived from a polynomial hash by
@@ -143,6 +201,42 @@ func (s Sign) Hash(x uint64) int64 {
 		return 1
 	}
 	return -1
+}
+
+// Buckets sets dst[i] = b.Hash(uint64(xs[i])) for every i; dst must be
+// at least as long as xs. It is the batch form of Hash for the linear
+// sketches' row updates: for the pairwise family every sketch uses,
+// there is no call per item and both coefficients stay in registers;
+// other families take Hash per item.
+func Buckets[T ~uint64](b *Bucket, xs []T, dst []int) {
+	dst = dst[:len(xs)]
+	if len(b.p.coeff) != 2 {
+		for i, x := range xs {
+			dst[i] = b.Hash(uint64(x))
+		}
+		return
+	}
+	c1, c0, w, m := b.p.coeff[0], b.p.coeff[1], b.width, b.recip
+	for i, x := range xs {
+		dst[i] = int(mod(line(c1, c0, uint64(x)), w, m))
+	}
+}
+
+// Signs sets dst[i] = s.Hash(uint64(xs[i])) for every i; dst must be at
+// least as long as xs. It is the batch form of Sign.Hash, as Buckets is
+// of Bucket.Hash.
+func Signs[T ~uint64](s Sign, xs []T, dst []int64) {
+	dst = dst[:len(xs)]
+	if len(s.p.coeff) != 2 {
+		for i, x := range xs {
+			dst[i] = s.Hash(uint64(x))
+		}
+		return
+	}
+	c1, c0 := s.p.coeff[0], s.p.coeff[1]
+	for i, x := range xs {
+		dst[i] = 1 - 2*int64(line(c1, c0, uint64(x))&1)
+	}
 }
 
 // Mix64 is a fixed bijective mixing permutation on 64-bit integers

@@ -218,3 +218,65 @@ func Test4WisePolyStillUniform(t *testing.T) {
 		}
 	}
 }
+
+// TestBucketReductionExact pins the division-free reduction to the plain
+// remainder it replaces: Bucket.Hash and the batch kernel must equal
+// Poly.Hash(x) % width for every width (so no sketch counter moves), on
+// Mix64 samples and on the field values at the reduction's edges.
+func TestBucketReductionExact(t *testing.T) {
+	type item uint64 // the kernel is generic over ~uint64 item types
+	for _, width := range []int{1, 2, 3, 7, 2000, 2048, 65537, 1<<31 - 1} {
+		w := uint64(width)
+		for _, k := range []int{2, 4} {
+			b := NewBucket(k, width, uint64(width)*31+uint64(k))
+			xs := []item{0, 1, MersennePrime - 2, MersennePrime - 1, MersennePrime, math.MaxUint64}
+			for i := uint64(0); i < 4096; i++ {
+				xs = append(xs, item(Mix64(i)))
+			}
+			got := make([]int, len(xs))
+			Buckets(&b, xs, got)
+			for i, x := range xs {
+				want := int(b.p.Hash(uint64(x)) % w)
+				if h := b.Hash(uint64(x)); h != want || got[i] != want {
+					t.Fatalf("width %d k %d: x=%d: Hash %d, Buckets %d, want %d", width, k, x, h, got[i], want)
+				}
+			}
+		}
+		// The reduction itself, on field values 0, 1, p−2, p−1 and
+		// multiples of width ±1 at both ends of the field.
+		vals := []uint64{0, 1, MersennePrime - 2, MersennePrime - 1}
+		top := (MersennePrime - 1) / w
+		for _, q := range []uint64{1, 2, 3, top - 1, top} {
+			if q == 0 {
+				continue
+			}
+			vals = append(vals, q*w-1, q*w, q*w+1)
+		}
+		for _, v := range vals {
+			if v >= MersennePrime {
+				continue
+			}
+			if got, want := mod(v, w, math.MaxUint64/w), v%w; got != want {
+				t.Fatalf("width %d: mod(%d) = %d, want %d", width, v, got, want)
+			}
+		}
+	}
+}
+
+// TestSignsMatchScalar: the batch sign kernel equals Sign.Hash.
+func TestSignsMatchScalar(t *testing.T) {
+	for _, k := range []int{2, 4} {
+		s := NewSign(k, uint64(k)*7)
+		xs := []uint64{0, 1, MersennePrime - 1, MersennePrime, math.MaxUint64}
+		for i := uint64(0); i < 4096; i++ {
+			xs = append(xs, Mix64(i))
+		}
+		got := make([]int64, len(xs))
+		Signs(s, xs, got)
+		for i, x := range xs {
+			if want := s.Hash(x); got[i] != want {
+				t.Fatalf("k %d: Signs(%d) = %d, Sign.Hash = %d", k, x, got[i], want)
+			}
+		}
+	}
+}

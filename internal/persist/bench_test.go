@@ -8,6 +8,7 @@ import (
 
 	"streamfreq/internal/core"
 	"streamfreq/internal/counters"
+	"streamfreq/internal/sketches"
 	"streamfreq/internal/zipf"
 )
 
@@ -151,6 +152,71 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 		if stats.RecoveredN != orig.LiveN() {
 			b.Fatalf("recovered n=%d, want %d", stats.RecoveredN, orig.LiveN())
+		}
+		b.StopTimer()
+		st.Close()
+		b.StartTimer()
+	}
+}
+
+// BenchmarkWALReplayCMH measures WAL-only recovery into a Count-Min
+// hierarchy at φ = 0.001, the restart of a durable CMH node that
+// crashed before its first checkpoint: one op is an Open+Recover of 512
+// logged 8192-item Zipf(1.1, 2²⁰) requests, written as the daemon
+// writes them (one 4096-item record per batch). It reads the log from
+// disk, so its CI row is reported but not gated, like BenchmarkRecovery.
+func BenchmarkWALReplayCMH(b *testing.B) {
+	const requests, requestItems = 512, 8192
+	newCMH := func() *core.Concurrent {
+		h, err := sketches.NewCountMinHierarchy(sketches.HierarchyConfig{Depth: 4, Width: 2000, Bits: 8, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return core.NewConcurrent(h)
+	}
+	pristine := b.TempDir()
+	opts := Options{Algo: "CMH", Fsync: FsyncNever}
+	st, err := Open(optsWithDir(opts, pristine))
+	if err != nil {
+		b.Fatal(err)
+	}
+	orig := newCMH()
+	if _, err := st.Recover(orig); err != nil {
+		b.Fatal(err)
+	}
+	orig.PersistTo(st)
+	g, err := zipf.NewGenerator(1<<20, 1.1, 0xBE7C4, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := make([]core.Item, requestItems)
+	for i := 0; i < requests; i++ {
+		g.Fill(body)
+		for off := 0; off < len(body); off += core.DefaultBatchSize {
+			orig.UpdateBatch(body[off : off+core.DefaultBatchSize])
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		copyDir(b, pristine, dir)
+		b.StartTimer()
+		st, err := Open(optsWithDir(opts, dir))
+		if err != nil {
+			b.Fatal(err)
+		}
+		stats, err := st.Recover(newCMH())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.CheckpointN != 0 || stats.RecoveredN != requests*requestItems {
+			b.Fatalf("recovered n=%d from checkpoint n=%d, want %d from the log alone",
+				stats.RecoveredN, stats.CheckpointN, requests*requestItems)
 		}
 		b.StopTimer()
 		st.Close()

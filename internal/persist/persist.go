@@ -281,6 +281,8 @@ func (st *Store) Instrument(reg *obs.Registry) {
 		func() float64 { st.mu.Lock(); defer st.mu.Unlock(); return float64(st.appendedBytes) })
 	reg.CounterFunc("freq_wal_inline_drains_total", "Appends that hit the staging cap and paid the write inline.",
 		func() float64 { st.mu.Lock(); defer st.mu.Unlock(); return float64(st.inlineDrains) })
+	reg.GaugeFunc("freq_wal_recovery_seconds", "Seconds startup recovery took (checkpoint load plus WAL replay).",
+		func() float64 { st.mu.Lock(); defer st.mu.Unlock(); return st.recovery.Elapsed.Seconds() })
 	reg.CounterFunc("freq_checkpoints_total", "Checkpoints written.",
 		func() float64 { st.mu.Lock(); defer st.mu.Unlock(); return float64(st.checkpoints) })
 	reg.GaugeFunc("freq_checkpoint_age_seconds", "Seconds since the last checkpoint (0 before the first).",

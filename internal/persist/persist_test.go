@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"streamfreq/internal/core"
 	"streamfreq/internal/counters"
+	"streamfreq/internal/obs"
 	"streamfreq/internal/sketches"
 	"streamfreq/internal/zipf"
 )
@@ -131,6 +133,17 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(encodeState(t, rec), encodeState(t, orig)) {
 		t.Fatal("recovered state is not bit-identical to the original")
+	}
+	// The recovery time reaches operators through /v1/metrics.
+	reg := obs.NewRegistry()
+	st2.Instrument(reg)
+	fams, err := obs.ParseExposition(strings.NewReader(reg.Render()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fam := fams["freq_wal_recovery_seconds"]; stats.Elapsed <= 0 || fam == nil ||
+		len(fam.Series) != 1 || fam.Series[0].Value != stats.Elapsed.Seconds() {
+		t.Fatalf("recovery took %v; freq_wal_recovery_seconds = %+v", stats.Elapsed, fam)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"streamfreq/internal/core"
 	"streamfreq/internal/stream"
@@ -31,6 +32,9 @@ type RecoveryStats struct {
 	// RecoveredN is the stream position after recovery: CheckpointN plus
 	// ReplayedItems, verified against the summary's own N.
 	RecoveredN int64
+	// Elapsed is the wall-clock time recovery took: checkpoint load, WAL
+	// replay and opening the first fresh segment.
+	Elapsed time.Duration
 }
 
 // Recover rebuilds target from the data directory: load the checkpoint
@@ -44,6 +48,7 @@ type RecoveryStats struct {
 // On a fresh (or empty) directory it recovers nothing and simply opens
 // the first segment.
 func (st *Store) Recover(target Target) (RecoveryStats, error) {
+	start := time.Now()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var stats RecoveryStats
@@ -236,6 +241,7 @@ func (st *Store) Recover(target Target) (RecoveryStats, error) {
 	}
 	st.durableN.Store(curN)
 	st.recovered = true
+	stats.Elapsed = time.Since(start)
 	st.recovery = stats
 	st.writeStop = make(chan struct{})
 	st.writeDone = make(chan struct{})

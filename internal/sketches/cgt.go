@@ -103,9 +103,10 @@ func (c *CGT) Estimate(x core.Item) int64 {
 		xv &= (1 << c.universeBits) - 1
 	}
 	if c.neg {
-		vals := make([]int64, c.depth)
+		var buf [medianRows]int64
+		vals := buf[:0]
 		for i := 0; i < c.depth; i++ {
-			vals[i] = c.cells[c.base(i, c.family.Buckets[i].Hash(xv))]
+			vals = append(vals, c.cells[c.base(i, c.family.Buckets[i].Hash(xv))])
 		}
 		return median(vals)
 	}

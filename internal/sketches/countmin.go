@@ -12,7 +12,6 @@ package sketches
 
 import (
 	"math"
-	"sort"
 
 	"streamfreq/internal/core"
 	"streamfreq/internal/hash"
@@ -127,13 +126,15 @@ func (c *CountMin) Update(x core.Item, count int64) {
 	}
 }
 
-// UpdateBatch implements core.BatchUpdater for unit-count arrivals by
-// processing the batch row by row: the row slice and its hash function
-// are loaded once per row instead of once per arrival, and all writes of
-// a row land in the same w-counter window, which keeps the touched
-// cache lines resident across the batch (the scalar path cycles through
-// all d rows between consecutive touches of any one row). Because the
-// sketch is linear, the reordering is exact.
+// UpdateBatch implements core.BatchUpdater for unit-count arrivals: they
+// go through the pair path's row-major kernel as they come, without a
+// collapse. One Count-Min row update costs about what one probe of the
+// collapse table costs, so collapsing saves little on skewed batches and
+// adds a whole pass on batches without repeats (measured by
+// BenchmarkUpdateBatchDistinct/flatCM). Callers that collapse anyway
+// hand their pairs to UpdatePairs: Tracked, which needs the distinct
+// items to admit, and the hierarchies, which share one collapse across
+// all their levels.
 //
 // Conservative sketches are not linear — each arrival's write depends on
 // the estimate at that arrival — so they keep per-arrival processing.
@@ -145,14 +146,64 @@ func (c *CountMin) UpdateBatch(items []core.Item) {
 		return
 	}
 	c.n += int64(len(items))
-	for i := range c.rows {
-		row := c.rows[i]
-		h := c.family.Buckets[i]
-		for _, x := range items {
-			row[h.Hash(uint64(x))]++
+	c.addRows(items, nil)
+}
+
+// Linear implements core.PairUpdater: a plain Count-Min is linear, a
+// conservative one is not (see UpdateBatch).
+func (c *CountMin) Linear() bool { return !c.conservative }
+
+// UpdatePairs implements core.PairUpdater: counts[i] arrivals of items[i]
+// for every i, processed row by row. Each row's bucket indexes come from
+// one batch hash call (hash.Buckets), and all writes of a row land in
+// the same w-counter window, which keeps the touched cache lines
+// resident (the scalar path cycles through all d rows between
+// consecutive touches of any one row). A conservative sketch is not
+// linear and has no pair path.
+func (c *CountMin) UpdatePairs(items []core.Item, counts []int64) {
+	if c.conservative {
+		panic("sketches: conservative Count-Min is not linear and has no pair path")
+	}
+	var total int64
+	for _, count := range counts {
+		if count < 0 {
+			c.neg = true
+		}
+		total += count
+	}
+	c.n += total
+	c.addRows(items, counts)
+}
+
+// addRows adds counts[j] — or 1 when counts is nil — to items[j]'s
+// counter in every row, row by row in chunks of pairChunk items.
+func (c *CountMin) addRows(items []core.Item, counts []int64) {
+	var idx [pairChunk]int
+	for len(items) > 0 {
+		n := min(len(items), pairChunk)
+		for i, row := range c.rows {
+			hash.Buckets(&c.family.Buckets[i], items[:n], idx[:n])
+			if counts == nil {
+				for _, b := range idx[:n] {
+					row[b]++
+				}
+				continue
+			}
+			for j, b := range idx[:n] {
+				row[b] += counts[j]
+			}
+		}
+		items = items[n:]
+		if counts != nil {
+			counts = counts[n:]
 		}
 	}
 }
+
+// pairChunk is how many pairs the pair paths hash per row at a time: the
+// bucket indexes live in a stack buffer, so the paths allocate nothing
+// and retain no scratch.
+const pairChunk = 256
 
 func (c *CountMin) updateConservative(x core.Item, count int64) {
 	c.n += count
@@ -198,9 +249,10 @@ func (c *CountMin) EstimateMin(x core.Item) int64 {
 
 func (c *CountMin) estimateMedian(x core.Item) int64 {
 	xv := uint64(x)
-	vals := make([]int64, c.depth)
-	for i := range c.rows {
-		vals[i] = c.rows[i][c.family.Buckets[i].Hash(xv)]
+	var buf [medianRows]int64
+	vals := buf[:0]
+	for i, row := range c.rows {
+		vals = append(vals, row[c.family.Buckets[i].Hash(xv)])
 	}
 	return median(vals)
 }
@@ -285,10 +337,21 @@ func (c *CountMin) Subtract(other core.Summary) error {
 	return nil
 }
 
+// medianRows sizes the stack buffer the median estimators collect row
+// values in. It covers every registry depth (4 and 5 rows); a deeper
+// sketch's values spill to the heap.
+const medianRows = 8
+
 // median returns the median of vals, averaging the two central values for
-// even lengths (rounding toward the lower). vals is modified.
+// even lengths (rounding toward the lower). vals is sorted in place by
+// insertion sort, which allocates nothing and is the fastest sort for
+// the handful of rows a sketch has.
 func median(vals []int64) int64 {
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	for i := 1; i < len(vals); i++ {
+		for j := i; j > 0 && vals[j] < vals[j-1]; j-- {
+			vals[j], vals[j-1] = vals[j-1], vals[j]
+		}
+	}
 	m := len(vals) / 2
 	if len(vals)%2 == 1 {
 		return vals[m]

@@ -88,20 +88,54 @@ func (c *CountSketch) Update(x core.Item, count int64) {
 	}
 }
 
-// UpdateBatch implements core.BatchUpdater for unit-count arrivals,
-// processing row by row with the row slice, bucket hash, and sign hash
-// hoisted out of the item loop (see CountMin.UpdateBatch for why the
-// row-major order is also the cache-friendly one). Linearity makes the
-// reordering exact.
+// UpdateBatch implements core.BatchUpdater for unit-count arrivals: they
+// go through the pair path's row-major kernel as they come, without a
+// collapse, for the reason CountMin.UpdateBatch gives.
 func (c *CountSketch) UpdateBatch(items []core.Item) {
 	c.n += int64(len(items))
-	for i := range c.rows {
-		row := c.rows[i]
-		h := c.family.Buckets[i]
-		sg := c.family.Signs[i]
-		for _, x := range items {
-			xv := uint64(x)
-			row[h.Hash(xv)] += sg.Hash(xv)
+	c.addRows(items, nil)
+}
+
+// Linear implements core.PairUpdater: the sketch is linear.
+func (c *CountSketch) Linear() bool { return true }
+
+// UpdatePairs implements core.PairUpdater: counts[i] arrivals of items[i]
+// for every i, processed row by row with one batch call each for the
+// bucket and sign hashes (see CountMin.UpdatePairs for why the row-major
+// order is also the cache-friendly one).
+func (c *CountSketch) UpdatePairs(items []core.Item, counts []int64) {
+	var total int64
+	for _, count := range counts {
+		total += count
+	}
+	c.n += total
+	c.addRows(items, counts)
+}
+
+// addRows adds counts[j] — or 1 when counts is nil — times items[j]'s
+// sign to its counter in every row, row by row in chunks of pairChunk
+// items.
+func (c *CountSketch) addRows(items []core.Item, counts []int64) {
+	var idx [pairChunk]int
+	var sign [pairChunk]int64
+	for len(items) > 0 {
+		n := min(len(items), pairChunk)
+		for i, row := range c.rows {
+			hash.Buckets(&c.family.Buckets[i], items[:n], idx[:n])
+			hash.Signs(c.family.Signs[i], items[:n], sign[:n])
+			if counts == nil {
+				for j, b := range idx[:n] {
+					row[b] += sign[j]
+				}
+				continue
+			}
+			for j, b := range idx[:n] {
+				row[b] += counts[j] * sign[j]
+			}
+		}
+		items = items[n:]
+		if counts != nil {
+			counts = counts[n:]
 		}
 	}
 }
@@ -110,9 +144,10 @@ func (c *CountSketch) UpdateBatch(items []core.Item) {
 // signed counter values.
 func (c *CountSketch) Estimate(x core.Item) int64 {
 	xv := uint64(x)
-	vals := make([]int64, c.depth)
-	for i := range c.rows {
-		vals[i] = c.rows[i][c.family.Buckets[i].Hash(xv)] * c.family.Signs[i].Hash(xv)
+	var buf [medianRows]int64
+	vals := buf[:0]
+	for i, row := range c.rows {
+		vals = append(vals, row[c.family.Buckets[i].Hash(xv)]*c.family.Signs[i].Hash(xv))
 	}
 	return median(vals)
 }

@@ -2,6 +2,7 @@ package sketches
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"streamfreq/internal/core"
@@ -13,47 +14,57 @@ func TestHierarchyBatchMatchesScalar(t *testing.T) {
 		"CMH": NewCountMinHierarchy,
 		"CSH": NewCountSketchHierarchy,
 	} {
-		g, err := zipf.NewGenerator(4096, 1.1, 17, true)
-		if err != nil {
-			t.Fatal(err)
+		for _, ubits := range []uint{32, 64} {
+			checkHierarchyBatch(t, fmt.Sprintf("%s/universe=%d", name, ubits), mk,
+				HierarchyConfig{Depth: 4, Width: 512, Bits: 8, UniverseBits: ubits, Seed: 9})
 		}
-		items := make([]core.Item, 30000)
-		for i := range items {
-			items[i] = g.Next()
+	}
+}
+
+// checkHierarchyBatch feeds one Zipf stream through the scalar Update
+// loop and, in uneven batches, through UpdateBatch, and requires the two
+// encodings to match byte for byte.
+func checkHierarchyBatch(t *testing.T, name string, mk func(HierarchyConfig) (*Hierarchical, error), cfg HierarchyConfig) {
+	t.Helper()
+	g, err := zipf.NewGenerator(4096, 1.1, 17, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]core.Item, 30000)
+	for i := range items {
+		items[i] = g.Next()
+	}
+	scalar, err := mk(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched, err := mk(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range items {
+		scalar.Update(it, 1)
+	}
+	// Uneven batch lengths, including a length-0 call.
+	rest := items
+	for _, cut := range []int{1, 0, 4095, 7, 10000} {
+		if cut > len(rest) {
+			cut = len(rest)
 		}
-		cfg := HierarchyConfig{Depth: 4, Width: 512, Bits: 8, UniverseBits: 32, Seed: 9}
-		scalar, err := mk(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batched, err := mk(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, it := range items {
-			scalar.Update(it, 1)
-		}
-		// Uneven batch lengths, including a length-0 call.
-		rest := items
-		for _, cut := range []int{1, 0, 4095, 7, 10000} {
-			if cut > len(rest) {
-				cut = len(rest)
-			}
-			batched.UpdateBatch(rest[:cut])
-			rest = rest[cut:]
-		}
-		batched.UpdateBatch(rest)
-		a, err := scalar.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := batched.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: batched ingest is not bit-identical to scalar ingest", name)
-		}
+		batched.UpdateBatch(rest[:cut])
+		rest = rest[cut:]
+	}
+	batched.UpdateBatch(rest)
+	a, err := scalar.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := batched.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("%s: batched ingest is not bit-identical to scalar ingest", name)
 	}
 }
 

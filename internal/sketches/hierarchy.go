@@ -12,6 +12,7 @@ type pointSketch interface {
 	core.Summary
 	core.Merger
 	core.Subtractor
+	core.PairUpdater
 }
 
 // Hierarchical answers heavy-hitter queries from a sketch by the dyadic
@@ -35,11 +36,6 @@ type Hierarchical struct {
 	// maxCandidates caps the per-level frontier to bound worst-case query
 	// work on adversarial thresholds.
 	maxCandidates int
-	// scratch holds per-level prefix buffers between UpdateBatch calls
-	// (retained like other batch implementations' scratch state; a single
-	// hierarchy's batch path is not safe for concurrent use, exactly like
-	// Update).
-	scratch []core.Item
 }
 
 // HierarchyConfig parameterizes a Hierarchical sketch.
@@ -134,31 +130,30 @@ func (h *Hierarchical) Update(x core.Item, count int64) {
 	}
 }
 
-// UpdateBatch implements core.BatchUpdater: for each level it rewrites
-// the batch into that level's prefixes in a retained scratch buffer and
-// feeds it through the level sketch's native batch path, so the per-row
-// hash-state hoisting of the flat sketches applies per level. The level
-// sketches are linear, so the result is bit-identical to the scalar
-// Update loop.
+// UpdateBatch implements core.BatchUpdater: the batch is collapsed once
+// for all levels (core.Collapse), and each level's sketch takes the
+// distinct items' prefixes at its granularity, with their counts,
+// through its pair path. The prefixes are computed in place, one shift
+// per level. Distinct items may share a prefix at the coarse levels;
+// every level sketch is linear, so the result is bit-identical to the
+// scalar Update loop.
 func (h *Hierarchical) UpdateBatch(items []core.Item) {
-	if len(items) == 0 {
-		return
-	}
-	if cap(h.scratch) < len(items) {
-		h.scratch = make([]core.Item, len(items))
-	}
-	buf := h.scratch[:len(items)]
-	mask := ^uint64(0)
-	if h.universeBits < 64 {
-		mask = uint64(1)<<h.universeBits - 1
-	}
-	for j, s := range h.levels {
-		shift := uint(j) * h.bits
-		for i, x := range items {
-			buf[i] = core.Item(uint64(x) & mask >> shift)
+	core.Collapse(items, func(prefixes []core.Item, counts []int64) {
+		if h.universeBits < 64 {
+			mask := core.Item(1)<<h.universeBits - 1
+			for i := range prefixes {
+				prefixes[i] &= mask
+			}
 		}
-		core.UpdateAll(s, buf)
-	}
+		for j, s := range h.levels {
+			if j > 0 {
+				for i := range prefixes {
+					prefixes[i] >>= h.bits
+				}
+			}
+			s.UpdatePairs(prefixes, counts)
+		}
+	})
 	h.n += int64(len(items))
 }
 

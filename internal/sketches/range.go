@@ -140,13 +140,14 @@ func (c *CountMin) F2Estimate() int64 {
 // the median over rows of the row's sum of squared counters. Unbiased
 // with relative error O(1/√width).
 func (c *CountSketch) F2Estimate() int64 {
-	vals := make([]int64, c.depth)
-	for i := range c.rows {
+	var buf [medianRows]int64
+	vals := buf[:0]
+	for _, row := range c.rows {
 		var s int64
-		for _, v := range c.rows[i] {
+		for _, v := range row {
 			s += v * v
 		}
-		vals[i] = s
+		vals = append(vals, s)
 	}
 	return median(vals)
 }
