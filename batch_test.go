@@ -152,31 +152,34 @@ func TestBatchScalarEquivalence(t *testing.T) {
 
 // TestBatchScalarEquivalenceWrappers runs the same property through the
 // concurrency wrappers' batch paths (one lock per batch for Concurrent;
-// scatter + per-shard flush for Sharded), whose reordering must also be
-// invisible: every item maps to one shard and per-shard order is
-// preserved.
+// a scatter into per-shard staging rings for Pipelined), whose
+// reordering must also be invisible: every item maps to one shard and
+// per-shard order is preserved. Each plane is closed, which applies
+// everything staged, before it is read.
 func TestBatchScalarEquivalenceWrappers(t *testing.T) {
 	const phi = 0.005
 	const seed = 42
 	streams := equivStreams(t)
 	wrappers := []struct {
 		name string
-		wrap func(func() Summary) Summary
+		wrap func(func() Summary) (Summary, func())
 	}{
-		{"Concurrent", func(f func() Summary) Summary { return NewConcurrent(f()) }},
-		{"Sharded4", func(f func() Summary) Summary { return NewSharded(4, f) }},
+		{"Concurrent", func(f func() Summary) (Summary, func()) { return NewConcurrent(f()), func() {} }},
+		{"Pipelined4", func(f func() Summary) (Summary, func()) { p := NewPipelined(4, f); return p, p.Close }},
 	}
 	for _, algo := range []string{"F", "SSH", "SSL", "CM"} {
 		for _, w := range wrappers {
 			for streamName, stream := range streams {
 				label := fmt.Sprintf("%s(%s)/%s", w.name, algo, streamName)
 				factory := func() Summary { return MustNew(algo, phi/2, seed) }
-				scalar := w.wrap(factory)
+				scalar, closeScalar := w.wrap(factory)
 				for _, it := range stream {
 					scalar.Update(it, 1)
 				}
-				batched := w.wrap(factory)
+				closeScalar()
+				batched, closeBatched := w.wrap(factory)
 				UpdateBatches(batched, stream, 512)
+				closeBatched()
 				checkEquivalence(t, label, scalar, batched, stream, phi,
 					querySlack(algo, len(stream), phi))
 			}

@@ -154,79 +154,62 @@ func BenchmarkUpdateBatchDistinct(b *testing.B) {
 }
 
 // BenchmarkUpdateBatchSharded is the acceptance benchmark of the batch
-// pipeline: single-writer Sharded(SSH) ingest, scalar loop vs batched
-// scatter/flush, swept over skew because the batch win is duplicate-
+// pipeline: single-writer Concurrent(SSH) ingest, scalar loop vs one
+// lock per batch, swept over skew because the batch win is duplicate-
 // collapse driven. Each in-batch repeat of an item costs one L1-resident
-// scratch probe instead of a lock + shard hash + index-map + heap-sift
-// round trip, so the speedup tracks the in-batch duplicate fraction:
-// measured on the 2.1 GHz reference box, ~1.25× at z=1.0 (40% in-batch
-// duplicates) and ~3× at z=1.5 (91%) — the skew regime of the paper's
-// real HTTP/UDP traces. The residual per-*distinct* cost is
-// SpaceSavingHeap.Update itself (its index map and heap), which batching
-// pays once per distinct item per batch, identically to scalar.
+// scratch probe instead of a lock + index-map + heap-sift round trip, so
+// the speedup tracks the in-batch duplicate fraction (40% at z=1.0, 91%
+// at z=1.5 — the skew regime of the paper's real HTTP/UDP traces). The
+// residual per-*distinct* cost is SpaceSavingHeap.Update itself (its
+// index map and heap), which batching pays once per distinct item per
+// batch, identically to scalar.
 func BenchmarkUpdateBatchSharded(b *testing.B) {
 	for _, z := range []float64{1.0, 1.5} {
 		stream := benchStream(b, z)
-		for _, shards := range []int{4, 16} {
-			mk := func() Summary {
-				return NewSharded(shards, func() Summary { return NewSpaceSaving(1000) })
+		mk := func() Summary { return NewConcurrent(NewSpaceSaving(1000)) }
+		b.Run(fmt.Sprintf("scalar/z=%.1f", z), func(b *testing.B) {
+			s := mk()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Update(stream[i%len(stream)], 1)
 			}
-			b.Run(fmt.Sprintf("scalar/z=%.1f/shards=%d", z, shards), func(b *testing.B) {
-				s := mk()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.Update(stream[i%len(stream)], 1)
-				}
-				b.StopTimer()
-				perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				if perOp > 0 {
-					b.ReportMetric(1e6/perOp, "upd/ms")
-				}
-			})
-			b.Run(fmt.Sprintf("batch/z=%.1f/shards=%d", z, shards), func(b *testing.B) {
-				benchBatchUpdates(b, mk, stream)
-			})
-		}
+			b.StopTimer()
+			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			if perOp > 0 {
+				b.ReportMetric(1e6/perOp, "upd/ms")
+			}
+		})
+		b.Run(fmt.Sprintf("batch/z=%.1f", z), func(b *testing.B) {
+			benchBatchUpdates(b, mk, stream)
+		})
 	}
 
-	// Multi-writer plane comparison: the locked Sharded scatter vs the
-	// staged-ring Pipelined plane, same batches, same claim discipline
-	// (writers pull batch indices off one atomic cursor). The pipelined
-	// win is writer-side: a writer stages and moves on instead of
-	// holding shard mutexes across the apply, so with real cores the
-	// writers scale while the per-shard drainers pipeline behind them.
-	// (On a single-core box the drainers time-share with the writers
-	// and the comparison degenerates to context-switch overhead —
-	// interpret multi-writer numbers only on multi-core hardware.)
+	// Multi-writer sweep of the sharded plane: writers pull batch
+	// indices off one atomic cursor and stage them into the rings. The
+	// pipelined win is writer-side: a writer stages and moves on while
+	// the per-shard drainers apply behind it, so with real cores the
+	// writers scale. (On a single-core box the drainers time-share with
+	// the writers — interpret multi-writer numbers only on multi-core
+	// hardware.)
 	stream := benchStream(b, 1.5)
 	for _, algo := range []string{"SSH", "CM"} {
 		algo := algo
 		factory := func() Summary { return MustNew(algo, benchPhi, benchSeed) }
 		for _, writers := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("locked/%s/writers=%d", algo, writers), func(b *testing.B) {
-				benchPlane(b, NewSharded(4, factory), nil, stream, writers)
-			})
 			b.Run(fmt.Sprintf("pipelined/%s/writers=%d", algo, writers), func(b *testing.B) {
 				p := NewPipelined(4, factory)
 				defer p.Close()
-				benchPlane(b, p, p.Drain, stream, writers)
+				benchPlane(b, p, stream, writers)
 			})
 		}
 	}
 }
 
-// ingestPlane is the surface benchPlane drives on both planes.
-type ingestPlane interface {
-	UpdateBatch(items []Item)
-	N() int64
-}
-
 // benchPlane pushes ~b.N items through the plane from `writers`
-// concurrent goroutines in DefaultBatchSize batches. drain (pipelined
-// only) runs inside the timed region: staged-but-unapplied items are
-// not done.
-func benchPlane(b *testing.B, plane ingestPlane, drain func(), stream []Item, writers int) {
+// concurrent goroutines in DefaultBatchSize batches. The drain runs
+// inside the timed region: staged-but-unapplied items are not done.
+func benchPlane(b *testing.B, p *core.Pipelined, stream []Item, writers int) {
 	b.Helper()
 	var batches [][]Item
 	for i := 0; i+DefaultBatchSize <= len(stream); i += DefaultBatchSize {
@@ -246,14 +229,12 @@ func benchPlane(b *testing.B, plane ingestPlane, drain func(), stream []Item, wr
 				if i >= want {
 					return
 				}
-				plane.UpdateBatch(batches[i%len(batches)])
+				p.UpdateBatch(batches[i%len(batches)])
 			}
 		}()
 	}
 	wg.Wait()
-	if drain != nil {
-		drain()
-	}
+	p.Drain()
 	b.StopTimer()
 	perOp := float64(b.Elapsed().Nanoseconds()) / float64(want*DefaultBatchSize)
 	if perOp > 0 {
@@ -299,34 +280,6 @@ func BenchmarkPipelinedIngest(b *testing.B) {
 			if perOp > 0 {
 				b.ReportMetric(1e6/perOp, "upd/ms")
 			}
-		})
-	}
-}
-
-// BenchmarkConcurrentBatchIngest measures parallel writers pushing
-// batches into one Sharded summary — the scaling story the scatter
-// buffers and per-batch shard locks exist for (compare against
-// BenchmarkConcurrentIngest, the per-item-lock equivalent).
-func BenchmarkConcurrentBatchIngest(b *testing.B) {
-	stream := benchStream(b, 1.0)
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := NewSharded(shards, func() Summary { return NewSpaceSaving(1000) })
-			b.RunParallel(func(pb *testing.PB) {
-				buf := make([]Item, 0, 512)
-				i := 0
-				for pb.Next() {
-					buf = append(buf, stream[i%len(stream)])
-					i++
-					if len(buf) == cap(buf) {
-						s.UpdateBatch(buf)
-						buf = buf[:0]
-					}
-				}
-				if len(buf) > 0 {
-					s.UpdateBatch(buf)
-				}
-			})
 		})
 	}
 }
@@ -723,23 +676,6 @@ func BenchmarkAblationHierarchyBits(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				h.Update(core.Item(stream[i%len(stream)]), 1)
 			}
-		})
-	}
-}
-
-// BenchmarkConcurrentIngest measures the sharded wrapper's scalability.
-func BenchmarkConcurrentIngest(b *testing.B) {
-	stream := benchStream(b, 1.0)
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := NewSharded(shards, func() Summary { return NewSpaceSaving(1000) })
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					s.Update(stream[i%len(stream)], 1)
-					i++
-				}
-			})
 		})
 	}
 }

@@ -37,33 +37,34 @@
 //
 // Every summary implements Snapshotter: Snapshot() returns an
 // independent deep copy, frozen at the moment it is taken. The
-// Concurrent and Sharded wrappers build on this with ServeSnapshots,
-// which answers Query/Estimate/N from an epoch snapshot refreshed at
-// most once per staleness window — readers never take the ingest lock,
-// so query traffic does not slow the batched ingest hot path. The freqd
-// command (cmd/freqd) exposes the combination over HTTP: continuous
-// binary or text ingest on POST /v1/ingest, heavy-hitter reports on
-// GET /v1/topk, point estimates on GET /v1/estimate, and snapshot
-// freshness on GET /v1/stats (pre-versioning paths remain as aliases;
-// errors are a uniform JSON envelope).
+// Concurrent wrapper and the Pipelined plane build on this with
+// ServeSnapshots, which answers Query/Estimate/N from an epoch snapshot
+// refreshed at most once per staleness window — readers never take the
+// ingest lock, so query traffic does not slow the batched ingest hot
+// path. The freqd command (cmd/freqd) exposes the combination over
+// HTTP: continuous binary or text ingest on POST /v1/ingest,
+// heavy-hitter reports on GET /v1/topk, point estimates on
+// GET /v1/estimate, and snapshot freshness on GET /v1/stats
+// (pre-versioning paths remain as aliases; errors are a uniform JSON
+// envelope).
 //
-// # Lock-free ingest plane
+// # Ingest plane
 //
-// For write-heavy deployments, NewPipelined replaces the locked
-// Sharded scatter with staged ingest: writers claim one global stream
-// position with an atomic add, append to the write-ahead log at that
-// ticket, stage the batch into per-shard bounded rings (internal/ring,
-// sequence-stamped slots in the Vyukov MPSC style), and return; one
-// drainer goroutine per shard applies slots strictly in claimed order.
-// Per-shard apply order therefore equals global claim order, which
-// makes the plane a drop-in: single-writer pipelined ingest is
-// bit-identical to sequential Sharded ingest, the WAL is never behind
-// memory (append happens before staging), checkpoints and snapshot
-// refreshes quiesce the rings at an exact cross-shard cut, and the
-// steady-state hot path allocates nothing (slot buffers are reused
+// For write-heavy deployments, NewPipelined partitions the stream
+// across shard summaries by item hash and stages ingest: writers claim
+// one global stream position with an atomic add, append to the
+// write-ahead log at that ticket, stage the batch into per-shard
+// bounded rings (internal/ring, sequence-stamped slots in the Vyukov
+// MPSC style), and return; one drainer goroutine per shard applies
+// slots strictly in claimed order. Per-shard apply order therefore
+// equals global claim order: single-writer pipelined ingest is
+// bit-identical to a sequential scatter of the same batches, the WAL is
+// never behind memory (append happens before staging), checkpoints and
+// snapshot refreshes quiesce the rings at an exact cross-shard cut, and
+// the steady-state hot path allocates nothing (slot buffers are reused
 // after the first ring wrap; CI gates allocs/op at zero). freqd
-// -pipeline serves it; freqbench -writers measures it against the
-// locked plane.
+// -shards N serves it for N > 1; -shards 1 serves the single-mutex
+// Concurrent wrapper.
 //
 // # Durability
 //

@@ -178,10 +178,11 @@ func TestFacadeConstructors(t *testing.T) {
 	if c.N() != 1 {
 		t.Error("concurrent wrapper broken")
 	}
-	sh := NewSharded(2, func() Summary { return NewSpaceSaving(8) })
-	sh.Update(3, 2)
-	if sh.Estimate(3) != 2 {
-		t.Error("sharded wrapper broken")
+	pl := NewPipelined(2, func() Summary { return NewSpaceSaving(8) })
+	pl.Update(3, 2)
+	pl.Close()
+	if pl.Estimate(3) != 2 {
+		t.Error("pipelined plane broken")
 	}
 	csh, err := NewCountSketchHierarchy(HierarchyConfig{Depth: 2, Width: 32, Bits: 8, Seed: 1})
 	if err != nil || csh.Name() != "CSH" {

@@ -1,6 +1,6 @@
 package apitest_test
 
-// One executable API contract, three daemons: freqd (flat and
+// One executable API contract, three daemons: freqd (flat, sharded and
 // multi-tenant), freqmerge (over flat and tenant-mode nodes), and
 // freqrouter all run through apitest.Conform with their route tables.
 // The daemons are
@@ -69,6 +69,24 @@ func TestFreqdConformance(t *testing.T) {
 		"freq_build_info", "freq_uptime_seconds", "freq_stream_n",
 		"freq_ingest_batch_items", "freq_ingest_apply_seconds",
 		"freq_snapshot_age_seconds", "freq_snapshot_refreshes_total")
+}
+
+// TestFreqdPipelinedConformance is the same node contract over the
+// sharded plane freqd serves for -shards N > 1, plus its pipeline
+// series.
+func TestFreqdPipelinedConformance(t *testing.T) {
+	target := core.NewPipelined(4, func() core.Summary {
+		return streamfreq.MustNew("SSH", 0.01, 1)
+	}).ServeSnapshots(0)
+	defer target.Close()
+	target.UpdateBatch([]core.Item{1, 2, 3})
+	srv := serve.NewServer(serve.Options{Target: target, Algo: "SSH"})
+	apitest.Conform(t, srv.Handler(), freqdRoutes)
+	apitest.ConformIngest(t, srv.Handler(), "/v1/ingest")
+	apitest.ConformIngest(t, srv.Handler(), "/ingest")
+	apitest.ConformMetrics(t, srv.Handler(),
+		"freq_pipeline_staged_items", "freq_pipeline_shards",
+		"freq_pipeline_claimed_items_total", "freq_pipeline_applied_items_total")
 }
 
 func TestFreqdTenantConformance(t *testing.T) {

@@ -33,7 +33,7 @@ import "sync"
 // ingestion allocates nothing, but a million idle tenants retain zero
 // scratch — only as many tables exist as there are concurrently
 // collapsing batches. Like Update itself, a summary's batch path is not
-// safe for concurrent use; wrap with Concurrent or Sharded.
+// safe for concurrent use; wrap with Concurrent or Pipelined.
 func Collapse(items []Item, apply func(items []Item, counts []int64)) {
 	if len(items) == 0 {
 		return

@@ -7,9 +7,9 @@ import (
 )
 
 // Concurrent makes any Summary safe for concurrent use by guarding it
-// with a mutex. For higher ingest parallelism use Sharded, which
-// partitions the stream across independent summaries and merges at query
-// time.
+// with a mutex. For higher ingest parallelism use Pipelined, which
+// partitions the stream across independent shard summaries, applies
+// staged batches off the writers' path, and merges at query time.
 //
 // By default reads (Estimate, Query, N) take the same mutex as ingest.
 // ServeSnapshots switches reads to an epoch-style snapshot path: queries
@@ -254,57 +254,11 @@ func (c *Concurrent) Bytes() int {
 	return c.inner.Bytes() + snapBytes
 }
 
-// Sharded partitions updates across s independent summaries by a cheap
-// item hash, so concurrent writers rarely contend, and answers queries by
-// merging shard clones. The factory must produce mergeable summaries with
-// identical parameters (for sketches, identical seeds).
-//
-// Sharding by item (not round-robin) keeps each item's entire count in a
-// single shard, so per-shard guarantees translate to global guarantees
-// with per-shard error ε_shard = ε (each shard sees a substream).
-type Sharded struct {
-	shards []*Concurrent
-	mask   uint64
-	bufs   sync.Pool // *shardScatter, reused across UpdateBatch calls
-	// scatterBytes estimates the footprint of one pooled
-	// scatter-buffer set, charged by Bytes. It is an estimate in both
-	// directions, as the pool's contents are not enumerable: W
-	// concurrently-active batch writers can keep up to W sets pooled
-	// (undercharged), and a GC that discards pooled sets does not
-	// reset the mark (overcharged). It rises immediately to the
-	// retained capacity of the set a batch just returned and decays
-	// geometrically toward smaller sets, so one outlier batch stops
-	// dominating the estimate once its oversized buffers are shed
-	// (buffers past maxScatterRetain are not pooled at all).
-	scatterBytes atomic.Int64
-
-	// Snapshot serving state, mirroring Concurrent: version counts
-	// completed mutations (bumped atomically after the per-shard flushes,
-	// gated on serving so the non-serving hot path is untouched), snap
-	// holds the immutable per-shard read view, and refreshMu serializes
-	// refreshers without blocking writers on any shard.
-	serving   bool
-	maxStale  time.Duration
-	version   atomic.Uint64
-	snap      atomic.Pointer[shardedSnapshot]
-	refreshMu sync.Mutex
-	refreshes atomic.Int64
-
-	// persist, when set by PersistTo, receives every update before it is
-	// scattered; barrier quiesces all writers so SnapshotBarrier can cut
-	// the log at an exact cross-shard position. Writers take the read
-	// side only when persisting, so the non-durable path pays nothing.
-	persist Persister
-	barrier sync.RWMutex
-}
-
-// shardedSnapshot is an immutable ReadView of a Sharded summary: one
+// shardedSnapshot is an immutable ReadView of a Pipelined plane: one
 // clone per shard, routed by the same item hash, so snapshot reads have
 // exactly the semantics of locked reads (Estimate routes to the item's
-// shard, Query unions the shard reports). Cross-shard cloning is not a
-// single atomic cut — each shard is cloned under its own lock in turn —
-// so the view is per-shard consistent; with item-partitioned shards every
-// per-item answer is still some true point-in-time answer for that item.
+// shard, Query unions the shard reports). The clones are taken at one
+// barrier position, so the view is a single cross-shard cut.
 type shardedSnapshot struct {
 	views   []Summary
 	mask    uint64
@@ -336,313 +290,15 @@ func (v *shardedSnapshot) N() int64 {
 	return n
 }
 
-// shardScatter is a per-batch scatter buffer: one pending-item slice per
-// shard. Pooled so concurrent batch writers each get their own set
-// without allocating per batch.
-type shardScatter struct {
-	perShard [][]Item
-}
-
-// maxScatterRetain bounds the per-shard scatter buffer capacity a
-// batch may leave pooled, in items: one huge batch would otherwise pin
-// its full per-shard capacity in the pool forever. Buffers grown past
-// two default batches are dropped on Put and reallocated (amortized)
-// by the next oversized batch.
-const maxScatterRetain = 2 * DefaultBatchSize
-
-// NewSharded builds a sharded summary with shards power-of-two workers.
-func NewSharded(shards int, factory func() Summary) *Sharded {
-	if shards <= 0 || shards&(shards-1) != 0 {
-		panic("core: Sharded requires a positive power-of-two shard count")
-	}
-	s := &Sharded{mask: uint64(shards - 1)}
-	for i := 0; i < shards; i++ {
-		s.shards = append(s.shards, NewConcurrent(factory()))
-	}
-	s.bufs.New = func() any {
-		return &shardScatter{perShard: make([][]Item, shards)}
-	}
-	return s
-}
-
-// ServeSnapshots enables snapshot-based reads, mirroring
-// Concurrent.ServeSnapshots: Estimate, Query, and N are answered from an
-// immutable set of per-shard clones refreshed at most once per staleness
-// window, so readers never contend with writers on any shard lock. The
-// factory's summaries must implement Snapshotter; panics otherwise. Call
-// before sharing the wrapper between goroutines. Returns s for chaining.
-func (s *Sharded) ServeSnapshots(maxStale time.Duration) *Sharded {
-	s.serving = true
-	s.maxStale = maxStale
-	views := make([]Summary, len(s.shards))
-	for i, sh := range s.shards {
-		views[i] = sh.Snapshot()
-	}
-	s.snap.Store(&shardedSnapshot{views: views, mask: s.mask, taken: time.Now()})
-	s.refreshes.Add(1)
-	return s
-}
-
-// Name implements Summary.
-func (s *Sharded) Name() string { return s.shards[0].Name() + "-sharded" }
-
 // shardIndex spreads low-entropy item spaces across shards with the
-// SplitMix64 finalizer.
+// SplitMix64 finalizer. Sharding by item (not round-robin) keeps each
+// item's entire count in a single shard, so per-shard guarantees
+// translate to global guarantees with per-shard error ε_shard = ε (each
+// shard sees a substream).
 func shardIndex(x Item, mask uint64) uint64 {
 	v := uint64(x)
 	v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9
 	v = (v ^ (v >> 27)) * 0x94d049bb133111eb
 	v ^= v >> 31
 	return v & mask
-}
-
-func (s *Sharded) shard(x Item) *Concurrent { return s.shards[shardIndex(x, s.mask)] }
-
-// Update routes the arrival to its item's shard, logging it first when
-// persistence is enabled.
-func (s *Sharded) Update(x Item, count int64) {
-	if s.persist != nil {
-		s.barrier.RLock()
-		s.persist.AppendUpdate(x, count)
-		s.shard(x).Update(x, count)
-		s.barrier.RUnlock()
-	} else {
-		s.shard(x).Update(x, count)
-	}
-	if s.serving {
-		s.version.Add(1)
-	}
-}
-
-// UpdateBatch implements BatchUpdater: the batch is scattered into
-// per-shard buffers (paying only the shard hash per item, no locking),
-// then each non-empty shard is flushed under a single lock acquisition.
-// Because every item maps to exactly one shard and per-shard order is
-// preserved, the result is identical to routing each arrival
-// individually; the per-item mutex cost is amortized to one lock per
-// shard per batch.
-func (s *Sharded) UpdateBatch(items []Item) {
-	if len(items) == 0 {
-		return
-	}
-	if s.persist != nil {
-		// Log, scatter, and flush under the barrier's read side: the log
-		// position and the shard applies move together, so a checkpoint
-		// (which takes the write side) never splits a batch.
-		s.barrier.RLock()
-		defer s.barrier.RUnlock()
-		s.persist.AppendBatch(items)
-	}
-	if len(s.shards) == 1 {
-		s.shards[0].UpdateBatch(items)
-		if s.serving {
-			s.version.Add(1)
-		}
-		return
-	}
-	sc := s.bufs.Get().(*shardScatter)
-	for _, x := range items {
-		i := shardIndex(x, s.mask)
-		sc.perShard[i] = append(sc.perShard[i], x)
-	}
-	var retained int64
-	for i, buf := range sc.perShard {
-		if len(buf) > 0 {
-			s.shards[i].UpdateBatch(buf)
-		}
-		if cap(buf) > maxScatterRetain {
-			// Shed: an outlier batch must not pin its capacity in the
-			// pool for the rest of the process lifetime.
-			sc.perShard[i] = nil
-			continue
-		}
-		retained += int64(cap(buf)) * 8
-		sc.perShard[i] = buf[:0]
-	}
-	// Settle the footprint estimate: rise immediately to what this call
-	// put back, decay by quarters otherwise, so the estimate follows
-	// shed buffers back down instead of latching the high-water mark.
-	for {
-		old := s.scatterBytes.Load()
-		est := old - old>>2
-		if retained > est {
-			est = retained
-		}
-		if est == old || s.scatterBytes.CompareAndSwap(old, est) {
-			break
-		}
-	}
-	s.bufs.Put(sc)
-	if s.serving {
-		s.version.Add(1)
-	}
-}
-
-// reader returns the snapshot view reads are answered from, refreshing it
-// when it is both dirty and past the staleness bound; nil when snapshot
-// serving is off.
-func (s *Sharded) reader() *shardedSnapshot {
-	if !s.serving {
-		return nil
-	}
-	v := s.snap.Load()
-	if v.version == s.version.Load() || time.Since(v.taken) <= s.maxStale {
-		return v
-	}
-	return s.refresh()
-}
-
-// refresh re-clones every shard and publishes the new view. refreshMu
-// serializes refreshers (double-checked, so a read storm clones once)
-// without holding any shard lock across the whole pass: writers are
-// blocked only while their own shard is being cloned. The version is
-// captured before cloning, so writes that land mid-refresh make the new
-// snapshot look dirty rather than hiding behind it.
-func (s *Sharded) refresh() *shardedSnapshot {
-	s.refreshMu.Lock()
-	defer s.refreshMu.Unlock()
-	v := s.version.Load()
-	if cur := s.snap.Load(); cur.version == v {
-		return cur
-	}
-	ns := s.cloneShards(v)
-	s.snap.Store(ns)
-	s.refreshes.Add(1)
-	return ns
-}
-
-func (s *Sharded) cloneShards(version uint64) *shardedSnapshot {
-	views := make([]Summary, len(s.shards))
-	for i, sh := range s.shards {
-		views[i] = sh.Snapshot()
-	}
-	return &shardedSnapshot{views: views, mask: s.mask, version: version, taken: time.Now()}
-}
-
-// Snapshot implements Snapshotter by merging per-shard clones into one
-// summary via the Merger machinery: the result is a single independent
-// summary of the whole stream, suitable for serialization or cross-node
-// merging. It requires the factory's summaries to implement Snapshotter
-// and Merger (panics otherwise — the same contract NewSharded's
-// query-by-merge design already assumes). Each shard is cloned under its
-// own lock; ingest on other shards proceeds during the pass.
-func (s *Sharded) Snapshot() Summary {
-	merged := s.shards[0].Snapshot()
-	if len(s.shards) == 1 {
-		return merged
-	}
-	m, ok := merged.(Merger)
-	if !ok {
-		panic("core: Sharded.Snapshot requires a Merger inner summary, " + merged.Name() + " is not")
-	}
-	for _, sh := range s.shards[1:] {
-		if err := m.Merge(sh.Snapshot()); err != nil {
-			panic("core: Sharded.Snapshot merge failed: " + err.Error())
-		}
-	}
-	return merged
-}
-
-// RefreshSnapshot forces a fresh serving view (regardless of staleness)
-// and returns it; it is a no-op returning nil when serving is not
-// enabled. Same contract as Concurrent.RefreshSnapshot.
-func (s *Sharded) RefreshSnapshot() ReadView {
-	if !s.serving {
-		return nil
-	}
-	s.refreshMu.Lock()
-	defer s.refreshMu.Unlock()
-	ns := s.cloneShards(s.version.Load())
-	s.snap.Store(ns)
-	s.refreshes.Add(1)
-	return ns
-}
-
-// ServingView returns the current serving epoch as an immutable
-// ReadView, or nil when snapshot serving is not enabled; see
-// Concurrent.ServingView for why callers pin it.
-func (s *Sharded) ServingView() ReadView {
-	if v := s.reader(); v != nil {
-		return v
-	}
-	return nil
-}
-
-// LiveN sums the shards' live stream lengths, bypassing the serving
-// snapshot; see Concurrent.LiveN.
-func (s *Sharded) LiveN() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		n += sh.LiveN()
-	}
-	return n
-}
-
-// SnapshotStats reports the serving view's freshness; all zero when
-// serving is not enabled.
-func (s *Sharded) SnapshotStats() SnapshotStats {
-	if !s.serving {
-		return SnapshotStats{}
-	}
-	v := s.snap.Load()
-	return SnapshotStats{
-		Serving:   true,
-		AsOfN:     v.N(),
-		Age:       time.Since(v.taken),
-		Refreshes: s.refreshes.Load(),
-		MaxStale:  s.maxStale,
-	}
-}
-
-// Estimate queries the item's shard — through the serving snapshot when
-// enabled, so it never touches a shard lock.
-func (s *Sharded) Estimate(x Item) int64 {
-	if v := s.reader(); v != nil {
-		return v.Estimate(x)
-	}
-	return s.shard(x).Estimate(x)
-}
-
-// N sums the shard totals (snapshot totals when serving).
-func (s *Sharded) N() int64 {
-	if v := s.reader(); v != nil {
-		return v.N()
-	}
-	var n int64
-	for _, sh := range s.shards {
-		n += sh.N()
-	}
-	return n
-}
-
-// Query gathers every shard's report. Because each item lives wholly in
-// one shard, the union is the correct global report. With serving
-// enabled the union is taken over the immutable shard clones instead.
-func (s *Sharded) Query(threshold int64) []ItemCount {
-	if v := s.reader(); v != nil {
-		return v.Query(threshold)
-	}
-	var out []ItemCount
-	for _, sh := range s.shards {
-		out = append(out, sh.Query(threshold)...)
-	}
-	SortByCountDesc(out)
-	return out
-}
-
-// Bytes sums the shard footprints plus the retained scatter scratch
-// (a decaying estimate of one pooled scatter-buffer set; see
-// scatterBytes for the estimate's limits) and, when serving, the
-// retained snapshot views.
-func (s *Sharded) Bytes() int {
-	total := int(s.scatterBytes.Load())
-	for _, sh := range s.shards {
-		total += sh.Bytes()
-	}
-	if s.serving {
-		for _, view := range s.snap.Load().views {
-			total += view.Bytes()
-		}
-	}
-	return total
 }

@@ -73,54 +73,3 @@ func (c *Concurrent) RestoreState(shards []Summary) error {
 	}
 	return nil
 }
-
-// PersistTo routes every subsequent update through p before it is
-// scattered to the shards; see Concurrent.PersistTo. The log sees the
-// stream pre-scatter, so replaying it through UpdateBatch re-scatters
-// identically (the shard hash is deterministic).
-func (s *Sharded) PersistTo(p Persister) { s.persist = p }
-
-// SnapshotBarrier clones every shard with ingest quiesced and hands the
-// clones' total stream position to cut; see Concurrent.SnapshotBarrier.
-// The quiescing barrier is engaged by PersistTo — writers take its read
-// side only when persisting, so the non-durable hot path is untouched —
-// which means the atomic-cut guarantee holds exactly for persisted
-// wrappers, the only callers that need it.
-func (s *Sharded) SnapshotBarrier(cut func(n int64)) []Summary {
-	s.barrier.Lock()
-	defer s.barrier.Unlock()
-	views := make([]Summary, len(s.shards))
-	var n int64
-	for i, sh := range s.shards {
-		views[i] = sh.Snapshot()
-		n += views[i].N()
-	}
-	if cut != nil {
-		cut(n)
-	}
-	return views
-}
-
-// RestoreState replaces each shard's summary with the corresponding
-// recovered shard. The count must match the wrapper's shard count: a
-// checkpoint taken at -shards 8 cannot restore into -shards 4 (per-item
-// shard residency would change under the recovered counters — the
-// operator re-shards by restarting with the original count).
-func (s *Sharded) RestoreState(shards []Summary) error {
-	if len(shards) != len(s.shards) {
-		return fmt.Errorf("core: Sharded restore needs %d shards, got %d (restart with the checkpoint's shard count)",
-			len(s.shards), len(shards))
-	}
-	for i, sum := range shards {
-		if err := s.shards[i].RestoreState([]Summary{sum}); err != nil {
-			return err
-		}
-	}
-	if s.serving {
-		s.refreshMu.Lock()
-		defer s.refreshMu.Unlock()
-		s.snap.Store(s.cloneShards(s.version.Load()))
-		s.refreshes.Add(1)
-	}
-	return nil
-}

@@ -19,10 +19,10 @@ import (
 // across ALL rings: a claimed position occupies the same slot index in
 // every shard's ring (staged empty where the batch has no items for
 // that shard), so each drainer applies positions in global claim
-// order. Per-shard apply order therefore equals the order a purely
-// sequential Sharded ingest would produce with the same batch
-// boundaries, which keeps the pipelined plane bit-identical to
-// sequential UpdateBatch — the PR-1 batched==scalar property survives
+// order. Per-shard apply order therefore equals the order a sequential
+// scatter of the same batches would produce (a closed plane's
+// synchronous path), which keeps the pipelined plane bit-identical to
+// sequential UpdateBatch — the batched==scalar property survives
 // verbatim (pinned by TestPipelinedMatchesSequential).
 //
 // Durability keeps the same WAL-append-before-apply contract as the
@@ -77,7 +77,7 @@ type Pipelined struct {
 	syncMu  sync.Mutex
 	wg      sync.WaitGroup
 
-	// Snapshot serving state, mirroring Sharded.
+	// Snapshot serving state, mirroring Concurrent.
 	serving   bool
 	maxStale  time.Duration
 	snap      atomic.Pointer[shardedSnapshot]
@@ -92,8 +92,7 @@ const DefaultRingCapacity = 32
 
 // ringShedItems is the per-slot buffer capacity bound: a slot buffer
 // grown past two default batches by an outlier is shed on release
-// instead of being pooled forever (the ring-level twin of the
-// Sharded scatter-buffer shed).
+// instead of being pooled forever.
 const ringShedItems = 2 * DefaultBatchSize
 
 // pipeCtl is a barrier or shutdown control payload staged into every
@@ -106,9 +105,9 @@ type pipeCtl struct {
 }
 
 // NewPipelined builds a pipelined ingest plane with shards
-// power-of-two shard summaries (same factory contract as NewSharded:
-// mergeable summaries with identical parameters) and starts one
-// drainer goroutine per shard. Call Close to stop the drainers; a
+// power-of-two shard summaries (the factory must produce mergeable
+// summaries with identical parameters; for sketches, identical seeds)
+// and starts one drainer goroutine per shard. Call Close to stop the drainers; a
 // closed plane keeps working through a synchronous fallback path.
 func NewPipelined(shards int, factory func() Summary) *Pipelined {
 	return newPipelined(shards, DefaultRingCapacity, factory)
@@ -379,10 +378,9 @@ func (p *Pipelined) PersistTo(pr Persister) {
 }
 
 // SnapshotBarrier clones every shard at one quiesced cross-shard
-// position and hands the clones' total stream position to cut; the
-// pipelined counterpart of Sharded.SnapshotBarrier, with the WAL
-// ticket held across the cut so cut's n equals the log's position
-// exactly. cut may be nil.
+// position and hands the clones' total stream position to cut (see
+// Concurrent.SnapshotBarrier), with the WAL ticket held across the
+// cut so cut's n equals the log's position exactly. cut may be nil.
 func (p *Pipelined) SnapshotBarrier(cut func(n int64)) []Summary {
 	var views []Summary
 	clone := func(uint64) {
@@ -408,8 +406,11 @@ func (p *Pipelined) SnapshotBarrier(cut func(n int64)) []Summary {
 
 // RestoreState replaces each shard's summary with the corresponding
 // recovered shard and resets the acknowledged stream position to the
-// restored state's. Same shard-count contract as Sharded.RestoreState;
-// setup-time only (startup recovery, before concurrent writers).
+// restored state's. The count must match the plane's shard count: a
+// checkpoint taken at -shards 8 cannot restore into -shards 4 (per-item
+// shard residency would change under the recovered counters), so the
+// operator re-shards by restarting with the original count. Setup-time
+// only (startup recovery, before concurrent writers).
 func (p *Pipelined) RestoreState(shards []Summary) error {
 	if len(shards) != len(p.shards) {
 		return fmt.Errorf("core: Pipelined restore needs %d shards, got %d (restart with the checkpoint's shard count)",
@@ -442,7 +443,7 @@ func (p *Pipelined) RestoreState(shards []Summary) error {
 func (p *Pipelined) LiveN() int64 { return p.claimedN.Load() }
 
 // ServeSnapshots enables snapshot-based reads with bounded staleness,
-// mirroring Sharded.ServeSnapshots; refreshes quiesce the plane, so a
+// mirroring Concurrent.ServeSnapshots; refreshes quiesce the plane, so a
 // refreshed view is exact as of every previously acknowledged update.
 // Call before the plane is shared. Returns p for chaining.
 func (p *Pipelined) ServeSnapshots(maxStale time.Duration) *Pipelined {
@@ -475,8 +476,8 @@ func (p *Pipelined) barrierClone() *shardedSnapshot {
 
 // reader returns the snapshot view reads are answered from, refreshing
 // when it is both dirty and past the staleness bound; nil when
-// snapshot serving is off. Same protocol as Sharded.reader, with the
-// claim cursor as the version clock.
+// snapshot serving is off. Same protocol as Concurrent.reader, with
+// the claim cursor as the version clock.
 func (p *Pipelined) reader() *shardedSnapshot {
 	if !p.serving {
 		return nil
@@ -543,8 +544,9 @@ func (p *Pipelined) SnapshotStats() SnapshotStats {
 }
 
 // Snapshot implements Snapshotter by merging a quiesced per-shard
-// clone set into one summary; see Sharded.Snapshot for the Merger
-// contract.
+// clone set into one summary of the whole stream, suitable for
+// serialization or cross-node merging. It requires the factory's
+// summaries to implement Snapshotter and Merger (panics otherwise).
 func (p *Pipelined) Snapshot() Summary {
 	views := p.SnapshotBarrier(nil)
 	merged := views[0]

@@ -94,7 +94,8 @@ func TestConcurrentSnapshotReadsUnderIngest(t *testing.T) {
 func TestShardedSnapshotReadsUnderIngest(t *testing.T) {
 	stream := raceStream(t, 200_000)
 	for _, maxStale := range []time.Duration{0, 2 * time.Millisecond, time.Hour} {
-		s := core.NewSharded(8, func() core.Summary { return exact.New() }).ServeSnapshots(maxStale)
+		s := core.NewPipelined(8, func() core.Summary { return exact.New() }).ServeSnapshots(maxStale)
+		t.Cleanup(s.Close)
 		hammerSnapshotReads(t, s, stream)
 		s.RefreshSnapshot()
 		checkAgainstSequential(t, s, stream, int64(len(stream)/1000))
@@ -105,7 +106,7 @@ func TestShardedSnapshotReadsUnderIngest(t *testing.T) {
 }
 
 // TestShardedSnapshotMergeUnderIngest takes merged whole-stream
-// snapshots (Sharded.Snapshot → per-shard clones folded by Merge) while
+// snapshots (Pipelined.Snapshot → per-shard clones folded by Merge) while
 // ingest is running: every merged clone must be a self-consistent
 // Space-Saving summary (N equals its tracked mass plus nothing negative,
 // and its report is monotone in the threshold), and the final one must
@@ -113,7 +114,8 @@ func TestShardedSnapshotReadsUnderIngest(t *testing.T) {
 func TestShardedSnapshotMergeUnderIngest(t *testing.T) {
 	stream := raceStream(t, 200_000)
 	const k = 256
-	s := core.NewSharded(4, func() core.Summary { return counters.NewSpaceSavingHeap(k) })
+	s := core.NewPipelined(4, func() core.Summary { return counters.NewSpaceSavingHeap(k) })
+	defer s.Close()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

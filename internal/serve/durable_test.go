@@ -9,6 +9,7 @@ package serve_test
 // write-refusal contract once the log has failed.
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"testing"
@@ -177,6 +178,47 @@ func TestFreqdCleanShutdownReplaysZero(t *testing.T) {
 	}
 	if rstats.RecoveredN != int64(len(items)) {
 		t.Fatalf("clean restart recovered n=%d, want %d", rstats.RecoveredN, len(items))
+	}
+}
+
+// TestIngestAckCountsRecoveredItems: a restarted durable node acks an
+// ingest with its live stream position, recovered items included — the
+// n /v1/stats reports — not with the items this process has ingested.
+func TestIngestAckCountsRecoveredItems(t *testing.T) {
+	dir := t.TempDir()
+	items := make([]core.Item, 1010)
+	for i := range items {
+		items[i] = core.Item(i % 37)
+	}
+
+	// First life: 1000 items over the wire, then kill -9.
+	target, store, _ := buildDurable(t, dir, "SSH", 0.01)
+	srv := serve.NewServer(serve.Options{Target: target, Algo: "SSH", Store: store})
+	ts := httptest.NewServer(srv.Handler())
+	postOK(t, ts.URL+"/v1/ingest", "application/octet-stream", stream.AppendRaw(nil, items[:1000]))
+	ts.Close()
+
+	target2, store2, rstats := buildDurable(t, dir, "SSH", 0.01)
+	defer store2.Close()
+	srv2 := serve.NewServer(serve.Options{Target: target2, Algo: "SSH", Store: store2})
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	resp := post(t, ts2.URL+"/v1/ingest", "application/octet-stream", stream.AppendRaw(nil, items[1000:]))
+	defer resp.Body.Close()
+	var ack struct {
+		Ingested int64 `json:"ingested"`
+		N        int64 `json:"n"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		t.Fatal(err)
+	}
+	var st statsResponse
+	getJSON(t, ts2.URL+"/v1/stats", &st)
+	if rstats.RecoveredN != 1000 || ack.Ingested != 10 {
+		t.Fatalf("recovered %d items and ingested %d, want 1000 and 10", rstats.RecoveredN, ack.Ingested)
+	}
+	if want := rstats.RecoveredN + ack.Ingested; ack.N != want || st.N != want {
+		t.Fatalf("ack n=%d, /v1/stats n=%d, want both %d (recovered + ingested)", ack.N, st.N, want)
 	}
 }
 

@@ -55,7 +55,7 @@ import (
 )
 
 // Target is what the server serves: a summary that is safe for
-// concurrent use and ingests batches. core.Concurrent and core.Sharded
+// concurrent use and ingests batches. core.Concurrent and core.Pipelined
 // (with ServeSnapshots enabled for lock-free reads) are the intended
 // implementations.
 type Target interface {
@@ -103,6 +103,19 @@ func (s *Server) view() core.ReadView {
 		}
 	}
 	return s.target
+}
+
+// liveN is the target's live stream position: what /stats n, the
+// freq_stream_n gauge and the ingest ack report. It reads the live
+// summary (one locked integer read, or an atomic load on the pipelined
+// plane) rather than the serving snapshot, so the ingest/serving lag
+// stays observable next to snapshot.as_of_n, and a recovered node
+// counts the items it recovered.
+func (s *Server) liveN() int64 {
+	if ln, ok := s.target.(interface{ LiveN() int64 }); ok {
+		return ln.LiveN()
+	}
+	return s.target.N()
 }
 
 // Options configures a Server.
@@ -250,12 +263,7 @@ func (s *Server) bindMetrics() {
 	reg.GaugeFunc("freq_uptime_seconds", "Seconds since process start.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	reg.GaugeFunc("freq_stream_n", "Live stream position (items ingested).",
-		func() float64 {
-			if ln, ok := s.target.(interface{ LiveN() int64 }); ok {
-				return float64(ln.LiveN())
-			}
-			return float64(s.target.N())
-		})
+		func() float64 { return float64(s.liveN()) })
 	reg.GaugeFunc("freq_summary_bytes", "Summary footprint in bytes.",
 		func() float64 { return float64(s.target.Bytes()) })
 	if ss, ok := s.target.(snapshotServer); ok {
@@ -447,12 +455,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// restart on the very next batch it forwards — without waiting for a
 	// health probe or a /summary pull to observe the new epoch.
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(s.epoch, 10))
-	// Ack with the live cumulative ingest total (free, from the counter):
-	// target.N() would report the snapshot-lagged serving position — and
-	// could charge a snapshot refresh to the write path to compute it.
+	// Ack with the live stream position, recovered items included — the
+	// same n /stats and freq_stream_n report.
 	WriteJSON(w, http.StatusOK, map[string]int64{
 		"ingested": ingested,
-		"n":        s.counters.Get("ingest.items"),
+		"n":        s.liveN(),
 	})
 }
 
@@ -460,7 +467,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // the ingest lock, one clone) encoded through the registry wire format,
 // with the stream position and process epoch in headers. This is the
 // cluster fan-in primitive — a freqmerge coordinator pulls it from every
-// node and merges the blobs. For a Sharded target, Snapshot() already
+// node and merges the blobs. For a Pipelined target, Snapshot() already
 // merges the per-shard clones into one summary of the node's whole
 // stream, so the wire always carries exactly one blob per node. A
 // tenant-mode node ships every namespace instead, as one bundle
@@ -494,17 +501,10 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 // handleStats reports serving state: the summary's vitals, snapshot
 // freshness, and traffic meters.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// Report the live ingest position (one locked integer read) so the
-	// ingest/serving lag is observable next to snapshot.as_of_n; the
-	// snapshot read path would make the two always equal.
-	n := s.target.N()
-	if ln, ok := s.target.(interface{ LiveN() int64 }); ok {
-		n = ln.LiveN()
-	}
 	resp := map[string]any{
 		"algo":      s.algo,
 		"summary":   s.target.Name(),
-		"n":         n,
+		"n":         s.liveN(),
 		"epoch":     s.epoch,
 		"bytes":     s.target.Bytes(),
 		"uptime_ms": time.Since(s.start).Milliseconds(),

@@ -33,11 +33,20 @@ func unevenBatches(stream []Item) [][]Item {
 	return batches
 }
 
+// sequentialPlane is the reference the walls compare against: a closed
+// plane, whose UpdateBatch scatters each batch straight into the shard
+// summaries with no ring and no drainer.
+func sequentialPlane(shards int, factory func() core.Summary) *core.Pipelined {
+	p := core.NewPipelined(shards, factory)
+	p.Close()
+	return p
+}
+
 // TestPipelinedMatchesSequentialRegistry is the acceptance property
 // over the full registry: single-writer pipelined ingest is
-// bit-identical (per-shard Encode bytes) to sequential Sharded ingest
-// with the same batch boundaries — the staged rings reproduce exactly
-// the scatter the locked path performs.
+// bit-identical (per-shard Encode bytes) to a sequential scatter of the
+// same batches — the staged rings reproduce exactly the per-shard
+// order a synchronous scatter produces.
 func TestPipelinedMatchesSequentialRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property wall: full registry sweep")
@@ -50,7 +59,7 @@ func TestPipelinedMatchesSequentialRegistry(t *testing.T) {
 			stream := streams[name]
 			t.Run(algo+"/"+name, func(t *testing.T) {
 				factory := func() core.Summary { return MustNew(algo, phi, seed) }
-				seq := core.NewSharded(shards, factory)
+				seq := sequentialPlane(shards, factory)
 				pip := core.NewPipelined(shards, factory)
 				defer pip.Close()
 				for _, b := range unevenBatches(stream) {
@@ -58,7 +67,7 @@ func TestPipelinedMatchesSequentialRegistry(t *testing.T) {
 					pip.UpdateBatch(b)
 				}
 				if !bytes.Equal(marshalState(t, seq), marshalState(t, pip)) {
-					t.Fatalf("%s/%s: pipelined shard state is not bit-identical to sequential Sharded ingest", algo, name)
+					t.Fatalf("%s/%s: pipelined shard state is not bit-identical to the sequential scatter", algo, name)
 				}
 			})
 		}
@@ -81,7 +90,7 @@ func TestPipelinedConcurrentWritersCommutative(t *testing.T) {
 		algo := algo
 		t.Run(algo, func(t *testing.T) {
 			factory := func() core.Summary { return MustNew(algo, phi, seed) }
-			seq := core.NewSharded(shards, factory)
+			seq := sequentialPlane(shards, factory)
 			for _, b := range batches {
 				seq.UpdateBatch(b)
 			}

@@ -184,29 +184,6 @@ func TestCrashRecoveryRegistry(t *testing.T) {
 	}
 }
 
-// TestCrashRecoverySharded runs the same property through the Sharded
-// wrapper: the WAL logs pre-scatter batches, the checkpoint holds
-// per-shard blobs, and recovery re-scatters identically.
-func TestCrashRecoverySharded(t *testing.T) {
-	for round := uint64(0); round < 2; round++ {
-		t.Run(fmt.Sprintf("SSH-4shards/tear-%d", round), func(t *testing.T) {
-			checkCrashRecovery(t, "SSH", func() persist.Target {
-				return core.NewSharded(4, func() core.Summary {
-					return MustNew("SSH", 0.0025, 42)
-				})
-			}, 0xF00D+round)
-		})
-	}
-}
-
-// TestCrashRecoveryWindowed runs the kill-at-arbitrary-offset property
-// through the sliding-window summary, pinning the expiring-block
-// durability contract: the checkpoint holds only the live ring (WN01),
-// the WAL tail's batch records reconstruct block boundaries (a pure
-// function of stream position), and the recovered window re-encodes
-// bit-identically to a fresh window fed exactly the durable prefix —
-// including the blocks that expired before the crash, which are absent
-// from both.
 // TestCrashRecoveryGK runs the kill-at-arbitrary-offset property
 // through the quantile summary: the GK01 checkpoint carries the
 // compression phase (sinceCompress), so a recovered summary replaying
@@ -223,6 +200,14 @@ func TestCrashRecoveryGK(t *testing.T) {
 	}
 }
 
+// TestCrashRecoveryWindowed runs the kill-at-arbitrary-offset property
+// through the sliding-window summary, pinning the expiring-block
+// durability contract: the checkpoint holds only the live ring (WN01),
+// the WAL tail's batch records reconstruct block boundaries (a pure
+// function of stream position), and the recovered window re-encodes
+// bit-identically to a fresh window fed exactly the durable prefix —
+// including the blocks that expired before the crash, which are absent
+// from both.
 func TestCrashRecoveryWindowed(t *testing.T) {
 	for round := uint64(0); round < 2; round++ {
 		t.Run(fmt.Sprintf("SSW/tear-%d", round), func(t *testing.T) {

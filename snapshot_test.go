@@ -202,16 +202,18 @@ func TestSnapshotFidelityExtras(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotMergesShards pins Sharded.Snapshot's contract: the
-// merged clone is one independent summary of the whole stream. With the
-// exact counter inside, the merge must reproduce a sequential run bit
-// for bit — and keep reproducing it after the parent ingests more.
+// TestShardedSnapshotMergesShards pins Pipelined.Snapshot's contract:
+// the merged clone is one independent summary of the whole stream, cut
+// at a barrier after every staged batch. With the exact counter inside,
+// the merge must reproduce a sequential run bit for bit — and keep
+// reproducing it after the parent ingests more.
 func TestShardedSnapshotMergesShards(t *testing.T) {
 	prefix, suffix := snapshotStream(t)
 	probes := snapshotProbes(prefix)
 	threshold := int64(0.005 * float64(len(prefix)))
 
-	sh := NewSharded(4, func() Summary { return exact.New() })
+	sh := NewPipelined(4, func() Summary { return exact.New() })
+	defer sh.Close()
 	UpdateBatches(sh, prefix, 0)
 	snap := sh.Snapshot()
 
