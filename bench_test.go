@@ -1,7 +1,8 @@
 package streamfreq
 
-// One benchmark per table/figure of the reconstructed evaluation (see
-// DESIGN.md §3). Accuracy columns are regenerated by the harness
+// One benchmark per table/figure of the reconstructed evaluation (the
+// experiment index is harness.Experiments; freqbench -list prints it).
+// Accuracy columns are regenerated by the harness
 // (cmd/freqbench); the benchmarks here measure the performance dimension
 // of each figure — per-update cost, query latency, space — via
 // testing.B, with custom metrics reported where ns/op alone does not
@@ -568,13 +569,13 @@ func BenchmarkExtensionWindow(b *testing.B) {
 		}
 	})
 	b.Run("window", func(b *testing.B) {
-		w, err := NewWindow(1<<16, 8, 1000)
+		w, err := NewWindowed(1<<16, 8, 1000)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w.Update(stream[i%len(stream)])
+			w.Update(stream[i%len(stream)], 1)
 		}
 	})
 }
@@ -641,10 +642,11 @@ func BenchmarkAblationMGOffset(b *testing.B) {
 }
 
 // BenchmarkAblationHash compares 2-wise and 4-wise polynomial hashing,
-// the hash-strength design choice DESIGN.md §5 calls out. The bucket is
-// a family row, as the sketches hold it, and every index is consumed:
-// with a constant width and a discarded result the compiler folds the
-// range reduction away, and the row would time the polynomial alone.
+// the hash-strength choice the internal/hash package doc calls out. The
+// bucket is a family row, as the sketches hold it, and every index is
+// consumed: with a constant width and a discarded result the compiler
+// folds the range reduction away, and the row would time the polynomial
+// alone.
 func BenchmarkAblationHash(b *testing.B) {
 	for _, k := range []int{2, 4} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {

@@ -1,5 +1,6 @@
 // Command freqbench regenerates the tables and figures of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index).
+// evaluation (-list prints the experiment index; internal/harness
+// documents each experiment).
 //
 // Usage:
 //

@@ -113,7 +113,7 @@ func main() {
 		windowB   = flag.Int("window-blocks", 8, "block count of the sliding window (W must be a multiple of it)")
 
 		horizons = flag.String("horizons", "", "comma-separated wall-clock horizons (e.g. 1m,1h,24h) served via ?horizon= on queries; memory-only (empty = off)")
-		horizonB = flag.Int("horizon-blocks", 8, "bucket-ring length per horizon (finer alignment, more merge work per query)")
+		horizonB = flag.Int("horizon-blocks", 8, "blocks B per horizon: each horizon keeps B+1 block summaries and a view covers between the horizon and 1+1/B of it (finer alignment, more merge work per query)")
 
 		dataDir    = flag.String("data-dir", "", "persistence directory (empty = in-memory only)")
 		fsyncMode  = flag.String("fsync", "interval", "WAL durability: always | interval | never")
@@ -329,7 +329,7 @@ func buildTarget(log *slog.Logger, algo string, phi float64, seed uint64, shards
 	var durable persist.Target
 	switch {
 	case len(horizons) > 0:
-		// Wall-clock multi-resolution serving: a bucket ring per horizon.
+		// Wall-clock multi-resolution serving: a block ring per horizon.
 		// The rings have no wire format, so the mode is memory-only and
 		// excludes the single-summary serving arrangements.
 		if dataDir != "" {
@@ -352,7 +352,7 @@ func buildTarget(log *slog.Logger, algo string, phi float64, seed uint64, shards
 		if err != nil {
 			return nil, nil, "", err
 		}
-		label = m.Name() // "MR-" + bucket algo
+		label = m.Name() // "MR-" + block algo
 		durable = core.NewConcurrent(m)
 	case table != nil:
 		// Multi-tenant: the table is its own concurrency wrapper (one

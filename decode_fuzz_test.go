@@ -2,7 +2,8 @@ package streamfreq
 
 // Robustness of the wire-format decoders: arbitrary and mutated bytes
 // must produce errors, never panics or runaway allocations. This is the
-// failure-injection arm of the test plan (DESIGN.md §6).
+// failure-injection arm of the test plan; README "Durability and
+// recovery" lists the wire formats it covers.
 
 import (
 	"bytes"

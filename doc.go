@@ -81,12 +81,14 @@
 // # Windowed serving
 //
 // The sliding-window summary (NewWindowed, "SSW") answers the
-// recent-past form of the question: heavy hitters over roughly the
-// last W arrivals, via B blocks of Space-Saving summaries whose oldest
-// block expires as the window slides. It implements the full summary
-// contract — batched ingest split at block boundaries, deep-copy
-// snapshots, the WN01 wire format, and recency-aligned merging — so
-// the same serving, durability, and cluster machinery carries it:
+// recent-past form of the question: heavy hitters over at least the last
+// W arrivals. It is a ring of B+1 Space-Saving block summaries of W/B
+// arrivals each; opening a block expires the one B+1 before it, and a
+// query merges every live block, so it covers between W and W+W/B
+// arrivals while the φ denominator counts at most W. It implements the
+// full summary contract — batched ingest split at block boundaries,
+// deep-copy snapshots, the WN01 wire format, and recency-aligned merging
+// — so the same serving, durability, and cluster machinery carries it:
 // freqd -window serves /topk at the φ·W operating point, checkpoints
 // hold only the live blocks (durable state is O(W) forever, and a
 // recovered window is bit-identical to its durable prefix), and a
@@ -113,11 +115,12 @@
 // snapshots, merging, and the HI01/GK01 wire formats — so a freqmerge
 // coordinator answers the same queries over the cluster's union
 // stream, and a WAL-recovered node serves them bit-identically.
-// Orthogonally, freqd -horizons 1m,1h,24h keeps an
-// exponential-histogram bucket ring per wall-clock horizon, and
-// ?horizon= on topk/hhh/range/quantile answers over roughly that much
-// recent past (memory-only; thresholds scale against the horizon's
-// own stream length).
+// Orthogonally, freqd -horizons 1m,1h,24h keeps the same block ring per
+// wall-clock horizon, clocked by wall time in units of span/B, and
+// ?horizon= on topk/hhh/range/quantile merges its B+1 newest blocks:
+// at least that much recent past, so estimates never fall below the
+// horizon's true counts, while thresholds scale against the count of
+// the blocks that opened inside the horizon (memory-only).
 //
 // # Distributed merge
 //
@@ -184,6 +187,7 @@
 // timings. /stats stays the human-readable JSON view of the same
 // counters.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// reproduction results.
+// README.md is the system inventory, one section per layer; freqbench
+// -exp all -check regenerates the reproduction results and the verdicts
+// on the paper's claims.
 package streamfreq

@@ -94,23 +94,23 @@ func ExampleHashString() {
 }
 
 // Sliding-window heavy hitters: old traffic expires.
-func ExampleNewWindow() {
-	w, err := streamfreq.NewWindow(1000, 4, 50)
+func ExampleNewWindowed() {
+	w, err := streamfreq.NewWindowed(1000, 4, 50)
 	if err != nil {
 		panic(err)
 	}
 	// Item 1 is hot now...
 	for i := 0; i < 1000; i++ {
 		if i%2 == 0 {
-			w.Update(1)
+			w.Update(1, 1)
 		} else {
-			w.Update(streamfreq.Item(100 + i))
+			w.Update(streamfreq.Item(100+i), 1)
 		}
 	}
 	hotNow := w.Estimate(1) >= 400
 	// ...then its traffic stops for well over one full window.
 	for i := 0; i < 2000; i++ {
-		w.Update(streamfreq.Item(5000 + i))
+		w.Update(streamfreq.Item(5000+i), 1)
 	}
 	fmt.Println(hotNow, w.Estimate(1) <= w.Slack())
 	// Output:

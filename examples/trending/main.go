@@ -21,7 +21,7 @@ func main() {
 		phi        = 0.01
 	)
 
-	win, err := streamfreq.NewWindow(windowSize, 10, 2*int(1/phi))
+	win, err := streamfreq.NewWindowed(windowSize, 10, 2*int(1/phi))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func main() {
 
 	// Epoch 1: steady state, 3 windows long.
 	for i := 0; i < 3*windowSize; i++ {
-		win.Update(gen.Next())
+		win.Update(gen.Next(), 1)
 		lat.Insert(rng.ExpFloat64() * 20) // ms, exponential service times
 	}
 	fmt.Println("epoch 1 (steady state):")
@@ -48,7 +48,7 @@ func main() {
 		if i%20 == 0 {
 			q = breaking
 		}
-		win.Update(q)
+		win.Update(q, 1)
 		lat.Insert(rng.ExpFloat64() * 35) // load raises latency
 	}
 	fmt.Println("\nepoch 2 (breaking news, one window later):")
@@ -59,7 +59,7 @@ func main() {
 
 	// Epoch 3: the story dies; two windows later it must be gone.
 	for i := 0; i < 2*windowSize+windowSize/5; i++ {
-		win.Update(gen.Next())
+		win.Update(gen.Next(), 1)
 	}
 	fmt.Println("\nepoch 3 (two windows after the story died):")
 	show(win, phi)

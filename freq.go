@@ -180,13 +180,6 @@ func NewPipelined(shards int, factory func() Summary) *core.Pipelined {
 	return core.NewPipelined(shards, factory)
 }
 
-// NewWindow returns a sliding-window heavy-hitter summary over the most
-// recent size items, using blocks Space-Saving summaries of k counters
-// each (extension; see internal/window).
-func NewWindow(size, blocks, k int) (*window.Window, error) {
-	return window.New(size, blocks, k)
-}
-
 // NewWindowed returns the sliding window lifted to the full summary
 // contract ("SSW"): Summary + BatchUpdater + Snapshotter + Merger with
 // the WN01 wire format, so it serves, checkpoints, recovers, and merges

@@ -7,8 +7,8 @@ import (
 
 // Claim is one qualitative finding of the paper that the reproduction
 // must exhibit: "who wins, by roughly what factor, where crossovers
-// fall". Claims are checked against experiment Results, and the verdicts
-// feed EXPERIMENTS.md.
+// fall". Claims are checked against experiment Results, and freqbench
+// -check prints the verdicts.
 type Claim struct {
 	ID    string // e.g. "C1"
 	Exp   string // experiment the claim reads
@@ -77,8 +77,8 @@ func minRecall(rows []Row) float64 {
 	return m
 }
 
-// Claims encodes the paper's qualitative findings (DESIGN.md §3 lists
-// the expected shapes these formalize).
+// Claims encodes the paper's qualitative findings; each Claim's Exp
+// names the experiment whose expected shape it formalizes.
 var Claims = []Claim{
 	{
 		ID: "C1", Exp: "F1",

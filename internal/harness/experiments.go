@@ -15,15 +15,16 @@ import (
 // Runner executes one experiment under a configuration.
 type Runner func(Config) (Result, error)
 
-// Experiments maps experiment ids (DESIGN.md §3) to runners, in display
-// order via ExperimentOrder.
+// Experiments maps experiment ids to runners, in display order via
+// ExperimentOrder; each Run function documents its figure.
 var Experiments = map[string]Runner{
 	"T1": RunT1, "F1": RunF1, "F2": RunF2, "F3": RunF3, "F4": RunF4,
 	"F5": RunF5, "F6": RunF6, "F7": RunF7, "F8": RunF8, "F9": RunF9,
 	"F10": RunF10, "F11": RunF11, "F12": RunF12, "X1": RunX1, "X2": RunX2,
 }
 
-// ExperimentOrder lists ids in DESIGN.md order.
+// ExperimentOrder lists ids in the paper's order: the table, the
+// figures, then the extensions.
 var ExperimentOrder = []string{
 	"T1", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9",
 	"F10", "F11", "F12", "X1", "X2",

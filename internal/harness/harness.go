@@ -1,7 +1,7 @@
 // Package harness runs the reconstructed VLDB 2008 experiments and
 // prints the rows/series of every figure and table in the paper's
-// evaluation (see DESIGN.md §3 for the experiment index and
-// EXPERIMENTS.md for measured results).
+// evaluation (Experiments is the index; freqbench -exp all -check prints
+// measured results and the claim verdicts).
 //
 // Every experiment follows the paper's methodology:
 //

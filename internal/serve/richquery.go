@@ -51,7 +51,7 @@ type horizonedView interface {
 // summaryExposer lets composed read views (horizon views, and any future
 // wrapper that carries a concrete summary inside) surface that summary
 // for capability dispatch, so /v1/hhh?horizon=1m can reach the
-// Hierarchical merged from a MultiRes bucket ring.
+// Hierarchical merged from a MultiRes block ring.
 type summaryExposer interface {
 	Summary() core.Summary
 }

@@ -37,46 +37,22 @@ type PrefixCount struct {
 // weight reaches threshold — coarsest level first, descending count
 // within a level — with residuals discounted by the reported children.
 //
-// The descent visits only children of above-threshold prefixes, the same
-// frontier walk as Query: a prefix's true weight is at least any child's,
-// so over a Count-Min hierarchy (one-sided overestimates) recall is
-// perfect at every level; a Count-Sketch hierarchy can miss prefixes
-// whose estimates dip below threshold, the same recall gap as Query.
+// The descent visits only children of above-threshold prefixes — the
+// frontier walk whose level 0 Query reports: a prefix's true weight is
+// at least any child's, so over a Count-Min hierarchy (one-sided
+// overestimates) recall is perfect at every level; a Count-Sketch
+// hierarchy can miss prefixes whose estimates dip below threshold, the
+// same recall gap as Query.
 func (h *Hierarchical) HeavyPrefixes(threshold int64) []PrefixCount {
-	if threshold <= 0 {
-		// A non-positive threshold would force full-universe enumeration.
-		threshold = 1
-	}
-	top := len(h.levels) - 1
-	topWidth := h.universeBits - uint(top)*h.bits // ≤ h.bits by construction
-	perLevel := make([][]PrefixCount, len(h.levels))
-	frontier := make([]uint64, 0, 1<<topWidth)
-	for p := uint64(0); p < 1<<topWidth; p++ {
-		if c := h.levels[top].Estimate(core.Item(p)); c >= threshold {
-			frontier = append(frontier, p)
-			perLevel[top] = append(perLevel[top], PrefixCount{Prefix: core.Item(p), Level: top, Count: c})
+	threshold = max(threshold, 1)
+	kept := h.frontier(threshold)
+	top := len(kept) - 1
+	perLevel := make([][]PrefixCount, len(kept))
+	for j, lvl := range kept {
+		perLevel[j] = make([]PrefixCount, len(lvl))
+		for i, ic := range lvl {
+			perLevel[j][i] = PrefixCount{Prefix: ic.Item, Level: j, Count: ic.Count}
 		}
-	}
-	for j := top - 1; j >= 0; j-- {
-		next := frontier[:0:0]
-		for _, p := range frontier {
-			base := p << h.bits
-			for c := uint64(0); c < 1<<h.bits; c++ {
-				child := base | c
-				if est := h.levels[j].Estimate(core.Item(child)); est >= threshold {
-					next = append(next, child)
-					perLevel[j] = append(perLevel[j], PrefixCount{Prefix: core.Item(child), Level: j, Count: est})
-				}
-			}
-			if len(next) > h.maxCandidates {
-				break
-			}
-		}
-		if len(next) > h.maxCandidates {
-			next = next[:h.maxCandidates]
-			perLevel[j] = perLevel[j][:h.maxCandidates]
-		}
-		frontier = next
 	}
 	// Discount: each prefix's residual subtracts its reported children
 	// one level finer.

@@ -169,43 +169,46 @@ func (h *Hierarchical) Estimate(x core.Item) int64 {
 // Query descends the dyadic tree, returning the items whose level-0
 // estimate reaches threshold, in descending estimate order.
 func (h *Hierarchical) Query(threshold int64) []core.ItemCount {
-	if threshold <= 0 {
-		// A non-positive threshold would force full-universe enumeration.
-		threshold = 1
-	}
+	out := h.frontier(max(threshold, 1))[0]
+	core.SortByCountDesc(out)
+	return out
+}
+
+// frontier is the descent Query and HeavyPrefixes share: from the
+// coarsest level down, it keeps the prefixes whose estimate reaches
+// threshold and expands only their children. kept[j] holds level j's
+// kept prefixes with their estimates, in walk order; a level stops
+// expanding once it holds more than maxCandidates and is cut to that
+// many. Callers clamp threshold to at least 1: a non-positive one would
+// enumerate the whole universe.
+func (h *Hierarchical) frontier(threshold int64) (kept [][]core.ItemCount) {
 	top := len(h.levels) - 1
 	topWidth := h.universeBits - uint(top)*h.bits // ≤ h.bits by construction
-	frontier := make([]uint64, 0, 1<<topWidth)
-	for p := uint64(0); p < 1<<topWidth; p++ {
-		if h.levels[top].Estimate(core.Item(p)) >= threshold {
-			frontier = append(frontier, p)
+	kept = make([][]core.ItemCount, len(h.levels))
+	for p := core.Item(0); p < 1<<topWidth; p++ {
+		if c := h.levels[top].Estimate(p); c >= threshold {
+			kept[top] = append(kept[top], core.ItemCount{Item: p, Count: c})
 		}
 	}
 	for j := top - 1; j >= 0; j-- {
-		next := frontier[:0:0]
-		for _, p := range frontier {
-			base := p << h.bits
-			for c := uint64(0); c < 1<<h.bits; c++ {
-				child := base | c
-				if h.levels[j].Estimate(core.Item(child)) >= threshold {
-					next = append(next, child)
+		var next []core.ItemCount
+		for _, p := range kept[j+1] {
+			base := p.Item << h.bits
+			for c := core.Item(0); c < 1<<h.bits; c++ {
+				if est := h.levels[j].Estimate(base | c); est >= threshold {
+					next = append(next, core.ItemCount{Item: base | c, Count: est})
 				}
 			}
 			if len(next) > h.maxCandidates {
 				break
 			}
 		}
-		frontier = next
-		if len(frontier) > h.maxCandidates {
-			frontier = frontier[:h.maxCandidates]
+		if len(next) > h.maxCandidates {
+			next = next[:h.maxCandidates]
 		}
+		kept[j] = next
 	}
-	out := make([]core.ItemCount, 0, len(frontier))
-	for _, p := range frontier {
-		out = append(out, core.ItemCount{Item: core.Item(p), Count: h.levels[0].Estimate(core.Item(p))})
-	}
-	core.SortByCountDesc(out)
-	return out
+	return kept
 }
 
 // Clone returns an independent deep copy, cloning every level sketch

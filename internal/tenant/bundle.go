@@ -19,9 +19,10 @@ import (
 // Entries are sorted by namespace; all integers little-endian.
 const bundleMagic = "SFTB0001"
 
-// maxBundleTenants bounds decode-side allocation against a hostile
-// count field, mirroring the checkpoint decoder's cap.
-const maxBundleTenants = 1 << 24
+// minBundleEntry is the smallest entry on the wire (empty namespace,
+// empty blob): DecodeBundle bounds a claimed count by the entries the
+// remaining bytes can hold, so a hostile header allocates O(len(data)).
+const minBundleEntry = 2 + 4
 
 // NamespaceBlob pairs a namespace with its encoded summary.
 type NamespaceBlob struct {
@@ -71,8 +72,8 @@ func DecodeBundle(data []byte) ([]NamespaceBlob, error) {
 	off := len(bundleMagic)
 	count := binary.LittleEndian.Uint32(data[off:])
 	off += 4
-	if count > maxBundleTenants {
-		return nil, fmt.Errorf("tenant: bundle claims %d namespaces", count)
+	if uint64(count) > uint64((len(data)-off)/minBundleEntry) {
+		return nil, fmt.Errorf("tenant: bundle claims %d namespaces in %d bytes", count, len(data)-off)
 	}
 	out := make([]NamespaceBlob, 0, count)
 	for i := uint32(0); i < count; i++ {

@@ -2,7 +2,7 @@
 // evaluation. The original study used two proprietary traces: an HTTP
 // request log and a UDP/IP packet trace. Neither ships with this
 // repository, so trace provides generators that reproduce the statistical
-// properties those traces contribute to the experiments (see DESIGN.md §4):
+// properties those traces contribute to the experiments:
 //
 //   - HTTPGenerator: web-object requests with power-law popularity below
 //     1 (z ≈ 0.85, the regime where counter algorithms are stressed),
@@ -46,7 +46,8 @@ type HTTPConfig struct {
 	Seed uint64
 }
 
-// DefaultHTTPConfig mirrors the characteristics described in DESIGN.md §4.
+// DefaultHTTPConfig mirrors the HTTP-trace characteristics listed in the
+// package doc.
 func DefaultHTTPConfig(seed uint64) HTTPConfig {
 	return HTTPConfig{
 		Objects:       1 << 20,
@@ -153,7 +154,8 @@ type UDPConfig struct {
 	Seed uint64
 }
 
-// DefaultUDPConfig mirrors the characteristics described in DESIGN.md §4.
+// DefaultUDPConfig mirrors the UDP-trace characteristics listed in the
+// package doc.
 func DefaultUDPConfig(seed uint64) UDPConfig {
 	return UDPConfig{ActiveFlows: 4096, Alpha: 1.2, MinPackets: 1, MaxTrain: 256, Seed: seed}
 }

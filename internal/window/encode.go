@@ -13,7 +13,7 @@ import (
 // formats. Layout, little-endian after the 4-byte magic:
 //
 //	u64 size | u64 blocks | u64 k | u64 n | u64 coverage
-//	u64 head | u64 curFill
+//	u64 head (block clock mod B+1) | u64 curFill
 //	u64 liveBlocks
 //	per live block, ascending ring index:
 //	  u64 ring index | u64 blob length | SS01 blob
@@ -28,9 +28,9 @@ import (
 const (
 	magicWN = "WN01"
 	// maxWNBlocks/maxWNCounters/maxWNSize bound a corrupt header's
-	// allocations. New enforces the same bounds at construction, so the
-	// decoder never rejects a blob MarshalBinary legally produced; real
-	// configurations use tens of blocks and thousands of counters.
+	// allocations. NewWindowed enforces the same bounds at construction,
+	// so the decoder never rejects a blob MarshalBinary legally produced;
+	// real configurations use tens of blocks and thousands of counters.
 	maxWNBlocks   = 1 << 16
 	maxWNCounters = 1 << 22 // counters.maxEntries, the per-block decode cap
 	maxWNSize     = int64(1) << 40
@@ -47,26 +47,25 @@ func (s *Windowed) MarshalBinary() ([]byte, error) {
 		binary.LittleEndian.PutUint64(b8[:], v)
 		buf.Write(b8[:])
 	}
-	w := s.Window
-	u64(uint64(w.size))
-	u64(uint64(w.blocks))
-	u64(uint64(w.k))
-	u64(uint64(w.n))
+	u64(uint64(s.size))
+	u64(uint64(s.blocks))
+	u64(uint64(s.k))
+	u64(uint64(s.n))
 	u64(uint64(s.coverage))
-	u64(uint64(w.head))
-	u64(uint64(w.curFill))
+	u64(uint64(s.ring.slot(s.cur)))
+	u64(uint64(s.curFill))
 	live := 0
-	for _, b := range w.ring {
+	for _, b := range s.ring.slots {
 		if b != nil {
 			live++
 		}
 	}
 	u64(uint64(live))
-	for i, b := range w.ring {
+	for i, b := range s.ring.slots {
 		if b == nil {
 			continue
 		}
-		blob, err := b.MarshalBinary()
+		blob, err := b.(*counters.SpaceSavingHeap).MarshalBinary()
 		if err != nil {
 			return nil, fmt.Errorf("window: encoding block %d: %w", i, err)
 		}
@@ -117,16 +116,10 @@ func DecodeWindowed(data []byte) (*Windowed, error) {
 	if n < 0 || coverage < int64(size) {
 		return nil, fmt.Errorf("window: implausible accounting (n=%d coverage=%d)", n, coverage)
 	}
-	w := &Window{
-		size:     int(size),
-		blocks:   int(blocks),
-		blockLen: int(blockLen),
-		k:        int(k),
-		ring:     make([]*counters.SpaceSavingHeap, int(ringLen)),
-		head:     int(head),
-		curFill:  int(curFill),
-		n:        n,
-	}
+	s := newWindowed(int(size), int(blocks), int(k), coverage)
+	// WN01 keeps the block clock modulo B+1 (the head slot); the clock
+	// restarts there, and each slot holds the block its age implies.
+	s.cur, s.curFill, s.n = int64(head), int(curFill), n
 	prev := -1
 	for i := uint64(0); i < liveBlocks; i++ {
 		idx, err := u64()
@@ -155,17 +148,18 @@ func DecodeWindowed(data []byte) (*Windowed, error) {
 		if ss.N() < 0 {
 			return nil, fmt.Errorf("window: block %d has negative N", idx)
 		}
-		w.ring[idx] = ss
-		w.liveCount += ss.N()
+		s.ring.slots[idx] = ss
+		s.ring.blockNo[idx] = s.cur - int64((head+ringLen-idx)%ringLen)
+		s.liveCount += ss.N()
 	}
 	if pos != len(rest) {
 		return nil, fmt.Errorf("window: %d trailing bytes", len(rest)-pos)
 	}
-	if w.ring[w.head] == nil {
-		return nil, fmt.Errorf("window: current block (ring %d) missing from blob", w.head)
+	if s.ring.slots[head] == nil {
+		return nil, fmt.Errorf("window: current block (ring %d) missing from blob", head)
 	}
-	if n < w.liveCount {
-		return nil, fmt.Errorf("window: stream length %d below live count %d", n, w.liveCount)
+	if n < s.liveCount {
+		return nil, fmt.Errorf("window: stream length %d below live count %d", n, s.liveCount)
 	}
-	return &Windowed{Window: w, coverage: coverage}, nil
+	return s, nil
 }

@@ -8,54 +8,51 @@ import (
 	"streamfreq/internal/core"
 )
 
-// MultiRes composes the exponential histogram with the point/hierarchy
-// summaries for wall-clock multi-resolution serving: one ingest stream
-// feeds a ring of bucket summaries per configured horizon (1m, 1h, 1d,
-// …), and a query for any horizon merges that ring's live buckets into
-// one summary of roughly the last-horizon traffic, with the horizon's
-// EHistogram supplying the event-count denominator (so φ·N thresholds
-// scale to the horizon, not the whole stream).
+// MultiRes is the wall-clock ring composed over any registry summary
+// for multi-resolution serving: one ingest stream feeds one ring per
+// configured horizon (1m, 1h, 1d, …), and a query for a horizon merges
+// that ring's live blocks into one summary of at least the last-horizon
+// traffic.
 //
-// The bucket ring is the standard block decomposition: each horizon is
-// split into Blocks wall-clock-aligned spans, a bucket summary per live
-// span, written lazily (an idle span costs nothing) and recycled in
-// place when its span number comes around again. The horizon a view
-// covers is therefore approximate at block granularity — between
-// span−span/Blocks and span of trailing traffic — while the EHistogram
-// counts events over exactly the horizon with relative error ε.
+// A horizon's block clock is wall time in units of span/B (rounded up
+// to whole nanoseconds, so B blocks span at least the horizon). Blocks
+// are opened lazily — an idle span costs nothing — and a slot is
+// recycled when its block number comes around again. A view covers the
+// B+1 newest blocks, between span and span + span/B of trailing time, so
+// with never-underestimating block summaries no estimate falls below an
+// item's true count in the horizon. The view's N, the φ·N denominator,
+// counts only the blocks that opened inside the horizon (the B newest
+// when B divides the span), so it never exceeds the horizon's true
+// event count.
 //
 // MultiRes is a serving composition, not a wire citizen: it has no
 // magic-versioned format and no Merger, so it is memory-only — freqd
-// rejects -horizons with -data-dir. Whole-stream durability plus
-// wall-clock windows in one process is an open composition (checkpoint
-// the bucket rings like Windowed checkpoints its block ring).
+// rejects -horizons with -data-dir. Replaying a wall-clock ring needs
+// each WAL batch's ingest time, which today's records do not carry.
 type MultiRes struct {
-	rings   []*horizonRing
-	factory func() core.Summary
-	n       int64
-	name    string
-	now     func() time.Time
+	horizons []horizon
+	n        int64
+	name     string
+	now      func() time.Time
 }
 
-type horizonRing struct {
-	span    time.Duration
-	block   time.Duration // span / blocks
-	buckets []core.Summary
-	blockNo []int64 // absolute block number held by each slot; -1 = empty
-	eh      *EHistogram
+// horizon is one servable span and its ring; block is the clock's unit
+// in nanoseconds.
+type horizon struct {
+	span  time.Duration
+	block int64
+	ring  *ring
 }
 
 // MultiResConfig parameterizes a MultiRes.
 type MultiResConfig struct {
 	// Horizons are the servable wall-clock spans, e.g. 1m, 1h, 24h.
 	Horizons []time.Duration
-	// Blocks is the bucket-ring length per horizon (default 8): finer
-	// horizon alignment for more merge work per query.
+	// Blocks is B, the number of blocks per horizon (default 8): finer
+	// horizon alignment for more merge work per query. Each ring keeps
+	// B+1 block summaries.
 	Blocks int
-	// Epsilon is the EHistogram relative error on horizon event counts
-	// (default 0.01).
-	Epsilon float64
-	// Factory builds one bucket summary; the product must implement
+	// Factory builds one block summary; the product must implement
 	// Snapshotter and Merger (every registry algorithm does).
 	Factory func() core.Summary
 	// Now injects the clock; nil means time.Now. Tests drive a fake.
@@ -77,9 +74,6 @@ func NewMultiRes(cfg MultiResConfig) (*MultiRes, error) {
 	if cfg.Blocks < 1 {
 		return nil, fmt.Errorf("window: MultiRes blocks must be positive")
 	}
-	if cfg.Epsilon == 0 {
-		cfg.Epsilon = 0.01
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -90,11 +84,7 @@ func NewMultiRes(cfg MultiResConfig) (*MultiRes, error) {
 	if _, ok := probe.(core.Merger); !ok {
 		return nil, fmt.Errorf("window: MultiRes bucket summary %s does not implement Merger", probe.Name())
 	}
-	m := &MultiRes{
-		factory: cfg.Factory,
-		name:    "MR-" + probe.Name(),
-		now:     cfg.Now,
-	}
+	m := &MultiRes{name: "MR-" + probe.Name(), now: cfg.Now}
 	spans := append([]time.Duration(nil), cfg.Horizons...)
 	sort.Slice(spans, func(i, j int) bool { return spans[i] < spans[j] })
 	for i, span := range spans {
@@ -104,137 +94,94 @@ func NewMultiRes(cfg MultiResConfig) (*MultiRes, error) {
 		if i > 0 && span == spans[i-1] {
 			return nil, fmt.Errorf("window: duplicate MultiRes horizon %v", span)
 		}
-		ehWindow := int64(span / time.Second)
-		if ehWindow < 1 {
-			ehWindow = 1
-		}
-		eh, err := NewEHistogram(ehWindow, cfg.Epsilon)
-		if err != nil {
-			return nil, err
-		}
-		r := &horizonRing{
-			span:    span,
-			block:   span / time.Duration(cfg.Blocks),
-			buckets: make([]core.Summary, cfg.Blocks),
-			blockNo: make([]int64, cfg.Blocks),
-			eh:      eh,
-		}
-		for j := range r.blockNo {
-			r.blockNo[j] = -1
-		}
-		m.rings = append(m.rings, r)
+		blocks := int64(cfg.Blocks)
+		m.horizons = append(m.horizons, horizon{
+			span:  span,
+			block: (int64(span) + blocks - 1) / blocks,
+			ring:  newRing(cfg.Blocks, cfg.Factory),
+		})
 	}
 	return m, nil
-}
-
-// bucket returns the ring's summary for the block containing t, creating
-// or recycling the slot as its span comes around.
-func (m *MultiRes) bucket(r *horizonRing, t time.Time) core.Summary {
-	blk := t.UnixNano() / int64(r.block)
-	slot := int(blk % int64(len(r.buckets)))
-	if r.blockNo[slot] != blk {
-		r.buckets[slot] = m.factory()
-		r.blockNo[slot] = blk
-	}
-	return r.buckets[slot]
 }
 
 // Update implements core.Summary: the arrival lands in every horizon's
 // current block.
 func (m *MultiRes) Update(x core.Item, count int64) {
-	t := m.now()
-	for _, r := range m.rings {
-		m.bucket(r, t).Update(x, count)
-		r.eh.AddAt(t.Unix(), count)
+	t := m.now().UnixNano()
+	for _, h := range m.horizons {
+		h.ring.open(t/h.block).Update(x, count)
 	}
 	m.n += count
 }
 
-// UpdateBatch implements core.BatchUpdater: one bucket lookup and one
-// EHistogram bulk insert per horizon per batch.
+// UpdateBatch implements core.BatchUpdater: one block lookup per
+// horizon per batch.
 func (m *MultiRes) UpdateBatch(items []core.Item) {
 	if len(items) == 0 {
 		return
 	}
-	t := m.now()
-	for _, r := range m.rings {
-		core.UpdateAll(m.bucket(r, t), items)
-		r.eh.AddAt(t.Unix(), int64(len(items)))
+	t := m.now().UnixNano()
+	for _, h := range m.horizons {
+		core.UpdateAll(h.ring.open(t/h.block), items)
 	}
 	m.n += int64(len(items))
 }
 
 // Horizons returns the configured spans, ascending.
 func (m *MultiRes) Horizons() []time.Duration {
-	out := make([]time.Duration, len(m.rings))
-	for i, r := range m.rings {
-		out[i] = r.span
+	out := make([]time.Duration, len(m.horizons))
+	for i, h := range m.horizons {
+		out[i] = h.span
 	}
 	return out
 }
 
-// HorizonView merges the named horizon's live buckets into an immutable
+// HorizonView merges the named horizon's live blocks into an immutable
 // read view whose N is the horizon's event count: Query(φ·N) over the
 // view asks "heavy over the last d", the wall-clock analogue of the
-// windowed summary's WindowN threshold scaling. The view is built from
-// bucket snapshots, so it never mutates ring state — safe against a
-// shared serving snapshot.
+// windowed summary's WindowN threshold scaling. The view is a fresh
+// summary, so it never mutates ring state — safe against a shared
+// serving snapshot.
 func (m *MultiRes) HorizonView(d time.Duration) (core.ReadView, error) {
-	for _, r := range m.rings {
-		if r.span == d {
-			return m.viewOf(r), nil
+	for _, h := range m.horizons {
+		if h.span == d {
+			return m.viewOf(h), nil
 		}
 	}
 	return nil, fmt.Errorf("window: horizon %v not configured (have %v)", d, m.Horizons())
 }
 
-func (m *MultiRes) viewOf(r *horizonRing) *HorizonView {
-	t := m.now()
-	cur := t.UnixNano() / int64(r.block)
-	oldest := cur - int64(len(r.buckets)) + 1
-	var merged core.Summary
-	for slot, blk := range r.blockNo {
-		if blk < oldest || blk > cur || r.buckets[slot] == nil {
-			continue
-		}
-		if merged == nil {
-			merged = r.buckets[slot].(core.Snapshotter).Snapshot()
-			continue
-		}
-		if err := merged.(core.Merger).Merge(r.buckets[slot]); err != nil {
-			// Same-factory buckets cannot mismatch; a failure here is a
-			// wiring bug, not an operational state.
-			panic(fmt.Sprintf("window: MultiRes bucket merge failed: %v", err))
+func (m *MultiRes) viewOf(h horizon) *HorizonView {
+	t := m.now().UnixNano()
+	cur := t / h.block
+	v := &HorizonView{span: h.span, summary: h.ring.merged(cur)}
+	for i, b := range h.ring.slots {
+		if h.ring.live(i, cur) && h.ring.blockNo[i]*h.block > t-int64(h.span) {
+			v.n += b.N()
 		}
 	}
-	if merged == nil {
-		merged = m.factory()
-	}
-	return &HorizonView{span: r.span, summary: merged, windowN: r.eh.CountAt(t.Unix())}
+	return v
 }
 
 // HorizonView is the merged read view of one horizon.
 type HorizonView struct {
 	span    time.Duration
 	summary core.Summary
-	windowN int64
+	n       int64
 }
 
-// N returns the horizon's estimated event count — the denominator for
-// φ·N thresholds at this horizon.
-func (v *HorizonView) N() int64 { return v.windowN }
-
-// WindowN mirrors N under the name the serving layer's threshold scaling
-// dispatches on.
-func (v *HorizonView) WindowN() int64 { return v.windowN }
+// N returns the horizon's event count, counted over the blocks that
+// opened inside it — the denominator for φ·N thresholds at this
+// horizon.
+func (v *HorizonView) N() int64 { return v.n }
 
 // Span returns the horizon this view covers.
 func (v *HorizonView) Span() time.Duration { return v.span }
 
-// Estimate returns the merged bucket summaries' estimate.
+// Estimate returns the merged block summaries' estimate.
 func (v *HorizonView) Estimate(x core.Item) int64 { return v.summary.Estimate(x) }
 
-// Query returns the merged bucket summaries' report at threshold.
+// Query returns the merged block summaries' report at threshold.
 func (v *HorizonView) Query(threshold int64) []core.ItemCount { return v.summary.Query(threshold) }
 
 // Summary exposes the merged summary so capability queries (HHH, range,
@@ -247,81 +194,36 @@ func (m *MultiRes) N() int64 { return m.n }
 
 // Estimate implements core.Summary over the longest horizon.
 func (m *MultiRes) Estimate(x core.Item) int64 {
-	return m.viewOf(m.rings[len(m.rings)-1]).Estimate(x)
+	return m.viewOf(m.horizons[len(m.horizons)-1]).Estimate(x)
 }
 
 // Query implements core.Summary over the longest horizon.
 func (m *MultiRes) Query(threshold int64) []core.ItemCount {
-	return m.viewOf(m.rings[len(m.rings)-1]).Query(threshold)
+	return m.viewOf(m.horizons[len(m.horizons)-1]).Query(threshold)
 }
 
-// Name implements core.Summary: "MR-" plus the bucket algorithm code.
+// Name implements core.Summary: "MR-" plus the block algorithm code.
 func (m *MultiRes) Name() string { return m.name }
 
-// Bytes sums the live buckets and histograms.
+// Bytes sums every opened block.
 func (m *MultiRes) Bytes() int {
 	total := 0
-	for _, r := range m.rings {
-		for _, b := range r.buckets {
-			if b != nil {
-				total += b.Bytes()
-			}
-		}
-		total += r.eh.Bytes()
+	for _, h := range m.horizons {
+		total += h.ring.bytes()
 	}
 	return total
 }
 
 // Clone returns an independent deep copy (the serving snapshot).
 func (m *MultiRes) Clone() *MultiRes {
-	nm := &MultiRes{
-		factory: m.factory,
-		n:       m.n,
-		name:    m.name,
-		now:     m.now,
+	c := *m
+	c.horizons = make([]horizon, len(m.horizons))
+	for i, h := range m.horizons {
+		h.ring = h.ring.clone()
+		c.horizons[i] = h
 	}
-	for _, r := range m.rings {
-		nr := &horizonRing{
-			span:    r.span,
-			block:   r.block,
-			buckets: make([]core.Summary, len(r.buckets)),
-			blockNo: append([]int64(nil), r.blockNo...),
-			eh:      r.eh.Clone(),
-		}
-		for i, b := range r.buckets {
-			if b != nil {
-				nr.buckets[i] = b.(core.Snapshotter).Snapshot()
-			}
-		}
-		nm.rings = append(nm.rings, nr)
-	}
-	return nm
+	return &c
 }
 
 // Snapshot implements core.Snapshotter.
 func (m *MultiRes) Snapshot() core.Summary { return m.Clone() }
-
-// HorizonStats describes one horizon for /stats.
-type HorizonStats struct {
-	Span    time.Duration
-	WindowN int64
-	Buckets int
-}
-
-// Stats reports per-horizon serving state as of now.
-func (m *MultiRes) Stats() []HorizonStats {
-	t := m.now()
-	out := make([]HorizonStats, 0, len(m.rings))
-	for _, r := range m.rings {
-		cur := t.UnixNano() / int64(r.block)
-		oldest := cur - int64(len(r.buckets)) + 1
-		live := 0
-		for slot, blk := range r.blockNo {
-			if blk >= oldest && blk <= cur && r.buckets[slot] != nil {
-				live++
-			}
-		}
-		out = append(out, HorizonStats{Span: r.span, WindowN: r.eh.CountAt(t.Unix()), Buckets: live})
-	}
-	return out
-}

