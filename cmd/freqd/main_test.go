@@ -6,8 +6,11 @@ package main
 // directory.
 
 import (
+	"encoding/json"
 	"io"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +90,76 @@ func TestShardsPickThePlane(t *testing.T) {
 	if got := p.PipelineStats().Shards; got != 4 {
 		t.Errorf("-shards 4 built a plane of %d shards", got)
 	}
+
+	// Served, a -shards 1 node exposes its summary's own name and read
+	// surfaces, and nothing of the staged plane.
+	for _, c := range []struct {
+		name    string
+		node    node
+		summary string
+		reads   []string // routes that answer only through the summary's own surface
+	}{
+		{"SSH", node{}, "SSH", nil},
+		{"CMH", node{algo: "CMH"}, "CMH", []string{"/v1/hhh?phi=0.1"}},
+		{"window", node{window: 1000}, "SSW", nil},
+		{"horizons", node{horizons: []time.Duration{time.Minute}}, "MR-SSH",
+			[]string{"/v1/topk?phi=0.1&horizon=1m"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			target, store, err := c.node.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdown(t, target, store)
+			ts := httptest.NewServer(serve.NewServer(serve.Options{Target: target}).Handler())
+			defer ts.Close()
+			resp, err := http.Post(ts.URL+"/v1/ingest", "text/plain", strings.NewReader("a b a c a b a"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+
+			var st map[string]any
+			if err := json.Unmarshal(get(t, ts.URL+"/v1/stats"), &st); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := st["pipeline"]; ok {
+				t.Errorf("/v1/stats has a pipeline section")
+			}
+			if st["summary"] != c.summary {
+				t.Errorf("/v1/stats summary %v, want %q", st["summary"], c.summary)
+			}
+			if _, ok := st["window"]; ok != (c.node.window > 0) {
+				t.Errorf("/v1/stats window section present=%v, want %v", ok, c.node.window > 0)
+			}
+			if m := get(t, ts.URL+"/v1/metrics"); strings.Contains(string(m), "freq_pipeline_") {
+				t.Errorf("/v1/metrics exposes freq_pipeline_ series")
+			}
+			for _, path := range c.reads {
+				if body := get(t, ts.URL+path); !strings.Contains(string(body), `"count":4`) {
+					t.Errorf("GET %s = %s, want a row counting the 4 a's", path, body)
+				}
+			}
+		})
+	}
+}
+
+// get fetches url and fails the test on a non-200 answer.
+func get(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s %s", url, resp.Status, body)
+	}
+	return body
 }
 
 func TestFlagExclusions(t *testing.T) {

@@ -37,7 +37,7 @@
 //
 // Every summary implements Snapshotter: Snapshot() returns an
 // independent deep copy, frozen at the moment it is taken. The
-// Concurrent wrapper and the Pipelined plane build on this with
+// concurrency plane — Concurrent and Pipelined — builds on this with
 // ServeSnapshots, which answers Query/Estimate/N from an epoch snapshot
 // refreshed at most once per staleness window — readers never take the
 // ingest lock, so query traffic does not slow the batched ingest hot
@@ -62,9 +62,11 @@
 // never behind memory (append happens before staging), checkpoints and
 // snapshot refreshes quiesce the rings at an exact cross-shard cut, and
 // the steady-state hot path allocates nothing (slot buffers are reused
-// after the first ring wrap; CI gates allocs/op at zero). freqd
-// -shards N serves it for N > 1; -shards 1 serves the single-mutex
-// Concurrent wrapper.
+// after the first ring wrap; CI gates allocs/op at zero). Concurrent is
+// the same plane in its one-shard synchronous mode: no rings, and every
+// write applies under the one shard's mutex, the mode a Pipelined
+// falls back to once closed. freqd -shards N serves the staged plane
+// for N > 1; -shards 1 serves Concurrent.
 //
 // # Durability
 //

@@ -23,8 +23,8 @@ type Summary = core.Summary
 // BatchUpdater is implemented by summaries with a native amortized path
 // for batches of unit-count arrivals; see core.BatchUpdater for the
 // contract. Frequent, both Space-Saving variants, the flat sketches, and
-// the concurrency wrappers implement it; use UpdateAll to ingest through
-// the fastest available path uniformly.
+// the concurrency plane (Concurrent, Pipelined) implement it; use
+// UpdateAll to ingest through the fastest available path uniformly.
 type BatchUpdater = core.BatchUpdater
 
 // Snapshotter is implemented by summaries that can produce an
@@ -161,9 +161,11 @@ func NewTracked(inner Summary, capacity int) *core.Tracked {
 	return core.NewTracked(inner, capacity)
 }
 
-// NewConcurrent makes any summary safe for concurrent use. Call
-// ServeSnapshots on the result to answer queries from epoch snapshots
-// instead of locking the summary on every read.
+// NewConcurrent makes any summary safe for concurrent use: the
+// concurrency plane in its one-shard mode, where every write applies
+// synchronously under the summary's one mutex. Call ServeSnapshots on
+// the result to answer queries from epoch snapshots instead of locking
+// the summary on every read.
 func NewConcurrent(inner Summary) *core.Concurrent { return core.NewConcurrent(inner) }
 
 // NewPipelined builds the sharded ingest plane: updates are staged

@@ -1,14 +1,11 @@
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
-// Durability integration for the concurrency wrappers. The wrappers do
-// not know how bytes reach disk — internal/persist does — but write-ahead
-// logging needs three guarantees only the wrappers can give, because they
-// own the ingest locks:
+// Durability integration for the plane. The plane does not know how
+// bytes reach disk — internal/persist does — but write-ahead logging
+// needs three guarantees only the plane can give, because it owns the
+// ingest order:
 //
 //   - every ingested update is offered to the log *before* it is applied
 //     (WAL-append-before-apply), in apply order, so the log is always a
@@ -21,7 +18,7 @@ import (
 //     (RestoreState).
 //
 // Persister is implemented by persist.Store; the methods here are wired
-// by cmd/freqd (and tests) at startup, before the wrapper is shared.
+// by cmd/freqd (and tests) at startup, before the plane is shared.
 type Persister interface {
 	// AppendBatch logs one unit-count batch, exactly as passed to
 	// UpdateBatch. The callee must not retain items.
@@ -31,45 +28,54 @@ type Persister interface {
 	AppendUpdate(x Item, count int64)
 }
 
-// PersistTo routes every subsequent update through p before it is
-// applied, under the ingest lock, so log order equals apply order.
-// Configure before the wrapper is shared between goroutines, like
-// ServeSnapshots. Persistence failures are the Persister's to surface
-// (persist.Store keeps a sticky error); the wrapper keeps applying, so
-// the summary stays available while unsynced durability is lost — the
-// serving layer decides whether to stop accepting writes.
-func (c *Concurrent) PersistTo(p Persister) { c.persist = p }
-
-// SnapshotBarrier clones the inner summary with ingest quiesced and, at
-// the same instant, hands the clone's stream position to cut — the
-// write-ahead log rotates segments there, so every logged record is
-// unambiguously before or after the clone. It returns the wrapper's
-// state as independent per-shard deep copies (always one for
-// Concurrent). cut may be nil.
-func (c *Concurrent) SnapshotBarrier(cut func(n int64)) []Summary {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := mustSnapshot(c.inner)
-	if cut != nil {
-		cut(s.N())
-	}
-	return []Summary{s}
+// PersistTo routes every subsequent update through pr before it is
+// applied (or staged), in apply order. Configure before the plane is
+// shared between goroutines, like ServeSnapshots. Persistence failures
+// are the Persister's to surface (persist.Store keeps a sticky error);
+// the plane keeps applying, so the summary stays available while
+// unsynced durability is lost — the serving layer decides whether to
+// stop accepting writes.
+func (p *plane) PersistTo(pr Persister) {
+	p.persist = pr
+	p.walTurn.Store(p.cursor.Load())
 }
 
-// RestoreState replaces the wrapper's summary state with the recovered
-// shards — exactly one for Concurrent. It is a setup-time operation
-// (startup recovery, before the wrapper is shared); the serving
-// snapshot, when already enabled, is re-taken from the restored state.
-func (c *Concurrent) RestoreState(shards []Summary) error {
-	if len(shards) != 1 {
-		return fmt.Errorf("core: Concurrent restore needs 1 shard, got %d", len(shards))
+// SnapshotBarrier clones every shard at one quiesced cross-shard
+// position and, at the same instant, hands the clones' total stream
+// position to cut — the write-ahead log rotates segments there, so
+// every logged record is unambiguously before or after the clones. It
+// returns the state as independent per-shard deep copies (one for
+// Concurrent). cut may be nil.
+func (p *plane) SnapshotBarrier(cut func(n int64)) []Summary {
+	var views []Summary
+	p.quiesce(func(uint64) {
+		views = p.clones()
+		if cut != nil {
+			cut(sumN(views))
+		}
+	})
+	return views
+}
+
+// RestoreState replaces each shard's summary with the corresponding
+// recovered shard and resets the acknowledged stream position to the
+// restored state's; the serving epoch, when enabled, is re-taken. The
+// count must match the plane's shard count: a checkpoint taken at
+// -shards 8 cannot restore into -shards 4 (per-item shard residency
+// would change under the recovered counters), so the operator
+// re-shards by restarting with the original count. Setup-time only
+// (startup recovery, before concurrent writers).
+func (p *plane) RestoreState(shards []Summary) error {
+	if len(shards) != len(p.shards) {
+		return fmt.Errorf("core: restore needs %d shards, got %d (restart with the checkpoint's shard count)",
+			len(p.shards), len(shards))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.inner = shards[0]
-	if c.serving {
-		c.snap.Store(&snapshotState{view: mustSnapshot(c.inner), version: c.version.Load(), taken: time.Now()})
-		c.refreshes.Add(1)
+	p.quiesce(func(uint64) {
+		copy(p.shards, shards)
+		p.claimedN.Store(sumN(shards))
+	})
+	if p.serving {
+		p.refresh(true)
 	}
 	return nil
 }

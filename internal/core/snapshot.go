@@ -11,8 +11,8 @@ import "time"
 // counters — O(k) for the counter algorithms, O(d·w) for the sketches —
 // and never blocks on anything.
 //
-// Snapshots are the serving primitive of this repository: the Concurrent
-// wrapper and the Pipelined plane answer Query/Estimate from a
+// Snapshots are the serving primitive of this repository: the
+// concurrency plane (Concurrent, Pipelined) answers Query/Estimate from a
 // periodically refreshed snapshot so readers never wait on the ingest
 // lock, and a snapshot can be serialized (MarshalBinary) or merged
 // elsewhere while the parent keeps ingesting.
@@ -31,8 +31,8 @@ type Snapshotter interface {
 // is immutable: every call answers from the same epoch, so a caller that
 // needs an internally consistent multi-read sequence (compute a
 // threshold from N, then Query at it) pins one view and issues all reads
-// against it. Any Summary trivially satisfies ReadView; the serving
-// wrappers additionally expose their current epoch through ServingView.
+// against it. Any Summary trivially satisfies ReadView; the concurrency
+// plane additionally exposes its current epoch through ServingView.
 type ReadView interface {
 	// N returns the view's stream length.
 	N() int64

@@ -190,6 +190,9 @@ func decodeCheckpoint(data []byte) (checkpoint, error) {
 		if tenants > maxCkptTenants {
 			return c, fmt.Errorf("persist: implausible checkpoint tenant count %d", tenants)
 		}
+		// Non-nil even when empty: an empty table's manifest is still a
+		// manifest, which recovery and re-encoding tell by nil-ness.
+		c.tenants = []TenantState{}
 		for i := uint32(0); i < tenants; i++ {
 			if pos+2 > len(body) {
 				return c, fmt.Errorf("persist: truncated checkpoint at offset %d", pos)

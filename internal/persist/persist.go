@@ -114,8 +114,8 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	return 0, fmt.Errorf("persist: unknown fsync policy %q (have always, interval, never)", s)
 }
 
-// Target is the wrapper surface a durable summary must expose:
-// core.Concurrent, core.Pipelined and tenant.Table satisfy it.
+// Target is the surface a durable summary must expose: the concurrency
+// plane (core.Concurrent, core.Pipelined) and tenant.Table satisfy it.
 type Target interface {
 	core.Summary
 	core.BatchUpdater
@@ -126,7 +126,7 @@ type Target interface {
 	// core.Persister.
 	PersistTo(core.Persister)
 	// SnapshotBarrier clones the state and cuts the log at one quiesced
-	// instant; see core.Concurrent.SnapshotBarrier.
+	// instant; see the plane's SnapshotBarrier (core.Concurrent).
 	SnapshotBarrier(cut func(n int64)) []core.Summary
 	// RestoreState injects recovered per-shard state at startup.
 	RestoreState([]core.Summary) error

@@ -50,9 +50,6 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, rt.maxIn)
 	src, err := stream.OpenIngest(r.Header.Get("Content-Type"), body, 0)
 	if err != nil {
-		rt.mu.Lock()
-		rt.rejected++
-		rt.mu.Unlock()
 		rt.counters.Add("router.rejected", 1)
 		if errors.Is(err, stream.ErrUnsupportedMedia) {
 			serve.HTTPError(w, http.StatusUnsupportedMediaType, "%v", err)
@@ -92,10 +89,6 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		wg.Wait()
 	}
-	rt.mu.Lock()
-	rt.requests++
-	total := rt.acked
-	rt.mu.Unlock()
 	rt.counters.Add("router.requests", 1)
 	obs.AddStage(r.Context(), "forward", time.Since(forwardStart))
 	obs.Annotate(r.Context(), "items", acked)
@@ -127,28 +120,26 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, status, map[string]int64{
 		"ingested": acked,
 		"shed":     shed,
-		"n":        total,
+		"n":        rt.counters.Get("router.routed_items"),
 	})
 }
 
 // handleStats reports tier traffic and per-shard health.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	m := rt.ShardMap()
-	rt.mu.Lock()
-	resp := map[string]any{
-		"shards":    len(rt.shards),
-		"vnodes":    rt.ring.VNodes(),
-		"uptime_ms": time.Since(rt.start).Milliseconds(),
-		"requests":  rt.requests,
-		"n":         rt.acked,
-		"shed":      rt.shedN,
-		"retries":   rt.retried,
-		"rejected":  rt.rejected,
-	}
-	rt.mu.Unlock()
-	resp["counters"] = rt.counters.Snapshot()
-	resp["shard_status"] = m.Shards
-	serve.WriteJSON(w, http.StatusOK, resp)
+	c := rt.counters.Snapshot()
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
+		"shards":       len(rt.shards),
+		"vnodes":       rt.ring.VNodes(),
+		"uptime_ms":    time.Since(rt.start).Milliseconds(),
+		"requests":     c["router.requests"],
+		"n":            c["router.routed_items"],
+		"shed":         c["router.shed_items"],
+		"retries":      c["router.retries"],
+		"rejected":     c["router.rejected"],
+		"counters":     c,
+		"shard_status": m.Shards,
+	})
 }
 
 // handleShardMap publishes the partition contract.

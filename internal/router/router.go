@@ -80,11 +80,10 @@ type replicaState struct {
 type shardState struct {
 	id       string
 	replicas []*replicaState
-	routed   int64 // items acknowledged by >=1 replica
-	shed     int64 // items dropped because no replica accepted them
 
 	// Per-shard Prometheus series (bounded cardinality: one shard ID
-	// label each, mirroring the mu-guarded totals above).
+	// label each): items acknowledged by >=1 replica, and items dropped
+	// because no replica accepted them. The shard map reads them.
 	routedC *obs.Counter
 	shedC   *obs.Counter
 }
@@ -103,21 +102,18 @@ type Router struct {
 	start   time.Time
 
 	obs *obs.Obs
-	// counters splits what used to be a handful of mu-guarded ints into
-	// individually scrapeable series: router.retries (retry attempts
-	// beyond the first try), router.shed_items, router.down_marks
-	// (live→down transitions), router.readoptions (down→live), plus
-	// request/reject traffic. Keys surface verbatim in /stats and as
-	// freq_router_*_total in /v1/metrics.
+	// counters is the one count of each router event, scrapeable as
+	// freq_router_*_total in /v1/metrics and read back by /stats and the
+	// ingest ack: router.requests, router.rejected (malformed or
+	// oversized ingest requests), router.routed_items (items
+	// acknowledged — the tier's "n"), router.shed_items,
+	// router.retries (retry attempts beyond each first try),
+	// router.down_marks (live→down transitions) and router.readoptions
+	// (down→live).
 	counters *obs.Set
 
-	mu       sync.Mutex
-	shards   []*shardState
-	requests int64
-	acked    int64 // cumulative items acknowledged (the tier's "n")
-	shedN    int64 // cumulative items shed
-	retried  int64 // retry attempts (beyond each first try)
-	rejected int64 // malformed/oversized ingest requests
+	mu     sync.Mutex
+	shards []*shardState
 }
 
 // New builds a Router over opts.Shards.
@@ -316,9 +312,6 @@ func (rt *Router) send(ctx context.Context, base string, payload []byte) (ack, e
 		if err == nil || attempt >= rt.retries || !retryable(err) || ctx.Err() != nil {
 			return a, err
 		}
-		rt.mu.Lock()
-		rt.retried++
-		rt.mu.Unlock()
 		rt.counters.Add("router.retries", 1)
 		select {
 		case <-time.After(backoff):
@@ -404,16 +397,10 @@ func (rt *Router) forwardShard(ctx context.Context, si int, items []core.Item) b
 			acked = true
 		}
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	if acked {
-		rt.shards[si].routed += int64(len(items))
-		rt.acked += int64(len(items))
 		rt.shards[si].routedC.Add(int64(len(items)))
 		rt.counters.Add("router.routed_items", int64(len(items)))
 	} else {
-		rt.shards[si].shed += int64(len(items))
-		rt.shedN += int64(len(items))
 		rt.shards[si].shedC.Add(int64(len(items)))
 		rt.counters.Add("router.shed_items", int64(len(items)))
 	}

@@ -70,8 +70,8 @@ func (rt *Router) ShardMap() *ShardMap {
 		st := ShardStatus{
 			ID:       s.id,
 			Degraded: true,
-			Routed:   s.routed,
-			Shed:     s.shed,
+			Routed:   s.routedC.Value(),
+			Shed:     s.shedC.Value(),
 			Replicas: make([]ReplicaStatus, len(s.replicas)),
 		}
 		for j, rep := range s.replicas {

@@ -22,6 +22,7 @@ import (
 	"streamfreq/internal/persist"
 	"streamfreq/internal/serve"
 	"streamfreq/internal/stream"
+	"streamfreq/internal/tenant"
 	"streamfreq/internal/zipf"
 )
 
@@ -46,6 +47,47 @@ func buildDurable(t *testing.T, dir, algo string, phi float64) (*core.Concurrent
 	target.PersistTo(store)
 	target.ServeSnapshots(5 * time.Millisecond)
 	return target, store, stats
+}
+
+// ingestRoutes are the two routes the one ingest loop serves: the
+// global route of a Concurrent node and a namespace's route on a
+// tenant-mode node.
+var ingestRoutes = []struct {
+	name    string
+	prefix  string // path prefix of the route's ingest and topk
+	tenants bool
+}{
+	{"global", "", false},
+	{"tenant", "/v1/t/eu", true},
+}
+
+// durableNode is freqd's startup sequence over dir for one ingest
+// route: an SSH Concurrent (snapshot-served, always fresh) or a tenant
+// table, recovered from dir and wired to the returned store.
+func durableNode(t *testing.T, dir string, tenants bool, fsync persist.FsyncPolicy) (serve.Options, persist.Target, *persist.Store) {
+	t.Helper()
+	store, err := persist.Open(persist.Options{Dir: dir, Algo: "SSH", Fsync: fsync, Decode: streamfreq.Decode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var target persist.Target = core.NewConcurrent(streamfreq.MustNew("SSH", 0.01, 1))
+	opts := serve.Options{Algo: "SSH", Store: store}
+	if tenants {
+		table, err := tenant.NewTable(tenant.Options{DefaultPhi: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		target, opts.Tenants = table, table
+	}
+	if _, err := store.Recover(target); err != nil {
+		t.Fatal(err)
+	}
+	target.PersistTo(store)
+	if c, ok := target.(*core.Concurrent); ok {
+		c.ServeSnapshots(0)
+	}
+	opts.Target = target
+	return opts, target, store
 }
 
 type statsResponse struct {
@@ -237,32 +279,36 @@ func TestCheckpointEndpointWithoutStore(t *testing.T) {
 }
 
 // TestIngestRefusedAfterWALFailure: once the log has latched a failure,
-// the server stops acknowledging writes (503) while reads keep working.
+// the server stops acknowledging writes (503) while reads keep working,
+// on the global and the tenant ingest route alike.
 func TestIngestRefusedAfterWALFailure(t *testing.T) {
-	dir := t.TempDir()
-	target, store, _ := buildDurable(t, dir, "SSH", 0.01)
-	srv := serve.NewServer(serve.Options{Target: target, Algo: "SSH", Store: store})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, route := range ingestRoutes {
+		t.Run(route.name, func(t *testing.T) {
+			opts, _, store := durableNode(t, t.TempDir(), route.tenants, persist.FsyncAlways)
+			ts := httptest.NewServer(serve.NewServer(opts).Handler())
+			defer ts.Close()
 
-	postOK(t, ts.URL+"/ingest", "application/octet-stream", stream.AppendRaw(nil, []core.Item{1, 2, 3}))
-	// Seal the log out from under the server: the next append latches
-	// the failure, and every ingest after that is refused.
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	resp := post(t, ts.URL+"/ingest", "application/octet-stream", stream.AppendRaw(nil, []core.Item{4}))
-	resp.Body.Close()
-	resp = post(t, ts.URL+"/ingest", "application/octet-stream", stream.AppendRaw(nil, []core.Item{5}))
-	defer resp.Body.Close()
-	if resp.StatusCode != 503 {
-		t.Fatalf("ingest after WAL failure: %s, want 503", resp.Status)
-	}
-	var tr topkResponse
-	getJSON(t, ts.URL+"/topk?threshold=1", &tr) // reads still served
-	var st statsResponse
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.WAL.Error == "" {
-		t.Fatal("/stats wal.error empty after WAL failure")
+			ingest := ts.URL + route.prefix + "/ingest"
+			postOK(t, ingest, "application/octet-stream", stream.AppendRaw(nil, []core.Item{1, 2, 3}))
+			// Seal the log out from under the server: the next append
+			// latches the failure, and every ingest after that is refused.
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+			resp := post(t, ingest, "application/octet-stream", stream.AppendRaw(nil, []core.Item{4}))
+			resp.Body.Close()
+			resp = post(t, ingest, "application/octet-stream", stream.AppendRaw(nil, []core.Item{5}))
+			defer resp.Body.Close()
+			if resp.StatusCode != 503 {
+				t.Fatalf("ingest after WAL failure: %s, want 503", resp.Status)
+			}
+			var tr topkResponse
+			getJSON(t, ts.URL+route.prefix+"/topk?threshold=1", &tr) // reads still served
+			var st statsResponse
+			getJSON(t, ts.URL+"/stats", &st)
+			if st.WAL.Error == "" {
+				t.Fatal("/stats wal.error empty after WAL failure")
+			}
+		})
 	}
 }

@@ -2,8 +2,8 @@
 // stream ingest and frequent-items queries over one summary, wired so
 // the two workloads never fight — ingest goes through the batched
 // UpdateBatch path (one lock per batch), queries are answered from the
-// wrapper's epoch snapshots (never taking the ingest lock; see
-// core.Snapshotter and Concurrent.ServeSnapshots).
+// concurrency plane's epoch snapshots (never taking the ingest lock;
+// see core.Snapshotter and Concurrent.ServeSnapshots).
 //
 // Endpoints:
 //
@@ -55,25 +55,28 @@ import (
 )
 
 // Target is what the server serves: a summary that is safe for
-// concurrent use and ingests batches. core.Concurrent and core.Pipelined
-// (with ServeSnapshots enabled for lock-free reads) are the intended
-// implementations.
+// concurrent use and ingests batches. The concurrency plane — the
+// one-shard core.Concurrent or the staged core.Pipelined, with
+// ServeSnapshots enabled for lock-free reads — is the intended
+// implementation; a tenant-mode node serves its tenant.Table.
 type Target interface {
 	core.Summary
 	core.BatchUpdater
 }
 
 // snapshotServer is the optional snapshot-control surface of the
-// concurrency wrappers; /stats and /refresh use it when present.
+// concurrency plane; /stats and /refresh use it when present.
 type snapshotServer interface {
 	SnapshotStats() core.SnapshotStats
 	RefreshSnapshot() core.ReadView
 }
 
 // viewServer is the optional pinned-epoch read surface of the
-// concurrency wrappers. Query handlers pin one view per request so the
+// concurrency plane. Query handlers pin one view per request so the
 // n/threshold/report triple is internally consistent — issuing N and
-// Query as separate wrapper calls could straddle a snapshot refresh.
+// Query as separate plane calls could straddle a snapshot refresh. At
+// one shard the view is the summary clone itself, so its own surfaces
+// (hierarchical queries, window stats, horizons) dispatch through it.
 type viewServer interface {
 	ServingView() core.ReadView
 }
@@ -84,9 +87,10 @@ type windowStatser interface {
 	WindowStats() window.Stats
 }
 
-// pipelineStatser is the observability surface of the pipelined ingest
-// plane (core.Pipelined); /stats reports the claimed/applied positions
-// and staging footprint when present.
+// pipelineStatser is the observability surface of the staged ingest
+// plane (core.Pipelined; the one-shard Concurrent has none); /stats
+// reports the claimed/applied positions and staging footprint when
+// present.
 type pipelineStatser interface {
 	PipelineStats() core.PipelineStats
 }
@@ -107,10 +111,10 @@ func (s *Server) view() core.ReadView {
 
 // liveN is the target's live stream position: what /stats n, the
 // freq_stream_n gauge and the ingest ack report. It reads the live
-// summary (one locked integer read, or an atomic load on the pipelined
-// plane) rather than the serving snapshot, so the ingest/serving lag
-// stays observable next to snapshot.as_of_n, and a recovered node
-// counts the items it recovered.
+// summary (one locked integer read on a synchronous plane, an atomic
+// load on the staged one) rather than the serving snapshot, so the
+// ingest/serving lag stays observable next to snapshot.as_of_n, and a
+// recovered node counts the items it recovered.
 func (s *Server) liveN() int64 {
 	if ln, ok := s.target.(interface{ LiveN() int64 }); ok {
 		return ln.LiveN()
@@ -377,8 +381,24 @@ func (s *Server) lookupName(it core.Item) string {
 }
 
 // handleIngest streams the request body into the summary in bounded
-// batches through the target's UpdateBatch path.
+// batches through the target's UpdateBatch path, and acks with the live
+// stream position, recovered items included — the same n /stats and
+// freq_stream_n report.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	s.ingest(w, r, "", func(batch []core.Item) error {
+		s.target.UpdateBatch(batch)
+		return nil
+	}, s.liveN)
+}
+
+// ingest is the one ingest loop behind /ingest and /v1/t/{ns}/ingest:
+// the WAL refusals, the Content-Type dispatch, the batch loop and its
+// histograms, the torn-body and size-cap errors, and the epoch-stamped
+// ack. land applies one batch (an error ends the request with 400);
+// ackN is the n the ack reports; ns names the tenant a tenant route
+// writes to ("" on the global route).
+func (s *Server) ingest(w http.ResponseWriter, r *http.Request, ns string,
+	land func([]core.Item) error, ackN func() int64) {
 	if s.store != nil {
 		if err := s.store.Err(); err != nil {
 			// The WAL has failed: accepting this write would acknowledge
@@ -415,6 +435,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, "bad stream file: %v", err)
 		return
 	}
+	// Token spellings intern into the one server-wide table, shared
+	// across namespaces: the same token hashes to the same item
+	// everywhere, so labels need no per-tenant copies.
 	defer func() { s.mergeNames(src.Names()) }()
 
 	buf := make([]core.Item, s.batch)
@@ -426,16 +449,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		t0 := time.Now()
-		s.target.UpdateBatch(buf[:n])
+		err := land(buf[:n])
 		d := time.Since(t0)
 		applyTotal += d
 		s.batchH.Observe(int64(n))
 		s.applyH.Observe(int64(d))
+		if err != nil {
+			HTTPError(w, http.StatusBadRequest, "ingest into %q failed after %d items: %v", ns, ingested, err)
+			return
+		}
 		ingested += int64(n)
 	}
 	s.counters.Add("ingest.requests", 1)
 	s.counters.Add("ingest.items", ingested)
 	obs.AddStage(r.Context(), "apply", applyTotal)
+	if ns != "" {
+		s.counters.Add("ingest.tenant_items", ingested)
+		obs.Annotate(r.Context(), "tenant", ns)
+	}
 	obs.Annotate(r.Context(), "items", ingested)
 	if err := src.Err(); err != nil {
 		// Items decoded before the failure are already ingested (the
@@ -455,11 +486,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// restart on the very next batch it forwards — without waiting for a
 	// health probe or a /summary pull to observe the new epoch.
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(s.epoch, 10))
-	// Ack with the live stream position, recovered items included — the
-	// same n /stats and freq_stream_n report.
 	WriteJSON(w, http.StatusOK, map[string]int64{
 		"ingested": ingested,
-		"n":        s.liveN(),
+		"n":        ackN(),
 	})
 }
 

@@ -24,6 +24,7 @@ import (
 	"streamfreq/internal/core"
 	"streamfreq/internal/exact"
 	"streamfreq/internal/metrics"
+	"streamfreq/internal/persist"
 	"streamfreq/internal/serve"
 	"streamfreq/internal/stream"
 	"streamfreq/internal/testutil"
@@ -254,12 +255,18 @@ func TestFreqdStreamFileIngest(t *testing.T) {
 
 // TestFreqdErrorPaths is the table of wire-level rejections: every bad
 // request must come back as a 4xx with a JSON error, never a 500 or a
-// hang, and must not corrupt the summary.
+// hang, and must not corrupt the summary. Tenant-route rows go to a
+// durable tenant-mode node with the same body cap.
 func TestFreqdErrorPaths(t *testing.T) {
 	target := core.NewConcurrent(exact.New()).ServeSnapshots(0)
 	srv := serve.NewServer(serve.Options{Target: target, MaxIngestBytes: 1 << 10})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	opts, _, store := durableNode(t, t.TempDir(), true, persist.FsyncAlways)
+	defer store.Close()
+	opts.MaxIngestBytes = 1 << 10
+	tts := httptest.NewServer(serve.NewServer(opts).Handler())
+	defer tts.Close()
 
 	cases := []struct {
 		name, method, path, contentType string
@@ -271,6 +278,8 @@ func TestFreqdErrorPaths(t *testing.T) {
 		{"ingest torn binary item", http.MethodPost, "/ingest", "application/octet-stream", []byte{1, 2, 3}, http.StatusBadRequest},
 		{"ingest bad stream file", http.MethodPost, "/ingest", "application/x-sfstream", []byte("NOTASTREAM"), http.StatusBadRequest},
 		{"ingest oversized body", http.MethodPost, "/ingest", "application/octet-stream", make([]byte, 1<<11), http.StatusRequestEntityTooLarge},
+		{"tenant ingest torn binary item", http.MethodPost, "/v1/t/eu/ingest", "application/octet-stream", []byte{1, 2, 3}, http.StatusBadRequest},
+		{"tenant ingest oversized body", http.MethodPost, "/v1/t/eu/ingest", "application/octet-stream", make([]byte, 1<<11), http.StatusRequestEntityTooLarge},
 		{"topk POST", http.MethodPost, "/topk", "", nil, http.StatusMethodNotAllowed},
 		{"topk bad phi", http.MethodGet, "/topk?phi=2", "", nil, http.StatusBadRequest},
 		{"topk bad threshold", http.MethodGet, "/topk?threshold=-1", "", nil, http.StatusBadRequest},
@@ -282,7 +291,11 @@ func TestFreqdErrorPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader(tc.body))
+			base := ts.URL
+			if strings.HasPrefix(tc.path, "/v1/t/") {
+				base = tts.URL
+			}
+			req, err := http.NewRequest(tc.method, base+tc.path, bytes.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,15 +1,11 @@
 package serve
 
 import (
-	"errors"
 	"net/http"
 	"strconv"
-	"time"
 
 	"streamfreq/internal/core"
-	"streamfreq/internal/obs"
 	"streamfreq/internal/persist"
-	"streamfreq/internal/stream"
 )
 
 // The tenant half of the freqd HTTP API: /v1/t/{ns}/... routes served
@@ -74,88 +70,19 @@ func (s *Server) knownTenant(w http.ResponseWriter, ns string) bool {
 	return true
 }
 
-// handleTenantIngest is handleIngest scoped to one namespace: same
-// Content-Type dispatch, same batching, same backpressure, but items
-// land in (and are WAL-tagged with) the namespace.
+// handleTenantIngest is handleIngest scoped to one namespace: items
+// land in (and are WAL-tagged with) the namespace, and the ack reports
+// the namespace's stream position.
 func (s *Server) handleTenantIngest(w http.ResponseWriter, r *http.Request) {
 	ns, ok := tenantNS(w, r)
 	if !ok {
 		return
 	}
-	if s.store != nil {
-		if err := s.store.Err(); err != nil {
-			s.counters.Add("ingest.rejected", 1)
-			HTTPError(w, http.StatusServiceUnavailable, "persistence failed, ingest disabled: %v", err)
-			return
-		}
-		if s.maxLag > 0 {
-			if lag := s.store.Lag(); lag > s.maxLag {
-				s.counters.Add("ingest.shed", 1)
-				w.Header().Set("Retry-After", "1")
-				HTTPError(w, http.StatusTooManyRequests,
-					"WAL lag %d items exceeds the %d-item bound; retry after the log drains", lag, s.maxLag)
-				return
-			}
-		}
-	}
-	body := http.MaxBytesReader(w, r.Body, s.maxIn)
-	src, err := stream.OpenIngest(r.Header.Get("Content-Type"), body, s.maxNames)
-	if err != nil {
-		s.counters.Add("ingest.rejected", 1)
-		if errors.Is(err, stream.ErrUnsupportedMedia) {
-			HTTPError(w, http.StatusUnsupportedMediaType, "%v", err)
-			return
-		}
-		HTTPError(w, http.StatusBadRequest, "bad stream file: %v", err)
-		return
-	}
-	// Token spellings intern into the one server-wide table, shared
-	// across namespaces: the same token hashes to the same item
-	// everywhere, so labels need no per-tenant copies.
-	defer func() { s.mergeNames(src.Names()) }()
-
-	buf := make([]core.Item, s.batch)
-	var ingested, tenantN int64
-	var applyTotal time.Duration
-	for {
-		n := src.NextBatch(buf)
-		if n == 0 {
-			break
-		}
-		t0 := time.Now()
-		tn, _, err := s.tenants.IngestBatch(ns, buf[:n])
-		d := time.Since(t0)
-		applyTotal += d
-		s.batchH.Observe(int64(n))
-		s.applyH.Observe(int64(d))
-		if err != nil {
-			HTTPError(w, http.StatusBadRequest, "ingest into %q failed after %d items: %v", ns, ingested, err)
-			return
-		}
-		tenantN = tn
-		ingested += int64(n)
-	}
-	s.counters.Add("ingest.requests", 1)
-	s.counters.Add("ingest.items", ingested)
-	s.counters.Add("ingest.tenant_items", ingested)
-	obs.AddStage(r.Context(), "apply", applyTotal)
-	obs.Annotate(r.Context(), "tenant", ns)
-	obs.Annotate(r.Context(), "items", ingested)
-	if err := src.Err(); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			HTTPError(w, http.StatusRequestEntityTooLarge,
-				"body exceeds %d-byte ingest limit (ingested %d items); split into smaller requests", tooBig.Limit, ingested)
-			return
-		}
-		HTTPError(w, http.StatusBadRequest, "body truncated or corrupt after %d items: %v", ingested, err)
-		return
-	}
-	w.Header().Set(HeaderEpoch, strconv.FormatUint(s.epoch, 10))
-	WriteJSON(w, http.StatusOK, map[string]int64{
-		"ingested": ingested,
-		"n":        tenantN,
-	})
+	var n int64
+	s.ingest(w, r, ns, func(batch []core.Item) (err error) {
+		n, _, err = s.tenants.IngestBatch(ns, batch)
+		return err
+	}, func() int64 { return n })
 }
 
 // handleTenantTopK answers /v1/t/{ns}/topk with the namespace's φ as

@@ -257,65 +257,58 @@ func TestFreqdWindowedDurableRestart(t *testing.T) {
 // Retry-After once the unsynced WAL lag passes the bound — the
 // throttled-writer scenario, reproduced deterministically with fsync
 // policy "never", under which nothing becomes durable until a rotation
-// (here: a checkpoint) seals the segment.
+// (here: a checkpoint) seals the segment. The global and the tenant
+// ingest route shed alike.
 func TestIngestShedOnWALLag(t *testing.T) {
 	const maxLag = 100
-	dir := t.TempDir()
-	target := core.NewConcurrent(streamfreq.MustNew("SSH", 0.01, 1))
-	store, err := persist.Open(persist.Options{
-		Dir:    dir,
-		Algo:   "SSH",
-		Fsync:  persist.FsyncNever, // the throttled writer: the disk never catches up on its own
-		Decode: streamfreq.Decode,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Recover(target); err != nil {
-		t.Fatal(err)
-	}
-	target.PersistTo(store)
-	target.ServeSnapshots(0)
-	srv := serve.NewServer(serve.Options{Target: target, Algo: "SSH", Store: store, MaxLag: maxLag})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer store.Close()
+	for _, route := range ingestRoutes {
+		t.Run(route.name, func(t *testing.T) {
+			// FsyncNever is the throttled writer: the disk never catches
+			// up on its own.
+			opts, target, store := durableNode(t, t.TempDir(), route.tenants, persist.FsyncNever)
+			opts.MaxLag = maxLag
+			ts := httptest.NewServer(serve.NewServer(opts).Handler())
+			defer ts.Close()
+			defer store.Close()
+			ingest := ts.URL + route.prefix + "/ingest"
 
-	// First write is admitted (lag 0 at the gate) and opens the lag.
-	postOK(t, ts.URL+"/ingest", "application/octet-stream", stream.AppendRaw(nil, zipf.Sequential(500)))
+			// First write is admitted (lag 0 at the gate) and opens the lag.
+			postOK(t, ingest, "application/octet-stream", stream.AppendRaw(nil, zipf.Sequential(500)))
 
-	resp := post(t, ts.URL+"/ingest", "application/octet-stream", stream.AppendRaw(nil, zipf.Sequential(10)))
-	defer resp.Body.Close()
-	if resp.StatusCode != 429 {
-		t.Fatalf("ingest past -max-lag: %s, want 429", resp.Status)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 response missing Retry-After")
-	}
+			resp := post(t, ingest, "application/octet-stream", stream.AppendRaw(nil, zipf.Sequential(10)))
+			defer resp.Body.Close()
+			if resp.StatusCode != 429 {
+				t.Fatalf("ingest past -max-lag: %s, want 429", resp.Status)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatal("429 response missing Retry-After")
+			}
 
-	// The pressure is observable.
-	var st struct {
-		WAL struct {
-			Lag    int64 `json:"lag"`
-			MaxLag int64 `json:"max_lag"`
-		} `json:"wal"`
-		Counters map[string]int64 `json:"counters"`
-	}
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.WAL.Lag < 500 || st.WAL.MaxLag != maxLag {
-		t.Fatalf("/stats wal lag/max_lag = %d/%d, want ≥500/%d", st.WAL.Lag, st.WAL.MaxLag, maxLag)
-	}
-	if st.Counters["ingest.shed"] == 0 {
-		t.Fatal("/stats counters missing ingest.shed")
-	}
+			// The pressure is observable.
+			var st struct {
+				WAL struct {
+					Lag    int64 `json:"lag"`
+					MaxLag int64 `json:"max_lag"`
+				} `json:"wal"`
+				Counters map[string]int64 `json:"counters"`
+			}
+			getJSON(t, ts.URL+"/stats", &st)
+			if st.WAL.Lag < 500 || st.WAL.MaxLag != maxLag {
+				t.Fatalf("/stats wal lag/max_lag = %d/%d, want ≥500/%d", st.WAL.Lag, st.WAL.MaxLag, maxLag)
+			}
+			if st.Counters["ingest.shed"] == 0 {
+				t.Fatal("/stats counters missing ingest.shed")
+			}
 
-	// Once the log drains (a checkpoint seals the segment, making the
-	// tail durable), ingest is admitted again — shedding is
-	// backpressure, not a latch.
-	if _, err := store.Checkpoint(target); err != nil {
-		t.Fatal(err)
+			// Once the log drains (a checkpoint seals the segment, making
+			// the tail durable), ingest is admitted again — shedding is
+			// backpressure, not a latch.
+			if _, err := store.Checkpoint(target); err != nil {
+				t.Fatal(err)
+			}
+			postOK(t, ingest, "application/octet-stream", stream.AppendRaw(nil, zipf.Sequential(10)))
+		})
 	}
-	postOK(t, ts.URL+"/ingest", "application/octet-stream", stream.AppendRaw(nil, zipf.Sequential(10)))
 }
 
 // Compile-time: a windowed snapshot satisfies the serving-layer window

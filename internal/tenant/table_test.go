@@ -296,6 +296,39 @@ func TestTenantRecoveryKillAtArbitraryOffset(t *testing.T) {
 	}
 }
 
+// TestEmptyTableCheckpointRecovers: a checkpoint of a table with no
+// namespaces (SFCKPT02 with zero shards and zero tenants) is a valid
+// file, and a restart on its directory recovers the empty table.
+func TestEmptyTableCheckpointRecovers(t *testing.T) {
+	popts := persist.Options{
+		Dir:    t.TempDir(),
+		Algo:   "SSH",
+		Fsync:  persist.FsyncAlways,
+		Decode: func(b []byte) (core.Summary, error) { return counters.DecodeSpaceSavingHeap(b) },
+	}
+	for round := 0; round < 2; round++ {
+		st, err := persist.Open(popts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := newTable(t, tenant.Options{DefaultPhi: 0.01})
+		stats, err := st.Recover(tb)
+		if err != nil {
+			t.Fatalf("round %d: recovering an empty table's checkpoint: %v", round, err)
+		}
+		if stats.RecoveredN != 0 || tb.N() != 0 {
+			t.Fatalf("round %d: recovered n=%d (table %d), want 0", round, stats.RecoveredN, tb.N())
+		}
+		tb.PersistTo(st)
+		if _, err := st.Checkpoint(tb); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestLegacyDirectoryAdoption: a data directory written by the
 // single-tenant stack (SFCKPT01 checkpoint + untagged WAL records)
 // must recover into a multi-tenant table as its default namespace,

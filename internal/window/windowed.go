@@ -10,7 +10,7 @@ import (
 // Windowed is the count-clock ring ("SSW"): Space-Saving blocks of W/B
 // items each, lifted to the repository's full summary contract, so
 // sliding-window heavy hitters plug into every layer built on
-// core.Summary: the Concurrent wrapper's snapshot serving, the registry
+// core.Summary: the concurrency plane's snapshot serving, the registry
 // wire format (WN01), checkpoints and WAL recovery, and the cluster
 // merge. It answers the recent-past form of the frequent-items question
 // — counts over the last W arrivals instead of the whole stream — which
