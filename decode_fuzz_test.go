@@ -7,10 +7,12 @@ package streamfreq
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"streamfreq/internal/prng"
+	"streamfreq/internal/sketches"
 )
 
 // decodeNeverPanics drives Decode with hostile input.
@@ -94,6 +96,30 @@ func TestDecodeBitFlippedBlobs(t *testing.T) {
 	}
 }
 
+// TestDecodeHostileHierarchyHeaders: HI01 headers no encoder writes
+// must come back as errors. A level length of 2^64−16, read as a
+// signed length, wraps negative and passes a naive "fits in the rest"
+// check (a 52-byte blob: a CMH header with one level, then that
+// length). A level count the universe and branching bits do not imply
+// decodes, then sends the frontier walk over 2^44 top-level prefixes.
+func TestDecodeHostileHierarchyHeaders(t *testing.T) {
+	wrapped := []byte("HI01")
+	for _, v := range []uint64{0, 4, 8, 0, 1, 1<<64 - 16} { // CMH, bits, universe bits, n, levels, level length
+		wrapped = binary.LittleEndian.AppendUint64(wrapped, v)
+	}
+	twoLevels, err := mustHierarchy(NewCountSketchHierarchy).(*sketches.Hierarchical).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(twoLevels[4+16:], 48) // universe bits 8 → 48: twelve levels' worth
+	for name, blob := range map[string][]byte{"wrapped level length": wrapped, "level count off geometry": twoLevels} {
+		decodeNeverPanics(t, blob)
+		if _, err := Decode(blob); err == nil {
+			t.Errorf("%s: hierarchy blob decoded", name)
+		}
+	}
+}
+
 // FuzzDecode is the native-fuzzing arm of the hostile-input property:
 // whatever bytes arrive, Decode errors or returns a structurally valid
 // summary — never a panic. The seed corpus covers every supported magic
@@ -116,6 +142,8 @@ func FuzzDecode(f *testing.F) {
 		NewTracked(NewCountMin(2, 16, 3), 8),
 		mustWindowedSummary(8, 2, 3),
 		NewQuantile(0.1),
+		mustHierarchy(NewCountMinHierarchy),
+		mustHierarchy(NewCountSketchHierarchy),
 	}
 	for _, s := range seedSources {
 		s.Update(1, 5)
@@ -140,6 +168,16 @@ func FuzzDecode(f *testing.F) {
 			_ = dec.N()
 		}
 	})
+}
+
+// mustHierarchy builds a small hierarchy for the fuzz seeds: two 4-bit
+// levels over an 8-bit universe.
+func mustHierarchy(build func(HierarchyConfig) (*sketches.Hierarchical, error)) Summary {
+	h, err := build(HierarchyConfig{Depth: 2, Width: 8, Bits: 4, UniverseBits: 8, Seed: 3})
+	if err != nil {
+		panic(err)
+	}
+	return h
 }
 
 // fuzzItems turns fuzz bytes into a small-universe item stream: each

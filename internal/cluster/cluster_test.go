@@ -9,6 +9,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -304,6 +305,45 @@ func TestCoordinatorRejectsMixedAlgorithms(t *testing.T) {
 	}
 	if !mismatched {
 		t.Fatal("stats missing the mismatched node")
+	}
+}
+
+// TestCoordinatorSurvivesHostileBlob: a node whose /summary is a
+// 52-byte HI01 blob claiming one level of 2^64−16 bytes fails its own
+// pull with an "undecodable summary" error. The pull decodes in its own
+// goroutine, so a decoder panic there would kill the coordinator; the
+// other node keeps serving.
+func TestCoordinatorSurvivesHostileBlob(t *testing.T) {
+	good, _, _ := node(t, "CMH", 0.01, 1)
+	defer good.Close()
+	ingest(t, good.URL, zipf.Sequential(500))
+	blob := []byte("HI01")
+	for _, v := range []uint64{0, 4, 8, 0, 1, 1<<64 - 16} { // CMH, bits, universe bits, n, levels, level length
+		blob = binary.LittleEndian.AppendUint64(blob, v)
+	}
+	hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(serve.HeaderEpoch, "9")
+		w.Write(blob)
+	}))
+	defer hostile.Close()
+
+	c := coordinator(t, "CMH", good.URL, hostile.URL)
+	c.PullAll(context.Background())
+
+	if got := c.N(); got != 500 {
+		t.Fatalf("merged N = %d, want the good node's 500", got)
+	}
+	for _, ns := range c.Stats().Nodes {
+		switch ns.URL {
+		case good.URL:
+			if !ns.HasData || ns.LastErr != "" {
+				t.Fatalf("good node not serving: %+v", ns)
+			}
+		case hostile.URL:
+			if ns.HasData || !strings.Contains(ns.LastErr, "undecodable summary") {
+				t.Fatalf("hostile node = %+v, want no data and an undecodable-summary error", ns)
+			}
+		}
 	}
 }
 

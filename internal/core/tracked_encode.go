@@ -1,9 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+
+	"streamfreq/internal/wire"
 )
 
 // Binary serialization for the Tracked wrapper, completing the registry's
@@ -34,22 +35,17 @@ func (t *Tracked) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	buf.WriteString(magicTK)
-	var b [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		buf.Write(b[:])
-	}
-	put(uint64(t.capacity))
-	put(uint64(len(t.heap)))
+	le := binary.LittleEndian
+	out := make([]byte, 0, 4+2*8+16*len(t.heap)+8+len(innerBlob))
+	out = append(out, magicTK...)
+	out = le.AppendUint64(out, uint64(t.capacity))
+	out = le.AppendUint64(out, uint64(len(t.heap)))
 	for _, e := range t.heap {
-		put(uint64(e.item))
-		put(uint64(e.est))
+		out = le.AppendUint64(out, uint64(e.item))
+		out = le.AppendUint64(out, uint64(e.est))
 	}
-	put(uint64(len(innerBlob)))
-	buf.Write(innerBlob)
-	return buf.Bytes(), nil
+	out = le.AppendUint64(out, uint64(len(innerBlob)))
+	return append(out, innerBlob...), nil
 }
 
 // DecodeTracked parses a blob produced by (*Tracked).MarshalBinary,
@@ -58,42 +54,22 @@ func (t *Tracked) MarshalBinary() ([]byte, error) {
 // positions and validated as a min-heap, so a corrupt blob is rejected
 // rather than yielding a tracker that silently mis-evicts.
 func DecodeTracked(data []byte, decodeInner func([]byte) (Summary, error)) (*Tracked, error) {
-	if len(data) < 4 || string(data[:4]) != magicTK {
-		return nil, fmt.Errorf("core: not a Tracked blob")
-	}
-	data = data[4:]
-	pos := 0
-	u64 := func() (uint64, error) {
-		if pos+8 > len(data) {
-			return 0, fmt.Errorf("core: truncated Tracked blob at offset %d", pos)
-		}
-		v := binary.LittleEndian.Uint64(data[pos:])
-		pos += 8
-		return v, nil
-	}
-	capacity, err := u64()
-	if err != nil {
-		return nil, err
-	}
-	heapLen, err := u64()
-	if err != nil {
+	r := wire.NewReader(data)
+	r.Magic(magicTK)
+	capacity, heapLen := r.U64(), r.U64()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if capacity == 0 || capacity > maxTrackedEntries || heapLen > capacity {
 		return nil, fmt.Errorf("core: implausible Tracked header (capacity=%d, entries=%d)", capacity, heapLen)
 	}
+	if uint64(r.Len()) < heapLen*16+8 {
+		return nil, fmt.Errorf("core: Tracked blob has %d bytes for %d heap entries", r.Len(), heapLen)
+	}
 	t := NewTracked(nil, int(capacity)) // inner attached below, after its blob parses
 	t.heap = make(tkHeap, heapLen)
 	for i := range t.heap {
-		item, err := u64()
-		if err != nil {
-			return nil, err
-		}
-		est, err := u64()
-		if err != nil {
-			return nil, err
-		}
-		e := &tkEntry{item: Item(item), est: int64(est), idx: i}
+		e := &tkEntry{item: Item(r.U64()), est: r.I64(), idx: i}
 		if _, dup := t.index[e.item]; dup {
 			return nil, fmt.Errorf("core: duplicate item %d in Tracked blob", e.item)
 		}
@@ -103,14 +79,11 @@ func DecodeTracked(data []byte, decodeInner func([]byte) (Summary, error)) (*Tra
 			return nil, fmt.Errorf("core: Tracked blob heap order violated at entry %d", i)
 		}
 	}
-	innerLen, err := u64()
-	if err != nil {
-		return nil, err
+	innerLen := r.U64()
+	if innerLen != uint64(r.Len()) {
+		return nil, fmt.Errorf("core: Tracked inner blob is %d bytes, header says %d", r.Len(), innerLen)
 	}
-	if uint64(len(data)-pos) != innerLen {
-		return nil, fmt.Errorf("core: Tracked inner blob is %d bytes, header says %d", len(data)-pos, innerLen)
-	}
-	inner, err := decodeInner(data[pos:])
+	inner, err := decodeInner(r.Bytes(innerLen))
 	if err != nil {
 		return nil, fmt.Errorf("core: Tracked inner blob: %w", err)
 	}

@@ -1,13 +1,14 @@
 package counters
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"streamfreq/internal/core"
+	"streamfreq/internal/wire"
 )
 
 // Binary serialization for counter-based summaries, used when shipping
@@ -24,90 +25,45 @@ const (
 // maxEntries bounds decoded entry counts against corrupt headers.
 const maxEntries = 1 << 22
 
-type entWriter struct{ buf bytes.Buffer }
-
-func (w *entWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf.Write(b[:])
-}
-
-func (w *entWriter) i64(v int64) { w.u64(uint64(v)) }
-
-type entReader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (r *entReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos+8 > len(r.data) {
-		r.err = fmt.Errorf("counters: truncated payload at offset %d", r.pos)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.pos:])
-	r.pos += 8
-	return v
-}
-
-func (r *entReader) i64() int64 { return int64(r.u64()) }
-
-func (r *entReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.pos != len(r.data) {
-		return fmt.Errorf("counters: %d trailing bytes", len(r.data)-r.pos)
-	}
-	return nil
-}
+var le = binary.LittleEndian
 
 // MarshalBinary implements encoding.BinaryMarshaler. Logical counts are
 // stored (the offset is folded in), so the decoded summary is logically
 // identical with offset zero.
 func (f *Frequent) MarshalBinary() ([]byte, error) {
-	var w entWriter
-	w.buf.WriteString(magicFQ)
-	w.u64(uint64(f.k))
-	w.i64(f.n)
-	w.i64(f.decs)
-	w.u64(uint64(len(f.heap)))
+	out := make([]byte, 0, 4+4*8+16*len(f.heap))
+	out = append(out, magicFQ...)
+	out = le.AppendUint64(out, uint64(f.k))
+	out = le.AppendUint64(out, uint64(f.n))
+	out = le.AppendUint64(out, uint64(f.decs))
+	out = le.AppendUint64(out, uint64(len(f.heap)))
 	for _, e := range f.heap {
-		w.u64(uint64(e.item))
-		w.i64(e.count - f.offset)
+		out = le.AppendUint64(out, uint64(e.item))
+		out = le.AppendUint64(out, uint64(e.count-f.offset))
 	}
-	return w.buf.Bytes(), nil
+	return out, nil
 }
 
 // DecodeFrequent parses a summary produced by (*Frequent).MarshalBinary.
 func DecodeFrequent(data []byte) (*Frequent, error) {
-	if len(data) < 4 || string(data[:4]) != magicFQ {
-		return nil, fmt.Errorf("counters: not a Frequent blob")
-	}
-	r := entReader{data: data[4:]}
-	k := r.u64()
-	n := r.i64()
-	decs := r.i64()
-	cnt := r.u64()
-	if r.err != nil {
-		return nil, r.err
+	r := wire.NewReader(data)
+	r.Magic(magicFQ)
+	k, n, decs, cnt := r.U64(), r.I64(), r.I64(), r.U64()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if k == 0 || k > maxEntries || cnt > k {
 		return nil, fmt.Errorf("counters: implausible Frequent header (k=%d, entries=%d)", k, cnt)
 	}
 	// Validate the payload length before allocating k-sized structures.
-	if remaining := len(r.data) - r.pos; uint64(remaining) != cnt*16 {
-		return nil, fmt.Errorf("counters: Frequent payload %d bytes, want %d", remaining, cnt*16)
+	if uint64(r.Len()) != cnt*16 {
+		return nil, fmt.Errorf("counters: Frequent payload %d bytes, want %d", r.Len(), cnt*16)
 	}
 	f := NewFrequent(int(k))
 	f.n = n
 	f.decs = decs
 	for i := uint64(0); i < cnt; i++ {
-		item := core.Item(r.u64())
-		count := r.i64()
+		item, count := core.Item(r.U64()), r.I64()
 		if count <= 0 {
 			return nil, fmt.Errorf("counters: non-positive stored count %d", count)
 		}
@@ -115,7 +71,7 @@ func DecodeFrequent(data []byte) (*Frequent, error) {
 		f.index[item] = e
 		f.heap.push(e)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	if len(f.index) != len(f.heap) {
@@ -129,18 +85,18 @@ func DecodeFrequent(data []byte) (*Frequent, error) {
 // exactly as the old pointer heap did, so blobs stay byte-identical
 // across the slab refactor (the crash-recovery walls compare on this).
 func (s *SpaceSavingHeap) MarshalBinary() ([]byte, error) {
-	var w entWriter
-	w.buf.WriteString(magicSS)
-	w.u64(uint64(s.k))
-	w.i64(s.n)
-	w.u64(uint64(len(s.st.heap)))
+	out := make([]byte, 0, 4+3*8+24*len(s.st.heap))
+	out = append(out, magicSS...)
+	out = le.AppendUint64(out, uint64(s.k))
+	out = le.AppendUint64(out, uint64(s.n))
+	out = le.AppendUint64(out, uint64(len(s.st.heap)))
 	for _, id := range s.st.heap {
 		nd := &s.st.nodes[id]
-		w.u64(uint64(nd.item))
-		w.i64(nd.count)
-		w.i64(nd.err)
+		out = le.AppendUint64(out, uint64(nd.item))
+		out = le.AppendUint64(out, uint64(nd.count))
+		out = le.AppendUint64(out, uint64(nd.err))
 	}
-	return w.buf.Bytes(), nil
+	return out, nil
 }
 
 // DecodeSpaceSavingHeap parses a summary produced by
@@ -158,21 +114,17 @@ func (sl *Slab) DecodeSpaceSaving(data []byte) (*SpaceSavingHeap, error) {
 }
 
 func decodeSpaceSavingHeap(data []byte, sl *Slab) (*SpaceSavingHeap, error) {
-	if len(data) < 4 || string(data[:4]) != magicSS {
-		return nil, fmt.Errorf("counters: not a SpaceSaving blob")
-	}
-	r := entReader{data: data[4:]}
-	k := r.u64()
-	n := r.i64()
-	cnt := r.u64()
-	if r.err != nil {
-		return nil, r.err
+	r := wire.NewReader(data)
+	r.Magic(magicSS)
+	k, n, cnt := r.U64(), r.I64(), r.U64()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if k == 0 || k > maxEntries || cnt > k {
 		return nil, fmt.Errorf("counters: implausible SpaceSaving header (k=%d, entries=%d)", k, cnt)
 	}
-	if remaining := len(r.data) - r.pos; uint64(remaining) != cnt*24 {
-		return nil, fmt.Errorf("counters: SpaceSaving payload %d bytes, want %d", remaining, cnt*24)
+	if uint64(r.Len()) != cnt*24 {
+		return nil, fmt.Errorf("counters: SpaceSaving payload %d bytes, want %d", r.Len(), cnt*24)
 	}
 	var s *SpaceSavingHeap
 	if sl != nil {
@@ -182,9 +134,7 @@ func decodeSpaceSavingHeap(data []byte, sl *Slab) (*SpaceSavingHeap, error) {
 	}
 	s.n = n
 	for i := uint64(0); i < cnt; i++ {
-		item := core.Item(r.u64())
-		count := r.i64()
-		errv := r.i64()
+		item, count, errv := core.Item(r.U64()), r.I64(), r.I64()
 		if count < 0 || errv < 0 || errv > count {
 			s.Release()
 			return nil, fmt.Errorf("counters: invalid SpaceSaving entry (count=%d err=%d)", count, errv)
@@ -197,7 +147,7 @@ func decodeSpaceSavingHeap(data []byte, sl *Slab) (*SpaceSavingHeap, error) {
 		s.st.insert(item, id)
 		s.st.heapPush(id)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -209,45 +159,35 @@ func decodeSpaceSavingHeap(data []byte, sl *Slab) (*SpaceSavingHeap, error) {
 // summaries produce byte-equal blobs, the property the crash-recovery
 // tests (and any content-addressed checkpoint store) compare on.
 func (l *LossyCounting) MarshalBinary() ([]byte, error) {
-	var w entWriter
-	w.buf.WriteString(magicLC)
-	w.u64(math.Float64bits(l.epsilon))
-	w.u64(uint64(l.variant))
-	w.i64(l.n)
-	w.u64(uint64(len(l.index)))
-	items := make([]core.Item, 0, len(l.index))
-	for it := range l.index {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	for _, it := range items {
+	out := make([]byte, 0, 4+4*8+24*len(l.index))
+	out = append(out, magicLC...)
+	out = le.AppendUint64(out, math.Float64bits(l.epsilon))
+	out = le.AppendUint64(out, uint64(l.variant))
+	out = le.AppendUint64(out, uint64(l.n))
+	out = le.AppendUint64(out, uint64(len(l.index)))
+	for _, it := range slices.Sorted(maps.Keys(l.index)) {
 		e := l.index[it]
-		w.u64(uint64(it))
-		w.i64(e.count)
-		w.i64(e.delta)
+		out = le.AppendUint64(out, uint64(it))
+		out = le.AppendUint64(out, uint64(e.count))
+		out = le.AppendUint64(out, uint64(e.delta))
 	}
-	return w.buf.Bytes(), nil
+	return out, nil
 }
 
 // DecodeLossyCounting parses a summary produced by
 // (*LossyCounting).MarshalBinary.
 func DecodeLossyCounting(data []byte) (*LossyCounting, error) {
-	if len(data) < 4 || string(data[:4]) != magicLC {
-		return nil, fmt.Errorf("counters: not a LossyCounting blob")
-	}
-	r := entReader{data: data[4:]}
-	eps := math.Float64frombits(r.u64())
-	variant := r.u64()
-	n := r.i64()
-	cnt := r.u64()
-	if r.err != nil {
-		return nil, r.err
+	r := wire.NewReader(data)
+	r.Magic(magicLC)
+	eps, variant, n, cnt := math.Float64frombits(r.U64()), r.U64(), r.I64(), r.U64()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if !(eps > 0 && eps < 1) || variant > 1 || cnt > maxEntries {
 		return nil, fmt.Errorf("counters: implausible LossyCounting header (ε=%v variant=%d entries=%d)", eps, variant, cnt)
 	}
-	if remaining := len(r.data) - r.pos; uint64(remaining) != cnt*24 {
-		return nil, fmt.Errorf("counters: LossyCounting payload %d bytes, want %d", remaining, cnt*24)
+	if uint64(r.Len()) != cnt*24 {
+		return nil, fmt.Errorf("counters: LossyCounting payload %d bytes, want %d", r.Len(), cnt*24)
 	}
 	l := NewLossyCounting(eps, LCVariant(variant))
 	l.n = n
@@ -256,9 +196,7 @@ func DecodeLossyCounting(data []byte) (*LossyCounting, error) {
 		l.bucket = 1
 	}
 	for i := uint64(0); i < cnt; i++ {
-		item := core.Item(r.u64())
-		count := r.i64()
-		delta := r.i64()
+		item, count, delta := core.Item(r.U64()), r.I64(), r.I64()
 		if count <= 0 || delta < 0 {
 			return nil, fmt.Errorf("counters: invalid LossyCounting entry (count=%d Δ=%d)", count, delta)
 		}
@@ -267,7 +205,7 @@ func DecodeLossyCounting(data []byte) (*LossyCounting, error) {
 		}
 		l.index[item] = &lcEntry{count: count, delta: delta}
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -280,19 +218,19 @@ func DecodeLossyCounting(data []byte) (*LossyCounting, error) {
 // encode→decode→encode is byte-identical and the decoded structure is
 // validate-clean like a Clone.
 func (s *SpaceSavingList) MarshalBinary() ([]byte, error) {
-	var w entWriter
-	w.buf.WriteString(magicSL)
-	w.u64(uint64(s.k))
-	w.i64(s.n)
-	w.u64(uint64(s.size))
+	out := make([]byte, 0, 4+3*8+24*s.size)
+	out = append(out, magicSL...)
+	out = le.AppendUint64(out, uint64(s.k))
+	out = le.AppendUint64(out, uint64(s.n))
+	out = le.AppendUint64(out, uint64(s.size))
 	for b := s.min; b != nil; b = b.next {
 		for e := b.head; e != nil; e = e.next {
-			w.u64(uint64(e.item))
-			w.i64(b.count)
-			w.i64(e.err)
+			out = le.AppendUint64(out, uint64(e.item))
+			out = le.AppendUint64(out, uint64(b.count))
+			out = le.AppendUint64(out, uint64(e.err))
 		}
 	}
-	return w.buf.Bytes(), nil
+	return out, nil
 }
 
 // DecodeSpaceSavingList parses a summary produced by
@@ -301,21 +239,17 @@ func (s *SpaceSavingList) MarshalBinary() ([]byte, error) {
 // counts must be non-decreasing (the structural order MarshalBinary
 // emits), so a shuffled or hand-forged blob is rejected.
 func DecodeSpaceSavingList(data []byte) (*SpaceSavingList, error) {
-	if len(data) < 4 || string(data[:4]) != magicSL {
-		return nil, fmt.Errorf("counters: not a SpaceSavingList blob")
-	}
-	r := entReader{data: data[4:]}
-	k := r.u64()
-	n := r.i64()
-	cnt := r.u64()
-	if r.err != nil {
-		return nil, r.err
+	r := wire.NewReader(data)
+	r.Magic(magicSL)
+	k, n, cnt := r.U64(), r.I64(), r.U64()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if k == 0 || k > maxEntries || cnt > k {
 		return nil, fmt.Errorf("counters: implausible SpaceSavingList header (k=%d, entries=%d)", k, cnt)
 	}
-	if remaining := len(r.data) - r.pos; uint64(remaining) != cnt*24 {
-		return nil, fmt.Errorf("counters: SpaceSavingList payload %d bytes, want %d", remaining, cnt*24)
+	if uint64(r.Len()) != cnt*24 {
+		return nil, fmt.Errorf("counters: SpaceSavingList payload %d bytes, want %d", r.Len(), cnt*24)
 	}
 	s := NewSpaceSavingList(int(k))
 	s.n = n
@@ -323,9 +257,7 @@ func DecodeSpaceSavingList(data []byte) (*SpaceSavingList, error) {
 	var curB *ssBucket
 	var lastE *ssEntry
 	for i := uint64(0); i < cnt; i++ {
-		item := core.Item(r.u64())
-		count := r.i64()
-		errv := r.i64()
+		item, count, errv := core.Item(r.U64()), r.I64(), r.I64()
 		if count <= 0 || errv < 0 || errv > count {
 			return nil, fmt.Errorf("counters: invalid SpaceSavingList entry (count=%d err=%d)", count, errv)
 		}
@@ -353,7 +285,7 @@ func DecodeSpaceSavingList(data []byte) (*SpaceSavingList, error) {
 		s.index[item] = e
 		lastE = e
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"streamfreq/internal/testutil"
 )
 
 // testConfig is a scaled-down configuration that keeps every experiment
@@ -213,4 +215,33 @@ func TestRunAllSmoke(t *testing.T) {
 			t.Errorf("%s produced no rows", res.Exp)
 		}
 	}
+	checkAccuracyGolden(t, results)
+}
+
+// accuracyRow is one row's deterministic columns: the paper's accuracy
+// measures and the summary's size. Throughput and query time are
+// timings and stay out.
+type accuracyRow struct {
+	Exp, Algo, XLabel string
+	X                 float64
+	Precision, Recall float64
+	ARE               float64
+	Bytes             int
+}
+
+// checkAccuracyGolden diffs every accuracy experiment's rows (all but
+// F2 and F7, which measure throughput) exactly against the golden, so
+// an accuracy change fails tier-1 the way a crash does.
+func checkAccuracyGolden(t *testing.T, results []Result) {
+	t.Helper()
+	var got []accuracyRow
+	for _, res := range results {
+		if res.Exp == "F2" || res.Exp == "F7" {
+			continue
+		}
+		for _, r := range res.Rows {
+			got = append(got, accuracyRow{r.Exp, r.Algo, r.XLabel, r.X, r.Precision, r.Recall, r.ARE, r.Bytes})
+		}
+	}
+	testutil.CheckGolden(t, "testdata/accuracy_golden.json", got)
 }

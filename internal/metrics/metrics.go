@@ -6,7 +6,9 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"time"
 
 	"streamfreq/internal/core"
@@ -63,8 +65,12 @@ func Evaluate(reported []core.ItemCount, truth map[core.Item]int64) Accuracy {
 	}
 	acc.Recall = float64(hits) / float64(len(truth))
 
+	// Sum in item order: a float sum taken in map order differs in its
+	// last bits from run to run, and the accuracy golden compares ARE
+	// exactly.
 	var sumRE float64
-	for it, exact := range truth {
+	for _, it := range slices.Sorted(maps.Keys(truth)) {
+		exact := truth[it]
 		est := reportedSet[it] // 0 when missed
 		re := math.Abs(float64(est)-float64(exact)) / float64(exact)
 		sumRE += re

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"streamfreq/internal/core"
+	"streamfreq/internal/wire"
 )
 
 // Checkpoint file: magic "SFCKPT01", then a body of
@@ -68,61 +69,42 @@ func encodeCheckpoint(c checkpoint) []byte {
 	for _, t := range c.tenants {
 		size += 2 + len(t.NS) + 4 + 8 + 4 + len(t.Blob)
 	}
-	tenanted := c.tenants != nil
+	le := binary.LittleEndian
 	out := make([]byte, 0, size)
-	if tenanted {
+	if c.tenants != nil {
 		out = append(out, ckptMagic2...)
 	} else {
 		out = append(out, ckptMagic...)
 	}
-	var u16 [2]byte
-	var u32 [4]byte
-	var u64 [8]byte
-	put16 := func(v uint16) {
-		binary.LittleEndian.PutUint16(u16[:], v)
-		out = append(out, u16[:]...)
-	}
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		out = append(out, u32[:]...)
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		out = append(out, u64[:]...)
-	}
-	put32(uint32(len(c.algo)))
+	out = le.AppendUint32(out, uint32(len(c.algo)))
 	out = append(out, c.algo...)
-	put64(uint64(c.n))
-	put64(c.walSeq)
-	put32(uint32(len(c.blobs)))
+	out = le.AppendUint64(out, uint64(c.n))
+	out = le.AppendUint64(out, c.walSeq)
+	out = le.AppendUint32(out, uint32(len(c.blobs)))
 	for _, b := range c.blobs {
-		put32(uint32(len(b)))
+		out = le.AppendUint32(out, uint32(len(b)))
 		out = append(out, b...)
 	}
-	if tenanted {
-		put32(uint32(len(c.tenants)))
+	if c.tenants != nil {
+		out = le.AppendUint32(out, uint32(len(c.tenants)))
 		for _, t := range c.tenants {
-			put16(uint16(len(t.NS)))
+			out = le.AppendUint16(out, uint16(len(t.NS)))
 			out = append(out, t.NS...)
-			put32(uint32(t.K))
-			put64(uint64(t.N))
-			put32(uint32(len(t.Blob)))
+			out = le.AppendUint32(out, uint32(t.K))
+			out = le.AppendUint64(out, uint64(t.N))
+			out = le.AppendUint32(out, uint32(len(t.Blob)))
 			out = append(out, t.Blob...)
 		}
 	}
-	put32(crc32.Checksum(out[len(ckptMagic):], crcTable))
-	return out
+	return le.AppendUint32(out, crc32.Checksum(out[len(ckptMagic):], crcTable))
 }
 
 // decodeCheckpoint parses and verifies checkpoint bytes, accepting both
 // formats.
 func decodeCheckpoint(data []byte) (checkpoint, error) {
 	var c checkpoint
-	if len(data) < len(ckptMagic)+4 {
-		return c, fmt.Errorf("persist: not a checkpoint file")
-	}
-	magic := string(data[:len(ckptMagic)])
-	if magic != ckptMagic && magic != ckptMagic2 {
+	magic := string(data[:min(len(data), len(ckptMagic))])
+	if len(data) < len(ckptMagic)+4 || magic != ckptMagic && magic != ckptMagic2 {
 		return c, fmt.Errorf("persist: not a checkpoint file")
 	}
 	tenanted := magic == ckptMagic2
@@ -130,63 +112,33 @@ func decodeCheckpoint(data []byte) (checkpoint, error) {
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(trailer) {
 		return c, fmt.Errorf("persist: checkpoint CRC mismatch (corrupt file)")
 	}
-	pos := 0
-	u32 := func() (uint32, error) {
-		if pos+4 > len(body) {
-			return 0, fmt.Errorf("persist: truncated checkpoint at offset %d", pos)
-		}
-		v := binary.LittleEndian.Uint32(body[pos:])
-		pos += 4
-		return v, nil
-	}
-	u64 := func() (uint64, error) {
-		if pos+8 > len(body) {
-			return 0, fmt.Errorf("persist: truncated checkpoint at offset %d", pos)
-		}
-		v := binary.LittleEndian.Uint64(body[pos:])
-		pos += 8
-		return v, nil
-	}
-	algoLen, err := u32()
-	if err != nil {
-		return c, err
-	}
-	if algoLen > 256 || pos+int(algoLen) > len(body) {
+	r := wire.NewReader(body)
+	algoLen := r.U32()
+	if r.Err() == nil && algoLen > 256 {
 		return c, fmt.Errorf("persist: implausible checkpoint algo length %d", algoLen)
 	}
-	c.algo = string(body[pos : pos+int(algoLen)])
-	pos += int(algoLen)
-	n, err := u64()
-	if err != nil {
-		return c, err
+	c.algo = string(r.Bytes(uint64(algoLen)))
+	n, walSeq, shards := r.U64(), r.U64(), r.U32()
+	if err := r.Err(); err != nil {
+		return c, fmt.Errorf("persist: checkpoint header: %w", err)
 	}
-	c.n = int64(n)
-	if c.walSeq, err = u64(); err != nil {
-		return c, err
-	}
-	shards, err := u32()
-	if err != nil {
-		return c, err
-	}
+	c.n, c.walSeq = int64(n), walSeq
 	if (shards == 0 && !tenanted) || shards > maxCkptShards {
 		return c, fmt.Errorf("persist: implausible checkpoint shard count %d", shards)
 	}
 	for i := uint32(0); i < shards; i++ {
-		blobLen, err := u32()
-		if err != nil {
-			return c, err
-		}
-		if blobLen > maxCkptBlob || pos+int(blobLen) > len(body) {
+		blobLen := r.U32()
+		if blobLen > maxCkptBlob {
 			return c, fmt.Errorf("persist: implausible checkpoint blob length %d (shard %d)", blobLen, i)
 		}
-		c.blobs = append(c.blobs, body[pos:pos+int(blobLen)])
-		pos += int(blobLen)
+		blob := r.Bytes(uint64(blobLen))
+		if err := r.Err(); err != nil {
+			return c, fmt.Errorf("persist: checkpoint shard %d: %w", i, err)
+		}
+		c.blobs = append(c.blobs, blob)
 	}
 	if tenanted {
-		tenants, err := u32()
-		if err != nil {
-			return c, err
-		}
+		tenants := r.U32()
 		if tenants > maxCkptTenants {
 			return c, fmt.Errorf("persist: implausible checkpoint tenant count %d", tenants)
 		}
@@ -194,37 +146,27 @@ func decodeCheckpoint(data []byte) (checkpoint, error) {
 		// manifest, which recovery and re-encoding tell by nil-ness.
 		c.tenants = []TenantState{}
 		for i := uint32(0); i < tenants; i++ {
-			if pos+2 > len(body) {
-				return c, fmt.Errorf("persist: truncated checkpoint at offset %d", pos)
-			}
-			nsLen := int(binary.LittleEndian.Uint16(body[pos:]))
-			pos += 2
-			if nsLen > MaxNamespaceLen || pos+nsLen > len(body) {
+			nsLen := r.U16()
+			if nsLen > MaxNamespaceLen {
 				return c, fmt.Errorf("persist: implausible checkpoint namespace length %d (tenant %d)", nsLen, i)
 			}
-			ns := string(body[pos : pos+nsLen])
-			pos += nsLen
-			k, err := u32()
-			if err != nil {
-				return c, err
+			ns := string(r.Bytes(uint64(nsLen)))
+			k, n, blobLen := r.U32(), r.U64(), r.U32()
+			if err := r.Err(); err != nil {
+				return c, fmt.Errorf("persist: checkpoint tenant %d: %w", i, err)
 			}
-			n, err := u64()
-			if err != nil {
-				return c, err
-			}
-			blobLen, err := u32()
-			if err != nil {
-				return c, err
-			}
-			if k == 0 || int64(n) < 0 || blobLen > maxCkptBlob || pos+int(blobLen) > len(body) {
+			if k == 0 || int64(n) < 0 || blobLen > maxCkptBlob {
 				return c, fmt.Errorf("persist: implausible checkpoint tenant entry (ns=%q k=%d blob=%d)", ns, k, blobLen)
 			}
-			c.tenants = append(c.tenants, TenantState{NS: ns, K: int(k), N: int64(n), Blob: body[pos : pos+int(blobLen)]})
-			pos += int(blobLen)
+			blob := r.Bytes(uint64(blobLen))
+			if err := r.Err(); err != nil {
+				return c, fmt.Errorf("persist: checkpoint tenant %q: %w", ns, err)
+			}
+			c.tenants = append(c.tenants, TenantState{NS: ns, K: int(k), N: int64(n), Blob: blob})
 		}
 	}
-	if pos != len(body) {
-		return c, fmt.Errorf("persist: %d trailing checkpoint bytes", len(body)-pos)
+	if err := r.Done(); err != nil {
+		return c, fmt.Errorf("persist: checkpoint: %w", err)
 	}
 	return c, nil
 }

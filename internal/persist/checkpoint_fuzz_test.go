@@ -1,10 +1,15 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
 	"testing"
+
+	"streamfreq/internal/core"
+	"streamfreq/internal/counters"
+	"streamfreq/internal/testutil"
 )
 
 // FuzzDecodeCheckpoint feeds arbitrary bytes to the checkpoint decoder,
@@ -42,5 +47,51 @@ func checkCheckpointRoundTrip(t *testing.T, data []byte) {
 	}
 	if !reflect.DeepEqual(c, again) {
 		t.Fatalf("checkpoint round trip changed it:\n got %+v\nwant %+v", again, c)
+	}
+}
+
+// TestCheckpointGolden pins SFCKPT01 and SFCKPT02 to the bytes recorded
+// before the checkpoint decoder moved onto internal/wire: a two-shard
+// manifest, a tenant manifest whose default namespace is empty, and an
+// empty table's manifest. Each golden must decode and re-encode byte
+// for byte.
+func TestCheckpointGolden(t *testing.T) {
+	blob := func(k int, items ...core.Item) ([]byte, int64) {
+		s := counters.NewSpaceSavingHeap(k)
+		for i := 0; i < 40; i++ {
+			s.UpdateBatch(items)
+		}
+		b, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, s.N()
+	}
+	s0, n0 := blob(4, 1, 2, 3, 2, 9)
+	s1, n1 := blob(4, 7, 7, 8)
+	eu, nEU := blob(6, 5, 4, 5, 3, 5, 11, 12)
+	def, _ := blob(3)
+	manifests := []struct {
+		name string
+		c    checkpoint
+	}{
+		{"SFCKPT01", checkpoint{algo: "SSH", n: n0 + n1, walSeq: 7, blobs: [][]byte{s0, s1}}},
+		{"SFCKPT02-tenants", checkpoint{algo: "SSH", n: nEU, walSeq: 3,
+			tenants: []TenantState{{NS: "", K: 3, Blob: def}, {NS: "eu", K: 6, N: nEU, Blob: eu}}}},
+		{"SFCKPT02-empty", checkpoint{algo: "SSH", walSeq: 1, tenants: []TenantState{}}},
+	}
+	var got []testutil.Golden
+	for _, m := range manifests {
+		got = append(got, testutil.Golden{Name: m.name, Blob: encodeCheckpoint(m.c)})
+	}
+	for _, w := range testutil.CheckGolden(t, "testdata/checkpoint_golden.json", got) {
+		c, err := decodeCheckpoint(w.Blob)
+		if err != nil {
+			t.Errorf("%s: golden does not decode: %v", w.Name, err)
+			continue
+		}
+		if again := encodeCheckpoint(c); !bytes.Equal(again, w.Blob) {
+			t.Errorf("%s: golden re-encodes to different bytes (%d vs %d)", w.Name, len(again), len(w.Blob))
+		}
 	}
 }

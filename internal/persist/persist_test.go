@@ -257,6 +257,36 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestTornCheckpointSegmentRecoversTwice: a checkpoint's own segment
+// torn inside its header holds nothing to replay and is removed. The
+// fresh segment recovery opens must take its place, or the next
+// recovery finds the checkpoint's segment missing.
+func TestTornCheckpointSegmentRecoversTwice(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Algo: "SSH", Fsync: FsyncAlways}
+	orig := newSSH(101)
+	st, _ := recoverFresh(t, dir, opts, orig)
+	orig.PersistTo(st)
+	for _, b := range batchesOf(testStream(t, 2_000)) {
+		orig.UpdateBatch(b)
+	}
+	if _, err := st.Checkpoint(orig); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	seqs, _ := st.listSegments()
+	if err := os.Truncate(st.segPath(seqs[len(seqs)-1]), segHeaderSize-5); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		st, stats := recoverFresh(t, dir, opts, newSSH(101))
+		st.Close()
+		if stats.RecoveredN != orig.LiveN() {
+			t.Fatalf("recovery %d reached n=%d, want %d", i, stats.RecoveredN, orig.LiveN())
+		}
+	}
+}
+
 // TestMidChainCorruptionFails: damage in a non-last segment is not a
 // tear and must fail recovery loudly.
 func TestMidChainCorruptionFails(t *testing.T) {

@@ -1,14 +1,12 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
 	"streamfreq/internal/core"
-	"streamfreq/internal/stream"
 )
 
 // RecoveryStats describes what startup recovery found and did.
@@ -149,43 +147,9 @@ func (st *Store) Recover(target Target) (RecoveryStats, error) {
 		// undetectable, the same exposure class as the un-synced tail.)
 		return stats, fmt.Errorf("persist: checkpoint expects WAL segment %d, which is missing — log tail lost", minSeq)
 	}
-	itemBuf := make([]core.Item, 0, core.DefaultBatchSize)
-	apply := func(kind byte, body []byte) (int64, error) {
-		switch kind {
-		case recUnit:
-			var err error
-			if itemBuf, err = stream.DecodeRaw(itemBuf[:0], body); err != nil {
-				return 0, err
-			}
-			target.UpdateBatch(itemBuf)
-			return int64(len(itemBuf)), nil
-		case recTenant: // applyRecord validated the framing
-			tt, ok := target.(TenantTarget)
-			if !ok {
-				return 0, fmt.Errorf("tenant-tagged record in a single-tenant store")
-			}
-			nsLen := int(binary.LittleEndian.Uint16(body[0:2]))
-			ns := string(body[2 : 2+nsLen])
-			k := int(binary.LittleEndian.Uint32(body[2+nsLen:]))
-			if k <= 0 {
-				return 0, fmt.Errorf("tenant record for %q with budget k=%d", ns, k)
-			}
-			var err error
-			if itemBuf, err = stream.DecodeRaw(itemBuf[:0], body[2+nsLen+4:]); err != nil {
-				return 0, err
-			}
-			tt.UpdateTenantBatch(ns, k, itemBuf)
-			return int64(len(itemBuf)), nil
-		default: // recWeighted; applyRecord validated the shape
-			x := core.Item(binary.LittleEndian.Uint64(body[0:8]))
-			count := int64(binary.LittleEndian.Uint64(body[8:16]))
-			target.Update(x, count)
-			return count, nil
-		}
-	}
 	for i, seq := range live {
 		path := st.segPath(seq)
-		res, err := replaySegment(path, seq, curN, apply)
+		res, err := replaySegment(path, seq, curN, target)
 		if err != nil {
 			return stats, err
 		}
@@ -224,7 +188,10 @@ func (st *Store) Recover(target Target) (RecoveryStats, error) {
 		return stats, err
 	}
 	st.ioMu.Lock()
-	st.nextSeq = minSeq + 1
+	// With no segment left, the next one is the checkpoint's own: its
+	// segment was torn in the header and removed, and the next recovery
+	// looks for it.
+	st.nextSeq = max(minSeq, 1)
 	if n := len(seqs); n > 0 {
 		st.nextSeq = seqs[n-1] + 1
 	}

@@ -10,6 +10,8 @@ import (
 	"sync"
 
 	"streamfreq/internal/core"
+	"streamfreq/internal/stream"
+	"streamfreq/internal/wire"
 )
 
 // Segment and record framing. See the package comment for the layout.
@@ -172,17 +174,61 @@ type replayResult struct {
 	tornWhy  string
 }
 
+// record is one parsed WAL record body.
+type record struct {
+	kind  byte
+	ns    string      // recTenant
+	k     int         // recTenant
+	items []core.Item // recUnit, recTenant; reused from record to record
+	x     core.Item   // recWeighted
+	count int64       // recWeighted
+}
+
+// parse is the one parser of a record payload: the kind byte, then the
+// namespace and budget and the items, or the items alone, or one item
+// and its count. It rejects any other shape.
+func (rec *record) parse(payload []byte) error {
+	r := wire.NewReader(payload)
+	rec.kind, rec.ns, rec.k, rec.items = r.U8(), "", 0, rec.items[:0]
+	switch rec.kind {
+	case recUnit:
+	case recWeighted:
+		rec.x, rec.count = core.Item(r.U64()), r.I64()
+		return r.Done()
+	case recTenant:
+		nsLen := r.U16()
+		if nsLen > MaxNamespaceLen {
+			return fmt.Errorf("tenant record with implausible namespace length %d", nsLen)
+		}
+		rec.ns = string(r.Bytes(uint64(nsLen)))
+		rec.k = int(r.U32())
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if rec.k <= 0 {
+			return fmt.Errorf("tenant record for %q with budget k=%d", rec.ns, rec.k)
+		}
+	default:
+		return fmt.Errorf("unknown record kind %d", rec.kind)
+	}
+	if r.Len() == 0 {
+		return fmt.Errorf("record kind %d with no items", rec.kind)
+	}
+	var err error
+	rec.items, err = stream.DecodeRaw(rec.items, r.Bytes(uint64(r.Len())))
+	return err
+}
+
 // replaySegment scans one segment file, verifying the header against
 // the expected sequence and stream position, and applies each whole,
-// CRC-clean record through apply (which returns the record's stream
-// advance). The scan stops at the first invalid record — a short
-// header, short payload, CRC mismatch, malformed body, or an apply
-// that panics. A stop with nothing valid after it is a tear (torn=true;
-// the caller truncates); a stop with a CRC-clean frame still following
-// is mid-file damage in front of acknowledged data and returns an
-// error, as does damage in a non-last segment (the caller's
+// CRC-clean record to target. The scan stops at the first invalid
+// record — a short header, short payload, CRC mismatch, malformed body,
+// or an apply that panics. A stop with nothing valid after it is a tear
+// (torn=true; the caller truncates); a stop with a CRC-clean frame
+// still following is mid-file damage in front of acknowledged data and
+// returns an error, as does damage in a non-last segment (the caller's
 // position-in-chain check). The file is never modified here.
-func replaySegment(path string, wantSeq uint64, wantStartN int64, apply func(kind byte, body []byte) (int64, error)) (replayResult, error) {
+func replaySegment(path string, wantSeq uint64, wantStartN int64, target Target) (replayResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return replayResult{}, err
@@ -209,6 +255,7 @@ func replaySegment(path string, wantSeq uint64, wantStartN int64, apply func(kin
 	res := replayResult{validEnd: segHeaderSize}
 	var rh [recHeaderSize]byte
 	var payload []byte
+	rec := record{items: make([]core.Item, 0, core.DefaultBatchSize)}
 	for {
 		if _, err := io.ReadFull(br, rh[:]); err != nil {
 			if err != io.EOF {
@@ -237,7 +284,7 @@ func replaySegment(path string, wantSeq uint64, wantStartN int64, apply func(kin
 			res.torn, res.tornWhy = true, "record CRC mismatch"
 			return res, nil
 		}
-		advance, err := applyRecord(payload, apply)
+		advance, err := applyRecord(&rec, payload, target)
 		if err != nil {
 			if nextFrameValid(br) {
 				// A tear happens at the tail and cannot be followed by
@@ -277,42 +324,35 @@ func nextFrameValid(br *bufio.Reader) bool {
 	return crc32.Checksum(payload, crcTable) == binary.LittleEndian.Uint32(rh[4:8])
 }
 
-// applyRecord validates the payload's shape and applies it, converting
-// an apply panic into an error: recovery feeds bytes from disk into
-// summaries whose Update contracts panic on counts they reject (a
-// counter summary offered a negative count), and a forged-but-CRC-valid
-// record must degrade into an error, never crash the daemon.
-func applyRecord(payload []byte, apply func(kind byte, body []byte) (int64, error)) (advance int64, err error) {
+// applyRecord parses the payload into rec and applies it to target,
+// returning the stream advance. An apply panic becomes an error:
+// recovery feeds bytes from disk into summaries whose Update contracts
+// panic on counts they reject (a counter summary offered a negative
+// count), and a forged-but-CRC-valid record must degrade into an
+// error, never crash the daemon.
+func applyRecord(rec *record, payload []byte, target Target) (advance int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			advance, err = 0, fmt.Errorf("record replay panicked: %v", r)
 		}
 	}()
-	kind, body := payload[0], payload[1:]
-	switch kind {
-	case recUnit:
-		if len(body) == 0 || len(body)%8 != 0 {
-			return 0, fmt.Errorf("unit record body of %d bytes", len(body))
-		}
-	case recWeighted:
-		if len(body) != 16 {
-			return 0, fmt.Errorf("weighted record body of %d bytes", len(body))
-		}
-	case recTenant:
-		if len(body) < 2 {
-			return 0, fmt.Errorf("tenant record body of %d bytes", len(body))
-		}
-		nsLen := int(binary.LittleEndian.Uint16(body[0:2]))
-		if nsLen > MaxNamespaceLen || len(body) < 2+nsLen+4 {
-			return 0, fmt.Errorf("tenant record with implausible namespace length %d", nsLen)
-		}
-		if itemsLen := len(body) - 2 - nsLen - 4; itemsLen == 0 || itemsLen%8 != 0 {
-			return 0, fmt.Errorf("tenant record item section of %d bytes", len(body)-2-nsLen-4)
-		}
-	default:
-		return 0, fmt.Errorf("unknown record kind %d", kind)
+	if err := rec.parse(payload); err != nil {
+		return 0, err
 	}
-	return apply(kind, body)
+	switch rec.kind {
+	case recUnit:
+		target.UpdateBatch(rec.items)
+	case recTenant:
+		tt, ok := target.(TenantTarget)
+		if !ok {
+			return 0, fmt.Errorf("tenant-tagged record in a single-tenant store")
+		}
+		tt.UpdateTenantBatch(rec.ns, rec.k, rec.items)
+	default: // recWeighted
+		target.Update(rec.x, rec.count)
+		return rec.count, nil
+	}
+	return int64(len(rec.items)), nil
 }
 
 // truncateSegment drops a torn tail, leaving the longest valid prefix

@@ -1,10 +1,11 @@
 package quantile
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"streamfreq/internal/wire"
 )
 
 // GK01 wire format, following the sketch-format conventions
@@ -34,49 +35,37 @@ func errEmptyRange(lo, hi uint64) error {
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (g *GK) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(4 + 8*4 + 24*len(g.tuples))
-	buf.WriteString(magicGK)
-	var b [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		buf.Write(b[:])
-	}
-	put(math.Float64bits(g.epsilon))
-	put(uint64(g.n))
-	put(uint64(g.sinceCompress))
-	put(uint64(len(g.tuples)))
+	le := binary.LittleEndian
+	out := make([]byte, 0, 4+4*8+24*len(g.tuples))
+	out = append(out, magicGK...)
+	out = le.AppendUint64(out, math.Float64bits(g.epsilon))
+	out = le.AppendUint64(out, uint64(g.n))
+	out = le.AppendUint64(out, uint64(g.sinceCompress))
+	out = le.AppendUint64(out, uint64(len(g.tuples)))
 	for _, t := range g.tuples {
-		put(math.Float64bits(t.v))
-		put(uint64(t.g))
-		put(uint64(t.delta))
+		out = le.AppendUint64(out, math.Float64bits(t.v))
+		out = le.AppendUint64(out, uint64(t.g))
+		out = le.AppendUint64(out, uint64(t.delta))
 	}
-	return buf.Bytes(), nil
+	return out, nil
 }
 
 // DecodeGK parses a summary produced by (*GK).MarshalBinary.
 func DecodeGK(data []byte) (*GK, error) {
-	if len(data) < 4 || string(data[:4]) != magicGK {
-		return nil, fmt.Errorf("quantile: not a GK blob")
+	r := wire.NewReader(data)
+	r.Magic(magicGK)
+	epsilon, n, sinceCompress, ntuples := math.Float64frombits(r.U64()), r.I64(), r.U64(), r.U64()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	rest := data[4:]
-	if len(rest) < 8*4 {
-		return nil, fmt.Errorf("quantile: truncated GK header")
-	}
-	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(rest[off:]) }
-	epsilon := math.Float64frombits(u64(0))
-	n := int64(u64(8))
-	sinceCompress := u64(16)
-	ntuples := u64(24)
 	if !(epsilon > 0 && epsilon < 1) { // also rejects NaN
 		return nil, fmt.Errorf("quantile: implausible GK epsilon %g", epsilon)
 	}
 	if n < 0 || ntuples > maxGKTuples || sinceCompress > math.MaxInt32 {
 		return nil, fmt.Errorf("quantile: implausible GK header")
 	}
-	payload := rest[32:]
-	if uint64(len(payload)) != ntuples*24 {
-		return nil, fmt.Errorf("quantile: GK payload %d bytes, want %d", len(payload), ntuples*24)
+	if uint64(r.Len()) != ntuples*24 {
+		return nil, fmt.Errorf("quantile: GK payload %d bytes, want %d", r.Len(), ntuples*24)
 	}
 	g := &GK{
 		epsilon:       epsilon,
@@ -85,11 +74,9 @@ func DecodeGK(data []byte) (*GK, error) {
 		tuples:        make([]tuple, ntuples),
 	}
 	for i := range g.tuples {
-		off := i * 24
-		g.tuples[i] = tuple{
-			v:     math.Float64frombits(binary.LittleEndian.Uint64(payload[off:])),
-			g:     int64(binary.LittleEndian.Uint64(payload[off+8:])),
-			delta: int64(binary.LittleEndian.Uint64(payload[off+16:])),
+		g.tuples[i] = tuple{v: math.Float64frombits(r.U64()), g: r.I64(), delta: r.I64()}
+		if math.IsNaN(g.tuples[i].v) { // Query's run-of-equal-values scan never advances past NaN
+			return nil, fmt.Errorf("quantile: GK tuple %d holds NaN", i)
 		}
 	}
 	return g, nil

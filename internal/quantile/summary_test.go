@@ -255,8 +255,10 @@ func TestGKDecodeRejectsCorruptBlobs(t *testing.T) {
 		"truncated head":  blob[:20],
 		"truncated body":  blob[:len(blob)-5],
 		"trailing":        append(append([]byte{}, blob...), 0),
-		"bad epsilon":     corruptEpsilon(blob, math.NaN()),
-		"epsilon too big": corruptEpsilon(blob, 2),
+		"bad epsilon":     corruptFloat(blob, 4, math.NaN()),
+		"epsilon too big": corruptFloat(blob, 4, 2),
+		// Query's scan over runs of equal values never advances past NaN.
+		"NaN value": corruptFloat(blob, 36, math.NaN()),
 	}
 	for name, b := range cases {
 		if _, err := DecodeGK(b); err == nil {
@@ -265,11 +267,13 @@ func TestGKDecodeRejectsCorruptBlobs(t *testing.T) {
 	}
 }
 
-func corruptEpsilon(blob []byte, eps float64) []byte {
+// corruptFloat returns a copy of blob with the float64 at off set to v:
+// offset 4 is epsilon, 36 the first tuple's value.
+func corruptFloat(blob []byte, off int, v float64) []byte {
 	c := append([]byte{}, blob...)
-	bits := math.Float64bits(eps)
+	bits := math.Float64bits(v)
 	for i := 0; i < 8; i++ {
-		c[4+i] = byte(bits >> (8 * i))
+		c[off+i] = byte(bits >> (8 * i))
 	}
 	return c
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"streamfreq/internal/persist"
+	"streamfreq/internal/wire"
 )
 
 // Bundle wire format: every namespace's encoded summary in one frame,
@@ -42,22 +43,28 @@ func (t *Table) EncodeBundle() ([]byte, error) {
 		names = append(names, ns)
 	}
 	sort.Strings(names)
-	buf := make([]byte, 0, 64+32*len(names))
-	buf = append(buf, bundleMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(names)))
-	for _, ns := range names {
+	blobs := make([][]byte, len(names))
+	size := len(bundleMagic) + 4
+	for i, ns := range names {
 		ts := t.tenants[ns]
-		blob := ts.blob
+		blobs[i] = ts.blob
 		if ts.sum != nil {
 			var err error
-			if blob, err = ts.sum.MarshalBinary(); err != nil {
+			if blobs[i], err = ts.sum.MarshalBinary(); err != nil {
 				return nil, fmt.Errorf("tenant: encoding %q: %w", ns, err)
 			}
 		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ns)))
+		size += minBundleEntry + len(ns) + len(blobs[i])
+	}
+	le := binary.LittleEndian
+	buf := make([]byte, 0, size)
+	buf = append(buf, bundleMagic...)
+	buf = le.AppendUint32(buf, uint32(len(names)))
+	for i, ns := range names {
+		buf = le.AppendUint16(buf, uint16(len(ns)))
 		buf = append(buf, ns...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
-		buf = append(buf, blob...)
+		buf = le.AppendUint32(buf, uint32(len(blobs[i])))
+		buf = append(buf, blobs[i]...)
 	}
 	return buf, nil
 }
@@ -66,37 +73,30 @@ func (t *Table) EncodeBundle() ([]byte, error) {
 // returned still encoded; the caller decodes with the codec matching
 // the node's algorithm.
 func DecodeBundle(data []byte) ([]NamespaceBlob, error) {
-	if len(data) < len(bundleMagic)+4 || string(data[:len(bundleMagic)]) != bundleMagic {
-		return nil, fmt.Errorf("tenant: not a summary bundle")
+	r := wire.NewReader(data)
+	r.Magic(bundleMagic)
+	count := r.U32()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("tenant: bundle header: %w", err)
 	}
-	off := len(bundleMagic)
-	count := binary.LittleEndian.Uint32(data[off:])
-	off += 4
-	if uint64(count) > uint64((len(data)-off)/minBundleEntry) {
-		return nil, fmt.Errorf("tenant: bundle claims %d namespaces in %d bytes", count, len(data)-off)
+	if uint64(count) > uint64(r.Len()/minBundleEntry) {
+		return nil, fmt.Errorf("tenant: bundle claims %d namespaces in %d bytes", count, r.Len())
 	}
 	out := make([]NamespaceBlob, 0, count)
 	for i := uint32(0); i < count; i++ {
-		if off+2 > len(data) {
-			return nil, fmt.Errorf("tenant: bundle truncated in entry %d", i)
-		}
-		nsLen := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if nsLen > persist.MaxNamespaceLen || off+nsLen+4 > len(data) {
+		nsLen := r.U16()
+		if nsLen > persist.MaxNamespaceLen {
 			return nil, fmt.Errorf("tenant: bundle entry %d has bad namespace length %d", i, nsLen)
 		}
-		ns := string(data[off : off+nsLen])
-		off += nsLen
-		blobLen := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		if blobLen < 0 || off+blobLen > len(data) {
-			return nil, fmt.Errorf("tenant: bundle entry %d has bad blob length %d", i, blobLen)
+		ns := r.Bytes(uint64(nsLen))
+		blob := r.Bytes(uint64(r.U32()))
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("tenant: bundle entry %d: %w", i, err)
 		}
-		out = append(out, NamespaceBlob{NS: ns, Blob: data[off : off+blobLen]})
-		off += blobLen
+		out = append(out, NamespaceBlob{NS: string(ns), Blob: blob})
 	}
-	if off != len(data) {
-		return nil, fmt.Errorf("tenant: %d trailing bytes after bundle", len(data)-off)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("tenant: %w", err)
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package tenant_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"runtime"
 	"sort"
@@ -8,7 +9,9 @@ import (
 
 	"streamfreq/internal/core"
 	"streamfreq/internal/counters"
+	"streamfreq/internal/persist"
 	"streamfreq/internal/tenant"
+	"streamfreq/internal/testutil"
 )
 
 // TestDecodeBundleHostileCountBounded: a header claiming far more
@@ -76,4 +79,48 @@ func FuzzDecodeBundle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBundleGolden pins SFTB0001 to the bytes recorded before the
+// bundle decoder moved onto internal/wire: four namespaces under a
+// two-tenant residency cap, so the frame mixes re-encoded resident
+// tenants with stored blobs. The golden must also decode, restore into
+// a fresh table and re-encode byte for byte.
+func TestBundleGolden(t *testing.T) {
+	tb := newTable(t, tenant.Options{DefaultPhi: 0.1, MaxResident: 2, Phi: map[string]float64{"eu": 0.05}})
+	names := []string{"", "eu", "us", "ap"}
+	for i := 0; i < 2_000; i++ {
+		ns := names[(i*7/5)%len(names)]
+		if _, _, err := tb.IngestBatch(ns, []core.Item{core.Item((i * i) % 37), core.Item(i % 5)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bundle, err := tb.EncodeBundle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := testutil.CheckGolden(t, "testdata/bundle_golden.json", []testutil.Golden{{Name: "SFTB0001", Blob: bundle}})[0].Blob
+	entries, err := tenant.DecodeBundle(golden)
+	if err != nil {
+		t.Fatalf("golden does not decode: %v", err)
+	}
+	states := make([]persist.TenantState, len(entries))
+	for i, e := range entries {
+		sum, err := counters.DecodeSpaceSavingHeap(e.Blob)
+		if err != nil {
+			t.Fatalf("namespace %q: %v", e.NS, err)
+		}
+		states[i] = persist.TenantState{NS: e.NS, K: sum.K(), N: sum.N(), Blob: e.Blob}
+	}
+	restored := newTable(t, tenant.Options{DefaultPhi: 0.1})
+	if err := restored.RestoreTenants(states); err != nil {
+		t.Fatal(err)
+	}
+	again, err := restored.EncodeBundle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, golden) {
+		t.Fatalf("golden re-encodes to different bytes (%d vs %d)", len(again), len(golden))
+	}
 }

@@ -4,9 +4,16 @@
 // too long wastes every run forever. Polling encodes the actual
 // postcondition: the test proceeds the moment it holds and fails loudly
 // (with the caller's description) only when it genuinely never does.
+//
+// It also holds the byte-golden check the wire-format tests share.
 package testutil
 
 import (
+	"encoding/json"
+	"errors"
+	"io/fs"
+	"os"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -39,4 +46,45 @@ func Eventually(t testing.TB, timeout time.Duration, cond func() bool, format st
 	if !Poll(timeout, cond) {
 		t.Fatalf("condition never held within %v: "+format, append([]any{timeout}, args...)...)
 	}
+}
+
+// Golden is one named wire encoding pinned by a golden file.
+type Golden struct {
+	Name string
+	Blob []byte
+}
+
+// CheckGolden compares got, entry by entry, with the entries stored in
+// the golden file at path and returns the stored ones, so a caller can
+// also decode them. A deliberate change deletes the file: the next run
+// writes got there and fails, so the diff gets reviewed before the
+// rerun passes.
+func CheckGolden[E any](t testing.TB, path string, got []E) []E {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		if raw, err = json.MarshalIndent(got, "", "\t"); err == nil {
+			err = os.WriteFile(path, append(raw, '\n'), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("wrote %s; review it, then rerun", path)
+	}
+	var want []E
+	if err == nil {
+		err = json.Unmarshal(raw, &want)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s has %d entries, the test builds %d", path, len(want), len(got))
+	}
+	for i, w := range want {
+		if !reflect.DeepEqual(got[i], w) {
+			t.Errorf("%s: entry %d differs from the golden:\n got %+v\nwant %+v", path, i, got[i], w)
+		}
+	}
+	return want
 }

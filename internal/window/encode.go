@@ -1,11 +1,11 @@
 package window
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
 	"streamfreq/internal/counters"
+	"streamfreq/internal/wire"
 )
 
 // WN01 is the windowed summary's wire format, used by checkpoints, the
@@ -40,27 +40,12 @@ const (
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s *Windowed) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(magicWN)
-	var b8 [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		buf.Write(b8[:])
+	type block struct {
+		idx  int
+		blob []byte
 	}
-	u64(uint64(s.size))
-	u64(uint64(s.blocks))
-	u64(uint64(s.k))
-	u64(uint64(s.n))
-	u64(uint64(s.coverage))
-	u64(uint64(s.ring.slot(s.cur)))
-	u64(uint64(s.curFill))
-	live := 0
-	for _, b := range s.ring.slots {
-		if b != nil {
-			live++
-		}
-	}
-	u64(uint64(live))
+	var live []block
+	size := 4 + 8*8
 	for i, b := range s.ring.slots {
 		if b == nil {
 			continue
@@ -69,41 +54,36 @@ func (s *Windowed) MarshalBinary() ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("window: encoding block %d: %w", i, err)
 		}
-		u64(uint64(i))
-		u64(uint64(len(blob)))
-		buf.Write(blob)
+		live = append(live, block{i, blob})
+		size += 2*8 + len(blob)
 	}
-	return buf.Bytes(), nil
+	le := binary.LittleEndian
+	out := make([]byte, 0, size)
+	out = append(out, magicWN...)
+	for _, v := range []int64{int64(s.size), int64(s.blocks), int64(s.k), s.n, s.coverage,
+		int64(s.ring.slot(s.cur)), int64(s.curFill), int64(len(live))} {
+		out = le.AppendUint64(out, uint64(v))
+	}
+	for _, b := range live {
+		out = le.AppendUint64(out, uint64(b.idx))
+		out = le.AppendUint64(out, uint64(len(b.blob)))
+		out = append(out, b.blob...)
+	}
+	return out, nil
 }
 
 // DecodeWindowed parses a summary produced by (*Windowed).MarshalBinary,
 // validating the geometry and every block blob so a forged or corrupt
 // header comes back as an error, never a panic or a runaway allocation.
 func DecodeWindowed(data []byte) (*Windowed, error) {
-	if len(data) < 4 || string(data[:4]) != magicWN {
-		return nil, fmt.Errorf("window: not a Windowed blob")
+	r := wire.NewReader(data)
+	r.Magic(magicWN)
+	size, blocks, k := r.U64(), r.U64(), r.U64()
+	n, coverage := r.I64(), r.I64()
+	head, curFill, liveBlocks := r.U64(), r.U64(), r.U64()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	rest := data[4:]
-	pos := 0
-	u64 := func() (uint64, error) {
-		if pos+8 > len(rest) {
-			return 0, fmt.Errorf("window: truncated blob at offset %d", pos)
-		}
-		v := binary.LittleEndian.Uint64(rest[pos:])
-		pos += 8
-		return v, nil
-	}
-	var hdr [8]uint64
-	for i := range hdr {
-		v, err := u64()
-		if err != nil {
-			return nil, err
-		}
-		hdr[i] = v
-	}
-	size, blocks, k := hdr[0], hdr[1], hdr[2]
-	n, coverage := int64(hdr[3]), int64(hdr[4])
-	head, curFill, liveBlocks := hdr[5], hdr[6], hdr[7]
 	if size == 0 || blocks == 0 || blocks > maxWNBlocks || size%blocks != 0 ||
 		k == 0 || k > maxWNCounters || int64(size) < 0 || int64(size) > maxWNSize {
 		return nil, fmt.Errorf("window: implausible geometry (W=%d B=%d k=%d)", size, blocks, k)
@@ -122,26 +102,21 @@ func DecodeWindowed(data []byte) (*Windowed, error) {
 	s.cur, s.curFill, s.n = int64(head), int(curFill), n
 	prev := -1
 	for i := uint64(0); i < liveBlocks; i++ {
-		idx, err := u64()
-		if err != nil {
-			return nil, err
-		}
-		blobLen, err := u64()
-		if err != nil {
+		idx, blobLen := r.U64(), r.U64()
+		if err := r.Err(); err != nil {
 			return nil, err
 		}
 		if idx >= ringLen || int(idx) <= prev {
 			return nil, fmt.Errorf("window: block indices out of order (index %d after %d)", idx, prev)
 		}
 		prev = int(idx)
-		if blobLen > maxWNBlob || pos+int(blobLen) > len(rest) {
+		if blobLen > maxWNBlob || blobLen > uint64(r.Len()) {
 			return nil, fmt.Errorf("window: implausible block blob length %d (block %d)", blobLen, idx)
 		}
-		ss, err := counters.DecodeSpaceSavingHeap(rest[pos : pos+int(blobLen)])
+		ss, err := counters.DecodeSpaceSavingHeap(r.Bytes(blobLen))
 		if err != nil {
 			return nil, fmt.Errorf("window: block %d: %w", idx, err)
 		}
-		pos += int(blobLen)
 		if ss.K() != int(k) {
 			return nil, fmt.Errorf("window: block %d has k=%d, header says %d", idx, ss.K(), k)
 		}
@@ -152,8 +127,8 @@ func DecodeWindowed(data []byte) (*Windowed, error) {
 		s.ring.blockNo[idx] = s.cur - int64((head+ringLen-idx)%ringLen)
 		s.liveCount += ss.N()
 	}
-	if pos != len(rest) {
-		return nil, fmt.Errorf("window: %d trailing bytes", len(rest)-pos)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	if s.ring.slots[head] == nil {
 		return nil, fmt.Errorf("window: current block (ring %d) missing from blob", head)
