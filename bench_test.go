@@ -158,12 +158,12 @@ func BenchmarkUpdateBatchDistinct(b *testing.B) {
 // pipeline: single-writer Concurrent(SSH) ingest, scalar loop vs one
 // lock per batch, swept over skew because the batch win is duplicate-
 // collapse driven. Each in-batch repeat of an item costs one L1-resident
-// scratch probe instead of a lock + index-map + heap-sift round trip, so
+// scratch probe instead of a lock + index-probe + heap-sift round trip, so
 // the speedup tracks the in-batch duplicate fraction (40% at z=1.0, 91%
 // at z=1.5 — the skew regime of the paper's real HTTP/UDP traces). The
 // residual per-*distinct* cost is SpaceSavingHeap.Update itself (its
-// index map and heap), which batching pays once per distinct item per
-// batch, identically to scalar.
+// index probe and heap sift), which batching pays once per distinct
+// item per batch, identically to scalar.
 func BenchmarkUpdateBatchSharded(b *testing.B) {
 	for _, z := range []float64{1.0, 1.5} {
 		stream := benchStream(b, z)

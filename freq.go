@@ -157,8 +157,8 @@ func NewCGT(depth, width int, universeBits uint, seed uint64) *sketches.CGT {
 
 // NewTracked wraps a flat sketch with the Charikar et al. top-capacity
 // heap, turning point estimates into heavy-hitter reports.
-func NewTracked(inner Summary, capacity int) *core.Tracked {
-	return core.NewTracked(inner, capacity)
+func NewTracked(inner Summary, capacity int) *counters.Tracked {
+	return counters.NewTracked(inner, capacity)
 }
 
 // NewConcurrent makes any summary safe for concurrent use: the

@@ -1,7 +1,7 @@
 // Package core defines the unified abstraction of the VLDB 2008 comparison
 // framework: a common Summary interface implemented by every frequent-items
 // algorithm in the repository, the item/count value types, and shared
-// helpers (top-k heap tracker, merging, registry, serialization headers).
+// helpers (merging, registry, serialization headers).
 //
 // The central problem definition follows the paper. Given a stream of n
 // item arrivals and a threshold φ ∈ (0, 1):

@@ -20,6 +20,7 @@ const (
 	magicSS = "SS01"
 	magicLC = "LC01"
 	magicSL = "SL01"
+	magicTK = "TK01"
 )
 
 // maxEntries bounds decoded entry counts against corrupt headers.
@@ -31,15 +32,16 @@ var le = binary.LittleEndian
 // stored (the offset is folded in), so the decoded summary is logically
 // identical with offset zero.
 func (f *Frequent) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 4+4*8+16*len(f.heap))
+	out := make([]byte, 0, 4+4*8+16*len(f.st.heap))
 	out = append(out, magicFQ...)
 	out = le.AppendUint64(out, uint64(f.k))
 	out = le.AppendUint64(out, uint64(f.n))
 	out = le.AppendUint64(out, uint64(f.decs))
-	out = le.AppendUint64(out, uint64(len(f.heap)))
-	for _, e := range f.heap {
-		out = le.AppendUint64(out, uint64(e.item))
-		out = le.AppendUint64(out, uint64(e.count-f.offset))
+	out = le.AppendUint64(out, uint64(len(f.st.heap)))
+	for _, id := range f.st.heap {
+		nd := &f.st.nodes[id]
+		out = le.AppendUint64(out, uint64(nd.item))
+		out = le.AppendUint64(out, uint64(nd.count-f.offset))
 	}
 	return out, nil
 }
@@ -67,23 +69,20 @@ func DecodeFrequent(data []byte) (*Frequent, error) {
 		if count <= 0 {
 			return nil, fmt.Errorf("counters: non-positive stored count %d", count)
 		}
-		e := &entry{item: item, count: count}
-		f.index[item] = e
-		f.heap.push(e)
+		if f.st.lookup(item) >= 0 {
+			return nil, fmt.Errorf("counters: duplicate items in Frequent blob")
+		}
+		f.st.push(item, count, 0)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
-	}
-	if len(f.index) != len(f.heap) {
-		return nil, fmt.Errorf("counters: duplicate items in Frequent blob")
 	}
 	return f, nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler. Entries are
-// written in heap-structural order; the flat storage's heap evolves
-// exactly as the old pointer heap did, so blobs stay byte-identical
-// across the slab refactor (the crash-recovery walls compare on this).
+// written in heap-structural order (slab.go says why the sift must not
+// change).
 func (s *SpaceSavingHeap) MarshalBinary() ([]byte, error) {
 	out := make([]byte, 0, 4+3*8+24*len(s.st.heap))
 	out = append(out, magicSS...)
@@ -140,14 +139,13 @@ func decodeSpaceSavingHeap(data []byte, sl *Slab) (*SpaceSavingHeap, error) {
 			return nil, fmt.Errorf("counters: invalid SpaceSaving entry (count=%d err=%d)", count, errv)
 		}
 		if s.st.lookup(item) >= 0 {
+			s.Release()
 			return nil, fmt.Errorf("counters: duplicate items in SpaceSaving blob")
 		}
-		id := int32(len(s.st.nodes))
-		s.st.nodes = append(s.st.nodes, ssNode{item: item, count: count, err: errv})
-		s.st.insert(item, id)
-		s.st.heapPush(id)
+		s.st.push(item, count, errv)
 	}
 	if err := r.Done(); err != nil {
+		s.Release()
 		return nil, err
 	}
 	return s, nil
@@ -289,4 +287,74 @@ func DecodeSpaceSavingList(data []byte) (*SpaceSavingList, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler. The heap is stored
+// in array order, which DecodeTracked reproduces position for position,
+// so encode→decode→encode is byte-identical. The inner summary must
+// itself implement encoding.BinaryMarshaler; its blob is nested last.
+func (t *Tracked) MarshalBinary() ([]byte, error) {
+	m, ok := t.inner.(interface{ MarshalBinary() ([]byte, error) })
+	if !ok {
+		return nil, fmt.Errorf("counters: Tracked inner %s has no binary encoding", t.inner.Name())
+	}
+	innerBlob, err := m.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, 4+2*8+16*len(t.st.heap)+8+len(innerBlob))
+	out = append(out, magicTK...)
+	out = le.AppendUint64(out, uint64(t.capacity))
+	out = le.AppendUint64(out, uint64(len(t.st.heap)))
+	for _, id := range t.st.heap {
+		nd := &t.st.nodes[id]
+		out = le.AppendUint64(out, uint64(nd.item))
+		out = le.AppendUint64(out, uint64(nd.count))
+	}
+	out = le.AppendUint64(out, uint64(len(innerBlob)))
+	return append(out, innerBlob...), nil
+}
+
+// DecodeTracked parses a blob produced by (*Tracked).MarshalBinary,
+// decoding the nested inner-summary blob with decodeInner (the root
+// package's magic dispatch, which owns the registry of formats). The
+// heap is rebuilt at its stored positions and validated as a min-heap,
+// so a corrupt blob is rejected rather than yielding a tracker that
+// silently mis-evicts.
+func DecodeTracked(data []byte, decodeInner func([]byte) (core.Summary, error)) (*Tracked, error) {
+	r := wire.NewReader(data)
+	r.Magic(magicTK)
+	capacity, heapLen := r.U64(), r.U64()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if capacity == 0 || capacity > maxEntries || heapLen > capacity {
+		return nil, fmt.Errorf("counters: implausible Tracked header (capacity=%d, entries=%d)", capacity, heapLen)
+	}
+	if uint64(r.Len()) < heapLen*16+8 {
+		return nil, fmt.Errorf("counters: Tracked blob has %d bytes for %d heap entries", r.Len(), heapLen)
+	}
+	t := NewTracked(nil, int(capacity)) // inner attached below, after its blob parses
+	for i := range int(heapLen) {
+		item, est := core.Item(r.U64()), r.I64()
+		if t.st.lookup(item) >= 0 {
+			return nil, fmt.Errorf("counters: duplicate item %d in Tracked blob", item)
+		}
+		// A push stays where it lands exactly when it is no lighter
+		// than its parent, so checking that keeps stored positions.
+		if i > 0 && est < t.st.hcnt[(i-1)/2] {
+			return nil, fmt.Errorf("counters: Tracked blob heap order violated at entry %d", i)
+		}
+		t.st.push(item, est, 0)
+	}
+	innerLen := r.U64()
+	if innerLen != uint64(r.Len()) {
+		return nil, fmt.Errorf("counters: Tracked inner blob is %d bytes, header says %d", r.Len(), innerLen)
+	}
+	inner, err := decodeInner(r.Bytes(innerLen))
+	if err != nil {
+		return nil, fmt.Errorf("counters: Tracked inner blob: %w", err)
+	}
+	t.inner = inner
+	return t, nil
 }

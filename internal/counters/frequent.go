@@ -17,12 +17,12 @@ import (
 // implementation uses the standard offset trick to make updates
 // O(log k): a global offset δ is added to all logical counts, so
 // "decrement everything by m" is just δ += m followed by evicting entries
-// whose stored count has fallen to δ, which sit at the top of a min-heap.
+// whose stored count has fallen to δ, which sit at the root of the
+// counter store's min-heap.
 type Frequent struct {
 	k      int
-	index  map[core.Item]*entry
-	heap   minHeap
-	offset int64 // logical count of entry e is e.count − offset
+	st     ssStorage
+	offset int64 // logical count of a counter is its stored count − offset
 	n      int64
 	decs   int64 // total decrement mass, for diagnostics and tests
 }
@@ -33,10 +33,7 @@ func NewFrequent(k int) *Frequent {
 	if k <= 0 {
 		panic("counters: Frequent requires k > 0")
 	}
-	return &Frequent{
-		k:     k,
-		index: make(map[core.Item]*entry, k),
-	}
+	return &Frequent{k: k, st: newSSStorage(k)}
 }
 
 // Name implements core.Summary.
@@ -53,49 +50,37 @@ func (f *Frequent) Update(x core.Item, count int64) {
 	mustPositive("Frequent", count)
 	f.n += count
 
-	if e, ok := f.index[x]; ok {
-		e.count += count
-		f.heap.fix(e.idx)
+	if id := f.st.lookup(x); id >= 0 {
+		f.st.add(id, count)
 		return
 	}
-	if len(f.heap) < f.k {
-		e := &entry{item: x, count: f.offset + count}
-		f.index[x] = e
-		f.heap.push(e)
+	if len(f.st.heap) < f.k {
+		f.st.push(x, f.offset+count, 0)
 		return
 	}
 	// All k slots taken: decrement all logical counts by
 	// m = min(count, smallest logical count). If the new item's mass
 	// survives (count > m), it replaces an evicted zero entry.
-	minLogical := f.heap[0].count - f.offset
-	m := count
-	if minLogical < m {
-		m = minLogical
-	}
+	m := min(count, f.st.hcnt[0]-f.offset)
 	f.offset += m
 	f.decs += m
 	// Evict entries whose logical count reached zero.
-	freed := false
-	for len(f.heap) > 0 && f.heap[0].count <= f.offset {
-		ev := f.heap.pop()
-		delete(f.index, ev.item)
-		freed = true
+	for len(f.st.heap) > 0 && f.st.hcnt[0] <= f.offset {
+		f.st.popMin()
 	}
 	if count > m {
-		if !freed {
+		if len(f.st.heap) == f.k {
 			// Cannot happen: count > m implies m == minLogical, so the
 			// minimum entry hit zero and was evicted.
 			panic("counters: Frequent invariant violated (no slot freed)")
 		}
-		e := &entry{item: x, count: f.offset + (count - m)}
-		f.index[x] = e
-		f.heap.push(e)
+		f.st.push(x, f.offset+(count-m), 0)
 	}
 }
 
 // UpdateBatch implements core.BatchUpdater for unit-count arrivals: the
 // batch is pre-aggregated in a scratch table and the merged counts
-// applied in first-appearance order, trading per-arrival map lookups
+// applied in first-appearance order, trading per-arrival index lookups
 // and heap sifts for one of each per distinct item in the batch. A
 // weighted Update(x, c) is equivalent to c consecutive unit updates
 // (the min(count, minLogical) decrement rule is the unit rule
@@ -115,8 +100,8 @@ func (f *Frequent) UpdateBatch(items []core.Item) {
 // Estimate returns the Misra–Gries lower-bound estimate of x's count
 // (0 when x is not tracked). It never overestimates.
 func (f *Frequent) Estimate(x core.Item) int64 {
-	if e, ok := f.index[x]; ok {
-		return e.count - f.offset
+	if id := f.st.lookup(x); id >= 0 {
+		return f.st.nodes[id].count - f.offset
 	}
 	return 0
 }
@@ -132,35 +117,23 @@ func (f *Frequent) MaxError() int64 { return f.decs }
 // recall at threshold φn when k ≥ 1/φ.
 func (f *Frequent) Query(threshold int64) []core.ItemCount {
 	var out []core.ItemCount
-	for _, e := range f.heap {
-		est := e.count - f.offset
+	for _, id := range f.st.heap {
+		nd := &f.st.nodes[id]
+		est := nd.count - f.offset
 		if est+f.decs >= threshold {
-			out = append(out, core.ItemCount{Item: e.item, Count: est})
+			out = append(out, core.ItemCount{Item: nd.item, Count: est})
 		}
 	}
 	core.SortByCountDesc(out)
 	return out
 }
 
-// Clone returns an independent deep copy: entries are duplicated at
-// their heap positions and the index rebuilt over the copies. The batch
-// pre-aggregation scratch is not copied (a clone starts with fresh
-// scratch; it is invisible to queries).
+// Clone returns an independent deep copy (the same heap arrangement in
+// standalone storage).
 func (f *Frequent) Clone() *Frequent {
-	nf := &Frequent{
-		k:      f.k,
-		offset: f.offset,
-		n:      f.n,
-		decs:   f.decs,
-		index:  make(map[core.Item]*entry, len(f.index)),
-		heap:   make(minHeap, len(f.heap)),
-	}
-	for i, e := range f.heap {
-		ne := &entry{item: e.item, count: e.count, err: e.err, idx: e.idx}
-		nf.heap[i] = ne
-		nf.index[ne.item] = ne
-	}
-	return nf
+	nf := *f
+	nf.st = f.st.clone(f.k)
+	return &nf
 }
 
 // Snapshot implements core.Snapshotter.
@@ -168,9 +141,10 @@ func (f *Frequent) Snapshot() core.Summary { return f.Clone() }
 
 // Entries returns all tracked (item, estimate) pairs in descending order.
 func (f *Frequent) Entries() []core.ItemCount {
-	out := make([]core.ItemCount, 0, len(f.heap))
-	for _, e := range f.heap {
-		out = append(out, core.ItemCount{Item: e.item, Count: e.count - f.offset})
+	out := make([]core.ItemCount, 0, len(f.st.heap))
+	for _, id := range f.st.heap {
+		nd := &f.st.nodes[id]
+		out = append(out, core.ItemCount{Item: nd.item, Count: nd.count - f.offset})
 	}
 	core.SortByCountDesc(out)
 	return out
@@ -195,16 +169,18 @@ func (f *Frequent) Merge(other core.Summary) error {
 		// (φ) mismatch, and merging would exceed both advertised bounds.
 		return core.Incompatible("Frequent: counter budget mismatch (k=%d/%d)", f.k, o.k)
 	}
-	combined := make(map[core.Item]int64, len(f.index)+len(o.index))
-	for it, e := range f.index {
-		combined[it] = e.count - f.offset
+	all := make([]core.ItemCount, 0, len(f.st.nodes)+len(o.st.nodes))
+	for _, nd := range f.st.nodes {
+		c := nd.count - f.offset
+		if id := o.st.lookup(nd.item); id >= 0 {
+			c += o.st.nodes[id].count - o.offset
+		}
+		all = append(all, core.ItemCount{Item: nd.item, Count: c})
 	}
-	for it, e := range o.index {
-		combined[it] += e.count - o.offset
-	}
-	all := make([]core.ItemCount, 0, len(combined))
-	for it, c := range combined {
-		all = append(all, core.ItemCount{Item: it, Count: c})
+	for _, nd := range o.st.nodes {
+		if f.st.lookup(nd.item) < 0 {
+			all = append(all, core.ItemCount{Item: nd.item, Count: nd.count - o.offset})
+		}
 	}
 	core.SortByCountDesc(all)
 
@@ -213,8 +189,7 @@ func (f *Frequent) Merge(other core.Summary) error {
 		sub = all[f.k].Count
 	}
 	// Rebuild.
-	f.index = make(map[core.Item]*entry, f.k)
-	f.heap = f.heap[:0]
+	f.st.reset()
 	f.offset = 0
 	for i, ic := range all {
 		if i >= f.k {
@@ -224,9 +199,7 @@ func (f *Frequent) Merge(other core.Summary) error {
 		if c <= 0 {
 			break
 		}
-		e := &entry{item: ic.Item, count: c}
-		f.index[ic.Item] = e
-		f.heap.push(e)
+		f.st.push(ic.Item, c, 0)
 	}
 	f.n += o.n
 	f.decs += o.decs + sub

@@ -155,10 +155,10 @@ func TestFrequentNeverTracksMoreThanK(t *testing.T) {
 	g, _ := zipf.NewGenerator(10000, 0.5, 9, true)
 	for i := 0; i < 20000; i++ {
 		f.Update(g.Next(), 1)
-		if len(f.heap) > 7 || len(f.index) > 7 {
-			t.Fatalf("tracked %d entries with k=7", len(f.heap))
+		if len(f.st.heap) > 7 || len(f.st.nodes) > 7 {
+			t.Fatalf("tracked %d entries with k=7", len(f.st.heap))
 		}
-		if !f.heap.validate() {
+		if !f.st.validateStorage() {
 			t.Fatal("heap invariant broken")
 		}
 	}

@@ -25,8 +25,7 @@ type FilteredSpaceSaving struct {
 	k      int
 	filter []int64 // per-cell error bound α
 	cells  hash.Bucket
-	index  map[core.Item]*entry
-	heap   minHeap
+	st     ssStorage // monitored counters; err is the cell error at admission
 	n      int64
 }
 
@@ -44,7 +43,7 @@ func NewFilteredSpaceSaving(k, filterCells int, seed uint64) *FilteredSpaceSavin
 		k:      k,
 		filter: make([]int64, filterCells),
 		cells:  hash.NewBucket(2, filterCells, seed),
-		index:  make(map[core.Item]*entry, k),
+		st:     newSSStorage(k),
 	}
 }
 
@@ -59,10 +58,10 @@ func (s *FilteredSpaceSaving) N() int64 { return s.n }
 
 // Min returns the smallest monitored count (0 while slots remain).
 func (s *FilteredSpaceSaving) Min() int64 {
-	if len(s.heap) < s.k {
+	if len(s.st.heap) < s.k {
 		return 0
 	}
-	return s.heap[0].count
+	return s.st.hcnt[0]
 }
 
 // Update processes count arrivals of x. count must be positive.
@@ -70,20 +69,17 @@ func (s *FilteredSpaceSaving) Update(x core.Item, count int64) {
 	mustPositive("FilteredSpaceSaving", count)
 	s.n += count
 
-	if e, ok := s.index[x]; ok {
-		e.count += count
-		s.heap.fix(e.idx)
+	if id := s.st.lookup(x); id >= 0 {
+		s.st.add(id, count)
 		return
 	}
 	cell := s.cells.Hash(uint64(x))
-	if len(s.heap) < s.k {
+	if len(s.st.heap) < s.k {
 		// Free slot: monitor immediately, inheriting the cell's error.
-		e := &entry{item: x, count: s.filter[cell] + count, err: s.filter[cell]}
-		s.index[x] = e
-		s.heap.push(e)
+		s.st.push(x, s.filter[cell]+count, s.filter[cell])
 		return
 	}
-	min := s.heap[0].count
+	min := s.st.hcnt[0]
 	if s.filter[cell]+count <= min {
 		// Filtered out: the item's upper bound cannot beat the minimum
 		// monitored count; absorb the arrival into the cell error.
@@ -92,32 +88,27 @@ func (s *FilteredSpaceSaving) Update(x core.Item, count int64) {
 	}
 	// Promote: replace the minimum entry. The evicted item's count flows
 	// back into ITS filter cell so the unmonitored bound stays valid.
-	ev := s.heap[0]
-	delete(s.index, ev.item)
-	evCell := s.cells.Hash(uint64(ev.item))
-	if ev.count > s.filter[evCell] {
-		s.filter[evCell] = ev.count
+	evCell := s.cells.Hash(uint64(s.st.nodes[s.st.heap[0]].item))
+	if min > s.filter[evCell] {
+		s.filter[evCell] = min
 	}
-	ev.item = x
-	ev.err = s.filter[cell]
-	ev.count = s.filter[cell] + count
-	s.index[x] = ev
-	s.heap.fix(0)
+	s.st.replaceMin(x, s.filter[cell]+count, s.filter[cell])
 }
 
 // Estimate returns the monitored estimate, or the filter-cell bound for
 // unmonitored items (both upper bounds on the true count).
 func (s *FilteredSpaceSaving) Estimate(x core.Item) int64 {
-	if e, ok := s.index[x]; ok {
-		return e.count
+	if id := s.st.lookup(x); id >= 0 {
+		return s.st.nodes[id].count
 	}
 	return s.filter[s.cells.Hash(uint64(x))]
 }
 
 // GuaranteedCount returns the certified lower bound on x's true count.
 func (s *FilteredSpaceSaving) GuaranteedCount(x core.Item) int64 {
-	if e, ok := s.index[x]; ok {
-		return e.count - e.err
+	if id := s.st.lookup(x); id >= 0 {
+		nd := &s.st.nodes[id]
+		return nd.count - nd.err
 	}
 	return 0
 }
@@ -125,9 +116,10 @@ func (s *FilteredSpaceSaving) GuaranteedCount(x core.Item) int64 {
 // Query returns monitored items with estimate ≥ threshold, descending.
 func (s *FilteredSpaceSaving) Query(threshold int64) []core.ItemCount {
 	var out []core.ItemCount
-	for _, e := range s.heap {
-		if e.count >= threshold {
-			out = append(out, core.ItemCount{Item: e.item, Count: e.count})
+	for _, id := range s.st.heap {
+		nd := &s.st.nodes[id]
+		if nd.count >= threshold {
+			out = append(out, core.ItemCount{Item: nd.item, Count: nd.count})
 		}
 	}
 	core.SortByCountDesc(out)
@@ -141,20 +133,10 @@ func (s *FilteredSpaceSaving) Entries() []core.ItemCount { return s.Query(0) }
 // entries are duplicated; the filter's hash function is shared (immutable
 // after construction).
 func (s *FilteredSpaceSaving) Clone() *FilteredSpaceSaving {
-	ns := &FilteredSpaceSaving{
-		k:      s.k,
-		filter: append([]int64(nil), s.filter...),
-		cells:  s.cells,
-		n:      s.n,
-		index:  make(map[core.Item]*entry, len(s.index)),
-		heap:   make(minHeap, len(s.heap)),
-	}
-	for i, e := range s.heap {
-		ne := &entry{item: e.item, count: e.count, err: e.err, idx: e.idx}
-		ns.heap[i] = ne
-		ns.index[ne.item] = ne
-	}
-	return ns
+	ns := *s
+	ns.filter = append([]int64(nil), s.filter...)
+	ns.st = s.st.clone(s.k)
+	return &ns
 }
 
 // Snapshot implements core.Snapshotter.

@@ -6,37 +6,41 @@ import (
 	"streamfreq/internal/core"
 )
 
-// Slab-backed storage for Space-Saving (SSH). A multi-tenant daemon
-// holds millions of small instances, and the dominant cost of the old
-// layout was not the counters — it was the per-instance Go map and the
-// per-entry heap pointers: three heap objects and a map bucket chain
-// per counter, each a GC-visible pointer. The flat layout replaces all
-// of it with three slices per instance:
+// The counter store: the module's only indexed min-heap. Every
+// heap-based counter summary keeps its k counters here — Space-Saving
+// (SSH, and every tenant), Frequent (Misra–Gries), Filtered
+// Space-Saving and Tracked's top-l roster — so the heap discipline, and
+// with it the heap order the FQ01, SS01 and TK01 wire formats write,
+// lives in one place (the sift's comment says why it must not change).
+// A store is three slices plus a count mirror:
 //
 //	nodes []ssNode — the counters themselves (item, count, err, heap
-//	                 position), node id = position, never moved;
+//	                 position); node id = position, ids stay dense;
 //	heap  []int32  — a min-heap of node ids ordered by count;
 //	index []int32  — an open-addressed hash table item → node id.
 //
-// Space-Saving never frees a counter (replacement overwrites the
-// victim's item in place), so node ids are stable for the instance's
-// lifetime and the only index deletions are the one-out-one-in pairs of
-// replacement — handled with tombstones and an O(k) rebuild when they
-// accumulate. The layout is pointer-free below the three slice headers,
-// so a million instances cost the GC a million objects, not a hundred
-// million.
+// Four operations change it: push (a new counter), add (a count
+// change), replaceMin (Space-Saving's replacement, FSS's promotion,
+// Tracked's admission) and popMin (Misra–Gries' eviction). Index
+// deletions leave tombstones, compacted by an O(k) rebuild when they
+// accumulate. The layout is pointer-free below the slice headers, so a
+// million instances cost the GC a million objects, not a hundred
+// million: a multi-tenant daemon holds millions of small SSH instances,
+// and the per-entry map buckets and heap pointers of a Go-map layout
+// would dominate its footprint.
 //
 // A Slab carves those slices out of per-k chunk arenas and recycles
 // whole blocks through a free list, so tenant churn (lazy instantiation
 // + idle eviction) allocates nothing in steady state and the per-tenant
-// footprint is exactly blockBytes(k) — the bound the multi-tenant
-// benchmark reports. Standalone instances (NewSpaceSavingHeap) use the
-// same layout with directly allocated slices; the Slab is an allocator,
-// not a semantic change.
+// footprint is exactly BlockBytes(k) — the bound the multi-tenant
+// benchmark reports. Standalone stores (newSSStorage) use the same
+// layout with directly allocated slices; the Slab is an allocator, not
+// a semantic change.
 
-// ssNode is one Space-Saving counter in the flat layout: 32 bytes,
-// pointer-free. heapIdx mirrors the node's position in the heap slice,
-// maintained by the heap operations exactly as entry.idx was.
+// ssNode is one counter: 32 bytes, pointer-free. err is the counter's
+// error term — Space-Saving's inherited overcount, FSS's filter error
+// at admission — and zero for Frequent and Tracked. heapIdx mirrors the
+// node's position in the heap slice.
 type ssNode struct {
 	item    core.Item
 	count   int64
@@ -44,9 +48,8 @@ type ssNode struct {
 	heapIdx int32
 }
 
-// ssStorage is the storage of one SpaceSavingHeap. index slots hold
-// node id + 1; 0 is empty, ssTombstone marks a deleted slot that probes
-// must walk through.
+// ssStorage is one counter store. index slots hold node id + 1; 0 is
+// empty, ssTombstone marks a deleted slot that probes must walk through.
 type ssStorage struct {
 	nodes []ssNode
 	heap  []int32
@@ -145,33 +148,38 @@ func (st *ssStorage) insert(x core.Item, id int32) {
 	}
 }
 
-// remove deletes x's slot, leaving a tombstone; when tombstones exceed
-// a quarter of the table the index is rebuilt from the nodes (O(k)),
-// which bounds probe lengths: ≤ 1/2 live + ≤ 1/4 tombstones keeps
-// occupancy under 3/4 at all times.
-func (st *ssStorage) remove(x core.Item) {
+// slotOf returns the index slot of x, which must be tracked.
+func (st *ssStorage) slotOf(x core.Item) uint64 {
 	mask := uint64(len(st.index) - 1)
 	i := ssHash(x) >> st.shift
 	for {
 		s := st.index[i]
 		if s == 0 {
-			return // absent; callers only remove tracked items
+			panic("counters: counter store lost an indexed item")
 		}
 		if s != ssTombstone && st.nodes[s-1].item == x {
-			st.index[i] = ssTombstone
-			st.tombs++
-			if int(st.tombs) > len(st.index)/4 {
-				st.rebuildIndex()
-			}
-			return
+			return i
 		}
 		i = (i + 1) & mask
 	}
 }
 
-// rebuildIndex re-inserts every node into a cleared table, discarding
-// tombstones.
-func (st *ssStorage) rebuildIndex() {
+// unindex tombstones the slot of x, which must be tracked.
+func (st *ssStorage) unindex(x core.Item) {
+	st.index[st.slotOf(x)] = ssTombstone
+	st.tombs++
+}
+
+// compact rebuilds the index once tombstones exceed a quarter of the
+// table (O(k)), which bounds probe lengths: ≤ 1/2 live + ≤ 1/4
+// tombstones keeps occupancy under 3/4 at all times. The rebuild reads
+// the items the nodes hold, so it runs only after a vacated node has
+// been rewritten or dropped; run earlier, it would index the departed
+// item again.
+func (st *ssStorage) compact() {
+	if int(st.tombs) <= len(st.index)/4 {
+		return
+	}
 	clear(st.index)
 	st.tombs = 0
 	for id := range st.nodes {
@@ -206,34 +214,79 @@ func (st *ssStorage) clone(k int) ssStorage {
 	return ns
 }
 
-// The heap operations mirror minHeap (heap.go) exactly — same
-// comparison (count only, no tie-break), same swap order — so a flat
-// instance fed the same update sequence produces the identical heap
-// arrangement, which keeps the SS01 wire encoding (heap-structural
-// order) bit-identical across the storage refactor.
-
-func (st *ssStorage) heapLess(i, j int) bool {
-	return st.hcnt[i] < st.hcnt[j]
-}
-
-func (st *ssStorage) heapPush(id int32) {
-	st.nodes[id].heapIdx = int32(len(st.heap))
+// push adds x, which must be untracked, as a new counter. The store
+// must have room.
+func (st *ssStorage) push(x core.Item, count, err int64) {
+	id := int32(len(st.nodes))
+	i := len(st.heap)
+	st.nodes = append(st.nodes, ssNode{item: x, count: count, err: err, heapIdx: int32(i)})
+	st.insert(x, id)
 	st.heap = append(st.heap, id)
-	st.hcnt = append(st.hcnt, st.nodes[id].count)
-	st.heapUp(len(st.heap) - 1)
+	st.hcnt = append(st.hcnt, count)
+	st.heapUp(i)
 }
 
-func (st *ssStorage) heapFix(i int) {
+// add changes counter id's count by delta, of either sign, and restores
+// heap order.
+func (st *ssStorage) add(id int32, delta int64) {
+	nd := &st.nodes[id]
+	nd.count += delta
+	i := int(nd.heapIdx)
+	st.hcnt[i] = nd.count
 	if !st.heapDown(i) {
 		st.heapUp(i)
 	}
 }
 
+// replaceMin rewrites the minimum counter in place to track x, which
+// must be untracked: Space-Saving's replacement, FSS's promotion and
+// Tracked's admission. The node keeps its id.
+func (st *ssStorage) replaceMin(x core.Item, count, err int64) {
+	id := st.heap[0]
+	nd := &st.nodes[id]
+	st.unindex(nd.item)
+	nd.item, nd.count, nd.err = x, count, err
+	st.insert(x, id)
+	st.compact()
+	st.hcnt[0] = count
+	st.heapDown(0)
+}
+
+// popMin removes the minimum counter: Misra–Gries' eviction. The last
+// heap slot moves to the root and sifts down, as a pairwise-swap pop
+// does; the last node moves into the freed id, so ids stay dense.
+func (st *ssStorage) popMin() {
+	id := st.heap[0]
+	st.unindex(st.nodes[id].item)
+	last := len(st.heap) - 1
+	st.heap[0], st.hcnt[0] = st.heap[last], st.hcnt[last]
+	st.nodes[st.heap[0]].heapIdx = 0
+	st.heap, st.hcnt = st.heap[:last], st.hcnt[:last]
+	if last > 0 {
+		st.heapDown(0)
+	}
+	if lastID := int32(len(st.nodes) - 1); id != lastID {
+		moved := st.nodes[lastID]
+		st.index[st.slotOf(moved.item)] = id + 1
+		st.nodes[id] = moved
+		st.heap[moved.heapIdx] = id
+	}
+	st.nodes = st.nodes[:len(st.nodes)-1]
+	st.compact()
+}
+
+// This is the only heap in the module, and its sift must stay
+// pairwise-swap-identical to the textbook indexed heap: compare counts
+// only (no tie-break), descend to the right child only when it is
+// strictly smaller, stop on equality. FQ01, SS01 and TK01 write the
+// heap array in order, so any other arrangement would change the bytes
+// of every checkpoint and /v1/summary blob of F, SSH, CM and CS — the
+// bytes the wire golden and the crash-recovery walls compare.
+//
 // heapUp and heapDown sift hole-style: the moving slot is held in
 // registers while lighter/heavier slots shift one level, and written
-// exactly once at its final position — the arrangement is identical to
-// pairwise-swap sifting (so the SS01 heap-structural encoding is
-// unchanged), with half the stores per level.
+// exactly once at its final position — the arrangement a pairwise-swap
+// sift produces, with half the stores per level.
 
 func (st *ssStorage) heapUp(i int) {
 	start := i
@@ -253,6 +306,7 @@ func (st *ssStorage) heapUp(i int) {
 	}
 }
 
+// heapDown sifts slot i toward the leaves and reports whether it moved.
 func (st *ssStorage) heapDown(i int) bool {
 	start := i
 	n := len(st.heap)
@@ -280,13 +334,12 @@ func (st *ssStorage) heapDown(i int) bool {
 	return i != start
 }
 
-// validateStorage checks the structural invariants (heap order, heapIdx
-// mirrors, index consistency); used only by tests.
+// validateStorage checks the structural invariants — dense ids, heap
+// order, the heapIdx and hcnt mirrors, and an index holding exactly one
+// live slot per counter and the tombstones it counts; used only by
+// tests.
 func (st *ssStorage) validateStorage() bool {
-	if len(st.nodes) != len(st.heap) {
-		return false
-	}
-	if len(st.hcnt) != len(st.heap) {
+	if len(st.nodes) != len(st.heap) || len(st.hcnt) != len(st.heap) {
 		return false
 	}
 	for i, id := range st.heap {
@@ -296,12 +349,26 @@ func (st *ssStorage) validateStorage() bool {
 		if st.hcnt[i] != st.nodes[id].count {
 			return false
 		}
-		if l := 2*i + 1; l < len(st.heap) && st.heapLess(l, i) {
+		if l := 2*i + 1; l < len(st.heap) && st.hcnt[l] < st.hcnt[i] {
 			return false
 		}
-		if r := 2*i + 2; r < len(st.heap) && st.heapLess(r, i) {
+		if r := 2*i + 2; r < len(st.heap) && st.hcnt[r] < st.hcnt[i] {
 			return false
 		}
+	}
+	live, tombs := 0, 0
+	for _, s := range st.index {
+		switch {
+		case s == ssTombstone:
+			tombs++
+		case s > int32(len(st.nodes)):
+			return false
+		case s > 0:
+			live++
+		}
+	}
+	if live != len(st.nodes) || tombs != int(st.tombs) {
+		return false
 	}
 	for id := range st.nodes {
 		if st.lookup(st.nodes[id].item) != int32(id) {

@@ -22,13 +22,10 @@ import (
 // counters Space-Saving solves the ε-approximate problem with perfect
 // recall and counts overestimated by at most εn.
 //
-// Storage is the flat slab layout of slab.go — counters in one
-// pointer-free node slice, an int32 id heap, and an open-addressed
-// index — instead of a Go map over heap-allocated entries. The
-// structural behavior (heap arrangement, and with it the SS01 wire
-// encoding) is identical to the old layout; what changed is that an
-// instance is three slice headers over flat memory, cheap enough to
-// hold millions of (NewSlab-backed) tenants resident.
+// Its counters live in the package's one counter store (slab.go): a
+// pointer-free node slice, an int32 id heap and an open-addressed
+// index, three slice headers over flat memory, cheap enough to hold
+// millions of (NewSlab-backed) tenants resident.
 type SpaceSavingHeap struct {
 	k    int
 	n    int64
@@ -74,7 +71,7 @@ func (s *SpaceSavingHeap) Min() int64 {
 	if len(s.st.heap) < s.k {
 		return 0
 	}
-	return s.st.nodes[s.st.heap[0]].count
+	return s.st.hcnt[0]
 }
 
 // Update processes count arrivals of x. count must be positive.
@@ -83,29 +80,16 @@ func (s *SpaceSavingHeap) Update(x core.Item, count int64) {
 	s.n += count
 
 	if id := s.st.lookup(x); id >= 0 {
-		nd := &s.st.nodes[id]
-		nd.count += count
-		s.st.hcnt[nd.heapIdx] = nd.count
-		s.st.heapFix(int(nd.heapIdx))
+		s.st.add(id, count)
 		return
 	}
 	if len(s.st.heap) < s.k {
-		id := int32(len(s.st.nodes))
-		s.st.nodes = append(s.st.nodes, ssNode{item: x, count: count})
-		s.st.insert(x, id)
-		s.st.heapPush(id)
+		s.st.push(x, count, 0)
 		return
 	}
 	// Replace the minimum counter: x inherits its count as error.
-	id := s.st.heap[0]
-	nd := &s.st.nodes[id]
-	s.st.remove(nd.item)
-	nd.err = nd.count
-	nd.count += count
-	nd.item = x
-	s.st.insert(x, id)
-	s.st.hcnt[0] = nd.count
-	s.st.heapFix(0)
+	min := s.st.hcnt[0]
+	s.st.replaceMin(x, min+count, min)
 }
 
 // UpdateBatch implements core.BatchUpdater for unit-count arrivals: the
@@ -236,11 +220,8 @@ func (s *SpaceSavingHeap) Merge(other core.Summary) error {
 		all = all[:s.k]
 	}
 	s.st.reset()
-	for i := range all {
-		id := int32(len(s.st.nodes))
-		s.st.nodes = append(s.st.nodes, ssNode{item: all[i].item, count: all[i].count, err: all[i].err})
-		s.st.insert(all[i].item, id)
-		s.st.heapPush(id)
+	for _, nd := range all {
+		s.st.push(nd.item, nd.count, nd.err)
 	}
 	s.n += o.n
 	return nil

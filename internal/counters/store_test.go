@@ -1,0 +1,119 @@
+package counters
+
+import (
+	"math"
+	"testing"
+
+	"streamfreq/internal/core"
+	"streamfreq/internal/exact"
+	"streamfreq/internal/prng"
+)
+
+// TestCounterStoreChurn validates every store-backed summary's store
+// after every update of a stream with constant replacement churn, so
+// each index compaction is checked right after it runs: one live slot
+// per counter, no slot left for an item the store no longer tracks.
+func TestCounterStoreChurn(t *testing.T) {
+	const k = 16
+	ssh := NewSpaceSavingHeap(k)
+	f := NewFrequent(k)
+	fss := NewFilteredSpaceSaving(k, 0, 3)
+	tr := NewTracked(exact.New(), k)
+	cases := []struct {
+		s  core.Summary
+		st *ssStorage
+	}{{ssh, &ssh.st}, {f, &f.st}, {fss, &fss.st}, {tr, &tr.st}}
+	rng := prng.New(1)
+	for u := 1; u <= 20_000; u++ {
+		x := core.Item(rng.Uint64() % 5000)
+		for _, c := range cases {
+			c.s.Update(x, 1)
+			if !c.st.validateStorage() {
+				t.Fatalf("%T: store invalid after update %d", c.s, u)
+			}
+		}
+	}
+}
+
+// FuzzCounterStore drives the store's operations from the input bytes
+// against a map reference. After every operation the store must be
+// structurally valid, track exactly the reference's items at their
+// counts, and hold the reference minimum at the root.
+func FuzzCounterStore(f *testing.F) {
+	rng := prng.New(7)
+	for range 4 {
+		seed := make([]byte, 600)
+		for i := range seed {
+			seed[i] = byte(rng.Uint64())
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := 1 + int(data[0]%16)
+		st := newSSStorage(k)
+		ref := map[core.Item]int64{}
+		for ops := data[1:]; len(ops) >= 3; ops = ops[3:] {
+			x, v := core.Item(ops[1]%64), int64(int8(ops[2]))
+			id := st.lookup(x)
+			switch ops[0] % 8 {
+			case 0, 1:
+				if id < 0 && len(st.nodes) < k {
+					st.push(x, v, 0)
+					ref[x] = v
+				}
+			case 2:
+				if len(st.nodes) > 0 {
+					id = int32(int(ops[1]) % len(st.nodes))
+					st.add(id, v)
+					ref[st.nodes[id].item] += v
+				}
+			case 3:
+				if id < 0 && len(st.nodes) > 0 {
+					delete(ref, st.nodes[st.heap[0]].item)
+					st.replaceMin(x, v, 0)
+					ref[x] = v
+				}
+			case 4:
+				if len(st.nodes) > 0 {
+					delete(ref, st.nodes[st.heap[0]].item)
+					st.popMin()
+				}
+			case 5:
+				if _, ok := ref[x]; ok != (id >= 0) {
+					t.Fatalf("lookup(%d) = %d, reference tracked = %v", x, id, ok)
+				}
+			case 6:
+				st = st.clone(k)
+			case 7:
+				// Rare, so the store fills between resets.
+				if ops[2]%32 == 0 {
+					st.reset()
+					clear(ref)
+				}
+			}
+			if !st.validateStorage() {
+				t.Fatalf("store invalid after op %d", ops[0]%8)
+			}
+			if len(st.nodes) != len(ref) {
+				t.Fatalf("store tracks %d items, reference %d", len(st.nodes), len(ref))
+			}
+			if len(ref) == 0 {
+				continue
+			}
+			lo := int64(math.MaxInt64)
+			for x, c := range ref {
+				id := st.lookup(x)
+				if id < 0 || st.nodes[id].count != c {
+					t.Fatalf("item %d: store id %d, want count %d", x, id, c)
+				}
+				lo = min(lo, c)
+			}
+			if st.hcnt[0] != lo {
+				t.Fatalf("root holds %d, reference minimum %d", st.hcnt[0], lo)
+			}
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"streamfreq/internal/core"
+	"streamfreq/internal/counters"
 	"streamfreq/internal/hash"
 	"streamfreq/internal/prng"
 )
@@ -95,7 +96,7 @@ func TestCountMinConservativeBatchExact(t *testing.T) {
 		for _, it := range items {
 			scalar.Update(it, 1)
 		}
-		tracked := core.NewTracked(NewCountMinConservative(4, 64, 99), 64)
+		tracked := counters.NewTracked(NewCountMinConservative(4, 64, 99), 64)
 		core.UpdateBatches(tracked, items, 777)
 		a, err := scalar.MarshalBinary()
 		if err != nil {

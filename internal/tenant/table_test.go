@@ -501,3 +501,30 @@ func TestBundleRoundTrip(t *testing.T) {
 		t.Fatal("truncated bundle must not decode")
 	}
 }
+
+// TestPoisonedTenantLeaksNoBlock: a tenant restored from a checkpoint
+// whose blob repeats an item is refused on every touch, and every
+// refusal hands its slab block back.
+func TestPoisonedTenantLeaksNoBlock(t *testing.T) {
+	s := counters.NewSpaceSavingHeap(4)
+	s.Update(1, 1)
+	s.Update(2, 1)
+	blob, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const first = 4 + 3*8 // SS01 header: magic, k, n, entry count
+	copy(blob[first+24:first+32], blob[first:first+8])
+	tb := newTable(t, tenant.Options{DefaultPhi: 0.25})
+	if err := tb.RestoreTenants([]persist.TenantState{{NS: "p", K: 4, N: 2, Blob: blob}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, _, err := tb.IngestBatch("p", []core.Item{7}); err == nil {
+			t.Fatal("a poisoned tenant reloaded")
+		}
+	}
+	if live := tb.TableStats().Slab.LiveBlocks; live != 0 {
+		t.Fatalf("%d live slab blocks after 100 refused touches, want 0", live)
+	}
+}

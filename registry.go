@@ -105,11 +105,11 @@ var factories = map[string]func(phi float64, seed uint64) Summary{
 		// Flat Count-Min with a top-2/φ heap tracker (point sketch made
 		// enumerable, as in the paper's CS+heap usage).
 		cm := sketches.NewCountMin(sketchDepth, sketchWidth(phi), seed)
-		return core.NewTracked(cm, 2*kForPhi(phi))
+		return counters.NewTracked(cm, 2*kForPhi(phi))
 	},
 	"CS": func(phi float64, seed uint64) Summary {
 		cs := sketches.NewCountSketch(sketchDepth+1, sketchWidth(phi), seed)
-		return core.NewTracked(cs, 2*kForPhi(phi))
+		return counters.NewTracked(cs, 2*kForPhi(phi))
 	},
 	"CMH": func(phi float64, seed uint64) Summary {
 		h, err := sketches.NewCountMinHierarchy(sketches.HierarchyConfig{
@@ -169,7 +169,7 @@ var decoders = map[string]func([]byte) (Summary, error){
 // sketch blob, so it is registered in init to break the initialization
 // cycle a map-literal entry would create.
 func init() {
-	decoders["TK01"] = func(b []byte) (Summary, error) { return core.DecodeTracked(b, decodeTrackedInner) }
+	decoders["TK01"] = func(b []byte) (Summary, error) { return counters.DecodeTracked(b, decodeTrackedInner) }
 }
 
 // decodeTrackedInner dispatches a Tracked wrapper's nested sketch blob.
