@@ -279,68 +279,13 @@ func New(opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// bindMetrics registers the coordinator's scrape-time collectors: pull
-// latency plus merge/staleness gauges mirroring the cluster section of
-// /stats. Called once from New; per-node rows stay out of the metric
-// space (node URLs are unbounded label values), the aggregate health
-// counts carry the signal.
+// bindMetrics registers the coordinator's series: pull latency and the
+// stats document, read once per scrape. Called once from New.
 func (c *Coordinator) bindMetrics() {
 	reg := c.obs.Reg
 	c.pullH = reg.Histogram("freq_pull_seconds",
 		"Latency of one node summary pull (request, read, decode).", obs.LatencyOpts())
-	reg.CounterFunc("freq_merges_total", "Merged-view rebuilds published.",
-		func() float64 { return float64(c.merges.Load()) })
-	reg.GaugeFunc("freq_merge_age_seconds", "Age of the serving merged view.",
-		func() float64 {
-			if v := c.merged.Load(); v != nil {
-				return time.Since(v.builtAt).Seconds()
-			}
-			return 0
-		})
-	reg.GaugeFunc("freq_merged_n", "Stream position of the merged serving view.",
-		func() float64 { return float64(c.N()) })
-	reg.GaugeFunc("freq_cluster_nodes", "Nodes (or shard replicas) the coordinator pulls.",
-		func() float64 { return float64(len(c.nodes)) })
-	reg.GaugeFunc("freq_cluster_fresh_nodes", "Nodes fresh in the serving view.",
-		func() float64 {
-			if v := c.merged.Load(); v != nil {
-				return float64(v.fresh)
-			}
-			return 0
-		})
-	reg.GaugeFunc("freq_cluster_have_nodes", "Nodes contributing to the serving view (fresh or stale).",
-		func() float64 {
-			if v := c.merged.Load(); v != nil {
-				return float64(v.have)
-			}
-			return 0
-		})
-	reg.GaugeFunc("freq_cluster_dropped_nodes", "Nodes excluded from the serving view by the -max-stale bound.",
-		func() float64 {
-			if v := c.merged.Load(); v != nil {
-				return float64(v.dropped)
-			}
-			return 0
-		})
-	reg.GaugeFunc("freq_cluster_missing_shards", "Shards with no usable contribution (partitioned mode).",
-		func() float64 {
-			if v := c.merged.Load(); v != nil {
-				return float64(v.missing)
-			}
-			return 0
-		})
-	reg.CounterFunc("freq_node_restarts_total", "Node process restarts observed across pulls (epoch changes).",
-		func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			var n int64
-			for _, ns := range c.nodes {
-				n += ns.restarts
-			}
-			return float64(n)
-		})
-	reg.GaugeFunc("freq_uptime_seconds", "Seconds since process start.",
-		func() float64 { return time.Since(c.start).Seconds() })
+	reg.Stats(func() any { return c.stats() })
 }
 
 // pullNode fetches one node's /summary and returns its decoded
@@ -699,54 +644,55 @@ func (c *Coordinator) Query(threshold int64) []core.ItemCount {
 
 // NodeStats is one node's row in Stats.
 type NodeStats struct {
-	URL string
+	URL string `json:"url"`
 	// Shard is the shard ID this node replicates when a shard map is
 	// configured ("" without one, where each node is its own shard);
 	// Picked whether it is the replica chosen to serve its shard, for at
 	// least one namespace, in the current view.
-	Shard    string
-	Picked   bool
-	Algo     string
-	N        int64
-	Epoch    uint64
-	Pulls    int64
-	Failures int64
-	Restarts int64
+	Shard    string `json:"shard"`
+	Picked   bool   `json:"picked"`
+	Algo     string `json:"algo"`
+	N        int64  `json:"n"`
+	Epoch    uint64 `json:"epoch"`
+	Pulls    int64  `json:"pulls"`
+	Failures int64  `json:"failures"`
+	Restarts int64  `json:"restarts"`
 	// HasData reports whether the node has contributed at least one
 	// good blob; Stale whether what it contributes is older than its
 	// most recent (failed) attempt; Dropped whether the freshness SLO
 	// (-max-stale) excluded its contribution at the last rebuild — the
 	// same rebuild the cluster-level Fresh/Have/Dropped counters and
 	// the serving view describe.
-	HasData bool
-	Stale   bool
-	Dropped bool
+	HasData bool `json:"has_data"`
+	Stale   bool `json:"stale"`
+	Dropped bool `json:"dropped"`
 	// Age is the time since the last good pull (zero when none yet).
-	Age     time.Duration
-	LastErr string
+	Age     core.Millis `json:"last_pull_ms"`
+	LastErr string      `json:"error"`
 }
 
 // Stats is the coordinator's observability snapshot, the cluster
-// section of freqmerge's /stats.
+// section of freqmerge's stats document (see obs.Registry.Stats for the
+// tags). Per-node rows stay out of the metric space, since node URLs
+// are unbounded label values; NodeCount and Restarts aggregate them.
 type Stats struct {
-	Algo     string
-	Epoch    uint64
-	Nodes    []NodeStats
-	MergedN  int64
-	Merges   int64
-	MergeAge time.Duration // age of the serving merged view
-	MergeErr string
-	Fresh    int           // nodes fresh in the serving view
-	Have     int           // nodes contributing to the serving view
-	Dropped  int           // nodes excluded from the serving view by -max-stale
-	MaxStale time.Duration // the freshness SLO (0 = serve stale forever)
-	Uptime   time.Duration
+	Algo      string      `json:"-"` // reported at the document's top level
+	Nodes     []NodeStats `json:"nodes"`
+	NodeCount int         `json:"-" metric:"freq_cluster_nodes" help:"Nodes (or shard replicas) the coordinator pulls."`
+	Restarts  int64       `json:"-" metric:"freq_node_restarts_total" help:"Node process restarts observed across pulls (epoch changes)."`
+	Merges    int64       `json:"merges" metric:"freq_merges_total" help:"Merged-view rebuilds published."`
+	MergeAge  core.Millis `json:"merge_age_ms" metric:"freq_merge_age_seconds" help:"Age of the serving merged view."`
+	MergeErr  string      `json:"merge_error"`
+	Fresh     int         `json:"fresh_nodes" metric:"freq_cluster_fresh_nodes" help:"Nodes fresh in the serving view."`
+	Have      int         `json:"have_nodes" metric:"freq_cluster_have_nodes" help:"Nodes contributing to the serving view (fresh or stale)."`
+	Dropped   int         `json:"dropped_nodes" metric:"freq_cluster_dropped_nodes" help:"Nodes excluded from the serving view by the -max-stale bound."`
+	MaxStale  core.Millis `json:"max_stale_ms"` // the freshness SLO (0 = serve stale forever)
 	// With a shard map: the shard count of the write tier's map, and
 	// how many shards have no usable contribution in the serving view
 	// (their key ranges answer zero).
-	Partitioned bool
-	Shards      int
-	Missing     int
+	Partitioned bool `json:"partitioned"`
+	Shards      int  `json:"shards"`
+	Missing     int  `json:"missing_shards" metric:"freq_cluster_missing_shards" help:"Shards with no usable contribution (partitioned mode)."`
 }
 
 // Stats reports the per-node and merged state.
@@ -754,10 +700,9 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	st := Stats{
 		Algo:        c.algo,
-		Epoch:       c.epoch,
+		NodeCount:   len(c.nodes),
 		MergeErr:    c.mergeErr,
-		MaxStale:    c.maxStale,
-		Uptime:      time.Since(c.start),
+		MaxStale:    core.Millis(c.maxStale),
 		Partitioned: c.ring != nil,
 	}
 	if c.ring != nil {
@@ -782,16 +727,16 @@ func (c *Coordinator) Stats() Stats {
 			row.Shard = c.shardIDs[ns.shard]
 		}
 		if !ns.lastPull.IsZero() {
-			row.Age = time.Since(ns.lastPull)
+			row.Age = core.Millis(time.Since(ns.lastPull))
 		}
 		st.Nodes = append(st.Nodes, row)
+		st.Restarts += ns.restarts
 	}
 	c.mu.Unlock()
 
 	st.Merges = c.merges.Load()
-	st.MergedN = c.N()
 	if v := c.merged.Load(); v != nil {
-		st.MergeAge = time.Since(v.builtAt)
+		st.MergeAge = core.Millis(time.Since(v.builtAt))
 		st.Fresh, st.Have, st.Dropped = v.fresh, v.have, v.dropped
 		st.Missing = v.missing
 	}

@@ -116,49 +116,36 @@ func (c *Coordinator) handleSummary(w http.ResponseWriter, r *http.Request) {
 	serve.WriteSummary(w, algo, c.epoch, sum)
 }
 
-// handleStats reports the node-shaped vitals plus the cluster section.
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
+// coordStats is freqmerge's stats document: a node's vitals plus the
+// cluster section. GET /stats marshals it and /v1/metrics renders its
+// tagged fields (obs.Registry.Stats).
+type coordStats struct {
+	Algo     string           `json:"algo"`
+	Summary  string           `json:"summary"`
+	N        int64            `json:"n" metric:"freq_merged_n" help:"Stream position of the merged serving view."`
+	Epoch    uint64           `json:"epoch"`
+	Uptime   core.Millis      `json:"uptime_ms" metric:"freq_uptime_seconds" help:"Seconds since process start."`
+	Counters map[string]int64 `json:"counters"`
+	Cluster  Stats            `json:"cluster"`
+}
+
+// stats reads the coordinator's stats document.
+func (c *Coordinator) stats() coordStats {
 	st := c.Stats()
-	nodes := make([]map[string]any, len(st.Nodes))
-	for i, ns := range st.Nodes {
-		nodes[i] = map[string]any{
-			"url":          ns.URL,
-			"shard":        ns.Shard,
-			"picked":       ns.Picked,
-			"algo":         ns.Algo,
-			"n":            ns.N,
-			"epoch":        ns.Epoch,
-			"pulls":        ns.Pulls,
-			"failures":     ns.Failures,
-			"restarts":     ns.Restarts,
-			"has_data":     ns.HasData,
-			"stale":        ns.Stale,
-			"dropped":      ns.Dropped,
-			"last_pull_ms": ns.Age.Milliseconds(),
-			"error":        ns.LastErr,
-		}
+	return coordStats{
+		Algo:     st.Algo,
+		Summary:  "merged",
+		N:        c.N(),
+		Epoch:    c.epoch,
+		Uptime:   core.Millis(time.Since(c.start)),
+		Counters: c.counters.Snapshot(),
+		Cluster:  st,
 	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{
-		"algo":      st.Algo,
-		"summary":   "merged",
-		"n":         st.MergedN,
-		"epoch":     st.Epoch,
-		"uptime_ms": st.Uptime.Milliseconds(),
-		"counters":  c.counters.Snapshot(),
-		"cluster": map[string]any{
-			"nodes":          nodes,
-			"merges":         st.Merges,
-			"merge_age_ms":   st.MergeAge.Milliseconds(),
-			"merge_error":    st.MergeErr,
-			"fresh_nodes":    st.Fresh,
-			"have_nodes":     st.Have,
-			"dropped_nodes":  st.Dropped,
-			"max_stale_ms":   st.MaxStale.Milliseconds(),
-			"partitioned":    st.Partitioned,
-			"shards":         st.Shards,
-			"missing_shards": st.Missing,
-		},
-	})
+}
+
+// handleStats reports the coordinator's stats document.
+func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
+	serve.WriteJSON(w, http.StatusOK, c.stats())
 }
 
 // handleRefresh pulls every node synchronously, so operators and tests
@@ -184,17 +171,7 @@ func (c *Coordinator) ListenAndServe(addr string, stop <-chan struct{}) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go c.Run(ctx)
-	srv := &http.Server{Addr: addr, Handler: c.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-stop:
-		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer scancel()
-		return srv.Shutdown(sctx)
-	}
+	return serve.ListenAndServe(addr, c.Handler(), stop)
 }
 
 // compile-time: the coordinator is a ReadView like any node snapshot.

@@ -7,10 +7,13 @@ import "fmt"
 // needs three guarantees only the plane can give, because it owns the
 // ingest order:
 //
-//   - every ingested update is offered to the log *before* it is applied
+//   - every ingested batch is offered to the log *before* it is applied
 //     (WAL-append-before-apply), in apply order, so the log is always a
 //     superset-prefix of memory: a crash can lose the un-synced tail,
-//     never reorder or invent updates;
+//     never reorder or invent updates. A weighted update is applied
+//     first and logged only once the summary has accepted it, under the
+//     same lock or barrier, so log order is still apply order and a
+//     count the summary rejects never reaches the log;
 //   - a checkpoint can observe the summary and the log position at one
 //     quiesced instant (SnapshotBarrier), so "state as of N" and "log
 //     records after N" partition the stream exactly;
@@ -24,17 +27,18 @@ type Persister interface {
 	// UpdateBatch. The callee must not retain items.
 	AppendBatch(items []Item)
 	// AppendUpdate logs one weighted update, exactly as passed to
-	// Update. count may be negative for turnstile summaries.
+	// Update, once the summary has applied it. count may be negative
+	// for turnstile summaries.
 	AppendUpdate(x Item, count int64)
 }
 
-// PersistTo routes every subsequent update through pr before it is
-// applied (or staged), in apply order. Configure before the plane is
-// shared between goroutines, like ServeSnapshots. Persistence failures
-// are the Persister's to surface (persist.Store keeps a sticky error);
-// the plane keeps applying, so the summary stays available while
-// unsynced durability is lost — the serving layer decides whether to
-// stop accepting writes.
+// PersistTo routes every subsequent update through pr, in apply order:
+// a batch before it is applied (or staged), a weighted update once it
+// is applied. Configure before the plane is shared between goroutines,
+// like ServeSnapshots. Persistence failures are the Persister's to
+// surface (persist.Store keeps a sticky error); the plane keeps
+// applying, so the summary stays available while unsynced durability
+// is lost — the serving layer decides whether to stop accepting writes.
 func (p *plane) PersistTo(pr Persister) {
 	p.persist = pr
 	p.walTurn.Store(p.cursor.Load())

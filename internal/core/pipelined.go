@@ -34,11 +34,13 @@ import (
 // recovery requires (a torn tail loses acknowledged-but-unapplied
 // updates the same way it loses acknowledged-but-unsynced ones).
 //
-// Barriers (snapshots, checkpoints, restores, Drain) stage a control
-// payload at one claimed position that parks every drainer exactly
-// there, so all shards are observed at a single cross-shard stream
-// position, and hold the WAL ticket there, so the log cut handed to
-// persist.Checkpoint equals the cloned state's N exactly. Serving
+// Barriers (snapshots, checkpoints, restores, Drain, weighted updates)
+// stage a control payload at one claimed position that parks every
+// drainer exactly there, so all shards are observed at a single
+// cross-shard stream position, and hold the WAL ticket there, so the
+// log cut handed to persist.Checkpoint equals the cloned state's N
+// exactly. A weighted update is applied at its barrier and logged
+// there once its summary accepted it, so no drainer applies one. Serving
 // epochs are taken at barriers and are therefore claim-exact at
 // refresh time. Close stops the drainers; the plane then writes
 // synchronously, like Concurrent.
@@ -107,10 +109,6 @@ func (p *Pipelined) drainLoop(i int) {
 		case ring.KindBatch:
 			p.locks[i].Lock()
 			UpdateAll(p.shards[i], s.Items)
-			p.locks[i].Unlock()
-		case ring.KindWeighted:
-			p.locks[i].Lock()
-			p.shards[i].Update(s.X, s.Count)
 			p.locks[i].Unlock()
 		case ring.KindControl:
 			ctl := s.Ctl.(*pipeCtl)
@@ -195,37 +193,6 @@ func (p *plane) stageBatch(items []Item) bool {
 	return true
 }
 
-// stageUpdate is Update on a running staged plane. A weighted update
-// claims a full position — it must, to keep every ring's slot sequence
-// gap-free — so the scalar path is not the fast path here any more
-// than it is on the synchronous one.
-func (p *plane) stageUpdate(x Item, count int64) bool {
-	if !p.staging() {
-		return false
-	}
-	defer p.life.RUnlock()
-	pos := p.claim(count)
-	if p.persist != nil {
-		p.persist.AppendUpdate(x, count)
-		p.walTurn.Store(pos + 1)
-	}
-	target := shardIndex(x, p.mask)
-	for i, r := range p.rings {
-		s := r.Acquire(pos)
-		if uint64(i) == target {
-			s.Kind = ring.KindWeighted
-			s.X = x
-			s.Count = count
-		} else {
-			s.Kind = ring.KindEmpty
-		}
-	}
-	for _, r := range p.rings {
-		r.Publish(pos)
-	}
-	return true
-}
-
 // Name implements Summary.
 func (p *Pipelined) Name() string { return p.shards[0].Name() + "-pipelined" }
 
@@ -260,26 +227,28 @@ func (p *Pipelined) Close() {
 	p.stopped = true
 }
 
-// PipelineStats describes the ingest plane's live state; freqd /stats
-// reports it.
+// PipelineStats describes the ingest plane's live state: the pipeline
+// section of freqd's stats document (see obs.Registry.Stats for the
+// tags).
 type PipelineStats struct {
 	// Shards is the shard (and drainer) count; RingCapacity the
 	// staging-ring depth per shard.
-	Shards       int
-	RingCapacity int
+	Shards       int `json:"shards" metric:"freq_pipeline_shards" help:"Pipelined ingest shard count."`
+	RingCapacity int `json:"ring_capacity"`
 	// ClaimedN is the acknowledged stream position, AppliedN the
-	// position the shard summaries have reached; the difference is the
-	// staged in-flight backlog.
-	ClaimedN int64
-	AppliedN int64
+	// position the shard summaries have reached; Staged, their
+	// difference, is the staged in-flight backlog.
+	ClaimedN int64 `json:"claimed_n" metric:"freq_pipeline_claimed_items_total" help:"Items claimed into staging rings."`
+	AppliedN int64 `json:"applied_n" metric:"freq_pipeline_applied_items_total" help:"Items applied by drainers."`
+	Staged   int64 `json:"staged" metric:"freq_pipeline_staged_items" help:"Acknowledged-but-unapplied items staged in the ingest rings (drainer lag)."`
 	// RingBytes is the staging rings' retained buffer capacity.
-	RingBytes int
+	RingBytes int `json:"ring_bytes" metric:"freq_pipeline_ring_bytes" help:"Staging ring footprint in bytes."`
 	// RingOccupancy is the total in-flight slot count across rings —
 	// positions claimed by writers and not yet released by drainers
 	// (the drainer lag in positions); ShardOccupancy breaks it out per
 	// shard.
-	RingOccupancy  int64
-	ShardOccupancy []int64
+	RingOccupancy  int64   `json:"ring_occupancy" metric:"freq_pipeline_ring_occupancy" help:"In-flight batches across staging rings (claimed-unreleased slots)."`
+	ShardOccupancy []int64 `json:"-"`
 }
 
 // PipelineStats reports the plane's claimed/applied positions and
@@ -292,6 +261,7 @@ func (p *Pipelined) PipelineStats() PipelineStats {
 		AppliedN:       p.appliedN(),
 		ShardOccupancy: make([]int64, len(p.rings)),
 	}
+	st.Staged = st.ClaimedN - st.AppliedN
 	cursor := p.cursor.Load()
 	for i, r := range p.rings {
 		st.RingBytes += int(r.Retained()) * 8

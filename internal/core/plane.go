@@ -36,16 +36,17 @@ type plane struct {
 	stopped bool
 	wg      sync.WaitGroup
 
-	// cursor counts claims (batches, weighted updates, barriers) and
-	// doubles as the serving epoch's version clock: an epoch taken at
-	// cursor value v is clean while the cursor still reads v. claimedN
-	// is the acknowledged stream position in items.
+	// cursor counts claims (batches and barriers) and doubles as the
+	// serving epoch's version clock: an epoch taken at cursor value v is
+	// clean while the cursor still reads v. claimedN is the acknowledged
+	// stream position in items.
 	cursor   atomic.Uint64
 	claimedN atomic.Int64
 
-	// persist, when set by PersistTo, receives every update before it
-	// is applied. On the staged path walTurn is the WAL ticket: the
-	// claim position allowed to append next.
+	// persist, when set by PersistTo, receives every batch before it is
+	// applied and every weighted update once applied. On the staged
+	// path walTurn is the WAL ticket: the claim position allowed to
+	// append next.
 	persist Persister
 	walTurn atomic.Uint64
 
@@ -141,9 +142,18 @@ func (p *plane) UpdateBatch(items []Item) {
 }
 
 // Update implements Summary for weighted (turnstile) arrivals; count
-// may be negative where the summary allows it.
+// may be negative where the summary allows it. Unlike a batch, a
+// weighted update is applied before it is logged, under the lock that
+// orders it (a barrier on a staged plane, whose drainers never see
+// it), so log order is still apply order and a count the summary
+// rejects panics in the caller without reaching the log.
 func (p *plane) Update(x Item, count int64) {
-	if p.rings != nil && p.stageUpdate(x, count) {
+	if p.rings != nil && p.staging() {
+		defer p.life.RUnlock()
+		p.barrier(func(uint64) {
+			p.update(shardIndex(x, p.mask), x, count)
+			p.claimedN.Add(count)
+		})
 		return
 	}
 	// At one shard its lock is every lock: take it directly, since this
@@ -157,39 +167,51 @@ func (p *plane) Update(x Item, count int64) {
 		p.lockAll()
 		defer p.unlockAll()
 	}
+	p.update(i, x, count)
+	p.applied()
+}
+
+// update applies a weighted update to shard i, then logs it; the
+// caller holds the shard's lock.
+func (p *plane) update(i uint64, x Item, count int64) {
+	p.shards[i].Update(x, count)
 	if p.persist != nil {
 		p.persist.AppendUpdate(x, count)
 	}
-	p.shards[i].Update(x, count)
-	p.applied()
 }
 
 // quiesce runs f with the plane frozen at one stream position — every
 // write acknowledged before it applied, none after — and every shard
 // lock held. f receives the cursor value that position ends at, the
-// version of an epoch cloned there. A staged plane first parks its
-// drainers at a claimed barrier position, holding the WAL ticket there
-// so the log position f observes equals the applied state.
+// version of an epoch cloned there.
 func (p *plane) quiesce(f func(version uint64)) {
 	if p.staging() {
 		defer p.life.RUnlock()
-		pos := p.cursor.Add(1) - 1
-		if p.persist != nil {
-			p.awaitTurn(pos)
-			defer p.walTurn.Store(pos + 1)
-		}
-		ctl := &pipeCtl{quiesced: make(chan struct{}), release: make(chan struct{})}
-		defer close(ctl.release)
-		p.publish(pos, ctl)
-		<-ctl.quiesced
-		p.lockAll()
-		defer p.unlockAll()
-		f(pos + 1)
+		p.barrier(f)
 		return
 	}
 	p.lockAll()
 	defer p.unlockAll()
 	f(p.cursor.Load())
+}
+
+// barrier is quiesce on a running staged plane, whose life read side
+// the caller holds: it parks the drainers at a claimed barrier
+// position, holding the WAL ticket there so the log position f
+// observes equals the applied state.
+func (p *plane) barrier(f func(version uint64)) {
+	pos := p.cursor.Add(1) - 1
+	if p.persist != nil {
+		p.awaitTurn(pos)
+		defer p.walTurn.Store(pos + 1)
+	}
+	ctl := &pipeCtl{quiesced: make(chan struct{}), release: make(chan struct{})}
+	defer close(ctl.release)
+	p.publish(pos, ctl)
+	<-ctl.quiesced
+	p.lockAll()
+	defer p.unlockAll()
+	f(pos + 1)
 }
 
 // clones deep-copies every shard; the caller holds the plane quiesced.
@@ -283,9 +305,9 @@ func (p *plane) SnapshotStats() SnapshotStats {
 	return SnapshotStats{
 		Serving:   true,
 		AsOfN:     e.view.N(),
-		Age:       time.Since(e.taken),
+		Age:       Millis(time.Since(e.taken)),
 		Refreshes: p.refreshes.Load(),
-		MaxStale:  p.maxStale,
+		MaxStale:  Millis(p.maxStale),
 	}
 }
 

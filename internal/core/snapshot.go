@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"strconv"
+	"time"
+)
 
 // Snapshotter is implemented by summaries that can produce an immutable
 // point-in-time copy of themselves. Snapshot returns an independent deep
@@ -44,19 +47,33 @@ type ReadView interface {
 
 // SnapshotStats describes the serving snapshot of a wrapper with
 // snapshot reads enabled (Concurrent.ServeSnapshots,
-// Pipelined.ServeSnapshots); the freqd /stats endpoint reports it.
+// Pipelined.ServeSnapshots): the snapshot section of freqd's stats
+// document (see obs.Registry.Stats for the tags).
 type SnapshotStats struct {
 	// Serving reports whether snapshot serving is enabled.
-	Serving bool
+	Serving bool `json:"serving"`
 	// AsOfN is the stream length the serving snapshot reflects.
-	AsOfN int64
+	AsOfN int64 `json:"as_of_n" metric:"freq_snapshot_as_of_n" help:"Stream position of the serving snapshot."`
 	// Age is the time since the serving snapshot was taken.
-	Age time.Duration
+	Age Millis `json:"age_ms" metric:"freq_snapshot_age_seconds" help:"Age of the serving snapshot."`
 	// Refreshes counts how many snapshots have been taken so far.
-	Refreshes int64
+	Refreshes int64 `json:"refreshes" metric:"freq_snapshot_refreshes_total" help:"Serving snapshot refreshes."`
 	// MaxStale is the configured staleness bound.
-	MaxStale time.Duration
+	MaxStale Millis `json:"max_stale_ms"`
 }
+
+// Millis is a duration in a stats document: whole milliseconds in JSON
+// (a /stats "_ms" field) and, through its Seconds method, seconds in a
+// scrape (obs.Registry.Stats).
+type Millis time.Duration
+
+// MarshalJSON writes m as an integer count of milliseconds.
+func (m Millis) MarshalJSON() ([]byte, error) {
+	return strconv.AppendInt(nil, time.Duration(m).Milliseconds(), 10), nil
+}
+
+// Seconds returns m in seconds.
+func (m Millis) Seconds() float64 { return time.Duration(m).Seconds() }
 
 // mustSnapshot clones s, panicking with a clear message when s does not
 // implement Snapshotter — enabling snapshot serving over a summary that

@@ -487,10 +487,11 @@ func (sl *Slab) NewSpaceSaving(k int) *SpaceSavingHeap {
 	return &SpaceSavingHeap{k: k, st: sl.get(k), slab: sl}
 }
 
-// SlabStats is the slab's accounting snapshot.
+// SlabStats is the slab's accounting snapshot: the slab section of a
+// tenant table's stats (see obs.Registry.Stats for the tags).
 type SlabStats struct {
-	ChunkBytes int64 `json:"chunk_bytes"` // bytes reserved in chunk arenas
-	LiveBlocks int64 `json:"live_blocks"` // blocks handed out and not released
+	ChunkBytes int64 `json:"chunk_bytes" metric:"freq_tenants_slab_bytes" help:"Slab arena footprint backing tenant counters."`
+	LiveBlocks int64 `json:"live_blocks" metric:"freq_tenants_slab_live_blocks" help:"Slab blocks handed out and not released."`
 	FreeBlocks int64 `json:"free_blocks"` // blocks parked for reuse
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,6 +64,8 @@ func (r *Registry) Render() string {
 	}
 	r.mu.Unlock()
 
+	// Each Stats document is read once per scrape, on its first series.
+	docs := make(map[*statsDoc]reflect.Value)
 	var b strings.Builder
 	for _, fam := range fams {
 		if fam.help != "" {
@@ -77,6 +80,14 @@ func (r *Registry) Render() string {
 				renderHistogram(&b, fam.name, s)
 			case s.fn != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", fam.name, formatLabels(s.labels), formatValue(s.fn()))
+			case s.doc != nil:
+				if _, ok := docs[s.doc]; !ok {
+					docs[s.doc] = reflect.ValueOf(s.doc.read())
+				}
+				if f, ok := statField(docs[s.doc], s.field); ok {
+					v, _ := statValue(f)
+					fmt.Fprintf(&b, "%s%s %s\n", fam.name, formatLabels(s.labels), formatValue(v))
+				}
 			case s.ctr != nil:
 				fmt.Fprintf(&b, "%s%s %d\n", fam.name, formatLabels(s.labels), s.ctr.Value())
 			case s.gg != nil:

@@ -177,10 +177,12 @@ type series struct {
 	labels []Label
 	key    string // canonical label fingerprint for dedup/sort
 
-	ctr  *Counter
-	gg   *Gauge
-	hist *Histogram
-	fn   func() float64 // CounterFunc/GaugeFunc collector
+	ctr   *Counter
+	gg    *Gauge
+	hist  *Histogram
+	fn    func() float64 // CounterFunc/GaugeFunc collector
+	doc   *statsDoc      // Stats document holding the value,
+	field []int          // at this field index path
 }
 
 type family struct {
@@ -272,7 +274,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	s := r.lookup(name, help, typeCounter, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s.ctr == nil && s.fn == nil {
+	if s.ctr == nil && s.fn == nil && s.doc == nil {
 		s.ctr = &Counter{}
 	}
 	return s.ctr
@@ -284,15 +286,14 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	s := r.lookup(name, help, typeGauge, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s.gg == nil && s.fn == nil {
+	if s.gg == nil && s.fn == nil && s.doc == nil {
 		s.gg = &Gauge{}
 	}
 	return s.gg
 }
 
 // GaugeFunc registers a gauge whose value is read by fn at scrape
-// time — the low-invasiveness way to export an existing Stats()
-// accessor without threading writes through the hot path. fn must be
+// time, for a value no stats document (Stats) carries. fn must be
 // safe to call concurrently.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	s := r.lookup(name, help, typeGauge, labels)

@@ -292,9 +292,9 @@ func (st *Store) Checkpoint(target Target) (Stats, error) {
 	st.pruneSegments(newSeq)
 
 	st.mu.Lock()
-	st.checkpoints++
-	st.lastCkptN = cutN
-	st.lastCkptBytes = int64(len(data))
+	st.stats.Checkpoints++
+	st.stats.LastCkptN = cutN
+	st.stats.LastCkptBytes = int64(len(data))
 	st.lastCkptTime = time.Now()
 	st.mu.Unlock()
 	return st.Stats(), nil

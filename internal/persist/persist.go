@@ -28,10 +28,13 @@
 // boundaries survive), kind 1 is a single weighted update (item,
 // count), covering the scalar Update path and turnstile deletions.
 //
-// The contract with the core wrappers (core.Persister): every update is
-// offered to the log under the ingest lock before it is applied, so log
-// order equals apply order and a crash can only lose the un-synced
-// tail, never reorder it. Checkpoints use core.SnapshotBarrier to clone
+// The contract with the core wrappers (core.Persister): every batch is
+// offered to the log under the ingest lock before it is applied, and
+// every weighted update is applied first and logged only once the
+// summary has accepted it, under the same lock or barrier. Log order
+// therefore equals apply order, a crash can only lose the un-synced
+// tail, never reorder it, and a count the summary rejects never
+// reaches the log. Checkpoints use core.SnapshotBarrier to clone
 // the summary and rotate the log at one quiesced instant: the
 // checkpoint blob plus the segments at or after its cut reproduce the
 // stream exactly, and older segments are deleted.
@@ -222,15 +225,10 @@ type Store struct {
 	closed    bool
 	recovered bool
 
-	// Append-side stats, under mu.
-	appendedRecords int64
-	appendedBytes   int64
-	inlineDrains    int64
-	checkpoints     int64
-	lastCkptN       int64
-	lastCkptBytes   int64
-	lastCkptTime    time.Time
-	recovery        RecoveryStats
+	// The counters of Stats the append, checkpoint and recovery paths
+	// keep, under mu; Stats derives the rest.
+	stats        Stats
+	lastCkptTime time.Time
 
 	ioMu     sync.Mutex
 	seg      *segment // active segment, under ioMu (nil until Recover)
@@ -258,44 +256,17 @@ type Store struct {
 	writeDone chan struct{}
 }
 
-// Instrument registers the store's metric series on reg and enables
-// the append/fsync latency histograms. Call at setup time (before the
-// store is shared with writers), like PersistTo.
+// Instrument registers the store's stats on reg (its WAL and
+// checkpoint sections, read once per scrape) and enables the
+// append/fsync latency histograms. Call at setup time (before the store
+// is shared with writers), like PersistTo.
 func (st *Store) Instrument(reg *obs.Registry) {
 	st.appendH = reg.Histogram("freq_wal_append_seconds",
 		"WAL append latency as paid by the ingest path (staging plus any inline write or fsync).",
 		obs.LatencyOpts())
 	st.fsyncH = reg.Histogram("freq_wal_fsync_seconds",
 		"WAL fsync latency.", obs.LatencyOpts())
-	reg.GaugeFunc("freq_wal_lag_items", "Acknowledged-but-not-yet-durable items (WAL end minus durable position).",
-		func() float64 { return float64(st.Lag()) })
-	reg.GaugeFunc("freq_wal_durable_n", "Stream position fsynced to disk.",
-		func() float64 { return float64(st.durableN.Load()) })
-	reg.GaugeFunc("freq_wal_segments", "WAL segment count on disk.",
-		func() float64 { return float64(st.segCount.Load()) })
-	reg.CounterFunc("freq_wal_fsyncs_total", "WAL fsyncs issued.",
-		func() float64 { return float64(st.fsyncs.Load()) })
-	reg.CounterFunc("freq_wal_appended_records_total", "Records appended to the WAL.",
-		func() float64 { st.mu.Lock(); defer st.mu.Unlock(); return float64(st.appendedRecords) })
-	reg.CounterFunc("freq_wal_appended_bytes_total", "Bytes appended to the WAL.",
-		func() float64 { st.mu.Lock(); defer st.mu.Unlock(); return float64(st.appendedBytes) })
-	reg.CounterFunc("freq_wal_inline_drains_total", "Appends that hit the staging cap and paid the write inline.",
-		func() float64 { st.mu.Lock(); defer st.mu.Unlock(); return float64(st.inlineDrains) })
-	reg.GaugeFunc("freq_wal_recovery_seconds", "Seconds startup recovery took (checkpoint load plus WAL replay).",
-		func() float64 { st.mu.Lock(); defer st.mu.Unlock(); return st.recovery.Elapsed.Seconds() })
-	reg.CounterFunc("freq_checkpoints_total", "Checkpoints written.",
-		func() float64 { st.mu.Lock(); defer st.mu.Unlock(); return float64(st.checkpoints) })
-	reg.GaugeFunc("freq_checkpoint_age_seconds", "Seconds since the last checkpoint (0 before the first).",
-		func() float64 {
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			if st.lastCkptTime.IsZero() {
-				return 0
-			}
-			return time.Since(st.lastCkptTime).Seconds()
-		})
-	reg.GaugeFunc("freq_checkpoint_last_n", "Stream position of the last checkpoint.",
-		func() float64 { st.mu.Lock(); defer st.mu.Unlock(); return float64(st.lastCkptN) })
+	reg.Stats(func() any { return st.Stats() })
 }
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on the
@@ -323,7 +294,9 @@ func Open(opts Options) (*Store, error) {
 	for _, t := range tmps {
 		_ = os.Remove(t)
 	}
-	return &Store{opts: opts}, nil
+	st := &Store{opts: opts}
+	st.stats.Dir, st.stats.Fsync = opts.Dir, opts.Fsync.String()
+	return st, nil
 }
 
 // segPath names a segment file.
@@ -445,8 +418,8 @@ func (st *Store) appendRecordStaged(kind byte, ns string, k int, items []core.It
 	before := len(st.pending)
 	st.pending = appendRecord(st.pending, kind, ns, k, items, x, count)
 	st.walN += deltaN
-	st.appendedRecords++
-	st.appendedBytes += int64(len(st.pending) - before)
+	st.stats.AppendedRecords++
+	st.stats.AppendedBytes += int64(len(st.pending) - before)
 
 	switch {
 	case st.opts.Fsync == FsyncAlways:
@@ -455,7 +428,7 @@ func (st *Store) appendRecordStaged(kind byte, ns string, k int, items []core.It
 		st.drainCoupled(true)
 		return
 	case len(st.pending) >= drainThresholdBytes:
-		st.inlineDrains++
+		st.stats.InlineDrains++
 		st.drainCoupled(false)
 		return
 	}
@@ -669,59 +642,53 @@ func (st *Store) Close() error {
 	return nil
 }
 
-// Stats is the observability snapshot surfaced by freqd /stats.
+// Stats is the store's observability snapshot: a WAL section and a
+// checkpoint section, which freqd's stats document reports as "wal" and
+// "checkpoint" and Instrument registers as scrape series (see
+// obs.Registry.Stats for the tags).
 type Stats struct {
-	Dir             string
-	Fsync           string
-	WALSegments     int
-	ActiveSegment   uint64
-	WALEndN         int64 // stream position at the end of the log (incl. staged)
-	DurableN        int64 // stream position guaranteed on disk
-	AppendedRecords int64
-	AppendedBytes   int64
-	InlineDrains    int64 // appends that hit the staging cap and paid the write
-	Fsyncs          int64
-	Checkpoints     int64
-	LastCkptN       int64
-	LastCkptBytes   int64
-	LastCkptAge     time.Duration // zero when no checkpoint has been taken
-	Recovery        RecoveryStats
-	Err             string
+	WALStats
+	CheckpointStats
 }
 
-// Lag returns the acknowledged-but-not-yet-durable item count — the
-// stream distance between the end of the log (staged included) and the
-// last fsynced position. It is the backpressure signal the serving
-// layer's load shedding gates on, so it reads just the two counters it
-// needs (one locked integer, one atomic) instead of building a full
-// Stats snapshot on the ingest hot path.
-func (st *Store) Lag() int64 {
-	st.mu.Lock()
-	walN := st.walN
-	st.mu.Unlock()
-	if lag := walN - st.durableN.Load(); lag > 0 {
-		return lag
-	}
-	return 0
+// WALStats is the write-ahead log's section of Stats.
+type WALStats struct {
+	Dir           string `json:"dir"`
+	Fsync         string `json:"fsync"`
+	WALSegments   int    `json:"segments" metric:"freq_wal_segments" help:"WAL segment count on disk."`
+	ActiveSegment uint64 `json:"active_segment"`
+	// WALEndN is the stream position at the end of the log (staged
+	// records included), DurableN the position guaranteed on disk, and
+	// Lag their difference clamped at zero: the acknowledged items a
+	// crash could lose, which freqd's -max-lag sheds ingest on.
+	WALEndN         int64  `json:"end_n"`
+	DurableN        int64  `json:"durable_n" metric:"freq_wal_durable_n" help:"Stream position fsynced to disk."`
+	Lag             int64  `json:"lag" metric:"freq_wal_lag_items" help:"Acknowledged-but-not-yet-durable items (WAL end minus durable position)."`
+	AppendedRecords int64  `json:"appended_records" metric:"freq_wal_appended_records_total" help:"Records appended to the WAL."`
+	AppendedBytes   int64  `json:"appended_bytes" metric:"freq_wal_appended_bytes_total" help:"Bytes appended to the WAL."`
+	InlineDrains    int64  `json:"inline_drains" metric:"freq_wal_inline_drains_total" help:"Appends that hit the staging cap and paid the write inline."`
+	Fsyncs          int64  `json:"fsyncs" metric:"freq_wal_fsyncs_total" help:"WAL fsyncs issued."`
+	Err             string `json:"error"`
+}
+
+// CheckpointStats is the checkpoint section of Stats, with what startup
+// recovery found.
+type CheckpointStats struct {
+	Checkpoints   int64 `json:"count" metric:"freq_checkpoints_total" help:"Checkpoints written."`
+	LastCkptN     int64 `json:"last_n" metric:"freq_checkpoint_last_n" help:"Stream position of the last checkpoint."`
+	LastCkptBytes int64 `json:"last_bytes"`
+	// LastCkptAge is zero when no checkpoint has been taken.
+	LastCkptAge core.Millis `json:"last_age_ms" metric:"freq_checkpoint_age_seconds" help:"Seconds since the last checkpoint (0 before the first)."`
+	RecoveryStats
 }
 
 // Stats reports the store's current counters.
 func (st *Store) Stats() Stats {
 	st.mu.Lock()
-	s := Stats{
-		Dir:             st.opts.Dir,
-		Fsync:           st.opts.Fsync.String(),
-		WALEndN:         st.walN,
-		AppendedRecords: st.appendedRecords,
-		AppendedBytes:   st.appendedBytes,
-		InlineDrains:    st.inlineDrains,
-		Checkpoints:     st.checkpoints,
-		LastCkptN:       st.lastCkptN,
-		LastCkptBytes:   st.lastCkptBytes,
-		Recovery:        st.recovery,
-	}
+	s := st.stats
+	s.WALEndN = st.walN
 	if !st.lastCkptTime.IsZero() {
-		s.LastCkptAge = time.Since(st.lastCkptTime)
+		s.LastCkptAge = core.Millis(time.Since(st.lastCkptTime))
 	}
 	if st.failed != nil {
 		s.Err = st.failed.Error()
@@ -730,6 +697,7 @@ func (st *Store) Stats() Stats {
 	s.WALSegments = int(st.segCount.Load())
 	s.ActiveSegment = st.activeSeq.Load()
 	s.DurableN = st.durableN.Load()
+	s.Lag = max(s.WALEndN-s.DurableN, 0)
 	s.Fsyncs = st.fsyncs.Load()
 	return s
 }

@@ -533,3 +533,78 @@ func TestLeftoverTmpSwept(t *testing.T) {
 		t.Fatal("tmp file survived Open")
 	}
 }
+
+// TestRejectedWeightedUpdateNeverLogged: a weighted update the summary
+// rejects (Space-Saving refuses a negative count) panics in the caller
+// on either plane, never reaches the log, and leaves the node writable
+// and restartable: a later batch lands, and a restart recovers the same
+// stream position. Replaying such a record, forged, is an error.
+func TestRejectedWeightedUpdateNeverLogged(t *testing.T) {
+	opts := Options{Algo: "SSH", Fsync: FsyncAlways}
+	mk := func() core.Summary { return counters.NewSpaceSavingHeap(101) }
+	for _, c := range []struct {
+		name  string
+		plane func() Target
+	}{
+		{"one shard", func() Target { return core.NewConcurrent(mk()) }},
+		{"two shards", func() Target { return core.NewPipelined(2, mk) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			orig := c.plane()
+			if p, ok := orig.(*core.Pipelined); ok {
+				defer p.Close()
+			}
+			st, _ := recoverFresh(t, dir, opts, orig)
+			orig.PersistTo(st)
+			orig.UpdateBatch([]core.Item{1, 2, 3, 1})
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("Update(7, -1) did not panic in the caller")
+					}
+				}()
+				orig.Update(7, -1)
+			}()
+			orig.UpdateBatch([]core.Item{7, 7, 8})
+			orig.Update(9, 5)
+			want := int64(12)
+			if got := orig.LiveN(); got != want {
+				t.Fatalf("LiveN = %d after the rejected update, want %d", got, want)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			rec := c.plane()
+			if p, ok := rec.(*core.Pipelined); ok {
+				defer p.Close()
+			}
+			st2, stats := recoverFresh(t, dir, opts, rec)
+			defer st2.Close()
+			if stats.RecoveredN != want || rec.LiveN() != want {
+				t.Fatalf("recovered n=%d (LiveN %d), want %d", stats.RecoveredN, rec.LiveN(), want)
+			}
+			if !bytes.Equal(encodeState(t, rec), encodeState(t, orig)) {
+				t.Fatal("recovered state differs from the original")
+			}
+
+			// A forged record of the same rejected update, with a valid
+			// batch behind it, fails recovery as an error: the replaying
+			// caller applies it, so no drainer goroutine panics.
+			forged := t.TempDir()
+			seg := appendRecord(segmentBytes(1, 0), recWeighted, "", 0, nil, 7, -1)
+			seg = appendRecord(seg, recUnit, "", 0, []core.Item{1}, 0, 0)
+			if err := os.WriteFile(filepath.Join(forged, "wal-0000000001.seg"), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			bad := c.plane()
+			if p, ok := bad.(*core.Pipelined); ok {
+				defer p.Close()
+			}
+			if _, err := openStore(t, forged, opts).Recover(bad); err == nil || !strings.Contains(err.Error(), "does not replay") {
+				t.Fatalf("recovering a forged rejected update: %v, want a replay error", err)
+			}
+		})
+	}
+}

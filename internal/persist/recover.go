@@ -9,30 +9,31 @@ import (
 	"streamfreq/internal/core"
 )
 
-// RecoveryStats describes what startup recovery found and did.
+// RecoveryStats describes what startup recovery found and did; the
+// checkpoint section of Stats reports it.
 type RecoveryStats struct {
 	// CheckpointN is the stream position restored from the checkpoint
 	// (0 when no checkpoint existed).
-	CheckpointN int64
+	CheckpointN int64 `json:"checkpoint_n"`
 	// CheckpointShards is how many per-shard blobs the checkpoint held.
-	CheckpointShards int
+	CheckpointShards int `json:"ckpt_shards"`
 	// ReplayedSegments/ReplayedRecords/ReplayedItems count the WAL tail
 	// replayed on top of the checkpoint. A clean shutdown (final
 	// checkpoint, closed log) replays zero records.
-	ReplayedSegments int
-	ReplayedRecords  int
-	ReplayedItems    int64
+	ReplayedSegments int   `json:"-"`
+	ReplayedRecords  int   `json:"replayed"`
+	ReplayedItems    int64 `json:"-"`
 	// TruncatedBytes is the torn tail dropped from the last segment
 	// (crash mid-write); TruncatedSegments counts segments it happened
 	// to (0 or 1 — only the last segment may legally be torn).
-	TruncatedBytes    int64
-	TruncatedSegments int
+	TruncatedBytes    int64 `json:"truncated_b"`
+	TruncatedSegments int   `json:"-"`
 	// RecoveredN is the stream position after recovery: CheckpointN plus
 	// ReplayedItems, verified against the summary's own N.
-	RecoveredN int64
+	RecoveredN int64 `json:"recovered_n"`
 	// Elapsed is the wall-clock time recovery took: checkpoint load, WAL
 	// replay and opening the first fresh segment.
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"-" metric:"freq_wal_recovery_seconds" help:"Seconds startup recovery took (checkpoint load plus WAL replay)."`
 }
 
 // Recover rebuilds target from the data directory: load the checkpoint
@@ -209,7 +210,7 @@ func (st *Store) Recover(target Target) (RecoveryStats, error) {
 	st.durableN.Store(curN)
 	st.recovered = true
 	stats.Elapsed = time.Since(start)
-	st.recovery = stats
+	st.stats.RecoveryStats = stats
 	st.writeStop = make(chan struct{})
 	st.writeDone = make(chan struct{})
 	go st.writer()

@@ -49,8 +49,6 @@ const (
 	KindEmpty = iota
 	// KindBatch carries Items, unit count each, in stream order.
 	KindBatch
-	// KindWeighted carries one (X, Count) weighted update.
-	KindWeighted
 	// KindControl carries Ctl, a pipeline control payload (quiesce
 	// barrier or shutdown); the consumer hands it back to the pipeline.
 	KindControl
@@ -69,9 +67,6 @@ type Slot[T any] struct {
 	// (Acquire hands it over length 0 with capacity from earlier
 	// laps); Release recycles or sheds it.
 	Items []T
-	// X, Count are the KindWeighted payload.
-	X     T
-	Count int64
 	// Ctl is the KindControl payload, opaque to the ring.
 	Ctl any
 

@@ -20,8 +20,8 @@ func TestRingClaimOrderAcrossWrap(t *testing.T) {
 		out := make([]uint64, 0, total)
 		for pos := uint64(0); pos < total; pos++ {
 			s := r.Await(pos)
-			if s.Kind == KindWeighted {
-				out = append(out, s.X)
+			if s.Kind == KindBatch {
+				out = append(out, s.Items[0])
 			}
 			r.Release(pos)
 		}
@@ -38,8 +38,8 @@ func TestRingClaimOrderAcrossWrap(t *testing.T) {
 					return
 				}
 				s := r.Acquire(pos)
-				s.Kind = KindWeighted
-				s.X = pos
+				s.Kind = KindBatch
+				s.Items = append(s.Items, pos)
 				r.Publish(pos)
 			}
 		}()
@@ -106,13 +106,13 @@ func TestRingConsumerParksAndWakes(t *testing.T) {
 	got := make(chan uint64, 1)
 	go func() {
 		s := r.Await(0)
-		got <- s.X
+		got <- s.Items[0]
 		r.Release(0)
 	}()
 	time.Sleep(50 * time.Millisecond) // let the consumer spin out and park
 	s := r.Acquire(0)
-	s.Kind = KindWeighted
-	s.X = 7
+	s.Kind = KindBatch
+	s.Items = append(s.Items, 7)
 	r.Publish(0)
 	select {
 	case v := <-got:

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"context"
 	"errors"
 	"net/http"
 	"sync"
@@ -154,18 +153,7 @@ func (rt *Router) handleProbe(w http.ResponseWriter, r *http.Request) {
 }
 
 // ListenAndServe serves the API on addr until stop is closed, then
-// drains in-flight requests — the testable core of cmd/freqrouter,
-// mirroring serve.Server.ListenAndServe.
+// drains in-flight requests — the testable core of cmd/freqrouter.
 func (rt *Router) ListenAndServe(addr string, stop <-chan struct{}) error {
-	srv := &http.Server{Addr: addr, Handler: rt.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-stop:
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		return srv.Shutdown(ctx)
-	}
+	return serve.ListenAndServe(addr, rt.Handler(), stop)
 }

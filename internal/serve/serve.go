@@ -250,79 +250,101 @@ func NewServer(opts Options) *Server {
 	return s
 }
 
-// bindMetrics registers the node's collector series: instruments the
-// ingest path writes, plus scrape-time funcs reading the stats surfaces
-// the target actually has (snapshot, window, pipeline, WAL, tenants).
-// Everything here mirrors a /stats field — /stats stays the
-// human-readable view, /v1/metrics the scrapeable one.
+// bindMetrics registers the node's series: the instruments the ingest
+// path writes, the build-info series, and the stats document, read once
+// per scrape. The store registers its own sections first, so they stay
+// its series when the document embeds them.
 func (s *Server) bindMetrics() {
 	reg := s.obs.Reg
 	s.batchH = reg.Histogram("freq_ingest_batch_items",
 		"Items per applied ingest batch.", obs.SizeOpts())
 	s.applyH = reg.Histogram("freq_ingest_apply_seconds",
 		"UpdateBatch apply latency per ingest batch.", obs.LatencyOpts())
-	algoLabel := obs.Label{Key: "algo", Value: s.algo}
 	reg.GaugeFunc("freq_build_info", "Constant 1, labeled with the serving algorithm.",
-		func() float64 { return 1 }, algoLabel)
-	reg.GaugeFunc("freq_uptime_seconds", "Seconds since process start.",
-		func() float64 { return time.Since(s.start).Seconds() })
-	reg.GaugeFunc("freq_stream_n", "Live stream position (items ingested).",
-		func() float64 { return float64(s.liveN()) })
-	reg.GaugeFunc("freq_summary_bytes", "Summary footprint in bytes.",
-		func() float64 { return float64(s.target.Bytes()) })
-	if ss, ok := s.target.(snapshotServer); ok {
-		reg.GaugeFunc("freq_snapshot_age_seconds", "Age of the serving snapshot.",
-			func() float64 { return ss.SnapshotStats().Age.Seconds() })
-		reg.GaugeFunc("freq_snapshot_as_of_n", "Stream position of the serving snapshot.",
-			func() float64 { return float64(ss.SnapshotStats().AsOfN) })
-		reg.CounterFunc("freq_snapshot_refreshes_total", "Serving snapshot refreshes.",
-			func() float64 { return float64(ss.SnapshotStats().Refreshes) })
-	}
-	if ps, ok := s.target.(pipelineStatser); ok {
-		reg.GaugeFunc("freq_pipeline_staged_items", "Acknowledged-but-unapplied items staged in the ingest rings (drainer lag).",
-			func() float64 { st := ps.PipelineStats(); return float64(st.ClaimedN - st.AppliedN) })
-		reg.GaugeFunc("freq_pipeline_ring_bytes", "Staging ring footprint in bytes.",
-			func() float64 { return float64(ps.PipelineStats().RingBytes) })
-		reg.GaugeFunc("freq_pipeline_shards", "Pipelined ingest shard count.",
-			func() float64 { return float64(ps.PipelineStats().Shards) })
-		reg.GaugeFunc("freq_pipeline_ring_occupancy", "In-flight batches across staging rings (claimed-unreleased slots).",
-			func() float64 { return float64(ps.PipelineStats().RingOccupancy) })
-		reg.CounterFunc("freq_pipeline_claimed_items_total", "Items claimed into staging rings.",
-			func() float64 { return float64(ps.PipelineStats().ClaimedN) })
-		reg.CounterFunc("freq_pipeline_applied_items_total", "Items applied by drainers.",
-			func() float64 { return float64(ps.PipelineStats().AppliedN) })
-	}
-	if ws, ok := s.view().(windowStatser); ok {
-		reg.GaugeFunc("freq_window_n", "Items inside the sliding window.",
-			func() float64 { return float64(ws.WindowStats().WindowN) })
-		reg.GaugeFunc("freq_window_live", "Live (unexpired) items tracked by the window.",
-			func() float64 { return float64(ws.WindowStats().Live) })
-		reg.GaugeFunc("freq_window_slack", "Certified overestimate slack of the window.",
-			func() float64 { return float64(ws.WindowStats().Slack) })
-	}
-	if s.tenants != nil {
-		reg.GaugeFunc("freq_tenants", "Namespaces known to the table.",
-			func() float64 { return float64(s.tenants.TableStats().Tenants) })
-		reg.GaugeFunc("freq_tenants_resident", "Namespaces with resident (decoded) summaries.",
-			func() float64 { return float64(s.tenants.TableStats().Resident) })
-		reg.GaugeFunc("freq_tenants_blob_bytes", "Encoded bytes of evicted namespace summaries.",
-			func() float64 { return float64(s.tenants.TableStats().BlobBytes) })
-		reg.CounterFunc("freq_tenants_created_total", "Namespaces created.",
-			func() float64 { return float64(s.tenants.TableStats().Created) })
-		reg.CounterFunc("freq_tenants_evictions_total", "Namespace summary evictions.",
-			func() float64 { return float64(s.tenants.TableStats().Evictions) })
-		reg.CounterFunc("freq_tenants_reloads_total", "Namespace summary reloads after eviction.",
-			func() float64 { return float64(s.tenants.TableStats().Reloads) })
-		reg.GaugeFunc("freq_tenants_slab_bytes", "Slab arena footprint backing tenant counters.",
-			func() float64 { return float64(s.tenants.TableStats().Slab.ChunkBytes) })
-		reg.GaugeFunc("freq_tenants_slab_live_blocks", "Slab blocks handed out and not released.",
-			func() float64 { return float64(s.tenants.TableStats().Slab.LiveBlocks) })
-	}
+		func() float64 { return 1 }, obs.Label{Key: "algo", Value: s.algo})
 	if s.store != nil {
 		s.store.Instrument(reg)
-		reg.GaugeFunc("freq_wal_max_lag", "Configured WAL shed bound in items (0 = unbounded).",
-			func() float64 { return float64(s.maxLag) })
 	}
+	reg.Stats(func() any { return s.stats() })
+}
+
+// nodeStats is freqd's stats document: GET /stats marshals it and
+// /v1/metrics renders its tagged fields (obs.Registry.Stats). A section
+// is nil, and left out of both, when the target lacks its surface.
+type nodeStats struct {
+	Algo       string                   `json:"algo"`
+	Summary    string                   `json:"summary"`
+	N          int64                    `json:"n" metric:"freq_stream_n" help:"Live stream position (items ingested)."`
+	Epoch      uint64                   `json:"epoch"`
+	Bytes      int                      `json:"bytes" metric:"freq_summary_bytes" help:"Summary footprint in bytes."`
+	Uptime     core.Millis              `json:"uptime_ms" metric:"freq_uptime_seconds" help:"Seconds since process start."`
+	Counters   map[string]int64         `json:"counters"`
+	Snapshot   *core.SnapshotStats      `json:"snapshot,omitempty"`
+	Window     *windowSection           `json:"window,omitempty"`
+	Tenants    *tenant.Stats            `json:"tenants,omitempty"`
+	Pipeline   *core.PipelineStats      `json:"pipeline,omitempty"`
+	WAL        *walSection              `json:"wal,omitempty"`
+	Checkpoint *persist.CheckpointStats `json:"checkpoint,omitempty"`
+}
+
+// windowSection is window.Stats under its /stats names: the window
+// shape and its error accounting next to the whole-stream n, so
+// operators can read the φ·W operating point (window_n), the certified
+// overestimate bound (slack), and how much of the boundary block is
+// expired but still counted.
+type windowSection struct {
+	Size            int   `json:"size"`
+	Blocks          int   `json:"blocks"`
+	BlockLen        int   `json:"block_len"`
+	K               int   `json:"k"`
+	N               int64 `json:"-"`
+	Live            int64 `json:"window_live" metric:"freq_window_live" help:"Live (unexpired) items tracked by the window."`
+	WindowN         int64 `json:"window_n" metric:"freq_window_n" help:"Items inside the sliding window."`
+	Coverage        int64 `json:"coverage"`
+	Slack           int64 `json:"slack" metric:"freq_window_slack" help:"Certified overestimate slack of the window."`
+	BoundaryExpired int64 `json:"boundary_expired"`
+}
+
+// walSection is the store's WAL section plus the shed bound it is
+// held to.
+type walSection struct {
+	persist.WALStats
+	MaxLag int64 `json:"max_lag" metric:"freq_wal_max_lag" help:"Configured WAL shed bound in items (0 = unbounded)."`
+}
+
+// stats reads the node's stats document.
+func (s *Server) stats() nodeStats {
+	st := nodeStats{
+		Algo:     s.algo,
+		Summary:  s.target.Name(),
+		N:        s.liveN(),
+		Epoch:    s.epoch,
+		Bytes:    s.target.Bytes(),
+		Uptime:   core.Millis(time.Since(s.start)),
+		Counters: s.counters.Snapshot(),
+	}
+	if ss, ok := s.target.(snapshotServer); ok {
+		snap := ss.SnapshotStats()
+		st.Snapshot = &snap
+	}
+	if ws, ok := s.view().(windowStatser); ok {
+		win := windowSection(ws.WindowStats())
+		st.Window = &win
+	}
+	if s.tenants != nil {
+		ts := s.tenants.TableStats()
+		st.Tenants = &ts
+	}
+	if ps, ok := s.target.(pipelineStatser); ok {
+		pst := ps.PipelineStats()
+		st.Pipeline = &pst
+	}
+	if s.store != nil {
+		ps := s.store.Stats()
+		st.WAL = &walSection{ps.WALStats, s.maxLag}
+		st.Checkpoint = &ps.CheckpointStats
+	}
+	return st
 }
 
 // Handler returns the HTTP API mux: the /v1 surface with the
@@ -409,7 +431,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, ns string,
 			return
 		}
 		if s.maxLag > 0 {
-			if lag := s.store.Lag(); lag > s.maxLag {
+			if lag := s.store.Stats().Lag; lag > s.maxLag {
 				// The disk is behind by more than the operator's bound:
 				// shed the write with an explicit retry signal while the
 				// log drains, instead of acknowledging into a growing
@@ -527,96 +549,9 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	WriteSummary(w, s.algo, s.epoch, sn.Snapshot())
 }
 
-// handleStats reports serving state: the summary's vitals, snapshot
-// freshness, and traffic meters.
+// handleStats reports the node's stats document.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := map[string]any{
-		"algo":      s.algo,
-		"summary":   s.target.Name(),
-		"n":         s.liveN(),
-		"epoch":     s.epoch,
-		"bytes":     s.target.Bytes(),
-		"uptime_ms": time.Since(s.start).Milliseconds(),
-		"counters":  s.counters.Snapshot(),
-	}
-	if ss, ok := s.target.(snapshotServer); ok {
-		st := ss.SnapshotStats()
-		resp["snapshot"] = map[string]any{
-			"serving":      st.Serving,
-			"as_of_n":      st.AsOfN,
-			"age_ms":       st.Age.Milliseconds(),
-			"refreshes":    st.Refreshes,
-			"max_stale_ms": st.MaxStale.Milliseconds(),
-		}
-	}
-	if ws, ok := s.view().(windowStatser); ok {
-		// The serving view is a windowed summary: surface the window
-		// shape and its error accounting next to the whole-stream n, so
-		// operators can read the φ·W operating point (window_n), the
-		// certified overestimate bound (slack), and how much of the
-		// boundary block is expired-but-still-counted straight off the
-		// endpoint.
-		wst := ws.WindowStats()
-		resp["window"] = map[string]any{
-			"size":             wst.Size,
-			"blocks":           wst.Blocks,
-			"block_len":        wst.BlockLen,
-			"k":                wst.K,
-			"window_live":      wst.Live,
-			"window_n":         wst.WindowN,
-			"coverage":         wst.Coverage,
-			"slack":            wst.Slack,
-			"boundary_expired": wst.BoundaryExpired,
-		}
-	}
-	if s.tenants != nil {
-		resp["tenants"] = s.tenants.TableStats()
-	}
-	if ps, ok := s.target.(pipelineStatser); ok {
-		// The target is the pipelined ingest plane: surface the
-		// acknowledged-vs-applied gap (the staged in-flight backlog)
-		// and the staging rings' footprint.
-		pst := ps.PipelineStats()
-		resp["pipeline"] = map[string]any{
-			"shards":         pst.Shards,
-			"ring_capacity":  pst.RingCapacity,
-			"claimed_n":      pst.ClaimedN,
-			"applied_n":      pst.AppliedN,
-			"staged":         pst.ClaimedN - pst.AppliedN,
-			"ring_bytes":     pst.RingBytes,
-			"ring_occupancy": pst.RingOccupancy,
-		}
-	}
-	if s.store != nil {
-		ps := s.store.Stats()
-		resp["wal"] = map[string]any{
-			"dir":              ps.Dir,
-			"fsync":            ps.Fsync,
-			"segments":         ps.WALSegments,
-			"active_segment":   ps.ActiveSegment,
-			"end_n":            ps.WALEndN,
-			"durable_n":        ps.DurableN,
-			"lag":              ps.WALEndN - ps.DurableN,
-			"max_lag":          s.maxLag,
-			"appended_records": ps.AppendedRecords,
-			"appended_bytes":   ps.AppendedBytes,
-			"inline_drains":    ps.InlineDrains,
-			"fsyncs":           ps.Fsyncs,
-			"error":            ps.Err,
-		}
-		resp["checkpoint"] = map[string]any{
-			"count":        ps.Checkpoints,
-			"last_n":       ps.LastCkptN,
-			"last_bytes":   ps.LastCkptBytes,
-			"last_age_ms":  ps.LastCkptAge.Milliseconds(),
-			"recovered_n":  ps.Recovery.RecoveredN,
-			"replayed":     ps.Recovery.ReplayedRecords,
-			"truncated_b":  ps.Recovery.TruncatedBytes,
-			"ckpt_shards":  ps.Recovery.CheckpointShards,
-			"checkpoint_n": ps.Recovery.CheckpointN,
-		}
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, s.stats())
 }
 
 // handleCheckpoint writes a durable checkpoint on demand — operators
@@ -662,7 +597,14 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 // listener error), then drains in-flight requests: the graceful-shutdown
 // half of cmd/freqd, factored here so tests can drive it.
 func (s *Server) ListenAndServe(addr string, stop <-chan struct{}) error {
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
+	return ListenAndServe(addr, s.Handler(), stop)
+}
+
+// ListenAndServe serves handler on addr until stop is closed (or a
+// listener error), then drains in-flight requests for up to five
+// seconds. Every daemon shuts down through it.
+func ListenAndServe(addr string, handler http.Handler, stop <-chan struct{}) error {
+	srv := &http.Server{Addr: addr, Handler: handler}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {

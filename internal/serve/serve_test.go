@@ -24,6 +24,7 @@ import (
 	"streamfreq/internal/core"
 	"streamfreq/internal/exact"
 	"streamfreq/internal/metrics"
+	"streamfreq/internal/obs"
 	"streamfreq/internal/persist"
 	"streamfreq/internal/serve"
 	"streamfreq/internal/stream"
@@ -543,5 +544,66 @@ func TestFreqdPipelinedTarget(t *testing.T) {
 	if st.Pipeline.AppliedN+st.Pipeline.Staged != st.Pipeline.ClaimedN {
 		t.Fatalf("/stats pipeline applied+staged = %d+%d, want claimed %d",
 			st.Pipeline.AppliedN, st.Pipeline.Staged, st.Pipeline.ClaimedN)
+	}
+}
+
+// TestScrapeIsOneSnapshot: every series of one /v1/metrics scrape comes
+// from one read of the node's stats, so the pipeline's staged backlog
+// equals its claimed minus applied positions in every scrape, however
+// busy the drainers are.
+func TestScrapeIsOneSnapshot(t *testing.T) {
+	p := core.NewPipelined(4, func() core.Summary {
+		return streamfreq.MustNew("SSH", 0.01, 1)
+	}).ServeSnapshots(time.Millisecond)
+	defer p.Close()
+	h := serve.NewServer(serve.Options{Target: p, Algo: "SSH"}).Handler()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			batch := make([]core.Item, 64)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for j := range batch {
+					batch[j] = core.Item(w*1_000_003 + i*64 + j)
+				}
+				p.UpdateBatch(batch)
+			}
+		}(w)
+	}
+	defer func() { close(stop); wg.Wait() }()
+
+	const scrapes = 300
+	var bad int
+	for i := 0; i < scrapes; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+		fams, err := obs.ParseExposition(rec.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		value := func(name string) float64 {
+			fam := fams[name]
+			if fam == nil || len(fam.Series) != 1 {
+				t.Fatalf("scrape %d: family %s = %+v", i, name, fam)
+			}
+			return fam.Series[0].Value
+		}
+		staged := value("freq_pipeline_staged_items")
+		claimed := value("freq_pipeline_claimed_items_total")
+		applied := value("freq_pipeline_applied_items_total")
+		if staged != claimed-applied {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d scrapes report staged != claimed - applied", bad, scrapes)
 	}
 }

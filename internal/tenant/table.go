@@ -282,8 +282,9 @@ func (t *Table) IngestBatch(ns string, items []core.Item) (tenantN, totalN int64
 // Name returns the underlying algorithm code.
 func (t *Table) Name() string { return "SSH" }
 
-// Update applies a weighted update to the default namespace. Counts
-// must be positive (Space-Saving is insert-only).
+// Update applies a weighted update to the default namespace, then logs
+// it. Counts must be positive (Space-Saving is insert-only); a rejected
+// count panics before it reaches the log.
 func (t *Table) Update(x core.Item, count int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -291,10 +292,10 @@ func (t *Table) Update(x core.Item, count int64) {
 	if err != nil {
 		panic(err) // "" always instantiates; only a reload can fail
 	}
+	ts.sum.Update(x, count)
 	if t.persist != nil {
 		t.persist.AppendUpdate(x, count)
 	}
-	ts.sum.Update(x, count)
 	ts.n += count
 	t.n += count
 	t.maybeEvictLocked(ts)
@@ -426,15 +427,16 @@ func (t *Table) Namespaces(limit int) []Info {
 	return out
 }
 
-// Stats is the table-level health surface.
+// Stats is the table-level health surface: the tenants section of
+// freqd's stats document (see obs.Registry.Stats for the tags).
 type Stats struct {
-	Tenants   int                `json:"tenants"`
-	Resident  int                `json:"resident"`
+	Tenants   int                `json:"tenants" metric:"freq_tenants" help:"Namespaces known to the table."`
+	Resident  int                `json:"resident" metric:"freq_tenants_resident" help:"Namespaces with resident (decoded) summaries."`
 	N         int64              `json:"n"`
-	BlobBytes int64              `json:"blob_bytes"`
-	Created   int64              `json:"created"`
-	Evictions int64              `json:"evictions"`
-	Reloads   int64              `json:"reloads"`
+	BlobBytes int64              `json:"blob_bytes" metric:"freq_tenants_blob_bytes" help:"Encoded bytes of evicted namespace summaries."`
+	Created   int64              `json:"created" metric:"freq_tenants_created_total" help:"Namespaces created."`
+	Evictions int64              `json:"evictions" metric:"freq_tenants_evictions_total" help:"Namespace summary evictions."`
+	Reloads   int64              `json:"reloads" metric:"freq_tenants_reloads_total" help:"Namespace summary reloads after eviction."`
 	Slab      counters.SlabStats `json:"slab"`
 }
 
@@ -459,10 +461,10 @@ func (t *Table) TableStats() Stats {
 // LiveN reports the live stream position for recovery verification.
 func (t *Table) LiveN() int64 { return t.N() }
 
-// PersistTo routes every subsequent update through p before it is
-// applied, under the table lock. p must also implement
-// AppendTenantBatch (persist.Store does); wiring a log that cannot
-// carry tenant records is a startup bug, caught here.
+// PersistTo routes every subsequent update through p under the table
+// lock: a batch before it is applied, a weighted update once applied.
+// p must also implement AppendTenantBatch (persist.Store does); wiring
+// a log that cannot carry tenant records is a startup bug, caught here.
 func (t *Table) PersistTo(p core.Persister) {
 	tp, ok := p.(Persister)
 	if !ok {
