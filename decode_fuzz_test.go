@@ -8,6 +8,7 @@ package streamfreq
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -154,6 +155,12 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(blob)
 	}
+	// LC01 entries no Lossy Counting state holds (ε = 0.01, n = 1000,
+	// so b = 10): a Δ of 2^63 − 1 and one of 500, past b − 1; a count
+	// past n; and, at ε = 0.5 and n = 2^63 − 2, a count + Δ past int64.
+	f.Add(lcBlob(0.01, 1, 1000, [3]int64{7, 1, math.MaxInt64}, [3]int64{9, 5, 500}))
+	f.Add(lcBlob(0.01, 0, 1000, [3]int64{9, 1001, 0}))
+	f.Add(lcBlob(0.5, 0, math.MaxInt64-1, [3]int64{3, math.MaxInt64 - 1, 1<<62 - 2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -168,6 +175,21 @@ func FuzzDecode(f *testing.F) {
 			_ = dec.N()
 		}
 	})
+}
+
+// lcBlob writes an LC01 blob by hand: ε, the variant (0 LC, 1 LCD), n,
+// then one (item, count, Δ) triple per entry.
+func lcBlob(eps float64, variant uint64, n int64, entries ...[3]int64) []byte {
+	out := binary.LittleEndian.AppendUint64([]byte("LC01"), math.Float64bits(eps))
+	out = binary.LittleEndian.AppendUint64(out, variant)
+	out = binary.LittleEndian.AppendUint64(out, uint64(n))
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(entries)))
+	for _, e := range entries {
+		for _, v := range e {
+			out = binary.LittleEndian.AppendUint64(out, uint64(v))
+		}
+	}
+	return out
 }
 
 // mustHierarchy builds a small hierarchy for the fuzz seeds: two 4-bit

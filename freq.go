@@ -105,11 +105,6 @@ func NewSpaceSavingList(k int) *counters.SpaceSavingList {
 	return counters.NewSpaceSavingList(k)
 }
 
-// NewStickySampling returns the Manku–Motwani probabilistic baseline.
-func NewStickySampling(support, epsilon, delta float64, seed uint64) *counters.StickySampling {
-	return counters.NewStickySampling(support, epsilon, delta, seed)
-}
-
 // NewFilteredSpaceSaving returns the Filtered Space-Saving refinement
 // (extension; Homem & Carvalho 2010): a hashed error filter in front of
 // the monitored set cuts spurious replacements on low-skew streams.

@@ -1,9 +1,9 @@
 package counters
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
@@ -152,22 +152,24 @@ func decodeSpaceSavingHeap(data []byte, sl *Slab) (*SpaceSavingHeap, error) {
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler. Entries are written
-// in ascending item order — the index map has no inherent order, and a
-// canonical layout makes the encoding deterministic: logically equal
-// summaries produce byte-equal blobs, the property the crash-recovery
-// tests (and any content-addressed checkpoint store) compare on.
+// in ascending item order, each as its observed count and Δ — the store
+// order depends on history, and a canonical layout makes the encoding
+// deterministic: logically equal summaries produce byte-equal blobs,
+// the property the crash-recovery tests (and any content-addressed
+// checkpoint store) compare on.
 func (l *LossyCounting) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 4+4*8+24*len(l.index))
+	nodes := slices.Clone(l.st.nodes)
+	slices.SortFunc(nodes, func(a, b ssNode) int { return cmp.Compare(a.item, b.item) })
+	out := make([]byte, 0, 4+4*8+24*len(nodes))
 	out = append(out, magicLC...)
 	out = le.AppendUint64(out, math.Float64bits(l.epsilon))
 	out = le.AppendUint64(out, uint64(l.variant))
 	out = le.AppendUint64(out, uint64(l.n))
-	out = le.AppendUint64(out, uint64(len(l.index)))
-	for _, it := range slices.Sorted(maps.Keys(l.index)) {
-		e := l.index[it]
-		out = le.AppendUint64(out, uint64(it))
-		out = le.AppendUint64(out, uint64(e.count))
-		out = le.AppendUint64(out, uint64(e.delta))
+	out = le.AppendUint64(out, uint64(len(nodes)))
+	for _, nd := range nodes {
+		out = le.AppendUint64(out, uint64(nd.item))
+		out = le.AppendUint64(out, uint64(nd.count-nd.err))
+		out = le.AppendUint64(out, uint64(nd.err))
 	}
 	return out, nil
 }
@@ -189,19 +191,20 @@ func DecodeLossyCounting(data []byte) (*LossyCounting, error) {
 	}
 	l := NewLossyCounting(eps, LCVariant(variant))
 	l.n = n
-	l.bucket = (n + l.width - 1) / l.width
-	if l.bucket < 1 {
-		l.bucket = 1
-	}
+	l.bucket = max((n+l.width-1)/l.width, 1)
+	l.st = newSSStorage(int(cnt))
 	for i := uint64(0); i < cnt; i++ {
 		item, count, delta := core.Item(r.U64()), r.I64(), r.I64()
-		if count <= 0 || delta < 0 {
-			return nil, fmt.Errorf("counters: invalid LossyCounting entry (count=%d Δ=%d)", count, delta)
+		// Every state Update and Merge reach has 0 < count ≤ n and
+		// 0 ≤ Δ ≤ b − 1 (merged Δs add, and ⌈a⌉ + ⌈c⌉ ≤ ⌈a + c⌉ + 1);
+		// count + Δ is the entry's heap key, so it must not overflow.
+		if count <= 0 || count > n || delta < 0 || delta > l.bucket-1 || count > math.MaxInt64-delta {
+			return nil, fmt.Errorf("counters: invalid LossyCounting entry (count=%d Δ=%d, n=%d)", count, delta, n)
 		}
-		if _, dup := l.index[item]; dup {
+		if l.st.lookup(item) >= 0 {
 			return nil, fmt.Errorf("counters: duplicate item in LossyCounting blob")
 		}
-		l.index[item] = &lcEntry{count: count, delta: delta}
+		l.st.push(item, count+delta, delta)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

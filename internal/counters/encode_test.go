@@ -2,6 +2,7 @@ package counters
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"streamfreq/internal/core"
@@ -86,6 +87,57 @@ func TestLossyCountingRoundTrip(t *testing.T) {
 			if got.Estimate(it) != l.Estimate(it) {
 				t.Fatalf("estimate mismatch for item %d", it)
 			}
+		}
+	}
+}
+
+// lcBlob writes an LC01 blob by hand: the header, then one (item,
+// count, Δ) triple per entry.
+func lcBlob(eps float64, variant LCVariant, n int64, entries ...[3]int64) []byte {
+	out := []byte(magicLC)
+	out = le.AppendUint64(out, math.Float64bits(eps))
+	out = le.AppendUint64(out, uint64(variant))
+	out = le.AppendUint64(out, uint64(n))
+	out = le.AppendUint64(out, uint64(len(entries)))
+	for _, e := range entries {
+		for _, v := range e {
+			out = le.AppendUint64(out, uint64(v))
+		}
+	}
+	return out
+}
+
+// TestDecodeLossyCountingRejectsUnreachableEntries: every LC state has
+// 0 < count ≤ n and 0 ≤ Δ ≤ b − 1 (b = ⌈n/w⌉, w = ⌈1/ε⌉), with
+// count + Δ, the entry's heap key, inside int64. A blob breaking any of these must
+// not decode: with ε = 0.01 and n = 1000 (b = 10), an accepted Δ of
+// 2^63 − 1 made Estimate negative and an accepted Δ of 500 reported
+// an item at 505, past the true + εN = 15 an LCD estimate may reach.
+func TestDecodeLossyCountingRejectsUnreachableEntries(t *testing.T) {
+	const maxI = math.MaxInt64
+	bad := map[string][]byte{
+		"forged Δs":          lcBlob(0.01, VariantLCD, 1000, [3]int64{7, 1, maxI}, [3]int64{9, 5, 500}),
+		"Δ at b":             lcBlob(0.01, VariantLCD, 1000, [3]int64{9, 5, 10}),
+		"count above n":      lcBlob(0.01, VariantLC, 1000, [3]int64{9, 1001, 0}),
+		"count + Δ overflow": lcBlob(0.5, VariantLC, maxI-1, [3]int64{3, maxI - 1, 1<<62 - 2}),
+	}
+	for name, blob := range bad {
+		if l, err := DecodeLossyCounting(blob); err == nil {
+			t.Errorf("%s: decoded, Estimate(9) = %d, Query(1) = %v", name, l.Estimate(9), l.Query(1))
+		}
+	}
+	good := map[string][]byte{
+		"Δ at b − 1":      lcBlob(0.01, VariantLCD, 1000, [3]int64{9, 5, 9}),
+		"count at n":      lcBlob(0.01, VariantLC, 1000, [3]int64{9, 1000, 0}),
+		"largest key fit": lcBlob(0.5, VariantLC, maxI-1, [3]int64{3, maxI - 1, 1}),
+	}
+	for name, blob := range good {
+		l, err := DecodeLossyCounting(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again, _ := l.MarshalBinary(); !bytes.Equal(again, blob) {
+			t.Errorf("%s: re-encoding changed the blob", name)
 		}
 	}
 }

@@ -132,7 +132,7 @@ func (f *Frequent) Query(threshold int64) []core.ItemCount {
 // standalone storage).
 func (f *Frequent) Clone() *Frequent {
 	nf := *f
-	nf.st = f.st.clone(f.k)
+	nf.st = f.st.clone()
 	return &nf
 }
 
@@ -150,9 +150,10 @@ func (f *Frequent) Entries() []core.ItemCount {
 	return out
 }
 
-// Bytes implements core.Summary. Batch pre-aggregation scratch is
-// pooled across summaries (see batch.go) and not charged per instance.
-func (f *Frequent) Bytes() int { return entryBytes * f.k }
+// Bytes implements core.Summary: the counter store's footprint. Batch
+// pre-aggregation scratch is pooled across summaries (see batch.go)
+// and not charged per instance.
+func (f *Frequent) Bytes() int { return f.st.bytes() }
 
 // Merge combines another Frequent summary into this one using the
 // Agarwal et al. mergeable-summaries rule: sum matching counters, then

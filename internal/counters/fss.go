@@ -135,14 +135,12 @@ func (s *FilteredSpaceSaving) Entries() []core.ItemCount { return s.Query(0) }
 func (s *FilteredSpaceSaving) Clone() *FilteredSpaceSaving {
 	ns := *s
 	ns.filter = append([]int64(nil), s.filter...)
-	ns.st = s.st.clone(s.k)
+	ns.st = s.st.clone()
 	return &ns
 }
 
 // Snapshot implements core.Snapshotter.
 func (s *FilteredSpaceSaving) Snapshot() core.Summary { return s.Clone() }
 
-// Bytes counts the monitored entries plus the filter array.
-func (s *FilteredSpaceSaving) Bytes() int {
-	return entryBytes*s.k + 8*len(s.filter)
-}
+// Bytes counts the monitored entries' store plus the filter array.
+func (s *FilteredSpaceSaving) Bytes() int { return s.st.bytes() + 8*len(s.filter) }

@@ -23,6 +23,12 @@ import (
 // Space-Saving, the live entry set can exceed 1/ε, which is exactly the
 // space overshoot the paper's space plots show for LC at low skew.
 //
+// The entries live in the package's counter store (slab.go), each keyed
+// by its upper bound count + Δ with Δ as its err, so the entries a
+// bucket boundary prunes sit at the root of the heap: the prune pops
+// them and touches no other entry. No fixed k bounds the live set, so
+// the store grows when a new entry finds it full, and never shrinks.
+//
 // The Variant field distinguishes the paper's two flavors:
 //
 //   - VariantLC reports the observed count (an underestimate); its Query
@@ -31,16 +37,11 @@ import (
 //     trading precision for one-sided error in the other direction.
 type LossyCounting struct {
 	epsilon float64
-	width   int64 // bucket width w = ceil(1/epsilon)
-	bucket  int64 // current bucket id b = ceil(N/w)
-	index   map[core.Item]*lcEntry
+	width   int64     // bucket width w = ceil(1/epsilon)
+	bucket  int64     // current bucket id b = ceil(N/w)
+	st      ssStorage // count = observed count + Δ, err = Δ
 	n       int64
 	variant LCVariant
-}
-
-type lcEntry struct {
-	count int64
-	delta int64
 }
 
 // LCVariant selects the reporting flavor.
@@ -63,7 +64,7 @@ func NewLossyCounting(epsilon float64, variant LCVariant) *LossyCounting {
 		epsilon: epsilon,
 		width:   int64(math.Ceil(1 / epsilon)),
 		bucket:  1,
-		index:   make(map[core.Item]*lcEntry),
+		st:      newSSStorage(0),
 		variant: variant,
 	}
 }
@@ -82,20 +83,20 @@ func (l *LossyCounting) Epsilon() float64 { return l.epsilon }
 // N implements core.Summary.
 func (l *LossyCounting) N() int64 { return l.n }
 
-// Entries returns the number of live tracked entries (the space plots'
-// quantity of interest for LC).
-func (l *LossyCounting) EntryCount() int { return len(l.index) }
+// EntryCount returns the number of live tracked entries (the space
+// plots' quantity of interest for LC).
+func (l *LossyCounting) EntryCount() int { return len(l.st.nodes) }
 
 // Update processes count arrivals of x. count must be positive.
 func (l *LossyCounting) Update(x core.Item, count int64) {
 	mustPositive("LossyCounting", count)
-	if e, ok := l.index[x]; ok {
-		e.count += count
+	if id := l.st.lookup(x); id >= 0 {
+		l.st.add(id, count)
 	} else {
-		l.index[x] = &lcEntry{count: count, delta: l.bucket - 1}
+		l.push(x, count, l.bucket-1)
 	}
-	// Advance the stream position one unit at a time across bucket
-	// boundaries; weighted arrivals may span several buckets.
+	// A weighted arrival may span several buckets; one prune at the
+	// bucket it ends in covers them all.
 	l.n += count
 	newBucket := (l.n + l.width - 1) / l.width // ceil(n/w)
 	if newBucket > l.bucket {
@@ -104,25 +105,37 @@ func (l *LossyCounting) Update(x core.Item, count int64) {
 	}
 }
 
-// prune removes entries whose upper bound fell below the bucket index.
-func (l *LossyCounting) prune() {
-	for it, e := range l.index {
-		if e.count+e.delta <= l.bucket-1 {
-			delete(l.index, it)
-		}
+// push tracks x, which must be untracked, with observed count c and Δ =
+// delta, growing the store when it is full.
+func (l *LossyCounting) push(x core.Item, c, delta int64) {
+	if len(l.st.nodes) == cap(l.st.nodes) {
+		l.st.grow()
 	}
+	l.st.push(x, c+delta, delta)
+}
+
+// prune removes the entries whose upper bound count + Δ fell to the
+// bucket index b − 1 or below: the heap's root, until it holds more.
+func (l *LossyCounting) prune() {
+	for len(l.st.heap) > 0 && l.st.hcnt[0] <= l.bucket-1 {
+		l.st.popMin()
+	}
+}
+
+// estimate is the variant's estimate for a tracked entry.
+func (l *LossyCounting) estimate(nd *ssNode) int64 {
+	if l.variant == VariantLCD {
+		return nd.count
+	}
+	return nd.count - nd.err
 }
 
 // Estimate returns the variant-appropriate estimate (0 when untracked).
 func (l *LossyCounting) Estimate(x core.Item) int64 {
-	e, ok := l.index[x]
-	if !ok {
-		return 0
+	if id := l.st.lookup(x); id >= 0 {
+		return l.estimate(&l.st.nodes[id])
 	}
-	if l.variant == VariantLCD {
-		return e.count + e.delta
-	}
-	return e.count
+	return 0
 }
 
 // Query returns items that may reach threshold: count + Δ ≥ threshold,
@@ -130,43 +143,32 @@ func (l *LossyCounting) Estimate(x core.Item) int64 {
 // threshold = φN with φ > ε this has perfect recall.
 func (l *LossyCounting) Query(threshold int64) []core.ItemCount {
 	var out []core.ItemCount
-	for it, e := range l.index {
-		if e.count+e.delta >= threshold {
-			est := e.count
-			if l.variant == VariantLCD {
-				est = e.count + e.delta
-			}
-			out = append(out, core.ItemCount{Item: it, Count: est})
+	for i := range l.st.nodes {
+		if nd := &l.st.nodes[i]; nd.count >= threshold {
+			out = append(out, core.ItemCount{Item: nd.item, Count: l.estimate(nd)})
 		}
 	}
 	core.SortByCountDesc(out)
 	return out
 }
 
-// Clone returns an independent deep copy (entries duplicated, parameters
-// and bucket position shared by value).
+// Clone returns an independent deep copy (the store copied at its
+// capacities, parameters and bucket position shared by value).
 func (l *LossyCounting) Clone() *LossyCounting {
-	nl := &LossyCounting{
-		epsilon: l.epsilon,
-		width:   l.width,
-		bucket:  l.bucket,
-		n:       l.n,
-		variant: l.variant,
-		index:   make(map[core.Item]*lcEntry, len(l.index)),
-	}
-	for it, e := range l.index {
-		nl.index[it] = &lcEntry{count: e.count, delta: e.delta}
-	}
-	return nl
+	nl := *l
+	nl.st = l.st.clone()
+	return &nl
 }
 
 // Snapshot implements core.Snapshotter.
 func (l *LossyCounting) Snapshot() core.Summary { return l.Clone() }
 
-// Bytes charges the live entries at the common accounting rate. LC's
-// footprint floats with the data distribution; Bytes reports the current
-// footprint, and the harness additionally records the high-water mark.
-func (l *LossyCounting) Bytes() int { return entryBytes * len(l.index) }
+// Bytes implements core.Summary: the counter store's footprint. The
+// store only grows, so this is the footprint of the largest live set
+// the stream needed, not of the entries live now. A decoded summary's
+// store is sized to the entries it decoded, so after a round trip
+// through LC01 Bytes reports the footprint of the decoded live set.
+func (l *LossyCounting) Bytes() int { return l.st.bytes() }
 
 // Merge combines another LossyCounting summary with identical epsilon and
 // variant. Counts add; deltas add (each side's Δ bounds its own missed
@@ -183,27 +185,24 @@ func (l *LossyCounting) Merge(other core.Summary) error {
 		return core.Incompatible("LossyCounting: parameter mismatch (ε=%g/%g, variant=%d/%d)",
 			l.epsilon, o.epsilon, l.variant, o.variant)
 	}
-	for it, oe := range o.index {
-		if e, ok := l.index[it]; ok {
-			e.count += oe.count
-			e.delta += oe.delta
-		} else {
-			l.index[it] = &lcEntry{count: oe.count, delta: oe.delta + l.bucket - 1}
+	// An item tracked here but not in o may have been missed by o for up
+	// to o's pruning bound b − 1 (0 for an empty o); its Δ widens by it.
+	for id := range l.st.nodes {
+		nd := &l.st.nodes[id]
+		add, delta := o.bucket-1, o.bucket-1
+		if oid := o.st.lookup(nd.item); oid >= 0 {
+			add, delta = o.st.nodes[oid].count, o.st.nodes[oid].err
 		}
+		nd.err += delta
+		l.st.add(int32(id), add)
 	}
-	// Items tracked here but not in o may have been missed by o for up to
-	// o's pruning bound; widen their deltas accordingly.
-	for it, e := range l.index {
-		if _, inO := o.index[it]; !inO && o.n > 0 {
-			_ = it
-			e.delta += o.bucket - 1
+	for i := range o.st.nodes {
+		if ond := &o.st.nodes[i]; l.st.lookup(ond.item) < 0 {
+			l.push(ond.item, ond.count-ond.err, ond.err+l.bucket-1)
 		}
 	}
 	l.n += o.n
-	l.bucket = (l.n + l.width - 1) / l.width
-	if l.bucket < 1 {
-		l.bucket = 1
-	}
+	l.bucket = max((l.n+l.width-1)/l.width, 1)
 	l.prune()
 	return nil
 }

@@ -123,14 +123,23 @@ func TestLossyCountingSpaceBounded(t *testing.T) {
 	// (the whole point of the algorithm).
 	g, _ := zipf.NewGenerator(50000, 1.0, 8, true)
 	l := NewLossyCounting(0.001, VariantLC)
+	peak := 0
 	for i := 0; i < 200000; i++ {
 		l.Update(g.Next(), 1)
+		peak = max(peak, l.EntryCount())
 	}
 	if l.EntryCount() > 20000 {
 		t.Errorf("%d live entries; space bound violated", l.EntryCount())
 	}
-	if l.Bytes() != entryBytes*l.EntryCount() {
-		t.Errorf("Bytes accounting inconsistent")
+	// Bytes is the store's footprint at its capacity, which grows by an
+	// eighth at a time and never shrinks: the peak live set fits, with
+	// at most an eighth (and one slot) to spare.
+	k := cap(l.st.nodes)
+	if k < peak || k > peak+peak/8+1 {
+		t.Errorf("store capacity %d for a peak of %d live entries", k, peak)
+	}
+	if l.Bytes() != ssBlockBytes(k) {
+		t.Errorf("Bytes() = %d, want the footprint of a store for %d counters, %d", l.Bytes(), k, ssBlockBytes(k))
 	}
 }
 

@@ -1,33 +1,44 @@
 package counters
 
 import (
+	"slices"
 	"sync"
 
 	"streamfreq/internal/core"
 )
 
 // The counter store: the module's only indexed min-heap. Every
-// heap-based counter summary keeps its k counters here — Space-Saving
+// heap-based counter summary keeps its counters here — Space-Saving
 // (SSH, and every tenant), Frequent (Misra–Gries), Filtered
-// Space-Saving and Tracked's top-l roster — so the heap discipline, and
-// with it the heap order the FQ01, SS01 and TK01 wire formats write,
-// lives in one place (the sift's comment says why it must not change).
-// A store is three slices plus a count mirror:
+// Space-Saving, Lossy Counting (LC and LCD) and Tracked's top-l roster
+// — so the heap discipline, and with it the heap order the FQ01, SS01
+// and TK01 wire formats write, lives in one place (the sift's comment
+// says why it must not change). A store is three slices plus a count
+// mirror:
 //
 //	nodes []ssNode — the counters themselves (item, count, err, heap
 //	                 position); node id = position, ids stay dense;
 //	heap  []int32  — a min-heap of node ids ordered by count;
 //	index []int32  — an open-addressed hash table item → node id.
 //
-// Four operations change it: push (a new counter), add (a count
+// Five operations change it: push (a new counter), add (a count
 // change), replaceMin (Space-Saving's replacement, FSS's promotion,
-// Tracked's admission) and popMin (Misra–Gries' eviction). Index
+// Tracked's admission), popMin (Misra–Gries' eviction, Lossy
+// Counting's prune) and grow (more room). Lossy Counting keys each
+// entry by its upper bound count + Δ and keeps Δ in err, so the entries
+// a bucket boundary prunes (count + Δ ≤ b − 1) are the ones at the
+// root, popped without a sweep; and since no fixed k bounds its live
+// set, it grows the store when a new entry finds it full. Index
 // deletions leave tombstones, compacted by an O(k) rebuild when they
 // accumulate. The layout is pointer-free below the slice headers, so a
 // million instances cost the GC a million objects, not a hundred
 // million: a multi-tenant daemon holds millions of small SSH instances,
 // and the per-entry map buckets and heap pointers of a Go-map layout
 // would dominate its footprint.
+//
+// Every store-backed summary reports one space figure, the store's
+// footprint at its capacities (bytes): 44 B per node slot plus 4 B per
+// index slot.
 //
 // A Slab carves those slices out of per-k chunk arenas and recycles
 // whole blocks through a free list, so tenant churn (lazy instantiation
@@ -39,8 +50,8 @@ import (
 
 // ssNode is one counter: 32 bytes, pointer-free. err is the counter's
 // error term — Space-Saving's inherited overcount, FSS's filter error
-// at admission — and zero for Frequent and Tracked. heapIdx mirrors the
-// node's position in the heap slice.
+// at admission, Lossy Counting's Δ — and zero for Frequent and Tracked.
+// heapIdx mirrors the node's position in the heap slice.
 type ssNode struct {
 	item    core.Item
 	count   int64
@@ -92,13 +103,21 @@ func newSSStorage(k int) ssStorage {
 	}
 }
 
-// ssBlockBytes is the exact per-instance storage footprint for k
-// counters under the flat layout; Bytes reports it and the slab's
+// ssSlotBytes is one node slot's footprint: the 32-byte node, its heap
+// id and its count mirror.
+const ssSlotBytes = 32 + 4 + 8
+
+// ssBlockBytes is the footprint of a store for k counters; the slab's
 // accounting sums it.
 func ssBlockBytes(k int) int {
 	capacity, _ := ssIndexCap(k)
-	return 32*k + 4*k + 8*k + 4*capacity
+	return ssSlotBytes*k + 4*capacity
 }
+
+// bytes is the store's footprint at its capacities, the figure every
+// store-backed summary's Bytes reports (ssBlockBytes(k) for a store
+// built for k counters).
+func (st *ssStorage) bytes() int { return ssSlotBytes*cap(st.nodes) + 4*len(st.index) }
 
 // ssHash spreads an item over the index: one Fibonacci multiply with
 // the slot taken from the product's top bits, the same mixing the batch
@@ -177,11 +196,16 @@ func (st *ssStorage) unindex(x core.Item) {
 // been rewritten or dropped; run earlier, it would index the departed
 // item again.
 func (st *ssStorage) compact() {
-	if int(st.tombs) <= len(st.index)/4 {
-		return
+	if int(st.tombs) > len(st.index)/4 {
+		clear(st.index)
+		st.reindex(st.index)
 	}
-	clear(st.index)
-	st.tombs = 0
+}
+
+// reindex indexes every node in the zeroed table index, which becomes
+// the store's index, free of tombstones.
+func (st *ssStorage) reindex(index []int32) {
+	st.index, st.tombs = index, 0
 	for id := range st.nodes {
 		st.insert(st.nodes[id].item, int32(id))
 	}
@@ -196,22 +220,37 @@ func (st *ssStorage) reset() {
 	st.tombs = 0
 }
 
-// clone returns an independent deep copy with standalone slices (a
-// snapshot must outlive its source's slab block).
-func (st *ssStorage) clone(k int) ssStorage {
-	ns := ssStorage{
-		nodes: make([]ssNode, len(st.nodes), k),
-		heap:  make([]int32, len(st.heap), k),
-		hcnt:  make([]int64, len(st.hcnt), k),
-		index: make([]int32, len(st.index)),
-		tombs: st.tombs,
-		shift: st.shift,
-	}
-	copy(ns.nodes, st.nodes)
-	copy(ns.heap, st.heap)
-	copy(ns.hcnt, st.hcnt)
-	copy(ns.index, st.index)
+// clone returns an independent deep copy at the same capacities, in
+// standalone slices (a snapshot must outlive its source's slab block).
+func (st *ssStorage) clone() ssStorage {
+	ns := *st
+	ns.realloc(cap(st.nodes))
+	ns.index = slices.Clone(st.index)
 	return ns
+}
+
+// realloc moves the nodes, heap and count mirror into fresh standalone
+// slices of capacity k.
+func (st *ssStorage) realloc(k int) {
+	st.nodes = append(make([]ssNode, 0, k), st.nodes...)
+	st.heap = append(make([]int32, 0, k), st.heap...)
+	st.hcnt = append(make([]int64, 0, k), st.hcnt...)
+}
+
+// grow raises the capacity by an eighth, and at least one slot: Lossy
+// Counting's room for a new entry, as no fixed k bounds its live set.
+// Ids and heap positions stay, so the heap arrangement does not change;
+// the index is rebuilt only when the new capacity needs a larger table.
+// An eighth, not a doubling, because LC's store never shrinks: its node
+// slots stay within 1.125× of the largest live set it held. The copies
+// cost about eight slot moves per slot of the final capacity, once.
+func (st *ssStorage) grow() {
+	k := cap(st.nodes) + cap(st.nodes)/8 + 1
+	st.realloc(k)
+	if capacity, shift := ssIndexCap(k); capacity > len(st.index) {
+		st.shift = shift
+		st.reindex(make([]int32, capacity))
+	}
 }
 
 // push adds x, which must be untracked, as a new counter. The store
@@ -252,9 +291,10 @@ func (st *ssStorage) replaceMin(x core.Item, count, err int64) {
 	st.heapDown(0)
 }
 
-// popMin removes the minimum counter: Misra–Gries' eviction. The last
-// heap slot moves to the root and sifts down, as a pairwise-swap pop
-// does; the last node moves into the freed id, so ids stay dense.
+// popMin removes the minimum counter: Misra–Gries' eviction and Lossy
+// Counting's prune. The last heap slot moves to the root and sifts
+// down, as a pairwise-swap pop does; the last node moves into the freed
+// id, so ids stay dense.
 func (st *ssStorage) popMin() {
 	id := st.heap[0]
 	st.unindex(st.nodes[id].item)
@@ -335,11 +375,19 @@ func (st *ssStorage) heapDown(i int) bool {
 }
 
 // validateStorage checks the structural invariants — dense ids, heap
-// order, the heapIdx and hcnt mirrors, and an index holding exactly one
+// order, the heapIdx and hcnt mirrors, one capacity for the node-slot
+// slices with the index sized for it, and an index holding exactly one
 // live slot per counter and the tombstones it counts; used only by
 // tests.
 func (st *ssStorage) validateStorage() bool {
 	if len(st.nodes) != len(st.heap) || len(st.hcnt) != len(st.heap) {
+		return false
+	}
+	k := cap(st.nodes)
+	if cap(st.heap) != k || cap(st.hcnt) != k {
+		return false
+	}
+	if capacity, _ := ssIndexCap(k); len(st.index) != capacity {
 		return false
 	}
 	for i, id := range st.heap {

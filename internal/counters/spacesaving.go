@@ -148,7 +148,7 @@ func (s *SpaceSavingHeap) Query(threshold int64) []core.ItemCount {
 // slices, so a clone of a slab-backed tenant survives the tenant's
 // eviction.
 func (s *SpaceSavingHeap) Clone() *SpaceSavingHeap {
-	return &SpaceSavingHeap{k: s.k, n: s.n, st: s.st.clone(s.k)}
+	return &SpaceSavingHeap{k: s.k, n: s.n, st: s.st.clone()}
 }
 
 // Snapshot implements core.Snapshotter.
@@ -164,10 +164,10 @@ func (s *SpaceSavingHeap) Entries() []core.ItemCount {
 	return out
 }
 
-// Bytes implements core.Summary: the exact flat-storage footprint
-// (nodes + id heap + index). Batch pre-aggregation scratch is pooled
-// across summaries (see batch.go) and no longer charged per instance.
-func (s *SpaceSavingHeap) Bytes() int { return ssBlockBytes(s.k) }
+// Bytes implements core.Summary: the counter store's footprint. Batch
+// pre-aggregation scratch is pooled across summaries (see batch.go)
+// and not charged per instance.
+func (s *SpaceSavingHeap) Bytes() int { return s.st.bytes() }
 
 // Merge combines another Space-Saving summary into this one following
 // the mergeable-summaries construction: counters for the same item are

@@ -19,24 +19,29 @@ func TestCounterStoreChurn(t *testing.T) {
 	f := NewFrequent(k)
 	fss := NewFilteredSpaceSaving(k, 0, 3)
 	tr := NewTracked(exact.New(), k)
+	// Buckets of 8 and 32 arrivals: a prune pops the root every 8 or 32
+	// updates, and the stores grow from empty to 10 and 38 slots.
+	lc := NewLossyCounting(1.0/8, VariantLC)
+	lcd := NewLossyCounting(1.0/32, VariantLCD)
 	cases := []struct {
 		s  core.Summary
 		st *ssStorage
-	}{{ssh, &ssh.st}, {f, &f.st}, {fss, &fss.st}, {tr, &tr.st}}
+	}{{ssh, &ssh.st}, {f, &f.st}, {fss, &fss.st}, {tr, &tr.st}, {lc, &lc.st}, {lcd, &lcd.st}}
 	rng := prng.New(1)
 	for u := 1; u <= 20_000; u++ {
 		x := core.Item(rng.Uint64() % 5000)
 		for _, c := range cases {
 			c.s.Update(x, 1)
 			if !c.st.validateStorage() {
-				t.Fatalf("%T: store invalid after update %d", c.s, u)
+				t.Fatalf("%s: store invalid after update %d", c.s.Name(), u)
 			}
 		}
 	}
 }
 
 // FuzzCounterStore drives the store's operations from the input bytes
-// against a map reference. After every operation the store must be
+// against a map reference. A push into a full store grows it first, as
+// Lossy Counting's does. After every operation the store must be
 // structurally valid, track exactly the reference's items at their
 // counts, and hold the reference minimum at the root.
 func FuzzCounterStore(f *testing.F) {
@@ -52,15 +57,17 @@ func FuzzCounterStore(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		k := 1 + int(data[0]%16)
-		st := newSSStorage(k)
+		st := newSSStorage(1 + int(data[0]%16))
 		ref := map[core.Item]int64{}
 		for ops := data[1:]; len(ops) >= 3; ops = ops[3:] {
 			x, v := core.Item(ops[1]%64), int64(int8(ops[2]))
 			id := st.lookup(x)
 			switch ops[0] % 8 {
 			case 0, 1:
-				if id < 0 && len(st.nodes) < k {
+				if id < 0 {
+					if len(st.nodes) == cap(st.nodes) {
+						st.grow()
+					}
 					st.push(x, v, 0)
 					ref[x] = v
 				}
@@ -86,7 +93,7 @@ func FuzzCounterStore(f *testing.F) {
 					t.Fatalf("lookup(%d) = %d, reference tracked = %v", x, id, ok)
 				}
 			case 6:
-				st = st.clone(k)
+				st = st.clone()
 			case 7:
 				// Rare, so the store fills between resets.
 				if ops[2]%32 == 0 {

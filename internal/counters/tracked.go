@@ -112,7 +112,7 @@ func (t *Tracked) Estimate(x core.Item) int64 { return t.inner.Estimate(x) }
 // core.Snapshotter itself.
 func (t *Tracked) Clone() *Tracked {
 	inner := t.inner.(core.Snapshotter).Snapshot()
-	return &Tracked{inner: inner, capacity: t.capacity, st: t.st.clone(t.capacity)}
+	return &Tracked{inner: inner, capacity: t.capacity, st: t.st.clone()}
 }
 
 // Snapshot implements core.Snapshotter.
@@ -142,11 +142,8 @@ func (t *Tracked) TopK(k int) []core.ItemCount {
 	return all
 }
 
-// Bytes adds the heap footprint to the sketch's.
-func (t *Tracked) Bytes() int {
-	const entry = 2 * (8 + 8 + 8)
-	return t.inner.Bytes() + entry*t.capacity
-}
+// Bytes adds the roster's store to the sketch's footprint.
+func (t *Tracked) Bytes() int { return t.inner.Bytes() + t.st.bytes() }
 
 // Merge merges the inner sketches and re-selects tracked items from the
 // union of both heaps under the merged sketch's estimates.

@@ -9,11 +9,13 @@
 package testutil
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -57,16 +59,20 @@ type Golden struct {
 // CheckGolden compares got, entry by entry, with the entries stored in
 // the golden file at path and returns the stored ones, so a caller can
 // also decode them. A deliberate change deletes the file: the next run
-// writes got there and fails, so the diff gets reviewed before the
-// rerun passes.
+// writes got there, one entry per line, and fails, so the diff — a line
+// per changed entry — gets reviewed before the rerun passes.
 func CheckGolden[E any](t testing.TB, path string, got []E) []E {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		if raw, err = json.MarshalIndent(got, "", "\t"); err == nil {
-			err = os.WriteFile(path, append(raw, '\n'), 0o644)
+		lines := make([][]byte, len(got))
+		for i := range got {
+			if lines[i], err = json.Marshal(got[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err != nil {
+		raw = slices.Concat([]byte("[\n"), bytes.Join(lines, []byte(",\n")), []byte("\n]\n"))
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Fatalf("wrote %s; review it, then rerun", path)
