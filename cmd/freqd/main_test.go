@@ -25,6 +25,7 @@ import (
 // buildTarget read; zero fields take freqd's defaults.
 type node struct {
 	algo     string
+	phi      float64
 	shards   int
 	window   int
 	horizons []time.Duration
@@ -35,9 +36,12 @@ type node struct {
 // build composes the node the way main does: the tenant table first
 // (when -tenants is set), then the serving target.
 func (n node) build() (serve.Target, *persist.Store, error) {
-	algo, shards := n.algo, n.shards
+	algo, phi, shards := n.algo, n.phi, n.shards
 	if algo == "" {
 		algo = "SSH"
+	}
+	if phi == 0 {
+		phi = 0.01
 	}
 	if shards == 0 {
 		shards = 1
@@ -45,12 +49,12 @@ func (n node) build() (serve.Target, *persist.Store, error) {
 	var table *tenant.Table
 	if n.tenants {
 		var err error
-		if table, err = buildTenantTable(algo, 0.01, shards, n.window, 4096, nil); err != nil {
+		if table, err = buildTenantTable(algo, phi, shards, n.window, 4096, nil); err != nil {
 			return nil, nil, err
 		}
 	}
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
-	target, store, _, err := buildTarget(log, algo, 0.01, 1, shards, 0,
+	target, store, _, err := buildTarget(log, algo, phi, 1, shards, 0,
 		n.window, 8, n.horizons, 8, n.dataDir, "always", 100*time.Millisecond, table)
 	return target, store, err
 }
@@ -178,6 +182,10 @@ func TestFlagExclusions(t *testing.T) {
 		{"horizons+shards", node{horizons: minute, shards: 4}, "-horizons is single-shard"},
 		{"window+algo", node{window: 1000, algo: "CM"}, "-window serves block-decomposed Space-Saving"},
 		{"window+shards", node{window: 1000, shards: 4}, "-window is single-shard"},
+		// A budget of 5,000,001 counters, past what the checkpoint
+		// decoders accept: refused at startup, not at recovery.
+		{"phi-over-budget", node{phi: 2e-7, dataDir: t.TempDir()}, "needs more than"},
+		{"phi-over-budget+tenants", node{phi: 2e-7, tenants: true, dataDir: t.TempDir()}, "needs more than"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -161,6 +161,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(lcBlob(0.01, 1, 1000, [3]int64{7, 1, math.MaxInt64}, [3]int64{9, 5, 500}))
 	f.Add(lcBlob(0.01, 0, 1000, [3]int64{9, 1001, 0}))
 	f.Add(lcBlob(0.5, 0, math.MaxInt64-1, [3]int64{3, math.MaxInt64 - 1, 1<<62 - 2}))
+	// Entries no Space-Saving or Frequent state holds (k = 4, n = 10):
+	// item 7 counted 2^62 times, which self-merges to −2^63; and n < 0.
+	f.Add(counterBlob("SS01", 4, 10, 1, 7, 1<<62, 0))
+	f.Add(counterBlob("SL01", 4, 10, 1, 7, 1<<62, 0))
+	f.Add(counterBlob("FQ01", 4, 10, 0, 1, 7, 1<<62))
+	f.Add(counterBlob("SS01", 4, 1<<63, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		defer func() {
 			if r := recover(); r != nil {

@@ -191,10 +191,11 @@ func NewWindowed(size, blocks, k int) (*window.Windowed, error) {
 // canonical counter budget k = ⌈1/φ⌉, the same equal-guarantee sizing
 // the registry applies to the flat counter summaries.
 func NewWindowedForPhi(phi float64, size, blocks int) (*window.Windowed, error) {
-	if phi <= 0 || phi >= 1 {
-		return nil, fmt.Errorf("streamfreq: phi must be in (0,1), got %g", phi)
+	k, err := counters.Budget(phi, 1)
+	if err != nil {
+		return nil, fmt.Errorf("streamfreq: %w", err)
 	}
-	return window.NewWindowed(size, blocks, kForPhi(phi))
+	return window.NewWindowed(size, blocks, k)
 }
 
 // NewQuantile returns a Greenwald–Khanna ε-approximate quantile summary,

@@ -43,6 +43,19 @@ func TestRegistryRejectsBadInput(t *testing.T) {
 			t.Errorf("phi=%v accepted", phi)
 		}
 	}
+	// A counter budget its own decoder would refuse: at φ = 2e-7,
+	// k = ⌊1/φ⌋ + 1 is 5,000,001, past counters.MaxBudget; at φ = 3e-7
+	// k fits, but CM's and CS's top-2k roster does not.
+	for phi, names := range map[float64][]string{2e-7: {"F", "SSL", "SSH", "CM", "CS"}, 3e-7: {"CM", "CS"}} {
+		for _, name := range names {
+			if _, err := New(name, phi, 1); err == nil {
+				t.Errorf("%s at phi=%v accepted", name, phi)
+			}
+		}
+	}
+	if _, err := NewWindowedForPhi(2e-7, 1<<20, 8); err == nil {
+		t.Error("windowed summary at phi=2e-7 accepted")
+	}
 }
 
 func TestMustNewPanics(t *testing.T) {

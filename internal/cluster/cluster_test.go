@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -866,5 +867,41 @@ func TestTenantNodeWithoutDefaultNamespaceHasData(t *testing.T) {
 	c.PullAll(context.Background())
 	if row := c.Stats().Nodes[0]; !row.HasData || !row.Stale {
 		t.Fatalf("down node with only named namespaces: %+v, want has_data and stale", row)
+	}
+}
+
+// TestPullAllocationBounded: one pull of a tenant bundle whose three
+// namespaces are SS01 headers claiming the largest budget a decoder
+// accepts, and no entries (120 bytes), allocates under 1 MiB: a decoded
+// store is sized by the entries its blob carries, and so is its
+// snapshot.
+func TestPullAllocationBounded(t *testing.T) {
+	le := binary.LittleEndian
+	ss := le.AppendUint64(le.AppendUint64(le.AppendUint64([]byte("SS01"), 1<<22), 0), 0) // k, n, entries
+	bundle := le.AppendUint32([]byte("SFTB0001"), 3)
+	for _, ns := range []string{"n0", "n1", "n2"} {
+		bundle = append(le.AppendUint16(bundle, uint16(len(ns))), ns...)
+		bundle = append(le.AppendUint32(bundle, uint32(len(ss))), ss...)
+	}
+	hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(serve.HeaderEpoch, "9")
+		w.Header().Set("Content-Type", serve.TenantBundleContentType)
+		w.Write(bundle)
+	}))
+	defer hostile.Close()
+	c := coordinator(t, "SSH", hostile.URL)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c.PullAll(context.Background())
+	runtime.ReadMemStats(&after)
+	if row := c.Stats().Nodes[0]; !row.HasData || row.LastErr != "" {
+		t.Fatalf("pull of the %d-byte bundle: %+v, want it decoded", len(bundle), row)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("pulling a %d-byte bundle allocated %d bytes", len(bundle), got)
+	if got >= 1<<20 {
+		t.Errorf("pulling a %d-byte bundle allocated %d bytes, want under 1 MiB", len(bundle), got)
 	}
 }

@@ -14,6 +14,14 @@ import (
 // Binary serialization for counter-based summaries, used when shipping
 // per-shard summaries to a coordinator for merging. Formats are versioned
 // by a 4-byte magic and little-endian throughout.
+//
+// A decoder refuses a budget over MaxBudget, a negative n and any count
+// above n (every count Update and Merge reach is at most n: a merged
+// count is c_a + c_b, or c plus the other side's minimum, each at most
+// n_a + n_b), and allocates for the entries the blob carries, not for
+// the budget its header claims, so a forged header costs
+// O(len(data)). The decoded store grows to its budget in one step when
+// it fills.
 
 const (
 	magicFQ = "FQ01"
@@ -22,9 +30,6 @@ const (
 	magicSL = "SL01"
 	magicTK = "TK01"
 )
-
-// maxEntries bounds decoded entry counts against corrupt headers.
-const maxEntries = 1 << 22
 
 var le = binary.LittleEndian
 
@@ -54,20 +59,17 @@ func DecodeFrequent(data []byte) (*Frequent, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if k == 0 || k > maxEntries || cnt > k {
-		return nil, fmt.Errorf("counters: implausible Frequent header (k=%d, entries=%d)", k, cnt)
+	if k == 0 || k > MaxBudget || cnt > k || n < 0 {
+		return nil, fmt.Errorf("counters: implausible Frequent header (k=%d, n=%d, entries=%d)", k, n, cnt)
 	}
-	// Validate the payload length before allocating k-sized structures.
 	if uint64(r.Len()) != cnt*16 {
 		return nil, fmt.Errorf("counters: Frequent payload %d bytes, want %d", r.Len(), cnt*16)
 	}
-	f := NewFrequent(int(k))
-	f.n = n
-	f.decs = decs
+	f := &Frequent{k: int(k), n: n, decs: decs, st: newSSStorage(int(cnt))}
 	for i := uint64(0); i < cnt; i++ {
 		item, count := core.Item(r.U64()), r.I64()
-		if count <= 0 {
-			return nil, fmt.Errorf("counters: non-positive stored count %d", count)
+		if count <= 0 || count > n {
+			return nil, fmt.Errorf("counters: invalid Frequent count %d (n=%d)", count, n)
 		}
 		if f.st.lookup(item) >= 0 {
 			return nil, fmt.Errorf("counters: duplicate items in Frequent blob")
@@ -107,7 +109,7 @@ func DecodeSpaceSavingHeap(data []byte) (*SpaceSavingHeap, error) {
 // DecodeSpaceSaving parses an SS01 blob into slab-drawn storage — the
 // reload half of the multi-tenant table's evict/reload cycle, so a
 // tenant coming back from its compact blob lands in the same arena it
-// left.
+// left, in a whole block of its budget like the one eviction freed.
 func (sl *Slab) DecodeSpaceSaving(data []byte) (*SpaceSavingHeap, error) {
 	return decodeSpaceSavingHeap(data, sl)
 }
@@ -119,8 +121,8 @@ func decodeSpaceSavingHeap(data []byte, sl *Slab) (*SpaceSavingHeap, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if k == 0 || k > maxEntries || cnt > k {
-		return nil, fmt.Errorf("counters: implausible SpaceSaving header (k=%d, entries=%d)", k, cnt)
+	if k == 0 || k > MaxBudget || cnt > k || n < 0 {
+		return nil, fmt.Errorf("counters: implausible SpaceSaving header (k=%d, n=%d, entries=%d)", k, n, cnt)
 	}
 	if uint64(r.Len()) != cnt*24 {
 		return nil, fmt.Errorf("counters: SpaceSaving payload %d bytes, want %d", r.Len(), cnt*24)
@@ -129,14 +131,14 @@ func decodeSpaceSavingHeap(data []byte, sl *Slab) (*SpaceSavingHeap, error) {
 	if sl != nil {
 		s = sl.NewSpaceSaving(int(k))
 	} else {
-		s = NewSpaceSavingHeap(int(k))
+		s = &SpaceSavingHeap{k: int(k), st: newSSStorage(int(cnt))}
 	}
 	s.n = n
 	for i := uint64(0); i < cnt; i++ {
 		item, count, errv := core.Item(r.U64()), r.I64(), r.I64()
-		if count < 0 || errv < 0 || errv > count {
+		if count < 0 || count > n || errv < 0 || errv > count {
 			s.Release()
-			return nil, fmt.Errorf("counters: invalid SpaceSaving entry (count=%d err=%d)", count, errv)
+			return nil, fmt.Errorf("counters: invalid SpaceSaving entry (count=%d err=%d, n=%d)", count, errv, n)
 		}
 		if s.st.lookup(item) >= 0 {
 			s.Release()
@@ -183,7 +185,7 @@ func DecodeLossyCounting(data []byte) (*LossyCounting, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if !(eps > 0 && eps < 1) || variant > 1 || cnt > maxEntries {
+	if !(eps > 0 && eps < 1) || variant > 1 || cnt > MaxBudget {
 		return nil, fmt.Errorf("counters: implausible LossyCounting header (ε=%v variant=%d entries=%d)", eps, variant, cnt)
 	}
 	if uint64(r.Len()) != cnt*24 {
@@ -219,26 +221,28 @@ func DecodeLossyCounting(data []byte) (*LossyCounting, error) {
 // encode→decode→encode is byte-identical and the decoded structure is
 // validate-clean like a Clone.
 func (s *SpaceSavingList) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 4+3*8+24*s.size)
+	out := make([]byte, 0, 4+3*8+24*len(s.t.nodes))
 	out = append(out, magicSL...)
 	out = le.AppendUint64(out, uint64(s.k))
 	out = le.AppendUint64(out, uint64(s.n))
-	out = le.AppendUint64(out, uint64(s.size))
-	for b := s.min; b != nil; b = b.next {
-		for e := b.head; e != nil; e = e.next {
-			out = le.AppendUint64(out, uint64(e.item))
-			out = le.AppendUint64(out, uint64(b.count))
-			out = le.AppendUint64(out, uint64(e.err))
+	out = le.AppendUint64(out, uint64(len(s.t.nodes)))
+	for b := s.min; b >= 0; b = s.buckets[b].next {
+		for e := s.buckets[b].head; e >= 0; e = s.links[e].next {
+			nd := &s.t.nodes[e]
+			out = le.AppendUint64(out, uint64(nd.item))
+			out = le.AppendUint64(out, uint64(nd.count))
+			out = le.AppendUint64(out, uint64(nd.err))
 		}
 	}
 	return out, nil
 }
 
 // DecodeSpaceSavingList parses a summary produced by
-// (*SpaceSavingList).MarshalBinary, reconstructing the bucket list
-// directly: consecutive entries sharing a count share a bucket, and
-// counts must be non-decreasing (the structural order MarshalBinary
-// emits), so a shuffled or hand-forged blob is rejected.
+// (*SpaceSavingList).MarshalBinary. Counts must be non-decreasing (the
+// structural order MarshalBinary emits), so a shuffled or hand-forged
+// blob is rejected; the entries are then linked from the last one back,
+// each joining the head of the minimum bucket or opening a new minimum,
+// which rebuilds the written order exactly.
 func DecodeSpaceSavingList(data []byte) (*SpaceSavingList, error) {
 	r := wire.NewReader(data)
 	r.Magic(magicSL)
@@ -246,48 +250,35 @@ func DecodeSpaceSavingList(data []byte) (*SpaceSavingList, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if k == 0 || k > maxEntries || cnt > k {
-		return nil, fmt.Errorf("counters: implausible SpaceSavingList header (k=%d, entries=%d)", k, cnt)
+	if k == 0 || k > MaxBudget || cnt > k || n < 0 {
+		return nil, fmt.Errorf("counters: implausible SpaceSavingList header (k=%d, n=%d, entries=%d)", k, n, cnt)
 	}
 	if uint64(r.Len()) != cnt*24 {
 		return nil, fmt.Errorf("counters: SpaceSavingList payload %d bytes, want %d", r.Len(), cnt*24)
 	}
-	s := NewSpaceSavingList(int(k))
+	s := newSpaceSavingList(int(k), int(cnt))
 	s.n = n
-	s.size = int(cnt)
-	var curB *ssBucket
-	var lastE *ssEntry
+	last := int64(0)
 	for i := uint64(0); i < cnt; i++ {
 		item, count, errv := core.Item(r.U64()), r.I64(), r.I64()
-		if count <= 0 || errv < 0 || errv > count {
-			return nil, fmt.Errorf("counters: invalid SpaceSavingList entry (count=%d err=%d)", count, errv)
+		if count <= 0 || count > n || errv < 0 || errv > count {
+			return nil, fmt.Errorf("counters: invalid SpaceSavingList entry (count=%d err=%d, n=%d)", count, errv, n)
 		}
-		if curB == nil || count != curB.count {
-			if curB != nil && count < curB.count {
-				return nil, fmt.Errorf("counters: SpaceSavingList blob buckets out of order (%d after %d)", count, curB.count)
-			}
-			nb := &ssBucket{count: count, prev: curB}
-			if curB != nil {
-				curB.next = nb
-			} else {
-				s.min = nb
-			}
-			curB, lastE = nb, nil
+		if count < last {
+			return nil, fmt.Errorf("counters: SpaceSavingList blob buckets out of order (%d after %d)", count, last)
 		}
-		if _, dup := s.index[item]; dup {
+		if s.t.lookup(item) >= 0 {
 			return nil, fmt.Errorf("counters: duplicate item in SpaceSavingList blob")
 		}
-		e := &ssEntry{item: item, err: errv, bucket: curB, prev: lastE}
-		if lastE != nil {
-			lastE.next = e
-		} else {
-			curB.head = e
-		}
-		s.index[item] = e
-		lastE = e
+		s.t.newNode(item, count, errv, -1)
+		s.links = append(s.links, listLink{})
+		last = count
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
+	}
+	for id := int32(cnt) - 1; id >= 0; id-- {
+		s.attach(id, s.t.nodes[id].count, -1)
 	}
 	return s, nil
 }
@@ -331,13 +322,13 @@ func DecodeTracked(data []byte, decodeInner func([]byte) (core.Summary, error)) 
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if capacity == 0 || capacity > maxEntries || heapLen > capacity {
+	if capacity == 0 || capacity > MaxBudget || heapLen > capacity {
 		return nil, fmt.Errorf("counters: implausible Tracked header (capacity=%d, entries=%d)", capacity, heapLen)
 	}
 	if uint64(r.Len()) < heapLen*16+8 {
 		return nil, fmt.Errorf("counters: Tracked blob has %d bytes for %d heap entries", r.Len(), heapLen)
 	}
-	t := NewTracked(nil, int(capacity)) // inner attached below, after its blob parses
+	t := &Tracked{capacity: int(capacity), st: newSSStorage(int(heapLen))} // inner attached below, after its blob parses
 	for i := range int(heapLen) {
 		item, est := core.Item(r.U64()), r.I64()
 		if t.st.lookup(item) >= 0 {

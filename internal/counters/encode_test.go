@@ -229,3 +229,49 @@ func TestSlabDecodeRefusalReleasesBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeRefusesCountsAboveN: no counter Update or Merge reaches is
+// above the stream length n — a merged count is c_a + c_b, or c plus
+// the other side's minimum, each at most n_a + n_b — so FQ01, SS01 and
+// SL01 refuse a negative n and an entry counting past n. Accepted, the
+// k = 4, n = 10 blob holding item 7 at 2^62 self-merges to an estimate
+// of −2^63 and an encoding its own decoder refuses.
+func TestDecodeRefusesCountsAboveN(t *testing.T) {
+	blob := func(magic string, words ...uint64) []byte {
+		out := []byte(magic)
+		for _, w := range words {
+			out = le.AppendUint64(out, w)
+		}
+		return out
+	}
+	decoders := map[string]func([]byte) (core.Summary, error){
+		"FQ01": func(b []byte) (core.Summary, error) { return DecodeFrequent(b) },
+		"SS01": func(b []byte) (core.Summary, error) { return DecodeSpaceSavingHeap(b) },
+		"SL01": func(b []byte) (core.Summary, error) { return DecodeSpaceSavingList(b) },
+	}
+	// Header words after the magic: k, n, then FQ01's decrement mass.
+	header := func(magic string, n uint64) []uint64 {
+		if magic == "FQ01" {
+			return []uint64{4, n, 0}
+		}
+		return []uint64{4, n}
+	}
+	for magic, decode := range decoders {
+		entry := []uint64{7, 1 << 62, 0} // item, count, err
+		if magic == "FQ01" {
+			entry = entry[:2]
+		}
+		for name, words := range map[string][]uint64{
+			"count above n": append(append(header(magic, 10), 1), entry...),
+			"negative n":    append(header(magic, 1<<63), 0),
+		} {
+			if s, err := decode(blob(magic, words...)); err == nil {
+				t.Errorf("%s with %s decoded (Estimate(7) = %d)", magic, name, s.Estimate(7))
+			}
+		}
+		entry[1] = 10 // a count of exactly n is reachable
+		if _, err := decode(blob(magic, append(append(header(magic, 10), 1), entry...)...)); err != nil {
+			t.Errorf("%s with a count of n refused: %v", magic, err)
+		}
+	}
+}

@@ -55,6 +55,7 @@ func (f *Frequent) Update(x core.Item, count int64) {
 		return
 	}
 	if len(f.st.heap) < f.k {
+		f.st.room(f.k)
 		f.st.push(x, f.offset+count, 0)
 		return
 	}
@@ -200,6 +201,7 @@ func (f *Frequent) Merge(other core.Summary) error {
 		if c <= 0 {
 			break
 		}
+		f.st.room(f.k)
 		f.st.push(ic.Item, c, 0)
 	}
 	f.n += o.n

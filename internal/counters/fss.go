@@ -114,17 +114,7 @@ func (s *FilteredSpaceSaving) GuaranteedCount(x core.Item) int64 {
 }
 
 // Query returns monitored items with estimate ≥ threshold, descending.
-func (s *FilteredSpaceSaving) Query(threshold int64) []core.ItemCount {
-	var out []core.ItemCount
-	for _, id := range s.st.heap {
-		nd := &s.st.nodes[id]
-		if nd.count >= threshold {
-			out = append(out, core.ItemCount{Item: nd.item, Count: nd.count})
-		}
-	}
-	core.SortByCountDesc(out)
-	return out
-}
+func (s *FilteredSpaceSaving) Query(threshold int64) []core.ItemCount { return s.st.query(threshold) }
 
 // Entries returns all monitored (item, estimate) pairs, descending.
 func (s *FilteredSpaceSaving) Entries() []core.ItemCount { return s.Query(0) }

@@ -108,8 +108,8 @@ func (l *LossyCounting) Update(x core.Item, count int64) {
 // push tracks x, which must be untracked, with observed count c and Δ =
 // delta, growing the store when it is full.
 func (l *LossyCounting) push(x core.Item, c, delta int64) {
-	if len(l.st.nodes) == cap(l.st.nodes) {
-		l.st.grow()
+	if room := cap(l.st.nodes); len(l.st.nodes) == room {
+		l.st.grow(room + room/8 + 1)
 	}
 	l.st.push(x, c+delta, delta)
 }
@@ -165,9 +165,10 @@ func (l *LossyCounting) Snapshot() core.Summary { return l.Clone() }
 
 // Bytes implements core.Summary: the counter store's footprint. The
 // store only grows, so this is the footprint of the largest live set
-// the stream needed, not of the entries live now. A decoded summary's
-// store is sized to the entries it decoded, so after a round trip
-// through LC01 Bytes reports the footprint of the decoded live set.
+// the stream needed, not of the entries live now. Like every counter
+// decoder's, LC01's sizes the store to the entries the blob carried, so
+// after a round trip Bytes reports the footprint of the decoded live
+// set until the store grows again.
 func (l *LossyCounting) Bytes() int { return l.st.bytes() }
 
 // Merge combines another LossyCounting summary with identical epsilon and

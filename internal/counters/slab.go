@@ -7,19 +7,23 @@ import (
 	"streamfreq/internal/core"
 )
 
-// The counter store: the module's only indexed min-heap. Every
-// heap-based counter summary keeps its counters here — Space-Saving
-// (SSH, and every tenant), Frequent (Misra–Gries), Filtered
-// Space-Saving, Lossy Counting (LC and LCD) and Tracked's top-l roster
-// — so the heap discipline, and with it the heap order the FQ01, SS01
-// and TK01 wire formats write, lives in one place (the sift's comment
-// says why it must not change). A store is three slices plus a count
-// mirror:
+// The counter store: every counter summary keeps its counters in one
+// node table — a pointer-free node slice and the open-addressed index
+// that finds an item's node — and orders them with one of two
+// structures over it. The indexed min-heap here, the module's only
+// heap, orders Space-Saving (SSH, and every tenant), Frequent
+// (Misra–Gries), Filtered Space-Saving, Lossy Counting (LC and LCD) and
+// Tracked's top-l roster, so the heap discipline, and with it the heap
+// order the FQ01, SS01 and TK01 wire formats write, lives in one place
+// (the sift's comment says why it must not change). The Stream-Summary
+// of streamsummary.go (SSL) orders the same nodes by int32 bucket
+// links. A heap store is four slices plus a tombstone count:
 //
 //	nodes []ssNode — the counters themselves (item, count, err, heap
 //	                 position); node id = position, ids stay dense;
+//	index []int32  — an open-addressed hash table item → node id;
 //	heap  []int32  — a min-heap of node ids ordered by count;
-//	index []int32  — an open-addressed hash table item → node id.
+//	hcnt  []int64  — each heap slot's count, mirrored.
 //
 // Five operations change it: push (a new counter), add (a count
 // change), replaceMin (Space-Saving's replacement, FSS's promotion,
@@ -28,17 +32,21 @@ import (
 // entry by its upper bound count + Δ and keeps Δ in err, so the entries
 // a bucket boundary prunes (count + Δ ≤ b − 1) are the ones at the
 // root, popped without a sweep; and since no fixed k bounds its live
-// set, it grows the store when a new entry finds it full. Index
-// deletions leave tombstones, compacted by an O(k) rebuild when they
-// accumulate. The layout is pointer-free below the slice headers, so a
-// million instances cost the GC a million objects, not a hundred
-// million: a multi-tenant daemon holds millions of small SSH instances,
-// and the per-entry map buckets and heap pointers of a Go-map layout
-// would dominate its footprint.
+// set, it grows the store by an eighth when a new entry finds it full.
+// Every other store has a budget of k counters: a constructor
+// allocates all of it, a decoder only the entries its blob carries (so
+// a forged header costs O(len(data))), and a store that fills below
+// its budget grows to it in one step. Index deletions leave
+// tombstones, compacted by an O(k) rebuild when they accumulate. The
+// layout is pointer-free below the slice headers, so a million
+// instances cost the GC a million objects, not a hundred million: a
+// multi-tenant daemon holds millions of small SSH instances, and the
+// per-entry map buckets and heap pointers of a Go-map layout would
+// dominate its footprint.
 //
-// Every store-backed summary reports one space figure, the store's
-// footprint at its capacities (bytes): 44 B per node slot plus 4 B per
-// index slot.
+// Every counter summary reports one space figure, its store's
+// footprint at its capacities (bytes): for a heap store, 44 B per node
+// slot plus 4 B per index slot.
 //
 // A Slab carves those slices out of per-k chunk arenas and recycles
 // whole blocks through a free list, so tenant churn (lazy instantiation
@@ -51,27 +59,34 @@ import (
 // ssNode is one counter: 32 bytes, pointer-free. err is the counter's
 // error term — Space-Saving's inherited overcount, FSS's filter error
 // at admission, Lossy Counting's Δ — and zero for Frequent and Tracked.
-// heapIdx mirrors the node's position in the heap slice.
+// pos is the node's place in the structure that orders it: its heap
+// slot, or its Stream-Summary bucket.
 type ssNode struct {
-	item    core.Item
-	count   int64
-	err     int64
-	heapIdx int32
+	item  core.Item
+	count int64
+	err   int64
+	pos   int32
 }
 
-// ssStorage is one counter store. index slots hold node id + 1; 0 is
-// empty, ssTombstone marks a deleted slot that probes must walk through.
-type ssStorage struct {
+// nodeTable holds the counters and finds them. index slots hold node
+// id + 1; 0 is empty, ssTombstone marks a deleted slot that probes must
+// walk through.
+type nodeTable struct {
 	nodes []ssNode
-	heap  []int32
+	index []int32
+	tombs int32 // live tombstones in index
+	shift uint  // 64 − log2(len(index)): hash top bits pick the slot
+}
+
+// ssStorage is one heap store: a node table ordered by a min-heap.
+type ssStorage struct {
+	nodeTable
+	heap []int32
 	// hcnt mirrors each heap slot's count (hcnt[i] ==
 	// nodes[heap[i]].count): sift comparisons read one contiguous
 	// array instead of chasing heap[i] through the node table, which
 	// is where a φ-provisioned summary's update time goes.
-	hcnt  []int64
-	index []int32
-	tombs int32 // live tombstones in index
-	shift uint  // 64 − log2(len(index)): hash top bits pick the slot
+	hcnt []int64
 }
 
 const ssTombstone = int32(-1)
@@ -89,35 +104,42 @@ func ssIndexCap(k int) (capacity int, shift uint) {
 	return capacity, 64 - bits
 }
 
-// newSSStorage allocates standalone storage for k counters. Slices are
-// capped at exactly k so appends never reallocate out of a slab block
-// (the same code path serves both allocators).
-func newSSStorage(k int) ssStorage {
+// newNodeTable allocates a standalone node table for k counters. The
+// node slice is capped at exactly k so appends never reallocate out of
+// a slab block (the same code path serves both allocators).
+func newNodeTable(k int) nodeTable {
 	capacity, shift := ssIndexCap(k)
-	return ssStorage{
-		nodes: make([]ssNode, 0, k),
-		heap:  make([]int32, 0, k),
-		hcnt:  make([]int64, 0, k),
-		index: make([]int32, capacity),
-		shift: shift,
-	}
+	return nodeTable{nodes: make([]ssNode, 0, k), index: make([]int32, capacity), shift: shift}
 }
 
-// ssSlotBytes is one node slot's footprint: the 32-byte node, its heap
-// id and its count mirror.
-const ssSlotBytes = 32 + 4 + 8
+// newSSStorage allocates a standalone heap store for k counters.
+func newSSStorage(k int) ssStorage {
+	return ssStorage{nodeTable: newNodeTable(k), heap: make([]int32, 0, k), hcnt: make([]int64, 0, k)}
+}
 
-// ssBlockBytes is the footprint of a store for k counters; the slab's
-// accounting sums it.
+// ssNodeBytes is one node's footprint; a heap store's slot adds the
+// node's heap id and count mirror (ssSlotBytes).
+const (
+	ssNodeBytes = 32
+	ssSlotBytes = ssNodeBytes + 4 + 8
+)
+
+// ssBlockBytes is the footprint of a heap store for k counters; the
+// slab's accounting sums it.
 func ssBlockBytes(k int) int {
 	capacity, _ := ssIndexCap(k)
 	return ssSlotBytes*k + 4*capacity
 }
 
-// bytes is the store's footprint at its capacities, the figure every
-// store-backed summary's Bytes reports (ssBlockBytes(k) for a store
-// built for k counters).
-func (st *ssStorage) bytes() int { return ssSlotBytes*cap(st.nodes) + 4*len(st.index) }
+// bytes is the node table's footprint at its capacities.
+func (t *nodeTable) bytes() int { return ssNodeBytes*cap(t.nodes) + 4*len(t.index) }
+
+// bytes is the heap store's footprint at its capacities, the figure
+// every heap-ordered summary's Bytes reports (ssBlockBytes(k) for a
+// store built for k counters).
+func (st *ssStorage) bytes() int {
+	return st.nodeTable.bytes() + (ssSlotBytes-ssNodeBytes)*cap(st.heap)
+}
 
 // ssHash spreads an item over the index: one Fibonacci multiply with
 // the slot taken from the product's top bits, the same mixing the batch
@@ -126,15 +148,15 @@ func (st *ssStorage) bytes() int { return ssSlotBytes*cap(st.nodes) + 4*len(st.i
 func ssHash(x core.Item) uint64 { return uint64(x) * 0x9E3779B97F4A7C15 }
 
 // lookup returns the node id tracking x, or -1.
-func (st *ssStorage) lookup(x core.Item) int32 {
-	mask := uint64(len(st.index) - 1)
-	i := ssHash(x) >> st.shift
+func (t *nodeTable) lookup(x core.Item) int32 {
+	mask := uint64(len(t.index) - 1)
+	i := ssHash(x) >> t.shift
 	for {
-		s := st.index[i]
+		s := t.index[i]
 		if s == 0 {
 			return -1
 		}
-		if s != ssTombstone && st.nodes[s-1].item == x {
+		if s != ssTombstone && t.nodes[s-1].item == x {
 			return s - 1
 		}
 		i = (i + 1) & mask
@@ -144,20 +166,20 @@ func (st *ssStorage) lookup(x core.Item) int32 {
 // insert records x → id. x must not be present. The first tombstone on
 // the probe path is reused, keeping the table dense under the
 // replacement churn of a full summary.
-func (st *ssStorage) insert(x core.Item, id int32) {
-	mask := uint64(len(st.index) - 1)
-	i := ssHash(x) >> st.shift
+func (t *nodeTable) insert(x core.Item, id int32) {
+	mask := uint64(len(t.index) - 1)
+	i := ssHash(x) >> t.shift
 	slot := uint64(0)
 	haveSlot := false
 	for {
-		s := st.index[i]
+		s := t.index[i]
 		if s == 0 {
 			if !haveSlot {
 				slot = i
 			} else {
-				st.tombs--
+				t.tombs--
 			}
-			st.index[slot] = id + 1
+			t.index[slot] = id + 1
 			return
 		}
 		if s == ssTombstone && !haveSlot {
@@ -168,15 +190,15 @@ func (st *ssStorage) insert(x core.Item, id int32) {
 }
 
 // slotOf returns the index slot of x, which must be tracked.
-func (st *ssStorage) slotOf(x core.Item) uint64 {
-	mask := uint64(len(st.index) - 1)
-	i := ssHash(x) >> st.shift
+func (t *nodeTable) slotOf(x core.Item) uint64 {
+	mask := uint64(len(t.index) - 1)
+	i := ssHash(x) >> t.shift
 	for {
-		s := st.index[i]
+		s := t.index[i]
 		if s == 0 {
 			panic("counters: counter store lost an indexed item")
 		}
-		if s != ssTombstone && st.nodes[s-1].item == x {
+		if s != ssTombstone && t.nodes[s-1].item == x {
 			return i
 		}
 		i = (i + 1) & mask
@@ -184,9 +206,20 @@ func (st *ssStorage) slotOf(x core.Item) uint64 {
 }
 
 // unindex tombstones the slot of x, which must be tracked.
-func (st *ssStorage) unindex(x core.Item) {
-	st.index[st.slotOf(x)] = ssTombstone
-	st.tombs++
+func (t *nodeTable) unindex(x core.Item) {
+	t.index[t.slotOf(x)] = ssTombstone
+	t.tombs++
+}
+
+// retrack rewrites node id, which must be tracked, to track x, which
+// must not be: the replacement every Space-Saving variant makes. The
+// node keeps its id and its place in the ordering structure.
+func (t *nodeTable) retrack(id int32, x core.Item, count, err int64) {
+	nd := &t.nodes[id]
+	t.unindex(nd.item)
+	nd.item, nd.count, nd.err = x, count, err
+	t.insert(x, id)
+	t.compact()
 }
 
 // compact rebuilds the index once tombstones exceed a quarter of the
@@ -195,71 +228,144 @@ func (st *ssStorage) unindex(x core.Item) {
 // the items the nodes hold, so it runs only after a vacated node has
 // been rewritten or dropped; run earlier, it would index the departed
 // item again.
-func (st *ssStorage) compact() {
-	if int(st.tombs) > len(st.index)/4 {
-		clear(st.index)
-		st.reindex(st.index)
+func (t *nodeTable) compact() {
+	if int(t.tombs) > len(t.index)/4 {
+		clear(t.index)
+		t.reindex(t.index)
 	}
 }
 
 // reindex indexes every node in the zeroed table index, which becomes
 // the store's index, free of tombstones.
-func (st *ssStorage) reindex(index []int32) {
-	st.index, st.tombs = index, 0
-	for id := range st.nodes {
-		st.insert(st.nodes[id].item, int32(id))
+func (t *nodeTable) reindex(index []int32) {
+	t.index, t.tombs = index, 0
+	for id := range t.nodes {
+		t.insert(t.nodes[id].item, int32(id))
 	}
+}
+
+// newNode appends a node tracking x, which must be untracked, and
+// returns its id. The table must have room.
+func (t *nodeTable) newNode(x core.Item, count, err int64, pos int32) int32 {
+	id := int32(len(t.nodes))
+	t.nodes = append(t.nodes, ssNode{item: x, count: count, err: err, pos: pos})
+	t.insert(x, id)
+	return id
+}
+
+// reset empties the table for reuse, keeping capacity.
+func (t *nodeTable) reset() {
+	t.nodes = t.nodes[:0]
+	clear(t.index)
+	t.tombs = 0
+}
+
+// resized returns a copy of s in a fresh standalone slice of capacity c.
+func resized[S ~[]E, E any](s S, c int) S { return append(make(S, 0, c), s...) }
+
+// clone returns an independent deep copy at the same capacities, in
+// standalone slices (a snapshot must outlive its source's slab block).
+func (t *nodeTable) clone() nodeTable {
+	nt := *t
+	nt.nodes = resized(t.nodes, cap(t.nodes))
+	nt.index = slices.Clone(t.index)
+	return nt
+}
+
+// grow raises the node capacity to k. Ids stay, so no ordering
+// structure changes; the index is rebuilt only when k needs a larger
+// table.
+func (t *nodeTable) grow(k int) {
+	t.nodes = resized(t.nodes, k)
+	if capacity, shift := ssIndexCap(k); capacity > len(t.index) {
+		t.shift = shift
+		t.reindex(make([]int32, capacity))
+	}
+}
+
+// validate checks the node table's invariants — an index sized for the
+// node capacity, holding exactly one live slot per node and the
+// tombstones it counts; used only by tests.
+func (t *nodeTable) validate() bool {
+	if capacity, _ := ssIndexCap(cap(t.nodes)); len(t.index) != capacity {
+		return false
+	}
+	live, tombs := 0, 0
+	for _, s := range t.index {
+		switch {
+		case s == ssTombstone:
+			tombs++
+		case s > int32(len(t.nodes)):
+			return false
+		case s > 0:
+			live++
+		}
+	}
+	if live != len(t.nodes) || tombs != int(t.tombs) {
+		return false
+	}
+	for id := range t.nodes {
+		if t.lookup(t.nodes[id].item) != int32(id) {
+			return false
+		}
+	}
+	return true
+}
+
+// query returns the counters at or above threshold, descending.
+func (t *nodeTable) query(threshold int64) []core.ItemCount {
+	var out []core.ItemCount
+	for i := range t.nodes {
+		if nd := &t.nodes[i]; nd.count >= threshold {
+			out = append(out, core.ItemCount{Item: nd.item, Count: nd.count})
+		}
+	}
+	core.SortByCountDesc(out)
+	return out
 }
 
 // reset empties the storage for reuse, keeping capacity.
 func (st *ssStorage) reset() {
-	st.nodes = st.nodes[:0]
+	st.nodeTable.reset()
 	st.heap = st.heap[:0]
 	st.hcnt = st.hcnt[:0]
-	clear(st.index)
-	st.tombs = 0
 }
 
 // clone returns an independent deep copy at the same capacities, in
-// standalone slices (a snapshot must outlive its source's slab block).
+// standalone slices.
 func (st *ssStorage) clone() ssStorage {
-	ns := *st
-	ns.realloc(cap(st.nodes))
-	ns.index = slices.Clone(st.index)
-	return ns
+	return ssStorage{
+		nodeTable: st.nodeTable.clone(),
+		heap:      resized(st.heap, cap(st.heap)),
+		hcnt:      resized(st.hcnt, cap(st.hcnt)),
+	}
 }
 
-// realloc moves the nodes, heap and count mirror into fresh standalone
-// slices of capacity k.
-func (st *ssStorage) realloc(k int) {
-	st.nodes = append(make([]ssNode, 0, k), st.nodes...)
-	st.heap = append(make([]int32, 0, k), st.heap...)
-	st.hcnt = append(make([]int64, 0, k), st.hcnt...)
+// grow raises the capacity to k counters. Heap positions stay, so the
+// heap arrangement does not change. Lossy Counting grows by an eighth,
+// not a doubling, because its store never shrinks: its node slots stay
+// within 1.125× of the largest live set it held, and the copies cost
+// about eight slot moves per slot of the final capacity, once.
+func (st *ssStorage) grow(k int) {
+	st.nodeTable.grow(k)
+	st.heap = resized(st.heap, k)
+	st.hcnt = resized(st.hcnt, k)
 }
 
-// grow raises the capacity by an eighth, and at least one slot: Lossy
-// Counting's room for a new entry, as no fixed k bounds its live set.
-// Ids and heap positions stay, so the heap arrangement does not change;
-// the index is rebuilt only when the new capacity needs a larger table.
-// An eighth, not a doubling, because LC's store never shrinks: its node
-// slots stay within 1.125× of the largest live set it held. The copies
-// cost about eight slot moves per slot of the final capacity, once.
-func (st *ssStorage) grow() {
-	k := cap(st.nodes) + cap(st.nodes)/8 + 1
-	st.realloc(k)
-	if capacity, shift := ssIndexCap(k); capacity > len(st.index) {
-		st.shift = shift
-		st.reindex(make([]int32, capacity))
+// room makes space for one more counter in a store whose budget is k:
+// a decoded store, sized to the entries its blob carried, grows to the
+// whole budget in one step when it fills.
+func (st *ssStorage) room(k int) {
+	if len(st.nodes) == cap(st.nodes) {
+		st.grow(k)
 	}
 }
 
 // push adds x, which must be untracked, as a new counter. The store
 // must have room.
 func (st *ssStorage) push(x core.Item, count, err int64) {
-	id := int32(len(st.nodes))
 	i := len(st.heap)
-	st.nodes = append(st.nodes, ssNode{item: x, count: count, err: err, heapIdx: int32(i)})
-	st.insert(x, id)
+	id := st.newNode(x, count, err, int32(i))
 	st.heap = append(st.heap, id)
 	st.hcnt = append(st.hcnt, count)
 	st.heapUp(i)
@@ -270,7 +376,7 @@ func (st *ssStorage) push(x core.Item, count, err int64) {
 func (st *ssStorage) add(id int32, delta int64) {
 	nd := &st.nodes[id]
 	nd.count += delta
-	i := int(nd.heapIdx)
+	i := int(nd.pos)
 	st.hcnt[i] = nd.count
 	if !st.heapDown(i) {
 		st.heapUp(i)
@@ -279,14 +385,9 @@ func (st *ssStorage) add(id int32, delta int64) {
 
 // replaceMin rewrites the minimum counter in place to track x, which
 // must be untracked: Space-Saving's replacement, FSS's promotion and
-// Tracked's admission. The node keeps its id.
+// Tracked's admission.
 func (st *ssStorage) replaceMin(x core.Item, count, err int64) {
-	id := st.heap[0]
-	nd := &st.nodes[id]
-	st.unindex(nd.item)
-	nd.item, nd.count, nd.err = x, count, err
-	st.insert(x, id)
-	st.compact()
+	st.retrack(st.heap[0], x, count, err)
 	st.hcnt[0] = count
 	st.heapDown(0)
 }
@@ -300,7 +401,7 @@ func (st *ssStorage) popMin() {
 	st.unindex(st.nodes[id].item)
 	last := len(st.heap) - 1
 	st.heap[0], st.hcnt[0] = st.heap[last], st.hcnt[last]
-	st.nodes[st.heap[0]].heapIdx = 0
+	st.nodes[st.heap[0]].pos = 0
 	st.heap, st.hcnt = st.heap[:last], st.hcnt[:last]
 	if last > 0 {
 		st.heapDown(0)
@@ -309,7 +410,7 @@ func (st *ssStorage) popMin() {
 		moved := st.nodes[lastID]
 		st.index[st.slotOf(moved.item)] = id + 1
 		st.nodes[id] = moved
-		st.heap[moved.heapIdx] = id
+		st.heap[moved.pos] = id
 	}
 	st.nodes = st.nodes[:len(st.nodes)-1]
 	st.compact()
@@ -337,12 +438,12 @@ func (st *ssStorage) heapUp(i int) {
 			break
 		}
 		st.heap[i], st.hcnt[i] = st.heap[parent], st.hcnt[parent]
-		st.nodes[st.heap[i]].heapIdx = int32(i)
+		st.nodes[st.heap[i]].pos = int32(i)
 		i = parent
 	}
 	if i != start {
 		st.heap[i], st.hcnt[i] = id, cnt
-		st.nodes[id].heapIdx = int32(i)
+		st.nodes[id].pos = int32(i)
 	}
 }
 
@@ -364,34 +465,28 @@ func (st *ssStorage) heapDown(i int) bool {
 			break
 		}
 		st.heap[i], st.hcnt[i] = st.heap[small], sc
-		st.nodes[st.heap[i]].heapIdx = int32(i)
+		st.nodes[st.heap[i]].pos = int32(i)
 		i = small
 	}
 	if i != start {
 		st.heap[i], st.hcnt[i] = id, cnt
-		st.nodes[id].heapIdx = int32(i)
+		st.nodes[id].pos = int32(i)
 	}
 	return i != start
 }
 
-// validateStorage checks the structural invariants — dense ids, heap
-// order, the heapIdx and hcnt mirrors, one capacity for the node-slot
-// slices with the index sized for it, and an index holding exactly one
-// live slot per counter and the tombstones it counts; used only by
-// tests.
+// validateStorage checks the structural invariants — the node table's,
+// then dense ids, heap order, the pos and hcnt mirrors, and one
+// capacity for the node-slot slices; used only by tests.
 func (st *ssStorage) validateStorage() bool {
-	if len(st.nodes) != len(st.heap) || len(st.hcnt) != len(st.heap) {
+	if !st.nodeTable.validate() || len(st.nodes) != len(st.heap) || len(st.hcnt) != len(st.heap) {
 		return false
 	}
-	k := cap(st.nodes)
-	if cap(st.heap) != k || cap(st.hcnt) != k {
-		return false
-	}
-	if capacity, _ := ssIndexCap(k); len(st.index) != capacity {
+	if k := cap(st.nodes); cap(st.heap) != k || cap(st.hcnt) != k {
 		return false
 	}
 	for i, id := range st.heap {
-		if id < 0 || int(id) >= len(st.nodes) || st.nodes[id].heapIdx != int32(i) {
+		if id < 0 || int(id) >= len(st.nodes) || st.nodes[id].pos != int32(i) {
 			return false
 		}
 		if st.hcnt[i] != st.nodes[id].count {
@@ -401,25 +496,6 @@ func (st *ssStorage) validateStorage() bool {
 			return false
 		}
 		if r := 2*i + 2; r < len(st.heap) && st.hcnt[r] < st.hcnt[i] {
-			return false
-		}
-	}
-	live, tombs := 0, 0
-	for _, s := range st.index {
-		switch {
-		case s == ssTombstone:
-			tombs++
-		case s > int32(len(st.nodes)):
-			return false
-		case s > 0:
-			live++
-		}
-	}
-	if live != len(st.nodes) || tombs != int(st.tombs) {
-		return false
-	}
-	for id := range st.nodes {
-		if st.lookup(st.nodes[id].item) != int32(id) {
 			return false
 		}
 	}
@@ -453,18 +529,12 @@ func NewSlab() *Slab {
 	return &Slab{classes: make(map[int]*slabClass)}
 }
 
-// slabChunkBlocks sizes a chunk: ~1 MiB of nodes per chunk, between 8
-// and 4096 blocks, so tiny-k tenants amortize allocation without huge-k
-// classes over-reserving.
+// slabChunkBlocks sizes a chunk: ~1 MiB of nodes, or one block where
+// a block is larger, and at most 4096 blocks, so tiny-k tenants
+// amortize allocation and a large-k class reserves nothing beyond the
+// block asked for.
 func slabChunkBlocks(k int) int {
-	b := (1 << 20) / (32 * k)
-	if b < 8 {
-		b = 8
-	}
-	if b > 4096 {
-		b = 4096
-	}
-	return b
+	return min(max((1<<20)/(ssNodeBytes*k), 1), 4096)
 }
 
 // get hands out reset storage for k counters.
@@ -495,11 +565,9 @@ func (sl *Slab) get(k int) ssStorage {
 		sl.chunkB += int64(blocks) * int64(ssBlockBytes(k))
 	}
 	st := ssStorage{
-		nodes: c.nodes[:0:k],
-		heap:  c.heap[:0:k],
-		hcnt:  c.hcnt[:0:k],
-		index: c.index[:capacity:capacity],
-		shift: shift,
+		nodeTable: nodeTable{nodes: c.nodes[:0:k], index: c.index[:capacity:capacity], shift: shift},
+		heap:      c.heap[:0:k],
+		hcnt:      c.hcnt[:0:k],
 	}
 	c.nodes = c.nodes[k:]
 	c.heap = c.heap[k:]

@@ -84,6 +84,7 @@ func (s *SpaceSavingHeap) Update(x core.Item, count int64) {
 		return
 	}
 	if len(s.st.heap) < s.k {
+		s.st.room(s.k)
 		s.st.push(x, count, 0)
 		return
 	}
@@ -131,17 +132,7 @@ func (s *SpaceSavingHeap) GuaranteedCount(x core.Item) int64 {
 // Query returns the tracked items with estimate ≥ threshold in
 // descending order. Because Space-Saving never underestimates, this has
 // perfect recall at any threshold > n/k.
-func (s *SpaceSavingHeap) Query(threshold int64) []core.ItemCount {
-	var out []core.ItemCount
-	for _, id := range s.st.heap {
-		nd := &s.st.nodes[id]
-		if nd.count >= threshold {
-			out = append(out, core.ItemCount{Item: nd.item, Count: nd.count})
-		}
-	}
-	core.SortByCountDesc(out)
-	return out
-}
+func (s *SpaceSavingHeap) Query(threshold int64) []core.ItemCount { return s.st.query(threshold) }
 
 // Clone returns an independent deep copy: the flat storage is copied
 // wholesale (same heap arrangement, same index layout) into standalone
@@ -169,12 +160,8 @@ func (s *SpaceSavingHeap) Entries() []core.ItemCount {
 // and not charged per instance.
 func (s *SpaceSavingHeap) Bytes() int { return s.st.bytes() }
 
-// Merge combines another Space-Saving summary into this one following
-// the mergeable-summaries construction: counters for the same item are
-// summed (errors summed likewise); counters present on one side only are
-// inflated by the other side's Min() bound (added to both count and err);
-// then the k largest counters are kept. The result satisfies the
-// Space-Saving invariants for the concatenated stream.
+// Merge combines another Space-Saving summary into this one (see
+// mergeSpaceSaving); the survivors are pushed largest first.
 func (s *SpaceSavingHeap) Merge(other core.Summary) error {
 	o, ok := other.(*SpaceSavingHeap)
 	if !ok {
@@ -186,45 +173,49 @@ func (s *SpaceSavingHeap) Merge(other core.Summary) error {
 		// what either summary advertises.
 		return core.Incompatible("SpaceSaving: counter budget mismatch (k=%d/%d)", s.k, o.k)
 	}
-	sMin, oMin := s.Min(), o.Min()
-	all := make([]ssNode, 0, len(s.st.nodes)+len(o.st.nodes))
-	for i := range s.st.nodes {
-		nd := s.st.nodes[i]
-		if oid := o.st.lookup(nd.item); oid >= 0 {
-			nd.count += o.st.nodes[oid].count
-			nd.err += o.st.nodes[oid].err
+	all := mergeSpaceSaving(&s.st.nodeTable, &o.st.nodeTable, s.Min(), o.Min(), s.k)
+	s.st.reset()
+	for _, nd := range all {
+		s.st.room(s.k)
+		s.st.push(nd.item, nd.count, nd.err)
+	}
+	s.n += o.n
+	return nil
+}
+
+// mergeSpaceSaving is the merge both Space-Saving organizations share,
+// the mergeable-summaries construction: counters for the same item sum
+// (errors likewise); a counter on one side only is inflated by the
+// other side's Min() bound (added to both count and err); and the k
+// largest survive, returned in descending count order with ties broken
+// by ascending item (core.SortByCountDesc's order). The result
+// satisfies the Space-Saving invariants for the concatenated stream.
+func mergeSpaceSaving(a, b *nodeTable, aMin, bMin int64, k int) []ssNode {
+	all := make([]ssNode, 0, len(a.nodes)+len(b.nodes))
+	for _, nd := range a.nodes {
+		if id := b.lookup(nd.item); id >= 0 {
+			nd.count += b.nodes[id].count
+			nd.err += b.nodes[id].err
 		} else {
-			nd.count += oMin
-			nd.err += oMin
+			nd.count += bMin
+			nd.err += bMin
 		}
 		all = append(all, nd)
 	}
-	for i := range o.st.nodes {
-		nd := o.st.nodes[i]
-		if s.st.lookup(nd.item) >= 0 {
-			continue
+	for _, nd := range b.nodes {
+		if a.lookup(nd.item) < 0 {
+			nd.count += aMin
+			nd.err += aMin
+			all = append(all, nd)
 		}
-		nd.count += sMin
-		nd.err += sMin
-		all = append(all, nd)
 	}
-	// Keep the k largest counts (ties broken by ascending item,
-	// matching core.SortByCountDesc's deterministic order).
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].count != all[j].count {
 			return all[i].count > all[j].count
 		}
 		return all[i].item < all[j].item
 	})
-	if len(all) > s.k {
-		all = all[:s.k]
-	}
-	s.st.reset()
-	for _, nd := range all {
-		s.st.push(nd.item, nd.count, nd.err)
-	}
-	s.n += o.n
-	return nil
+	return all[:min(len(all), k)]
 }
 
 // validate checks the structural invariants; used only by tests.

@@ -176,8 +176,8 @@ func TestSpaceSavingListStructure(t *testing.T) {
 	if !l.validate() {
 		t.Fatal("stream-summary structure invalid at end")
 	}
-	if l.buckets() > 8 {
-		t.Errorf("%d buckets for 8 entries", l.buckets())
+	if len(l.buckets) > 8 {
+		t.Errorf("%d bucket slots for 8 entries", len(l.buckets))
 	}
 }
 

@@ -1,6 +1,7 @@
 package counters
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -40,10 +41,13 @@ func TestCounterStoreChurn(t *testing.T) {
 }
 
 // FuzzCounterStore drives the store's operations from the input bytes
-// against a map reference. A push into a full store grows it first, as
-// Lossy Counting's does. After every operation the store must be
-// structurally valid, track exactly the reference's items at their
-// counts, and hold the reference minimum at the root.
+// against a map reference. The store has a budget of k counters and
+// starts anywhere from empty to k slots, as a decoded one does; a push
+// into a full store grows it first, to the budget in one step while it
+// is below it, and past it by an eighth as Lossy Counting's does. After
+// every operation the store must be structurally valid, track exactly
+// the reference's items at their counts, and hold the reference
+// minimum at the root.
 func FuzzCounterStore(f *testing.F) {
 	rng := prng.New(7)
 	for range 4 {
@@ -57,7 +61,8 @@ func FuzzCounterStore(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		st := newSSStorage(1 + int(data[0]%16))
+		k := 1 + int(data[0]%16)
+		st := newSSStorage(int(data[0]/16) % (k + 1))
 		ref := map[core.Item]int64{}
 		for ops := data[1:]; len(ops) >= 3; ops = ops[3:] {
 			x, v := core.Item(ops[1]%64), int64(int8(ops[2]))
@@ -65,8 +70,14 @@ func FuzzCounterStore(f *testing.F) {
 			switch ops[0] % 8 {
 			case 0, 1:
 				if id < 0 {
-					if len(st.nodes) == cap(st.nodes) {
-						st.grow()
+					switch room := cap(st.nodes); {
+					case len(st.nodes) < room:
+					case room < k:
+						if st.room(k); cap(st.nodes) != k {
+							t.Fatalf("full store of %d slots grew to %d, want its budget %d", room, cap(st.nodes), k)
+						}
+					default:
+						st.grow(room + room/8 + 1)
 					}
 					st.push(x, v, 0)
 					ref[x] = v
@@ -120,6 +131,92 @@ func FuzzCounterStore(f *testing.F) {
 			}
 			if st.hcnt[0] != lo {
 				t.Fatalf("root holds %d, reference minimum %d", st.hcnt[0], lo)
+			}
+		}
+	})
+}
+
+// FuzzStreamSummary drives SSL from the input bytes — unit and weighted
+// updates, a second summary's updates merged in, Clone, and a
+// MarshalBinary → decode round trip, whose compact store later updates
+// grow — against an exact count of the items fed. After every op the
+// Stream-Summary must validate, a full one must report a fresh
+// summary's Bytes(), and Space-Saving's bounds must hold for every item
+// fed: GuaranteedCount ≤ true ≤ Estimate, with the counts summing to N
+// until the first merge.
+func FuzzStreamSummary(f *testing.F) {
+	rng := prng.New(11)
+	for range 4 {
+		seed := make([]byte, 400)
+		for i := range seed {
+			seed[i] = byte(rng.Uint64())
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := 1 + int(data[0]%8)
+		s, o := NewSpaceSavingList(k), NewSpaceSavingList(k)
+		truth, other := map[core.Item]int64{}, map[core.Item]int64{}
+		merged := false
+		for ops := data[1:]; len(ops) >= 2; ops = ops[2:] {
+			x := core.Item(ops[1] % 24)
+			switch ops[0] % 8 {
+			case 0, 1, 2:
+				s.Update(x, 1)
+				truth[x]++
+			case 3:
+				c := 1 + int64(ops[0]/8)
+				s.Update(x, c)
+				truth[x] += c
+			case 4:
+				o.Update(x, 1)
+				other[x]++
+			case 5:
+				if err := s.Merge(o); err != nil {
+					t.Fatal(err)
+				}
+				for y, c := range other {
+					truth[y] += c
+				}
+				o, other, merged = NewSpaceSavingList(k), map[core.Item]int64{}, true
+			case 6:
+				c := s.Clone()
+				a, _ := s.MarshalBinary()
+				if b, _ := c.MarshalBinary(); !bytes.Equal(a, b) {
+					t.Fatal("a clone encodes unlike its source")
+				}
+				s = c
+			case 7:
+				blob, _ := s.MarshalBinary()
+				d, err := DecodeSpaceSavingList(blob)
+				if err != nil {
+					t.Fatalf("decoding its own encoding: %v", err)
+				}
+				if again, _ := d.MarshalBinary(); !bytes.Equal(again, blob) {
+					t.Fatal("decode → encode is not byte-identical")
+				}
+				s = d
+			}
+			if !s.validate() {
+				t.Fatalf("Stream-Summary invalid after op %d", ops[0]%8)
+			}
+			if len(s.t.nodes) == k && s.Bytes() != NewSpaceSavingList(k).Bytes() {
+				t.Fatalf("full summary reports %d bytes, a fresh one %d", s.Bytes(), NewSpaceSavingList(k).Bytes())
+			}
+			var sum int64
+			for _, nd := range s.t.nodes {
+				sum += nd.count
+			}
+			if !merged && sum != s.N() {
+				t.Fatalf("counts sum to %d, N = %d", sum, s.N())
+			}
+			for y, c := range truth {
+				if lo, hi := s.GuaranteedCount(y), s.Estimate(y); lo > c || c > hi {
+					t.Fatalf("item %d: true count %d outside [%d, %d]", y, c, lo, hi)
+				}
 			}
 		}
 	})

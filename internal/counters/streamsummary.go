@@ -1,10 +1,6 @@
 package counters
 
-import (
-	"sort"
-
-	"streamfreq/internal/core"
-)
+import "streamfreq/internal/core"
 
 // SpaceSavingList implements Space-Saving over the Stream-Summary data
 // structure of Metwally et al. — the "SSL" variant of the paper.
@@ -13,37 +9,61 @@ import (
 // distinct count value, in increasing count order; each bucket holds a
 // doubly-linked list of the entries sharing that count. A unit update
 // moves an entry to the adjacent bucket, which is O(1) — no heap
-// rebalancing — at the cost of two extra pointers per entry and per
-// bucket. The algorithm and its guarantees are identical to
+// rebalancing — at the cost of two links per entry and a bucket per
+// distinct count. The algorithm and its guarantees are identical to
 // SpaceSavingHeap; only the organizing structure differs, which is
 // exactly the SSH/SSL comparison the paper measures.
+//
+// The entries are the nodes of the package's counter store (slab.go),
+// found through its one index, each node's pos naming its bucket. The
+// links are int32 ids in flat arrays: an entry's neighbours within its
+// bucket, and a bucket's count, first entry and neighbours, with
+// emptied buckets chained on a free list. So an update allocates
+// nothing and the structure holds no pointer.
 type SpaceSavingList struct {
-	k     int
-	index map[core.Item]*ssEntry
-	min   *ssBucket // bucket with the smallest count (head of list)
-	size  int
-	n     int64
+	k       int
+	n       int64
+	t       nodeTable    // the entries; a node's pos is its bucket
+	links   []listLink   // by node id
+	buckets []listBucket // by bucket id
+	min     int32        // the smallest-count bucket, −1 while empty
+	free    int32        // the first free bucket, chained through next
 }
 
-type ssBucket struct {
-	count      int64
-	head       *ssEntry // entries in this bucket (unordered)
-	prev, next *ssBucket
+// listLink is an entry's place in its bucket, head first; −1 ends it.
+type listLink struct{ prev, next int32 }
+
+// listBucket is one count: its entries from head, and its neighbours in
+// increasing count order; −1 ends either list.
+type listBucket struct {
+	count            int64
+	head, prev, next int32
 }
 
-type ssEntry struct {
-	item       core.Item
-	err        int64
-	bucket     *ssBucket
-	prev, next *ssEntry // neighbors within the bucket
-}
+// A Stream-Summary slot's footprint beyond its node: its links, and a
+// bucket (24 bytes with padding), since each of k entries may hold a
+// count of its own.
+const listSlotBytes = 8 + 24
 
 // NewSpaceSavingList returns an SSL summary with k counters.
 func NewSpaceSavingList(k int) *SpaceSavingList {
 	if k <= 0 {
 		panic("counters: SpaceSaving requires k > 0")
 	}
-	return &SpaceSavingList{k: k, index: make(map[core.Item]*ssEntry, k)}
+	return newSpaceSavingList(k, k)
+}
+
+// newSpaceSavingList returns an empty summary with budget k and room
+// for capacity entries.
+func newSpaceSavingList(k, capacity int) *SpaceSavingList {
+	return &SpaceSavingList{
+		k:       k,
+		t:       newNodeTable(capacity),
+		links:   make([]listLink, 0, capacity),
+		buckets: make([]listBucket, 0, capacity),
+		min:     -1,
+		free:    -1,
+	}
 }
 
 // Name implements core.Summary.
@@ -57,70 +77,93 @@ func (s *SpaceSavingList) N() int64 { return s.n }
 
 // Min returns the smallest tracked count (0 while slots remain).
 func (s *SpaceSavingList) Min() int64 {
-	if s.size < s.k || s.min == nil {
+	if len(s.t.nodes) < s.k {
 		return 0
 	}
-	return s.min.count
+	return s.buckets[s.min].count
 }
 
-// detach unlinks e from its bucket, removing the bucket if it empties.
-func (s *SpaceSavingList) detach(e *ssEntry) {
-	b := e.bucket
-	if e.prev != nil {
-		e.prev.next = e.next
+// detach unlinks entry id from its bucket, freeing the bucket if it
+// empties, and returns the bucket an upward search restarts from: the
+// entry's bucket if it survives, else the one below it (−1: the
+// minimum).
+func (s *SpaceSavingList) detach(id int32) int32 {
+	lk, b := s.links[id], s.t.nodes[id].pos
+	bk := &s.buckets[b]
+	if lk.prev >= 0 {
+		s.links[lk.prev].next = lk.next
 	} else {
-		b.head = e.next
+		bk.head = lk.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if lk.next >= 0 {
+		s.links[lk.next].prev = lk.prev
 	}
-	e.prev, e.next, e.bucket = nil, nil, nil
-	if b.head == nil {
-		// Unlink the empty bucket.
-		if b.prev != nil {
-			b.prev.next = b.next
+	if bk.head >= 0 {
+		return b
+	}
+	if bk.prev >= 0 {
+		s.buckets[bk.prev].next = bk.next
+	} else {
+		s.min = bk.next
+	}
+	if bk.next >= 0 {
+		s.buckets[bk.next].prev = bk.prev
+	}
+	below := bk.prev
+	bk.next, s.free = s.free, b
+	return below
+}
+
+// attach puts entry id at the head of the bucket counting c, opening
+// that bucket if none does, searching upward from the bucket after
+// "after" (−1: from the minimum).
+func (s *SpaceSavingList) attach(id int32, c int64, after int32) {
+	prev, cur := after, s.min
+	if after >= 0 {
+		cur = s.buckets[after].next
+	}
+	for cur >= 0 && s.buckets[cur].count < c {
+		prev, cur = cur, s.buckets[cur].next
+	}
+	b := cur
+	if cur < 0 || s.buckets[cur].count != c {
+		nb := listBucket{count: c, head: -1, prev: prev, next: cur}
+		if b = s.free; b >= 0 {
+			s.free = s.buckets[b].next
+			s.buckets[b] = nb
 		} else {
-			s.min = b.next
+			b = int32(len(s.buckets))
+			s.buckets = append(s.buckets, nb)
 		}
-		if b.next != nil {
-			b.next.prev = b.prev
-		}
-	}
-}
-
-// attach inserts e into a bucket with the given count, searching forward
-// from position "after" (which may be nil to start at the minimum).
-func (s *SpaceSavingList) attach(e *ssEntry, count int64, after *ssBucket) {
-	// Find the bucket with count ≥ count, walking forward.
-	var prev *ssBucket
-	cur := s.min
-	if after != nil {
-		prev, cur = after, after.next
-	}
-	for cur != nil && cur.count < count {
-		prev, cur = cur, cur.next
-	}
-	var b *ssBucket
-	if cur != nil && cur.count == count {
-		b = cur
-	} else {
-		b = &ssBucket{count: count, prev: prev, next: cur}
-		if prev != nil {
-			prev.next = b
+		if prev >= 0 {
+			s.buckets[prev].next = b
 		} else {
 			s.min = b
 		}
-		if cur != nil {
-			cur.prev = b
+		if cur >= 0 {
+			s.buckets[cur].prev = b
 		}
 	}
-	e.bucket = b
-	e.next = b.head
-	if b.head != nil {
-		b.head.prev = e
+	bk := &s.buckets[b]
+	s.links[id] = listLink{prev: -1, next: bk.head}
+	if bk.head >= 0 {
+		s.links[bk.head].prev = id
 	}
-	b.head = e
-	e.prev = nil
+	bk.head = id
+	s.t.nodes[id].count, s.t.nodes[id].pos = c, b
+}
+
+// raise moves entry id up to count c. An entry alone in its bucket,
+// with no bucket between it and c, keeps the bucket and recounts it —
+// the structure a detach and attach would build.
+func (s *SpaceSavingList) raise(id int32, c int64) {
+	b := s.t.nodes[id].pos
+	bk := &s.buckets[b]
+	if lk := s.links[id]; lk.prev < 0 && lk.next < 0 && (bk.next < 0 || s.buckets[bk.next].count > c) {
+		bk.count, s.t.nodes[id].count = c, c
+		return
+	}
+	s.attach(id, c, s.detach(id))
 }
 
 // Update processes count arrivals of x. count must be positive.
@@ -128,42 +171,33 @@ func (s *SpaceSavingList) Update(x core.Item, count int64) {
 	mustPositive("SpaceSaving", count)
 	s.n += count
 
-	if e, ok := s.index[x]; ok {
-		b := e.bucket
-		newCount := b.count + count
-		// Buckets at or before b are unaffected; search forward from b.
-		s.detach(e)
-		// detach may have removed b; recompute the search start.
-		start := b.prev
-		if b.head == nil && start == nil {
-			start = nil // bucket list restarts at s.min
-		} else if b.head != nil {
-			start = b
-		}
-		s.attach(e, newCount, start)
+	if id := s.t.lookup(x); id >= 0 {
+		s.raise(id, s.t.nodes[id].count+count)
 		return
 	}
-	if s.size < s.k {
-		e := &ssEntry{item: x}
-		s.index[x] = e
-		s.attach(e, count, nil)
-		s.size++
+	if len(s.t.nodes) < s.k {
+		s.room()
+		id := s.t.newNode(x, 0, 0, -1)
+		s.links = append(s.links, listLink{})
+		s.attach(id, count, -1)
 		return
 	}
-	// Replace an entry in the minimum bucket.
-	b := s.min
-	e := b.head
-	delete(s.index, e.item)
-	e.err = b.count
-	e.item = x
-	newCount := b.count + count
-	s.detach(e)
-	var start *ssBucket
-	if b.head != nil {
-		start = b
+	// Replace the head of the minimum bucket: x inherits its count as
+	// error.
+	id := s.buckets[s.min].head
+	min := s.t.nodes[id].count
+	s.t.retrack(id, x, min, min)
+	s.raise(id, min+count)
+}
+
+// room grows a decoded summary, sized to the entries its blob carried,
+// to its whole budget in one step when it fills.
+func (s *SpaceSavingList) room() {
+	if len(s.t.nodes) == cap(s.t.nodes) {
+		s.t.grow(s.k)
+		s.links = resized(s.links, s.k)
+		s.buckets = resized(s.buckets, s.k)
 	}
-	s.attach(e, newCount, start)
-	s.index[x] = e
 }
 
 // UpdateBatch implements core.BatchUpdater for unit-count arrivals,
@@ -182,16 +216,17 @@ func (s *SpaceSavingList) UpdateBatch(items []core.Item) {
 
 // Estimate mirrors SpaceSavingHeap.Estimate.
 func (s *SpaceSavingList) Estimate(x core.Item) int64 {
-	if e, ok := s.index[x]; ok {
-		return e.bucket.count
+	if id := s.t.lookup(x); id >= 0 {
+		return s.t.nodes[id].count
 	}
 	return s.Min()
 }
 
 // GuaranteedCount returns the certified lower bound on x's true count.
 func (s *SpaceSavingList) GuaranteedCount(x core.Item) int64 {
-	if e, ok := s.index[x]; ok {
-		return e.bucket.count - e.err
+	if id := s.t.lookup(x); id >= 0 {
+		nd := &s.t.nodes[id]
+		return nd.count - nd.err
 	}
 	return 0
 }
@@ -200,15 +235,14 @@ func (s *SpaceSavingList) GuaranteedCount(x core.Item) int64 {
 // The bucket list is already count-ordered, so the scan starts from the
 // largest bucket and stops at the threshold.
 func (s *SpaceSavingList) Query(threshold int64) []core.ItemCount {
-	// Find the tail.
-	var tail *ssBucket
-	for b := s.min; b != nil; b = b.next {
-		tail = b
+	tail := s.min
+	for tail >= 0 && s.buckets[tail].next >= 0 {
+		tail = s.buckets[tail].next
 	}
 	var out []core.ItemCount
-	for b := tail; b != nil && b.count >= threshold; b = b.prev {
-		for e := b.head; e != nil; e = e.next {
-			out = append(out, core.ItemCount{Item: e.item, Count: b.count})
+	for b := tail; b >= 0 && s.buckets[b].count >= threshold; b = s.buckets[b].prev {
+		for e := s.buckets[b].head; e >= 0; e = s.links[e].next {
+			out = append(out, core.ItemCount{Item: s.t.nodes[e].item, Count: s.buckets[b].count})
 		}
 	}
 	core.SortByCountDesc(out) // normalize within-bucket order
@@ -216,64 +250,33 @@ func (s *SpaceSavingList) Query(threshold int64) []core.ItemCount {
 }
 
 // Entries returns all tracked (item, estimate) pairs in descending order.
-func (s *SpaceSavingList) Entries() []core.ItemCount {
-	return s.Query(0)
-}
+func (s *SpaceSavingList) Entries() []core.ItemCount { return s.Query(0) }
 
-// Clone returns an independent deep copy, rebuilding the Stream-Summary
-// bucket list in order and preserving within-bucket entry order, so the
-// clone is structurally identical (validate-clean) and answers every
-// query exactly as the parent does at the moment of the clone.
+// Clone returns an independent deep copy: the node table and the link
+// arrays are copied as they stand, at the same capacities, so the clone
+// is structurally identical and answers every query exactly as its
+// source does at the moment of the clone.
 func (s *SpaceSavingList) Clone() *SpaceSavingList {
-	ns := &SpaceSavingList{
-		k:     s.k,
-		size:  s.size,
-		n:     s.n,
-		index: make(map[core.Item]*ssEntry, len(s.index)),
-	}
-	var prevB *ssBucket
-	for b := s.min; b != nil; b = b.next {
-		nb := &ssBucket{count: b.count, prev: prevB}
-		if prevB != nil {
-			prevB.next = nb
-		} else {
-			ns.min = nb
-		}
-		var prevE *ssEntry
-		for e := b.head; e != nil; e = e.next {
-			ne := &ssEntry{item: e.item, err: e.err, bucket: nb, prev: prevE}
-			if prevE != nil {
-				prevE.next = ne
-			} else {
-				nb.head = ne
-			}
-			ns.index[ne.item] = ne
-			prevE = ne
-		}
-		prevB = nb
-	}
-	return ns
+	ns := *s
+	ns.t = s.t.clone()
+	ns.links = resized(s.links, cap(s.links))
+	ns.buckets = resized(s.buckets, cap(s.buckets))
+	return &ns
 }
 
 // Snapshot implements core.Snapshotter.
 func (s *SpaceSavingList) Snapshot() core.Summary { return s.Clone() }
 
-// Bytes accounts the entry payload plus the two extra pointers per entry
-// and the bucket nodes (charged one per entry, the worst case). Batch
-// pre-aggregation scratch is pooled across summaries (see batch.go) and
-// not charged per instance.
-func (s *SpaceSavingList) Bytes() int {
-	const listEntry = 2 * (8 + 8 + 8 + 8 + 8 + 8) // item, err, bucket ptr, 2 links + bucket share
-	return listEntry * s.k
-}
+// Bytes implements core.Summary: the node table's footprint plus the
+// links and buckets, all at their capacities. Batch pre-aggregation
+// scratch is pooled across summaries (see batch.go) and not charged per
+// instance.
+func (s *SpaceSavingList) Bytes() int { return s.t.bytes() + listSlotBytes*cap(s.links) }
 
-// Merge combines another Stream-Summary Space-Saving into this one with
-// the same mergeable-summaries construction as SpaceSavingHeap.Merge:
-// counters for the same item sum (errors likewise), counters present on
-// one side only are inflated by the other side's Min() bound, and the k
-// largest survive. The bucket list is rebuilt in ascending count order,
-// so each attach extends the tail in O(1) and the merged structure is
-// validate-clean.
+// Merge combines another Stream-Summary Space-Saving into this one
+// through mergeSpaceSaving, the merge SpaceSavingHeap makes. The
+// survivors are linked smallest first, each at the head of the top
+// bucket or in a new bucket above it, so no search walks the list.
 func (s *SpaceSavingList) Merge(other core.Summary) error {
 	o, ok := other.(*SpaceSavingList)
 	if !ok {
@@ -282,107 +285,51 @@ func (s *SpaceSavingList) Merge(other core.Summary) error {
 	if o.k != s.k {
 		return core.Incompatible("SpaceSaving: counter budget mismatch (k=%d/%d)", s.k, o.k)
 	}
-	type pair struct{ count, err int64 }
-	combined := make(map[core.Item]pair, len(s.index)+len(o.index))
-	sMin, oMin := s.Min(), o.Min()
-	for it, e := range s.index {
-		p := pair{e.bucket.count, e.err}
-		if oe, ok := o.index[it]; ok {
-			p.count += oe.bucket.count
-			p.err += oe.err
-		} else {
-			p.count += oMin
-			p.err += oMin
-		}
-		combined[it] = p
-	}
-	for it, oe := range o.index {
-		if _, done := combined[it]; done {
-			continue
-		}
-		combined[it] = pair{oe.bucket.count + sMin, oe.err + sMin}
-	}
-	type merged struct {
-		item       core.Item
-		count, err int64
-	}
-	all := make([]merged, 0, len(combined))
-	for it, p := range combined {
-		all = append(all, merged{it, p.count, p.err})
-	}
-	// Keep the k largest, then rebuild smallest-first so the bucket walk
-	// in attach never backtracks. Ties break by item for determinism,
-	// matching core.SortByCountDesc.
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
-		}
-		return all[i].item < all[j].item
-	})
-	if len(all) > s.k {
-		all = all[:s.k]
-	}
-	s.index = make(map[core.Item]*ssEntry, s.k)
-	s.min = nil
-	s.size = len(all)
-	var last *ssBucket
+	all := mergeSpaceSaving(&s.t, &o.t, s.Min(), o.Min(), s.k)
+	s.t.reset()
+	s.links, s.buckets, s.min, s.free = s.links[:0], s.buckets[:0], -1, -1
+	below := int32(-1) // the bucket under the top one
 	for i := len(all) - 1; i >= 0; i-- {
-		m := all[i]
-		e := &ssEntry{item: m.item, err: m.err}
-		if last != nil && last.count == m.count {
-			// Same count as the previous entry: link into its bucket
-			// directly (attach would search past it).
-			e.bucket = last
-			e.next = last.head
-			last.head.prev = e
-			last.head = e
-		} else {
-			s.attach(e, m.count, last)
-			last = e.bucket
-		}
-		s.index[m.item] = e
+		s.room()
+		id := s.t.newNode(all[i].item, 0, all[i].err, -1)
+		s.links = append(s.links, listLink{})
+		s.attach(id, all[i].count, below)
+		below = s.buckets[s.t.nodes[id].pos].prev
 	}
 	s.n += o.n
 	return nil
 }
 
-// buckets returns the number of live buckets; used by tests.
-func (s *SpaceSavingList) buckets() int {
-	c := 0
-	for b := s.min; b != nil; b = b.next {
-		c++
-	}
-	return c
-}
-
-// validate checks structural invariants; used only by tests. It returns
-// false if any linkage, ordering, or index inconsistency is found.
+// validate checks structural invariants — the node table's, bucket
+// counts strictly increasing, every link mirrored, every entry in the
+// bucket its pos names at the bucket's count, and every bucket slot
+// either live or free; used only by tests.
 func (s *SpaceSavingList) validate() bool {
-	seen := 0
-	var prevCount int64 = -1
-	for b := s.min; b != nil; b = b.next {
-		if b.count <= prevCount {
-			return false
-		}
-		prevCount = b.count
-		if b.next != nil && b.next.prev != b {
-			return false
-		}
-		if b.head == nil {
-			return false // empty buckets must be unlinked
-		}
-		for e := b.head; e != nil; e = e.next {
-			if e.bucket != b {
-				return false
-			}
-			if e.next != nil && e.next.prev != e {
-				return false
-			}
-			if s.index[e.item] != e {
-				return false
-			}
-			seen++
-		}
+	if !s.t.validate() || len(s.links) != len(s.t.nodes) ||
+		cap(s.links) != cap(s.t.nodes) || cap(s.buckets) != cap(s.t.nodes) {
+		return false
 	}
-	return seen == len(s.index) && seen == s.size
+	entries, live := 0, 0
+	prev := int32(-1)
+	for b := s.min; b >= 0; b = s.buckets[b].next {
+		bk := &s.buckets[b]
+		if live++; live > len(s.buckets) || bk.prev != prev || bk.head < 0 ||
+			(prev >= 0 && s.buckets[prev].count >= bk.count) {
+			return false
+		}
+		before := int32(-1)
+		for e := bk.head; e >= 0; e = s.links[e].next {
+			if entries++; entries > len(s.t.nodes) || s.links[e].prev != before ||
+				s.t.nodes[e].pos != b || s.t.nodes[e].count != bk.count {
+				return false
+			}
+			before = e
+		}
+		prev = b
+	}
+	free := 0
+	for b := s.free; b >= 0 && free <= len(s.buckets); b = s.buckets[b].next {
+		free++
+	}
+	return entries == len(s.t.nodes) && live+free == len(s.buckets)
 }

@@ -50,6 +50,7 @@ func (t *Tracked) admit(x core.Item, est int64) {
 		return
 	}
 	if len(t.st.heap) < t.capacity {
+		t.st.room(t.capacity)
 		t.st.push(x, est, 0)
 		return
 	}
@@ -174,6 +175,7 @@ func (t *Tracked) Merge(other core.Summary) error {
 	}
 	t.st.reset()
 	for _, ic := range candidates {
+		t.st.room(t.capacity)
 		t.st.push(ic.Item, ic.Count, 0)
 	}
 	return nil

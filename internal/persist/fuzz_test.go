@@ -149,3 +149,52 @@ func TestFuzzSeedsDirect(t *testing.T) {
 		t.Fatal("poison record with valid records after it must fail recovery, not truncate them away")
 	}
 }
+
+// budgetLog is a tenant target that records the budgets replay hands
+// it.
+type budgetLog struct {
+	*core.Concurrent
+	ks []int
+}
+
+func (b *budgetLog) UpdateTenantBatch(_ string, k int, items []core.Item) {
+	b.ks = append(b.ks, k)
+	b.UpdateBatch(items)
+}
+
+func (b *budgetLog) TenantSnapshotBarrier(func(int64)) []TenantState { return nil }
+func (b *budgetLog) RestoreTenants([]TenantState) error              { return nil }
+
+// TestTenantRecordBudgetBounded: replay hands a tenant record's k to the
+// table, which builds a store of k counters, so the parser holds k to
+// counters.MaxBudget, the bound every decoder holds, and a CRC-valid
+// record claiming more does not replay: in front of valid records it
+// fails recovery.
+func TestTenantRecordBudgetBounded(t *testing.T) {
+	var rec record
+	for k, ok := range map[int]bool{counters.MaxBudget: true, counters.MaxBudget + 1: false} {
+		frame := appendRecord(nil, recTenant, "eu", k, []core.Item{1}, 0, 0)
+		if err := rec.parse(frame[recHeaderSize:]); (err == nil) != ok {
+			t.Errorf("tenant record with k = %d: parse error %v, want accepted = %v", k, err, ok)
+		}
+	}
+	seg := appendRecord(segmentBytes(1, 0), recTenant, "eu", 4, []core.Item{1}, 0, 0)
+	seg = appendRecord(seg, recTenant, "eu", counters.MaxBudget+1, []core.Item{1}, 0, 0)
+	seg = appendRecord(seg, recTenant, "eu", 4, []core.Item{2}, 0, 0)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-0000000001.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(Options{Dir: dir, Algo: "SSH"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	target := &budgetLog{Concurrent: core.NewConcurrent(counters.NewSpaceSavingHeap(8))}
+	if _, err := st.Recover(target); err == nil {
+		t.Fatal("recovered past a tenant record with k = MaxBudget + 1")
+	}
+	if len(target.ks) != 1 || target.ks[0] != 4 {
+		t.Fatalf("replay handed the target budgets %v, want only the first record's 4", target.ks)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"streamfreq/internal/core"
+	"streamfreq/internal/counters"
 	"streamfreq/internal/stream"
 	"streamfreq/internal/wire"
 )
@@ -205,7 +206,7 @@ func (rec *record) parse(payload []byte) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if rec.k <= 0 {
+		if rec.k <= 0 || rec.k > counters.MaxBudget {
 			return fmt.Errorf("tenant record for %q with budget k=%d", rec.ns, rec.k)
 		}
 	default:

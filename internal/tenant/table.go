@@ -70,23 +70,14 @@ type Table struct {
 	reloads   int64
 }
 
-// kForPhi mirrors the registry's canonical budget for threshold φ.
-func kForPhi(phi float64) int {
-	k := int(1/phi) + 1
-	if k < 2 {
-		k = 2
-	}
-	return k
-}
-
 // NewTable builds an empty table.
 func NewTable(opts Options) (*Table, error) {
-	if !(opts.DefaultPhi > 0 && opts.DefaultPhi < 1) {
-		return nil, fmt.Errorf("tenant: DefaultPhi must be in (0,1), got %v", opts.DefaultPhi)
+	if _, err := counters.Budget(opts.DefaultPhi, 1); err != nil {
+		return nil, fmt.Errorf("tenant: DefaultPhi: %w", err)
 	}
 	for ns, phi := range opts.Phi {
-		if !(phi > 0 && phi < 1) {
-			return nil, fmt.Errorf("tenant: φ override for %q must be in (0,1), got %v", ns, phi)
+		if _, err := counters.Budget(phi, 1); err != nil {
+			return nil, fmt.Errorf("tenant: φ override for %q: %w", ns, err)
 		}
 		if len(ns) > persist.MaxNamespaceLen {
 			return nil, fmt.Errorf("tenant: namespace %q exceeds %d bytes", ns, persist.MaxNamespaceLen)
@@ -115,6 +106,16 @@ func (t *Table) phiFor(ns string) float64 {
 	return t.opts.DefaultPhi
 }
 
+// budgetFor returns the namespace's counter budget for its φ, which
+// NewTable and SetPhi have held within counters.Budget's bound.
+func (t *Table) budgetFor(ns string) int {
+	k, err := counters.Budget(t.phiFor(ns), 1)
+	if err != nil {
+		panic(fmt.Sprintf("tenant: %q: %v", ns, err))
+	}
+	return k
+}
+
 // SetPhi installs (or clears, with phi == 0) a namespace's φ override.
 // For a namespace not yet instantiated it also determines the counter
 // budget; for a live one it changes only the query threshold — the
@@ -124,8 +125,10 @@ func (t *Table) SetPhi(ns string, phi float64) error {
 	if len(ns) > persist.MaxNamespaceLen {
 		return fmt.Errorf("tenant: namespace exceeds %d bytes", persist.MaxNamespaceLen)
 	}
-	if phi != 0 && !(phi > 0 && phi < 1) {
-		return fmt.Errorf("tenant: φ must be in (0,1), got %v", phi)
+	if phi != 0 {
+		if _, err := counters.Budget(phi, 1); err != nil {
+			return fmt.Errorf("tenant: %w", err)
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -150,11 +153,10 @@ func (t *Table) SetPhi(ns string, phi float64) error {
 func (t *Table) touchLocked(ns string, k int) (*tenantState, error) {
 	ts := t.tenants[ns]
 	if ts == nil {
-		phi := t.phiFor(ns)
 		if k <= 0 {
-			k = kForPhi(phi)
+			k = t.budgetFor(ns)
 		}
-		ts = &tenantState{ns: ns, k: k, phi: phi, clockIdx: -1}
+		ts = &tenantState{ns: ns, k: k, phi: t.phiFor(ns), clockIdx: -1}
 		ts.sum = t.slab.NewSpaceSaving(k)
 		t.tenants[ns] = ts
 		t.addClockLocked(ts)
@@ -343,7 +345,7 @@ func (t *Table) Snapshot() core.Summary {
 	defer t.mu.Unlock()
 	ts := t.tenants[""]
 	if ts == nil {
-		return counters.NewSpaceSavingHeap(kForPhi(t.phiFor("")))
+		return counters.NewSpaceSavingHeap(t.budgetFor(""))
 	}
 	if ts.sum == nil {
 		sum, err := counters.DecodeSpaceSavingHeap(ts.blob)
@@ -503,7 +505,7 @@ func (t *Table) SnapshotBarrier(cut func(n int64)) []core.Summary {
 	}
 	ts := t.tenants[""]
 	if ts == nil || ts.sum == nil {
-		return []core.Summary{counters.NewSpaceSavingHeap(kForPhi(t.phiFor("")))}
+		return []core.Summary{counters.NewSpaceSavingHeap(t.budgetFor(""))}
 	}
 	return []core.Summary{ts.sum.Clone()}
 }

@@ -461,6 +461,16 @@ func TestPerTenantPhi(t *testing.T) {
 	if err := tb.SetPhi("x", 1.5); err == nil {
 		t.Fatal("φ=1.5 must be rejected")
 	}
+	// φ = 2e-7 needs 5,000,001 counters, past counters.MaxBudget: the
+	// namespace would be built, then refused by its own reload.
+	if err := tb.SetPhi("x", 2e-7); err == nil {
+		t.Fatal("SetPhi accepted φ = 2e-7")
+	}
+	for _, opts := range []tenant.Options{{DefaultPhi: 2e-7}, {DefaultPhi: 0.01, Phi: map[string]float64{"x": 2e-7}}} {
+		if _, err := tenant.NewTable(opts); err == nil {
+			t.Fatalf("NewTable(%+v) accepted φ = 2e-7", opts)
+		}
+	}
 }
 
 // TestBundleRoundTrip: the cluster-pull frame decodes back to exactly

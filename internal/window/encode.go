@@ -32,7 +32,7 @@ const (
 	// so the decoder never rejects a blob MarshalBinary legally produced;
 	// real configurations use tens of blocks and thousands of counters.
 	maxWNBlocks   = 1 << 16
-	maxWNCounters = 1 << 22 // counters.maxEntries, the per-block decode cap
+	maxWNCounters = counters.MaxBudget // the per-block decode cap
 	maxWNSize     = int64(1) << 40
 	// maxWNBlob bounds one block blob against a corrupt length field.
 	maxWNBlob = 1 << 28
@@ -119,9 +119,6 @@ func DecodeWindowed(data []byte) (*Windowed, error) {
 		}
 		if ss.K() != int(k) {
 			return nil, fmt.Errorf("window: block %d has k=%d, header says %d", idx, ss.K(), k)
-		}
-		if ss.N() < 0 {
-			return nil, fmt.Errorf("window: block %d has negative N", idx)
 		}
 		s.ring.slots[idx] = ss
 		s.ring.blockNo[idx] = s.cur - int64((head+ringLen-idx)%ringLen)

@@ -43,6 +43,8 @@ func FuzzMergeEncoded(f *testing.F) {
 	}
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte("SS01"), []byte("FQ01"))
+	over := counterBlob("SS01", 4, 10, 1, 7, 1<<62, 0) // a count above n
+	f.Add(over, over)
 
 	// The windowed format rides the same trust boundary: a genuine WN01
 	// pair, a windowed/flat mix, and a geometry mismatch seed the corpus.
@@ -67,10 +69,18 @@ func FuzzMergeEncoded(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly — the only acceptable failure mode
 		}
-		// A successful merge must yield a usable summary.
+		// A successful merge must yield a usable summary, whose
+		// encoding its own decoder accepts.
 		_ = merged.N()
 		_ = merged.Estimate(1)
 		_ = merged.Query(1)
+		if m, ok := merged.(interface{ MarshalBinary() ([]byte, error) }); ok {
+			if blob, err := m.MarshalBinary(); err == nil {
+				if _, err := Decode(blob); err != nil {
+					t.Fatalf("the merged %s does not decode: %v", merged.Name(), err)
+				}
+			}
+		}
 
 		// If both operands decode on their own, a successful merge
 		// implies they named the same algorithm.

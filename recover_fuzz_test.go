@@ -1,6 +1,7 @@
 package streamfreq
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"streamfreq/internal/core"
+	"streamfreq/internal/counters"
 	"streamfreq/internal/persist"
 	"streamfreq/internal/tenant"
 	"streamfreq/internal/wire"
@@ -71,8 +73,8 @@ func recoverOnce(t *testing.T, dir, algo string, mk func() persist.Target) (stat
 // addStoreSeed writes a data directory with a real Store — a
 // checkpoint partway through a small Zipf ingest, then more records in
 // the checkpoint's segment — and adds its checkpoint file and that
-// segment to the corpus.
-func addStoreSeed(f *testing.F, algo string, target persist.Target, ingest func(i int, items []Item)) {
+// segment to the corpus, returning both.
+func addStoreSeed(f *testing.F, algo string, target persist.Target, ingest func(i int, items []Item)) (ckpt, seg []byte) {
 	dir := f.TempDir()
 	st, err := persist.Open(persist.Options{Dir: dir, Algo: algo, Fsync: persist.FsyncAlways, Decode: Decode})
 	if err != nil {
@@ -96,16 +98,30 @@ func addStoreSeed(f *testing.F, algo string, target persist.Target, ingest func(
 	if err := st.Err(); err != nil {
 		f.Fatal(err)
 	}
-	ckpt, err := os.ReadFile(filepath.Join(dir, "checkpoint.ckpt"))
+	ckpt, err = os.ReadFile(filepath.Join(dir, "checkpoint.ckpt"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	_, walSeq, _ := recoverTarget(ckpt)
-	seg, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("wal-%010d.seg", walSeq)))
+	seg, err = os.ReadFile(filepath.Join(dir, fmt.Sprintf("wal-%010d.seg", walSeq)))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(ckpt, seg)
+	return ckpt, seg
+}
+
+// tenantRecord frames one WAL tenant record by hand: u32 payload
+// length, u32 CRC-32C, then kind 2, u16 namespace length, the
+// namespace, u32 budget k and the items.
+func tenantRecord(ns string, k uint32, items ...Item) []byte {
+	le := binary.LittleEndian
+	payload := le.AppendUint32(append(le.AppendUint16([]byte{2}, uint16(len(ns))), ns...), k)
+	for _, x := range items {
+		payload = le.AppendUint64(payload, uint64(x))
+	}
+	frame := le.AppendUint32(le.AppendUint32(nil, uint32(len(payload))), crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(frame, payload...)
 }
 
 // FuzzRecover fuzzes a whole recovery. The input is split into a
@@ -128,11 +144,17 @@ func FuzzRecover(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	addStoreSeed(f, "SSH", tb, func(i int, items []Item) {
+	ckpt, seg := addStoreSeed(f, "SSH", tb, func(i int, items []Item) {
 		if _, _, err := tb.IngestBatch([]string{"", "eu", "us"}[i%3], items); err != nil {
 			f.Fatal(err)
 		}
 	})
+	// A CRC-valid tenant record claiming one counter past
+	// counters.MaxBudget: replay refuses it rather than carving a store
+	// for it, at the tail and in front of a valid record alike.
+	forged := append(bytes.Clone(seg), tenantRecord("ap", counters.MaxBudget+1, 1)...)
+	f.Add(ckpt, forged)
+	f.Add(ckpt, append(forged, tenantRecord("ap", 11, 2)...))
 
 	f.Fuzz(func(t *testing.T, ckpt, seg []byte) {
 		dir := t.TempDir()

@@ -39,7 +39,8 @@ func CounterBased(name string) bool {
 // counters per the paper's equal-resource methodology (width 2/φ, depth
 // 4, plus the hierarchy/group-testing overheads inherent to each
 // structure). seed drives all hash randomness; equal (name, phi, seed)
-// summaries are mergeable.
+// summaries are mergeable. A φ whose counter budget exceeds
+// counters.MaxBudget, the largest its decoder accepts, is an error.
 func New(name string, phi float64, seed uint64) (Summary, error) {
 	if phi <= 0 || phi >= 1 {
 		return nil, fmt.Errorf("streamfreq: phi must be in (0,1), got %g", phi)
@@ -49,7 +50,11 @@ func New(name string, phi float64, seed uint64) (Summary, error) {
 		return nil, fmt.Errorf("streamfreq: unknown algorithm %q (have %s)",
 			name, strings.Join(Algorithms(), ", "))
 	}
-	return f(phi, seed), nil
+	s, err := f(phi, seed)
+	if err != nil {
+		return nil, fmt.Errorf("streamfreq: %s: %w", strings.ToUpper(name), err)
+	}
+	return s, nil
 }
 
 // MustNew is New for static configurations known to be valid; it panics
@@ -62,13 +67,14 @@ func MustNew(name string, phi float64, seed uint64) Summary {
 	return s
 }
 
-// kForPhi is the canonical counter budget for threshold φ.
-func kForPhi(phi float64) int {
-	k := int(1/phi) + 1
-	if k < 2 {
-		k = 2
+// budgeted builds a counter summary over scale·k counters, k the
+// canonical budget for φ (counters.Budget).
+func budgeted(phi float64, scale int, build func(k int) Summary) (Summary, error) {
+	k, err := counters.Budget(phi, scale)
+	if err != nil {
+		return nil, err
 	}
-	return k
+	return build(k), nil
 }
 
 // sketch sizing constants: depth 4 matches the paper's default of a few
@@ -85,52 +91,46 @@ func sketchWidth(phi float64) int {
 	return w
 }
 
-var factories = map[string]func(phi float64, seed uint64) Summary{
-	"F": func(phi float64, _ uint64) Summary {
-		return counters.NewFrequent(kForPhi(phi))
+var factories = map[string]func(phi float64, seed uint64) (Summary, error){
+	"F": func(phi float64, _ uint64) (Summary, error) {
+		return budgeted(phi, 1, func(k int) Summary { return counters.NewFrequent(k) })
 	},
-	"LC": func(phi float64, _ uint64) Summary {
-		return counters.NewLossyCounting(phi/2, counters.VariantLC)
+	"LC": func(phi float64, _ uint64) (Summary, error) {
+		return counters.NewLossyCounting(phi/2, counters.VariantLC), nil
 	},
-	"LCD": func(phi float64, _ uint64) Summary {
-		return counters.NewLossyCounting(phi/2, counters.VariantLCD)
+	"LCD": func(phi float64, _ uint64) (Summary, error) {
+		return counters.NewLossyCounting(phi/2, counters.VariantLCD), nil
 	},
-	"SSH": func(phi float64, _ uint64) Summary {
-		return counters.NewSpaceSavingHeap(kForPhi(phi))
+	"SSH": func(phi float64, _ uint64) (Summary, error) {
+		return budgeted(phi, 1, func(k int) Summary { return counters.NewSpaceSavingHeap(k) })
 	},
-	"SSL": func(phi float64, _ uint64) Summary {
-		return counters.NewSpaceSavingList(kForPhi(phi))
+	"SSL": func(phi float64, _ uint64) (Summary, error) {
+		return budgeted(phi, 1, func(k int) Summary { return counters.NewSpaceSavingList(k) })
 	},
-	"CM": func(phi float64, seed uint64) Summary {
+	"CM": func(phi float64, seed uint64) (Summary, error) {
 		// Flat Count-Min with a top-2/φ heap tracker (point sketch made
 		// enumerable, as in the paper's CS+heap usage).
-		cm := sketches.NewCountMin(sketchDepth, sketchWidth(phi), seed)
-		return counters.NewTracked(cm, 2*kForPhi(phi))
+		return budgeted(phi, 2, func(k int) Summary {
+			return counters.NewTracked(sketches.NewCountMin(sketchDepth, sketchWidth(phi), seed), k)
+		})
 	},
-	"CS": func(phi float64, seed uint64) Summary {
-		cs := sketches.NewCountSketch(sketchDepth+1, sketchWidth(phi), seed)
-		return counters.NewTracked(cs, 2*kForPhi(phi))
+	"CS": func(phi float64, seed uint64) (Summary, error) {
+		return budgeted(phi, 2, func(k int) Summary {
+			return counters.NewTracked(sketches.NewCountSketch(sketchDepth+1, sketchWidth(phi), seed), k)
+		})
 	},
-	"CMH": func(phi float64, seed uint64) Summary {
-		h, err := sketches.NewCountMinHierarchy(sketches.HierarchyConfig{
+	"CMH": func(phi float64, seed uint64) (Summary, error) {
+		return sketches.NewCountMinHierarchy(sketches.HierarchyConfig{
 			Depth: sketchDepth, Width: sketchWidth(phi), Bits: 8, Seed: seed,
 		})
-		if err != nil {
-			panic(err) // static config; cannot fail
-		}
-		return h
 	},
-	"CSH": func(phi float64, seed uint64) Summary {
-		h, err := sketches.NewCountSketchHierarchy(sketches.HierarchyConfig{
+	"CSH": func(phi float64, seed uint64) (Summary, error) {
+		return sketches.NewCountSketchHierarchy(sketches.HierarchyConfig{
 			Depth: sketchDepth + 1, Width: sketchWidth(phi), Bits: 8, Seed: seed,
 		})
-		if err != nil {
-			panic(err)
-		}
-		return h
 	},
-	"CGT": func(phi float64, seed uint64) Summary {
-		return sketches.NewCGT(sketchDepth, sketchWidth(phi), 64, seed)
+	"CGT": func(phi float64, seed uint64) (Summary, error) {
+		return sketches.NewCGT(sketchDepth, sketchWidth(phi), 64, seed), nil
 	},
 }
 

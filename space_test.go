@@ -11,17 +11,11 @@ import (
 
 // TestMeasuredSpace holds Bytes() — the bytes column of the paper's
 // space plots — to what a summary really keeps on the heap: for every
-// registry algorithm but SSL, plus FSS, the median of three heap probes
-// after feeding a Zipf stream must land within ±5% of Bytes().
-//
-// SSL is left out because its index is a Go map, whose footprint steps
-// with the runtime's table sizes: on Go 1.24 it measured 23.6–36.9 B
-// per key between 1,001 and 100,001 keys, and SSL itself read
-// 0.816–1.13 of its declared figure. No per-counter formula holds ±5%
-// on every Go version CI runs, so SSL's Bytes() stays a declared cost.
+// registry algorithm, plus FSS, the median of three heap probes after
+// feeding a Zipf stream must land within ±5% of Bytes().
 func TestMeasuredSpace(t *testing.T) {
 	if testing.Short() {
-		t.Skip("feeds 250,000 items through ten summaries six times; skipped with -short")
+		t.Skip("feeds 250,000 items through eleven summaries six times; skipped with -short")
 	}
 	const (
 		phi  = 0.0001
@@ -34,9 +28,6 @@ func TestMeasuredSpace(t *testing.T) {
 	}
 	var builds []build
 	for _, name := range Algorithms() {
-		if name == "SSL" {
-			continue
-		}
 		builds = append(builds, build{name, func() Summary { return MustNew(name, phi, seed) }})
 	}
 	builds = append(builds, build{"FSS", func() Summary { return NewFilteredSpaceSaving(int(1/phi)+1, 0, seed) }})
