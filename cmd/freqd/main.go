@@ -3,8 +3,9 @@
 // estimate queries from epoch snapshots, so heavy read traffic never
 // blocks the ingest hot path. With -data-dir set it is durable: every
 // ingest batch is write-ahead logged and the summary is checkpointed
-// periodically, so a crash (kill -9 included) restarts at the last
-// durable point instead of an empty summary.
+// by log volume and by clock, so a crash (kill -9 included) restarts at
+// the last durable point instead of an empty summary, replaying a log
+// tail bounded by the summary's size.
 //
 // Usage:
 //
@@ -118,7 +119,7 @@ func main() {
 		dataDir    = flag.String("data-dir", "", "persistence directory (empty = in-memory only)")
 		fsyncMode  = flag.String("fsync", "interval", "WAL durability: always | interval | never")
 		fsyncEvery = flag.Duration("fsync-interval", 100*time.Millisecond, "group-commit window for -fsync interval")
-		ckptEvery  = flag.Duration("checkpoint-every", time.Minute, "periodic checkpoint cadence (0 = only POST /checkpoint and shutdown)")
+		ckptEvery  = flag.Duration("checkpoint-every", time.Minute, "time trigger: checkpoint once this long has passed with log past the last checkpoint; beside it, a volume trigger checkpoints when that log reaches max(4 MiB, 8 × the summary's bytes) (0 = neither: only POST /checkpoint and shutdown)")
 		maxLag     = flag.Int64("max-lag", 0, "shed ingest (429) once the unsynced WAL lag exceeds this many items (0 = no shedding)")
 
 		logFormat = flag.String("log-format", "text", "structured log format: text | json")
@@ -186,8 +187,10 @@ func main() {
 		close(stop)
 	}()
 
-	if store != nil && *ckptEvery > 0 {
-		go checkpointLoop(o.Log, store, target.(persist.Target), *ckptEvery, stop)
+	if store != nil {
+		if err := store.AutoCheckpoint(target.(persist.Target), *ckptEvery, o.Log); err != nil {
+			fatal(err)
+		}
 	}
 
 	attrs := []any{"algo", label, "phi", *phi, "shards", *shards, "staleness", *staleness, "addr", *addr}
@@ -222,24 +225,6 @@ func main() {
 	}
 	if err != nil && err != http.ErrServerClosed {
 		fatal(err)
-	}
-}
-
-// checkpointLoop checkpoints on a timer until stop closes. Failures are
-// logged and retried next tick; a persistent failure also latches the
-// store, which the serving layer surfaces by refusing ingest.
-func checkpointLoop(log *slog.Logger, store *persist.Store, target persist.Target, every time.Duration, stop <-chan struct{}) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			if _, err := store.Checkpoint(target); err != nil {
-				log.Error("periodic checkpoint failed", "error", err)
-			}
-		}
 	}
 }
 
@@ -409,6 +394,7 @@ func buildTarget(log *slog.Logger, algo string, phi float64, seed uint64, shards
 			"n", stats.RecoveredN,
 			"checkpoint_n", stats.CheckpointN,
 			"wal_records", stats.ReplayedRecords,
+			"wal_bytes", stats.ReplayedBytes,
 			"truncated_bytes", stats.TruncatedBytes,
 			"elapsed", stats.Elapsed,
 			"replay_items_per_s", int64(float64(stats.ReplayedItems)/stats.Elapsed.Seconds()))

@@ -147,12 +147,14 @@ var Claims = []Claim{
 	},
 	{
 		ID: "C6", Exp: "F6",
-		Text: "CGT uses an order of magnitude more space than CMH at equal width",
+		Text: "CGT uses about 8× the space of CMH at equal width: 65 counters per bucket against CMH's 8 levels",
+		// 65/8 is 8.125; every F6 row measures 8.09× (832,064 B against
+		// 102,912 B). The bound, 7.5×, sits 7% under the measurement.
 		Check: func(rs []Result) error {
 			cgt := meanBy(rows(rs, "CGT"), func(r Row) float64 { return float64(r.Bytes) })
 			cmh := meanBy(rows(rs, "CMH"), func(r Row) float64 { return float64(r.Bytes) })
-			if cgt < 3*cmh {
-				return fmt.Errorf("CGT bytes %.0f not ≫ CMH bytes %.0f", cgt, cmh)
+			if cgt < 7.5*cmh {
+				return fmt.Errorf("CGT bytes %.0f are %.2f× CMH bytes %.0f, under 7.5×", cgt, cgt/cmh, cmh)
 			}
 			return nil
 		},

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"time"
@@ -177,14 +178,17 @@ func decodeCheckpoint(data []byte) (checkpoint, error) {
 //  1. under the target's snapshot barrier, clone every shard and rotate
 //     the log — the clone and the new segment describe the same instant;
 //  2. off the hot path, Encode the clones and atomically rename the
-//     checkpoint file into place;
+//     checkpoint file into place, and drop the log bytes before the cut
+//     from the tail;
 //  3. delete the segments the checkpoint covers.
 //
 // Ingest is blocked only for step 1 (a deep copy of the counters, the
 // same cost as a serving-snapshot refresh). On any failure before the
-// rename the previous checkpoint remains authoritative and the log is
+// rename the previous checkpoint remains authoritative, the log is
 // still continuous — a rotation without a checkpoint just leaves one
-// more segment to replay.
+// more segment to replay — and the tail is as it was. The checkpoint
+// loop (AutoCheckpoint), POST /checkpoint and freqd's shutdown all call
+// it.
 func (st *Store) Checkpoint(target Target) (Stats, error) {
 	st.ckptMu.Lock()
 	defer st.ckptMu.Unlock()
@@ -201,9 +205,10 @@ func (st *Store) Checkpoint(target Target) (Stats, error) {
 	st.mu.Unlock()
 
 	var (
-		cutN   int64
-		newSeq uint64
-		cutErr error
+		cutN    int64
+		cutTail int64 // the tail bytes the cut puts behind the checkpoint
+		newSeq  uint64
+		cutErr  error
 	)
 	cut := func(n int64) {
 		// The barrier quiesces appends, so the staged tail is complete:
@@ -220,6 +225,7 @@ func (st *Store) Checkpoint(target Target) (Stats, error) {
 			return
 		}
 		chunk := st.pending
+		cutTail = st.stats.TailBytes
 		st.pending = st.takeSpareLocked()
 		st.ioMu.Lock()
 		st.mu.Unlock()
@@ -292,12 +298,99 @@ func (st *Store) Checkpoint(target Target) (Stats, error) {
 	st.pruneSegments(newSeq)
 
 	st.mu.Lock()
+	st.stats.TailBytes -= cutTail
 	st.stats.Checkpoints++
 	st.stats.LastCkptN = cutN
 	st.stats.LastCkptBytes = int64(len(data))
 	st.lastCkptTime = time.Now()
 	st.mu.Unlock()
 	return st.Stats(), nil
+}
+
+// The volume trigger: a checkpoint is due once the tail reaches
+// max(ckptFloorBytes, ckptStateFactor × the target's Bytes()). The
+// floor keeps a small summary (an SSH shard's blob is about 24 KB) from
+// checkpointing every few hundred kilobytes of log; the factor bounds a
+// restart's replay at about eight times the state in memory, and keeps
+// each checkpoint's write at about an eighth of the log it retires or
+// less. The loop polls at ckptPoll.
+const (
+	ckptFloorBytes  = 4 << 20
+	ckptStateFactor = 8
+	ckptPoll        = 100 * time.Millisecond
+)
+
+// AutoCheckpoint starts the store's checkpoint loop over target; call
+// it once at setup, after Recover and PersistTo. Close stops it. Every
+// ckptPoll the loop checkpoints when checkpointDue says so: by volume,
+// or once every has passed since the last checkpoint (or since the loop
+// started) with a non-empty tail. every <= 0 starts no loop, leaving
+// checkpoints to explicit Checkpoint calls. A failed checkpoint is
+// logged and not retried for every, so a persistent failure neither
+// floods the log nor rotates a segment per poll; a latched store is
+// skipped silently, since Err already reports it.
+func (st *Store) AutoCheckpoint(target Target, every time.Duration, log *slog.Logger) error {
+	if every <= 0 {
+		return nil
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	switch {
+	case !st.recovered || st.closed:
+		return fmt.Errorf("persist: checkpoint loop before Recover or after Close")
+	case st.loopStop != nil:
+		return fmt.Errorf("persist: checkpoint loop already running")
+	}
+	st.loopStop, st.loopDone = make(chan struct{}), make(chan struct{})
+	go st.checkpointLoop(target, every, log, st.loopStop, st.loopDone)
+	return nil
+}
+
+func (st *Store) checkpointLoop(target Target, every time.Duration, log *slog.Logger, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	t := time.NewTicker(ckptPoll)
+	defer t.Stop()
+	var holdUntil time.Time
+	start := time.Now()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+		}
+		st.mu.Lock()
+		tail, from, failed := st.stats.TailBytes, st.lastCkptTime, st.failed != nil
+		st.mu.Unlock()
+		if from.Before(start) {
+			from = start
+		}
+		now := time.Now()
+		if failed || now.Before(holdUntil) || !checkpointDue(tail, now.Sub(from), every, target.Bytes) {
+			continue
+		}
+		if _, err := st.Checkpoint(target); err != nil {
+			log.Error("automatic checkpoint failed", "error", err, "tail_bytes", tail)
+			holdUntil = now.Add(every)
+		}
+	}
+}
+
+// checkpointDue is the policy. With tail bytes logged past the last
+// checkpoint, which landed since ago, a checkpoint is due once since
+// reaches every or the tail reaches max(ckptFloorBytes, ckptStateFactor
+// × stateBytes()). An empty tail is never due. stateBytes is read only
+// past the floor, so a store with a short tail never takes a plane's
+// shard locks for it.
+func checkpointDue(tail int64, since, every time.Duration, stateBytes func() int) bool {
+	switch {
+	case tail <= 0:
+		return false
+	case since >= every:
+		return true
+	case tail < ckptFloorBytes:
+		return false
+	}
+	return tail >= ckptStateFactor*int64(stateBytes())
 }
 
 // pruneSegments deletes WAL segments before keepSeq; they are covered

@@ -1,8 +1,14 @@
 // Package persist makes a freqd summary durable: a segmented
-// write-ahead log of ingest batches plus periodic checkpoint snapshots,
-// so a crashed server restarts from its last durable position instead
-// of replaying the whole stream — the operating mode the paper's
+// write-ahead log of ingest batches plus checkpoint snapshots, so a
+// crashed server restarts from its last durable position instead of
+// replaying the whole stream — the operating mode the paper's
 // ISP/search-engine deployments assume for their long-lived summaries.
+// The store counts the log's tail, the bytes past the last
+// checkpoint's cut, and its checkpoint loop (Store.AutoCheckpoint)
+// checkpoints when that tail reaches max(4 MiB, 8 × the summary's
+// Bytes()), or when a clock interval has passed with a non-empty tail.
+// A restart therefore replays a tail bounded by the summary's size, not
+// by the ingest rate.
 //
 // On-disk layout (all little-endian), inside one data directory:
 //
@@ -241,8 +247,12 @@ type Store struct {
 	segCount  atomic.Int32
 	activeSeq atomic.Uint64
 
-	// ckptMu serializes whole checkpoints.
+	// ckptMu serializes whole checkpoints, and Close against them.
 	ckptMu sync.Mutex
+	// loopStop stops the checkpoint loop (AutoCheckpoint) and loopDone
+	// closes when it has exited; under mu, nil when no loop runs.
+	loopStop chan struct{}
+	loopDone chan struct{}
 
 	// appendH/fsyncH time the two WAL latencies that matter
 	// operationally: what an ingest append pays (staging, plus the
@@ -418,8 +428,10 @@ func (st *Store) appendRecordStaged(kind byte, ns string, k int, items []core.It
 	before := len(st.pending)
 	st.pending = appendRecord(st.pending, kind, ns, k, items, x, count)
 	st.walN += deltaN
+	added := int64(len(st.pending) - before)
 	st.stats.AppendedRecords++
-	st.stats.AppendedBytes += int64(len(st.pending) - before)
+	st.stats.AppendedBytes += added
+	st.stats.TailBytes += added
 
 	switch {
 	case st.opts.Fsync == FsyncAlways:
@@ -599,10 +611,23 @@ func (st *Store) writer() {
 	}
 }
 
-// Close seals the log: stops the writer, drains the staged tail, fsyncs
-// the active segment, and latches the store closed. Pair with a final
-// Checkpoint for a clean shutdown that replays zero records on restart.
+// Close seals the log: stops the checkpoint loop and the writer, drains
+// the staged tail, fsyncs the active segment, and latches the store
+// closed. Pair with a final Checkpoint for a clean shutdown that replays
+// zero records on restart.
 func (st *Store) Close() error {
+	st.mu.Lock()
+	loopStop, loopDone := st.loopStop, st.loopDone
+	st.loopStop = nil
+	st.mu.Unlock()
+	if loopStop != nil {
+		close(loopStop)
+		<-loopDone
+	}
+	// No checkpoint may be cutting the log while it is sealed.
+	st.ckptMu.Lock()
+	defer st.ckptMu.Unlock()
+
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
@@ -661,9 +686,12 @@ type WALStats struct {
 	// records included), DurableN the position guaranteed on disk, and
 	// Lag their difference clamped at zero: the acknowledged items a
 	// crash could lose, which freqd's -max-lag sheds ingest on.
+	// TailBytes is the record bytes past the last checkpoint's cut, the
+	// recovered tail included: the checkpoint loop's input.
 	WALEndN         int64  `json:"end_n"`
 	DurableN        int64  `json:"durable_n" metric:"freq_wal_durable_n" help:"Stream position fsynced to disk."`
 	Lag             int64  `json:"lag" metric:"freq_wal_lag_items" help:"Acknowledged-but-not-yet-durable items (WAL end minus durable position)."`
+	TailBytes       int64  `json:"tail_bytes" metric:"freq_wal_tail_bytes" help:"Log bytes past the last checkpoint: what a restart would replay."`
 	AppendedRecords int64  `json:"appended_records" metric:"freq_wal_appended_records_total" help:"Records appended to the WAL."`
 	AppendedBytes   int64  `json:"appended_bytes" metric:"freq_wal_appended_bytes_total" help:"Bytes appended to the WAL."`
 	InlineDrains    int64  `json:"inline_drains" metric:"freq_wal_inline_drains_total" help:"Appends that hit the staging cap and paid the write inline."`

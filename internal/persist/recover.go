@@ -17,12 +17,14 @@ type RecoveryStats struct {
 	CheckpointN int64 `json:"checkpoint_n"`
 	// CheckpointShards is how many per-shard blobs the checkpoint held.
 	CheckpointShards int `json:"ckpt_shards"`
-	// ReplayedSegments/ReplayedRecords/ReplayedItems count the WAL tail
-	// replayed on top of the checkpoint. A clean shutdown (final
-	// checkpoint, closed log) replays zero records.
+	// ReplayedSegments/ReplayedRecords/ReplayedItems/ReplayedBytes count
+	// the WAL tail replayed on top of the checkpoint (ReplayedBytes in
+	// record bytes, the unit of WALStats.TailBytes). A clean shutdown
+	// (final checkpoint, closed log) replays zero records.
 	ReplayedSegments int   `json:"-"`
 	ReplayedRecords  int   `json:"replayed"`
 	ReplayedItems    int64 `json:"-"`
+	ReplayedBytes    int64 `json:"-"`
 	// TruncatedBytes is the torn tail dropped from the last segment
 	// (crash mid-write); TruncatedSegments counts segments it happened
 	// to (0 or 1 — only the last segment may legally be torn).
@@ -44,6 +46,10 @@ type RecoveryStats struct {
 // shared — recovery drives the target's own Update/UpdateBatch, which
 // must not re-append to the log.
 //
+// The loaded checkpoint's position, size and modification time seed
+// the checkpoint stats, and the replayed records seed the tail, so the
+// checkpoint age and the replay debt survive a restart.
+//
 // On a fresh (or empty) directory it recovers nothing and simply opens
 // the first segment.
 func (st *Store) Recover(target Target) (RecoveryStats, error) {
@@ -61,6 +67,8 @@ func (st *Store) Recover(target Target) (RecoveryStats, error) {
 	// 1. Checkpoint.
 	var curN int64
 	var minSeq uint64
+	var ckptBytes int64
+	var ckptTime time.Time
 	ckptPath := filepath.Join(st.opts.Dir, ckptName)
 	if data, err := os.ReadFile(ckptPath); err == nil {
 		ck, err := decodeCheckpoint(data)
@@ -118,6 +126,10 @@ func (st *Store) Recover(target Target) (RecoveryStats, error) {
 		curN = ck.n
 		minSeq = ck.walSeq
 		stats.CheckpointN = ck.n
+		ckptBytes = int64(len(data))
+		if fi, err := os.Stat(ckptPath); err == nil {
+			ckptTime = fi.ModTime()
+		}
 	} else if !os.IsNotExist(err) {
 		return stats, fmt.Errorf("persist: reading checkpoint: %w", err)
 	}
@@ -174,6 +186,7 @@ func (st *Store) Recover(target Target) (RecoveryStats, error) {
 		}
 		stats.ReplayedRecords += res.records
 		stats.ReplayedItems += res.items
+		stats.ReplayedBytes += max(res.validEnd-segHeaderSize, 0)
 		curN += res.items
 	}
 	if got := target.LiveN(); got != curN {
@@ -211,6 +224,8 @@ func (st *Store) Recover(target Target) (RecoveryStats, error) {
 	st.recovered = true
 	stats.Elapsed = time.Since(start)
 	st.stats.RecoveryStats = stats
+	st.stats.TailBytes = stats.ReplayedBytes
+	st.stats.LastCkptN, st.stats.LastCkptBytes, st.lastCkptTime = stats.CheckpointN, ckptBytes, ckptTime
 	st.writeStop = make(chan struct{})
 	st.writeDone = make(chan struct{})
 	go st.writer()

@@ -3,10 +3,12 @@ package tenant_test
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
+	"time"
 
 	"streamfreq/internal/core"
 	"streamfreq/internal/counters"
@@ -536,5 +538,60 @@ func TestPoisonedTenantLeaksNoBlock(t *testing.T) {
 	}
 	if live := tb.TableStats().Slab.LiveBlocks; live != 0 {
 		t.Fatalf("%d live slab blocks after 100 refused touches, want 0", live)
+	}
+}
+
+// TestVolumeCheckpointReadsTableBytes: the checkpoint loop's volume
+// trigger is max(4 MiB, 8 × Bytes()), and a table's Bytes() counts its
+// slab arena. A table whose 8 × Bytes() exceeds its log tail takes no
+// volume checkpoint, even with the tail past the 4 MiB floor; once the
+// tail reaches 8 × Bytes() it takes one.
+func TestVolumeCheckpointReadsTableBytes(t *testing.T) {
+	const floor = 4 << 20
+	st, err := persist.Open(persist.Options{
+		Dir:    t.TempDir(),
+		Algo:   "SSH",
+		Fsync:  persist.FsyncInterval,
+		Decode: func(b []byte) (core.Summary, error) { return counters.DecodeSpaceSavingHeap(b) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := newTable(t, tenant.Options{DefaultPhi: 0.01})
+	if _, err := st.Recover(tb); err != nil {
+		t.Fatal(err)
+	}
+	tb.PersistTo(st)
+	defer st.Close()
+	if err := st.AutoCheckpoint(tb, time.Hour, slog.New(slog.DiscardHandler)); err != nil {
+		t.Fatal(err)
+	}
+
+	items := testStream(t, 1<<16, 0x7A11)
+	ingestTo := func(tail int64) {
+		t.Helper()
+		for i := 0; st.Stats().TailBytes < tail; i++ {
+			off := (i * 4096) % len(items)
+			if _, _, err := tb.IngestBatch("eu", items[off:off+4096]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingestTo(1)
+	threshold := 8 * int64(tb.Bytes())
+	if threshold < floor+(1<<20) {
+		t.Fatalf("8 × Bytes() = %d B, not far enough past the %d B floor for this test", threshold, floor)
+	}
+	ingestTo(floor + (threshold-floor)/2)
+	time.Sleep(500 * time.Millisecond) // five of the loop's polls
+	if s := st.Stats(); s.Checkpoints != 0 {
+		t.Fatalf("%d checkpoints with a tail of %d B under 8 × Bytes() = %d B", s.Checkpoints, s.TailBytes, threshold)
+	}
+
+	ingestTo(8 * int64(tb.Bytes()))
+	for deadline := time.Now().Add(5 * time.Second); st.Stats().Checkpoints == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no checkpoint with a tail of %d B past 8 × Bytes() = %d B", st.Stats().TailBytes, 8*tb.Bytes())
+		}
 	}
 }
