@@ -125,7 +125,7 @@ func main() {
 		logFormat = flag.String("log-format", "text", "structured log format: text | json")
 		slowQuery = flag.Duration("slow-query", 0, "log requests slower than this at warn level with per-stage timings (0 = off)")
 
-		tenants   = flag.Bool("tenants", false, "multi-tenant mode: namespaced summaries under /v1/t/{ns}/... on a shared slab (SSH only)")
+		tenants   = flag.Bool("tenants", false, "multi-tenant mode: one Space-Saving summary per namespace under /v1/t/{ns}/... (SSH only)")
 		tenantMax = flag.Int("tenant-max-resident", 4096, "resident-tenant bound; idle namespaces beyond it are evicted to compact blobs (0 = unbounded)")
 		tenantPhi = phiOverrides{}
 	)
@@ -230,13 +230,13 @@ func main() {
 
 // buildTenantTable validates the multi-tenant flag combination and
 // constructs the namespaced table. Tenancy is a serving arrangement of
-// many small Space-Saving summaries on one slab, so the mode excludes
+// many small Space-Saving summaries in one table, so the mode excludes
 // the single-summary arrangements: windows, sharding, and non-SSH
 // algorithms.
 func buildTenantTable(algo string, phi float64, shards, windowLen, maxResident int,
 	overrides map[string]float64) (*tenant.Table, error) {
 	if !strings.EqualFold(algo, "SSH") {
-		return nil, fmt.Errorf("-tenants serves slab-backed Space-Saving; drop -algo %s (or set SSH)", algo)
+		return nil, fmt.Errorf("-tenants serves per-namespace Space-Saving; drop -algo %s (or set SSH)", algo)
 	}
 	if windowLen > 0 {
 		return nil, fmt.Errorf("-tenants and -window are incompatible; pick one serving arrangement")

@@ -173,7 +173,7 @@ func TestFlagExclusions(t *testing.T) {
 		node node
 		want string
 	}{
-		{"tenants+algo", node{tenants: true, algo: "CM"}, "-tenants serves slab-backed Space-Saving"},
+		{"tenants+algo", node{tenants: true, algo: "CM"}, "-tenants serves per-namespace Space-Saving"},
 		{"tenants+window", node{tenants: true, window: 1000}, "-tenants and -window are incompatible"},
 		{"tenants+shards", node{tenants: true, shards: 4}, "-tenants is namespace-keyed"},
 		{"horizons+data-dir", node{horizons: minute, dataDir: t.TempDir()}, "-horizons is memory-only"},

@@ -96,7 +96,7 @@ func TestFreqdTenantConformance(t *testing.T) {
 	apitest.ConformIngest(t, srv.Handler(), "/v1/t/demo/ingest")
 	apitest.ConformMetrics(t, srv.Handler(),
 		"freq_tenants", "freq_tenants_resident", "freq_tenants_evictions_total",
-		"freq_tenants_slab_bytes")
+		"freq_tenants_blob_bytes")
 }
 
 // freqmergeRoutes is the coordinator surface, one mux whatever the

@@ -405,22 +405,16 @@ func (p *plane) appliedN() int64 {
 	return n
 }
 
-// Bytes implements Summary: the shard footprints, the staging rings'
-// retained buffer capacity and, when serving, the retained epoch.
+// Bytes implements Summary: the sum of the shards' footprints, the
+// state SnapshotBarrier hands a checkpoint. The staging rings
+// (PipelineStats.RingBytes) and the serving epoch's clones are
+// transient copies of it and do not count.
 func (p *plane) Bytes() int {
 	var total int
 	for i := range p.shards {
 		p.locks[i].Lock()
 		total += p.shards[i].Bytes()
 		p.locks[i].Unlock()
-	}
-	for _, r := range p.rings {
-		total += int(r.Retained()) * 8 // Item is 8 bytes
-	}
-	if p.serving {
-		for _, view := range p.snap.Load().views {
-			total += view.Bytes()
-		}
 	}
 	return total
 }

@@ -9,7 +9,7 @@
 // for Lossy Counting as many as its bucket rule keeps — and answer
 // point and threshold queries from those pairs alone. All but the
 // FrequentNaive ablation keep those pairs in one counter store, the
-// node table of slab.go — ordered by its indexed min-heap, or, for SSL,
+// node table of store.go — ordered by its indexed min-heap, or, for SSL,
 // by the Stream-Summary's bucket links — and report its footprint as
 // their Bytes.
 // They process insert-only streams; calling Update with a negative

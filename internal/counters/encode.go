@@ -83,7 +83,7 @@ func DecodeFrequent(data []byte) (*Frequent, error) {
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler. Entries are
-// written in heap-structural order (slab.go says why the sift must not
+// written in heap-structural order (store.go says why the sift must not
 // change).
 func (s *SpaceSavingHeap) MarshalBinary() ([]byte, error) {
 	out := make([]byte, 0, 4+3*8+24*len(s.st.heap))
@@ -103,18 +103,6 @@ func (s *SpaceSavingHeap) MarshalBinary() ([]byte, error) {
 // DecodeSpaceSavingHeap parses a summary produced by
 // (*SpaceSavingHeap).MarshalBinary.
 func DecodeSpaceSavingHeap(data []byte) (*SpaceSavingHeap, error) {
-	return decodeSpaceSavingHeap(data, nil)
-}
-
-// DecodeSpaceSaving parses an SS01 blob into slab-drawn storage — the
-// reload half of the multi-tenant table's evict/reload cycle, so a
-// tenant coming back from its compact blob lands in the same arena it
-// left, in a whole block of its budget like the one eviction freed.
-func (sl *Slab) DecodeSpaceSaving(data []byte) (*SpaceSavingHeap, error) {
-	return decodeSpaceSavingHeap(data, sl)
-}
-
-func decodeSpaceSavingHeap(data []byte, sl *Slab) (*SpaceSavingHeap, error) {
 	r := wire.NewReader(data)
 	r.Magic(magicSS)
 	k, n, cnt := r.U64(), r.I64(), r.U64()
@@ -127,27 +115,18 @@ func decodeSpaceSavingHeap(data []byte, sl *Slab) (*SpaceSavingHeap, error) {
 	if uint64(r.Len()) != cnt*24 {
 		return nil, fmt.Errorf("counters: SpaceSaving payload %d bytes, want %d", r.Len(), cnt*24)
 	}
-	var s *SpaceSavingHeap
-	if sl != nil {
-		s = sl.NewSpaceSaving(int(k))
-	} else {
-		s = &SpaceSavingHeap{k: int(k), st: newSSStorage(int(cnt))}
-	}
-	s.n = n
+	s := &SpaceSavingHeap{k: int(k), n: n, st: newSSStorage(int(cnt))}
 	for i := uint64(0); i < cnt; i++ {
 		item, count, errv := core.Item(r.U64()), r.I64(), r.I64()
 		if count < 0 || count > n || errv < 0 || errv > count {
-			s.Release()
 			return nil, fmt.Errorf("counters: invalid SpaceSaving entry (count=%d err=%d, n=%d)", count, errv, n)
 		}
 		if s.st.lookup(item) >= 0 {
-			s.Release()
 			return nil, fmt.Errorf("counters: duplicate items in SpaceSaving blob")
 		}
 		s.st.push(item, count, errv)
 	}
 	if err := r.Done(); err != nil {
-		s.Release()
 		return nil, err
 	}
 	return s, nil

@@ -178,6 +178,20 @@ func TestCounterDecodeRejectsCorruption(t *testing.T) {
 	if _, err := DecodeFrequent(forged); err == nil {
 		t.Error("forged entry count accepted")
 	}
+
+	// An SS01 entry repeating an item, or with a negative count, too.
+	s.Update(2, 3)
+	sb, _ = s.MarshalBinary()
+	const first = 4 + 3*8 // SS01 header: magic, k, n, entry count
+	dup := bytes.Clone(sb)
+	copy(dup[first+24:first+32], dup[first:first+8])
+	negative := bytes.Clone(sb)
+	le.PutUint64(negative[first+8:], 1<<63)
+	for name, b := range map[string][]byte{"duplicate": dup, "negative": negative} {
+		if _, err := DecodeSpaceSavingHeap(b); err == nil {
+			t.Errorf("SpaceSaving decoder accepted a %s entry", name)
+		}
+	}
 }
 
 func TestCounterRoundTripPreservesMergeability(t *testing.T) {
@@ -199,34 +213,6 @@ func TestCounterRoundTripPreservesMergeability(t *testing.T) {
 	}
 	if decoded.N() != a.N()+b.N() {
 		t.Errorf("merged N = %d, want %d", decoded.N(), a.N()+b.N())
-	}
-}
-
-// TestSlabDecodeRefusalReleasesBlock: a blob the slab decoder refuses
-// must hand its block back, or every refused reload of an evicted
-// tenant leaks one.
-func TestSlabDecodeRefusalReleasesBlock(t *testing.T) {
-	s := NewSpaceSavingHeap(4)
-	for x := core.Item(1); x <= 4; x++ {
-		s.Update(x, int64(x))
-	}
-	blob, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const first = 4 + 3*8 // header: magic, k, n, entry count
-	dup := bytes.Clone(blob)
-	copy(dup[first+24:first+32], dup[first:first+8]) // entry 1 repeats entry 0's item
-	invalid := bytes.Clone(blob)
-	le.PutUint64(invalid[first+8:], 1<<63) // entry 0's count is negative
-	sl := NewSlab()
-	for name, b := range map[string][]byte{"duplicate": dup, "invalid": invalid} {
-		if _, err := sl.DecodeSpaceSaving(b); err == nil {
-			t.Fatalf("%s entry accepted", name)
-		}
-		if live := sl.Stats().LiveBlocks; live != 0 {
-			t.Fatalf("%s entry: %d live blocks after the refusal, want 0", name, live)
-		}
 	}
 }
 

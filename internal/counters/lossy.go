@@ -23,7 +23,7 @@ import (
 // Space-Saving, the live entry set can exceed 1/ε, which is exactly the
 // space overshoot the paper's space plots show for LC at low skew.
 //
-// The entries live in the package's counter store (slab.go), each keyed
+// The entries live in the package's counter store (store.go), each keyed
 // by its upper bound count + Δ with Δ as its err, so the entries a
 // bucket boundary prunes sit at the root of the heap: the prune pops
 // them and touches no other entry. No fixed k bounds the live set, so

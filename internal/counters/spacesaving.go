@@ -22,38 +22,23 @@ import (
 // counters Space-Saving solves the ε-approximate problem with perfect
 // recall and counts overestimated by at most εn.
 //
-// Its counters live in the package's one counter store (slab.go): a
+// Its counters live in the package's one counter store (store.go): a
 // pointer-free node slice, an int32 id heap and an open-addressed
 // index, three slice headers over flat memory, cheap enough to hold
-// millions of (NewSlab-backed) tenants resident.
+// thousands of tenants resident.
 type SpaceSavingHeap struct {
-	k    int
-	n    int64
-	st   ssStorage
-	slab *Slab // non-nil when st came from a slab (see Release)
+	k  int
+	n  int64
+	st ssStorage
 }
 
-// NewSpaceSavingHeap returns an SSH summary with k counters, its
-// storage allocated standalone. Use (*Slab).NewSpaceSaving to draw the
-// storage from a shared arena instead.
+// NewSpaceSavingHeap returns an SSH summary with k counters, its whole
+// budget allocated.
 func NewSpaceSavingHeap(k int) *SpaceSavingHeap {
 	if k <= 0 {
 		panic("counters: SpaceSaving requires k > 0")
 	}
 	return &SpaceSavingHeap{k: k, st: newSSStorage(k)}
-}
-
-// Release returns slab-drawn storage to its slab for reuse and leaves
-// the summary empty and detached. A released summary must not be used
-// again; snapshots taken earlier are unaffected (Clone copies out of
-// the block). No-op for standalone instances.
-func (s *SpaceSavingHeap) Release() {
-	if s.slab != nil {
-		s.slab.put(s.k, s.st)
-		s.slab = nil
-	}
-	s.st = ssStorage{}
-	s.n = 0
 }
 
 // Name implements core.Summary.
@@ -135,9 +120,8 @@ func (s *SpaceSavingHeap) GuaranteedCount(x core.Item) int64 {
 func (s *SpaceSavingHeap) Query(threshold int64) []core.ItemCount { return s.st.query(threshold) }
 
 // Clone returns an independent deep copy: the flat storage is copied
-// wholesale (same heap arrangement, same index layout) into standalone
-// slices, so a clone of a slab-backed tenant survives the tenant's
-// eviction.
+// wholesale (same heap arrangement, same index layout, same
+// capacities, so the clone's Bytes is the source's).
 func (s *SpaceSavingHeap) Clone() *SpaceSavingHeap {
 	return &SpaceSavingHeap{k: s.k, n: s.n, st: s.st.clone()}
 }

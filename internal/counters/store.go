@@ -2,7 +2,6 @@ package counters
 
 import (
 	"slices"
-	"sync"
 
 	"streamfreq/internal/core"
 )
@@ -40,21 +39,14 @@ import (
 // tombstones, compacted by an O(k) rebuild when they accumulate. The
 // layout is pointer-free below the slice headers, so a million
 // instances cost the GC a million objects, not a hundred million: a
-// multi-tenant daemon holds millions of small SSH instances, and the
+// multi-tenant daemon holds many small SSH instances, and the
 // per-entry map buckets and heap pointers of a Go-map layout would
-// dominate its footprint.
+// dominate its footprint. Every store owns its slices; dropping the
+// summary frees them.
 //
 // Every counter summary reports one space figure, its store's
 // footprint at its capacities (bytes): for a heap store, 44 B per node
 // slot plus 4 B per index slot.
-//
-// A Slab carves those slices out of per-k chunk arenas and recycles
-// whole blocks through a free list, so tenant churn (lazy instantiation
-// + idle eviction) allocates nothing in steady state and the per-tenant
-// footprint is exactly BlockBytes(k) — the bound the multi-tenant
-// benchmark reports. Standalone stores (newSSStorage) use the same
-// layout with directly allocated slices; the Slab is an allocator, not
-// a semantic change.
 
 // ssNode is one counter: 32 bytes, pointer-free. err is the counter's
 // error term — Space-Saving's inherited overcount, FSS's filter error
@@ -104,15 +96,15 @@ func ssIndexCap(k int) (capacity int, shift uint) {
 	return capacity, 64 - bits
 }
 
-// newNodeTable allocates a standalone node table for k counters. The
-// node slice is capped at exactly k so appends never reallocate out of
-// a slab block (the same code path serves both allocators).
+// newNodeTable allocates a node table for k counters. The node slice
+// is capped at exactly k, so the capacities bytes reports move only
+// through grow.
 func newNodeTable(k int) nodeTable {
 	capacity, shift := ssIndexCap(k)
 	return nodeTable{nodes: make([]ssNode, 0, k), index: make([]int32, capacity), shift: shift}
 }
 
-// newSSStorage allocates a standalone heap store for k counters.
+// newSSStorage allocates a heap store for k counters.
 func newSSStorage(k int) ssStorage {
 	return ssStorage{nodeTable: newNodeTable(k), heap: make([]int32, 0, k), hcnt: make([]int64, 0, k)}
 }
@@ -124,8 +116,7 @@ const (
 	ssSlotBytes = ssNodeBytes + 4 + 8
 )
 
-// ssBlockBytes is the footprint of a heap store for k counters; the
-// slab's accounting sums it.
+// ssBlockBytes is the footprint of a heap store built for k counters.
 func ssBlockBytes(k int) int {
 	capacity, _ := ssIndexCap(k)
 	return ssSlotBytes*k + 4*capacity
@@ -260,11 +251,11 @@ func (t *nodeTable) reset() {
 	t.tombs = 0
 }
 
-// resized returns a copy of s in a fresh standalone slice of capacity c.
+// resized returns a copy of s in a fresh slice of capacity c.
 func resized[S ~[]E, E any](s S, c int) S { return append(make(S, 0, c), s...) }
 
-// clone returns an independent deep copy at the same capacities, in
-// standalone slices (a snapshot must outlive its source's slab block).
+// clone returns an independent deep copy at the same capacities, so a
+// clone's footprint is its source's.
 func (t *nodeTable) clone() nodeTable {
 	nt := *t
 	nt.nodes = resized(t.nodes, cap(t.nodes))
@@ -331,8 +322,7 @@ func (st *ssStorage) reset() {
 	st.hcnt = st.hcnt[:0]
 }
 
-// clone returns an independent deep copy at the same capacities, in
-// standalone slices.
+// clone returns an independent deep copy at the same capacities.
 func (st *ssStorage) clone() ssStorage {
 	return ssStorage{
 		nodeTable: st.nodeTable.clone(),
@@ -501,124 +491,3 @@ func (st *ssStorage) validateStorage() bool {
 	}
 	return true
 }
-
-// Slab is a shared allocator of SpaceSavingHeap storage: per-k size
-// classes, chunked arenas (a block's slices never move once carved, so
-// handed-out storage stays valid as the slab grows), and a free list of
-// released blocks. Safe for concurrent use; the instances it hands out
-// are not (same contract as every summary — wrap or lock above).
-type Slab struct {
-	mu      sync.Mutex
-	classes map[int]*slabClass
-	chunkB  int64 // cumulative chunk bytes, for accounting
-	live    int64 // blocks currently handed out
-	freeN   int64 // blocks parked on free lists
-}
-
-type slabClass struct {
-	free []ssStorage
-	// remainder of the current chunk, carved front-to-back
-	nodes []ssNode
-	heap  []int32
-	hcnt  []int64
-	index []int32
-}
-
-// NewSlab returns an empty slab.
-func NewSlab() *Slab {
-	return &Slab{classes: make(map[int]*slabClass)}
-}
-
-// slabChunkBlocks sizes a chunk: ~1 MiB of nodes, or one block where
-// a block is larger, and at most 4096 blocks, so tiny-k tenants
-// amortize allocation and a large-k class reserves nothing beyond the
-// block asked for.
-func slabChunkBlocks(k int) int {
-	return min(max((1<<20)/(ssNodeBytes*k), 1), 4096)
-}
-
-// get hands out reset storage for k counters.
-func (sl *Slab) get(k int) ssStorage {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	c := sl.classes[k]
-	if c == nil {
-		c = &slabClass{}
-		sl.classes[k] = c
-	}
-	if n := len(c.free); n > 0 {
-		st := c.free[n-1]
-		c.free[n-1] = ssStorage{}
-		c.free = c.free[:n-1]
-		st.reset()
-		sl.freeN--
-		sl.live++
-		return st
-	}
-	capacity, shift := ssIndexCap(k)
-	if len(c.nodes) < k {
-		blocks := slabChunkBlocks(k)
-		c.nodes = make([]ssNode, blocks*k)
-		c.heap = make([]int32, blocks*k)
-		c.hcnt = make([]int64, blocks*k)
-		c.index = make([]int32, blocks*capacity)
-		sl.chunkB += int64(blocks) * int64(ssBlockBytes(k))
-	}
-	st := ssStorage{
-		nodeTable: nodeTable{nodes: c.nodes[:0:k], index: c.index[:capacity:capacity], shift: shift},
-		heap:      c.heap[:0:k],
-		hcnt:      c.hcnt[:0:k],
-	}
-	c.nodes = c.nodes[k:]
-	c.heap = c.heap[k:]
-	c.hcnt = c.hcnt[k:]
-	c.index = c.index[capacity:]
-	sl.live++
-	return st
-}
-
-// put parks a released block on its class free list.
-func (sl *Slab) put(k int, st ssStorage) {
-	if cap(st.nodes) == 0 {
-		return
-	}
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	c := sl.classes[k]
-	if c == nil {
-		c = &slabClass{}
-		sl.classes[k] = c
-	}
-	c.free = append(c.free, st)
-	sl.live--
-	sl.freeN++
-}
-
-// NewSpaceSaving returns an SSH summary whose storage comes from the
-// slab. Release it when the instance is dropped so the block recycles.
-func (sl *Slab) NewSpaceSaving(k int) *SpaceSavingHeap {
-	if k <= 0 {
-		panic("counters: SpaceSaving requires k > 0")
-	}
-	return &SpaceSavingHeap{k: k, st: sl.get(k), slab: sl}
-}
-
-// SlabStats is the slab's accounting snapshot: the slab section of a
-// tenant table's stats (see obs.Registry.Stats for the tags).
-type SlabStats struct {
-	ChunkBytes int64 `json:"chunk_bytes" metric:"freq_tenants_slab_bytes" help:"Slab arena footprint backing tenant counters."`
-	LiveBlocks int64 `json:"live_blocks" metric:"freq_tenants_slab_live_blocks" help:"Slab blocks handed out and not released."`
-	FreeBlocks int64 `json:"free_blocks"` // blocks parked for reuse
-}
-
-// Stats reports the slab's footprint.
-func (sl *Slab) Stats() SlabStats {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return SlabStats{ChunkBytes: sl.chunkB, LiveBlocks: sl.live, FreeBlocks: sl.freeN}
-}
-
-// BlockBytes reports the exact per-instance storage footprint for k
-// counters — the documented bytes/tenant bound of the multi-tenant
-// table (nodes + heap + index, all flat).
-func BlockBytes(k int) int { return ssBlockBytes(k) }

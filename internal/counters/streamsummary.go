@@ -14,7 +14,7 @@ import "streamfreq/internal/core"
 // SpaceSavingHeap; only the organizing structure differs, which is
 // exactly the SSH/SSL comparison the paper measures.
 //
-// The entries are the nodes of the package's counter store (slab.go),
+// The entries are the nodes of the package's counter store (store.go),
 // found through its one index, each node's pos naming its bucket. The
 // links are int32 ids in flat arrays: an entry's neighbours within its
 // bucket, and a bucket's count, first entry and neighbours, with

@@ -417,13 +417,16 @@ func (st *Store) pruneSegments(keepSeq uint64) {
 }
 
 // writeFileAtomic writes name under dir via a temporary file, fsync,
-// rename, and directory fsync.
+// rename, and directory fsync. The file gets the WAL segments' mode,
+// so whoever can read the log can read the state it builds on. The
+// temporary's name is fixed: Checkpoint holds ckptMu, and Open sweeps
+// a leftover one.
 func writeFileAtomic(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, name+".*.tmp")
+	tmpName := filepath.Join(dir, name+".tmp")
+	tmp, err := os.OpenFile(tmpName, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
 	_, werr := tmp.Write(data)
 	if werr == nil {
 		werr = tmp.Sync()

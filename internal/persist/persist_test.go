@@ -534,6 +534,36 @@ func TestLeftoverTmpSwept(t *testing.T) {
 	}
 }
 
+// TestCheckpointModeMatchesSegments: the checkpoint has the WAL
+// segments' permission bits, so a reader that can replay the log can
+// also read the state it starts from.
+func TestCheckpointModeMatchesSegments(t *testing.T) {
+	dir := t.TempDir()
+	s := newSSH(101)
+	st, _ := recoverFresh(t, dir, Options{Algo: "SSH", Fsync: FsyncAlways}, s)
+	defer st.Close()
+	s.PersistTo(st)
+	s.UpdateBatch(testStream(t, 1000))
+	if _, err := st.Checkpoint(s); err != nil {
+		t.Fatal(err)
+	}
+	mode := func(name string) os.FileMode {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode().Perm()
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segment after a checkpoint (%v)", err)
+	}
+	if ck, seg := mode(ckptName), mode(filepath.Base(segs[0])); ck != seg {
+		t.Fatalf("checkpoint mode %v, WAL segment mode %v", ck, seg)
+	}
+}
+
 // TestRejectedWeightedUpdateNeverLogged: a weighted update the summary
 // rejects (Space-Saving refuses a negative count) panics in the caller
 // on either plane, never reaches the log, and leaves the node writable

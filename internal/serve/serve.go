@@ -477,7 +477,9 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, ns string,
 		s.batchH.Observe(int64(n))
 		s.applyH.Observe(int64(d))
 		if err != nil {
-			HTTPError(w, http.StatusBadRequest, "ingest into %q failed after %d items: %v", ns, ingested, err)
+			// The body decoded, so the fault is the server's: a tenant
+			// namespace whose summary cannot be reloaded.
+			HTTPError(w, http.StatusInternalServerError, "ingest into %q failed after %d items: %v", ns, ingested, err)
 			return
 		}
 		ingested += int64(n)

@@ -1,46 +1,25 @@
 package serve
 
 import (
+	"errors"
 	"net/http"
 	"strconv"
 
 	"streamfreq/internal/core"
 	"streamfreq/internal/persist"
+	"streamfreq/internal/tenant"
 )
 
 // The tenant half of the freqd HTTP API: /v1/t/{ns}/... routes served
 // against the table from Options.Tenants. Reads reuse QueryHandlers —
-// a per-namespace view pinned for the request — so a tenant /topk
-// parses and answers exactly like the global one, with the namespace's
-// own φ as the default threshold.
+// a copy of the namespace's summary pinned for the request — so a
+// tenant /topk parses and answers exactly like the global one, with
+// the namespace's own φ as the default threshold.
 
 // TenantBundleContentType is the media type of a tenant-mode node's
 // GET /summary: every namespace's encoded summary in one bundle, which
 // freqmerge merges namespace by namespace.
 const TenantBundleContentType = "application/x-freq-tenant-bundle"
-
-// tenantView adapts one namespace to core.ReadView. Reads lock the
-// table per call (and reload the namespace if it was evicted); tenant
-// summaries hold k counters, so the critical sections are tiny.
-type tenantView struct {
-	s  *Server
-	ns string
-}
-
-func (v tenantView) N() int64 {
-	info, _ := v.s.tenants.TenantInfo(v.ns)
-	return info.N
-}
-
-func (v tenantView) Estimate(x core.Item) int64 {
-	est, _, _ := v.s.tenants.TenantEstimate(v.ns, x)
-	return est
-}
-
-func (v tenantView) Query(threshold int64) []core.ItemCount {
-	out, _ := v.s.tenants.TenantQuery(v.ns, threshold)
-	return out
-}
 
 // tenantNS extracts and validates the {ns} path segment. A namespace
 // is any non-empty path segment up to persist.MaxNamespaceLen bytes;
@@ -59,15 +38,31 @@ func tenantNS(w http.ResponseWriter, r *http.Request) (string, bool) {
 	return ns, true
 }
 
-// known404s a read against a namespace that was never created. Reads
-// must not instantiate tenants — a typo'd dashboard URL should not
-// allocate counter blocks.
-func (s *Server) knownTenant(w http.ResponseWriter, ns string) bool {
-	if _, ok := s.tenants.TenantInfo(ns); !ok {
-		HTTPError(w, http.StatusNotFound, "namespace %q does not exist (it is created on first ingest)", ns)
-		return false
+// tenantQueries resolves a read's namespace with one table call into
+// query handlers pinned to a copy of its summary. A namespace that was
+// never created is a 404: reads must not instantiate tenants, so a
+// typo'd dashboard URL allocates no counters. One whose summary cannot
+// be reloaded is a 500 naming it, never an empty answer.
+func (s *Server) tenantQueries(w http.ResponseWriter, r *http.Request) (QueryHandlers, bool) {
+	ns, ok := tenantNS(w, r)
+	if !ok {
+		return QueryHandlers{}, false
 	}
-	return true
+	sum, phi, err := s.tenants.TenantSnapshot(ns)
+	switch {
+	case errors.Is(err, tenant.ErrNoNamespace):
+		HTTPError(w, http.StatusNotFound, "namespace %q does not exist (it is created on first ingest)", ns)
+		return QueryHandlers{}, false
+	case err != nil:
+		HTTPError(w, http.StatusInternalServerError, "namespace %q: %v", ns, err)
+		return QueryHandlers{}, false
+	}
+	return QueryHandlers{
+		View:       func() core.ReadView { return sum },
+		Name:       s.lookupName,
+		Counters:   s.counters,
+		DefaultPhi: phi,
+	}, true
 }
 
 // handleTenantIngest is handleIngest scoped to one namespace: items
@@ -88,32 +83,16 @@ func (s *Server) handleTenantIngest(w http.ResponseWriter, r *http.Request) {
 // handleTenantTopK answers /v1/t/{ns}/topk with the namespace's φ as
 // the default threshold.
 func (s *Server) handleTenantTopK(w http.ResponseWriter, r *http.Request) {
-	ns, ok := tenantNS(w, r)
-	if !ok || !s.knownTenant(w, ns) {
-		return
+	if q, ok := s.tenantQueries(w, r); ok {
+		q.TopK(w, r)
 	}
-	info, _ := s.tenants.TenantInfo(ns)
-	q := QueryHandlers{
-		View:       func() core.ReadView { return tenantView{s: s, ns: ns} },
-		Name:       s.lookupName,
-		Counters:   s.counters,
-		DefaultPhi: info.Phi,
-	}
-	q.TopK(w, r)
 }
 
 // handleTenantEstimate answers /v1/t/{ns}/estimate.
 func (s *Server) handleTenantEstimate(w http.ResponseWriter, r *http.Request) {
-	ns, ok := tenantNS(w, r)
-	if !ok || !s.knownTenant(w, ns) {
-		return
+	if q, ok := s.tenantQueries(w, r); ok {
+		q.Estimate(w, r)
 	}
-	q := QueryHandlers{
-		View:     func() core.ReadView { return tenantView{s: s, ns: ns} },
-		Name:     s.lookupName,
-		Counters: s.counters,
-	}
-	q.Estimate(w, r)
 }
 
 // handleTenantStats reports one namespace's metadata.

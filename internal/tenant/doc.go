@@ -1,19 +1,21 @@
 // Package tenant implements the multi-tenant summary table behind
 // freqd: a namespace-keyed collection of Space-Saving summaries that
-// share one slab allocator, one write-ahead log, and one checkpoint
-// manifest.
+// share one write-ahead log and one checkpoint manifest.
 //
 // Namespaces are lazily instantiated on first ingest — creating a
-// tenant is a map insert plus a slab block grab, so a million
-// namespaces can come into existence without pre-provisioning. A CLOCK
-// (second-chance) policy bounds how many tenants stay resident: when
-// the resident count exceeds the configured cap, cold tenants are
-// encoded to their compact wire blob and their slab block is returned
-// to the arena. An evicted tenant costs only its blob bytes (tens of
-// bytes for a sparse tenant, ~25·k bytes at worst) until it is touched
-// again, at which point it is decoded back into slab storage. The
-// encode→decode→encode round trip is byte-identical, so eviction never
-// perturbs the durable state a checkpoint would capture.
+// tenant is a map insert plus one counter store of its budget
+// (counters.NewSpaceSavingHeap), so a million namespaces can come into
+// existence without pre-provisioning. A CLOCK (second-chance) policy
+// bounds how many tenants stay resident: when the resident count
+// exceeds the configured cap, cold tenants are encoded to their compact
+// wire blob and their store is dropped. An evicted tenant costs only
+// its blob bytes (tens of bytes for a sparse tenant, ~24·k bytes at
+// worst) until it is touched again, at which point it is decoded into a
+// store sized by the entries its blob carries, which grows to the
+// budget in one step when it fills. The encode→decode→encode round trip
+// is byte-identical, so eviction never perturbs the durable state a
+// checkpoint would capture, and the table's Bytes is that state's
+// footprint: the resident stores plus the evicted blobs.
 //
 // The table implements persist.TenantTarget: ingest appends
 // tenant-tagged WAL records (kind recTenant, carrying the namespace
@@ -27,8 +29,8 @@
 //
 // Per-namespace φ thresholds: each tenant's counter budget k = ⌊1/φ⌋+1
 // is fixed at instantiation from the namespace's φ override (or the
-// table default). Overrides configured after a tenant exists affect
-// its query threshold, not its budget — the budget is burned into the
-// WAL records and checkpoint manifest so recovery rebuilds the same
-// summary bit for bit.
+// table default), and the overrides are fixed when the table is built.
+// The budget is burned into the WAL records and checkpoint manifest, so
+// recovery rebuilds the same summary bit for bit even when a restart
+// configures different overrides.
 package tenant

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -23,23 +24,26 @@ type Options struct {
 	// DefaultPhi is the heavy-hitter threshold for namespaces without an
 	// override; each tenant's counter budget is k = ⌊1/φ⌋+1. Required.
 	DefaultPhi float64
-	// MaxResident caps how many tenants keep decoded slab-backed
-	// summaries at once; beyond it, CLOCK eviction encodes cold tenants
-	// to their wire blobs. 0 means unlimited (no eviction).
+	// MaxResident caps how many tenants keep decoded summaries at once;
+	// beyond it, CLOCK eviction encodes cold tenants to their wire
+	// blobs. 0 means unlimited (no eviction).
 	MaxResident int
-	// Phi holds per-namespace φ overrides, applied when the namespace is
-	// first instantiated. See SetPhi for the post-instantiation rules.
+	// Phi holds per-namespace φ overrides: a namespace's query
+	// threshold, and its counter budget when it is first instantiated.
 	Phi map[string]float64
 }
 
+// ErrNoNamespace is the error of a read naming a namespace that was
+// never created; reads never create one.
+var ErrNoNamespace = errors.New("tenant: no such namespace")
+
 // tenantState is one namespace's entry. Exactly one of sum/blob is set
-// outside of transitions: sum while resident (slab-backed), blob while
-// evicted. blob slices are immutable once created, so snapshots may
-// share them without copying.
+// outside of transitions: sum while resident, blob while evicted. blob
+// slices are immutable once created, so snapshots may share them
+// without copying.
 type tenantState struct {
 	ns   string
 	k    int
-	phi  float64
 	n    int64
 	sum  *counters.SpaceSavingHeap
 	blob []byte
@@ -61,7 +65,6 @@ type Table struct {
 	clock   []*tenantState // resident tenants, CLOCK ring
 	hand    int
 	n       int64 // global stream position (== WAL accounting)
-	slab    *counters.Slab
 	persist Persister
 
 	blobBytes int64
@@ -86,7 +89,6 @@ func NewTable(opts Options) (*Table, error) {
 	t := &Table{
 		opts:    opts,
 		tenants: make(map[string]*tenantState),
-		slab:    counters.NewSlab(),
 	}
 	if opts.Phi != nil {
 		// Copy: the caller's map must not mutate under us.
@@ -107,43 +109,13 @@ func (t *Table) phiFor(ns string) float64 {
 }
 
 // budgetFor returns the namespace's counter budget for its φ, which
-// NewTable and SetPhi have held within counters.Budget's bound.
+// NewTable has held within counters.Budget's bound.
 func (t *Table) budgetFor(ns string) int {
 	k, err := counters.Budget(t.phiFor(ns), 1)
 	if err != nil {
 		panic(fmt.Sprintf("tenant: %q: %v", ns, err))
 	}
 	return k
-}
-
-// SetPhi installs (or clears, with phi == 0) a namespace's φ override.
-// For a namespace not yet instantiated it also determines the counter
-// budget; for a live one it changes only the query threshold — the
-// budget was burned into the WAL at instantiation and cannot move
-// without invalidating recovery.
-func (t *Table) SetPhi(ns string, phi float64) error {
-	if len(ns) > persist.MaxNamespaceLen {
-		return fmt.Errorf("tenant: namespace exceeds %d bytes", persist.MaxNamespaceLen)
-	}
-	if phi != 0 {
-		if _, err := counters.Budget(phi, 1); err != nil {
-			return fmt.Errorf("tenant: %w", err)
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if phi == 0 {
-		delete(t.opts.Phi, ns)
-	} else {
-		if t.opts.Phi == nil {
-			t.opts.Phi = make(map[string]float64)
-		}
-		t.opts.Phi[ns] = phi
-	}
-	if ts := t.tenants[ns]; ts != nil {
-		ts.phi = t.phiFor(ns)
-	}
-	return nil
 }
 
 // touchLocked returns the namespace's state, instantiating or reloading
@@ -156,13 +128,12 @@ func (t *Table) touchLocked(ns string, k int) (*tenantState, error) {
 		if k <= 0 {
 			k = t.budgetFor(ns)
 		}
-		ts = &tenantState{ns: ns, k: k, phi: t.phiFor(ns), clockIdx: -1}
-		ts.sum = t.slab.NewSpaceSaving(k)
+		ts = &tenantState{ns: ns, k: k, sum: counters.NewSpaceSavingHeap(k), clockIdx: -1}
 		t.tenants[ns] = ts
 		t.addClockLocked(ts)
 		t.created++
 	} else if ts.sum == nil {
-		sum, err := t.slab.DecodeSpaceSaving(ts.blob)
+		sum, err := counters.DecodeSpaceSavingHeap(ts.blob)
 		if err != nil {
 			return nil, fmt.Errorf("tenant: reloading %q: %w", ns, err)
 		}
@@ -194,7 +165,7 @@ func (t *Table) removeClockLocked(ts *tenantState) {
 	ts.clockIdx = -1
 }
 
-// evictLocked encodes ts to its wire blob and returns its slab block.
+// evictLocked encodes ts to its wire blob and drops its summary.
 // SS01 round-trips bit-identically, so the durable state a checkpoint
 // would capture is unchanged by the eviction.
 func (t *Table) evictLocked(ts *tenantState) {
@@ -203,7 +174,6 @@ func (t *Table) evictLocked(ts *tenantState) {
 		// SSH always encodes; a failure here is memory corruption.
 		panic(fmt.Sprintf("tenant: encoding %q for eviction: %v", ts.ns, err))
 	}
-	ts.sum.Release()
 	ts.sum = nil
 	ts.blob = blob
 	t.blobBytes += int64(len(blob))
@@ -310,15 +280,19 @@ func (t *Table) UpdateBatch(items []core.Item) {
 	}
 }
 
-// Estimate answers for the default namespace.
-func (t *Table) Estimate(x core.Item) int64 {
-	est, _, _ := t.TenantEstimate("", x)
+// Estimate answers for the default namespace: 0 if it was never
+// created. core.Summary reads carry no error, so a default namespace
+// that cannot be reloaded answers 0 here too; TenantSnapshot reports
+// it.
+func (t *Table) Estimate(x core.Item) (est int64) {
+	_ = t.read("", func(sum *counters.SpaceSavingHeap) { est = sum.Estimate(x) })
 	return est
 }
 
-// Query answers for the default namespace.
-func (t *Table) Query(threshold int64) []core.ItemCount {
-	out, _ := t.TenantQuery("", threshold)
+// Query answers for the default namespace (nil if it was never
+// created; see Estimate for a failed reload).
+func (t *Table) Query(threshold int64) (out []core.ItemCount) {
+	_ = t.read("", func(sum *counters.SpaceSavingHeap) { out = sum.Query(threshold) })
 	return out
 }
 
@@ -330,11 +304,17 @@ func (t *Table) N() int64 {
 	return t.n
 }
 
-// Bytes reports the table's footprint: slab arenas plus evicted blobs.
+// Bytes reports the footprint of the state a checkpoint holds: every
+// resident summary's Bytes plus the evicted tenants' blobs, which
+// TenantSnapshotBarrier hands over as they are.
 func (t *Table) Bytes() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return int(t.slab.Stats().ChunkBytes + t.blobBytes)
+	total := int(t.blobBytes)
+	for _, ts := range t.clock {
+		total += ts.sum.Bytes()
+	}
+	return total
 }
 
 // Snapshot returns an independent clone of the default namespace (an
@@ -358,38 +338,34 @@ func (t *Table) Snapshot() core.Summary {
 }
 
 // --- tenant-scoped reads (all touch the tenant: an evicted namespace
-// is decoded back into slab residency before answering) ---
+// is decoded back into residency before answering) ---
 
-// TenantEstimate returns the namespace's estimate and guaranteed lower
-// bound for x; ok is false if the namespace was never created.
-func (t *Table) TenantEstimate(ns string, x core.Item) (est, lower int64, ok bool) {
+// read runs f on the namespace's summary under the table lock. It
+// fails with ErrNoNamespace for a namespace never created and with the
+// reload's error for an evicted one whose blob does not decode.
+func (t *Table) read(ns string, f func(*counters.SpaceSavingHeap)) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ts := t.tenants[ns]
-	if ts == nil {
-		return 0, 0, false
+	if t.tenants[ns] == nil {
+		return ErrNoNamespace
 	}
-	if ts, _ = t.touchLocked(ns, 0); ts == nil || ts.sum == nil {
-		return 0, 0, false
+	ts, err := t.touchLocked(ns, 0)
+	if err != nil {
+		return err
 	}
-	defer t.maybeEvictLocked(ts)
-	return ts.sum.Estimate(x), ts.sum.GuaranteedCount(x), true
+	f(ts.sum)
+	t.maybeEvictLocked(ts)
+	return nil
 }
 
-// TenantQuery returns the namespace's items with estimates at least
-// threshold; ok is false if the namespace was never created.
-func (t *Table) TenantQuery(ns string, threshold int64) (out []core.ItemCount, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ts := t.tenants[ns]
-	if ts == nil {
-		return nil, false
-	}
-	if ts, _ = t.touchLocked(ns, 0); ts == nil || ts.sum == nil {
-		return nil, false
-	}
-	defer t.maybeEvictLocked(ts)
-	return ts.sum.Query(threshold), true
+// TenantSnapshot returns an independent copy of the namespace's
+// summary and its query threshold φ, so one request answers from one
+// state. It fails with ErrNoNamespace for a namespace never created
+// and with the reload's error for an evicted one whose blob does not
+// decode.
+func (t *Table) TenantSnapshot(ns string) (sum *counters.SpaceSavingHeap, phi float64, err error) {
+	err = t.read(ns, func(s *counters.SpaceSavingHeap) { sum = s.Clone() })
+	return sum, t.phiFor(ns), err
 }
 
 // Info describes one namespace.
@@ -410,7 +386,11 @@ func (t *Table) TenantInfo(ns string) (Info, bool) {
 	if ts == nil {
 		return Info{}, false
 	}
-	return Info{NS: ts.ns, K: ts.k, Phi: ts.phi, N: ts.n, Resident: ts.sum != nil}, true
+	return t.infoLocked(ts), true
+}
+
+func (t *Table) infoLocked(ts *tenantState) Info {
+	return Info{NS: ts.ns, K: ts.k, Phi: t.phiFor(ts.ns), N: ts.n, Resident: ts.sum != nil}
 }
 
 // Namespaces lists up to limit namespaces in lexicographic order
@@ -420,7 +400,7 @@ func (t *Table) Namespaces(limit int) []Info {
 	defer t.mu.Unlock()
 	out := make([]Info, 0, len(t.tenants))
 	for _, ts := range t.tenants {
-		out = append(out, Info{NS: ts.ns, K: ts.k, Phi: ts.phi, N: ts.n, Resident: ts.sum != nil})
+		out = append(out, t.infoLocked(ts))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].NS < out[j].NS })
 	if limit > 0 && len(out) > limit {
@@ -432,14 +412,13 @@ func (t *Table) Namespaces(limit int) []Info {
 // Stats is the table-level health surface: the tenants section of
 // freqd's stats document (see obs.Registry.Stats for the tags).
 type Stats struct {
-	Tenants   int                `json:"tenants" metric:"freq_tenants" help:"Namespaces known to the table."`
-	Resident  int                `json:"resident" metric:"freq_tenants_resident" help:"Namespaces with resident (decoded) summaries."`
-	N         int64              `json:"n"`
-	BlobBytes int64              `json:"blob_bytes" metric:"freq_tenants_blob_bytes" help:"Encoded bytes of evicted namespace summaries."`
-	Created   int64              `json:"created" metric:"freq_tenants_created_total" help:"Namespaces created."`
-	Evictions int64              `json:"evictions" metric:"freq_tenants_evictions_total" help:"Namespace summary evictions."`
-	Reloads   int64              `json:"reloads" metric:"freq_tenants_reloads_total" help:"Namespace summary reloads after eviction."`
-	Slab      counters.SlabStats `json:"slab"`
+	Tenants   int   `json:"tenants" metric:"freq_tenants" help:"Namespaces known to the table."`
+	Resident  int   `json:"resident" metric:"freq_tenants_resident" help:"Namespaces with resident (decoded) summaries."`
+	N         int64 `json:"n"`
+	BlobBytes int64 `json:"blob_bytes" metric:"freq_tenants_blob_bytes" help:"Encoded bytes of evicted namespace summaries."`
+	Created   int64 `json:"created" metric:"freq_tenants_created_total" help:"Namespaces created."`
+	Evictions int64 `json:"evictions" metric:"freq_tenants_evictions_total" help:"Namespace summary evictions."`
+	Reloads   int64 `json:"reloads" metric:"freq_tenants_reloads_total" help:"Namespace summary reloads after eviction."`
 }
 
 // TableStats returns a consistent snapshot of the table's counters.
@@ -454,7 +433,6 @@ func (t *Table) TableStats() Stats {
 		Created:   t.created,
 		Evictions: t.evictions,
 		Reloads:   t.reloads,
-		Slab:      t.slab.Stats(),
 	}
 }
 
@@ -526,7 +504,7 @@ func (t *Table) RestoreState(shards []core.Summary) error {
 	if len(t.tenants) != 0 || t.n != 0 {
 		return fmt.Errorf("tenant: restore into a non-empty table")
 	}
-	ts := &tenantState{ns: "", k: sum.K(), phi: t.phiFor(""), n: sum.N(), sum: sum, clockIdx: -1}
+	ts := &tenantState{ns: "", k: sum.K(), n: sum.N(), sum: sum, clockIdx: -1}
 	t.tenants[""] = ts
 	t.addClockLocked(ts)
 	t.n = ts.n
@@ -559,9 +537,8 @@ func (t *Table) TenantSnapshotBarrier(cut func(n int64)) []persist.TenantState {
 }
 
 // RestoreTenants installs recovered tenant state into an empty table.
-// Blobs stay encoded (and off the slab) until each tenant is next
-// touched; a restart with a million namespaces decodes none of them up
-// front. A K == 0 entry is a pre-tenant checkpoint adopted into the
+// Blobs stay encoded until each tenant is next touched; a restart with
+// a million namespaces decodes none of them up front. A K == 0 entry is a pre-tenant checkpoint adopted into the
 // named namespace; its blob is decoded now to learn the budget.
 func (t *Table) RestoreTenants(states []persist.TenantState) error {
 	t.mu.Lock()
@@ -573,10 +550,10 @@ func (t *Table) RestoreTenants(states []persist.TenantState) error {
 		if _, dup := t.tenants[st.NS]; dup {
 			return fmt.Errorf("tenant: duplicate namespace %q in checkpoint", st.NS)
 		}
-		ts := &tenantState{ns: st.NS, phi: t.phiFor(st.NS), clockIdx: -1}
+		ts := &tenantState{ns: st.NS, clockIdx: -1}
 		switch {
 		case st.K == 0:
-			sum, err := t.slab.DecodeSpaceSaving(st.Blob)
+			sum, err := counters.DecodeSpaceSavingHeap(st.Blob)
 			if err != nil {
 				return fmt.Errorf("tenant: decoding legacy checkpoint for %q: %w", st.NS, err)
 			}

@@ -2,11 +2,13 @@ package tenant_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,11 +120,11 @@ func TestTenantIsolation(t *testing.T) {
 		}
 		// Reads must agree too (and must not disturb correctness when
 		// they trigger a reload).
-		top, ok := tb.TenantQuery(ns, 1)
-		if !ok {
-			t.Fatalf("namespace %q vanished", ns)
+		sum, _, err := tb.TenantSnapshot(ns)
+		if err != nil {
+			t.Fatalf("namespace %q: %v", ns, err)
 		}
-		wantTop := indep[i].Query(1)
+		top, wantTop := sum.Query(1), indep[i].Query(1)
 		if len(top) != len(wantTop) {
 			t.Fatalf("namespace %q query returned %d items, want %d", ns, len(top), len(wantTop))
 		}
@@ -390,7 +392,7 @@ func TestLegacyDirectoryAdoption(t *testing.T) {
 // 64-counter tenants (100k under -short) must fit in bounded memory —
 // residency capped by CLOCK eviction, evicted tenants costing only
 // their compact blobs. The documented bound: ≤ 128 bytes/tenant of
-// table-accounted memory (slab arenas + blobs) at 2 items/tenant.
+// Bytes() (resident stores + evicted blobs) at 2 items/tenant.
 func TestManyTenantsBounded(t *testing.T) {
 	total := 1_000_000
 	if testing.Short() {
@@ -418,9 +420,6 @@ func TestManyTenantsBounded(t *testing.T) {
 	if st.Resident > maxResident {
 		t.Fatalf("%d resident tenants, cap %d", st.Resident, maxResident)
 	}
-	if st.Slab.LiveBlocks > maxResident {
-		t.Fatalf("%d live slab blocks, cap %d", st.Slab.LiveBlocks, maxResident)
-	}
 	perTenant := float64(tb.Bytes()) / float64(total)
 	if perTenant > 128 {
 		t.Fatalf("%.1f bytes/tenant, documented bound is 128", perTenant)
@@ -430,8 +429,8 @@ func TestManyTenantsBounded(t *testing.T) {
 	}
 }
 
-// TestPerTenantPhi: overrides set the budget at instantiation; later
-// SetPhi calls move only the query threshold.
+// TestPerTenantPhi: an override sets its namespace's budget and query
+// threshold, and NewTable refuses one past counters.MaxBudget.
 func TestPerTenantPhi(t *testing.T) {
 	tb := newTable(t, tenant.Options{DefaultPhi: 0.01, Phi: map[string]float64{"coarse": 0.5}})
 	for _, ns := range []string{"coarse", "fine"} {
@@ -445,29 +444,8 @@ func TestPerTenantPhi(t *testing.T) {
 	if info, _ := tb.TenantInfo("fine"); info.K != 101 || info.Phi != 0.01 {
 		t.Fatalf("fine = %+v, want k=101 φ=0.01", info)
 	}
-	if err := tb.SetPhi("coarse", 0.25); err != nil {
-		t.Fatal(err)
-	}
-	if info, _ := tb.TenantInfo("coarse"); info.K != 3 || info.Phi != 0.25 {
-		t.Fatalf("after SetPhi coarse = %+v, want k=3 (unchanged) φ=0.25", info)
-	}
-	if err := tb.SetPhi("late", 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := tb.IngestBatch("late", []core.Item{1}); err != nil {
-		t.Fatal(err)
-	}
-	if info, _ := tb.TenantInfo("late"); info.K != 3 {
-		t.Fatalf("late = %+v, want k=3 from pre-instantiation override", info)
-	}
-	if err := tb.SetPhi("x", 1.5); err == nil {
-		t.Fatal("φ=1.5 must be rejected")
-	}
 	// φ = 2e-7 needs 5,000,001 counters, past counters.MaxBudget: the
 	// namespace would be built, then refused by its own reload.
-	if err := tb.SetPhi("x", 2e-7); err == nil {
-		t.Fatal("SetPhi accepted φ = 2e-7")
-	}
 	for _, opts := range []tenant.Options{{DefaultPhi: 2e-7}, {DefaultPhi: 0.01, Phi: map[string]float64{"x": 2e-7}}} {
 		if _, err := tenant.NewTable(opts); err == nil {
 			t.Fatalf("NewTable(%+v) accepted φ = 2e-7", opts)
@@ -515,8 +493,9 @@ func TestBundleRoundTrip(t *testing.T) {
 }
 
 // TestPoisonedTenantLeaksNoBlock: a tenant restored from a checkpoint
-// whose blob repeats an item is refused on every touch, and every
-// refusal hands its slab block back.
+// whose blob repeats an item is refused on every touch, writes and
+// reads alike, with the reload's error naming it — never answered as
+// if it were empty.
 func TestPoisonedTenantLeaksNoBlock(t *testing.T) {
 	s := counters.NewSpaceSavingHeap(4)
 	s.Update(1, 1)
@@ -536,16 +515,20 @@ func TestPoisonedTenantLeaksNoBlock(t *testing.T) {
 			t.Fatal("a poisoned tenant reloaded")
 		}
 	}
-	if live := tb.TableStats().Slab.LiveBlocks; live != 0 {
-		t.Fatalf("%d live slab blocks after 100 refused touches, want 0", live)
+	_, _, err = tb.TenantSnapshot("p")
+	if err == nil || errors.Is(err, tenant.ErrNoNamespace) || !strings.Contains(err.Error(), `"p"`) {
+		t.Fatalf("read of a poisoned tenant: %v, want its reload error naming it", err)
+	}
+	if st := tb.TableStats(); st.Resident != 0 || st.Reloads != 0 || st.N != 2 {
+		t.Fatalf("after refused touches: %+v, want the tenant evicted at n=2", st)
 	}
 }
 
 // TestVolumeCheckpointReadsTableBytes: the checkpoint loop's volume
-// trigger is max(4 MiB, 8 × Bytes()), and a table's Bytes() counts its
-// slab arena. A table whose 8 × Bytes() exceeds its log tail takes no
-// volume checkpoint, even with the tail past the 4 MiB floor; once the
-// tail reaches 8 × Bytes() it takes one.
+// trigger is max(4 MiB, 8 × Bytes()), and a table's Bytes() is its
+// tenants' state. A table whose 8 × Bytes() exceeds its log tail takes
+// no volume checkpoint, even with the tail past the 4 MiB floor; once
+// the tail reaches 8 × Bytes() it takes one.
 func TestVolumeCheckpointReadsTableBytes(t *testing.T) {
 	const floor = 4 << 20
 	st, err := persist.Open(persist.Options{
@@ -557,7 +540,10 @@ func TestVolumeCheckpointReadsTableBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := newTable(t, tenant.Options{DefaultPhi: 0.01})
+	// 16 namespaces of k = 1001 counters hold 835,776 B, so 8 × Bytes()
+	// clears the floor by more than 2 MiB.
+	const namespaces = 16
+	tb := newTable(t, tenant.Options{DefaultPhi: 0.001})
 	if _, err := st.Recover(tb); err != nil {
 		t.Fatal(err)
 	}
@@ -572,12 +558,15 @@ func TestVolumeCheckpointReadsTableBytes(t *testing.T) {
 		t.Helper()
 		for i := 0; st.Stats().TailBytes < tail; i++ {
 			off := (i * 4096) % len(items)
-			if _, _, err := tb.IngestBatch("eu", items[off:off+4096]); err != nil {
+			if _, _, err := tb.IngestBatch(fmt.Sprintf("t%d", i%namespaces), items[off:off+4096]); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	ingestTo(1)
+	ingestTo(namespaces * 4096 * 8)
+	if n := tb.TableStats().Tenants; n != namespaces {
+		t.Fatalf("%d namespaces filled, want %d", n, namespaces)
+	}
 	threshold := 8 * int64(tb.Bytes())
 	if threshold < floor+(1<<20) {
 		t.Fatalf("8 × Bytes() = %d B, not far enough past the %d B floor for this test", threshold, floor)

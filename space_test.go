@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
+	"streamfreq/internal/tenant"
 	"streamfreq/internal/zipf"
 )
 
@@ -75,4 +77,99 @@ func liveHeap() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
+}
+
+// TestBytesIsCheckpointState is the one space rule for durable targets
+// (a persist.Target: the plane or the tenant table): Bytes() is the
+// footprint of the state its checkpoint barrier hands over, an evicted
+// tenant counting at its blob's length. Staging rings and serving
+// clones are transient copies and do not count, so the checkpoint
+// loop's volume trigger, 8 × Bytes(), reads the state a restart loads.
+func TestBytesIsCheckpointState(t *testing.T) {
+	const phi = 0.001
+	g, err := zipf.NewGenerator(1<<16, 1.1, 7, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := g.Stream(1 << 16)
+	barrierBytes := func(views []Summary) (total int) {
+		for _, v := range views {
+			total += v.Bytes()
+		}
+		return total
+	}
+
+	type build struct {
+		name string
+		mk   func() (Summary, error)
+	}
+	var builds []build
+	for _, name := range Algorithms() {
+		builds = append(builds, build{name, func() (Summary, error) { return New(name, phi, 1) }})
+	}
+	builds = append(builds,
+		build{"GK", func() (Summary, error) { return NewQuantileForPhi(phi) }},
+		build{"SSW", func() (Summary, error) { return NewWindowedForPhi(phi, 1<<15, 8) }})
+	for _, b := range builds {
+		t.Run("serving/"+b.name, func(t *testing.T) {
+			inner, err := b.mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := NewConcurrent(inner).ServeSnapshots(time.Hour)
+			UpdateBatches(c, items, 4096)
+			c.RefreshSnapshot()
+			if got, want := c.Bytes(), barrierBytes(c.SnapshotBarrier(nil)); got != want {
+				t.Fatalf("Bytes() = %d, checkpoint state %d", got, want)
+			}
+		})
+	}
+
+	t.Run("pipelined/SSH", func(t *testing.T) {
+		p := NewPipelined(2, func() Summary { return MustNew("SSH", phi, 1) }).ServeSnapshots(time.Hour)
+		defer p.Close()
+		g, err := zipf.NewGenerator(1<<20, 1.1, 9, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := make([]Item, 8192)
+		for i := 0; i < 64; i++ {
+			for j := range batch {
+				batch[j] = g.Next()
+			}
+			p.UpdateBatch(batch)
+		}
+		p.RefreshSnapshot()
+		if got, want := p.Bytes(), barrierBytes(p.SnapshotBarrier(nil)); got != want {
+			t.Fatalf("Bytes() = %d, checkpoint state %d", got, want)
+		}
+	})
+
+	t.Run("tenants", func(t *testing.T) {
+		tb, err := tenant.NewTable(tenant.Options{DefaultPhi: 0.01, MaxResident: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 64; i++ {
+			ns := fmt.Sprintf("t%d", i%12)
+			off := (i * 512) % len(items)
+			if _, _, err := tb.IngestBatch(ns, items[off:off+512]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := tb.TableStats(); st.Evictions == 0 || st.Reloads == 0 {
+			t.Fatalf("no eviction churn: %+v", st)
+		}
+		var want int
+		for _, st := range tb.TenantSnapshotBarrier(nil) {
+			if st.Summary != nil {
+				want += st.Summary.Bytes()
+			} else {
+				want += len(st.Blob)
+			}
+		}
+		if got := tb.Bytes(); got != want {
+			t.Fatalf("Bytes() = %d, checkpoint state %d", got, want)
+		}
+	})
 }
