@@ -601,14 +601,6 @@ func (c *Coordinator) Run(ctx context.Context) {
 	}
 }
 
-// emptyView serves before the first successful pull: a zero-length
-// stream, exactly what a node that has ingested nothing reports.
-type emptyView struct{}
-
-func (emptyView) N() int64                     { return 0 }
-func (emptyView) Estimate(core.Item) int64     { return 0 }
-func (emptyView) Query(int64) []core.ItemCount { return nil }
-
 // ServingView returns the current merged epoch as an immutable
 // core.ReadView — the same pin-one-view-per-request contract as the
 // node wrappers' ServingView. Before the first good pull, and when the
@@ -618,7 +610,7 @@ func (c *Coordinator) ServingView() core.ReadView {
 	if v, ok := c.namespace(""); ok {
 		return v
 	}
-	return emptyView{}
+	return core.EmptyView{}
 }
 
 // namespace returns one namespace's view in the current merged epoch.
@@ -631,16 +623,8 @@ func (c *Coordinator) namespace(name string) (core.ReadView, bool) {
 	return v, ok
 }
 
-// N implements core.ReadView over the merged state.
+// N returns the merged state's stream length.
 func (c *Coordinator) N() int64 { return c.ServingView().N() }
-
-// Estimate implements core.ReadView over the merged state.
-func (c *Coordinator) Estimate(x core.Item) int64 { return c.ServingView().Estimate(x) }
-
-// Query implements core.ReadView over the merged state.
-func (c *Coordinator) Query(threshold int64) []core.ItemCount {
-	return c.ServingView().Query(threshold)
-}
 
 // NodeStats is one node's row in Stats.
 type NodeStats struct {
@@ -742,8 +726,3 @@ func (c *Coordinator) Stats() Stats {
 	}
 	return st
 }
-
-// Counters exposes the coordinator's traffic counter set (shared with
-// the HTTP handler so /stats reports query traffic like a node does,
-// and scrapeable as freq_*_total series on /v1/metrics).
-func (c *Coordinator) Counters() *obs.Set { return c.counters }

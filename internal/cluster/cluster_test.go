@@ -870,6 +870,58 @@ func TestTenantNodeWithoutDefaultNamespaceHasData(t *testing.T) {
 	}
 }
 
+// TestTenantNodeAndCoordinatorAgree: clients cannot tell a freqmerge
+// from the freqd it pulls. After one pull, a tenant node and a
+// coordinator over it answer the same n, threshold and items on the
+// un-namespaced routes, which read the default namespace "", and on a
+// named namespace's routes.
+func TestTenantNodeAndCoordinatorAgree(t *testing.T) {
+	ts, _, _ := tenantNode(t, 1)
+	defer ts.Close()
+	g, err := zipf.NewGenerator(1<<10, 1.2, 5, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, ts.URL+"/v1", g.Stream(1000))
+	ingest(t, ts.URL+"/v1/t/eu", zipf.Sequential(9000))
+	c := tenantCoordinator(t, 0, nil, ts.URL)
+	c.PullAll(context.Background())
+	cs := httptest.NewServer(c.Handler())
+	defer cs.Close()
+
+	body := func(url string) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s: %s %v", url, resp.Status, b, err)
+		}
+		return string(b)
+	}
+	heavy := g.ItemOfRank(1)
+	for _, path := range []string{
+		"/v1/topk",
+		"/v1/topk?phi=0.05",
+		"/v1/t/eu/topk",
+		"/v1/t/eu/topk?threshold=1&k=5",
+		fmt.Sprintf("/v1/estimate?item=%d", heavy),
+		fmt.Sprintf("/v1/t/eu/estimate?item=%d", heavy),
+	} {
+		if node, merged := body(ts.URL+path), body(cs.URL+path); node != merged {
+			t.Errorf("%s: node answers %s, coordinator %s", path, node, merged)
+		}
+	}
+	var tr topkResponse
+	getJSON(t, ts.URL+"/v1/topk?phi=0.05", &tr)
+	if tr.N != 1000 || len(tr.Items) == 0 {
+		t.Fatalf("node /v1/topk?phi=0.05 = %+v, want n 1000 with items", tr)
+	}
+}
+
 // TestPullAllocationBounded: one pull of a tenant bundle whose three
 // namespaces are SS01 headers claiming the largest budget a decoder
 // accepts, and no entries (120 bytes), allocates under 1 MiB: a decoded

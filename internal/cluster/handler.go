@@ -173,6 +173,3 @@ func (c *Coordinator) ListenAndServe(addr string, stop <-chan struct{}) error {
 	go c.Run(ctx)
 	return serve.ListenAndServe(addr, c.Handler(), stop)
 }
-
-// compile-time: the coordinator is a ReadView like any node snapshot.
-var _ core.ReadView = (*Coordinator)(nil)

@@ -106,18 +106,6 @@ func SortByCountDesc(s []ItemCount) {
 	})
 }
 
-// TopK returns the k largest entries (by count) of s, in descending
-// order. It copies; s is not modified.
-func TopK(s []ItemCount, k int) []ItemCount {
-	c := make([]ItemCount, len(s))
-	copy(c, s)
-	SortByCountDesc(c)
-	if k < len(c) {
-		c = c[:k]
-	}
-	return c
-}
-
 // ErrIncompatible is returned (wrapped) by Merge/Subtract implementations
 // when the operand summary does not match the receiver.
 var ErrIncompatible = fmt.Errorf("core: incompatible summaries")

@@ -17,21 +17,6 @@ func TestSortByCountDesc(t *testing.T) {
 	}
 }
 
-func TestTopKCopies(t *testing.T) {
-	s := []ItemCount{{1, 1}, {2, 9}, {3, 5}}
-	top := TopK(s, 2)
-	if len(top) != 2 || top[0].Item != 2 || top[1].Item != 3 {
-		t.Errorf("TopK = %+v", top)
-	}
-	// Original must be untouched.
-	if s[0].Item != 1 || s[1].Item != 2 {
-		t.Error("TopK modified its input")
-	}
-	if got := TopK(s, 10); len(got) != 3 {
-		t.Errorf("TopK(10) length = %d", len(got))
-	}
-}
-
 func TestIncompatibleWraps(t *testing.T) {
 	err := Incompatible("because %d", 7)
 	if !errors.Is(err, ErrIncompatible) {

@@ -45,6 +45,13 @@ type ReadView interface {
 	Query(threshold int64) []ItemCount
 }
 
+// EmptyView is the ReadView of a stream that has ingested nothing.
+type EmptyView struct{}
+
+func (EmptyView) N() int64                { return 0 }
+func (EmptyView) Estimate(Item) int64     { return 0 }
+func (EmptyView) Query(int64) []ItemCount { return nil }
+
 // SnapshotStats describes the serving snapshot of a wrapper with
 // snapshot reads enabled (Concurrent.ServeSnapshots,
 // Pipelined.ServeSnapshots): the snapshot section of freqd's stats

@@ -132,7 +132,7 @@ func TestFrequentBatchWithinDeficit(t *testing.T) {
 	if b := batched.MaxError(); b > bound {
 		bound = b
 	}
-	if maxBound := scalar.N() / int64(scalar.K()+1); bound > maxBound {
+	if maxBound := scalar.N() / int64(scalar.k+1); bound > maxBound {
 		t.Fatalf("deficit %d exceeds the n/(k+1) bound %d", bound, maxBound)
 	}
 	for probe := core.Item(0); probe < 16; probe++ { // the stream's head items

@@ -39,9 +39,6 @@ func NewFrequent(k int) *Frequent {
 // Name implements core.Summary.
 func (f *Frequent) Name() string { return "F" }
 
-// K returns the counter budget.
-func (f *Frequent) K() int { return f.k }
-
 // N implements core.Summary.
 func (f *Frequent) N() int64 { return f.n }
 

@@ -11,8 +11,8 @@ import (
 
 func TestFrequentBasics(t *testing.T) {
 	f := NewFrequent(4)
-	if f.Name() != "F" || f.K() != 4 {
-		t.Fatalf("metadata wrong: %s %d", f.Name(), f.K())
+	if f.Name() != "F" || f.k != 4 {
+		t.Fatalf("metadata wrong: %s %d", f.Name(), f.k)
 	}
 	for i := 0; i < 10; i++ {
 		f.Update(1, 1)
@@ -53,7 +53,7 @@ func TestNewFrequentPanicsOnBadK(t *testing.T) {
 // true − n/(k+1) ≤ estimate ≤ true for every item in the universe.
 func mgGuarantee(t *testing.T, f *Frequent, truth *exact.Counter, universe []core.Item) {
 	t.Helper()
-	slack := truth.N() / int64(f.K()+1)
+	slack := truth.N() / int64(f.k+1)
 	for _, it := range universe {
 		est, tru := f.Estimate(it), truth.Estimate(it)
 		if est > tru {

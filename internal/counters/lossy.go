@@ -77,15 +77,8 @@ func (l *LossyCounting) Name() string {
 	return "LC"
 }
 
-// Epsilon returns the configured error parameter.
-func (l *LossyCounting) Epsilon() float64 { return l.epsilon }
-
 // N implements core.Summary.
 func (l *LossyCounting) N() int64 { return l.n }
-
-// EntryCount returns the number of live tracked entries (the space
-// plots' quantity of interest for LC).
-func (l *LossyCounting) EntryCount() int { return len(l.st.nodes) }
 
 // Update processes count arrivals of x. count must be positive.
 func (l *LossyCounting) Update(x core.Item, count int64) {

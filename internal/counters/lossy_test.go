@@ -25,7 +25,7 @@ func TestLossyCountingValidation(t *testing.T) {
 // lcBounds checks true − εN ≤ estimate ≤ true for the LC variant.
 func lcBounds(t *testing.T, l *LossyCounting, truth *exact.Counter, universe []core.Item) {
 	t.Helper()
-	slack := int64(l.Epsilon()*float64(truth.N())) + 1
+	slack := int64(l.epsilon*float64(truth.N())) + 1
 	for _, it := range universe {
 		est, tru := l.Estimate(it), truth.Estimate(it)
 		if est > tru {
@@ -66,8 +66,8 @@ func TestLossyCountingBoundsSequential(t *testing.T) {
 	}
 	lcBounds(t, l, truth, items)
 	// A sequential stream leaves at most one full bucket of live entries.
-	if l.EntryCount() > 200 {
-		t.Errorf("sequential stream left %d live entries; pruning is broken", l.EntryCount())
+	if len(l.st.nodes) > 200 {
+		t.Errorf("sequential stream left %d live entries; pruning is broken", len(l.st.nodes))
 	}
 }
 
@@ -126,10 +126,10 @@ func TestLossyCountingSpaceBounded(t *testing.T) {
 	peak := 0
 	for i := 0; i < 200000; i++ {
 		l.Update(g.Next(), 1)
-		peak = max(peak, l.EntryCount())
+		peak = max(peak, len(l.st.nodes))
 	}
-	if l.EntryCount() > 20000 {
-		t.Errorf("%d live entries; space bound violated", l.EntryCount())
+	if len(l.st.nodes) > 20000 {
+		t.Errorf("%d live entries; space bound violated", len(l.st.nodes))
 	}
 	// Bytes is the store's footprint at its capacity, which grows by an
 	// eighth at a time and never shrinks: the peak live set fits, with

@@ -129,16 +129,6 @@ func (s *SpaceSavingHeap) Clone() *SpaceSavingHeap {
 // Snapshot implements core.Snapshotter.
 func (s *SpaceSavingHeap) Snapshot() core.Summary { return s.Clone() }
 
-// Entries returns all tracked (item, estimate) pairs in descending order.
-func (s *SpaceSavingHeap) Entries() []core.ItemCount {
-	out := make([]core.ItemCount, 0, len(s.st.heap))
-	for _, id := range s.st.heap {
-		out = append(out, core.ItemCount{Item: s.st.nodes[id].item, Count: s.st.nodes[id].count})
-	}
-	core.SortByCountDesc(out)
-	return out
-}
-
 // Bytes implements core.Summary: the counter store's footprint. Batch
 // pre-aggregation scratch is pooled across summaries (see batch.go)
 // and not charged per instance.

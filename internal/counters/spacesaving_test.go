@@ -15,8 +15,6 @@ type ssSummary interface {
 	core.Summary
 	Min() int64
 	GuaranteedCount(core.Item) int64
-	Entries() []core.ItemCount
-	K() int
 }
 
 func ssVariants(k int) map[string]ssSummary {
@@ -26,11 +24,12 @@ func ssVariants(k int) map[string]ssSummary {
 	}
 }
 
-// ssInvariants checks the Space-Saving guarantees against exact truth.
-func ssInvariants(t *testing.T, name string, s ssSummary, truth *exact.Counter, universe []core.Item) {
+// ssInvariants checks the Space-Saving guarantees of a k-counter summary
+// against exact truth.
+func ssInvariants(t *testing.T, name string, s ssSummary, k int, truth *exact.Counter, universe []core.Item) {
 	t.Helper()
 	min := s.Min()
-	if maxErr := truth.N() / int64(s.K()); min > maxErr {
+	if maxErr := truth.N() / int64(k); min > maxErr {
 		t.Fatalf("%s: min counter %d exceeds n/k = %d", name, min, maxErr)
 	}
 	for _, it := range universe {
@@ -48,7 +47,8 @@ func ssInvariants(t *testing.T, name string, s ssSummary, truth *exact.Counter, 
 }
 
 func TestSpaceSavingInvariantsZipf(t *testing.T) {
-	for name, s := range ssVariants(64) {
+	const k = 64
+	for name, s := range ssVariants(k) {
 		g, err := zipf.NewGenerator(3000, 1.1, 31, true)
 		if err != nil {
 			t.Fatal(err)
@@ -63,20 +63,21 @@ func TestSpaceSavingInvariantsZipf(t *testing.T) {
 			s.Update(it, 1)
 			truth.Update(it, 1)
 		}
-		ssInvariants(t, name, s, truth, universe)
+		ssInvariants(t, name, s, k, truth, universe)
 	}
 }
 
 func TestSpaceSavingInvariantsSequential(t *testing.T) {
 	// Sequential streams force an eviction on every arrival.
-	for name, s := range ssVariants(16) {
+	const k = 16
+	for name, s := range ssVariants(k) {
 		truth := exact.New()
 		items := zipf.Sequential(5000)
 		for _, it := range items {
 			s.Update(it, 1)
 			truth.Update(it, 1)
 		}
-		ssInvariants(t, name, s, truth, items)
+		ssInvariants(t, name, s, k, truth, items)
 	}
 }
 
@@ -92,7 +93,7 @@ func TestSpaceSavingRecall(t *testing.T) {
 			truth.Update(it, 1)
 		}
 		tracked := map[core.Item]bool{}
-		for _, ic := range s.Entries() {
+		for _, ic := range s.Query(0) {
 			tracked[ic.Item] = true
 		}
 		for _, tc := range truth.Query(n/50 + 1) {
@@ -144,10 +145,10 @@ func TestSpaceSavingVariantsAgreeOnCounterMultiset(t *testing.T) {
 		l.Update(it, 1)
 	}
 	var hs, ls int64
-	for _, e := range h.Entries() {
+	for _, e := range h.Query(0) {
 		hs += e.Count
 	}
-	for _, e := range l.Entries() {
+	for _, e := range l.Query(0) {
 		ls += e.Count
 	}
 	if hs != ls {

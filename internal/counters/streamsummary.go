@@ -69,9 +69,6 @@ func newSpaceSavingList(k, capacity int) *SpaceSavingList {
 // Name implements core.Summary.
 func (s *SpaceSavingList) Name() string { return "SSL" }
 
-// K returns the counter budget.
-func (s *SpaceSavingList) K() int { return s.k }
-
 // N implements core.Summary.
 func (s *SpaceSavingList) N() int64 { return s.n }
 
@@ -248,9 +245,6 @@ func (s *SpaceSavingList) Query(threshold int64) []core.ItemCount {
 	core.SortByCountDesc(out) // normalize within-bucket order
 	return out
 }
-
-// Entries returns all tracked (item, estimate) pairs in descending order.
-func (s *SpaceSavingList) Entries() []core.ItemCount { return s.Query(0) }
 
 // Clone returns an independent deep copy: the node table and the link
 // arrays are copied as they stand, at the same capacities, so the clone

@@ -30,9 +30,6 @@ func NewTracked(inner core.Summary, capacity int) *Tracked {
 // sketch+heap combination carries the sketch's label.
 func (t *Tracked) Name() string { return t.inner.Name() }
 
-// Inner exposes the wrapped summary.
-func (t *Tracked) Inner() core.Summary { return t.inner }
-
 // N implements core.Summary.
 func (t *Tracked) N() int64 { return t.inner.N() }
 
@@ -131,16 +128,6 @@ func (t *Tracked) Query(threshold int64) []core.ItemCount {
 	}
 	core.SortByCountDesc(out)
 	return out
-}
-
-// TopK returns the k highest-estimate tracked items.
-func (t *Tracked) TopK(k int) []core.ItemCount {
-	all := t.Query(0)
-	// Query(0) keeps non-negative estimates; include everything tracked.
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
 }
 
 // Bytes adds the roster's store to the sketch's footprint.

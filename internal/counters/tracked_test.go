@@ -22,9 +22,9 @@ func TestTrackedAdmitsHeavyItems(t *testing.T) {
 	for it := core.Item(4); it <= 10; it++ {
 		tr.Update(it, 1)
 	}
-	top := tr.TopK(3)
+	top := tr.Query(0)
 	if len(top) != 3 {
-		t.Fatalf("TopK length %d", len(top))
+		t.Fatalf("Query(0) length %d", len(top))
 	}
 	wantItems := map[core.Item]bool{1: true, 2: true, 3: true}
 	for _, ic := range top {
@@ -73,7 +73,7 @@ func TestTrackedMerge(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	top := a.TopK(2)
+	top := a.Query(0)
 	if top[0].Item != 3 || top[0].Count != 20 {
 		t.Errorf("top after merge = %+v", top[0])
 	}

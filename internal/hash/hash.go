@@ -124,9 +124,6 @@ func horner(c []uint64, x uint64) uint64 {
 	return acc
 }
 
-// K reports the independence of the family (the number of coefficients).
-func (p Poly) K() int { return len(p.coeff) }
-
 // Bucket is a hash function from items to a fixed range [0, width).
 type Bucket struct {
 	p     Poly
@@ -177,9 +174,6 @@ func mod(v, width, recip uint64) uint64 {
 	}
 	return r
 }
-
-// Width returns the bucket range.
-func (b *Bucket) Width() int { return int(b.width) }
 
 // Sign is a pairwise-independent hash from items to {+1, −1}, as required
 // by the Count Sketch estimator. It is derived from a polynomial hash by
@@ -278,9 +272,6 @@ func NewFamily(d, width, k int, seed uint64) *Family {
 
 // Seed returns the base seed the family was constructed with.
 func (f *Family) Seed() uint64 { return f.seed }
-
-// K returns the independence parameter.
-func (f *Family) K() int { return f.k }
 
 // Compatible reports whether two families were built with identical
 // parameters and therefore index identical bucket layouts.

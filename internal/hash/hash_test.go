@@ -88,8 +88,8 @@ func TestBucketRange(t *testing.T) {
 				t.Fatalf("bucket hash %d out of [0,%d)", h, w)
 			}
 		}
-		if b.Width() != w {
-			t.Fatalf("Width() = %d, want %d", b.Width(), w)
+		if int(b.width) != w {
+			t.Fatalf("width = %d, want %d", int(b.width), w)
 		}
 	}
 }

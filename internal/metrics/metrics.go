@@ -127,17 +127,3 @@ func (t Throughput) UpdatesPerMilli(n int) float64 {
 	}
 	return float64(n) / (float64(elapsed) / float64(time.Millisecond))
 }
-
-// Series is a labeled sequence of (x, y) points, one plotted line of a
-// paper figure.
-type Series struct {
-	Label  string
-	X, Y   []float64
-	YLabel string
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}

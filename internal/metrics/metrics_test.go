@@ -112,15 +112,6 @@ func TestThroughputPositive(t *testing.T) {
 	}
 }
 
-func TestSeriesAdd(t *testing.T) {
-	var s Series
-	s.Add(1, 2)
-	s.Add(3, 4)
-	if len(s.X) != 2 || s.X[1] != 3 || s.Y[1] != 4 {
-		t.Errorf("series = %+v", s)
-	}
-}
-
 func TestAccuracyString(t *testing.T) {
 	a := Accuracy{Precision: 1, Recall: 0.5, ARE: 0.25, Reported: 3, Truth: 6}
 	got := a.String()

@@ -90,8 +90,6 @@ func (r *Registry) Render() string {
 				}
 			case s.ctr != nil:
 				fmt.Fprintf(&b, "%s%s %d\n", fam.name, formatLabels(s.labels), s.ctr.Value())
-			case s.gg != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", fam.name, formatLabels(s.labels), s.gg.Value())
 			}
 		}
 	}

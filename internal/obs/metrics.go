@@ -1,9 +1,10 @@
 // Package obs is the observability plane shared by freqd, freqmerge,
-// and freqrouter: atomic counters and gauges, a fixed-boundary
-// log₂-bucket latency histogram (one atomic add per observation, zero
-// allocations steady-state), a registry that renders the Prometheus
-// text exposition format at GET /v1/metrics, structured slog loggers,
-// and X-Freq-Trace request-tracing helpers. It depends only on the
+// and freqrouter: atomic counters, gauges read at scrape time (from a
+// function or a stats document field), a fixed-boundary log₂-bucket
+// latency histogram (one atomic add per observation, zero allocations
+// steady-state), a registry that renders the Prometheus text
+// exposition format at GET /v1/metrics, structured slog loggers, and
+// X-Freq-Trace request-tracing helpers. It depends only on the
 // standard library.
 //
 // The registry is per-process state owned by whoever builds the
@@ -36,18 +37,6 @@ func (c *Counter) Add(d int64) { c.v.Add(d) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a settable instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds d (may be negative).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // HistogramOpts fixes a histogram's bucket geometry. Upper bounds are
 // powers of two in the histogram's native unit: bucket i covers
 // observations ≤ 2^(Base+i), with one extra implicit +Inf bucket.
@@ -70,8 +59,8 @@ func SizeOpts() HistogramOpts { return HistogramOpts{Base: 0, Buckets: 25, Scale
 
 // Histogram is a fixed-boundary log₂ histogram. Observe is one atomic
 // add into the matched bucket plus one into the running sum — no
-// locks, no allocation. Quantiles are derived from the cumulative
-// bucket counts at read time.
+// locks, no allocation. The scrape renders the cumulative bucket
+// counts, from which a reader derives quantiles.
 type Histogram struct {
 	base    int
 	scale   float64
@@ -116,50 +105,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveSince records the elapsed time since start in nanoseconds.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(int64(time.Since(start))) }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
-// Sum returns the running sum in native units.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Quantile returns an upper bound on the q-quantile (0 ≤ q ≤ 1) in
-// native units: the upper bound of the bucket holding the rank. With
-// log₂ buckets this is within 2× of the true value — the right
-// precision for an operational p99. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) int64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			if i == len(h.buckets)-1 {
-				return h.sum.Load() // +Inf bucket: sum is the only honest bound
-			}
-			return 1 << (h.base + i)
-		}
-	}
-	return 1 << (h.base + len(h.buckets) - 1)
-}
-
 // Label is one name="value" pair on a series. Cardinality discipline
 // is the caller's: shard IDs and algorithm names are bounded and
 // belong in labels; tenant namespaces and stream items are not and do
@@ -178,7 +123,6 @@ type series struct {
 	key    string // canonical label fingerprint for dedup/sort
 
 	ctr   *Counter
-	gg    *Gauge
 	hist  *Histogram
 	fn    func() float64 // CounterFunc/GaugeFunc collector
 	doc   *statsDoc      // Stats document holding the value,
@@ -278,18 +222,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		s.ctr = &Counter{}
 	}
 	return s.ctr
-}
-
-// Gauge returns the gauge series for name+labels, creating it on
-// first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.lookup(name, help, typeGauge, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.gg == nil && s.fn == nil && s.doc == nil {
-		s.gg = &Gauge{}
-	}
-	return s.gg
 }
 
 // GaugeFunc registers a gauge whose value is read by fn at scrape

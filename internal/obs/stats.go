@@ -53,7 +53,7 @@ func (r *Registry) Stats(read func() any) {
 			}
 			s := r.lookup(name, f.Tag.Get("help"), typ, nil)
 			r.mu.Lock()
-			taken := s.ctr != nil || s.gg != nil || s.fn != nil || s.doc == d
+			taken := s.ctr != nil || s.fn != nil || s.doc == d
 			if !taken && s.doc == nil {
 				s.doc, s.field = d, at
 			}

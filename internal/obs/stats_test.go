@@ -131,7 +131,7 @@ func TestStatsReadOncePerRender(t *testing.T) {
 func TestStatsRejectsDuplicatesAndBadKinds(t *testing.T) {
 	for name, register := range map[string]func(r *Registry){
 		"name taken": func(r *Registry) {
-			r.Gauge("test_n", "Hand-registered.")
+			r.GaugeFunc("test_n", "Hand-registered.", func() float64 { return 0 })
 			r.Stats(func() any { return testDoc{} })
 		},
 		"unsupported kind": func(r *Registry) {

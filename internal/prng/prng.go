@@ -142,14 +142,3 @@ func (x *Xoshiro256) Pareto(alpha, xm float64) float64 {
 		}
 	}
 }
-
-// Perm fills p with a uniform random permutation of [0, len(p)).
-func (x *Xoshiro256) Perm(p []int) {
-	for i := range p {
-		p[i] = i
-	}
-	for i := len(p) - 1; i > 0; i-- {
-		j := int(x.Uint64n(uint64(i + 1)))
-		p[i], p[j] = p[j], p[i]
-	}
-}

@@ -139,19 +139,6 @@ func TestParetoTail(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(6)
-	p := make([]int, 100)
-	r.Perm(p)
-	seen := make(map[int]bool, len(p))
-	for _, v := range p {
-		if v < 0 || v >= len(p) || seen[v] {
-			t.Fatalf("invalid permutation element %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestBitsMul64MatchesBuiltin(t *testing.T) {
 	f := func(a, b uint64) bool {
 		lo, hi := bitsMul64(a, b)

@@ -42,9 +42,6 @@ func New(epsilon float64) *GK {
 	return &GK{epsilon: epsilon}
 }
 
-// Epsilon returns the configured error parameter.
-func (g *GK) Epsilon() float64 { return g.epsilon }
-
 // N returns the number of inserted values.
 func (g *GK) N() int64 { return g.n }
 

@@ -36,7 +36,7 @@ func TestGKEmpty(t *testing.T) {
 func checkQuantiles(t *testing.T, g *GK, sorted []float64) {
 	t.Helper()
 	n := len(sorted)
-	slackF := g.Epsilon() * float64(n)
+	slackF := g.epsilon * float64(n)
 	for q := 0.0; q <= 1.0; q += 0.1 {
 		got, err := g.Quantile(q)
 		if err != nil {
@@ -134,7 +134,7 @@ func TestGKRankBoundsContainTruth(t *testing.T) {
 	for _, probe := range []float64{0, 100, 499.5, 999} {
 		lo, hi := g.Rank(probe)
 		trueRank := int64(sort.Search(len(data), func(i int) bool { return data[i] > probe }))
-		slack := int64(g.Epsilon()*float64(len(data))) + 1
+		slack := int64(g.epsilon*float64(len(data))) + 1
 		if trueRank < lo-slack || trueRank > hi+slack {
 			t.Errorf("probe %v: true rank %d outside [%d−ε, %d+ε]", probe, trueRank, lo, hi)
 		}

@@ -42,7 +42,7 @@ func TestGKSummaryContract(t *testing.T) {
 	if s.Bytes() <= 0 {
 		t.Fatal("Bytes() not positive")
 	}
-	slack := int64(2*g.Epsilon()*float64(s.N())) + 2
+	slack := int64(2*g.epsilon*float64(s.N())) + 2
 	for _, probe := range []core.Item{0, 1, 2, 5, 100, 1023} {
 		est := s.Estimate(probe)
 		if diff := est - exact[probe]; diff > slack || diff < -slack {
@@ -140,7 +140,7 @@ func TestGKMergeAccuracy(t *testing.T) {
 	sort.Float64s(union)
 	// The merged summary stays ε-approximate over the union stream.
 	n := len(union)
-	slack := a.Epsilon()*float64(n) + 2
+	slack := a.epsilon*float64(n) + 2
 	for q := 0.0; q <= 1.0; q += 0.1 {
 		got, err := a.Quantile(q)
 		if err != nil {
@@ -286,7 +286,7 @@ func TestGKRangeEstimate(t *testing.T) {
 		exact[uint64(it)]++
 	}
 	core.UpdateAll(g, items)
-	slack := int64(2*g.Epsilon()*float64(g.N())) + 2
+	slack := int64(2*g.epsilon*float64(g.N())) + 2
 	for _, r := range [][2]uint64{{0, 0}, {0, 10}, {5, 100}, {0, 1023}, {500, 2000}} {
 		var want int64
 		for v := r[0]; v <= r[1] && v < 1024; v++ {
@@ -317,7 +317,7 @@ func TestGKQuantileQuery(t *testing.T) {
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	core.UpdateAll(g, items)
-	slack := g.Epsilon()*float64(len(items)) + 2
+	slack := g.epsilon*float64(len(items)) + 2
 	for q := 0.0; q <= 1.0; q += 0.25 {
 		got, err := g.QuantileQuery(q)
 		if err != nil {

@@ -118,10 +118,6 @@ func NewRing(ids []string, vnodes int) (*Ring, error) {
 // Shards returns the shard count.
 func (r *Ring) Shards() int { return len(r.ids) }
 
-// IDs returns the shard IDs in declared order (shared, not copied — the
-// ring is immutable).
-func (r *Ring) IDs() []string { return r.ids }
-
 // VNodes returns the virtual-node count per shard.
 func (r *Ring) VNodes() int { return r.vnodes }
 

@@ -357,9 +357,14 @@ func (s *Server) Handler() http.Handler { return s.API().Handler() }
 // table against the live mux.
 func (s *Server) API() *API {
 	api := NewAPI(s.obs)
+	topk, estimate := s.queries.TopK, s.queries.Estimate
+	if s.tenants != nil {
+		topk = s.namespaceRead(defaultNS, (*QueryHandlers).TopK)
+		estimate = s.namespaceRead(defaultNS, (*QueryHandlers).Estimate)
+	}
 	api.Route("POST", "/ingest", s.handleIngest, "/ingest")
-	api.Route("GET", "/topk", s.queries.TopK, "/topk")
-	api.Route("GET", "/estimate", s.queries.Estimate, "/estimate")
+	api.Route("GET", "/topk", topk, "/topk")
+	api.Route("GET", "/estimate", estimate, "/estimate")
 	// The rich query surface is /v1-only (no legacy aliases — it never
 	// existed pre-versioning) and always registered: capability, not
 	// configuration, decides whether a given algo answers.
@@ -372,8 +377,8 @@ func (s *Server) API() *API {
 	api.Route("POST", "/checkpoint", s.handleCheckpoint, "/checkpoint")
 	if s.tenants != nil {
 		api.Route("POST", "/t/{ns}/ingest", s.handleTenantIngest)
-		api.Route("GET", "/t/{ns}/topk", s.handleTenantTopK)
-		api.Route("GET", "/t/{ns}/estimate", s.handleTenantEstimate)
+		api.Route("GET", "/t/{ns}/topk", s.namespaceRead(tenantNS, (*QueryHandlers).TopK))
+		api.Route("GET", "/t/{ns}/estimate", s.namespaceRead(tenantNS, (*QueryHandlers).Estimate))
 		api.Route("GET", "/t/{ns}/stats", s.handleTenantStats)
 		api.Route("GET", "/tenants", s.handleTenants)
 	}
@@ -403,20 +408,28 @@ func (s *Server) lookupName(it core.Item) string {
 }
 
 // handleIngest streams the request body into the summary in bounded
-// batches through the target's UpdateBatch path, and acks with the live
-// stream position, recovered items included — the same n /stats and
-// freq_stream_n report.
+// batches through the target's UpdateBatch path (on a tenant node, into
+// the default namespace, whose failed reload ends the request like a
+// named one's), and acks with the live stream position, recovered items
+// included — the same n /stats and freq_stream_n report.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	s.ingest(w, r, "", func(batch []core.Item) error {
+	land := func(batch []core.Item) error {
 		s.target.UpdateBatch(batch)
 		return nil
-	}, s.liveN)
+	}
+	if s.tenants != nil {
+		land = func(batch []core.Item) error {
+			_, _, err := s.tenants.IngestBatch("", batch)
+			return err
+		}
+	}
+	s.ingest(w, r, "", land, s.liveN)
 }
 
 // ingest is the one ingest loop behind /ingest and /v1/t/{ns}/ingest:
 // the WAL refusals, the Content-Type dispatch, the batch loop and its
 // histograms, the torn-body and size-cap errors, and the epoch-stamped
-// ack. land applies one batch (an error ends the request with 400);
+// ack. land applies one batch (an error ends the request with 500);
 // ackN is the n the ack reports; ns names the tenant a tenant route
 // writes to ("" on the global route).
 func (s *Server) ingest(w http.ResponseWriter, r *http.Request, ns string,

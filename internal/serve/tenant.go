@@ -11,7 +11,8 @@ import (
 )
 
 // The tenant half of the freqd HTTP API: /v1/t/{ns}/... routes served
-// against the table from Options.Tenants. Reads reuse QueryHandlers —
+// against the table from Options.Tenants, and the un-namespaced routes
+// answered from its default namespace "". Reads reuse QueryHandlers —
 // a copy of the namespace's summary pinned for the request — so a
 // tenant /topk parses and answers exactly like the global one, with
 // the namespace's own φ as the default threshold.
@@ -38,31 +39,45 @@ func tenantNS(w http.ResponseWriter, r *http.Request) (string, bool) {
 	return ns, true
 }
 
-// tenantQueries resolves a read's namespace with one table call into
-// query handlers pinned to a copy of its summary. A namespace that was
-// never created is a 404: reads must not instantiate tenants, so a
-// typo'd dashboard URL allocates no counters. One whose summary cannot
-// be reloaded is a 500 naming it, never an empty answer.
-func (s *Server) tenantQueries(w http.ResponseWriter, r *http.Request) (QueryHandlers, bool) {
-	ns, ok := tenantNS(w, r)
-	if !ok {
-		return QueryHandlers{}, false
+// defaultNS names the namespace of a tenant node's un-namespaced
+// routes: the default namespace "".
+func defaultNS(http.ResponseWriter, *http.Request) (string, bool) { return "", true }
+
+// namespaceRead adapts a query handler to a tenant node: ns picks the
+// request's namespace (tenantNS or defaultNS), which is resolved with
+// one table call into handlers pinned to a copy of its summary. One
+// whose summary cannot be reloaded is a 500 naming it, never an empty
+// answer. A named namespace that was never created is a 404: reads
+// must not instantiate tenants, so a typo'd dashboard URL allocates no
+// counters. The default namespace answers from its own stream with the
+// un-namespaced routes' default φ; never created, it is the empty
+// stream, as on a freqmerge that has pulled nothing.
+func (s *Server) namespaceRead(ns func(http.ResponseWriter, *http.Request) (string, bool),
+	read func(*QueryHandlers, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name, ok := ns(w, r)
+		if !ok {
+			return
+		}
+		q := QueryHandlers{Name: s.lookupName, Counters: s.counters}
+		sum, phi, err := s.tenants.TenantSnapshot(name)
+		switch {
+		case err == nil:
+			q.View = func() core.ReadView { return sum }
+			if name != "" {
+				q.DefaultPhi = phi
+			}
+		case name == "" && errors.Is(err, tenant.ErrNoNamespace):
+			q.View = func() core.ReadView { return core.EmptyView{} }
+		case errors.Is(err, tenant.ErrNoNamespace):
+			HTTPError(w, http.StatusNotFound, "namespace %q does not exist (it is created on first ingest)", name)
+			return
+		default:
+			HTTPError(w, http.StatusInternalServerError, "namespace %q: %v", name, err)
+			return
+		}
+		read(&q, w, r)
 	}
-	sum, phi, err := s.tenants.TenantSnapshot(ns)
-	switch {
-	case errors.Is(err, tenant.ErrNoNamespace):
-		HTTPError(w, http.StatusNotFound, "namespace %q does not exist (it is created on first ingest)", ns)
-		return QueryHandlers{}, false
-	case err != nil:
-		HTTPError(w, http.StatusInternalServerError, "namespace %q: %v", ns, err)
-		return QueryHandlers{}, false
-	}
-	return QueryHandlers{
-		View:       func() core.ReadView { return sum },
-		Name:       s.lookupName,
-		Counters:   s.counters,
-		DefaultPhi: phi,
-	}, true
 }
 
 // handleTenantIngest is handleIngest scoped to one namespace: items
@@ -78,21 +93,6 @@ func (s *Server) handleTenantIngest(w http.ResponseWriter, r *http.Request) {
 		n, _, err = s.tenants.IngestBatch(ns, batch)
 		return err
 	}, func() int64 { return n })
-}
-
-// handleTenantTopK answers /v1/t/{ns}/topk with the namespace's φ as
-// the default threshold.
-func (s *Server) handleTenantTopK(w http.ResponseWriter, r *http.Request) {
-	if q, ok := s.tenantQueries(w, r); ok {
-		q.TopK(w, r)
-	}
-}
-
-// handleTenantEstimate answers /v1/t/{ns}/estimate.
-func (s *Server) handleTenantEstimate(w http.ResponseWriter, r *http.Request) {
-	if q, ok := s.tenantQueries(w, r); ok {
-		q.Estimate(w, r)
-	}
 }
 
 // handleTenantStats reports one namespace's metadata.

@@ -96,13 +96,13 @@ func TestCountMinConservativeBatchExact(t *testing.T) {
 		for _, it := range items {
 			scalar.Update(it, 1)
 		}
-		tracked := counters.NewTracked(NewCountMinConservative(4, 64, 99), 64)
-		core.UpdateBatches(tracked, items, 777)
+		inner := NewCountMinConservative(4, 64, 99)
+		core.UpdateBatches(counters.NewTracked(inner, 64), items, 777)
 		a, err := scalar.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := tracked.Inner().(*CountMin).MarshalBinary()
+		b, err := inner.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,12 +64,6 @@ func (c *CGT) Name() string { return "CGT" }
 // N implements core.Summary.
 func (c *CGT) N() int64 { return c.n }
 
-// Depth returns the number of rows.
-func (c *CGT) Depth() int { return c.depth }
-
-// Width returns the buckets per row.
-func (c *CGT) Width() int { return c.width }
-
 func (c *CGT) base(row, bucket int) int {
 	return (row*c.width + bucket) * c.stride
 }

@@ -71,20 +71,6 @@ func newCountMin(depth, width int, seed uint64, conservative bool) *CountMin {
 	}
 }
 
-// ParamsForEpsilon returns (depth, width) achieving error εN with failure
-// probability δ: w = ⌈e/ε⌉, d = ⌈ln(1/δ)⌉.
-func ParamsForEpsilon(epsilon, delta float64) (depth, width int) {
-	depth = int(math.Ceil(math.Log(1 / delta)))
-	if depth < 1 {
-		depth = 1
-	}
-	width = int(math.Ceil(math.E / epsilon))
-	if width < 1 {
-		width = 1
-	}
-	return depth, width
-}
-
 // Name implements core.Summary.
 func (c *CountMin) Name() string {
 	if c.conservative {
@@ -96,12 +82,6 @@ func (c *CountMin) Name() string {
 // MonotoneEstimates implements core.EstimateMonotone: counters (and so
 // the min estimator) only grow until a deletion is ingested.
 func (c *CountMin) MonotoneEstimates() bool { return !c.neg }
-
-// Depth returns d; Width returns w.
-func (c *CountMin) Depth() int { return c.depth }
-
-// Width returns the number of counters per row.
-func (c *CountMin) Width() int { return c.width }
 
 // N implements core.Summary.
 func (c *CountMin) N() int64 { return c.n }

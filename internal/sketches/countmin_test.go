@@ -34,8 +34,8 @@ func TestCountMinEpsilonBound(t *testing.T) {
 	// most a small fraction of the universe violates it (δ-style bound).
 	const n = 100000
 	eps := 0.01
-	d, w := ParamsForEpsilon(eps, 0.001)
-	cm := NewCountMin(d, w, 3)
+	// δ = 0.001: d = ⌈ln 1/δ⌉ = 7 rows of w = ⌈e/ε⌉ = 272 counters.
+	cm := NewCountMin(7, 272, 3)
 	g, _ := zipf.NewGenerator(2000, 1.0, 9, true)
 	truth := exact.New()
 	for i := 0; i < n; i++ {
@@ -52,16 +52,6 @@ func TestCountMinEpsilonBound(t *testing.T) {
 	}
 	if violations > 4 { // 2000 × δ=0.001 = 2 expected
 		t.Errorf("%d items exceed the εN bound", violations)
-	}
-}
-
-func TestCountMinParamsForEpsilon(t *testing.T) {
-	d, w := ParamsForEpsilon(0.01, 0.01)
-	if d < 4 || d > 6 {
-		t.Errorf("depth = %d, want ≈ ln(100) ≈ 5", d)
-	}
-	if w < 270 || w > 275 {
-		t.Errorf("width = %d, want ≈ e/0.01 ≈ 272", w)
 	}
 }
 

@@ -1,8 +1,6 @@
 package sketches
 
 import (
-	"math"
-
 	"streamfreq/internal/core"
 	"streamfreq/internal/hash"
 )
@@ -46,34 +44,8 @@ func NewCountSketch(depth, width int, seed uint64) *CountSketch {
 	}
 }
 
-// CSParamsForEpsilon returns (depth, width) achieving additive error
-// ε·√F2 with failure probability δ per the Count-Sketch analysis:
-// w = ⌈3/ε²⌉ (variance term), d = ⌈ln(1/δ)·4⌉ rows for median
-// concentration.
-func CSParamsForEpsilon(epsilon, delta float64) (depth, width int) {
-	depth = int(math.Ceil(4 * math.Log(1/delta)))
-	if depth < 1 {
-		depth = 1
-	}
-	// Odd depth gives an exact median.
-	if depth%2 == 0 {
-		depth++
-	}
-	width = int(math.Ceil(3 / (epsilon * epsilon)))
-	if width < 1 {
-		width = 1
-	}
-	return depth, width
-}
-
 // Name implements core.Summary.
 func (c *CountSketch) Name() string { return "CS" }
-
-// Depth returns d.
-func (c *CountSketch) Depth() int { return c.depth }
-
-// Width returns the number of counters per row.
-func (c *CountSketch) Width() int { return c.width }
 
 // N implements core.Summary.
 func (c *CountSketch) N() int64 { return c.n }

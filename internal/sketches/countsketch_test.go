@@ -137,16 +137,6 @@ func TestCountSketchMergeRejectsMismatch(t *testing.T) {
 	}
 }
 
-func TestCSParamsForEpsilon(t *testing.T) {
-	d, w := CSParamsForEpsilon(0.1, 0.01)
-	if d%2 == 0 {
-		t.Errorf("depth %d should be odd for an exact median", d)
-	}
-	if w != 300 {
-		t.Errorf("width = %d, want 3/0.1² = 300", w)
-	}
-}
-
 func TestCountSketchQueryReturnsNil(t *testing.T) {
 	cs := NewCountSketch(3, 64, 2)
 	cs.Update(9, 3)

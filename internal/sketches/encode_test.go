@@ -20,7 +20,7 @@ func TestCountMinRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N() != cm.N() || got.Depth() != cm.Depth() || got.Width() != cm.Width() {
+	if got.N() != cm.N() || got.depth != cm.depth || got.width != cm.width {
 		t.Fatal("header fields lost")
 	}
 	for r := 1; r <= 200; r++ {
@@ -125,7 +125,7 @@ func TestHierarchyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Name() != h.Name() || got.Levels() != h.Levels() || got.N() != h.N() {
+		if got.Name() != h.Name() || len(got.levels) != len(h.levels) || got.N() != h.N() {
 			t.Fatal("hierarchy metadata lost")
 		}
 		w := h.Query(50)

@@ -103,13 +103,13 @@ func TestCMHHeavyPrefixesPerfectRecall(t *testing.T) {
 	h.UpdateBatch(items)
 	threshold := int64(0.002 * n)
 	report := h.HeavyPrefixes(threshold)
-	got := make([]map[core.Item]int64, h.Levels())
+	got := make([]map[core.Item]int64, len(h.levels))
 	for j := range got {
 		got[j] = map[core.Item]int64{}
 	}
-	lastLevel := h.Levels() - 1
+	lastLevel := len(h.levels) - 1
 	for i, pc := range report {
-		if pc.Level < 0 || pc.Level >= h.Levels() {
+		if pc.Level < 0 || pc.Level >= len(h.levels) {
 			t.Fatalf("report %d: level %d out of range", i, pc.Level)
 		}
 		if pc.Level > lastLevel {
@@ -124,8 +124,8 @@ func TestCMHHeavyPrefixesPerfectRecall(t *testing.T) {
 			t.Errorf("prefix %x level %d: HHH flag inconsistent with residual %d", pc.Prefix, pc.Level, pc.Residual)
 		}
 	}
-	truth := buildPrefixTruth(items, h.Levels(), h.Bits())
-	for j := 0; j < h.Levels(); j++ {
+	truth := buildPrefixTruth(items, len(h.levels), h.Bits())
+	for j := 0; j < len(h.levels); j++ {
 		for p, c := range truth[j] {
 			if c >= threshold {
 				est, ok := got[j][core.Item(p)]

@@ -114,9 +114,6 @@ func (h *Hierarchical) Name() string { return h.name }
 // N implements core.Summary.
 func (h *Hierarchical) N() int64 { return h.n }
 
-// Levels returns the number of dyadic levels.
-func (h *Hierarchical) Levels() int { return len(h.levels) }
-
 // Update feeds every level's sketch with the item's prefix at that
 // level's granularity.
 func (h *Hierarchical) Update(x core.Item, count int64) {

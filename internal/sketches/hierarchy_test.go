@@ -29,16 +29,16 @@ func TestHierarchyLevelCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Levels() != 8 {
-		t.Errorf("levels = %d, want 8", h.Levels())
+	if len(h.levels) != 8 {
+		t.Errorf("levels = %d, want 8", len(h.levels))
 	}
 	h2, _ := NewCountMinHierarchy(HierarchyConfig{Depth: 2, Width: 64, Bits: 4, UniverseBits: 32, Seed: 1})
-	if h2.Levels() != 8 {
-		t.Errorf("levels = %d, want 8", h2.Levels())
+	if len(h2.levels) != 8 {
+		t.Errorf("levels = %d, want 8", len(h2.levels))
 	}
 	h3, _ := NewCountMinHierarchy(HierarchyConfig{Depth: 2, Width: 64, Bits: 5, UniverseBits: 32, Seed: 1})
-	if h3.Levels() != 7 { // ceil(32/5)
-		t.Errorf("levels = %d, want 7", h3.Levels())
+	if len(h3.levels) != 7 { // ceil(32/5)
+		t.Errorf("levels = %d, want 7", len(h3.levels))
 	}
 }
 

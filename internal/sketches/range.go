@@ -7,10 +7,11 @@ import (
 	"streamfreq/internal/core"
 )
 
-// Range queries and inner products — the two classic Count-Min
-// applications beyond point queries (Cormode & Muthukrishnan), included
-// because the paper positions these sketches as general database
-// summaries, not only heavy-hitter finders.
+// Range and quantile queries over a hierarchy's dyadic levels — the
+// classic Count-Min application beyond point queries (Cormode &
+// Muthukrishnan), included because the paper positions these sketches as
+// general database summaries, not only heavy-hitter finders. freqd
+// serves both (/v1/range, /v1/quantile).
 
 // RangeEstimate returns an estimate of the total count of items in
 // [lo, hi] (inclusive) using the dyadic decomposition already maintained
@@ -95,59 +96,4 @@ func (h *Hierarchical) QuantileQuery(q float64) (uint64, error) {
 		}
 	}
 	return lo, nil
-}
-
-// InnerProduct estimates the inner product ⟨a, b⟩ = Σ_x a(x)·b(x) of the
-// frequency vectors of two streams sketched with identical parameters —
-// the classic equi-join size estimator. The estimate is the minimum over
-// rows of the row-wise dot products; for insert-only streams it never
-// underestimates, and overestimates by at most ε·N_a·N_b with probability
-// 1−δ.
-func (c *CountMin) InnerProduct(o *CountMin) (int64, error) {
-	if err := c.family.Compatible(o.family); err != nil {
-		return 0, err
-	}
-	if c.conservative || o.conservative {
-		return 0, fmt.Errorf("sketches: inner products require linear (non-conservative) sketches")
-	}
-	est := int64(math.MaxInt64)
-	for i := range c.rows {
-		var dot int64
-		for j := range c.rows[i] {
-			dot += c.rows[i][j] * o.rows[i][j]
-		}
-		if dot < est {
-			est = dot
-		}
-	}
-	return est, nil
-}
-
-// F2Estimate estimates the second frequency moment F2 = Σ_x f(x)² of the
-// sketched stream, via the self inner product. (For Count Sketch the
-// analogous row-sum-of-squares median is the AMS estimator.)
-func (c *CountMin) F2Estimate() int64 {
-	v, err := c.InnerProduct(c)
-	if err != nil {
-		// Self inner product cannot be incompatible; conservative
-		// sketches are rejected by construction before this point.
-		panic(err)
-	}
-	return v
-}
-
-// F2Estimate returns the AMS/Count-Sketch estimate of the second moment:
-// the median over rows of the row's sum of squared counters. Unbiased
-// with relative error O(1/√width).
-func (c *CountSketch) F2Estimate() int64 {
-	var buf [medianRows]int64
-	vals := buf[:0]
-	for _, row := range c.rows {
-		var s int64
-		for _, v := range row {
-			s += v * v
-		}
-		vals = append(vals, s)
-	}
-	return median(vals)
 }

@@ -25,51 +25,15 @@ import (
 // Magic identifies a stream file.
 const Magic = "SFSTRM01"
 
-// Source yields stream items one at a time. All workload generators in
-// internal/zipf and internal/trace satisfy Source.
-type Source interface {
-	Next() core.Item
-}
-
 // BatchSource yields stream items many at a time into a caller-owned
 // buffer, the read-side counterpart of core.BatchUpdater: a replay loop
-// that couples NextBatch to core.UpdateAll moves items from disk (or a
-// materialized slice) into a summary with no per-item interface calls
-// and no allocation. NextBatch fills up to len(buf) items into buf and
+// that couples NextBatch to core.UpdateAll moves items from a file or a
+// request body into a summary with no per-item interface calls and no
+// allocation. Reader, TokenSource and RawSource implement it. NextBatch fills up to len(buf) items into buf and
 // returns how many it wrote; 0 means the source is exhausted.
 type BatchSource interface {
 	NextBatch(buf []core.Item) int
 }
-
-// SliceSource adapts a materialized []core.Item to a Source; it panics
-// when exhausted, so callers must respect its length.
-type SliceSource struct {
-	items []core.Item
-	pos   int
-}
-
-// NewSliceSource wraps items.
-func NewSliceSource(items []core.Item) *SliceSource {
-	return &SliceSource{items: items}
-}
-
-// Next returns the next item.
-func (s *SliceSource) Next() core.Item {
-	it := s.items[s.pos]
-	s.pos++
-	return it
-}
-
-// NextBatch implements BatchSource by copying the next run of items into
-// buf. Unlike Next it does not panic at exhaustion; it returns 0.
-func (s *SliceSource) NextBatch(buf []core.Item) int {
-	n := copy(buf, s.items[s.pos:])
-	s.pos += n
-	return n
-}
-
-// Remaining returns how many items are left.
-func (s *SliceSource) Remaining() int { return len(s.items) - s.pos }
 
 // Write writes a stream file containing items with the given metadata.
 func Write(w io.Writer, meta string, items []core.Item) error {
@@ -100,7 +64,7 @@ func Write(w io.Writer, meta string, items []core.Item) error {
 // construction and then serves items through NextBatch, decoding into a
 // reused byte buffer sized to the caller's batch — so replaying a stream
 // file costs O(batch) memory however long the file is. It implements
-// BatchSource and Source.
+// BatchSource.
 type Reader struct {
 	br        *bufio.Reader
 	meta      string
@@ -108,7 +72,6 @@ type Reader struct {
 	remaining uint64
 	raw       []byte // reused little-endian staging buffer
 	readErr   error  // first decode failure, surfaced by Err
-	one       [1]core.Item
 }
 
 // NewReader parses the header of a stream file produced by Write,
@@ -149,9 +112,6 @@ func (r *Reader) Meta() string { return r.meta }
 
 // Len returns the total number of items the file declares.
 func (r *Reader) Len() int { return int(r.total) }
-
-// Remaining returns how many items have not yet been read.
-func (r *Reader) Remaining() int { return int(r.remaining) }
 
 // err records a decode failure and halts the reader.
 func (r *Reader) err(e error) {
@@ -204,15 +164,6 @@ func (r *Reader) NextBatch(buf []core.Item) int {
 	return int(done)
 }
 
-// Next implements Source for compatibility with scalar consumers. It
-// panics past end of file, like SliceSource.
-func (r *Reader) Next() core.Item {
-	if r.NextBatch(r.one[:]) != 1 {
-		panic("stream: Next past end of stream file")
-	}
-	return r.one[0]
-}
-
 // Err returns the first item-decoding error encountered by NextBatch,
 // if any. A Reader that was drained cleanly returns nil.
 func (r *Reader) Err() error { return r.readErr }
@@ -238,50 +189,4 @@ func Read(r io.Reader) (meta string, items []core.Item, err error) {
 		return "", nil, err
 	}
 	return sr.Meta(), items, nil
-}
-
-// Feed pushes n items from src into each of the summaries with unit
-// counts, fanning a single generated stream to many algorithms so all
-// see identical input. The stream is staged through a bounded batch
-// buffer — filled with one NextBatch call when src is a BatchSource —
-// and delivered through core.UpdateAll, so summaries with a native batch
-// path ingest at batch speed. A source that cannot supply n items is a
-// caller bug (or a corrupt file) and panics, exactly like the scalar
-// Next contract it replaces; Feed never silently under-feeds.
-func Feed(src Source, n int, summaries ...core.Summary) {
-	buf := make([]core.Item, core.DefaultBatchSize)
-	bs, batched := src.(BatchSource)
-	for n > 0 {
-		want := len(buf)
-		if want > n {
-			want = n
-		}
-		var got int
-		if batched {
-			got = bs.NextBatch(buf[:want])
-			if got == 0 {
-				if e, ok := src.(interface{ Err() error }); ok && e.Err() != nil {
-					panic("stream: Feed: source failed: " + e.Err().Error())
-				}
-				panic("stream: Feed: source exhausted with items still requested")
-			}
-		} else {
-			for i := 0; i < want; i++ {
-				buf[i] = src.Next()
-			}
-			got = want
-		}
-		for _, s := range summaries {
-			core.UpdateAll(s, buf[:got])
-		}
-		n -= got
-	}
-}
-
-// FeedSlice pushes every item of items into each summary with unit
-// counts, in bounded batches via each summary's fastest ingest path.
-func FeedSlice(items []core.Item, summaries ...core.Summary) {
-	for _, s := range summaries {
-		core.UpdateBatches(s, items, 0)
-	}
 }

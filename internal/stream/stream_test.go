@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"streamfreq/internal/core"
-	"streamfreq/internal/exact"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -88,65 +87,6 @@ func TestReadHugeItemCountRejected(t *testing.T) {
 	}
 }
 
-func TestSliceSource(t *testing.T) {
-	src := NewSliceSource([]core.Item{7, 8, 9})
-	if src.Remaining() != 3 {
-		t.Fatalf("Remaining = %d", src.Remaining())
-	}
-	if src.Next() != 7 || src.Next() != 8 || src.Next() != 9 {
-		t.Fatal("wrong item order")
-	}
-	if src.Remaining() != 0 {
-		t.Fatalf("Remaining = %d after drain", src.Remaining())
-	}
-}
-
-func TestFeedFansOut(t *testing.T) {
-	items := []core.Item{1, 1, 2, 3, 1}
-	a, b := exact.New(), exact.New()
-	Feed(NewSliceSource(items), len(items), a, b)
-	for _, c := range []*exact.Counter{a, b} {
-		if c.Estimate(1) != 3 || c.Estimate(2) != 1 || c.Estimate(3) != 1 {
-			t.Errorf("%v: wrong counts", c.Name())
-		}
-		if c.N() != 5 {
-			t.Errorf("N = %d, want 5", c.N())
-		}
-	}
-}
-
-func TestFeedSlice(t *testing.T) {
-	c := exact.New()
-	FeedSlice([]core.Item{4, 4, 4}, c)
-	if c.Estimate(4) != 3 {
-		t.Errorf("count = %d, want 3", c.Estimate(4))
-	}
-}
-
-func TestSliceSourceNextBatch(t *testing.T) {
-	src := NewSliceSource([]core.Item{1, 2, 3, 4, 5})
-	buf := make([]core.Item, 2)
-	var got []core.Item
-	for {
-		n := src.NextBatch(buf)
-		if n == 0 {
-			break
-		}
-		got = append(got, buf[:n]...)
-	}
-	if len(got) != 5 {
-		t.Fatalf("drained %d items, want 5", len(got))
-	}
-	for i, it := range got {
-		if it != core.Item(i+1) {
-			t.Fatalf("item %d = %d, want %d", i, it, i+1)
-		}
-	}
-	if src.NextBatch(buf) != 0 {
-		t.Fatal("NextBatch after exhaustion must return 0")
-	}
-}
-
 // streamFile writes a stream file and returns its bytes.
 func streamFile(t *testing.T, meta string, items []core.Item) []byte {
 	t.Helper()
@@ -185,9 +125,6 @@ func TestReaderBatchedDrain(t *testing.T) {
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if r.Remaining() != 0 {
-		t.Fatalf("Remaining = %d after drain", r.Remaining())
-	}
 	if len(got) != len(items) {
 		t.Fatalf("drained %d items, want %d", len(got), len(items))
 	}
@@ -196,25 +133,6 @@ func TestReaderBatchedDrain(t *testing.T) {
 			t.Fatalf("item %d = %d, want %d", i, got[i], items[i])
 		}
 	}
-}
-
-func TestReaderScalarNext(t *testing.T) {
-	items := []core.Item{9, 8, 7}
-	r, err := NewReader(bytes.NewReader(streamFile(t, "", items)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range items {
-		if got := r.Next(); got != want {
-			t.Fatalf("Next = %d, want %d", got, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Next past EOF must panic, like SliceSource")
-		}
-	}()
-	r.Next()
 }
 
 func TestReaderTruncatedItemsSurfacesErr(t *testing.T) {
@@ -229,49 +147,5 @@ func TestReaderTruncatedItemsSurfacesErr(t *testing.T) {
 	}
 	if r.Err() == nil {
 		t.Fatal("expected a decode error from the truncated item section")
-	}
-}
-
-func TestFeedPanicsOnUnderSupply(t *testing.T) {
-	// Feed must fail loudly — like the scalar Next contract — when the
-	// source cannot deliver the requested items, not silently under-feed.
-	items := []core.Item{1, 2, 3, 4, 5}
-	data := streamFile(t, "m", items)
-	r, err := NewReader(bytes.NewReader(data[:len(data)-3])) // items truncated
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			t.Fatal("Feed returned normally from a truncated source")
-		}
-		if msg, ok := rec.(string); !ok || !strings.Contains(msg, "source failed") {
-			t.Fatalf("Feed panic = %v, want the source's decode failure", rec)
-		}
-	}()
-	Feed(r, len(items), exact.New())
-}
-
-func TestFeedUsesBatchSource(t *testing.T) {
-	items := make([]core.Item, 10_000)
-	for i := range items {
-		items[i] = core.Item(i % 37)
-	}
-	// SliceSource is a BatchSource, so Feed takes the batched path; the
-	// result must match a scalar reference either way.
-	a := exact.New()
-	Feed(NewSliceSource(items), len(items), a)
-	ref := exact.New()
-	for _, it := range items {
-		ref.Update(it, 1)
-	}
-	if a.N() != ref.N() {
-		t.Fatalf("N = %d, want %d", a.N(), ref.N())
-	}
-	for probe := core.Item(0); probe < 37; probe++ {
-		if a.Estimate(probe) != ref.Estimate(probe) {
-			t.Fatalf("Estimate(%d) = %d, want %d", probe, a.Estimate(probe), ref.Estimate(probe))
-		}
 	}
 }

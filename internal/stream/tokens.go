@@ -24,7 +24,6 @@ type TokenSource struct {
 	sc       *bufio.Scanner
 	names    map[core.Item]string
 	maxNames int
-	one      [1]core.Item
 }
 
 // maxToken bounds a single token; longer tokens surface as
@@ -67,14 +66,6 @@ func (t *TokenSource) NextBatch(buf []core.Item) int {
 	return n
 }
 
-// Next implements Source; like SliceSource it panics past end of input.
-func (t *TokenSource) Next() core.Item {
-	if t.NextBatch(t.one[:]) != 1 {
-		panic("stream: Next past end of token input")
-	}
-	return t.one[0]
-}
-
 // Err returns the first read failure, nil after a clean drain.
 func (t *TokenSource) Err() error { return t.sc.Err() }
 
@@ -110,7 +101,6 @@ func ReadTokens(r io.Reader) ([]core.Item, map[core.Item]string, error) {
 type RawSource struct {
 	br      *bufio.Reader
 	readErr error
-	one     [1]core.Item
 }
 
 // NewRawSource returns a RawSource over r.
@@ -140,14 +130,6 @@ func (s *RawSource) NextBatch(buf []core.Item) int {
 		n++
 	}
 	return n
-}
-
-// Next implements Source; it panics past end of input.
-func (s *RawSource) Next() core.Item {
-	if s.NextBatch(s.one[:]) != 1 {
-		panic("stream: Next past end of raw item input")
-	}
-	return s.one[0]
 }
 
 // Err returns the first decode failure (a torn trailing item or an

@@ -139,23 +139,6 @@ func TestTokenSourceLongToken(t *testing.T) {
 	}
 }
 
-// TestTokenSourceNext pins the scalar Source adapter.
-func TestTokenSourceNext(t *testing.T) {
-	src := NewTokenSource(strings.NewReader("a b"), 0)
-	if got := src.Next(); got != core.HashString("a") {
-		t.Fatalf("Next() = %#x, want hash of %q", uint64(got), "a")
-	}
-	if got := src.Next(); got != core.HashString("b") {
-		t.Fatalf("Next() = %#x, want hash of %q", uint64(got), "b")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Next past EOF did not panic")
-		}
-	}()
-	src.Next()
-}
-
 // TestRawSourceRoundTrip pins AppendRaw → RawSource as an identity, at
 // several batch lengths.
 func TestRawSourceRoundTrip(t *testing.T) {

@@ -154,7 +154,7 @@ func (m *MultiRes) HorizonView(d time.Duration) (core.ReadView, error) {
 func (m *MultiRes) viewOf(h horizon) *HorizonView {
 	t := m.now().UnixNano()
 	cur := t / h.block
-	v := &HorizonView{span: h.span, summary: h.ring.merged(cur)}
+	v := &HorizonView{summary: h.ring.merged(cur)}
 	for i, b := range h.ring.slots {
 		if h.ring.live(i, cur) && h.ring.blockNo[i]*h.block > t-int64(h.span) {
 			v.n += b.N()
@@ -165,7 +165,6 @@ func (m *MultiRes) viewOf(h horizon) *HorizonView {
 
 // HorizonView is the merged read view of one horizon.
 type HorizonView struct {
-	span    time.Duration
 	summary core.Summary
 	n       int64
 }
@@ -174,9 +173,6 @@ type HorizonView struct {
 // opened inside it — the denominator for φ·N thresholds at this
 // horizon.
 func (v *HorizonView) N() int64 { return v.n }
-
-// Span returns the horizon this view covers.
-func (v *HorizonView) Span() time.Duration { return v.span }
 
 // Estimate returns the merged block summaries' estimate.
 func (v *HorizonView) Estimate(x core.Item) int64 { return v.summary.Estimate(x) }

@@ -55,8 +55,8 @@ func TestWindowLiveBounded(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		w.Update(core.Item(i), 1)
 	}
-	if w.Live() > int64(w.Size())+int64(w.Size()/4) {
-		t.Errorf("live count %d exceeds W + block", w.Live())
+	if w.liveCount > int64(w.Size())+int64(w.Size()/4) {
+		t.Errorf("live count %d exceeds W + block", w.liveCount)
 	}
 	if w.N() != 50000 {
 		t.Errorf("N = %d", w.N())

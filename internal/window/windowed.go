@@ -106,18 +106,8 @@ func (s *Windowed) Name() string { return "SSW" }
 // Size returns the window length W.
 func (s *Windowed) Size() int { return s.size }
 
-// K returns the per-block counter budget.
-func (s *Windowed) K() int { return s.k }
-
-// Blocks returns the block count B.
-func (s *Windowed) Blocks() int { return s.blocks }
-
 // N returns the total number of items ever observed.
 func (s *Windowed) N() int64 { return s.n }
-
-// Live returns the number of items currently represented in the block
-// summaries (at most W + W/B during the boundary block).
-func (s *Windowed) Live() int64 { return s.liveCount }
 
 // Slack returns the maximum overestimation of any windowed estimate: the
 // sum of per-block Space-Saving slack plus one boundary block of expired

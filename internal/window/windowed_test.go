@@ -32,9 +32,9 @@ func windowedStream(t testing.TB, n int, seed uint64) []core.Item {
 // and the threshold report item for item.
 func requireSameWindow(t *testing.T, label string, got, want *Windowed, threshold int64, probes []core.Item) {
 	t.Helper()
-	if got.N() != want.N() || got.Live() != want.Live() || got.WindowN() != want.WindowN() {
+	if got.N() != want.N() || got.liveCount != want.liveCount || got.WindowN() != want.WindowN() {
 		t.Fatalf("%s: accounting N/Live/WindowN = %d/%d/%d, want %d/%d/%d",
-			label, got.N(), got.Live(), got.WindowN(), want.N(), want.Live(), want.WindowN())
+			label, got.N(), got.liveCount, got.WindowN(), want.N(), want.liveCount, want.WindowN())
 	}
 	if got.cur != want.cur || got.curFill != want.curFill {
 		t.Fatalf("%s: ring position block/fill = %d/%d, want %d/%d",
@@ -119,12 +119,12 @@ func TestWindowedBatchBoundarySplitting(t *testing.T) {
 			batched.UpdateBatch(rest[:n])
 			rest = rest[n:]
 		}
-		if batched.N() != scalar.N() || batched.Live() != scalar.Live() ||
+		if batched.N() != scalar.N() || batched.liveCount != scalar.liveCount ||
 			batched.WindowN() != scalar.WindowN() ||
 			batched.cur != scalar.cur || batched.curFill != scalar.curFill {
 			t.Fatalf("batch=%d: boundary accounting diverged from scalar (N/Live/block/fill %d/%d/%d/%d vs %d/%d/%d/%d)",
-				batch, batched.N(), batched.Live(), batched.cur, batched.curFill,
-				scalar.N(), scalar.Live(), scalar.cur, scalar.curFill)
+				batch, batched.N(), batched.liveCount, batched.cur, batched.curFill,
+				scalar.N(), scalar.liveCount, scalar.cur, scalar.curFill)
 		}
 		// One-sided estimates within slack on every true last-W item.
 		slack := batched.Slack()
@@ -231,7 +231,7 @@ func TestWindowedForgetsThroughSummaryContract(t *testing.T) {
 	if s.WindowN() != 1000 {
 		t.Fatalf("WindowN = %d, want the window span 1000", s.WindowN())
 	}
-	if live := s.Live(); live < 1000 || live > 1250 {
+	if live := s.liveCount; live < 1000 || live > 1250 {
 		t.Fatalf("Live = %d, want within [W, W+W/B]", live)
 	}
 	st := s.WindowStats()
@@ -365,9 +365,9 @@ func TestWindowedEncodeValidation(t *testing.T) {
 	if !bytes.Equal(marshalWindowed(t, dec), blob) {
 		t.Fatal("decode → re-encode is not byte-identical")
 	}
-	if dec.Live() != s.Live() || dec.WindowN() != s.WindowN() {
+	if dec.liveCount != s.liveCount || dec.WindowN() != s.WindowN() {
 		t.Fatalf("decoded accounting Live/WindowN = %d/%d, want %d/%d",
-			dec.Live(), dec.WindowN(), s.Live(), s.WindowN())
+			dec.liveCount, dec.WindowN(), s.liveCount, s.WindowN())
 	}
 
 	for cut := 0; cut < len(blob); cut++ {

@@ -25,7 +25,6 @@ import (
 type Generator struct {
 	cdf      []float64 // cdf[i] = P(rank <= i+1), strictly increasing to 1
 	rng      *prng.Xoshiro256
-	skew     float64
 	scramble bool
 }
 
@@ -52,14 +51,8 @@ func NewGenerator(m int, z float64, seed uint64, scramble bool) (*Generator, err
 		cdf[i] /= total
 	}
 	cdf[m-1] = 1 // guard against FP drift
-	return &Generator{cdf: cdf, rng: prng.New(seed), skew: z, scramble: scramble}, nil
+	return &Generator{cdf: cdf, rng: prng.New(seed), scramble: scramble}, nil
 }
-
-// Skew returns the Zipf parameter z.
-func (g *Generator) Skew() float64 { return g.skew }
-
-// Universe returns the number of distinct items m.
-func (g *Generator) Universe() int { return len(g.cdf) }
 
 // rankToItem maps a 1-based rank to its item identifier.
 func (g *Generator) rankToItem(rank int) core.Item {

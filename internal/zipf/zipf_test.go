@@ -157,9 +157,6 @@ func TestAdversarialContainsHeavyItem(t *testing.T) {
 
 func TestUniformGenerator(t *testing.T) {
 	g := Uniform(50, 9)
-	if g.Skew() != 0 {
-		t.Errorf("Uniform skew = %v", g.Skew())
-	}
 	counts := map[core.Item]int{}
 	for i := 0; i < 50000; i++ {
 		counts[g.Next()]++
