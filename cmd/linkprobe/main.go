@@ -1,20 +1,20 @@
-// Command linkprobe lists the functions no binary links. It builds every
-// main package of each module it is given with inlining off
+// Command linkprobe lists the functions no binary links. Run from the
+// repository root, it builds every main package of the root module and
+// of bench/ (cmd/*, examples/*, bench's freqload) with inlining off
 // (-gcflags=all=-l), reads each binary's text symbols with `go tool nm`,
 // and reports every function and method declared in the non-test files
-// of the first module's non-main packages that none of the binaries
+// of the root module's non-main packages that none of the binaries
 // contains:
 //
-//	go run ./cmd/linkprobe                 # the root module and bench/
-//	go run ./cmd/linkprobe -allow cmd/linkprobe/allowlist.txt
+//	go run ./cmd/linkprobe
 //
 // A generic function counts as linked when any of its instantiations
 // is, and a closure, method value or defer wrapper counts for the
 // function that declares it.
 //
-// With -allow, the allowlist names the unlinked functions that stay,
-// one symbol per line as linkprobe prints it, with its reason after a
-// `#`. The probe then exits 1 on an unlinked function the list does
+// allowlist.txt, beside this file, names the unlinked functions that
+// stay, one symbol per line as linkprobe prints it, with its reason
+// after a `#`. The probe exits 1 on an unlinked function the list does
 // not name, and on a listed one that a binary now links or that is no
 // longer declared, so the list stays exactly the set of unlinked code.
 package main
@@ -22,8 +22,8 @@ package main
 import (
 	"bufio"
 	"bytes"
+	_ "embed"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -37,6 +37,9 @@ import (
 	"strings"
 )
 
+//go:embed allowlist.txt
+var allowlist []byte
+
 // pkg is the part of `go list -json` the probe reads.
 type pkg struct {
 	ImportPath string
@@ -48,19 +51,13 @@ type pkg struct {
 // fn is one declared function or method.
 type fn struct {
 	Symbol string // as `go tool nm` names it, type arguments dropped
-	File   string // relative to the first module
+	File   string // relative to the root module
 	Line   int
 	Lines  int
 }
 
 func main() {
-	allow := flag.String("allow", "", "allowlist file; exit 1 unless it names exactly the unlinked functions")
-	flag.Parse()
-	mods := flag.Args()
-	if len(mods) == 0 {
-		mods = []string{".", "bench"}
-	}
-	fns, linked, bins, err := probe(mods)
+	fns, linked, bins, err := probe()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "linkprobe:", err)
 		os.Exit(2)
@@ -78,33 +75,29 @@ func main() {
 	}
 	fmt.Printf("linkprobe: %d binaries; %d of %d functions (%d lines) in no binary\n",
 		bins, len(unlinked), len(fns), lines)
-	if *allow == "" {
-		return
-	}
-	data, err := os.ReadFile(*allow)
+	problems, err := check(allowlist, fns, linked)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "linkprobe:", err)
-		os.Exit(2)
-	}
-	problems, err := check(data, fns, linked)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "linkprobe: %s: %v\n", *allow, err)
+		fmt.Fprintln(os.Stderr, "linkprobe: cmd/linkprobe/allowlist.txt:", err)
 		os.Exit(2)
 	}
 	for _, p := range problems {
 		fmt.Fprintln(os.Stderr, p)
 	}
 	if len(problems) > 0 {
-		fmt.Fprintf(os.Stderr, "linkprobe: %s is out of date (%d problems)\n", *allow, len(problems))
+		fmt.Fprintf(os.Stderr, "linkprobe: cmd/linkprobe/allowlist.txt is out of date (%d problems)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("linkprobe: %s names every unlinked function\n", *allow)
+	fmt.Println("linkprobe: cmd/linkprobe/allowlist.txt names every unlinked function")
 }
 
-// probe returns the functions declared in mods[0]'s non-main packages,
-// the set of those symbols some binary links, and how many binaries it
-// built.
-func probe(mods []string) ([]fn, map[string]bool, int, error) {
+// probe returns the functions declared in the root module's non-main
+// packages, the set of those symbols some binary links, and how many
+// binaries it built from the main packages of the root module and bench/.
+func probe() ([]fn, map[string]bool, int, error) {
+	root, err := filepath.Abs(".")
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	out, err := os.MkdirTemp("", "linkprobe")
 	if err != nil {
 		return nil, nil, 0, err
@@ -113,29 +106,23 @@ func probe(mods []string) ([]fn, map[string]bool, int, error) {
 	var fns []fn
 	linked := map[string]bool{}
 	bins := 0
-	root, err := filepath.Abs(mods[0])
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	for i, mod := range mods {
+	for i, mod := range []string{".", "bench"} {
 		pkgs, err := list(mod)
 		if err != nil {
 			return nil, nil, 0, err
 		}
 		var mains []string
 		for _, p := range pkgs {
-			if p.Name == "main" {
+			switch {
+			case p.Name == "main":
 				mains = append(mains, p.ImportPath)
-			} else if i == 0 {
+			case mod == ".":
 				declared, err := declarations(root, p)
 				if err != nil {
 					return nil, nil, 0, err
 				}
 				fns = append(fns, declared...)
 			}
-		}
-		if len(mains) == 0 {
-			continue
 		}
 		dir := filepath.Join(out, fmt.Sprint(i)) + string(filepath.Separator)
 		args := append([]string{"-C", mod, "build", "-gcflags=all=-l", "-o", dir}, mains...)

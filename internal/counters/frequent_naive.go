@@ -31,9 +31,6 @@ func NewFrequentNaive(k int) *FrequentNaive {
 // Name implements core.Summary.
 func (f *FrequentNaive) Name() string { return "F-naive" }
 
-// K returns the counter budget.
-func (f *FrequentNaive) K() int { return f.k }
-
 // N implements core.Summary.
 func (f *FrequentNaive) N() int64 { return f.n }
 

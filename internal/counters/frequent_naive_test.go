@@ -85,7 +85,7 @@ func TestFrequentNaiveGuarantee(t *testing.T) {
 		truth[it]++
 		total++
 	}
-	slack := total / int64(f.K()+1)
+	slack := total / int64(f.k+1)
 	for it, tru := range truth {
 		est := f.Estimate(it)
 		if est > tru || est < tru-slack {
