@@ -4,8 +4,12 @@
 // blocks the ingest hot path. With -data-dir set it is durable: every
 // ingest batch is write-ahead logged and the summary is checkpointed
 // by log volume and by clock, so a crash (kill -9 included) restarts at
-// the last durable point instead of an empty summary, replaying a log
-// tail bounded by the summary's size.
+// the last durable point instead of an empty summary, replaying the log
+// tail past the last checkpoint. A checkpoint is triggered once that
+// tail reaches max(4 MiB, 8 × the summary's /stats bytes), but the
+// trigger is polled every 100 ms and ingest continues while a
+// checkpoint runs, so the tail a restart replays can pass the trigger
+// by the ingest rate × (100 ms + the checkpoint's duration).
 //
 // Usage:
 //

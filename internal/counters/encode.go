@@ -20,8 +20,8 @@ import (
 // count is c_a + c_b, or c plus the other side's minimum, each at most
 // n_a + n_b), and allocates for the entries the blob carries, not for
 // the budget its header claims, so a forged header costs
-// O(len(data)). The decoded store grows to its budget in one step when
-// it fills.
+// O(len(data)). A decoded store that fills below its budget then grows
+// along the steps a constructed one takes (nextCap).
 
 const (
 	magicFQ = "FQ01"

@@ -32,13 +32,17 @@ type SpaceSavingHeap struct {
 	st ssStorage
 }
 
-// NewSpaceSavingHeap returns an SSH summary with k counters, its whole
-// budget allocated.
+// NewSpaceSavingHeap returns an SSH summary with a budget of k
+// counters. Its store starts at ssStartCap slots and doubles, up to k,
+// as new items arrive (room), so a summary whose stream has reached few
+// distinct items holds, and reports in Bytes, a store sized to them.
+// Growth moves no counter, so answers and SS01 encodings equal those
+// of a store built at k.
 func NewSpaceSavingHeap(k int) *SpaceSavingHeap {
 	if k <= 0 {
 		panic("counters: SpaceSaving requires k > 0")
 	}
-	return &SpaceSavingHeap{k: k, st: newSSStorage(k)}
+	return &SpaceSavingHeap{k: k, st: newSSStorage(min(k, ssStartCap))}
 }
 
 // Name implements core.Summary.

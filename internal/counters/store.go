@@ -32,13 +32,19 @@ import (
 // a bucket boundary prunes (count + Δ ≤ b − 1) are the ones at the
 // root, popped without a sweep; and since no fixed k bounds its live
 // set, it grows the store by an eighth when a new entry finds it full.
-// Every other store has a budget of k counters: a constructor
-// allocates all of it, a decoder only the entries its blob carries (so
-// a forged header costs O(len(data))), and a store that fills below
-// its budget grows to it in one step. Index deletions leave
-// tombstones, compacted by an O(k) rebuild when they accumulate. The
-// layout is pointer-free below the slice headers, so a million
-// instances cost the GC a million objects, not a hundred million: a
+// Every other store has a budget of k counters. Frequent, FSS and
+// Tracked allocate all of it at construction. A Space-Saving store (SSH,
+// every tenant's, and SSL's) starts at ssStartCap slots, so it holds
+// what its stream has reached rather than what it may reach. A decoder
+// allocates only the entries its blob carries (so a forged header costs
+// O(len(data))). A store that fills below its budget grows to the next
+// of ssStartCap, 2·ssStartCap, 4·ssStartCap, ... up to the budget
+// (nextCap). Growth copies the slices in order, so node ids and heap
+// positions never move: answers and encodings do not depend on when a
+// store grew. Index deletions leave tombstones, compacted by an O(k)
+// rebuild when they accumulate. The layout is pointer-free below the
+// slice headers, so a million instances cost the GC a million objects,
+// not a hundred million: a
 // multi-tenant daemon holds many small SSH instances, and the
 // per-entry map buckets and heap pointers of a Go-map layout would
 // dominate its footprint. Every store owns its slices; dropping the
@@ -107,6 +113,26 @@ func newNodeTable(k int) nodeTable {
 // newSSStorage allocates a heap store for k counters.
 func newSSStorage(k int) ssStorage {
 	return ssStorage{nodeTable: newNodeTable(k), heap: make([]int32, 0, k), hcnt: make([]int64, 0, k)}
+}
+
+// ssStartCap is the node capacity a new Space-Saving store starts at
+// (less when its budget is smaller).
+const ssStartCap = 32
+
+// nextCap is the capacity a full store of c slots grows to under
+// budget k: the next of ssStartCap, 2·ssStartCap, 4·ssStartCap, ...
+// above c, at most k. A constructed store doubles along these steps; a
+// decoded one, sized to its blob, joins them at its first growth, so
+// its slices too fill whole allocator size classes and its Bytes stays
+// the heap it retains. Either way a store holds more than half its
+// slots, and the copies cost about one slot move per slot of the final
+// capacity.
+func nextCap(c, k int) int {
+	next := ssStartCap
+	for next <= c {
+		next *= 2
+	}
+	return min(next, k)
 }
 
 // ssNodeBytes is one node's footprint; a heap store's slot adds the
@@ -342,12 +368,11 @@ func (st *ssStorage) grow(k int) {
 	st.hcnt = resized(st.hcnt, k)
 }
 
-// room makes space for one more counter in a store whose budget is k:
-// a decoded store, sized to the entries its blob carried, grows to the
-// whole budget in one step when it fills.
+// room makes space for one more counter in a store whose budget is k
+// and which holds fewer than k: a full store grows to nextCap.
 func (st *ssStorage) room(k int) {
-	if len(st.nodes) == cap(st.nodes) {
-		st.grow(k)
+	if c := cap(st.nodes); len(st.nodes) == c {
+		st.grow(nextCap(c, k))
 	}
 }
 

@@ -2,12 +2,15 @@ package counters
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"streamfreq/internal/core"
 	"streamfreq/internal/exact"
 	"streamfreq/internal/prng"
+	"streamfreq/internal/zipf"
 )
 
 // TestCounterStoreChurn validates every store-backed summary's store
@@ -43,11 +46,11 @@ func TestCounterStoreChurn(t *testing.T) {
 // FuzzCounterStore drives the store's operations from the input bytes
 // against a map reference. The store has a budget of k counters and
 // starts anywhere from empty to k slots, as a decoded one does; a push
-// into a full store grows it first, to the budget in one step while it
-// is below it, and past it by an eighth as Lossy Counting's does. After
-// every operation the store must be structurally valid, track exactly
-// the reference's items at their counts, and hold the reference
-// minimum at the root.
+// into a full store grows it first, to the next of ssStartCap,
+// 2·ssStartCap, ... (at most the budget) while it is below the budget,
+// and past it by an eighth as Lossy Counting's does. After every operation the store must
+// be structurally valid, track exactly the reference's items at their
+// counts, and hold the reference minimum at the root.
 func FuzzCounterStore(f *testing.F) {
 	rng := prng.New(7)
 	for range 4 {
@@ -61,8 +64,8 @@ func FuzzCounterStore(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		k := 1 + int(data[0]%16)
-		st := newSSStorage(int(data[0]/16) % (k + 1))
+		k := 1 + int(data[0]%64)
+		st := newSSStorage(int(data[0]/4) % (k + 1))
 		ref := map[core.Item]int64{}
 		for ops := data[1:]; len(ops) >= 3; ops = ops[3:] {
 			x, v := core.Item(ops[1]%64), int64(int8(ops[2]))
@@ -73,8 +76,12 @@ func FuzzCounterStore(f *testing.F) {
 					switch room := cap(st.nodes); {
 					case len(st.nodes) < room:
 					case room < k:
-						if st.room(k); cap(st.nodes) != k {
-							t.Fatalf("full store of %d slots grew to %d, want its budget %d", room, cap(st.nodes), k)
+						want := ssStartCap
+						for want <= room {
+							want *= 2
+						}
+						if st.room(k); cap(st.nodes) != min(want, k) {
+							t.Fatalf("full store of %d slots grew to %d under budget %d, want %d", room, cap(st.nodes), k, min(want, k))
 						}
 					default:
 						st.grow(room + room/8 + 1)
@@ -140,10 +147,11 @@ func FuzzCounterStore(f *testing.F) {
 // updates, a second summary's updates merged in, Clone, and a
 // MarshalBinary → decode round trip, whose compact store later updates
 // grow — against an exact count of the items fed. After every op the
-// Stream-Summary must validate, a full one must report a fresh
-// summary's Bytes(), and Space-Saving's bounds must hold for every item
-// fed: GuaranteedCount ≤ true ≤ Estimate, with the counts summing to N
-// until the first merge.
+// Stream-Summary must validate, its store must hold at most its budget
+// and at most twice its entries (or ssStartCap), a full one must report
+// the Bytes() of a store built at its budget, and Space-Saving's bounds
+// must hold for every item fed: GuaranteedCount ≤ true ≤ Estimate, with
+// the counts summing to N until the first merge.
 func FuzzStreamSummary(f *testing.F) {
 	rng := prng.New(11)
 	for range 4 {
@@ -157,12 +165,12 @@ func FuzzStreamSummary(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		k := 1 + int(data[0]%8)
+		k := 1 + int(data[0]%40)
 		s, o := NewSpaceSavingList(k), NewSpaceSavingList(k)
 		truth, other := map[core.Item]int64{}, map[core.Item]int64{}
 		merged := false
 		for ops := data[1:]; len(ops) >= 2; ops = ops[2:] {
-			x := core.Item(ops[1] % 24)
+			x := core.Item(ops[1] % 48)
 			switch ops[0] % 8 {
 			case 0, 1, 2:
 				s.Update(x, 1)
@@ -203,8 +211,11 @@ func FuzzStreamSummary(f *testing.F) {
 			if !s.validate() {
 				t.Fatalf("Stream-Summary invalid after op %d", ops[0]%8)
 			}
-			if len(s.t.nodes) == k && s.Bytes() != NewSpaceSavingList(k).Bytes() {
-				t.Fatalf("full summary reports %d bytes, a fresh one %d", s.Bytes(), NewSpaceSavingList(k).Bytes())
+			if c := cap(s.t.nodes); c > k || c > max(2*len(s.t.nodes), ssStartCap) {
+				t.Fatalf("store of %d slots holds %d entries under budget %d", c, len(s.t.nodes), k)
+			}
+			if full := newSpaceSavingList(k, k); len(s.t.nodes) == k && s.Bytes() != full.Bytes() {
+				t.Fatalf("full summary reports %d bytes, a store built at its budget %d", s.Bytes(), full.Bytes())
 			}
 			var sum int64
 			for _, nd := range s.t.nodes {
@@ -220,4 +231,97 @@ func FuzzStreamSummary(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestGrowthIsInvisible: a Space-Saving store that starts at ssStartCap
+// slots and doubles answers and encodes exactly as one built at its
+// budget k. At every doubling step up to k the two blobs are
+// byte-identical, encode→decode→encode is byte-identical, and Min,
+// Query, Estimate and GuaranteedCount agree; the summary decoded at
+// each step, fed the rest of the stream, doubles from its blob's size
+// and ends equal to the summary built at k as well.
+func TestGrowthIsInvisible(t *testing.T) {
+	const k = 1001
+	g, err := zipf.NewGenerator(1<<16, 1.0, 5, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := g.Stream(20_000)
+	type summary interface {
+		ssSummary
+		MarshalBinary() ([]byte, error)
+	}
+	for _, tc := range []struct {
+		name         string
+		grown, built summary
+		slots        func(summary) int
+		decode       func([]byte) (summary, error)
+	}{
+		{
+			name:  "SSH",
+			grown: NewSpaceSavingHeap(k), built: &SpaceSavingHeap{k: k, st: newSSStorage(k)},
+			slots:  func(s summary) int { return cap(s.(*SpaceSavingHeap).st.nodes) },
+			decode: func(b []byte) (summary, error) { return DecodeSpaceSavingHeap(b) },
+		},
+		{
+			name:  "SSL",
+			grown: NewSpaceSavingList(k), built: newSpaceSavingList(k, k),
+			slots:  func(s summary) int { return cap(s.(*SpaceSavingList).t.nodes) },
+			decode: func(b []byte) (summary, error) { return DecodeSpaceSavingList(b) },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			same := func(when string, got summary) {
+				t.Helper()
+				a, _ := got.MarshalBinary()
+				b, _ := tc.built.MarshalBinary()
+				if !bytes.Equal(a, b) {
+					t.Fatalf("%s: blob differs from the summary built at k", when)
+				}
+				if got.Min() != tc.built.Min() || !slices.Equal(got.Query(1), tc.built.Query(1)) {
+					t.Fatalf("%s: Min or Query differs from the summary built at k", when)
+				}
+				for _, x := range items[:4096] {
+					if got.Estimate(x) != tc.built.Estimate(x) || got.GuaranteedCount(x) != tc.built.GuaranteedCount(x) {
+						t.Fatalf("%s: item %d answers differ from the summary built at k", when, x)
+					}
+				}
+			}
+			var steps []int
+			var decoded []summary
+			for i, x := range items {
+				before := tc.slots(tc.grown)
+				tc.grown.Update(x, 1)
+				tc.built.Update(x, 1)
+				for _, d := range decoded {
+					d.Update(x, 1)
+				}
+				if tc.slots(tc.grown) == before {
+					continue
+				}
+				steps = append(steps, tc.slots(tc.grown))
+				when := fmt.Sprintf("after item %d, grown to %d slots", i, tc.slots(tc.grown))
+				same(when, tc.grown)
+				blob, _ := tc.grown.MarshalBinary()
+				d, err := tc.decode(blob)
+				if err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				if again, _ := d.MarshalBinary(); !bytes.Equal(again, blob) {
+					t.Fatalf("%s: encode → decode → encode is not byte-identical", when)
+				}
+				decoded = append(decoded, d)
+			}
+			if want := []int{64, 128, 256, 512, k}; !slices.Equal(steps, want) {
+				t.Fatalf("doubling steps %v, want %v", steps, want)
+			}
+			same("at the end", tc.grown)
+			for i, d := range decoded {
+				if tc.slots(d) != k {
+					t.Fatalf("summary decoded at step %d ends at %d slots, want %d", i, tc.slots(d), k)
+				}
+				same(fmt.Sprintf("summary decoded at step %d, at the end", i), d)
+			}
+		})
+	}
 }

@@ -45,12 +45,13 @@ type listBucket struct {
 // count of its own.
 const listSlotBytes = 8 + 24
 
-// NewSpaceSavingList returns an SSL summary with k counters.
+// NewSpaceSavingList returns an SSL summary with a budget of k
+// counters, whose store grows as SpaceSavingHeap's does.
 func NewSpaceSavingList(k int) *SpaceSavingList {
 	if k <= 0 {
 		panic("counters: SpaceSaving requires k > 0")
 	}
-	return newSpaceSavingList(k, k)
+	return newSpaceSavingList(k, min(k, ssStartCap))
 }
 
 // newSpaceSavingList returns an empty summary with budget k and room
@@ -187,13 +188,15 @@ func (s *SpaceSavingList) Update(x core.Item, count int64) {
 	s.raise(id, min+count)
 }
 
-// room grows a decoded summary, sized to the entries its blob carried,
-// to its whole budget in one step when it fills.
+// room makes space for one more entry in a summary holding fewer than
+// k: a full store grows to nextCap, as ssStorage.room does. Entry and
+// bucket ids stay, so no link changes.
 func (s *SpaceSavingList) room() {
-	if len(s.t.nodes) == cap(s.t.nodes) {
-		s.t.grow(s.k)
-		s.links = resized(s.links, s.k)
-		s.buckets = resized(s.buckets, s.k)
+	if c := cap(s.t.nodes); len(s.t.nodes) == c {
+		c = nextCap(c, s.k)
+		s.t.grow(c)
+		s.links = resized(s.links, c)
+		s.buckets = resized(s.buckets, c)
 	}
 }
 

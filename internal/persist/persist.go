@@ -7,8 +7,10 @@
 // checkpoint's cut, and its checkpoint loop (Store.AutoCheckpoint)
 // checkpoints when that tail reaches max(4 MiB, 8 × the summary's
 // Bytes()), or when a clock interval has passed with a non-empty tail.
-// A restart therefore replays a tail bounded by the summary's size, not
-// by the ingest rate.
+// A restart therefore replays about that trigger's worth of log, plus
+// an overshoot: the loop polls every ckptPoll and ingest continues
+// while a checkpoint is taken, so the tail can pass the trigger by the
+// ingest rate × (ckptPoll + the checkpoint's duration).
 //
 // On-disk layout (all little-endian), inside one data directory:
 //

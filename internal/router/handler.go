@@ -58,8 +58,9 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	buf := make([]core.Item, rt.batch)
-	perShard := make([][]core.Item, rt.ring.Shards())
+	sc := rt.scratch.Get().(*ingestScratch)
+	defer rt.scratch.Put(sc)
+	buf, perShard := sc.buf, sc.perShard
 	var acked, shed int64
 	forwardStart := time.Now()
 	for {

@@ -114,6 +114,18 @@ type Router struct {
 
 	mu     sync.Mutex
 	shards []*shardState
+
+	// scratch holds *ingestScratch between ingest requests.
+	scratch sync.Pool
+}
+
+// ingestScratch is one ingest request's reusable buffers: the decode
+// batch and the ring split's per-shard sub-batches. forwardShard
+// encodes its sub-batch into a payload of its own before it returns,
+// so both are free again once a request's last round is acknowledged.
+type ingestScratch struct {
+	buf      []core.Item
+	perShard [][]core.Item
 }
 
 // New builds a Router over opts.Shards.
@@ -170,6 +182,9 @@ func New(opts Options) (*Router, error) {
 		maxIn:    opts.MaxIngestBytes,
 		start:    time.Now(),
 		shards:   make([]*shardState, len(opts.Shards)),
+	}
+	rt.scratch.New = func() any {
+		return &ingestScratch{buf: make([]core.Item, rt.batch), perShard: make([][]core.Item, ring.Shards())}
 	}
 	// Pre-create the split series so they scrape as 0 from the first
 	// request instead of materializing on first increment — dashboards

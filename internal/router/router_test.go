@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -310,6 +311,65 @@ func TestShardMapRingRoundTrip(t *testing.T) {
 	for _, it := range zipf.Sequential(10_000) {
 		if got, want := ring.Shard(it), rt.Ring().Shard(it); got != want {
 			t.Fatalf("item %d: rebuilt ring routes to %d, router to %d", it, got, want)
+		}
+	}
+}
+
+// TestRouterConcurrentIngest: writers posting through one router at
+// once, each request decoding and splitting in several rounds, land
+// every item on the shard that owns it exactly as often as it was sent
+// — no request sees another's batch buffers.
+func TestRouterConcurrentIngest(t *testing.T) {
+	var cfgs []router.ShardConfig
+	var targets []core.Summary
+	for _, id := range []string{"a", "b"} {
+		target := core.NewConcurrent(streamfreq.MustNew("SSH", 0.001, 1))
+		ts := httptest.NewServer(serve.NewServer(serve.Options{Target: target}).Handler())
+		t.Cleanup(ts.Close)
+		cfgs = append(cfgs, router.ShardConfig{ID: id, Replicas: []string{ts.URL}})
+		targets = append(targets, target)
+	}
+	rt, err := router.New(router.Options{Shards: cfgs, IngestBatch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := httptest.NewServer(rt.Handler())
+	t.Cleanup(rs.Close)
+
+	// 8 writers × 100 distinct items, under k = 1,001, so every count
+	// the shards hold is exact.
+	const writers, posts, repeat = 8, 20, 5
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			items := make([]core.Item, 100*repeat)
+			for i := range items {
+				items[i] = core.Item(w*1000 + i%100)
+			}
+			body := stream.AppendRaw(nil, items)
+			for range posts {
+				resp, err := http.Post(rs.URL+"/ingest", "application/octet-stream", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("ingest: status %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range writers {
+		for j := range 100 {
+			x := core.Item(w*1000 + j)
+			if got := targets[rt.Ring().Shard(x)].Estimate(x); got != posts*repeat {
+				t.Fatalf("item %d: its shard counts %d, sent %d", x, got, posts*repeat)
+			}
 		}
 	}
 }

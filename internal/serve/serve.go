@@ -191,6 +191,11 @@ type Server struct {
 	start    time.Time
 	epoch    uint64
 	queries  QueryHandlers
+	// batches holds ingest batch buffers (*[]core.Item of length
+	// batch) between requests: a target copies or consumes a batch
+	// before UpdateBatch returns, so a request's buffer is free again
+	// when it ends.
+	batches sync.Pool
 
 	// names maps hashed items back to token spellings for text-mode
 	// streams, so /topk can label its report. Each text ingest builds a
@@ -239,6 +244,10 @@ func NewServer(opts Options) *Server {
 		names:    make(map[core.Item]string),
 	}
 	s.queries = QueryHandlers{View: s.view, Name: s.lookupName, Counters: s.counters}
+	s.batches.New = func() any {
+		buf := make([]core.Item, s.batch)
+		return &buf
+	}
 	if opts.Store != nil {
 		d, ok := opts.Target.(persist.Target)
 		if !ok {
@@ -475,7 +484,9 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request, ns string,
 	// everywhere, so labels need no per-tenant copies.
 	defer func() { s.mergeNames(src.Names()) }()
 
-	buf := make([]core.Item, s.batch)
+	bp := s.batches.Get().(*[]core.Item)
+	defer s.batches.Put(bp)
+	buf := *bp
 	var ingested int64
 	var applyTotal time.Duration
 	for {

@@ -63,10 +63,10 @@ func Write(w io.Writer, meta string, items []core.Item) error {
 // Reader decodes a stream file incrementally. It validates the header on
 // construction and then serves items through NextBatch, decoding into a
 // reused byte buffer sized to the caller's batch — so replaying a stream
-// file costs O(batch) memory however long the file is. It implements
-// BatchSource.
+// file costs O(batch) memory however long the file is, and an ingest
+// request O(its body). It implements BatchSource.
 type Reader struct {
-	br        *bufio.Reader
+	r         io.Reader
 	meta      string
 	total     uint64
 	remaining uint64
@@ -78,16 +78,15 @@ type Reader struct {
 // bounds-checking the metadata length against sane limits before
 // allocating, and returns a Reader positioned at the first item.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("stream: reading magic: %w", err)
 	}
 	if string(magic) != Magic {
 		return nil, fmt.Errorf("stream: bad magic %q (not a stream file?)", magic)
 	}
 	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("stream: reading header: %w", err)
 	}
 	n := binary.LittleEndian.Uint64(hdr[0:8])
@@ -101,10 +100,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("stream: item count %d exceeds limit %d", n, maxItems)
 	}
 	mb := make([]byte, m)
-	if _, err := io.ReadFull(br, mb); err != nil {
+	if _, err := io.ReadFull(r, mb); err != nil {
 		return nil, fmt.Errorf("stream: reading metadata: %w", err)
 	}
-	return &Reader{br: br, meta: string(mb), total: n, remaining: n}, nil
+	return &Reader{r: r, meta: string(mb), total: n, remaining: n}, nil
 }
 
 // Meta returns the file's free-form metadata string.
@@ -149,7 +148,7 @@ func (r *Reader) NextBatch(buf []core.Item) int {
 			r.raw = make([]byte, need)
 		}
 		raw := r.raw[:need]
-		if _, e := io.ReadFull(r.br, raw); e != nil {
+		if _, e := io.ReadFull(r.r, raw); e != nil {
 			r.err(fmt.Errorf("stream: reading item %d of %d: %w",
 				r.total-r.remaining+done, r.total, e))
 			return int(done)

@@ -38,7 +38,10 @@ const maxToken = 1 << 20
 // so one hostile request cannot allocate beyond it.
 func NewTokenSource(r io.Reader, maxNames int) *TokenSource {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxToken)
+	// No initial buffer: the scanner allocates a small one on its first
+	// read and doubles it, up to maxToken, only for a token that does
+	// not fit.
+	sc.Buffer(nil, maxToken)
 	sc.Split(bufio.ScanWords)
 	t := &TokenSource{sc: sc, maxNames: maxNames}
 	if maxNames != 0 {
@@ -97,37 +100,38 @@ func ReadTokens(r io.Reader) ([]core.Item, map[core.Item]string, error) {
 // no length header, just 8 bytes per item until EOF. This is freqd's
 // binary wire format for continuous ingest, where the total length is
 // unknown when transmission starts (unlike the SFSTRM01 file format,
-// whose header declares it).
+// whose header declares it). It reads through one small staging array,
+// so an ingest request costs the same few hundred bytes whatever its
+// body's size.
 type RawSource struct {
-	br      *bufio.Reader
+	r       io.Reader
+	raw     [512]byte // one read: up to 64 items
 	readErr error
 }
 
 // NewRawSource returns a RawSource over r.
-func NewRawSource(r io.Reader) *RawSource {
-	return &RawSource{br: bufio.NewReaderSize(r, 64*1024)}
-}
+func NewRawSource(r io.Reader) *RawSource { return &RawSource{r: r} }
 
 // NextBatch implements BatchSource, decoding up to len(buf) items. It
 // returns 0 at EOF. A stream that ends mid-item (1–7 trailing bytes) is
 // corrupt: the partial item is dropped and the failure surfaces through
 // Err.
 func (s *RawSource) NextBatch(buf []core.Item) int {
-	if s.readErr != nil {
-		return 0
-	}
 	n := 0
-	var raw [8]byte
-	for n < len(buf) {
-		if _, err := io.ReadFull(s.br, raw[:]); err != nil {
-			if err == io.EOF {
-				return n
-			}
-			s.readErr = err // ErrUnexpectedEOF (torn item) or a real read error
-			return n
+	for n < len(buf) && s.readErr == nil {
+		chunk := s.raw[:8*min(len(buf)-n, len(s.raw)/8)]
+		got, err := io.ReadFull(s.r, chunk)
+		for b := chunk[:got/8*8]; len(b) > 0; b = b[8:] {
+			buf[n] = core.Item(binary.LittleEndian.Uint64(b))
+			n++
 		}
-		buf[n] = core.Item(binary.LittleEndian.Uint64(raw[:]))
-		n++
+		switch {
+		case err == nil:
+		case err == io.EOF || err == io.ErrUnexpectedEOF && got%8 == 0:
+			return n // the body ended on an item boundary
+		default:
+			s.readErr = err // ErrUnexpectedEOF (torn item) or a real read error
+		}
 	}
 	return n
 }

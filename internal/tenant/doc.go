@@ -3,16 +3,19 @@
 // share one write-ahead log and one checkpoint manifest.
 //
 // Namespaces are lazily instantiated on first ingest — creating a
-// tenant is a map insert plus one counter store of its budget
-// (counters.NewSpaceSavingHeap), so a million namespaces can come into
-// existence without pre-provisioning. A CLOCK (second-chance) policy
-// bounds how many tenants stay resident: when the resident count
-// exceeds the configured cap, cold tenants are encoded to their compact
-// wire blob and their store is dropped. An evicted tenant costs only
-// its blob bytes (tens of bytes for a sparse tenant, ~24·k bytes at
-// worst) until it is touched again, at which point it is decoded into a
-// store sized by the entries its blob carries, which grows to the
-// budget in one step when it fills. The encode→decode→encode round trip
+// tenant is a map insert plus one small counter store
+// (counters.NewSpaceSavingHeap), which doubles toward the tenant's
+// budget only as new items arrive, so a million namespaces can come
+// into existence without pre-provisioning and a tenant that has seen
+// few distinct items holds a store sized to them. A CLOCK
+// (second-chance) policy bounds how many tenants stay resident: when
+// the resident count exceeds the configured cap, cold tenants are
+// encoded to their compact wire blob and their store is dropped. An
+// evicted tenant costs only its blob bytes (tens of bytes for a sparse
+// tenant, ~24·k bytes at worst) until it is touched again, at which
+// point it is decoded into a store sized by the entries its blob
+// carries, which grows along the same doubling steps, up to the
+// budget, when new items arrive. The encode→decode→encode round trip
 // is byte-identical, so eviction never perturbs the durable state a
 // checkpoint would capture, and the table's Bytes is that state's
 // footprint: the resident stores plus the evicted blobs.

@@ -5,7 +5,8 @@
 // postcondition: the test proceeds the moment it holds and fails loudly
 // (with the caller's description) only when it genuinely never does.
 //
-// It also holds the byte-golden check the wire-format tests share.
+// It also holds the byte-golden check the wire-format tests share, and
+// the per-request allocation probe the ingest fronts' tests share.
 package testutil
 
 import (
@@ -13,8 +14,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -93,4 +97,38 @@ func CheckGolden[E any](t testing.TB, path string, got []E) []E {
 		}
 	}
 	return want
+}
+
+// BytesPerRequest returns the bytes h allocates per request: it serves
+// a warm-up of requests built by newReq, then n more, and divides the
+// growth of runtime.MemStats.TotalAlloc by n. The measured requests
+// and their recorders are built before the first reading, so only the
+// handler's own allocations count. Every response must be 200.
+func BytesPerRequest(t testing.TB, h http.Handler, n int, newReq func() *http.Request) float64 {
+	t.Helper()
+	serve := func(reqs []*http.Request, recs []*httptest.ResponseRecorder) {
+		for i, r := range reqs {
+			h.ServeHTTP(recs[i], r)
+		}
+	}
+	build := func(n int) ([]*http.Request, []*httptest.ResponseRecorder) {
+		reqs, recs := make([]*http.Request, n), make([]*httptest.ResponseRecorder, n)
+		for i := range reqs {
+			reqs[i], recs[i] = newReq(), httptest.NewRecorder()
+		}
+		return reqs, recs
+	}
+	serve(build(50))
+	reqs, recs := build(n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	serve(reqs, recs)
+	runtime.ReadMemStats(&after)
+	for _, rec := range recs {
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", reqs[0].Method, reqs[0].URL, rec.Code, rec.Body)
+		}
+	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }

@@ -14,7 +14,10 @@ import (
 // TestMeasuredSpace holds Bytes() — the bytes column of the paper's
 // space plots — to what a summary really keeps on the heap: for every
 // registry algorithm, plus FSS, the median of three heap probes after
-// feeding a Zipf stream must land within ±5% of Bytes().
+// feeding a Zipf stream must land within ±5% of Bytes(). Stores that
+// never fill are held to it too: SSH and SSL at k = 1,001 fed 300
+// distinct items, and a 300-entry SS01 blob decoded and fed one more
+// new item.
 func TestMeasuredSpace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("feeds 250,000 items through eleven summaries six times; skipped with -short")
@@ -40,21 +43,51 @@ func TestMeasuredSpace(t *testing.T) {
 		}
 		items := g.Stream(n)
 		for _, b := range builds {
-			t.Run(fmt.Sprintf("%s/z=%.1f", b.name, z), func(t *testing.T) {
-				var ratios [3]float64
-				var declared int
-				for i := range ratios {
-					var retained int64
-					retained, declared = retainedBytes(b.mk, items)
-					ratios[i] = float64(retained) / float64(declared)
-				}
-				slices.Sort(ratios[:])
-				t.Logf("Bytes() = %d, retained/Bytes() = %.3f (probes %.3f)", declared, ratios[1], ratios)
-				if r := ratios[1]; r < 0.95 || r > 1.05 {
-					t.Errorf("retains %.3f× its Bytes() of %d, want within ±5%%", r, declared)
-				}
-			})
+			t.Run(fmt.Sprintf("%s/z=%.1f", b.name, z), func(t *testing.T) { checkRetained(t, b.mk, items) })
 		}
+	}
+
+	const sparsePhi = 0.001 // a budget of k = 1,001 counters
+	distinct := make([]Item, 3000)
+	for i := range distinct {
+		distinct[i] = Item(i % 300)
+	}
+	for _, name := range []string{"SSH", "SSL"} {
+		t.Run(name+"/300of1001", func(t *testing.T) {
+			checkRetained(t, func() Summary { return MustNew(name, sparsePhi, seed) }, distinct)
+		})
+	}
+	t.Run("SS01/decoded300+1", func(t *testing.T) {
+		blob := marshal(t, "SSH", func() Summary {
+			s := MustNew("SSH", sparsePhi, seed)
+			UpdateAll(s, distinct)
+			return s
+		}())
+		checkRetained(t, func() Summary {
+			s, err := Decode(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, []Item{300})
+	})
+}
+
+// checkRetained requires the summary mk builds, fed items, to retain
+// within ±5% of its Bytes(), in the median of three heap probes.
+func checkRetained(t *testing.T, mk func() Summary, items []Item) {
+	t.Helper()
+	var ratios [3]float64
+	var declared int
+	for i := range ratios {
+		var retained int64
+		retained, declared = retainedBytes(mk, items)
+		ratios[i] = float64(retained) / float64(declared)
+	}
+	slices.Sort(ratios[:])
+	t.Logf("Bytes() = %d, retained/Bytes() = %.3f (probes %.3f)", declared, ratios[1], ratios)
+	if r := ratios[1]; r < 0.95 || r > 1.05 {
+		t.Errorf("retains %.3f× its Bytes() of %d, want within ±5%%", r, declared)
 	}
 }
 
