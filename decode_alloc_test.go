@@ -16,6 +16,18 @@ func counterBlob(magic string, words ...uint64) []byte {
 	return out
 }
 
+// ss02Blob writes an SS02 blob by hand: the magic, then k, n and the
+// entry count cnt as uvarints, then per (item, count, err) entry the
+// item as a little-endian u64 and the count and error as uvarints.
+func ss02Blob(k, n, cnt uint64, entries ...[3]uint64) []byte {
+	out := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint([]byte("SS02"), k), n), cnt)
+	for _, e := range entries {
+		out = binary.LittleEndian.AppendUint64(out, e[0])
+		out = binary.AppendUvarint(binary.AppendUvarint(out, e[1]), e[2])
+	}
+	return out
+}
+
 // allocated returns the bytes fn allocates, garbage included.
 func allocated(fn func()) uint64 {
 	var before, after runtime.MemStats
@@ -30,21 +42,24 @@ func allocated(fn func()) uint64 {
 // entries a blob carries, not for the budget its header claims, so a
 // forged header costs O(len(data)) like every other format's. Each
 // blob claims the largest budget a decoder accepts and holds no entry;
-// WN01 nests three such SS01 headers as its live blocks (200 bytes).
+// WN01 nests three such SS02 headers as its live blocks (146 bytes).
+// An SS02 header that claims that many entries over a few bytes is
+// refused, having allocated for the bytes, not the claim.
 func TestDecodeAllocationBounded(t *testing.T) {
 	const k = 1 << 22 // the largest budget a decoder accepts
 	cm, err := NewCountMin(2, 16, 3).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := counterBlob("SS01", k, 0, 0) // k, n, entries
+	ss := ss02Blob(k, 0, 0)
 	wn := counterBlob("WN01", 4, 2, k, 0, 4, 2, 0, 3)
 	for idx := range uint64(3) {
 		wn = append(counterBlob(string(wn), idx, uint64(len(ss))), ss...)
 	}
 	blobs := map[string][]byte{
 		"FQ01": counterBlob("FQ01", k, 0, 0, 0), // k, n, decrements, entries
-		"SS01": ss,
+		"SS02": ss,
+		"SS01": counterBlob("SS01", k, 0, 0), // k, n, entries
 		"SL01": counterBlob("SL01", k, 0, 0),
 		"TK01": append(counterBlob("TK01", k, 0, uint64(len(cm))), cm...), // capacity, entries, inner length
 		"WN01": wn,
@@ -64,6 +79,18 @@ func TestDecodeAllocationBounded(t *testing.T) {
 			}
 		})
 	}
+	t.Run("SS02 claiming k entries", func(t *testing.T) {
+		short := ss02Blob(k, k, k, [3]uint64{7, 1, 0}, [3]uint64{8, 1, 0})
+		bytes := allocated(func() {
+			if _, err := Decode(short); err == nil {
+				t.Error("decoded")
+			}
+		})
+		t.Logf("%d-byte blob: %d bytes allocated", len(short), bytes)
+		if limit := uint64(1024 + 16*len(short)); bytes > limit {
+			t.Errorf("refusing a %d-byte SS02 blob that claims %d entries allocated %d bytes, want at most %d", len(short), k, bytes, limit)
+		}
+	})
 }
 
 // TestDecodedSummaryGrowsToBudget: a decoded store holds what its blob

@@ -41,7 +41,7 @@ func TestDecodeRandomBytesWithValidMagics(t *testing.T) {
 	// Random payloads behind each valid magic: exercises every decoder's
 	// header validation, not just the magic dispatch.
 	rng := prng.New(0xFADE)
-	magics := []string{"CM01", "CS01", "CG01", "HI01", "FQ01", "SS01", "SL01", "LC01", "TK01", "WN01", "GK01"}
+	magics := []string{"CM01", "CS01", "CG01", "HI01", "FQ01", "SS02", "SS01", "SL01", "LC01", "TK01", "WN01", "GK01"}
 	for _, magic := range magics {
 		for trial := 0; trial < 300; trial++ {
 			size := int(rng.Uint64n(256))
@@ -167,6 +167,16 @@ func FuzzDecode(f *testing.F) {
 	f.Add(counterBlob("SL01", 4, 10, 1, 7, 1<<62, 0))
 	f.Add(counterBlob("FQ01", 4, 10, 0, 1, 7, 1<<62))
 	f.Add(counterBlob("SS01", 4, 1<<63, 0))
+	// The same in SS02, plus an error above its count, a repeated item,
+	// a varint the blob cuts short, and more entries than the bytes left
+	// hold at 10 bytes each.
+	f.Add(ss02Blob(4, 10, 1, [3]uint64{7, 1 << 62, 0}))
+	f.Add(ss02Blob(4, 1<<63, 0))
+	f.Add(ss02Blob(4, 10, 1, [3]uint64{7, 5, 6}))
+	f.Add(ss02Blob(4, 10, 2, [3]uint64{7, 5, 0}, [3]uint64{7, 5, 0}))
+	cut := ss02Blob(4, 1<<20, 1, [3]uint64{7, 1 << 20, 0}) // 2^20 is a 3-byte varint
+	f.Add(cut[:len(cut)-2])
+	f.Add(ss02Blob(1<<22, 10, 1<<22, [3]uint64{7, 5, 0}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		defer func() {
 			if r := recover(); r != nil {

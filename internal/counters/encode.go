@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"streamfreq/internal/core"
@@ -13,7 +14,8 @@ import (
 
 // Binary serialization for counter-based summaries, used when shipping
 // per-shard summaries to a coordinator for merging. Formats are versioned
-// by a 4-byte magic and little-endian throughout.
+// by a 4-byte magic; fixed-width fields are little-endian, and SS02
+// writes its header and counts as uvarints.
 //
 // A decoder refuses a budget over MaxBudget, a negative n and any count
 // above n (every count Update and Merge reach is at most n: a merged
@@ -25,10 +27,13 @@ import (
 
 const (
 	magicFQ = "FQ01"
-	magicSS = "SS01"
-	magicLC = "LC01"
-	magicSL = "SL01"
-	magicTK = "TK01"
+	magicSS = "SS02"
+	// magicSS1 is SS02's fixed-width predecessor, decoded but no longer
+	// written.
+	magicSS1 = "SS01"
+	magicLC  = "LC01"
+	magicSL  = "SL01"
+	magicTK  = "TK01"
 )
 
 var le = binary.LittleEndian
@@ -82,49 +87,84 @@ func DecodeFrequent(data []byte) (*Frequent, error) {
 	return f, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler. Entries are
-// written in heap-structural order (store.go says why the sift must not
-// change).
+// MarshalBinary implements encoding.BinaryMarshaler. It writes SS02:
+//
+//	"SS02" | uvarint k | uvarint n | uvarint entries
+//	per entry: u64 item | uvarint count | uvarint err
+//
+// Items are hashes and keep fixed width; counts and errors are mostly
+// small, so a counter takes ~10 bytes where SS01's three u64s took 24.
+// Entries are written in heap-structural order (store.go says why the
+// sift must not change), so encode → decode → encode is byte-identical.
+// The blob is allocated at exactly its final size, because an evicted
+// tenant keeps it as its whole state.
 func (s *SpaceSavingHeap) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 4+3*8+24*len(s.st.heap))
+	size := len(magicSS) + uvarintLen(uint64(s.k)) + uvarintLen(uint64(s.n)) + uvarintLen(uint64(len(s.st.heap)))
+	for _, id := range s.st.heap {
+		nd := &s.st.nodes[id]
+		size += 8 + uvarintLen(uint64(nd.count)) + uvarintLen(uint64(nd.err))
+	}
+	out := make([]byte, 0, size)
 	out = append(out, magicSS...)
-	out = le.AppendUint64(out, uint64(s.k))
-	out = le.AppendUint64(out, uint64(s.n))
-	out = le.AppendUint64(out, uint64(len(s.st.heap)))
+	out = binary.AppendUvarint(out, uint64(s.k))
+	out = binary.AppendUvarint(out, uint64(s.n))
+	out = binary.AppendUvarint(out, uint64(len(s.st.heap)))
 	for _, id := range s.st.heap {
 		nd := &s.st.nodes[id]
 		out = le.AppendUint64(out, uint64(nd.item))
-		out = le.AppendUint64(out, uint64(nd.count))
-		out = le.AppendUint64(out, uint64(nd.err))
+		out = binary.AppendUvarint(out, uint64(nd.count))
+		out = binary.AppendUvarint(out, uint64(nd.err))
 	}
 	return out, nil
 }
 
+// uvarintLen is the length of x's encoding/binary uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 // DecodeSpaceSavingHeap parses a summary produced by
-// (*SpaceSavingHeap).MarshalBinary.
+// (*SpaceSavingHeap).MarshalBinary (SS02), or by an earlier build's
+// (SS01: the same fields and order, every one a u64), so checkpoints,
+// windowed blocks and bundles written before SS02 still load. Both
+// get the same checks; SS02's entry count is bounded by the entries
+// the bytes left can hold (each takes at least 10) before allocating.
 func DecodeSpaceSavingHeap(data []byte) (*SpaceSavingHeap, error) {
 	r := wire.NewReader(data)
-	r.Magic(magicSS)
-	k, n, cnt := r.U64(), r.I64(), r.U64()
+	legacy := len(data) >= 4 && string(data[:4]) == magicSS1
+	if legacy {
+		r.Magic(magicSS1)
+	} else {
+		r.Magic(magicSS)
+	}
+	field := func() uint64 {
+		if legacy {
+			return r.U64()
+		}
+		return r.Uvarint()
+	}
+	k, n, cnt := field(), field(), field()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if k == 0 || k > MaxBudget || cnt > k || n < 0 {
+	if k == 0 || k > MaxBudget || cnt > k || n > math.MaxInt64 {
 		return nil, fmt.Errorf("counters: implausible SpaceSaving header (k=%d, n=%d, entries=%d)", k, n, cnt)
 	}
-	if uint64(r.Len()) != cnt*24 {
-		return nil, fmt.Errorf("counters: SpaceSaving payload %d bytes, want %d", r.Len(), cnt*24)
+	// An SS01 entry is 24 bytes; an SS02 entry at least 8 + 1 + 1.
+	if left := uint64(r.Len()); legacy && left != 24*cnt || cnt > left/10 {
+		return nil, fmt.Errorf("counters: SpaceSaving payload of %d bytes cannot hold %d entries", left, cnt)
 	}
-	s := &SpaceSavingHeap{k: int(k), n: n, st: newSSStorage(int(cnt))}
+	s := &SpaceSavingHeap{k: int(k), n: int64(n), st: newSSStorage(int(cnt))}
 	for i := uint64(0); i < cnt; i++ {
-		item, count, errv := core.Item(r.U64()), r.I64(), r.I64()
-		if count < 0 || count > n || errv < 0 || errv > count {
+		item, count, errv := core.Item(r.U64()), field(), field()
+		if err := r.Err(); err != nil {
+			return nil, err // cut short: report that, not the zeros read after it
+		}
+		if count > n || errv > count {
 			return nil, fmt.Errorf("counters: invalid SpaceSaving entry (count=%d err=%d, n=%d)", count, errv, n)
 		}
 		if s.st.lookup(item) >= 0 {
 			return nil, fmt.Errorf("counters: duplicate items in SpaceSaving blob")
 		}
-		s.st.push(item, count, errv)
+		s.st.push(item, int64(count), int64(errv))
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

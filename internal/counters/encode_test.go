@@ -2,7 +2,9 @@ package counters
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"streamfreq/internal/core"
@@ -39,7 +41,12 @@ func TestFrequentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpaceSavingRoundTrip also checks that a blob is allocated at
+// exactly its length: an evicted tenant keeps it as its whole state.
 func TestSpaceSavingRoundTrip(t *testing.T) {
+	if blob, _ := NewSpaceSavingHeap(40).MarshalBinary(); cap(blob) != len(blob) {
+		t.Fatalf("empty summary's %d-byte blob has capacity %d", len(blob), cap(blob))
+	}
 	s := NewSpaceSavingHeap(40)
 	g, _ := zipf.NewGenerator(600, 1.2, 7, true)
 	for i := 0; i < 30000; i++ {
@@ -48,6 +55,9 @@ func TestSpaceSavingRoundTrip(t *testing.T) {
 	blob, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cap(blob) != len(blob) {
+		t.Fatalf("%d-byte blob has capacity %d", len(blob), cap(blob))
 	}
 	got, err := DecodeSpaceSavingHeap(blob)
 	if err != nil {
@@ -179,19 +189,74 @@ func TestCounterDecodeRejectsCorruption(t *testing.T) {
 		t.Error("forged entry count accepted")
 	}
 
-	// An SS01 entry repeating an item, or with a negative count, too.
+	// A Space-Saving entry repeating an item, or with a count no stream
+	// reaches, too, in SS02 and in the SS01 earlier builds wrote. The
+	// SS02 duplicate is the encoder's own blob with entry 1 given entry
+	// 0's item (the magic and three one-byte varints, then 8-byte items
+	// and one-byte counts and errors).
 	s.Update(2, 3)
 	sb, _ = s.MarshalBinary()
-	const first = 4 + 3*8 // SS01 header: magic, k, n, entry count
+	const first, entry = 4 + 3, 8 + 2
+	if len(sb) != first+2*entry {
+		t.Fatalf("SS02 blob of two small counts is %d bytes, want %d", len(sb), first+2*entry)
+	}
 	dup := bytes.Clone(sb)
-	copy(dup[first+24:first+32], dup[first:first+8])
-	negative := bytes.Clone(sb)
-	le.PutUint64(negative[first+8:], 1<<63)
-	for name, b := range map[string][]byte{"duplicate": dup, "negative": negative} {
+	copy(dup[first+entry:first+entry+8], dup[first:first+8])
+	// 2^20 takes three varint bytes, so the cut blob still has the 10
+	// bytes an entry needs at least, and its count runs off the end.
+	cut := ssBlob("SS02", 4, 1<<20, 1, [3]uint64{7, 1 << 20, 0})
+	cut = cut[:len(cut)-2]
+	for name, b := range map[string][]byte{
+		"SS02 duplicate":             dup,
+		"SS02 count above n":         ssBlob("SS02", 4, 10, 1, [3]uint64{7, 11, 0}),
+		"SS02 err above count":       ssBlob("SS02", 4, 10, 1, [3]uint64{7, 5, 6}),
+		"SS02 n of 2^63":             ssBlob("SS02", 4, 1<<63, 0),
+		"SS02 n past 2^63":           ssBlob("SS02", 4, 1<<64-1, 1, [3]uint64{7, 1, 0}),
+		"SS02 entries past bytes/10": ssBlob("SS02", 4, 10, 3, [3]uint64{7, 5, 0}, [3]uint64{8, 5, 0}),
+		"SS01 duplicate":             ssBlob("SS01", 4, 10, 2, [3]uint64{7, 5, 0}, [3]uint64{7, 5, 0}),
+		"SS01 negative count":        ssBlob("SS01", 4, 10, 1, [3]uint64{7, 1 << 63, 0}),
+		"SS01 err above count":       ssBlob("SS01", 4, 10, 1, [3]uint64{7, 5, 6}),
+	} {
 		if _, err := DecodeSpaceSavingHeap(b); err == nil {
-			t.Errorf("SpaceSaving decoder accepted a %s entry", name)
+			t.Errorf("SpaceSaving decoder accepted a blob with %s", name)
 		}
 	}
+	// A blob cut inside its last item reads that item as 0, which entry
+	// 0 already holds: the error must still be the cut.
+	cutItem := append(ssBlob("SS02", 4, 1<<21, 3, [3]uint64{0, 1 << 20, 0}, [3]uint64{8, 1 << 20, 0}), 1, 2, 3, 4, 5, 6)
+	for name, b := range map[string][]byte{"a varint": cut, "an item": cutItem} {
+		if _, err := DecodeSpaceSavingHeap(b); err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("SS02 blob cut inside %s: %v, want a truncation error", name, err)
+		}
+	}
+	for _, magic := range []string{"SS02", "SS01"} {
+		b := ssBlob(magic, 4, 10, 2, [3]uint64{7, 5, 0}, [3]uint64{8, 5, 2})
+		got, err := DecodeSpaceSavingHeap(b)
+		if err != nil {
+			t.Fatalf("%s blob of reachable entries refused: %v", magic, err)
+		}
+		if got.Estimate(8) != 5 || got.GuaranteedCount(8) != 3 || got.N() != 10 {
+			t.Errorf("%s blob decoded to Estimate(8) = %d, GuaranteedCount(8) = %d, n = %d", magic,
+				got.Estimate(8), got.GuaranteedCount(8), got.N())
+		}
+	}
+}
+
+// ssBlob writes a Space-Saving blob by hand: the magic, then k, n and
+// the entry count cnt, then each (item, count, err) entry. SS02 writes
+// every field but the item as a uvarint, SS01 every field as a u64.
+func ssBlob(magic string, k, n, cnt uint64, entries ...[3]uint64) []byte {
+	field := func(out []byte, v uint64) []byte {
+		if magic == magicSS1 {
+			return le.AppendUint64(out, v)
+		}
+		return binary.AppendUvarint(out, v)
+	}
+	out := field(field(field([]byte(magic), k), n), cnt)
+	for _, e := range entries {
+		out = field(field(le.AppendUint64(out, e[0]), e[1]), e[2])
+	}
+	return out
 }
 
 func TestCounterRoundTripPreservesMergeability(t *testing.T) {
@@ -218,8 +283,8 @@ func TestCounterRoundTripPreservesMergeability(t *testing.T) {
 
 // TestDecodeRefusesCountsAboveN: no counter Update or Merge reaches is
 // above the stream length n — a merged count is c_a + c_b, or c plus
-// the other side's minimum, each at most n_a + n_b — so FQ01, SS01 and
-// SL01 refuse a negative n and an entry counting past n. Accepted, the
+// the other side's minimum, each at most n_a + n_b — so FQ01, SS02,
+// SS01 and SL01 refuse a negative n and an entry counting past n. Accepted, the
 // k = 4, n = 10 blob holding item 7 at 2^62 self-merges to an estimate
 // of −2^63 and an encoding its own decoder refuses.
 func TestDecodeRefusesCountsAboveN(t *testing.T) {
@@ -259,5 +324,19 @@ func TestDecodeRefusesCountsAboveN(t *testing.T) {
 		if _, err := decode(blob(magic, append(append(header(magic, 10), 1), entry...)...)); err != nil {
 			t.Errorf("%s with a count of n refused: %v", magic, err)
 		}
+	}
+	// SS02 holds the same fields as varints, so n reads as a uint64 and
+	// one of 2^63 or more is the negative n SS01 refuses.
+	for name, b := range map[string][]byte{
+		"count above n": ssBlob("SS02", 4, 10, 1, [3]uint64{7, 1 << 62, 0}),
+		"n of 2^63":     ssBlob("SS02", 4, 1<<63, 0),
+		"n of 2^64 − 1": ssBlob("SS02", 4, 1<<64-1, 1, [3]uint64{7, 1 << 62, 0}),
+	} {
+		if s, err := DecodeSpaceSavingHeap(b); err == nil {
+			t.Errorf("SS02 with %s decoded (Estimate(7) = %d)", name, s.Estimate(7))
+		}
+	}
+	if _, err := DecodeSpaceSavingHeap(ssBlob("SS02", 4, 10, 1, [3]uint64{7, 10, 0})); err != nil {
+		t.Errorf("SS02 with a count of n refused: %v", err)
 	}
 }

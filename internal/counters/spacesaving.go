@@ -36,7 +36,7 @@ type SpaceSavingHeap struct {
 // counters. Its store starts at ssStartCap slots and doubles, up to k,
 // as new items arrive (room), so a summary whose stream has reached few
 // distinct items holds, and reports in Bytes, a store sized to them.
-// Growth moves no counter, so answers and SS01 encodings equal those
+// Growth moves no counter, so answers and SS02 encodings equal those
 // of a store built at k.
 func NewSpaceSavingHeap(k int) *SpaceSavingHeap {
 	if k <= 0 {

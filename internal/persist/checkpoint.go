@@ -309,7 +309,7 @@ func (st *Store) Checkpoint(target Target) (Stats, error) {
 
 // The volume trigger: a checkpoint is due once the tail reaches
 // max(ckptFloorBytes, ckptStateFactor × the target's Bytes()). The
-// floor keeps a small summary (an SSH shard's blob is about 24 KB) from
+// floor keeps a small summary (an SSH shard's blob is about 12 KB) from
 // checkpointing every few hundred kilobytes of log; the factor bounds a
 // restart's replay at about eight times the state in memory, and keeps
 // each checkpoint's write at about an eighth of the log it retires or

@@ -51,10 +51,12 @@ func checkCheckpointRoundTrip(t *testing.T, data []byte) {
 }
 
 // TestCheckpointGolden pins SFCKPT01 and SFCKPT02 to the bytes recorded
-// before the checkpoint decoder moved onto internal/wire: a two-shard
+// when SS02 replaced SS01 as their blob encoding: a two-shard
 // manifest, a tenant manifest whose default namespace is empty, and an
 // empty table's manifest. Each golden must decode and re-encode byte
-// for byte.
+// for byte. The checkpoints an earlier build wrote, with SS01 blobs,
+// must still decode, and re-encode, blob by blob, to the current
+// golden of the same state.
 func TestCheckpointGolden(t *testing.T) {
 	blob := func(k int, items ...core.Item) ([]byte, int64) {
 		s := counters.NewSpaceSavingHeap(k)
@@ -84,7 +86,9 @@ func TestCheckpointGolden(t *testing.T) {
 	for _, m := range manifests {
 		got = append(got, testutil.Golden{Name: m.name, Blob: encodeCheckpoint(m.c)})
 	}
+	current := map[string][]byte{}
 	for _, w := range testutil.CheckGolden(t, "testdata/checkpoint_golden.json", got) {
+		current[w.Name] = w.Blob
 		c, err := decodeCheckpoint(w.Blob)
 		if err != nil {
 			t.Errorf("%s: golden does not decode: %v", w.Name, err)
@@ -94,4 +98,28 @@ func TestCheckpointGolden(t *testing.T) {
 			t.Errorf("%s: golden re-encodes to different bytes (%d vs %d)", w.Name, len(again), len(w.Blob))
 		}
 	}
+	testutil.CheckLegacyGolden(t, "testdata/checkpoint_golden_ss01.json", current, func(l testutil.Golden) ([]byte, error) {
+		c, err := decodeCheckpoint(l.Blob)
+		if err != nil {
+			return nil, err
+		}
+		reencode := func(b []byte) ([]byte, error) {
+			s, err := counters.DecodeSpaceSavingHeap(b)
+			if err != nil {
+				return nil, err
+			}
+			return s.MarshalBinary()
+		}
+		for i := range c.blobs {
+			if c.blobs[i], err = reencode(c.blobs[i]); err != nil {
+				return nil, err
+			}
+		}
+		for i := range c.tenants {
+			if c.tenants[i].Blob, err = reencode(c.tenants[i].Blob); err != nil {
+				return nil, err
+			}
+		}
+		return encodeCheckpoint(c), nil
+	})
 }

@@ -23,7 +23,7 @@ func testDecode(b []byte) (core.Summary, error) {
 		return nil, fmt.Errorf("short blob")
 	}
 	switch string(b[:4]) {
-	case "SS01":
+	case "SS02", "SS01":
 		return counters.DecodeSpaceSavingHeap(b)
 	case "SL01":
 		return counters.DecodeSpaceSavingList(b)

@@ -29,8 +29,14 @@ func TestUnreloadableTenantAnswers500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const first = 4 + 3*8 // SS01 header: magic, k, n, entry count
-	copy(blob[first+24:first+32], blob[first:first+8])
+	// SS02: the magic, then k, n and the entry count, one varint byte
+	// each here; then per entry an 8-byte item and one-byte count and
+	// error. Entry 1 takes entry 0's item.
+	const first, entry = 4 + 3, 8 + 2
+	if len(blob) != first+2*entry {
+		t.Fatalf("blob is %d bytes, want %d", len(blob), first+2*entry)
+	}
+	copy(blob[first+entry:first+entry+8], blob[first:first+8])
 	table, err := tenant.NewTable(tenant.Options{DefaultPhi: 0.25})
 	if err != nil {
 		t.Fatal(err)

@@ -15,9 +15,11 @@ import (
 //
 //	magic "SFTB0001"
 //	u32   tenant count
-//	per tenant: u16 nsLen | ns | u32 blobLen | blob (SS01)
+//	per tenant: u16 nsLen | ns | u32 blobLen | blob (SS02)
 //
-// Entries are sorted by namespace; all integers little-endian.
+// Entries are sorted by namespace; all integers little-endian. A
+// tenant restored from an earlier build's checkpoint and not touched
+// since ships its SS01 blob as it is; freqmerge decodes both.
 const bundleMagic = "SFTB0001"
 
 // minBundleEntry is the smallest entry on the wire (empty namespace,

@@ -3,6 +3,7 @@ package tenant_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"sort"
 	"testing"
@@ -81,11 +82,13 @@ func FuzzDecodeBundle(f *testing.F) {
 	})
 }
 
-// TestBundleGolden pins SFTB0001 to the bytes recorded before the
-// bundle decoder moved onto internal/wire: four namespaces under a
+// TestBundleGolden pins SFTB0001 to the bytes recorded when SS02
+// replaced SS01 as its blob encoding: four namespaces under a
 // two-tenant residency cap, so the frame mixes re-encoded resident
 // tenants with stored blobs. The golden must also decode, restore into
-// a fresh table and re-encode byte for byte.
+// a fresh table and re-encode byte for byte. The bundle an earlier
+// build wrote, with SS01 blobs, must still decode, and re-encode to
+// the current golden.
 func TestBundleGolden(t *testing.T) {
 	tb := newTable(t, tenant.Options{DefaultPhi: 0.1, MaxResident: 2, Phi: map[string]float64{"eu": 0.05}})
 	names := []string{"", "eu", "us", "ap"}
@@ -100,27 +103,39 @@ func TestBundleGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := testutil.CheckGolden(t, "testdata/bundle_golden.json", []testutil.Golden{{Name: "SFTB0001", Blob: bundle}})[0].Blob
-	entries, err := tenant.DecodeBundle(golden)
+	again, err := rebundle(t, golden)
 	if err != nil {
 		t.Fatalf("golden does not decode: %v", err)
+	}
+	if !bytes.Equal(again, golden) {
+		t.Fatalf("golden re-encodes to different bytes (%d vs %d)", len(again), len(golden))
+	}
+	testutil.CheckLegacyGolden(t, "testdata/bundle_golden_ss01.json", map[string][]byte{"SFTB0001": golden},
+		func(l testutil.Golden) ([]byte, error) { return rebundle(t, l.Blob) })
+}
+
+// rebundle decodes a bundle, re-encodes each namespace's blob, restores
+// them into a fresh table and returns that table's bundle.
+func rebundle(t *testing.T, bundle []byte) ([]byte, error) {
+	entries, err := tenant.DecodeBundle(bundle)
+	if err != nil {
+		return nil, err
 	}
 	states := make([]persist.TenantState, len(entries))
 	for i, e := range entries {
 		sum, err := counters.DecodeSpaceSavingHeap(e.Blob)
 		if err != nil {
-			t.Fatalf("namespace %q: %v", e.NS, err)
+			return nil, fmt.Errorf("namespace %q: %w", e.NS, err)
 		}
-		states[i] = persist.TenantState{NS: e.NS, K: sum.K(), N: sum.N(), Blob: e.Blob}
+		blob, err := sum.MarshalBinary()
+		if err != nil {
+			return nil, err
+		}
+		states[i] = persist.TenantState{NS: e.NS, K: sum.K(), N: sum.N(), Blob: blob}
 	}
 	restored := newTable(t, tenant.Options{DefaultPhi: 0.1})
 	if err := restored.RestoreTenants(states); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	again, err := restored.EncodeBundle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, golden) {
-		t.Fatalf("golden re-encodes to different bytes (%d vs %d)", len(again), len(golden))
-	}
+	return restored.EncodeBundle()
 }

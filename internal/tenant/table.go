@@ -165,9 +165,10 @@ func (t *Table) removeClockLocked(ts *tenantState) {
 	ts.clockIdx = -1
 }
 
-// evictLocked encodes ts to its wire blob and drops its summary.
-// SS01 round-trips bit-identically, so the durable state a checkpoint
-// would capture is unchanged by the eviction.
+// evictLocked encodes ts to its wire blob (SS02, allocated at its exact
+// length, so blobBytes counts the bytes the table holds) and drops its
+// summary. SS02 round-trips bit-identically, so the durable state a
+// checkpoint would capture is unchanged by the eviction.
 func (t *Table) evictLocked(ts *tenantState) {
 	blob, err := ts.sum.MarshalBinary()
 	if err != nil {

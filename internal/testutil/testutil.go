@@ -5,8 +5,9 @@
 // postcondition: the test proceeds the moment it holds and fails loudly
 // (with the caller's description) only when it genuinely never does.
 //
-// It also holds the byte-golden check the wire-format tests share, and
-// the per-request allocation probe the ingest fronts' tests share.
+// It also holds the byte-golden checks the wire-format tests share (of
+// the current encoders, and of the bytes earlier ones wrote), and the
+// per-request allocation probe the ingest fronts' tests share.
 package testutil
 
 import (
@@ -97,6 +98,41 @@ func CheckGolden[E any](t testing.TB, path string, got []E) []E {
 		}
 	}
 	return want
+}
+
+// CheckLegacyGolden checks the goldens an earlier encoder wrote, kept
+// in the file at path as it left them: each entry must decode and
+// re-encode, through reencode, to want[entry.Name], the current golden
+// of the same state. The file is never rewritten, since this build
+// writes none of its bytes.
+func CheckLegacyGolden(t testing.TB, path string, want map[string][]byte, reencode func(Golden) ([]byte, error)) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy []Golden
+	if err := json.Unmarshal(raw, &legacy); err != nil {
+		t.Fatal(err)
+	}
+	if len(legacy) == 0 {
+		t.Fatalf("%s holds no entries", path)
+	}
+	for _, l := range legacy {
+		w, ok := want[l.Name]
+		if !ok {
+			t.Errorf("%s: no current golden for %s", path, l.Name)
+			continue
+		}
+		got, err := reencode(l)
+		if err != nil {
+			t.Errorf("%s: %s does not decode: %v", path, l.Name, err)
+			continue
+		}
+		if !bytes.Equal(got, w) {
+			t.Errorf("%s: %s re-encodes to %d bytes that differ from its current golden (%d bytes)", path, l.Name, len(got), len(w))
+		}
+	}
 }
 
 // BytesPerRequest returns the bytes h allocates per request: it serves

@@ -16,14 +16,16 @@ import (
 //	u64 head (block clock mod B+1) | u64 curFill
 //	u64 liveBlocks
 //	per live block, ascending ring index:
-//	  u64 ring index | u64 blob length | SS01 blob
+//	  u64 ring index | u64 blob length | SS02 blob
 //
 // Only the live ring is framed — expired blocks are not durable state —
-// and the block blobs are the per-block summaries' own SS01 encoding,
+// and the block blobs are the per-block summaries' own SS02 encoding,
 // whose decode reproduces the exact heap layout, so encode → decode →
 // encode is byte-identical and "bit-identical via Encode" covers the
-// windowed summary the way it covers the flat ones. liveCount is
-// recomputed from the decoded blocks rather than trusted from the wire.
+// windowed summary the way it covers the flat ones. A block written by
+// an earlier build as SS01 still decodes and re-encodes as SS02.
+// liveCount is recomputed from the decoded blocks rather than trusted
+// from the wire.
 
 const (
 	magicWN = "WN01"

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"streamfreq/internal/core"
+	"streamfreq/internal/testutil"
 )
 
 const windowedGoldenPath = "testdata/windowed_golden.json"
@@ -113,6 +114,8 @@ func recordWindowed(t *testing.T, name string, s *Windowed, probes []core.Item) 
 // TestWindowedGolden pins the windowed summary to the WN01 bytes and
 // the Query, Estimate and WindowStats answers of its recorded
 // scenarios, so data directories and coordinators carry over unchanged.
+// The WN01 bytes earlier builds wrote, with SS01 blocks, must still
+// decode, and re-encode to the current golden of the same scenario.
 func TestWindowedGolden(t *testing.T) {
 	probes := goldenProbes(t)
 	var got []windowedGolden
@@ -154,6 +157,17 @@ func TestWindowedGolden(t *testing.T) {
 	if len(want) != len(got) {
 		t.Fatalf("golden has %d scenarios, code builds %d", len(want), len(got))
 	}
+	current := map[string][]byte{}
+	for _, w := range want {
+		current[w.Name] = w.Blob
+	}
+	testutil.CheckLegacyGolden(t, "testdata/windowed_golden_ss01.json", current, func(l testutil.Golden) ([]byte, error) {
+		dec, err := DecodeWindowed(l.Blob)
+		if err != nil {
+			return nil, err
+		}
+		return marshalWindowed(t, dec), nil
+	})
 	for i, w := range want {
 		g := got[i]
 		if !bytes.Equal(g.Blob, w.Blob) {

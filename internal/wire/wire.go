@@ -1,18 +1,21 @@
 // Package wire is the one reader behind the framed formats streamfreq
-// decodes from the network or the disk: the summary blobs (FQ01, SS01,
-// LC01, SL01, CM01, CS01, CG01, HI01, TK01, GK01, WN01), the tenant
-// bundle (SFTB0001), the checkpoint (SFCKPT01/02) and the WAL record
-// bodies. (The WAL's fixed-size segment and record headers, and the
-// stream package's SFSTRM01 and raw-item codecs, read directly.)
+// decodes from the network or the disk: the summary blobs (FQ01, SS02,
+// LC01, SL01, CM01, CS01, CG01, HI01, TK01, GK01, WN01, and SS01,
+// which is read but no longer written), the tenant bundle (SFTB0001),
+// the checkpoint (SFCKPT01/02) and the WAL record bodies. (The WAL's
+// fixed-size segment and record headers, and the stream package's
+// SFSTRM01 and raw-item codecs, read directly.)
 //
-// All integers are little-endian. A Reader checks every read against
-// the bytes left, in unsigned arithmetic, so no length field, however
-// large, can wrap into a bad slice bound. The first failed read latches
-// an error that names its offset, and every later read returns zero
-// values, so a decoder reads a whole header and checks Err once. Done
-// also rejects trailing bytes. Reads alias the blob and do not
-// allocate; bounding a count before allocating for it stays the
-// decoder's job.
+// Fixed-width integers are little-endian; Uvarint reads
+// encoding/binary's unsigned varint, in which SS02 writes its header
+// and counts. A Reader checks every read against the bytes left, in
+// unsigned arithmetic, so no length field, however large, can wrap
+// into a bad slice bound. The first failed read (a short one, or a
+// varint past 64 bits) latches an error that names its offset, and
+// every later read returns zero values, so a decoder reads a whole
+// header and checks Err once. Done also rejects trailing bytes. Reads
+// alias the blob and do not allocate; bounding a count before
+// allocating for it stays the decoder's job.
 //
 // Encoders have no counterpart here: they append with encoding/binary
 // into one slice of the blob's exact size, and a nested format encodes
@@ -89,6 +92,26 @@ func (r *Reader) U64() uint64 {
 		return binary.LittleEndian.Uint64(b)
 	}
 	return 0
+}
+
+// Uvarint reads an unsigned varint (encoding/binary's encoding). One
+// that the blob cuts short, or that overflows 64 bits, fails the Reader
+// like a short fixed-width read.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.data[r.off:])
+	switch {
+	case n == 0:
+		r.err = fmt.Errorf("wire: %s truncated at offset %d: varint runs past the last of %d bytes", r.name, r.off, len(r.data)-r.off)
+		return 0
+	case n < 0:
+		r.err = fmt.Errorf("wire: %s varint at offset %d overflows 64 bits", r.name, r.off)
+		return 0
+	}
+	r.off += n
+	return v
 }
 
 // I64 reads an int64 stored as its two's-complement uint64.

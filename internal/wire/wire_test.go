@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"strings"
 	"testing"
@@ -57,5 +58,42 @@ func TestReaderRejectsTrailingAndWrongMagic(t *testing.T) {
 		if r.Magic("AB01"); r.Err() == nil {
 			t.Fatalf("%q passed the AB01 magic check", data)
 		}
+	}
+}
+
+// TestReaderUvarint: a varint reads like encoding/binary writes it, and
+// a malformed one fails like a short fixed-width read, latching an
+// error that names its offset while later reads return zero values.
+func TestReaderUvarint(t *testing.T) {
+	ok := binary.AppendUvarint(binary.AppendUvarint([]byte{0xAA}, 300), 1<<64-1)
+	r := NewReader(ok)
+	if u8, a, b := r.U8(), r.Uvarint(), r.Uvarint(); u8 != 0xAA || a != 300 || b != 1<<64-1 || r.Done() != nil {
+		t.Fatalf("read %#x %d %d, err %v", u8, a, b, r.Err())
+	}
+	eleven := append(bytes.Repeat([]byte{0x80}, 10), 0x01)
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"truncated", []byte{0xAA, 0x80, 0x80}, "truncated at offset 1"},
+		{"empty", []byte{0xAA}, "truncated at offset 1"},
+		{"11 bytes", append([]byte{0xAA}, eleven...), "offset 1 overflows"},
+		{"10 bytes past 2^64", append(append([]byte{0xAA}, bytes.Repeat([]byte{0xFF}, 9)...), 0x02), "offset 1 overflows"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewReader(c.data)
+			r.U8()
+			if v := r.Uvarint(); v != 0 {
+				t.Fatalf("malformed varint read as %d", v)
+			}
+			first := r.Err()
+			if first == nil || !strings.Contains(first.Error(), c.want) {
+				t.Fatalf("error %v, want one containing %q", first, c.want)
+			}
+			if r.Uvarint() != 0 || r.U8() != 0 || r.Done() != first {
+				t.Fatal("reads after a failure must return zero values and keep the first error")
+			}
+		})
 	}
 }

@@ -148,6 +148,9 @@ var decoders = map[string]func([]byte) (Summary, error){
 	"CG01": func(b []byte) (Summary, error) { return sketches.DecodeCGT(b) },
 	"HI01": func(b []byte) (Summary, error) { return sketches.DecodeHierarchical(b) },
 	"FQ01": func(b []byte) (Summary, error) { return counters.DecodeFrequent(b) },
+	"SS02": func(b []byte) (Summary, error) { return counters.DecodeSpaceSavingHeap(b) },
+	// SS01 is SS02's fixed-width predecessor: no longer written, still
+	// read, so checkpoints and pulls from earlier builds load.
 	"SS01": func(b []byte) (Summary, error) { return counters.DecodeSpaceSavingHeap(b) },
 	"LC01": func(b []byte) (Summary, error) { return counters.DecodeLossyCounting(b) },
 	"SL01": func(b []byte) (Summary, error) { return counters.DecodeSpaceSavingList(b) },

@@ -9,7 +9,7 @@ import (
 // decoders table dispatches on, sorted.
 func TestSupportedMagics(t *testing.T) {
 	got := strings.Join(SupportedMagics(), " ")
-	want := "CG01 CM01 CS01 FQ01 GK01 HI01 LC01 SL01 SS01 TK01 WN01"
+	want := "CG01 CM01 CS01 FQ01 GK01 HI01 LC01 SL01 SS01 SS02 TK01 WN01"
 	if got != want {
 		t.Fatalf("SupportedMagics() = %q, want %q", got, want)
 	}
@@ -73,10 +73,18 @@ func TestDecodeErrorPath(t *testing.T) {
 }
 
 // TestDecodeStillDispatchesKnownMagics guards the refactor from a switch
-// to a decoder table: a valid blob of each family round-trips.
+// to a decoder table: a valid blob of each family round-trips, and an
+// SS01 blob, which no encoder writes any more, still decodes.
 func TestDecodeStillDispatchesKnownMagics(t *testing.T) {
+	ss01, err := Decode(counterBlob("SS01", 8, 3, 1, 5, 3, 0)) // k, n, entries; item, count, err
+	if err != nil {
+		t.Fatalf("SS01 blob: %v", err)
+	}
+	if ss01.Estimate(5) != 3 {
+		t.Fatalf("SS01 blob decoded Estimate(5) = %d, want 3", ss01.Estimate(5))
+	}
 	sources := map[string]Summary{
-		"SS01": NewSpaceSaving(8),
+		"SS02": NewSpaceSaving(8),
 		"CM01": NewCountMin(2, 32, 1),
 	}
 	for magic, s := range sources {

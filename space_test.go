@@ -16,7 +16,7 @@ import (
 // registry algorithm, plus FSS, the median of three heap probes after
 // feeding a Zipf stream must land within ±5% of Bytes(). Stores that
 // never fill are held to it too: SSH and SSL at k = 1,001 fed 300
-// distinct items, and a 300-entry SS01 blob decoded and fed one more
+// distinct items, and a 300-entry SS02 blob decoded and fed one more
 // new item.
 func TestMeasuredSpace(t *testing.T) {
 	if testing.Short() {
@@ -57,7 +57,7 @@ func TestMeasuredSpace(t *testing.T) {
 			checkRetained(t, func() Summary { return MustNew(name, sparsePhi, seed) }, distinct)
 		})
 	}
-	t.Run("SS01/decoded300+1", func(t *testing.T) {
+	t.Run("SS02/decoded300+1", func(t *testing.T) {
 		blob := marshal(t, "SSH", func() Summary {
 			s := MustNew("SSH", sparsePhi, seed)
 			UpdateAll(s, distinct)

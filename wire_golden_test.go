@@ -32,7 +32,7 @@ func wireGoldenSummaries(t *testing.T) []struct {
 		s    Summary
 	}{
 		{"FQ01", NewFrequent(8)},
-		{"SS01", NewSpaceSaving(8)},
+		{"SS02", NewSpaceSaving(8)},
 		{"LC01-LC", NewLossyCounting(0.1)},
 		{"LC01-LCD", NewLossyCountingD(0.1)},
 		{"SL01", NewSpaceSavingList(8)},
@@ -60,16 +60,21 @@ func wireGoldenSummaries(t *testing.T) []struct {
 }
 
 // TestWireGolden pins every registry wire format to the bytes recorded
-// before the decoders moved onto internal/wire, and checks that each
-// golden decodes and re-encodes byte for byte. A round trip alone would
-// pass a field moved on both the encode and the decode side; the golden
-// does not.
+// before the decoders moved onto internal/wire (SS02 and the WN01 that
+// nests it to the bytes recorded when SS02 replaced SS01), and checks
+// that each golden decodes and re-encodes byte for byte. A round trip
+// alone would pass a field moved on both the encode and the decode
+// side; the golden does not. The SS01 blobs earlier builds wrote, and
+// the WN01 that nested them, must still decode, and re-encode to the
+// current golden of the same summary.
 func TestWireGolden(t *testing.T) {
 	var got []testutil.Golden
 	for _, e := range wireGoldenSummaries(t) {
 		got = append(got, testutil.Golden{Name: e.name, Blob: marshal(t, e.name, e.s)})
 	}
+	current := map[string][]byte{}
 	for _, w := range testutil.CheckGolden(t, "testdata/wire_golden.json", got) {
+		current[w.Name] = w.Blob
 		dec, err := Decode(w.Blob)
 		if err != nil {
 			t.Errorf("%s: golden does not decode: %v", w.Name, err)
@@ -79,4 +84,13 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("%s: golden re-encodes to different bytes (%d vs %d)", w.Name, len(again), len(w.Blob))
 		}
 	}
+	testutil.CheckLegacyGolden(t, "testdata/wire_golden_ss01.json",
+		map[string][]byte{"SS01": current["SS02"], "WN01": current["WN01"]},
+		func(l testutil.Golden) ([]byte, error) {
+			dec, err := Decode(l.Blob)
+			if err != nil {
+				return nil, err
+			}
+			return marshal(t, l.Name, dec), nil
+		})
 }
