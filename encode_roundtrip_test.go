@@ -8,7 +8,7 @@ package streamfreq
 //     bytes, for every registry algorithm;
 //  2. structural round-trip — Decode(Encode(s)) re-encodes to the same
 //     bytes AND keeps behaving identically to s under further ingest,
-//     exercised here for the formats this PR introduces (SL01, TK01).
+//     exercised here for SL02, TK01 and WN01.
 
 import (
 	"bytes"
@@ -64,8 +64,9 @@ func marshal(t *testing.T, label string, s Summary) []byte {
 
 // TestEncodeDeterministicRegistry: two instances fed the same batch
 // schedule marshal to byte-identical blobs, for every registry
-// algorithm. This pins the canonical entry ordering (LC01 sorts its
-// map) and means "bit-identical via Encode" is a meaningful comparison.
+// algorithm. This pins the canonical entry ordering (LC02 sorts its
+// entries by item) and means "bit-identical via Encode" is a
+// meaningful comparison.
 func TestEncodeDeterministicRegistry(t *testing.T) {
 	batches := roundTripStream(t)
 	for _, algo := range Algorithms() {
@@ -110,7 +111,7 @@ func TestEncodeDeterministicRegistry(t *testing.T) {
 	})
 }
 
-// TestEncodeRoundTripNewFormats: the SL01, TK01, and WN01 formats
+// TestEncodeRoundTripNewFormats: the SL02, TK01, and WN01 formats
 // decode to a summary that re-encodes byte-identically and stays in
 // lockstep with the original through further ingest — the exact
 // situation of a checkpoint restore that keeps consuming the stream.

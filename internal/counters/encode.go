@@ -12,291 +12,286 @@ import (
 	"streamfreq/internal/wire"
 )
 
-// Binary serialization for counter-based summaries, used when shipping
-// per-shard summaries to a coordinator for merging. Formats are versioned
-// by a 4-byte magic; fixed-width fields are little-endian, and SS02
-// writes its header and counts as uvarints.
+// Binary serialization for counter-based summaries: checkpoints,
+// evicted tenants, and the blobs a coordinator pulls and merges. All
+// but Tracked are written by one writer (encodeCounters) and read by
+// one reader (decodeCounters), in one layout:
 //
-// A decoder refuses a budget over MaxBudget, a negative n and any count
-// above n (every count Update and Merge reach is at most n: a merged
-// count is c_a + c_b, or c plus the other side's minimum, each at most
-// n_a + n_b), and allocates for the entries the blob carries, not for
-// the budget its header claims, so a forged header costs
-// O(len(data)). A decoded store that fills below its budget then grows
-// along the steps a constructed one takes (nextCap).
-
-const (
-	magicFQ = "FQ01"
-	magicSS = "SS02"
-	// magicSS1 is SS02's fixed-width predecessor, decoded but no longer
-	// written.
-	magicSS1 = "SS01"
-	magicLC  = "LC01"
-	magicSL  = "SL01"
-	magicTK  = "TK01"
-)
-
-var le = binary.LittleEndian
-
-// MarshalBinary implements encoding.BinaryMarshaler. Logical counts are
-// stored (the offset is folded in), so the decoded summary is logically
-// identical with offset zero.
-func (f *Frequent) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 4+4*8+16*len(f.st.heap))
-	out = append(out, magicFQ...)
-	out = le.AppendUint64(out, uint64(f.k))
-	out = le.AppendUint64(out, uint64(f.n))
-	out = le.AppendUint64(out, uint64(f.decs))
-	out = le.AppendUint64(out, uint64(len(f.st.heap)))
-	for _, id := range f.st.heap {
-		nd := &f.st.nodes[id]
-		out = le.AppendUint64(out, uint64(nd.item))
-		out = le.AppendUint64(out, uint64(nd.count-f.offset))
-	}
-	return out, nil
-}
-
-// DecodeFrequent parses a summary produced by (*Frequent).MarshalBinary.
-func DecodeFrequent(data []byte) (*Frequent, error) {
-	r := wire.NewReader(data)
-	r.Magic(magicFQ)
-	k, n, decs, cnt := r.U64(), r.I64(), r.I64(), r.U64()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if k == 0 || k > MaxBudget || cnt > k || n < 0 {
-		return nil, fmt.Errorf("counters: implausible Frequent header (k=%d, n=%d, entries=%d)", k, n, cnt)
-	}
-	if uint64(r.Len()) != cnt*16 {
-		return nil, fmt.Errorf("counters: Frequent payload %d bytes, want %d", r.Len(), cnt*16)
-	}
-	f := &Frequent{k: int(k), n: n, decs: decs, st: newSSStorage(int(cnt))}
-	for i := uint64(0); i < cnt; i++ {
-		item, count := core.Item(r.U64()), r.I64()
-		if count <= 0 || count > n {
-			return nil, fmt.Errorf("counters: invalid Frequent count %d (n=%d)", count, n)
-		}
-		if f.st.lookup(item) >= 0 {
-			return nil, fmt.Errorf("counters: duplicate items in Frequent blob")
-		}
-		f.st.push(item, count, 0)
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler. It writes SS02:
-//
-//	"SS02" | uvarint k | uvarint n | uvarint entries
+//	magic | ε as its 8 float64 bits (LC only) | uvarint header fields | uvarint entries
 //	per entry: u64 item | uvarint count | uvarint err
 //
-// Items are hashes and keep fixed width; counts and errors are mostly
-// small, so a counter takes ~10 bytes where SS01's three u64s took 24.
-// Entries are written in heap-structural order (store.go says why the
-// sift must not change), so encode → decode → encode is byte-identical.
-// The blob is allocated at exactly its final size, because an evicted
-// tenant keeps it as its whole state.
-func (s *SpaceSavingHeap) MarshalBinary() ([]byte, error) {
-	size := len(magicSS) + uvarintLen(uint64(s.k)) + uvarintLen(uint64(s.n)) + uvarintLen(uint64(len(s.st.heap)))
-	for _, id := range s.st.heap {
-		nd := &s.st.nodes[id]
-		size += 8 + uvarintLen(uint64(nd.count)) + uvarintLen(uint64(nd.err))
+// The header fields are k (Lossy Counting: its variant), n, and
+// Frequent's decrement total. Items are hashes and keep fixed width;
+// counts and errors are mostly small, so a counter takes ~10 bytes.
+// The 01 formats earlier builds wrote, still read, hold the same
+// fields as little-endian u64s, FQ01's entries without an err.
+//
+// For every format the reader refuses a budget outside (0, MaxBudget],
+// an n of 2^63 or more, more entries than the budget (MaxBudget for
+// Lossy Counting) or the bytes left can hold, before it allocates, a
+// count or err above n (Update and Merge reach none: a merged count is
+// c_a + c_b, or c plus the other side's minimum), a repeated item and
+// trailing bytes; each decoder adds its summary's own rules. A decoded
+// store holds the entries its blob carries, so a forged header costs
+// O(len(data)), and grows as a constructed one does (nextCap).
+
+// counterFormat is one counter summary's encoding: the magic written,
+// the fixed-width predecessor still read, and the header's shape.
+type counterFormat struct {
+	magic, legacy string
+	fields        int    // header fields before the entry count
+	eps           bool   // ε follows the magic, and the first field is no budget (Lossy Counting)
+	legacyEntry   uint64 // a legacy entry's bytes: 24, or 16 without an err (FQ01)
+}
+
+var (
+	formatFQ = &counterFormat{magic: "FQ02", legacy: "FQ01", fields: 3, legacyEntry: 16}
+	formatSS = &counterFormat{magic: "SS02", legacy: "SS01", fields: 2, legacyEntry: 24}
+	formatLC = &counterFormat{magic: "LC02", legacy: "LC01", fields: 2, eps: true, legacyEntry: 24}
+	formatSL = &counterFormat{magic: "SL02", legacy: "SL01", fields: 2, legacyEntry: 24}
+	le       = binary.LittleEndian
+)
+
+// counterHeader is what a counter blob's header says, the entry count
+// checked against its budget and its bytes.
+type counterHeader struct {
+	eps     float64
+	k, n    uint64 // k is Lossy Counting's variant
+	decs    uint64 // Frequent's decrement total
+	entries int
+}
+
+// encodeCounters is the one writer of counter entries: f's magic, ε
+// when f has one, the header fields and the entry count as uvarints,
+// then cnt entries, entry(i) giving the i-th item, count and err. A
+// first pass sizes the blob, so it is allocated once at its exact
+// length: an evicted tenant keeps it as its whole state.
+func encodeCounters(f *counterFormat, eps float64, header []uint64, cnt int, entry func(i int) (core.Item, int64, int64)) []byte {
+	size := len(f.magic) + uvarintLen(uint64(cnt))
+	if f.eps {
+		size += 8
 	}
-	out := make([]byte, 0, size)
-	out = append(out, magicSS...)
-	out = binary.AppendUvarint(out, uint64(s.k))
-	out = binary.AppendUvarint(out, uint64(s.n))
-	out = binary.AppendUvarint(out, uint64(len(s.st.heap)))
-	for _, id := range s.st.heap {
-		nd := &s.st.nodes[id]
-		out = le.AppendUint64(out, uint64(nd.item))
-		out = binary.AppendUvarint(out, uint64(nd.count))
-		out = binary.AppendUvarint(out, uint64(nd.err))
+	for _, v := range header {
+		size += uvarintLen(v)
 	}
-	return out, nil
+	for i := range cnt {
+		_, count, err := entry(i)
+		size += 8 + uvarintLen(uint64(count)) + uvarintLen(uint64(err))
+	}
+	out := append(make([]byte, 0, size), f.magic...)
+	if f.eps {
+		out = le.AppendUint64(out, math.Float64bits(eps))
+	}
+	for _, v := range header {
+		out = binary.AppendUvarint(out, v)
+	}
+	out = binary.AppendUvarint(out, uint64(cnt))
+	for i := range cnt {
+		item, count, err := entry(i)
+		out = binary.AppendUvarint(binary.AppendUvarint(le.AppendUint64(out, uint64(item)), uint64(count)), uint64(err))
+	}
+	return out
 }
 
 // uvarintLen is the length of x's encoding/binary uvarint.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// DecodeSpaceSavingHeap parses a summary produced by
-// (*SpaceSavingHeap).MarshalBinary (SS02), or by an earlier build's
-// (SS01: the same fields and order, every one a u64), so checkpoints,
-// windowed blocks and bundles written before SS02 still load. Both
-// get the same checks; SS02's entry count is bounded by the entries
-// the bytes left can hold (each takes at least 10) before allocating.
-func DecodeSpaceSavingHeap(data []byte) (*SpaceSavingHeap, error) {
-	r := wire.NewReader(data)
-	legacy := len(data) >= 4 && string(data[:4]) == magicSS1
-	if legacy {
-		r.Magic(magicSS1)
-	} else {
-		r.Magic(magicSS)
+// decodeCounters is the one reader of counter entries: a blob in f's
+// magic or, every integer a u64, its legacy one, with the checks the
+// file comment lists. init makes the summary's own header checks and
+// allocates it, returning it and the table its entries go into; add
+// makes the summary's own entry checks and stores an entry.
+func decodeCounters[S any](data []byte, f *counterFormat, init func(h counterHeader) (S, *nodeTable, error), add func(s S, item core.Item, count, err int64) error) (s S, _ error) {
+	r, width := wire.NewReader(data), uint64(10) // an 02 entry takes at least 8 + 1 + 1 bytes
+	fixed := len(data) >= 4 && string(data[:4]) == f.legacy
+	if fixed {
+		r.Magic(f.legacy)
+		width = f.legacyEntry
+	} else if r.Magic(f.magic); len(data) >= 4 && r.Err() != nil {
+		return s, fmt.Errorf("counters: blob magic %q is neither %s nor %s, the encodings of this summary this build reads: another version of the program wrote it, or another summary", data[:4], f.magic, f.legacy)
 	}
-	field := func() uint64 {
-		if legacy {
-			return r.U64()
-		}
-		return r.Uvarint()
+	field := r.Uvarint
+	if fixed {
+		field = r.U64
 	}
-	k, n, cnt := field(), field(), field()
+	var h counterHeader
+	if f.eps {
+		h.eps = math.Float64frombits(r.U64())
+	}
+	h.k, h.n = field(), field()
+	if f.fields == 3 {
+		h.decs = field()
+	}
+	cnt := field()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return s, err
 	}
-	if k == 0 || k > MaxBudget || cnt > k || n > math.MaxInt64 {
-		return nil, fmt.Errorf("counters: implausible SpaceSaving header (k=%d, n=%d, entries=%d)", k, n, cnt)
+	if h.n > math.MaxInt64 || cnt > MaxBudget || !f.eps && (h.k == 0 || h.k > MaxBudget || cnt > h.k) {
+		return s, fmt.Errorf("counters: implausible %s header (k=%d, n=%d, entries=%d)", f.magic, h.k, h.n, cnt)
 	}
-	// An SS01 entry is 24 bytes; an SS02 entry at least 8 + 1 + 1.
-	if left := uint64(r.Len()); legacy && left != 24*cnt || cnt > left/10 {
-		return nil, fmt.Errorf("counters: SpaceSaving payload of %d bytes cannot hold %d entries", left, cnt)
+	if left := uint64(r.Len()); cnt > left/width {
+		return s, fmt.Errorf("counters: %s payload of %d bytes cannot hold %d entries", f.magic, left, cnt)
 	}
-	s := &SpaceSavingHeap{k: int(k), n: int64(n), st: newSSStorage(int(cnt))}
-	for i := uint64(0); i < cnt; i++ {
-		item, count, errv := core.Item(r.U64()), field(), field()
-		if err := r.Err(); err != nil {
-			return nil, err // cut short: report that, not the zeros read after it
+	h.entries = int(cnt)
+	s, t, err := init(h)
+	for ; err == nil && cnt > 0; cnt-- {
+		item, count, e := core.Item(r.U64()), field(), uint64(0)
+		if width != 16 { // every entry but FQ01's has an err
+			e = field()
 		}
-		if count > n || errv > count {
-			return nil, fmt.Errorf("counters: invalid SpaceSaving entry (count=%d err=%d, n=%d)", count, errv, n)
+		switch {
+		case r.Err() != nil:
+			err = r.Err() // cut short: report that, not the zeros read after it
+		case count > h.n || e > h.n:
+			err = fmt.Errorf("counters: %s entry (count=%d, err=%d) past n=%d", f.magic, count, e, h.n)
+		case t.lookup(item) >= 0:
+			err = fmt.Errorf("counters: duplicate item %d in %s blob", item, f.magic)
+		default:
+			err = add(s, item, int64(count), int64(e))
 		}
-		if s.st.lookup(item) >= 0 {
-			return nil, fmt.Errorf("counters: duplicate items in SpaceSaving blob")
-		}
-		s.st.push(item, int64(count), int64(errv))
 	}
-	if err := r.Done(); err != nil {
-		return nil, err
+	if err == nil && r.Done() == nil {
+		return s, nil
 	}
-	return s, nil
+	return *new(S), cmp.Or(err, r.Err())
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler. Entries are written
-// in ascending item order, each as its observed count and Δ — the store
-// order depends on history, and a canonical layout makes the encoding
-// deterministic: logically equal summaries produce byte-equal blobs,
-// the property the crash-recovery tests (and any content-addressed
-// checkpoint store) compare on.
+// MarshalBinary implements encoding.BinaryMarshaler, writing FQ02.
+// Logical counts are stored (the offset is folded in), so the decoded
+// summary is logically identical with offset zero. Entries are written
+// in heap order (store.go says why the sift must not change), so
+// encode → decode → encode is byte-identical.
+func (f *Frequent) MarshalBinary() ([]byte, error) {
+	return encodeCounters(formatFQ, 0, []uint64{uint64(f.k), uint64(f.n), uint64(f.decs)}, len(f.st.heap), func(i int) (core.Item, int64, int64) {
+		nd := &f.st.nodes[f.st.heap[i]]
+		return nd.item, nd.count - f.offset, 0
+	}), nil
+}
+
+// DecodeFrequent parses a summary produced by (*Frequent).MarshalBinary
+// (FQ02), or by an earlier build's (FQ01). Each decrement takes the same
+// amount from k+1 counters, so (k+1)·decrements plus the counts is at
+// most n: the decrement total, which Query adds to every estimate, is
+// at most n/(k+1), and each count plus it at most n.
+func DecodeFrequent(data []byte) (*Frequent, error) {
+	return decodeCounters(data, formatFQ, func(h counterHeader) (*Frequent, *nodeTable, error) {
+		if h.decs > h.n/(h.k+1) {
+			return nil, nil, fmt.Errorf("counters: Frequent decrement total %d past n/(k+1) = %d", h.decs, h.n/(h.k+1))
+		}
+		f := &Frequent{k: int(h.k), n: int64(h.n), decs: int64(h.decs), st: newSSStorage(h.entries)}
+		return f, &f.st.nodeTable, nil
+	}, func(f *Frequent, item core.Item, count, errv int64) error {
+		if count <= 0 || errv != 0 || count > f.n-f.decs {
+			return fmt.Errorf("counters: invalid Frequent entry (count=%d err=%d, n=%d, decrements=%d)", count, errv, f.n, f.decs)
+		}
+		f.st.push(item, count, 0)
+		return nil
+	})
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler: SS02, in heap order.
+func (s *SpaceSavingHeap) MarshalBinary() ([]byte, error) {
+	return encodeCounters(formatSS, 0, []uint64{uint64(s.k), uint64(s.n)}, len(s.st.heap), func(i int) (core.Item, int64, int64) {
+		nd := &s.st.nodes[s.st.heap[i]]
+		return nd.item, nd.count, nd.err
+	}), nil
+}
+
+// DecodeSpaceSavingHeap parses a summary produced by
+// (*SpaceSavingHeap).MarshalBinary (SS02), or by an earlier build's
+// (SS01). An entry's err is at most its count.
+func DecodeSpaceSavingHeap(data []byte) (*SpaceSavingHeap, error) {
+	return decodeCounters(data, formatSS, func(h counterHeader) (*SpaceSavingHeap, *nodeTable, error) {
+		s := &SpaceSavingHeap{k: int(h.k), n: int64(h.n), st: newSSStorage(h.entries)}
+		return s, &s.st.nodeTable, nil
+	}, func(s *SpaceSavingHeap, item core.Item, count, errv int64) error {
+		if errv > count {
+			return fmt.Errorf("counters: invalid SpaceSaving entry (count=%d err=%d)", count, errv)
+		}
+		s.st.push(item, count, errv)
+		return nil
+	})
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler, writing LC02:
+// each entry's observed count and Δ, in ascending item order, not the
+// store's, which depends on history, so logically equal summaries
+// produce byte-equal blobs, the property the crash-recovery tests (and
+// any content-addressed checkpoint store) compare on.
 func (l *LossyCounting) MarshalBinary() ([]byte, error) {
 	nodes := slices.Clone(l.st.nodes)
 	slices.SortFunc(nodes, func(a, b ssNode) int { return cmp.Compare(a.item, b.item) })
-	out := make([]byte, 0, 4+4*8+24*len(nodes))
-	out = append(out, magicLC...)
-	out = le.AppendUint64(out, math.Float64bits(l.epsilon))
-	out = le.AppendUint64(out, uint64(l.variant))
-	out = le.AppendUint64(out, uint64(l.n))
-	out = le.AppendUint64(out, uint64(len(nodes)))
-	for _, nd := range nodes {
-		out = le.AppendUint64(out, uint64(nd.item))
-		out = le.AppendUint64(out, uint64(nd.count-nd.err))
-		out = le.AppendUint64(out, uint64(nd.err))
-	}
-	return out, nil
+	return encodeCounters(formatLC, l.epsilon, []uint64{uint64(l.variant), uint64(l.n)}, len(nodes), func(i int) (core.Item, int64, int64) {
+		return nodes[i].item, nodes[i].count - nodes[i].err, nodes[i].err
+	}), nil
 }
 
 // DecodeLossyCounting parses a summary produced by
-// (*LossyCounting).MarshalBinary.
+// (*LossyCounting).MarshalBinary (LC02), or by an earlier build's
+// (LC01). Every state Update and Merge reach has 0 < count and
+// 0 ≤ Δ ≤ b − 1 (merged Δs add, and ⌈a⌉ + ⌈c⌉ ≤ ⌈a + c⌉ + 1), and
+// count + Δ, the entry's heap key, must not overflow.
 func DecodeLossyCounting(data []byte) (*LossyCounting, error) {
-	r := wire.NewReader(data)
-	r.Magic(magicLC)
-	eps, variant, n, cnt := math.Float64frombits(r.U64()), r.U64(), r.I64(), r.U64()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if !(eps > 0 && eps < 1) || variant > 1 || cnt > MaxBudget {
-		return nil, fmt.Errorf("counters: implausible LossyCounting header (ε=%v variant=%d entries=%d)", eps, variant, cnt)
-	}
-	if uint64(r.Len()) != cnt*24 {
-		return nil, fmt.Errorf("counters: LossyCounting payload %d bytes, want %d", r.Len(), cnt*24)
-	}
-	l := NewLossyCounting(eps, LCVariant(variant))
-	l.n = n
-	l.bucket = max((n+l.width-1)/l.width, 1)
-	l.st = newSSStorage(int(cnt))
-	for i := uint64(0); i < cnt; i++ {
-		item, count, delta := core.Item(r.U64()), r.I64(), r.I64()
-		// Every state Update and Merge reach has 0 < count ≤ n and
-		// 0 ≤ Δ ≤ b − 1 (merged Δs add, and ⌈a⌉ + ⌈c⌉ ≤ ⌈a + c⌉ + 1);
-		// count + Δ is the entry's heap key, so it must not overflow.
-		if count <= 0 || count > n || delta < 0 || delta > l.bucket-1 || count > math.MaxInt64-delta {
-			return nil, fmt.Errorf("counters: invalid LossyCounting entry (count=%d Δ=%d, n=%d)", count, delta, n)
+	return decodeCounters(data, formatLC, func(h counterHeader) (*LossyCounting, *nodeTable, error) {
+		if !(h.eps > 0 && h.eps < 1) || h.k > 1 {
+			return nil, nil, fmt.Errorf("counters: implausible LossyCounting header (ε=%v variant=%d)", h.eps, h.k)
 		}
-		if l.st.lookup(item) >= 0 {
-			return nil, fmt.Errorf("counters: duplicate item in LossyCounting blob")
+		l := NewLossyCounting(h.eps, LCVariant(h.k))
+		l.n, l.st = int64(h.n), newSSStorage(h.entries)
+		l.bucket = max((l.n+l.width-1)/l.width, 1)
+		return l, &l.st.nodeTable, nil
+	}, func(l *LossyCounting, item core.Item, count, delta int64) error {
+		if count <= 0 || delta > l.bucket-1 || count > math.MaxInt64-delta {
+			return fmt.Errorf("counters: invalid LossyCounting entry (count=%d Δ=%d, bucket %d)", count, delta, l.bucket)
 		}
 		l.st.push(item, count+delta, delta)
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return l, nil
+		return nil
+	})
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler for the
-// Stream-Summary variant. Entries are written in structural order —
-// buckets ascending by count, entries within a bucket from the head —
-// and DecodeSpaceSavingList rebuilds exactly that linkage, so
-// encode→decode→encode is byte-identical and the decoded structure is
-// validate-clean like a Clone.
+// Stream-Summary variant, writing SL02. Entries are written in
+// structural order — buckets ascending by count, entries within a
+// bucket from the head — and DecodeSpaceSavingList rebuilds exactly
+// that linkage, so encode→decode→encode is byte-identical and the
+// decoded structure is validate-clean like a Clone.
 func (s *SpaceSavingList) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 4+3*8+24*len(s.t.nodes))
-	out = append(out, magicSL...)
-	out = le.AppendUint64(out, uint64(s.k))
-	out = le.AppendUint64(out, uint64(s.n))
-	out = le.AppendUint64(out, uint64(len(s.t.nodes)))
+	ids := make([]int32, 0, len(s.t.nodes))
 	for b := s.min; b >= 0; b = s.buckets[b].next {
 		for e := s.buckets[b].head; e >= 0; e = s.links[e].next {
-			nd := &s.t.nodes[e]
-			out = le.AppendUint64(out, uint64(nd.item))
-			out = le.AppendUint64(out, uint64(nd.count))
-			out = le.AppendUint64(out, uint64(nd.err))
+			ids = append(ids, e)
 		}
 	}
-	return out, nil
+	return encodeCounters(formatSL, 0, []uint64{uint64(s.k), uint64(s.n)}, len(ids), func(i int) (core.Item, int64, int64) {
+		nd := &s.t.nodes[ids[i]]
+		return nd.item, nd.count, nd.err
+	}), nil
 }
 
 // DecodeSpaceSavingList parses a summary produced by
-// (*SpaceSavingList).MarshalBinary. Counts must be non-decreasing (the
-// structural order MarshalBinary emits), so a shuffled or hand-forged
-// blob is rejected; the entries are then linked from the last one back,
-// each joining the head of the minimum bucket or opening a new minimum,
-// which rebuilds the written order exactly.
+// (*SpaceSavingList).MarshalBinary (SL02), or by an earlier build's
+// (SL01). Counts must be positive and non-decreasing (the structural
+// order MarshalBinary emits), so a shuffled or hand-forged blob is
+// rejected, and an err at most its count; the entries are then linked
+// from the last one back, each joining the head of the minimum bucket
+// or opening a new minimum, which rebuilds the written order exactly.
 func DecodeSpaceSavingList(data []byte) (*SpaceSavingList, error) {
-	r := wire.NewReader(data)
-	r.Magic(magicSL)
-	k, n, cnt := r.U64(), r.I64(), r.U64()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if k == 0 || k > MaxBudget || cnt > k || n < 0 {
-		return nil, fmt.Errorf("counters: implausible SpaceSavingList header (k=%d, n=%d, entries=%d)", k, n, cnt)
-	}
-	if uint64(r.Len()) != cnt*24 {
-		return nil, fmt.Errorf("counters: SpaceSavingList payload %d bytes, want %d", r.Len(), cnt*24)
-	}
-	s := newSpaceSavingList(int(k), int(cnt))
-	s.n = n
-	last := int64(0)
-	for i := uint64(0); i < cnt; i++ {
-		item, count, errv := core.Item(r.U64()), r.I64(), r.I64()
-		if count <= 0 || count > n || errv < 0 || errv > count {
-			return nil, fmt.Errorf("counters: invalid SpaceSavingList entry (count=%d err=%d, n=%d)", count, errv, n)
-		}
-		if count < last {
-			return nil, fmt.Errorf("counters: SpaceSavingList blob buckets out of order (%d after %d)", count, last)
-		}
-		if s.t.lookup(item) >= 0 {
-			return nil, fmt.Errorf("counters: duplicate item in SpaceSavingList blob")
+	s, err := decodeCounters(data, formatSL, func(h counterHeader) (*SpaceSavingList, *nodeTable, error) {
+		s := newSpaceSavingList(int(h.k), h.entries)
+		s.n = int64(h.n)
+		return s, &s.t, nil
+	}, func(s *SpaceSavingList, item core.Item, count, errv int64) error {
+		if last := len(s.t.nodes) - 1; count <= 0 || errv > count || last >= 0 && count < s.t.nodes[last].count {
+			return fmt.Errorf("counters: invalid SpaceSavingList entry (count=%d err=%d), or out of count order", count, errv)
 		}
 		s.t.newNode(item, count, errv, -1)
 		s.links = append(s.links, listLink{})
-		last = count
-	}
-	if err := r.Done(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	for id := int32(cnt) - 1; id >= 0; id-- {
+	for id := int32(len(s.t.nodes)) - 1; id >= 0; id-- {
 		s.attach(id, s.t.nodes[id].count, -1)
 	}
 	return s, nil
@@ -316,7 +311,7 @@ func (t *Tracked) MarshalBinary() ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, 0, 4+2*8+16*len(t.st.heap)+8+len(innerBlob))
-	out = append(out, magicTK...)
+	out = append(out, "TK01"...)
 	out = le.AppendUint64(out, uint64(t.capacity))
 	out = le.AppendUint64(out, uint64(len(t.st.heap)))
 	for _, id := range t.st.heap {
@@ -336,7 +331,7 @@ func (t *Tracked) MarshalBinary() ([]byte, error) {
 // silently mis-evicts.
 func DecodeTracked(data []byte, decodeInner func([]byte) (core.Summary, error)) (*Tracked, error) {
 	r := wire.NewReader(data)
-	r.Magic(magicTK)
+	r.Magic("TK01")
 	capacity, heapLen := r.U64(), r.U64()
 	if err := r.Err(); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,259 +12,242 @@ import (
 	"streamfreq/internal/zipf"
 )
 
-func TestFrequentRoundTrip(t *testing.T) {
-	f := NewFrequent(32)
-	g, _ := zipf.NewGenerator(500, 1.1, 3, true)
-	for i := 0; i < 20000; i++ {
-		f.Update(g.Next(), 1)
+// encoded is a counter summary with its encoding.
+type encoded interface {
+	core.Summary
+	MarshalBinary() ([]byte, error)
+}
+
+// decode dispatches a counter blob on its magic, as the root package's
+// registry does: both formats of a summary go to its one decoder.
+func decode(b []byte) (core.Summary, error) {
+	switch string(b[:2]) {
+	case "FQ":
+		return DecodeFrequent(b)
+	case "SS":
+		return DecodeSpaceSavingHeap(b)
+	case "LC":
+		return DecodeLossyCounting(b)
 	}
-	blob, err := f.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	return DecodeSpaceSavingList(b)
+}
+
+// counterBlob writes a counter blob by hand: the magic, the header
+// words (the entry count last), then the entries, flat (item, count,
+// err) triples. Items and Lossy Counting's first header word (ε's
+// float64 bits) are u64s; an 02 magic writes every other word as a
+// uvarint, an 01 magic as a u64, and FQ01 writes no err.
+func counterBlob(magic string, header []uint64, entries ...uint64) []byte {
+	word := func(out []byte, v uint64) []byte {
+		if magic[3] == '1' {
+			return le.AppendUint64(out, v)
+		}
+		return binary.AppendUvarint(out, v)
 	}
-	got, err := DecodeFrequent(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != f.N() || got.k != f.k || got.MaxError() != f.MaxError() {
-		t.Fatal("metadata lost in round trip")
-	}
-	for r := 1; r <= 500; r++ {
-		it := g.ItemOfRank(r)
-		if got.Estimate(it) != f.Estimate(it) {
-			t.Fatalf("estimate mismatch for item %d", it)
+	out := []byte(magic)
+	for i, v := range header {
+		if i == 0 && magic[:2] == "LC" {
+			out = le.AppendUint64(out, v)
+		} else {
+			out = word(out, v)
 		}
 	}
-	// Decoded summary must continue to work.
-	got.Update(g.ItemOfRank(1), 5)
-	if got.Estimate(g.ItemOfRank(1)) != f.Estimate(g.ItemOfRank(1))+5 {
-		t.Error("decoded summary broken after further updates")
+	for i, v := range entries {
+		switch {
+		case i%3 == 0:
+			out = le.AppendUint64(out, v)
+		case i%3 == 1 || magic != "FQ01":
+			out = word(out, v)
+		}
+	}
+	return out
+}
+
+// counterHead is a hand-built blob's header: k = 4 (Lossy Counting:
+// ε = 0.5 and the LC variant), n, Frequent's zero decrement total and
+// cnt.
+func counterHead(magic string, n, cnt uint64) []uint64 {
+	switch magic[:2] {
+	case "FQ":
+		return []uint64{4, n, 0, cnt}
+	case "LC":
+		return []uint64{math.Float64bits(0.5), 0, n, cnt}
+	}
+	return []uint64{4, n, cnt}
+}
+
+var magics = []string{"FQ02", "SS02", "LC02", "SL02", "FQ01", "SS01", "LC01", "SL01"}
+
+// roundTrip feeds s a Zipf stream, then checks that its blob is
+// allocated at exactly its length (an evicted tenant keeps it as its
+// whole state), decodes to a summary answering as s does, re-encodes
+// to the same bytes, and keeps working.
+func roundTrip(t *testing.T, s encoded) core.Summary {
+	t.Helper()
+	if blob, _ := s.MarshalBinary(); cap(blob) != len(blob) {
+		t.Fatalf("empty %s's %d-byte blob has capacity %d", s.Name(), len(blob), cap(blob))
+	}
+	g, _ := zipf.NewGenerator(600, 1.1, 7, true)
+	for range 25000 {
+		s.Update(g.Next(), 1)
+	}
+	blob, _ := s.MarshalBinary()
+	if cap(blob) != len(blob) {
+		t.Fatalf("%s's %d-byte blob has capacity %d", s.Name(), len(blob), cap(blob))
+	}
+	got, err := decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name() != s.Name() || got.N() != s.N() || !slices.Equal(got.Query(1), s.Query(1)) {
+		t.Fatalf("%s decoded to %s, n=%d, Query(1) %v", s.Name(), got.Name(), got.N(), got.Query(1))
+	}
+	for r := 1; r <= 600; r++ {
+		if it := g.ItemOfRank(r); got.Estimate(it) != s.Estimate(it) {
+			t.Fatalf("%s: estimate mismatch for item %d", s.Name(), it)
+		}
+	}
+	if again, _ := got.(encoded).MarshalBinary(); !bytes.Equal(again, blob) {
+		t.Fatalf("%s re-encodes to different bytes", s.Name())
+	}
+	s.Update(g.ItemOfRank(1), 5)
+	if got.Update(g.ItemOfRank(1), 5); got.Estimate(g.ItemOfRank(1)) != s.Estimate(g.ItemOfRank(1)) {
+		t.Errorf("decoded %s broken after further updates", s.Name())
+	}
+	return got
+}
+
+func TestFrequentRoundTrip(t *testing.T) {
+	f := NewFrequent(32)
+	if got := roundTrip(t, f).(*Frequent); got.k != f.k || got.MaxError() != f.MaxError() || f.MaxError() == 0 {
+		t.Fatalf("decrement total %d, want %d", got.MaxError(), f.MaxError())
 	}
 }
 
-// TestSpaceSavingRoundTrip also checks that a blob is allocated at
-// exactly its length: an evicted tenant keeps it as its whole state.
 func TestSpaceSavingRoundTrip(t *testing.T) {
-	if blob, _ := NewSpaceSavingHeap(40).MarshalBinary(); cap(blob) != len(blob) {
-		t.Fatalf("empty summary's %d-byte blob has capacity %d", len(blob), cap(blob))
-	}
 	s := NewSpaceSavingHeap(40)
-	g, _ := zipf.NewGenerator(600, 1.2, 7, true)
-	for i := 0; i < 30000; i++ {
-		s.Update(g.Next(), 1)
-	}
-	blob, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap(blob) != len(blob) {
-		t.Fatalf("%d-byte blob has capacity %d", len(blob), cap(blob))
-	}
-	got, err := DecodeSpaceSavingHeap(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != s.N() || got.Min() != s.Min() {
-		t.Fatal("metadata lost")
-	}
-	for r := 1; r <= 600; r++ {
-		it := g.ItemOfRank(r)
-		if got.Estimate(it) != s.Estimate(it) || got.GuaranteedCount(it) != s.GuaranteedCount(it) {
-			t.Fatalf("estimate mismatch for item %d", it)
+	got := roundTrip(t, s).(*SpaceSavingHeap)
+	for it := core.Item(0); it < 2000; it++ {
+		if got.GuaranteedCount(it) != s.GuaranteedCount(it) || got.Min() != s.Min() {
+			t.Fatalf("GuaranteedCount(%d) = %d, want %d", it, got.GuaranteedCount(it), s.GuaranteedCount(it))
 		}
 	}
+	roundTrip(t, NewSpaceSavingList(40))
 }
 
 func TestLossyCountingRoundTrip(t *testing.T) {
 	for _, v := range []LCVariant{VariantLC, VariantLCD} {
-		l := NewLossyCounting(0.005, v)
-		g, _ := zipf.NewGenerator(400, 1.0, 9, true)
-		for i := 0; i < 25000; i++ {
-			l.Update(g.Next(), 1)
+		roundTrip(t, NewLossyCounting(0.005, v))
+	}
+}
+
+// TestDecodeLossyCountingRejectsUnreachableEntries: every LC state has
+// 0 < count ≤ n and 0 ≤ Δ ≤ b − 1 (b = ⌈n/w⌉, w = ⌈1/ε⌉), with
+// count + Δ, the entry's heap key, inside int64. A blob breaking any of
+// these must not decode, in LC02 or LC01: with ε = 0.01 and n = 1000
+// (b = 10), an accepted Δ of 2^63 − 1 made Estimate negative and an
+// accepted Δ of 500 reported an item at 505, past the true + εN = 15
+// an LCD estimate may reach.
+func TestDecodeLossyCountingRejectsUnreachableEntries(t *testing.T) {
+	const maxI = math.MaxInt64
+	eps := math.Float64bits
+	for _, magic := range []string{"LC02", "LC01"} {
+		for name, b := range map[string][]byte{
+			"forged Δs":          counterBlob(magic, []uint64{eps(0.01), 1, 1000, 2}, 7, 1, maxI, 9, 5, 500),
+			"Δ at b":             counterBlob(magic, []uint64{eps(0.01), 1, 1000, 1}, 9, 5, 10),
+			"count + Δ overflow": counterBlob(magic, []uint64{eps(0.5), 0, maxI - 1, 1}, 3, maxI-1, 1<<62-2),
+			"variant 2":          counterBlob(magic, []uint64{eps(0.01), 2, 1000, 0}),
+		} {
+			if l, err := DecodeLossyCounting(b); err == nil {
+				t.Errorf("%s with %s decoded, Estimate(9) = %d, Query(1) = %v", magic, name, l.Estimate(9), l.Query(1))
+			}
 		}
-		blob, err := l.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
+		good := func(magic string) map[string][]byte {
+			return map[string][]byte{
+				"Δ at b − 1":      counterBlob(magic, []uint64{eps(0.01), 1, 1000, 1}, 9, 5, 9),
+				"largest key fit": counterBlob(magic, []uint64{eps(0.5), 0, maxI - 1, 1}, 3, maxI-1, 1),
+			}
 		}
-		got, err := DecodeLossyCounting(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Name() != l.Name() || got.N() != l.N() || len(got.st.nodes) != len(l.st.nodes) {
-			t.Fatal("metadata lost")
-		}
-		for r := 1; r <= 400; r++ {
-			it := g.ItemOfRank(r)
-			if got.Estimate(it) != l.Estimate(it) {
-				t.Fatalf("estimate mismatch for item %d", it)
+		for name, b := range good(magic) {
+			l, err := DecodeLossyCounting(b)
+			if err != nil {
+				t.Fatalf("%s with %s: %v", magic, name, err)
+			}
+			if again, _ := l.MarshalBinary(); !bytes.Equal(again, good("LC02")[name]) {
+				t.Errorf("%s with %s re-encodes to bytes other than its LC02 blob", magic, name)
 			}
 		}
 	}
 }
 
-// lcBlob writes an LC01 blob by hand: the header, then one (item,
-// count, Δ) triple per entry.
-func lcBlob(eps float64, variant LCVariant, n int64, entries ...[3]int64) []byte {
-	out := []byte(magicLC)
-	out = le.AppendUint64(out, math.Float64bits(eps))
-	out = le.AppendUint64(out, uint64(variant))
-	out = le.AppendUint64(out, uint64(n))
-	out = le.AppendUint64(out, uint64(len(entries)))
-	for _, e := range entries {
-		for _, v := range e {
-			out = le.AppendUint64(out, uint64(v))
-		}
-	}
-	return out
-}
-
-// TestDecodeLossyCountingRejectsUnreachableEntries: every LC state has
-// 0 < count ≤ n and 0 ≤ Δ ≤ b − 1 (b = ⌈n/w⌉, w = ⌈1/ε⌉), with
-// count + Δ, the entry's heap key, inside int64. A blob breaking any of these must
-// not decode: with ε = 0.01 and n = 1000 (b = 10), an accepted Δ of
-// 2^63 − 1 made Estimate negative and an accepted Δ of 500 reported
-// an item at 505, past the true + εN = 15 an LCD estimate may reach.
-func TestDecodeLossyCountingRejectsUnreachableEntries(t *testing.T) {
-	const maxI = math.MaxInt64
-	bad := map[string][]byte{
-		"forged Δs":          lcBlob(0.01, VariantLCD, 1000, [3]int64{7, 1, maxI}, [3]int64{9, 5, 500}),
-		"Δ at b":             lcBlob(0.01, VariantLCD, 1000, [3]int64{9, 5, 10}),
-		"count above n":      lcBlob(0.01, VariantLC, 1000, [3]int64{9, 1001, 0}),
-		"count + Δ overflow": lcBlob(0.5, VariantLC, maxI-1, [3]int64{3, maxI - 1, 1<<62 - 2}),
-	}
-	for name, blob := range bad {
-		if l, err := DecodeLossyCounting(blob); err == nil {
-			t.Errorf("%s: decoded, Estimate(9) = %d, Query(1) = %v", name, l.Estimate(9), l.Query(1))
-		}
-	}
-	good := map[string][]byte{
-		"Δ at b − 1":      lcBlob(0.01, VariantLCD, 1000, [3]int64{9, 5, 9}),
-		"count at n":      lcBlob(0.01, VariantLC, 1000, [3]int64{9, 1000, 0}),
-		"largest key fit": lcBlob(0.5, VariantLC, maxI-1, [3]int64{3, maxI - 1, 1}),
-	}
-	for name, blob := range good {
-		l, err := DecodeLossyCounting(blob)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if again, _ := l.MarshalBinary(); !bytes.Equal(again, blob) {
-			t.Errorf("%s: re-encoding changed the blob", name)
-		}
-	}
-}
-
+// TestCounterDecodeRejectsCorruption: every counter magic refuses a
+// repeated item, a blob cut short, more entries than its bytes hold
+// (at 10 bytes each; 24, or FQ01's 16, in the 01 formats), trailing
+// bytes and another summary's blob; then each summary's own rules.
+// A Frequent blob's decrement total is added to every estimate Query
+// weighs, so one no stream reaches changes the answer: in a k = 4
+// FQ01 blob whose item 1 holds 91 of n = 138, −2^62 made Query(50)
+// report nothing, and 2^63 − 11 overflowed into a report of two
+// count-1 items.
 func TestCounterDecodeRejectsCorruption(t *testing.T) {
-	f := NewFrequent(8)
-	f.Update(1, 5)
-	f.Update(2, 3)
-	fb, _ := f.MarshalBinary()
-
-	s := NewSpaceSavingHeap(8)
-	s.Update(1, 5)
-	sb, _ := s.MarshalBinary()
-
-	l := NewLossyCounting(0.1, VariantLC)
-	l.Update(1, 5)
-	lb, _ := l.MarshalBinary()
-
-	if _, err := DecodeFrequent(fb[:len(fb)-3]); err == nil {
-		t.Error("truncated Frequent accepted")
+	eps := math.Float64bits
+	bad := map[string][]byte{
+		"FQ02 entries above k":           counterBlob("FQ02", counterHead("FQ02", 10, 5), 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 0, 5, 1, 0),
+		"SS02 err above count":           counterBlob("SS02", counterHead("SS02", 10, 1), 7, 5, 6),
+		"SL02 err above count":           counterBlob("SL02", counterHead("SL02", 10, 1), 7, 5, 6),
+		"SL02 counts out of order":       counterBlob("SL02", counterHead("SL02", 10, 2), 7, 5, 0, 8, 3, 0),
+		"SL01 zero count":                counterBlob("SL01", counterHead("SL01", 10, 1), 7, 0, 0),
+		"FQ02 err":                       counterBlob("FQ02", counterHead("FQ02", 10, 1), 7, 5, 1),
+		"FQ02 decrements past n/(k+1)":   counterBlob("FQ02", []uint64{4, 10, 3, 0}),
+		"FQ02 count past n − decrements": counterBlob("FQ02", []uint64{4, 10, 2, 1}, 7, 9, 0),
+		"FQ01 decrements of −2^62":       counterBlob("FQ01", []uint64{4, 138, 1<<64 - 1<<62, 3}, 1, 91, 0, 2, 1, 0, 3, 1, 0),
+		"FQ01 decrements of 2^63 − 11":   counterBlob("FQ01", []uint64{4, 138, 1<<63 - 11, 3}, 1, 91, 0, 2, 1, 0, 3, 1, 0),
+		"LC02 ε of 1":                    counterBlob("LC02", []uint64{eps(1), 0, 10, 0}),
 	}
-	if _, err := DecodeFrequent(sb); err == nil {
-		t.Error("Frequent decoder accepted SpaceSaving blob")
+	for _, magic := range magics {
+		bad[magic+" repeated item"] = counterBlob(magic, counterHead(magic, 10, 2), 7, 3, 0, 7, 5, 0)
+		bad[magic+" entries past its bytes"] = counterBlob(magic, counterHead(magic, 10, 3), 7, 3, 0, 8, 5, 0)
+		bad[magic+" trailing byte"] = append(counterBlob(magic, counterHead(magic, 10, 1), 7, 3, 0), 9)
+		bad[magic+" header only"] = []byte(magic)
 	}
-	if _, err := DecodeSpaceSavingHeap(lb); err == nil {
-		t.Error("SpaceSaving decoder accepted LossyCounting blob")
+	if _, err := DecodeFrequent(counterBlob("SS02", counterHead("SS02", 10, 0))); err == nil {
+		t.Error("the Frequent decoder accepted an SS02 blob")
 	}
-	if _, err := DecodeLossyCounting(append(lb, 9)); err == nil {
-		t.Error("trailing garbage accepted")
-	}
-	if _, err := DecodeLossyCounting([]byte("LC01")); err == nil {
-		t.Error("header-only blob accepted")
-	}
-
-	// Forged entry count exceeding k must be rejected.
-	forged := append([]byte{}, fb...)
-	forged[4+24] = 0xFF // entries field low byte
-	if _, err := DecodeFrequent(forged); err == nil {
-		t.Error("forged entry count accepted")
-	}
-
-	// A Space-Saving entry repeating an item, or with a count no stream
-	// reaches, too, in SS02 and in the SS01 earlier builds wrote. The
-	// SS02 duplicate is the encoder's own blob with entry 1 given entry
-	// 0's item (the magic and three one-byte varints, then 8-byte items
-	// and one-byte counts and errors).
-	s.Update(2, 3)
-	sb, _ = s.MarshalBinary()
-	const first, entry = 4 + 3, 8 + 2
-	if len(sb) != first+2*entry {
-		t.Fatalf("SS02 blob of two small counts is %d bytes, want %d", len(sb), first+2*entry)
-	}
-	dup := bytes.Clone(sb)
-	copy(dup[first+entry:first+entry+8], dup[first:first+8])
-	// 2^20 takes three varint bytes, so the cut blob still has the 10
-	// bytes an entry needs at least, and its count runs off the end.
-	cut := ssBlob("SS02", 4, 1<<20, 1, [3]uint64{7, 1 << 20, 0})
-	cut = cut[:len(cut)-2]
-	for name, b := range map[string][]byte{
-		"SS02 duplicate":             dup,
-		"SS02 count above n":         ssBlob("SS02", 4, 10, 1, [3]uint64{7, 11, 0}),
-		"SS02 err above count":       ssBlob("SS02", 4, 10, 1, [3]uint64{7, 5, 6}),
-		"SS02 n of 2^63":             ssBlob("SS02", 4, 1<<63, 0),
-		"SS02 n past 2^63":           ssBlob("SS02", 4, 1<<64-1, 1, [3]uint64{7, 1, 0}),
-		"SS02 entries past bytes/10": ssBlob("SS02", 4, 10, 3, [3]uint64{7, 5, 0}, [3]uint64{8, 5, 0}),
-		"SS01 duplicate":             ssBlob("SS01", 4, 10, 2, [3]uint64{7, 5, 0}, [3]uint64{7, 5, 0}),
-		"SS01 negative count":        ssBlob("SS01", 4, 10, 1, [3]uint64{7, 1 << 63, 0}),
-		"SS01 err above count":       ssBlob("SS01", 4, 10, 1, [3]uint64{7, 5, 6}),
-	} {
-		if _, err := DecodeSpaceSavingHeap(b); err == nil {
-			t.Errorf("SpaceSaving decoder accepted a blob with %s", name)
+	for name, b := range bad {
+		if s, err := decode(b); err == nil {
+			t.Errorf("%s: decoded to n=%d, Query(50) = %v", name, s.N(), s.Query(50))
 		}
 	}
-	// A blob cut inside its last item reads that item as 0, which entry
-	// 0 already holds: the error must still be the cut.
-	cutItem := append(ssBlob("SS02", 4, 1<<21, 3, [3]uint64{0, 1 << 20, 0}, [3]uint64{8, 1 << 20, 0}), 1, 2, 3, 4, 5, 6)
-	for name, b := range map[string][]byte{"a varint": cut, "an item": cutItem} {
-		if _, err := DecodeSpaceSavingHeap(b); err == nil || !strings.Contains(err.Error(), "truncated") {
-			t.Errorf("SS02 blob cut inside %s: %v, want a truncation error", name, err)
+	// A blob cut inside a varint, or inside its last item, which reads
+	// as 0 like entry 0's item: the error must be the cut. 2^20 takes
+	// three varint bytes, so the cut blob still has 10 bytes an entry.
+	for _, magic := range magics[:4] {
+		v := counterBlob(magic, counterHead(magic, 1<<20, 1), 7, 1<<20, 0)
+		item := append(counterBlob(magic, counterHead(magic, 1<<21, 3), 0, 1<<20, 0, 8, 1<<20, 0), 1, 2, 3, 4, 5, 6)
+		for name, b := range map[string][]byte{"a varint": v[:len(v)-2], "an item": item} {
+			if _, err := decode(b); err == nil || !strings.Contains(err.Error(), "truncated") {
+				t.Errorf("%s blob cut inside %s: %v, want a truncation error", magic, name, err)
+			}
 		}
 	}
-	for _, magic := range []string{"SS02", "SS01"} {
-		b := ssBlob(magic, 4, 10, 2, [3]uint64{7, 5, 0}, [3]uint64{8, 5, 2})
-		got, err := DecodeSpaceSavingHeap(b)
-		if err != nil {
-			t.Fatalf("%s blob of reachable entries refused: %v", magic, err)
-		}
-		if got.Estimate(8) != 5 || got.GuaranteedCount(8) != 3 || got.N() != 10 {
-			t.Errorf("%s blob decoded to Estimate(8) = %d, GuaranteedCount(8) = %d, n = %d", magic,
-				got.Estimate(8), got.GuaranteedCount(8), got.N())
+	// What a stream reaches decodes: an err below the count (Space-
+	// Saving), and the FQ01 blob above with its true decrement total.
+	for _, magic := range []string{"SS02", "SS01", "SL02", "SL01"} {
+		got, err := decode(counterBlob(magic, counterHead(magic, 10, 2), 7, 5, 0, 8, 5, 2))
+		if err != nil || got.Estimate(8) != 5 || got.N() != 10 {
+			t.Errorf("%s blob of reachable entries: %v, Estimate(8) = %d", magic, err, got.Estimate(8))
 		}
 	}
-}
-
-// ssBlob writes a Space-Saving blob by hand: the magic, then k, n and
-// the entry count cnt, then each (item, count, err) entry. SS02 writes
-// every field but the item as a uvarint, SS01 every field as a u64.
-func ssBlob(magic string, k, n, cnt uint64, entries ...[3]uint64) []byte {
-	field := func(out []byte, v uint64) []byte {
-		if magic == magicSS1 {
-			return le.AppendUint64(out, v)
-		}
-		return binary.AppendUvarint(out, v)
+	f, err := DecodeFrequent(counterBlob("FQ01", []uint64{4, 138, 9, 3}, 1, 91, 0, 2, 1, 0, 3, 1, 0))
+	if err != nil || !slices.Equal(f.Query(50), []core.ItemCount{{Item: 1, Count: 91}}) {
+		t.Errorf("FQ01 blob with 9 decrements: %v, Query(50) = %v", err, f.Query(50))
 	}
-	out := field(field(field([]byte(magic), k), n), cnt)
-	for _, e := range entries {
-		out = field(field(le.AppendUint64(out, e[0]), e[1]), e[2])
-	}
-	return out
 }
 
 func TestCounterRoundTripPreservesMergeability(t *testing.T) {
-	a := NewSpaceSavingHeap(16)
-	b := NewSpaceSavingHeap(16)
+	a, b := NewSpaceSavingHeap(16), NewSpaceSavingHeap(16)
 	g, _ := zipf.NewGenerator(100, 1.0, 11, true)
-	for i := 0; i < 5000; i++ {
+	for range 5000 {
 		it := g.Next()
 		a.Update(it, 1)
 		b.Update(it, 1)
@@ -273,70 +257,37 @@ func TestCounterRoundTripPreservesMergeability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := decoded.Merge(b); err != nil {
-		t.Fatalf("decoded summary not mergeable: %v", err)
-	}
-	if decoded.N() != a.N()+b.N() {
-		t.Errorf("merged N = %d, want %d", decoded.N(), a.N()+b.N())
+	if err := decoded.Merge(b); err != nil || decoded.N() != a.N()+b.N() {
+		t.Errorf("decoded summary merged to n=%d (%v), want %d", decoded.N(), err, a.N()+b.N())
 	}
 }
 
 // TestDecodeRefusesCountsAboveN: no counter Update or Merge reaches is
 // above the stream length n — a merged count is c_a + c_b, or c plus
-// the other side's minimum, each at most n_a + n_b — so FQ01, SS02,
-// SS01 and SL01 refuse a negative n and an entry counting past n. Accepted, the
-// k = 4, n = 10 blob holding item 7 at 2^62 self-merges to an estimate
-// of −2^63 and an encoding its own decoder refuses.
+// the other side's minimum, each at most n_a + n_b — and n itself is
+// below 2^63, so every counter magic refuses an n of 2^63 or more (a
+// negative n, in the 01 formats' u64s) and an entry counting past n.
+// Accepted, the k = 4, n = 10 blob holding item 7 at 2^62 self-merges
+// to an estimate of −2^63 and an encoding its own decoder refuses.
 func TestDecodeRefusesCountsAboveN(t *testing.T) {
-	blob := func(magic string, words ...uint64) []byte {
-		out := []byte(magic)
-		for _, w := range words {
-			out = le.AppendUint64(out, w)
-		}
-		return out
-	}
-	decoders := map[string]func([]byte) (core.Summary, error){
-		"FQ01": func(b []byte) (core.Summary, error) { return DecodeFrequent(b) },
-		"SS01": func(b []byte) (core.Summary, error) { return DecodeSpaceSavingHeap(b) },
-		"SL01": func(b []byte) (core.Summary, error) { return DecodeSpaceSavingList(b) },
-	}
-	// Header words after the magic: k, n, then FQ01's decrement mass.
-	header := func(magic string, n uint64) []uint64 {
-		if magic == "FQ01" {
-			return []uint64{4, n, 0}
-		}
-		return []uint64{4, n}
-	}
-	for magic, decode := range decoders {
-		entry := []uint64{7, 1 << 62, 0} // item, count, err
-		if magic == "FQ01" {
-			entry = entry[:2]
-		}
-		for name, words := range map[string][]uint64{
-			"count above n": append(append(header(magic, 10), 1), entry...),
-			"negative n":    append(header(magic, 1<<63), 0),
+	for _, magic := range magics {
+		for name, b := range map[string][]byte{
+			"count above n":  counterBlob(magic, counterHead(magic, 10, 1), 7, 1<<62, 0),
+			"count of n + 1": counterBlob(magic, counterHead(magic, 10, 1), 7, 11, 0),
+			"n of 2^63":      counterBlob(magic, counterHead(magic, 1<<63, 0)),
+			"n of 2^64 − 1":  counterBlob(magic, counterHead(magic, 1<<64-1, 1), 7, 1, 0),
 		} {
-			if s, err := decode(blob(magic, words...)); err == nil {
+			if s, err := decode(b); err == nil {
 				t.Errorf("%s with %s decoded (Estimate(7) = %d)", magic, name, s.Estimate(7))
 			}
 		}
-		entry[1] = 10 // a count of exactly n is reachable
-		if _, err := decode(blob(magic, append(append(header(magic, 10), 1), entry...)...)); err != nil {
-			t.Errorf("%s with a count of n refused: %v", magic, err)
+		b := counterBlob(magic, counterHead(magic, 10, 1), 7, 10, 0) // a count of exactly n is reachable
+		s, err := decode(b)
+		if err != nil || s.Estimate(7) != 10 {
+			t.Fatalf("%s with a count of n: %v", magic, err)
 		}
-	}
-	// SS02 holds the same fields as varints, so n reads as a uint64 and
-	// one of 2^63 or more is the negative n SS01 refuses.
-	for name, b := range map[string][]byte{
-		"count above n": ssBlob("SS02", 4, 10, 1, [3]uint64{7, 1 << 62, 0}),
-		"n of 2^63":     ssBlob("SS02", 4, 1<<63, 0),
-		"n of 2^64 − 1": ssBlob("SS02", 4, 1<<64-1, 1, [3]uint64{7, 1 << 62, 0}),
-	} {
-		if s, err := DecodeSpaceSavingHeap(b); err == nil {
-			t.Errorf("SS02 with %s decoded (Estimate(7) = %d)", name, s.Estimate(7))
+		if again, _ := s.(encoded).MarshalBinary(); magic[3] == '2' && !bytes.Equal(again, b) {
+			t.Errorf("%s with a count of n re-encodes to different bytes", magic)
 		}
-	}
-	if _, err := DecodeSpaceSavingHeap(ssBlob("SS02", 4, 10, 1, [3]uint64{7, 10, 0})); err != nil {
-		t.Errorf("SS02 with a count of n refused: %v", err)
 	}
 }

@@ -159,7 +159,7 @@ func (l *LossyCounting) Snapshot() core.Summary { return l.Clone() }
 // Bytes implements core.Summary: the counter store's footprint. The
 // store only grows, so this is the footprint of the largest live set
 // the stream needed, not of the entries live now. Like every counter
-// decoder's, LC01's sizes the store to the entries the blob carried, so
+// decoder's, LC02's sizes the store to the entries the blob carried, so
 // after a round trip Bytes reports the footprint of the decoded live
 // set until the store grows again.
 func (l *LossyCounting) Bytes() int { return l.st.bytes() }

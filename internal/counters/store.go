@@ -13,7 +13,7 @@ import (
 // heap, orders Space-Saving (SSH, and every tenant), Frequent
 // (Misra–Gries), Filtered Space-Saving, Lossy Counting (LC and LCD) and
 // Tracked's top-l roster, so the heap discipline, and with it the heap
-// order the FQ01, SS02 and TK01 wire formats write, lives in one place
+// order the FQ02, SS02 and TK01 wire formats write, lives in one place
 // (the sift's comment says why it must not change). The Stream-Summary
 // of streamsummary.go (SSL) orders the same nodes by int32 bucket
 // links. A heap store is four slices plus a tombstone count:
@@ -434,7 +434,7 @@ func (st *ssStorage) popMin() {
 // This is the only heap in the module, and its sift must stay
 // pairwise-swap-identical to the textbook indexed heap: compare counts
 // only (no tie-break), descend to the right child only when it is
-// strictly smaller, stop on equality. FQ01, SS02 and TK01 write the
+// strictly smaller, stop on equality. FQ02, SS02 and TK01 write the
 // heap array in order, so any other arrangement would change the bytes
 // of every checkpoint and /v1/summary blob of F, SSH, CM and CS — the
 // bytes the wire golden and the crash-recovery walls compare.

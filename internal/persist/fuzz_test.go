@@ -109,26 +109,26 @@ func TestFuzzSeedsDirect(t *testing.T) {
 		}
 		_ = i
 	}
-	// The negative-count forge specifically: recovery survives and keeps
-	// the records before the poison.
+	// The negative-count forge at the tail: the frame is whole and
+	// CRC-clean, so no crash left it — it was written as it stands — and
+	// recovery fails on it rather than trimming it as a tear, leaving
+	// the segment byte-identical.
 	dir := t.TempDir()
 	poisoned := segmentBytes(1, 0, []core.Item{7, 7})
 	poisoned = appendRecord(poisoned, recWeighted, "", 0, nil, 123, -5)
-	if err := os.WriteFile(filepath.Join(dir, "wal-0000000001.seg"), poisoned, 0o644); err != nil {
+	seg := filepath.Join(dir, "wal-0000000001.seg")
+	if err := os.WriteFile(seg, poisoned, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(Options{Dir: dir, Algo: "SSH"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := core.NewConcurrent(counters.NewSpaceSavingHeap(8))
-	stats, err := st.Recover(target)
-	if err != nil {
-		t.Fatalf("poisoned-record recovery failed: %v", err)
+	if _, err := st.Recover(core.NewConcurrent(counters.NewSpaceSavingHeap(8))); err == nil {
+		t.Fatal("recovered past a whole, CRC-clean record that does not apply")
 	}
-	st.Close()
-	if stats.RecoveredN != 2 || target.LiveN() != 2 {
-		t.Fatalf("recovered n=%d (target %d), want the 2 items before the poison", stats.RecoveredN, target.LiveN())
+	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, poisoned) {
+		t.Fatalf("failed recovery changed the segment (%d → %d bytes, %v)", len(poisoned), len(after), err)
 	}
 
 	// Poison with valid records BEHIND it is not a tail to trim —
@@ -157,9 +157,10 @@ type budgetLog struct {
 	ks []int
 }
 
-func (b *budgetLog) UpdateTenantBatch(_ string, k int, items []core.Item) {
+func (b *budgetLog) UpdateTenantBatch(_ string, k int, items []core.Item) error {
 	b.ks = append(b.ks, k)
 	b.UpdateBatch(items)
+	return nil
 }
 
 func (b *budgetLog) TenantSnapshotBarrier(func(int64)) []TenantState { return nil }

@@ -60,12 +60,16 @@
 // Recovery (Store.Recover) loads the latest checkpoint — per-shard
 // Encode blobs, decoded through the caller-supplied registry dispatch —
 // then replays the WAL tail through UpdateBatch/Update, verifying
-// stream-position continuity at every segment boundary. A torn tail
-// (crash mid-write) is truncated to the last whole record, not fatal;
-// a bad record with acknowledged data still behind it — valid frames
-// following it in the same segment, or later segments in the chain —
-// is real corruption and fails recovery loudly rather than dropping
-// that data.
+// stream-position continuity at every segment boundary. A torn tail (a
+// crash mid-write: a short header or payload, or a CRC mismatch, in the
+// last frame) is truncated to the last whole record. Anything else fails
+// recovery rather than drop acknowledged data: a torn frame with valid
+// frames or segments behind it, or a whole, CRC-clean record that does
+// not apply (say, into a namespace whose blob another version wrote),
+// which no crash leaves. The error names the segment, the record's
+// offset and why, and the segment is left as it is, for a build that
+// can apply it; to give the record up instead, cut its frame (8 header
+// bytes and the payload) out of the last segment by hand.
 package persist
 
 import (
@@ -166,8 +170,9 @@ type TenantState struct {
 type TenantTarget interface {
 	Target
 	// UpdateTenantBatch applies one replayed batch to namespace ns,
-	// lazily instantiating it with k counters if absent.
-	UpdateTenantBatch(ns string, k int, items []core.Item)
+	// lazily instantiating it with k counters if absent. It fails when
+	// the namespace's blob does not decode or its budget is not k.
+	UpdateTenantBatch(ns string, k int, items []core.Item) error
 	// TenantSnapshotBarrier clones every known tenant (resident and
 	// evicted) and cuts the log at one quiesced instant, mirroring
 	// Target.SnapshotBarrier.

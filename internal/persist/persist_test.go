@@ -25,7 +25,7 @@ func testDecode(b []byte) (core.Summary, error) {
 	switch string(b[:4]) {
 	case "SS02", "SS01":
 		return counters.DecodeSpaceSavingHeap(b)
-	case "SL01":
+	case "SL02", "SL01":
 		return counters.DecodeSpaceSavingList(b)
 	case "CM01":
 		return sketches.DecodeCountMin(b)

@@ -222,13 +222,14 @@ func (rec *record) parse(payload []byte) error {
 
 // replaySegment scans one segment file, verifying the header against
 // the expected sequence and stream position, and applies each whole,
-// CRC-clean record to target. The scan stops at the first invalid
-// record — a short header, short payload, CRC mismatch, malformed body,
-// or an apply that panics. A stop with nothing valid after it is a tear
-// (torn=true; the caller truncates); a stop with a CRC-clean frame
-// still following is mid-file damage in front of acknowledged data and
-// returns an error, as does damage in a non-last segment (the caller's
-// position-in-chain check). The file is never modified here.
+// CRC-clean record to target. The scan stops at the first torn frame —
+// a short header or payload, or a CRC mismatch — or at a record that
+// does not apply. A tear with nothing valid after it is a torn tail
+// (torn=true; the caller truncates); one with a CRC-clean frame still
+// following is mid-file damage in front of acknowledged data, and a
+// record that does not apply was written whole: both return an error,
+// as does damage in a non-last segment (the caller's position-in-chain
+// check). The file is never modified here.
 func replaySegment(path string, wantSeq uint64, wantStartN int64, target Target) (replayResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -287,16 +288,7 @@ func replaySegment(path string, wantSeq uint64, wantStartN int64, target Target)
 		}
 		advance, err := applyRecord(&rec, payload, target)
 		if err != nil {
-			if nextFrameValid(br) {
-				// A tear happens at the tail and cannot be followed by
-				// CRC-clean frames: this record is poison (malformed
-				// body or panicking apply) sitting in front of
-				// acknowledged data. Truncating would silently drop
-				// that data — fail loudly instead.
-				return res, fmt.Errorf("persist: %s: record at offset %d does not replay (%v) and valid records follow it", path, res.validEnd, err)
-			}
-			res.torn, res.tornWhy = true, err.Error()
-			return res, nil
+			return res, fmt.Errorf("persist: %s: record at offset %d does not replay: %w", path, res.validEnd, err)
 		}
 		res.records++
 		res.items += advance
@@ -305,10 +297,10 @@ func replaySegment(path string, wantSeq uint64, wantStartN int64, target Target)
 }
 
 // nextFrameValid reports whether another whole, CRC-clean record frame
-// follows on br — the decider between "poison at the exact tail" (trim
-// it like a tear) and "poison mid-segment" (fail recovery rather than
-// drop the valid records behind it). br is consumed; the caller is
-// aborting the scan either way.
+// follows on br — the decider between a CRC mismatch at the exact tail
+// (a tear: trim it) and one mid-segment (fail recovery rather than drop
+// the valid records behind it). br is consumed; the caller is aborting
+// the scan either way.
 func nextFrameValid(br *bufio.Reader) bool {
 	var rh [recHeaderSize]byte
 	if _, err := io.ReadFull(br, rh[:]); err != nil {
@@ -326,11 +318,10 @@ func nextFrameValid(br *bufio.Reader) bool {
 }
 
 // applyRecord parses the payload into rec and applies it to target,
-// returning the stream advance. An apply panic becomes an error:
-// recovery feeds bytes from disk into summaries whose Update contracts
-// panic on counts they reject (a counter summary offered a negative
-// count), and a forged-but-CRC-valid record must degrade into an
-// error, never crash the daemon.
+// returning the stream advance. Its recover is a last guard: the one
+// panic known to reach it is a counter summary refusing a weighted
+// count below 1, which only a forged record holds; any other is a bug,
+// reported as this record's error rather than a crash of the daemon.
 func applyRecord(rec *record, payload []byte, target Target) (advance int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -348,7 +339,9 @@ func applyRecord(rec *record, payload []byte, target Target) (advance int64, err
 		if !ok {
 			return 0, fmt.Errorf("tenant-tagged record in a single-tenant store")
 		}
-		tt.UpdateTenantBatch(rec.ns, rec.k, rec.items)
+		if err := tt.UpdateTenantBatch(rec.ns, rec.k, rec.items); err != nil {
+			return 0, err
+		}
 	default: // recWeighted
 		target.Update(rec.x, rec.count)
 		return rec.count, nil

@@ -458,19 +458,20 @@ func (t *Table) PersistTo(p core.Persister) {
 
 // UpdateTenantBatch applies one replayed tenant-tagged batch. It runs
 // only during recovery (before PersistTo), so nothing is re-appended.
-// A budget mismatch between the log and the table panics; the replay
-// loop converts record-apply panics into recovery errors.
-func (t *Table) UpdateTenantBatch(ns string, k int, items []core.Item) {
+// A namespace whose blob does not decode, or whose budget the log
+// contradicts, fails the batch, and recovery with it.
+func (t *Table) UpdateTenantBatch(ns string, k int, items []core.Item) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ts, err := t.touchLocked(ns, k)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	ts.sum.UpdateBatch(items)
 	ts.n += int64(len(items))
 	t.n += int64(len(items))
 	t.maybeEvictLocked(ts)
+	return nil
 }
 
 // SnapshotBarrier is the single-tenant barrier; persist prefers

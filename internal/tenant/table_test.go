@@ -732,6 +732,83 @@ func TestSS01CheckpointRecovers(t *testing.T) {
 	}
 }
 
+// TestUnknownBlobMagicFailsRecovery: a tenant checkpoint whose blob
+// carries a magic this build does not know — another version wrote it —
+// then a WAL tail into that namespace. The tail's record is whole,
+// CRC-clean and acknowledged, so recovery must fail, saying another
+// version wrote the blob, and leave the segment byte-identical for a
+// build that can apply it, rather than trim the record as a torn tail.
+func TestUnknownBlobMagicFailsRecovery(t *testing.T) {
+	dir := t.TempDir()
+	popts := persist.Options{
+		Dir:    dir,
+		Algo:   "SSH",
+		Fsync:  persist.FsyncAlways,
+		Decode: func(b []byte) (core.Summary, error) { return counters.DecodeSpaceSavingHeap(b) },
+	}
+	opts := tenant.Options{DefaultPhi: 0.01, MaxResident: 2}
+	items := testStream(t, 3_000, 0x5509)
+	st, err := persist.Open(popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := newTable(t, opts)
+	if _, err := st.Recover(tb); err != nil {
+		t.Fatal(err)
+	}
+	tb.PersistTo(st)
+	for i, ns := range []string{"eu", "us", "eu"} {
+		if _, _, err := tb.IngestBatch(ns, items[i*500:(i+1)*500]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Checkpoint(tb); err != nil {
+		t.Fatal(err)
+	}
+	states := tb.TenantSnapshotBarrier(nil)
+	for i, ts := range states {
+		if ts.Summary != nil {
+			if states[i].Blob, err = core.EncodeSummary(ts.Summary); err != nil {
+				t.Fatal(err)
+			}
+			states[i].Summary = nil
+		}
+		if ts.NS == "eu" {
+			states[i].Blob = append([]byte("SS09"), states[i].Blob[4:]...)
+		}
+	}
+	rewriteTenantCheckpoint(t, filepath.Join(dir, "checkpoint.ckpt"), states)
+	if _, _, err := tb.IngestBatch("eu", items[1500:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segments (%v)", err)
+	}
+	before := map[string][]byte{}
+	for _, seg := range segs {
+		if before[seg], err = os.ReadFile(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st2, err := persist.Open(popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if _, err := st2.Recover(newTable(t, opts)); err == nil || !strings.Contains(err.Error(), "another version") {
+		t.Fatalf("recovering a tail into a namespace another version wrote: %v, want an error naming it", err)
+	}
+	for seg, b := range before {
+		if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, b) {
+			t.Errorf("failed recovery changed %s (%d → %d bytes, %v)", filepath.Base(seg), len(b), len(after), err)
+		}
+	}
+}
+
 // ss01Of rewrites an SS02 blob as the SS01 an earlier build wrote for
 // the same summary: the same fields in the same order, each a u64.
 func ss01Of(t *testing.T, ss02 []byte) []byte {

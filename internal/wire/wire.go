@@ -1,14 +1,14 @@
 // Package wire is the one reader behind the framed formats streamfreq
-// decodes from the network or the disk: the summary blobs (FQ01, SS02,
-// LC01, SL01, CM01, CS01, CG01, HI01, TK01, GK01, WN01, and SS01,
-// which is read but no longer written), the tenant bundle (SFTB0001),
-// the checkpoint (SFCKPT01/02) and the WAL record bodies. (The WAL's
-// fixed-size segment and record headers, and the stream package's
-// SFSTRM01 and raw-item codecs, read directly.)
+// decodes from the network or the disk: the summary blobs (FQ02, SS02,
+// LC02, SL02, CM01, CS01, CG01, HI01, TK01, GK01, WN01, and FQ01, SS01,
+// LC01 and SL01, which are read but no longer written), the tenant
+// bundle (SFTB0001), the checkpoint (SFCKPT01/02) and the WAL record
+// bodies. (The WAL's fixed-size segment and record headers, and the
+// stream package's SFSTRM01 and raw-item codecs, read directly.)
 //
 // Fixed-width integers are little-endian; Uvarint reads
-// encoding/binary's unsigned varint, in which SS02 writes its header
-// and counts. A Reader checks every read against the bytes left, in
+// encoding/binary's unsigned varint, in which the 02 counter formats
+// write their headers, counts and errors. A Reader checks every read against the bytes left, in
 // unsigned arithmetic, so no length field, however large, can wrap
 // into a bad slice bound. The first failed read (a short one, or a
 // varint past 64 bits) latches an error that names its offset, and

@@ -44,14 +44,18 @@ func FuzzMergeEncoded(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte("SS01"), []byte("FQ01"))
 	f.Add([]byte("SS02"), []byte("SS01"))
-	over := counterBlob("SS01", 4, 10, 1, 7, 1<<62, 0) // a count above n
+	f.Add([]byte("FQ02"), []byte("LC02"))
+	over := counterBlob("SS01", []uint64{4, 10, 1}, 7, 1<<62, 0) // a count above n
 	f.Add(over, over)
-	// SS02 beside SS01: the same summary in both encodings, which merge
-	// like two SS02 blobs, and an SS02 count above n.
-	same := ss02Blob(4, 10, 2, [3]uint64{7, 6, 0}, [3]uint64{9, 4, 1})
-	f.Add(same, counterBlob("SS01", 4, 10, 2, 7, 6, 0, 9, 4, 1))
-	over2 := ss02Blob(4, 10, 1, [3]uint64{7, 1 << 62, 0})
-	f.Add(over2, same)
+	// Each summary in its 02 and its 01 encoding, which merge like two
+	// 02 blobs, then a count above n in the 02 one: hand-built states of
+	// k = 4 (Lossy Counting at ε = 0.5) over n = 10.
+	for _, magic := range []string{"FQ", "SS", "LC", "SL"} {
+		h := counterHead(magic, 10, 2)
+		same := counterBlob(magic+"02", h, 7, 4, 0, 9, 6, 0)
+		f.Add(same, counterBlob(magic+"01", h, 7, 4, 0, 9, 6, 0))
+		f.Add(counterBlob(magic+"02", h, 7, 1<<62, 0, 9, 6, 0), same)
+	}
 
 	// The windowed format rides the same trust boundary: a genuine WN01
 	// pair, a windowed/flat mix, and a geometry mismatch seed the corpus.

@@ -147,10 +147,12 @@ var decoders = map[string]func([]byte) (Summary, error){
 	"CS01": func(b []byte) (Summary, error) { return sketches.DecodeCountSketch(b) },
 	"CG01": func(b []byte) (Summary, error) { return sketches.DecodeCGT(b) },
 	"HI01": func(b []byte) (Summary, error) { return sketches.DecodeHierarchical(b) },
-	"FQ01": func(b []byte) (Summary, error) { return counters.DecodeFrequent(b) },
+	"FQ02": func(b []byte) (Summary, error) { return counters.DecodeFrequent(b) },
 	"SS02": func(b []byte) (Summary, error) { return counters.DecodeSpaceSavingHeap(b) },
-	// SS01 is SS02's fixed-width predecessor: no longer written, still
-	// read, so checkpoints and pulls from earlier builds load.
+	"LC02": func(b []byte) (Summary, error) { return counters.DecodeLossyCounting(b) },
+	"SL02": func(b []byte) (Summary, error) { return counters.DecodeSpaceSavingList(b) },
+	// The 02 counter formats' fixed-width predecessors, still read.
+	"FQ01": func(b []byte) (Summary, error) { return counters.DecodeFrequent(b) },
 	"SS01": func(b []byte) (Summary, error) { return counters.DecodeSpaceSavingHeap(b) },
 	"LC01": func(b []byte) (Summary, error) { return counters.DecodeLossyCounting(b) },
 	"SL01": func(b []byte) (Summary, error) { return counters.DecodeSpaceSavingList(b) },

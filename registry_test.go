@@ -9,7 +9,7 @@ import (
 // decoders table dispatches on, sorted.
 func TestSupportedMagics(t *testing.T) {
 	got := strings.Join(SupportedMagics(), " ")
-	want := "CG01 CM01 CS01 FQ01 GK01 HI01 LC01 SL01 SS01 SS02 TK01 WN01"
+	want := "CG01 CM01 CS01 FQ01 FQ02 GK01 HI01 LC01 LC02 SL01 SL02 SS01 SS02 TK01 WN01"
 	if got != want {
 		t.Fatalf("SupportedMagics() = %q, want %q", got, want)
 	}
@@ -76,7 +76,7 @@ func TestDecodeErrorPath(t *testing.T) {
 // to a decoder table: a valid blob of each family round-trips, and an
 // SS01 blob, which no encoder writes any more, still decodes.
 func TestDecodeStillDispatchesKnownMagics(t *testing.T) {
-	ss01, err := Decode(counterBlob("SS01", 8, 3, 1, 5, 3, 0)) // k, n, entries; item, count, err
+	ss01, err := Decode(counterBlob("SS01", []uint64{8, 3, 1}, 5, 3, 0)) // k, n, entries; item, count, err
 	if err != nil {
 		t.Fatalf("SS01 blob: %v", err)
 	}

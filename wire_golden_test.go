@@ -31,11 +31,11 @@ func wireGoldenSummaries(t *testing.T) []struct {
 		name string
 		s    Summary
 	}{
-		{"FQ01", NewFrequent(8)},
+		{"FQ02", NewFrequent(8)},
 		{"SS02", NewSpaceSaving(8)},
-		{"LC01-LC", NewLossyCounting(0.1)},
-		{"LC01-LCD", NewLossyCountingD(0.1)},
-		{"SL01", NewSpaceSavingList(8)},
+		{"LC02-LC", NewLossyCounting(0.1)},
+		{"LC02-LCD", NewLossyCountingD(0.1)},
+		{"SL02", NewSpaceSavingList(8)},
 		{"CM01", NewCountMin(2, 16, 3)},
 		{"CM01-conservative", NewCountMinConservative(2, 16, 3)},
 		{"CS01", NewCountSketch(3, 16, 3)},
@@ -61,12 +61,13 @@ func wireGoldenSummaries(t *testing.T) []struct {
 
 // TestWireGolden pins every registry wire format to the bytes recorded
 // before the decoders moved onto internal/wire (SS02 and the WN01 that
-// nests it to the bytes recorded when SS02 replaced SS01), and checks
-// that each golden decodes and re-encodes byte for byte. A round trip
-// alone would pass a field moved on both the encode and the decode
-// side; the golden does not. The SS01 blobs earlier builds wrote, and
-// the WN01 that nested them, must still decode, and re-encode to the
-// current golden of the same summary.
+// nests it to the bytes recorded when SS02 replaced SS01, and FQ02,
+// LC02 and SL02 to those recorded when they replaced their 01
+// formats), and checks that each golden decodes and re-encodes byte
+// for byte. A round trip alone would pass a field moved on both the
+// encode and the decode side; the golden does not. The 01 blobs
+// earlier builds wrote, and the WN01 that nested SS01, must still
+// decode, and re-encode to the current golden of the same summary.
 func TestWireGolden(t *testing.T) {
 	var got []testutil.Golden
 	for _, e := range wireGoldenSummaries(t) {
@@ -84,13 +85,16 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("%s: golden re-encodes to different bytes (%d vs %d)", w.Name, len(again), len(w.Blob))
 		}
 	}
+	reencode := func(l testutil.Golden) ([]byte, error) {
+		dec, err := Decode(l.Blob)
+		if err != nil {
+			return nil, err
+		}
+		return marshal(t, l.Name, dec), nil
+	}
 	testutil.CheckLegacyGolden(t, "testdata/wire_golden_ss01.json",
-		map[string][]byte{"SS01": current["SS02"], "WN01": current["WN01"]},
-		func(l testutil.Golden) ([]byte, error) {
-			dec, err := Decode(l.Blob)
-			if err != nil {
-				return nil, err
-			}
-			return marshal(t, l.Name, dec), nil
-		})
+		map[string][]byte{"SS01": current["SS02"], "WN01": current["WN01"]}, reencode)
+	testutil.CheckLegacyGolden(t, "testdata/wire_golden_01.json", map[string][]byte{
+		"FQ01": current["FQ02"], "LC01-LC": current["LC02-LC"], "LC01-LCD": current["LC02-LCD"], "SL01": current["SL02"],
+	}, reencode)
 }
