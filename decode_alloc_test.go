@@ -125,6 +125,29 @@ func TestDecodeAllocationBounded(t *testing.T) {
 			}
 		})
 	}
+	// The sketches' size bound, claimed in a short blob: 2^28 counters,
+	// which CheckSize accepts, in CM01 (4 × 2^26), CS01 (2^14 × 2^14),
+	// CG01 (4 × 2^20 × 1 + 63) and an HI01 whose one level is that CM01.
+	// The payload check refuses each before the matrix is allocated.
+	cmBound := counterBlob("CM01", []uint64{0, 4, 1 << 26, 3, 0}) // flags, depth, width, seed, n
+	for _, short := range [][]byte{
+		cmBound,
+		counterBlob("CS01", []uint64{1 << 14, 1 << 14, 3, 0}), // depth, width, seed, n
+		counterBlob("CG01", []uint64{0, 4, 1 << 20, 63, 3, 0}),
+		append(counterBlob("HI01", []uint64{0, 8, 8, 0, 1, uint64(len(cmBound))}), cmBound...), // CMH, bits, universe bits, n, levels, level length
+	} {
+		t.Run(string(short[:4])+" claiming 2^28 counters", func(t *testing.T) {
+			bytes := allocated(func() {
+				if _, err := Decode(short); err == nil {
+					t.Error("decoded")
+				}
+			})
+			t.Logf("%d-byte blob: %d bytes allocated", len(short), bytes)
+			if limit := uint64(1024 + 16*len(short)); bytes > limit {
+				t.Errorf("refusing a %d-byte blob that claims 2^28 counters allocated %d bytes, want at most %d", len(short), bytes, limit)
+			}
+		})
+	}
 }
 
 // TestDecodedSummaryGrowsToBudget: a decoded store holds what its blob

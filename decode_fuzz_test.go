@@ -120,6 +120,23 @@ func TestDecodeHostileHierarchyHeaders(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesTinyLossyEpsilon: a one-entry LC02 blob at ε = 1e-300
+// or 1e-19 is refused. Its bucket width ⌈1/ε⌉ overflowed int64 to
+// −2^63, so the decoded summary never pruned and kept every distinct
+// item it saw; the decoder now applies NewLossyCounting's bound, 1/ε at
+// most counters.MaxBudget, and a blob at that bound still decodes.
+func TestDecodeRefusesTinyLossyEpsilon(t *testing.T) {
+	for _, eps := range []float64{1e-300, 1e-19, math.Nextafter(1.0/(1<<22), 0)} {
+		blob := counterBlob("LC02", []uint64{math.Float64bits(eps), 0, 5, 1}, 7, 5, 0)
+		if l, err := Decode(blob); err == nil {
+			t.Errorf("LC02 at ε = %g decoded to %d bytes", eps, l.Bytes())
+		}
+	}
+	if _, err := Decode(counterBlob("LC02", []uint64{math.Float64bits(1.0 / (1 << 22)), 0, 5, 1}, 7, 5, 0)); err != nil {
+		t.Errorf("LC02 at ε = 2^-22: %v", err)
+	}
+}
+
 // FuzzDecode is the native-fuzzing arm of the hostile-input property:
 // whatever bytes arrive, Decode errors or returns a structurally valid
 // summary — never a panic. The seed corpus covers every supported magic
@@ -183,6 +200,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(counterBlob("FQ01", []uint64{4, 138, 1<<64 - 1<<62, 3}, 1, 91, 0, 2, 1, 0, 3, 1, 0))
 	f.Add(counterBlob("FQ01", []uint64{4, 138, 1<<63 - 11, 3}, 1, 91, 0, 2, 1, 0, 3, 1, 0))
 	f.Add(counterBlob("SS02", []uint64{1 << 22, 10, 1 << 22}, 7, 5, 0))
+	for _, blob := range hostileSketchBlobs(f) {
+		f.Add(blob)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -207,6 +227,35 @@ func mustHierarchy(build func(HierarchyConfig) (*sketches.Hierarchical, error)) 
 		panic(err)
 	}
 	return h
+}
+
+// hostileSketchBlobs are sketch headers no encoder writes, each words a
+// little-endian u64 as CM01, CS01, CG01 and HI01 write them:
+//   - the 444-byte CG01 blob of depth 1, width 283,796,062,672,454,641
+//     and 64 universe bits, whose 1 + 64 counters a bucket wrap the
+//     product past 2^64 to 49, with those 49 cells as its payload (it
+//     decoded, then indexed out of range on its first Update, Estimate
+//     or Query);
+//   - CM01 (1 × 2^28 + 1), CS01 (17 × 15,790,321) and CG01 (1 ×
+//     15,790,321 × 1 + 16) headers claiming one counter past the 2^28
+//     bound, with no payload: one to match would be 2 GiB, and the
+//     bound refuses the header before the payload length is read;
+//   - an HI01 blob whose level count its geometry does not imply (two
+//     levels of 4 bits, with the universe bits raised from 8 to 48).
+func hostileSketchBlobs(tb testing.TB) [][]byte {
+	wrap := append(counterBlob("CG01", []uint64{0, 1, 283_796_062_672_454_641, 64, 3, 0}), make([]byte, 8*49)...)
+	offGeometry, err := mustHierarchy(NewCountMinHierarchy).(*sketches.Hierarchical).MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(offGeometry[4+16:], 48)
+	return [][]byte{
+		wrap,
+		counterBlob("CM01", []uint64{0, 1, 1<<28 + 1, 3, 0}), // flags, depth, width, seed, n
+		counterBlob("CS01", []uint64{17, 15_790_321, 3, 0}),  // depth, width, seed, n
+		counterBlob("CG01", []uint64{0, 1, 15_790_321, 16, 3, 0}),
+		offGeometry,
+	}
 }
 
 // fuzzItems turns fuzz bytes into a small-universe item stream: each

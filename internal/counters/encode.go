@@ -228,13 +228,17 @@ func (l *LossyCounting) MarshalBinary() ([]byte, error) {
 
 // DecodeLossyCounting parses a summary produced by
 // (*LossyCounting).MarshalBinary (LC02), or by an earlier build's
-// (LC01). Every state Update and Merge reach has 0 < count and
+// (LC01). ε must pass checkEpsilon, the bound NewLossyCounting applies.
+// Every state Update and Merge reach has 0 < count and
 // 0 ≤ Δ ≤ b − 1 (merged Δs add, and ⌈a⌉ + ⌈c⌉ ≤ ⌈a + c⌉ + 1), and
 // count + Δ, the entry's heap key, must not overflow.
 func DecodeLossyCounting(data []byte) (*LossyCounting, error) {
 	return decodeCounters(data, formatLC, func(h counterHeader) (*LossyCounting, *nodeTable, error) {
-		if !(h.eps > 0 && h.eps < 1) || h.k > 1 {
-			return nil, nil, fmt.Errorf("counters: implausible LossyCounting header (ε=%v variant=%d)", h.eps, h.k)
+		if err := checkEpsilon(h.eps); err != nil {
+			return nil, nil, err
+		}
+		if h.k > 1 {
+			return nil, nil, fmt.Errorf("counters: implausible LossyCounting variant %d", h.k)
 		}
 		l := NewLossyCounting(h.eps, LCVariant(h.k))
 		l.n, l.st = int64(h.n), newSSStorage(h.entries)

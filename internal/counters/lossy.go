@@ -1,6 +1,7 @@
 package counters
 
 import (
+	"fmt"
 	"math"
 
 	"streamfreq/internal/core"
@@ -55,10 +56,10 @@ const (
 )
 
 // NewLossyCounting returns an LC summary with error parameter epsilon in
-// (0, 1).
+// [1/MaxBudget, 1) (checkEpsilon); it panics on any other.
 func NewLossyCounting(epsilon float64, variant LCVariant) *LossyCounting {
-	if epsilon <= 0 || epsilon >= 1 {
-		panic("counters: LossyCounting requires 0 < epsilon < 1")
+	if err := checkEpsilon(epsilon); err != nil {
+		panic(err)
 	}
 	return &LossyCounting{
 		epsilon: epsilon,
@@ -67,6 +68,18 @@ func NewLossyCounting(epsilon float64, variant LCVariant) *LossyCounting {
 		st:      newSSStorage(0),
 		variant: variant,
 	}
+}
+
+// checkEpsilon is the one bound on ε that NewLossyCounting and
+// DecodeLossyCounting apply: 0 < ε < 1, and a bucket width ⌈1/ε⌉ of at
+// most MaxBudget. Without the second rule a tiny ε overflows the width's
+// int64 (to −2^63 at ε = 1e-19), and a summary that never prunes keeps
+// every distinct item it sees.
+func checkEpsilon(eps float64) error {
+	if !(eps > 0 && eps < 1 && 1/eps <= MaxBudget) {
+		return fmt.Errorf("counters: Lossy Counting's ε = %g is outside [1/%d, 1)", eps, MaxBudget)
+	}
+	return nil
 }
 
 // Name implements core.Summary.

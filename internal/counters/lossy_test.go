@@ -1,6 +1,7 @@
 package counters
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,8 @@ import (
 )
 
 func TestLossyCountingValidation(t *testing.T) {
-	for _, eps := range []float64{0, 1, -0.5, 1.5} {
+	// 1e-19 and 1e-300 overflowed the bucket width ⌈1/ε⌉ to −2^63.
+	for _, eps := range []float64{0, 1, -0.5, 1.5, 1e-19, 1e-300, math.Nextafter(1.0/MaxBudget, 0), math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -289,29 +289,11 @@ type nodeStats struct {
 	Uptime     core.Millis              `json:"uptime_ms" metric:"freq_uptime_seconds" help:"Seconds since process start."`
 	Counters   map[string]int64         `json:"counters"`
 	Snapshot   *core.SnapshotStats      `json:"snapshot,omitempty"`
-	Window     *windowSection           `json:"window,omitempty"`
+	Window     *window.Stats            `json:"window,omitempty"`
 	Tenants    *tenant.Stats            `json:"tenants,omitempty"`
 	Pipeline   *core.PipelineStats      `json:"pipeline,omitempty"`
 	WAL        *walSection              `json:"wal,omitempty"`
 	Checkpoint *persist.CheckpointStats `json:"checkpoint,omitempty"`
-}
-
-// windowSection is window.Stats under its /stats names: the window
-// shape and its error accounting next to the whole-stream n, so
-// operators can read the φ·W operating point (window_n), the certified
-// overestimate bound (slack), and how much of the boundary block is
-// expired but still counted.
-type windowSection struct {
-	Size            int   `json:"size"`
-	Blocks          int   `json:"blocks"`
-	BlockLen        int   `json:"block_len"`
-	K               int   `json:"k"`
-	N               int64 `json:"-"`
-	Live            int64 `json:"window_live" metric:"freq_window_live" help:"Live (unexpired) items tracked by the window."`
-	WindowN         int64 `json:"window_n" metric:"freq_window_n" help:"Items inside the sliding window."`
-	Coverage        int64 `json:"coverage"`
-	Slack           int64 `json:"slack" metric:"freq_window_slack" help:"Certified overestimate slack of the window."`
-	BoundaryExpired int64 `json:"boundary_expired"`
 }
 
 // walSection is the store's WAL section plus the shed bound it is
@@ -337,7 +319,7 @@ func (s *Server) stats() nodeStats {
 		st.Snapshot = &snap
 	}
 	if ws, ok := s.view().(windowStatser); ok {
-		win := windowSection(ws.WindowStats())
+		win := ws.WindowStats()
 		st.Window = &win
 	}
 	if s.tenants != nil {

@@ -1,11 +1,6 @@
 package sketches
 
-import (
-	"math"
-
-	"streamfreq/internal/core"
-	"streamfreq/internal/hash"
-)
+import "streamfreq/internal/core"
 
 // CGT is the Combinatorial Group Testing sketch of Cormode and
 // Muthukrishnan ("What's hot and what's not"), the third sketch of the
@@ -20,52 +15,35 @@ import (
 // plots. Like Count-Min, CGT is linear: it supports deletions, merging
 // and subtraction.
 type CGT struct {
-	// cells is laid out as depth × width × (1+universeBits):
-	// cells[(i*width+j)*(1+U) + 0] is the bucket total,
-	// cells[(i*width+j)*(1+U) + 1 + b] the bit-b sub-counter.
-	cells        []int64
-	family       *hash.Family
-	depth        int
-	width        int
+	// The matrix's stride is 1 + universeBits: each bucket's total,
+	// then bit b's sub-counter at offset 1 + b.
+	matrix
 	universeBits uint
-	stride       int
-	n            int64
-	neg          bool
 }
 
 // NewCGT returns a CGT sketch with the given depth (rows) and width
 // (buckets per row) over a universe of universeBits-bit items
 // (0 selects 64). Equal (depth, width, universeBits, seed) sketches are
-// mergeable.
+// mergeable. It panics on dimensions CheckSize refuses.
 func NewCGT(depth, width int, universeBits uint, seed uint64) *CGT {
-	if depth <= 0 || width <= 0 {
-		panic("sketches: CGT requires positive depth and width")
-	}
 	if universeBits == 0 {
 		universeBits = 64
 	}
 	if universeBits > 64 {
 		panic("sketches: CGT universe exceeds 64 bits")
 	}
-	stride := 1 + int(universeBits)
-	return &CGT{
-		cells:        make([]int64, depth*width*stride),
-		family:       hash.NewFamily(depth, width, 2, seed),
-		depth:        depth,
-		width:        width,
-		universeBits: universeBits,
-		stride:       stride,
-	}
+	return &CGT{newMatrix(depth, width, 1+int(universeBits), seed), universeBits}
 }
 
 // Name implements core.Summary.
 func (c *CGT) Name() string { return "CGT" }
 
-// N implements core.Summary.
-func (c *CGT) N() int64 { return c.n }
-
-func (c *CGT) base(row, bucket int) int {
-	return (row*c.width + bucket) * c.stride
+// mask keeps x's universeBits low bits.
+func (c *CGT) mask(x core.Item) uint64 {
+	if c.universeBits < 64 {
+		return uint64(x) & (1<<c.universeBits - 1)
+	}
+	return uint64(x)
 }
 
 // Update adds count (possibly negative) occurrences of x.
@@ -74,12 +52,9 @@ func (c *CGT) Update(x core.Item, count int64) {
 		c.neg = true
 	}
 	c.n += count
-	xv := uint64(x)
-	if c.universeBits < 64 {
-		xv &= (1 << c.universeBits) - 1
-	}
-	for i := 0; i < c.depth; i++ {
-		b := c.base(i, c.family.Buckets[i].Hash(xv))
+	xv := c.mask(x)
+	for i := range c.depth {
+		b := c.bucket(i, xv)
 		c.cells[b] += count
 		for bit := uint(0); bit < c.universeBits; bit++ {
 			if xv&(1<<bit) != 0 {
@@ -91,27 +66,7 @@ func (c *CGT) Update(x core.Item, count int64) {
 
 // Estimate returns the Count-Min-style point estimate from the bucket
 // totals (min for insert-only, median after deletions).
-func (c *CGT) Estimate(x core.Item) int64 {
-	xv := uint64(x)
-	if c.universeBits < 64 {
-		xv &= (1 << c.universeBits) - 1
-	}
-	if c.neg {
-		var buf [medianRows]int64
-		vals := buf[:0]
-		for i := 0; i < c.depth; i++ {
-			vals = append(vals, c.cells[c.base(i, c.family.Buckets[i].Hash(xv))])
-		}
-		return median(vals)
-	}
-	est := int64(math.MaxInt64)
-	for i := 0; i < c.depth; i++ {
-		if v := c.cells[c.base(i, c.family.Buckets[i].Hash(xv))]; v < est {
-			est = v
-		}
-	}
-	return est
-}
+func (c *CGT) Estimate(x core.Item) int64 { return c.estimate(c.mask(x)) }
 
 // Query decodes every bucket whose total reaches threshold, verifies each
 // decoded candidate against the full sketch, and returns the verified
@@ -121,9 +76,9 @@ func (c *CGT) Query(threshold int64) []core.ItemCount {
 		threshold = 1
 	}
 	seen := make(map[core.Item]int64)
-	for i := 0; i < c.depth; i++ {
-		for j := 0; j < c.width; j++ {
-			b := c.base(i, j)
+	for i := range c.depth {
+		for j := range c.width {
+			b := (i*c.width + j) * c.stride
 			total := c.cells[b]
 			if total < threshold {
 				continue
@@ -159,62 +114,28 @@ func (c *CGT) Query(threshold int64) []core.ItemCount {
 	return out
 }
 
-// Bytes implements core.Summary.
-func (c *CGT) Bytes() int {
-	return 8*len(c.cells) + 16*c.depth
-}
-
 // Clone returns an independent deep copy of the cell array; the hash
-// family is shared (immutable after construction).
-func (c *CGT) Clone() *CGT {
-	nc := *c
-	nc.cells = append([]int64(nil), c.cells...)
-	return &nc
-}
+// family is shared.
+func (c *CGT) Clone() *CGT { return &CGT{c.clone(), c.universeBits} }
 
 // Snapshot implements core.Snapshotter.
 func (c *CGT) Snapshot() core.Summary { return c.Clone() }
 
 // Merge adds another CGT sketch built with identical parameters.
-func (c *CGT) Merge(other core.Summary) error {
-	o, ok := other.(*CGT)
-	if !ok {
-		return core.Incompatible("CGT: cannot merge %T", other)
-	}
-	if err := c.compatible(o); err != nil {
-		return err
-	}
-	for i := range c.cells {
-		c.cells[i] += o.cells[i]
-	}
-	c.n += o.n
-	c.neg = c.neg || o.neg
-	return nil
-}
+func (c *CGT) Merge(other core.Summary) error { return c.combine(other, 1) }
 
 // Subtract removes another CGT sketch's stream.
-func (c *CGT) Subtract(other core.Summary) error {
+func (c *CGT) Subtract(other core.Summary) error { return c.combine(other, -1) }
+
+// combine is Merge (sign 1) and Subtract (sign −1) of sketches over the
+// same universe.
+func (c *CGT) combine(other core.Summary, sign int64) error {
 	o, ok := other.(*CGT)
 	if !ok {
-		return core.Incompatible("CGT: cannot subtract %T", other)
+		return core.Incompatible("CGT: cannot combine with %T", other)
 	}
-	if err := c.compatible(o); err != nil {
-		return err
-	}
-	for i := range c.cells {
-		c.cells[i] -= o.cells[i]
-	}
-	c.n -= o.n
-	c.neg = true
-	return nil
-}
-
-func (c *CGT) compatible(o *CGT) error {
 	if c.universeBits != o.universeBits {
 		return core.Incompatible("CGT: universe mismatch (%d vs %d bits)", c.universeBits, o.universeBits)
 	}
-	if err := c.family.Compatible(o.family); err != nil {
-		return core.Incompatible("CGT: %v", err)
-	}
-	return nil
+	return c.add("CGT", &o.matrix, sign)
 }

@@ -1,13 +1,3 @@
-// Package sketches implements the sketch-based frequent-items algorithms
-// compared by the paper: the Count-Min sketch (plain and conservative-
-// update), the Count Sketch of Charikar, Chen & Farach-Colton, dyadic
-// hierarchical wrappers over both (the paper's CMH and the CS hierarchy),
-// and the Combinatorial Group Testing (CGT) sketch.
-//
-// Sketches are linear projections of the frequency vector: they support
-// deletions (the turnstile model), merging by addition, and stream
-// differencing by subtraction — capabilities no counter-based summary
-// has, bought at the price of randomization and larger constants.
 package sketches
 
 import (
@@ -26,20 +16,15 @@ import (
 // one-sided guarantee and the sketch switches to the median estimator
 // automatically.
 type CountMin struct {
-	rows         [][]int64
-	family       *hash.Family
-	width        int
-	depth        int
-	n            int64
-	neg          bool // a negative update has been seen; use median estimator
+	matrix
 	conservative bool
 }
 
 // NewCountMin returns a d(depth) × w(width) Count-Min sketch seeded
 // deterministically by seed. Sketches built with equal (depth, width,
-// seed) are mergeable.
+// seed) are mergeable. It panics on dimensions CheckSize refuses.
 func NewCountMin(depth, width int, seed uint64) *CountMin {
-	return newCountMin(depth, width, seed, false)
+	return &CountMin{matrix: newMatrix(depth, width, 1, seed)}
 }
 
 // NewCountMinConservative returns a Count-Min sketch using conservative
@@ -50,25 +35,7 @@ func NewCountMin(depth, width int, seed uint64) *CountMin {
 // which is why the paper's main roster uses the plain sketch; the
 // ablation bench quantifies the accuracy difference.
 func NewCountMinConservative(depth, width int, seed uint64) *CountMin {
-	return newCountMin(depth, width, seed, true)
-}
-
-func newCountMin(depth, width int, seed uint64, conservative bool) *CountMin {
-	if depth <= 0 || width <= 0 {
-		panic("sketches: CountMin requires positive depth and width")
-	}
-	rows := make([][]int64, depth)
-	backing := make([]int64, depth*width)
-	for i := range rows {
-		rows[i], backing = backing[:width:width], backing[width:]
-	}
-	return &CountMin{
-		rows:         rows,
-		family:       hash.NewFamily(depth, width, 2, seed),
-		width:        width,
-		depth:        depth,
-		conservative: conservative,
-	}
+	return &CountMin{matrix: newMatrix(depth, width, 1, seed), conservative: true}
 }
 
 // Name implements core.Summary.
@@ -82,9 +49,6 @@ func (c *CountMin) Name() string {
 // MonotoneEstimates implements core.EstimateMonotone: counters (and so
 // the min estimator) only grow until a deletion is ingested.
 func (c *CountMin) MonotoneEstimates() bool { return !c.neg }
-
-// N implements core.Summary.
-func (c *CountMin) N() int64 { return c.n }
 
 // Update adds count (which may be negative, except for conservative
 // sketches) occurrences of x.
@@ -100,9 +64,8 @@ func (c *CountMin) Update(x core.Item, count int64) {
 		c.neg = true
 	}
 	c.n += count
-	xv := uint64(x)
-	for i := range c.rows {
-		c.rows[i][c.family.Buckets[i].Hash(xv)] += count
+	for i := range c.depth {
+		c.cells[c.bucket(i, uint64(x))] += count
 	}
 }
 
@@ -161,7 +124,8 @@ func (c *CountMin) addRows(items []core.Item, counts []int64) {
 	var idx [pairChunk]int
 	for len(items) > 0 {
 		n := min(len(items), pairChunk)
-		for i, row := range c.rows {
+		for i := range c.depth {
+			row := c.cells[i*c.width : (i+1)*c.width]
 			hash.Buckets(&c.family.Buckets[i], items[:n], idx[:n])
 			if counts == nil {
 				for _, b := range idx[:n] {
@@ -187,55 +151,21 @@ const pairChunk = 256
 
 func (c *CountMin) updateConservative(x core.Item, count int64) {
 	c.n += count
-	xv := uint64(x)
-	// First pass: current estimate.
+	var buf [medianRows]int
+	idx := buf[:0]
 	est := int64(math.MaxInt64)
-	idx := make([]int, c.depth)
-	for i := range c.rows {
-		idx[i] = c.family.Buckets[i].Hash(xv)
-		if v := c.rows[i][idx[i]]; v < est {
-			est = v
-		}
+	for i := range c.depth {
+		idx = append(idx, c.bucket(i, uint64(x)))
+		est = min(est, c.cells[idx[i]])
 	}
-	target := est + count
-	for i := range c.rows {
-		if c.rows[i][idx[i]] < target {
-			c.rows[i][idx[i]] = target
-		}
+	for _, b := range idx {
+		c.cells[b] = max(c.cells[b], est+count)
 	}
 }
 
 // Estimate returns the point estimate of x's count: the row minimum for
 // insert-only streams, or the row median once deletions have occurred.
-func (c *CountMin) Estimate(x core.Item) int64 {
-	if c.neg {
-		return c.estimateMedian(x)
-	}
-	return c.EstimateMin(x)
-}
-
-// EstimateMin returns the classical min-row estimate (an upper bound on
-// the true count for insert-only streams).
-func (c *CountMin) EstimateMin(x core.Item) int64 {
-	xv := uint64(x)
-	est := int64(math.MaxInt64)
-	for i := range c.rows {
-		if v := c.rows[i][c.family.Buckets[i].Hash(xv)]; v < est {
-			est = v
-		}
-	}
-	return est
-}
-
-func (c *CountMin) estimateMedian(x core.Item) int64 {
-	xv := uint64(x)
-	var buf [medianRows]int64
-	vals := buf[:0]
-	for i, row := range c.rows {
-		vals = append(vals, row[c.family.Buckets[i].Hash(xv)])
-	}
-	return median(vals)
-}
+func (c *CountMin) Estimate(x core.Item) int64 { return c.estimate(uint64(x)) }
 
 // Query is not supported by a flat Count-Min sketch: it cannot enumerate
 // items. Wrap it in a core-level tracker or use the Hierarchical variant.
@@ -243,98 +173,31 @@ func (c *CountMin) estimateMedian(x core.Item) int64 {
 // flat sketches.
 func (c *CountMin) Query(threshold int64) []core.ItemCount { return nil }
 
-// Clone returns an independent deep copy of the counter array. The hash
-// family is shared: it is immutable after construction, so parent and
-// clone index identical bucket layouts at no copying cost.
+// Clone returns an independent deep copy of the counter array; the hash
+// family is shared.
 func (c *CountMin) Clone() *CountMin {
-	nc := &CountMin{
-		family:       c.family,
-		width:        c.width,
-		depth:        c.depth,
-		n:            c.n,
-		neg:          c.neg,
-		conservative: c.conservative,
-	}
-	backing := make([]int64, c.depth*c.width)
-	nc.rows = make([][]int64, c.depth)
-	for i := range nc.rows {
-		nc.rows[i], backing = backing[:c.width:c.width], backing[c.width:]
-		copy(nc.rows[i], c.rows[i])
-	}
-	return nc
+	return &CountMin{matrix: c.clone(), conservative: c.conservative}
 }
 
 // Snapshot implements core.Snapshotter.
 func (c *CountMin) Snapshot() core.Summary { return c.Clone() }
 
-// Bytes implements core.Summary.
-func (c *CountMin) Bytes() int {
-	return 8*c.depth*c.width + 16*c.depth // counters + per-row hash seeds
-}
-
 // Merge adds another Count-Min sketch built with identical parameters.
-func (c *CountMin) Merge(other core.Summary) error {
-	o, ok := other.(*CountMin)
-	if !ok {
-		return core.Incompatible("CountMin: cannot merge %T", other)
-	}
-	if err := c.family.Compatible(o.family); err != nil {
-		return core.Incompatible("CountMin: %v", err)
-	}
-	if c.conservative || o.conservative {
-		return core.Incompatible("CountMin: conservative sketches are not linear and cannot be merged exactly")
-	}
-	for i := range c.rows {
-		for j := range c.rows[i] {
-			c.rows[i][j] += o.rows[i][j]
-		}
-	}
-	c.n += o.n
-	c.neg = c.neg || o.neg
-	return nil
-}
+func (c *CountMin) Merge(other core.Summary) error { return c.combine(other, 1) }
 
 // Subtract removes another sketch's stream, leaving a sketch of the
 // difference vector. Point queries switch to the median estimator.
-func (c *CountMin) Subtract(other core.Summary) error {
+func (c *CountMin) Subtract(other core.Summary) error { return c.combine(other, -1) }
+
+// combine is Merge (sign 1) and Subtract (sign −1). Conservative
+// sketches are not linear, so neither is exact for them.
+func (c *CountMin) combine(other core.Summary, sign int64) error {
 	o, ok := other.(*CountMin)
 	if !ok {
-		return core.Incompatible("CountMin: cannot subtract %T", other)
-	}
-	if err := c.family.Compatible(o.family); err != nil {
-		return core.Incompatible("CountMin: %v", err)
+		return core.Incompatible("CountMin: cannot combine with %T", other)
 	}
 	if c.conservative || o.conservative {
-		return core.Incompatible("CountMin: conservative sketches are not linear and cannot be subtracted")
+		return core.Incompatible("CountMin: conservative sketches are not linear and cannot be merged or subtracted exactly")
 	}
-	for i := range c.rows {
-		for j := range c.rows[i] {
-			c.rows[i][j] -= o.rows[i][j]
-		}
-	}
-	c.n -= o.n
-	c.neg = true
-	return nil
-}
-
-// medianRows sizes the stack buffer the median estimators collect row
-// values in. It covers every registry depth (4 and 5 rows); a deeper
-// sketch's values spill to the heap.
-const medianRows = 8
-
-// median returns the median of vals, averaging the two central values for
-// even lengths (rounding toward the lower). vals is sorted in place by
-// insertion sort, which allocates nothing and is the fastest sort for
-// the handful of rows a sketch has.
-func median(vals []int64) int64 {
-	for i := 1; i < len(vals); i++ {
-		for j := i; j > 0 && vals[j] < vals[j-1]; j-- {
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
-	m := len(vals) / 2
-	if len(vals)%2 == 1 {
-		return vals[m]
-	}
-	return (vals[m-1] + vals[m]) / 2
+	return c.add("CountMin", &o.matrix, sign)
 }

@@ -17,46 +17,27 @@ import (
 // ±εn_k of truth for every item simultaneously, with probability 1−δ —
 // Lemmas 1–4 of the paper. Errors are two-sided, unlike Count-Min.
 type CountSketch struct {
-	rows   [][]int64
-	family *hash.Family
-	width  int
-	depth  int
-	n      int64
+	matrix
 }
 
 // NewCountSketch returns a d(depth) × w(width) Count Sketch seeded
 // deterministically by seed. Sketches built with equal (depth, width,
-// seed) are mergeable and subtractable.
+// seed) are mergeable and subtractable. It panics on dimensions
+// CheckSize refuses.
 func NewCountSketch(depth, width int, seed uint64) *CountSketch {
-	if depth <= 0 || width <= 0 {
-		panic("sketches: CountSketch requires positive depth and width")
-	}
-	rows := make([][]int64, depth)
-	backing := make([]int64, depth*width)
-	for i := range rows {
-		rows[i], backing = backing[:width:width], backing[width:]
-	}
-	return &CountSketch{
-		rows:   rows,
-		family: hash.NewFamily(depth, width, 2, seed),
-		width:  width,
-		depth:  depth,
-	}
+	return &CountSketch{newMatrix(depth, width, 1, seed)}
 }
 
 // Name implements core.Summary.
 func (c *CountSketch) Name() string { return "CS" }
-
-// N implements core.Summary.
-func (c *CountSketch) N() int64 { return c.n }
 
 // Update adds count (possibly negative) occurrences of x — the ADD
 // operation of the paper, generalized to weighted arrivals.
 func (c *CountSketch) Update(x core.Item, count int64) {
 	c.n += count
 	xv := uint64(x)
-	for i := range c.rows {
-		c.rows[i][c.family.Buckets[i].Hash(xv)] += count * c.family.Signs[i].Hash(xv)
+	for i := range c.depth {
+		c.cells[c.bucket(i, xv)] += count * c.family.Signs[i].Hash(xv)
 	}
 }
 
@@ -92,7 +73,8 @@ func (c *CountSketch) addRows(items []core.Item, counts []int64) {
 	var sign [pairChunk]int64
 	for len(items) > 0 {
 		n := min(len(items), pairChunk)
-		for i, row := range c.rows {
+		for i := range c.depth {
+			row := c.cells[i*c.width : (i+1)*c.width]
 			hash.Buckets(&c.family.Buckets[i], items[:n], idx[:n])
 			hash.Signs(c.family.Signs[i], items[:n], sign[:n])
 			if counts == nil {
@@ -118,8 +100,8 @@ func (c *CountSketch) Estimate(x core.Item) int64 {
 	xv := uint64(x)
 	var buf [medianRows]int64
 	vals := buf[:0]
-	for i, row := range c.rows {
-		vals = append(vals, row[c.family.Buckets[i].Hash(xv)]*c.family.Signs[i].Hash(xv))
+	for i := range c.depth {
+		vals = append(vals, c.cells[c.bucket(i, xv)]*c.family.Signs[i].Hash(xv))
 	}
 	return median(vals)
 }
@@ -129,63 +111,31 @@ func (c *CountSketch) Estimate(x core.Item) int64 {
 func (c *CountSketch) Query(threshold int64) []core.ItemCount { return nil }
 
 // Clone returns an independent deep copy of the counter array; the hash
-// family (buckets and signs) is shared, being immutable after
-// construction.
-func (c *CountSketch) Clone() *CountSketch {
-	nc := &CountSketch{family: c.family, width: c.width, depth: c.depth, n: c.n}
-	backing := make([]int64, c.depth*c.width)
-	nc.rows = make([][]int64, c.depth)
-	for i := range nc.rows {
-		nc.rows[i], backing = backing[:c.width:c.width], backing[c.width:]
-		copy(nc.rows[i], c.rows[i])
-	}
-	return nc
-}
+// family (buckets and signs) is shared.
+func (c *CountSketch) Clone() *CountSketch { return &CountSketch{c.clone()} }
 
 // Snapshot implements core.Snapshotter.
 func (c *CountSketch) Snapshot() core.Summary { return c.Clone() }
 
-// Bytes implements core.Summary.
-func (c *CountSketch) Bytes() int {
-	return 8*c.depth*c.width + 32*c.depth // counters + bucket and sign hash seeds
-}
+// Bytes implements core.Summary: the matrix, plus the rows' sign hash
+// seeds.
+func (c *CountSketch) Bytes() int { return c.matrix.Bytes() + 16*c.depth }
 
 // Merge adds another Count Sketch built with identical parameters; the
 // result sketches the concatenated streams (sketch additivity, §1 of the
 // paper).
-func (c *CountSketch) Merge(other core.Summary) error {
-	o, ok := other.(*CountSketch)
-	if !ok {
-		return core.Incompatible("CountSketch: cannot merge %T", other)
-	}
-	if err := c.family.Compatible(o.family); err != nil {
-		return core.Incompatible("CountSketch: %v", err)
-	}
-	for i := range c.rows {
-		for j := range c.rows[i] {
-			c.rows[i][j] += o.rows[i][j]
-		}
-	}
-	c.n += o.n
-	return nil
-}
+func (c *CountSketch) Merge(other core.Summary) error { return c.combine(other, 1) }
 
 // Subtract removes another sketch's stream, leaving a sketch of the
 // frequency *difference* vector — the primitive behind the paper's §4.2
 // max-change algorithm.
-func (c *CountSketch) Subtract(other core.Summary) error {
+func (c *CountSketch) Subtract(other core.Summary) error { return c.combine(other, -1) }
+
+// combine is Merge (sign 1) and Subtract (sign −1).
+func (c *CountSketch) combine(other core.Summary, sign int64) error {
 	o, ok := other.(*CountSketch)
 	if !ok {
-		return core.Incompatible("CountSketch: cannot subtract %T", other)
+		return core.Incompatible("CountSketch: cannot combine with %T", other)
 	}
-	if err := c.family.Compatible(o.family); err != nil {
-		return core.Incompatible("CountSketch: %v", err)
-	}
-	for i := range c.rows {
-		for j := range c.rows[i] {
-			c.rows[i][j] -= o.rows[i][j]
-		}
-	}
-	c.n -= o.n
-	return nil
+	return c.add("CountSketch", &o.matrix, sign)
 }

@@ -9,15 +9,20 @@ import (
 
 // Binary serialization for sketches. Sketches are the summaries a
 // distributed deployment ships between nodes (they merge by addition), so
-// they get a compact, versioned, little-endian wire format:
+// they get a compact, versioned, little-endian wire format. The three
+// flat sketches write their counter matrix in one layout:
 //
-//	[4]byte magic   ("CM01", "CS01", "CG01", "HI01")
-//	header fields   (type-specific, fixed width)
-//	counter payload (8 bytes per cell)
+//	[4]byte magic   ("CM01", "CS01", "CG01")
+//	header fields   (type-specific u64s: flags, depth, width, universe bits, seed, n)
+//	counter payload (8 bytes per cell, row by row)
 //
-// Decoding validates the magic, bounds-checks all dimensions before
-// allocating, and re-derives the hash functions from the stored seed, so
-// a decoded sketch is bit-identical in behaviour to the original.
+// and HI01 nests one CM01 or CS01 blob per level behind its own header.
+// Decoding validates the magic, applies CheckSize's bound (2^28
+// counters, the one the constructors apply, so every sketch they build
+// round-trips) to the header's dimensions, and checks that the payload
+// holds exactly their cells before allocating; it re-derives the hash
+// functions from the stored seed, so a decoded sketch is bit-identical
+// in behaviour to the original.
 
 const (
 	magicCM = "CM01"
@@ -26,49 +31,59 @@ const (
 	magicHI = "HI01"
 )
 
-// maxDim bounds decoded sketch dimensions to catch corrupt headers before
-// a huge allocation: 2^28 cells is 2 GiB of counters.
-const maxDim = 1 << 28
-
 var le = binary.LittleEndian
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (c *CountMin) MarshalBinary() ([]byte, error) {
-	flags := uint64(0)
-	if c.neg {
-		flags |= 1
+// marshal writes magic, the header words, then every cell: the layout
+// CM01, CS01 and CG01 share, each word a little-endian u64.
+func (m *matrix) marshal(magic string, header ...uint64) []byte {
+	out := make([]byte, 0, len(magic)+8*(len(header)+len(m.cells)))
+	out = append(out, magic...)
+	for _, v := range header {
+		out = le.AppendUint64(out, v)
 	}
-	if c.conservative {
-		flags |= 2
-	}
-	out := make([]byte, 0, 4+5*8+8*c.depth*c.width)
-	out = append(out, magicCM...)
-	out = le.AppendUint64(out, flags)
-	out = le.AppendUint64(out, uint64(c.depth))
-	out = le.AppendUint64(out, uint64(c.width))
-	out = le.AppendUint64(out, c.family.Seed())
-	out = le.AppendUint64(out, uint64(c.n))
-	return appendCells(out, c.rows...), nil
-}
-
-// appendCells appends every counter of rows, row by row.
-func appendCells(out []byte, rows ...[]int64) []byte {
-	for _, row := range rows {
-		for _, v := range row {
-			out = le.AppendUint64(out, uint64(v))
-		}
+	for _, v := range m.cells {
+		out = le.AppendUint64(out, uint64(v))
 	}
 	return out
 }
 
-// readCells fills rows from r, row by row; the caller has checked that
-// exactly that many bytes are left.
-func readCells(r *wire.Reader, rows ...[]int64) {
-	for _, row := range rows {
-		for j := range row {
-			row[j] = r.I64()
-		}
+// decodeMatrix reads a matrix's cells, the rest of r, once the header r
+// has read is whole, its dimensions pass CheckSize and the payload holds
+// exactly their cells, so a forged header fails before it allocates.
+func decodeMatrix(r *wire.Reader, depth, width, stride, seed uint64, n int64) (matrix, error) {
+	if err := r.Err(); err != nil {
+		return matrix{}, err
 	}
+	if err := CheckSize(depth, width, stride); err != nil {
+		return matrix{}, err
+	}
+	if want := 8 * depth * width * stride; uint64(r.Len()) != want {
+		return matrix{}, fmt.Errorf("sketches: payload of %d bytes, want %d", r.Len(), want)
+	}
+	m := newMatrix(int(depth), int(width), int(stride), seed)
+	m.n = n
+	for i := range m.cells {
+		m.cells[i] = r.I64()
+	}
+	return m, nil
+}
+
+// negFlag is bit 0 of CM01's and CG01's flags word: a deletion has been
+// applied.
+func (m *matrix) negFlag() uint64 {
+	if m.neg {
+		return 1
+	}
+	return 0
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (c *CountMin) MarshalBinary() ([]byte, error) {
+	flags := c.negFlag()
+	if c.conservative {
+		flags |= 2
+	}
+	return c.marshal(magicCM, flags, uint64(c.depth), uint64(c.width), c.family.Seed(), uint64(c.n)), nil
 }
 
 // DecodeCountMin parses a sketch produced by (*CountMin).MarshalBinary.
@@ -76,33 +91,17 @@ func DecodeCountMin(data []byte) (*CountMin, error) {
 	r := wire.NewReader(data)
 	r.Magic(magicCM)
 	flags, depth, width, seed, n := r.U64(), r.U64(), r.U64(), r.U64(), r.I64()
-	if err := r.Err(); err != nil {
+	m, err := decodeMatrix(r, depth, width, 1, seed, n)
+	if err != nil {
 		return nil, err
 	}
-	if depth == 0 || width == 0 || depth > maxDim/width {
-		return nil, fmt.Errorf("sketches: implausible Count-Min dimensions %d×%d", depth, width)
-	}
-	// Validate the payload length before allocating the counter array, so
-	// corrupt headers fail fast instead of triggering huge allocations.
-	if uint64(r.Len()) != depth*width*8 {
-		return nil, fmt.Errorf("sketches: Count-Min payload %d bytes, want %d", r.Len(), depth*width*8)
-	}
-	c := newCountMin(int(depth), int(width), seed, flags&2 != 0)
-	c.neg = flags&1 != 0
-	c.n = n
-	readCells(r, c.rows...)
-	return c, nil
+	m.neg = flags&1 != 0
+	return &CountMin{m, flags&2 != 0}, nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (c *CountSketch) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 4+4*8+8*c.depth*c.width)
-	out = append(out, magicCS...)
-	out = le.AppendUint64(out, uint64(c.depth))
-	out = le.AppendUint64(out, uint64(c.width))
-	out = le.AppendUint64(out, c.family.Seed())
-	out = le.AppendUint64(out, uint64(c.n))
-	return appendCells(out, c.rows...), nil
+	return c.marshal(magicCS, uint64(c.depth), uint64(c.width), c.family.Seed(), uint64(c.n)), nil
 }
 
 // DecodeCountSketch parses a sketch produced by
@@ -111,36 +110,16 @@ func DecodeCountSketch(data []byte) (*CountSketch, error) {
 	r := wire.NewReader(data)
 	r.Magic(magicCS)
 	depth, width, seed, n := r.U64(), r.U64(), r.U64(), r.I64()
-	if err := r.Err(); err != nil {
+	m, err := decodeMatrix(r, depth, width, 1, seed, n)
+	if err != nil {
 		return nil, err
 	}
-	if depth == 0 || width == 0 || depth > maxDim/width {
-		return nil, fmt.Errorf("sketches: implausible Count-Sketch dimensions %d×%d", depth, width)
-	}
-	if uint64(r.Len()) != depth*width*8 {
-		return nil, fmt.Errorf("sketches: Count-Sketch payload %d bytes, want %d", r.Len(), depth*width*8)
-	}
-	c := NewCountSketch(int(depth), int(width), seed)
-	c.n = n
-	readCells(r, c.rows...)
-	return c, nil
+	return &CountSketch{m}, nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (c *CGT) MarshalBinary() ([]byte, error) {
-	flags := uint64(0)
-	if c.neg {
-		flags |= 1
-	}
-	out := make([]byte, 0, 4+6*8+8*len(c.cells))
-	out = append(out, magicCG...)
-	out = le.AppendUint64(out, flags)
-	out = le.AppendUint64(out, uint64(c.depth))
-	out = le.AppendUint64(out, uint64(c.width))
-	out = le.AppendUint64(out, uint64(c.universeBits))
-	out = le.AppendUint64(out, c.family.Seed())
-	out = le.AppendUint64(out, uint64(c.n))
-	return appendCells(out, c.cells), nil
+	return c.marshal(magicCG, c.negFlag(), uint64(c.depth), uint64(c.width), uint64(c.universeBits), c.family.Seed(), uint64(c.n)), nil
 }
 
 // DecodeCGT parses a sketch produced by (*CGT).MarshalBinary.
@@ -148,20 +127,15 @@ func DecodeCGT(data []byte) (*CGT, error) {
 	r := wire.NewReader(data)
 	r.Magic(magicCG)
 	flags, depth, width, ubits, seed, n := r.U64(), r.U64(), r.U64(), r.U64(), r.U64(), r.I64()
-	if err := r.Err(); err != nil {
+	if r.Err() == nil && (ubits == 0 || ubits > 64) {
+		return nil, fmt.Errorf("sketches: implausible CGT universe of %d bits", ubits)
+	}
+	m, err := decodeMatrix(r, depth, width, 1+ubits, seed, n)
+	if err != nil {
 		return nil, err
 	}
-	if depth == 0 || width == 0 || ubits == 0 || ubits > 64 || depth > maxDim/(width*(1+ubits)) {
-		return nil, fmt.Errorf("sketches: implausible CGT dimensions %d×%d×%d", depth, width, ubits)
-	}
-	if uint64(r.Len()) != depth*width*(1+ubits)*8 {
-		return nil, fmt.Errorf("sketches: CGT payload %d bytes, want %d", r.Len(), depth*width*(1+ubits)*8)
-	}
-	c := NewCGT(int(depth), int(width), uint(ubits), seed)
-	c.neg = flags&1 != 0
-	c.n = n
-	readCells(r, c.cells)
-	return c, nil
+	m.neg = flags&1 != 0
+	return &CGT{m, uint(ubits)}, nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler. Each level sketch is

@@ -190,3 +190,80 @@ func TestHierarchyDecodeRejectsTruncatedLevel(t *testing.T) {
 		t.Error("expected truncated-level error")
 	}
 }
+
+// TestCheckSizeEdges pins the one size bound at its edges without
+// allocating: a product of exactly 2^28 counters passes, one past it
+// fails, and so does a triple whose product wraps past 2^64 to a small
+// number (1 × 283,796,062,672,454,641 × 65 wraps to 49).
+func TestCheckSizeEdges(t *testing.T) {
+	for _, c := range []struct {
+		depth, width, stride uint64
+		ok                   bool
+	}{
+		{1, 1 << 28, 1, true},
+		{4, 1 << 26, 1, true},
+		{4, 1_032_444, 65, true}, // the registry's CGT: 268,435,440 counters
+		{1 << 28, 1, 1, true},
+		{1, 1, 1 << 28, true},
+		{1, 1<<28 + 1, 1, false},
+		{3, 89_478_486, 1, false}, // 2^28 + 2
+		{4, 1_032_445, 65, false}, // 268,435,700
+		{2, 1 << 27, 2, false},
+		{1, 283_796_062_672_454_641, 65, false},
+		{1 << 32, 1 << 32, 1, false},
+		{0, 8, 1, false},
+		{4, 0, 1, false},
+		{4, 8, 0, false},
+		{1<<64 - 1, 8, 1, false}, // depth −1 as an int
+	} {
+		if err := CheckSize(c.depth, c.width, c.stride); (err == nil) != c.ok {
+			t.Errorf("CheckSize(%d, %d, %d) = %v, want ok=%v", c.depth, c.width, c.stride, err, c.ok)
+		}
+	}
+}
+
+// TestDecodeRefusesWrappingCGT: a 444-byte CG01 blob claiming depth 1,
+// width 283,796,062,672,454,641 and 64 universe bits, whose 49 cells
+// are the product wrapped past 2^64, must not decode: with the bound
+// applied after the multiplication it did, and its first Update,
+// Estimate or Query indexed out of range.
+func TestDecodeRefusesWrappingCGT(t *testing.T) {
+	blob := []byte(magicCG)
+	for _, v := range []uint64{0, 1, 283_796_062_672_454_641, 64, 7, 0} { // flags, depth, width, universe bits, seed, n
+		blob = le.AppendUint64(blob, v)
+	}
+	blob = append(blob, make([]byte, 8*49)...)
+	if len(blob) != 444 {
+		t.Fatalf("blob is %d bytes", len(blob))
+	}
+	if c, err := DecodeCGT(blob); err == nil {
+		t.Fatalf("decoded a %d-cell CGT", len(c.cells))
+	}
+}
+
+// TestConstructorsApplyTheBound: a constructor refuses what its decoder
+// would, so every sketch it builds round-trips. Each request here is
+// past the bound (TestCheckSizeEdges pins its edges) and panics, or
+// errors for a hierarchy, before it allocates; the CGT one wraps to 49
+// counters when multiplied unchecked.
+func TestConstructorsApplyTheBound(t *testing.T) {
+	for name, build := range map[string]func(){
+		"CountMin":             func() { NewCountMin(1, 1<<47, 1) },
+		"CountMinConservative": func() { NewCountMinConservative(1<<20, 1<<27, 1) },
+		"CountSketch":          func() { NewCountSketch(2, 1<<46, 1) },
+		"CGT":                  func() { NewCGT(1, 1<<47, 64, 1) },
+		"CGT wrapping":         func() { NewCGT(1, 283_796_062_672_454_641, 64, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s past the bound did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+	if _, err := NewCountMinHierarchy(HierarchyConfig{Depth: 1, Width: 1 << 47}); err == nil {
+		t.Error("hierarchy past the bound built")
+	}
+}

@@ -52,8 +52,8 @@ type HierarchyConfig struct {
 }
 
 func (cfg *HierarchyConfig) normalize() error {
-	if cfg.Depth <= 0 || cfg.Width <= 0 {
-		return fmt.Errorf("sketches: hierarchy requires positive depth and width")
+	if err := CheckSize(uint64(cfg.Depth), uint64(cfg.Width), 1); err != nil {
+		return err
 	}
 	if cfg.Bits == 0 {
 		cfg.Bits = 8

@@ -17,7 +17,9 @@ import (
 //	u32   tenant count
 //	per tenant: u16 nsLen | ns | u32 blobLen | blob (SS02)
 //
-// Entries are sorted by namespace; all integers little-endian. A
+// Entries are in strictly ascending namespace order, which DecodeBundle
+// requires, so a frame never names a namespace twice; all integers
+// little-endian. A
 // tenant restored from an earlier build's checkpoint and not touched
 // since ships its SS01 blob as it is; freqmerge decodes both.
 const bundleMagic = "SFTB0001"
@@ -71,9 +73,11 @@ func (t *Table) EncodeBundle() ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeBundle parses a frame produced by EncodeBundle. Blobs are
-// returned still encoded; the caller decodes with the codec matching
-// the node's algorithm.
+// DecodeBundle parses a frame produced by EncodeBundle, refusing one
+// whose namespaces are not strictly ascending: a repeated namespace
+// would leave the caller to pick one of its blobs, as a checkpoint
+// restore refuses to. Blobs are returned still encoded; the caller
+// decodes with the codec matching the node's algorithm.
 func DecodeBundle(data []byte) ([]NamespaceBlob, error) {
 	r := wire.NewReader(data)
 	r.Magic(bundleMagic)
@@ -94,6 +98,9 @@ func DecodeBundle(data []byte) ([]NamespaceBlob, error) {
 		blob := r.Bytes(uint64(r.U32()))
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("tenant: bundle entry %d: %w", i, err)
+		}
+		if i > 0 && string(ns) <= out[i-1].NS {
+			return nil, fmt.Errorf("tenant: bundle entry %d names %q after %q", i, ns, out[i-1].NS)
 		}
 		out = append(out, NamespaceBlob{NS: string(ns), Blob: blob})
 	}

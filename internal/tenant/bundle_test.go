@@ -35,6 +35,44 @@ func TestDecodeBundleHostileCountBounded(t *testing.T) {
 	}
 }
 
+// bundleOf frames entries by hand, in the order given.
+func bundleOf(entries ...tenant.NamespaceBlob) []byte {
+	le := binary.LittleEndian
+	out := le.AppendUint32([]byte("SFTB0001"), uint32(len(entries)))
+	for _, e := range entries {
+		out = append(le.AppendUint16(out, uint16(len(e.NS))), e.NS...)
+		out = append(le.AppendUint32(out, uint32(len(e.Blob))), e.Blob...)
+	}
+	return out
+}
+
+// TestDecodeBundleRefusesUnorderedNamespaces: EncodeBundle writes
+// namespaces strictly ascending, and DecodeBundle requires it. A frame
+// naming one twice decoded, and freqmerge kept whichever entry came
+// last, where a checkpoint restore refuses duplicates.
+func TestDecodeBundleRefusesUnorderedNamespaces(t *testing.T) {
+	blob := []byte{1}
+	for name, c := range map[string]struct {
+		names []string
+		ok    bool
+	}{
+		"ascending":          {[]string{"", "a", "b", "ba"}, true},
+		"repeated":           {[]string{"x", "x"}, false},
+		"repeated empty":     {[]string{"", ""}, false},
+		"descending":         {[]string{"b", "a"}, false},
+		"repeated, not next": {[]string{"a", "b", "a"}, false},
+	} {
+		entries := make([]tenant.NamespaceBlob, len(c.names))
+		for i, ns := range c.names {
+			entries[i] = tenant.NamespaceBlob{NS: ns, Blob: blob}
+		}
+		got, err := tenant.DecodeBundle(bundleOf(entries...))
+		if (err == nil) != c.ok {
+			t.Errorf("%s %q: decoded %d entries, err %v; want ok=%v", name, c.names, len(got), err, c.ok)
+		}
+	}
+}
+
 // FuzzDecodeBundle: DecodeBundle never panics on any input, and a table
 // built from the input round-trips through EncodeBundle: the decoded
 // frame lists the table's namespaces in order, each blob a Space-Saving
@@ -45,9 +83,19 @@ func FuzzDecodeBundle(f *testing.F) {
 	f.Add([]byte("SFTB0001\x00\x00\x00\x01"))
 	f.Add([]byte("SFTB0001\x01\x00\x00\x00\x01\x00a\x00\x00\x00\x00"))
 	f.Add([]byte{0, 1, 1, 1, 2, 7, 3, 9, 4, 4, 0, 1})
+	// A repeated and an out-of-order namespace, each of which decoded.
+	f.Add(bundleOf(tenant.NamespaceBlob{NS: "x"}, tenant.NamespaceBlob{NS: "x"}))
+	f.Add(bundleOf(tenant.NamespaceBlob{NS: "b", Blob: []byte{1}}, tenant.NamespaceBlob{NS: "a"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if entries, err := tenant.DecodeBundle(data); err == nil && len(entries)*6 > len(data) {
-			t.Fatalf("%d entries decoded from %d bytes", len(entries), len(data))
+		if entries, err := tenant.DecodeBundle(data); err == nil {
+			if len(entries)*6 > len(data) {
+				t.Fatalf("%d entries decoded from %d bytes", len(entries), len(data))
+			}
+			for i := 1; i < len(entries); i++ {
+				if entries[i].NS <= entries[i-1].NS {
+					t.Fatalf("decoded namespace %q after %q", entries[i].NS, entries[i-1].NS)
+				}
+			}
 		}
 		tb := newTable(t, tenant.Options{DefaultPhi: 0.1, MaxResident: 2})
 		want := map[string]int64{}

@@ -22,7 +22,15 @@ type windowedGolden struct {
 	Blob      []byte
 	Query     map[int64][]core.ItemCount
 	Estimates []int64
-	Stats     Stats
+	Stats     goldenStats
+}
+
+// goldenStats is Stats keyed by its Go field names, as the golden
+// records it: Stats's own JSON names are its /stats keys, which leave N
+// out.
+type goldenStats struct {
+	Size, Blocks, BlockLen, K                          int
+	N, Live, WindowN, Coverage, Slack, BoundaryExpired int64
 }
 
 // windowedScenarios builds the windows the golden pins: fresh, mid-block,
@@ -101,7 +109,7 @@ func goldenProbes(t *testing.T) []core.Item {
 }
 
 func recordWindowed(t *testing.T, name string, s *Windowed, probes []core.Item) windowedGolden {
-	g := windowedGolden{Name: name, Blob: marshalWindowed(t, s), Query: map[int64][]core.ItemCount{}, Stats: s.WindowStats()}
+	g := windowedGolden{Name: name, Blob: marshalWindowed(t, s), Query: map[int64][]core.ItemCount{}, Stats: goldenStats(s.WindowStats())}
 	for _, th := range []int64{1, 30, s.WindowN() / 20} {
 		g.Query[th] = s.Query(th)
 	}

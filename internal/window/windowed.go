@@ -259,22 +259,33 @@ func (s *Windowed) Merge(other core.Summary) error {
 	return nil
 }
 
-// Stats is the windowed observability snapshot freqd's /stats surfaces.
+// Stats is the windowed observability snapshot: freqd's /stats window
+// section (its JSON names) and /v1/metrics gauges (its metric tags).
+// It puts the window shape and its error accounting next to the
+// whole-stream n, so operators can read the φ·W operating point
+// (window_n), the certified overestimate bound (slack), and how much of
+// the boundary block is expired but still counted.
 type Stats struct {
 	// Size is the window length W; Blocks the block count B; BlockLen
 	// W/B; K the per-block counter budget.
-	Size, Blocks, BlockLen, K int
-	// N is the total arrivals ever seen; Live the items currently
-	// represented in the ring (up to W + W/B); WindowN the capped
-	// φ-threshold denominator; Coverage the summed window span (W per
-	// merged stream).
-	N, Live, WindowN, Coverage int64
+	Size     int `json:"size"`
+	Blocks   int `json:"blocks"`
+	BlockLen int `json:"block_len"`
+	K        int `json:"k"`
+	// N is the total arrivals ever seen (the document's own n); Live
+	// the items currently represented in the ring (up to W + W/B);
+	// WindowN the capped φ-threshold denominator; Coverage the summed
+	// window span (W per merged stream).
+	N        int64 `json:"-"`
+	Live     int64 `json:"window_live" metric:"freq_window_live" help:"Live (unexpired) items tracked by the window."`
+	WindowN  int64 `json:"window_n" metric:"freq_window_n" help:"Items inside the sliding window."`
+	Coverage int64 `json:"coverage"`
 	// Slack bounds the overestimation of any windowed estimate.
-	Slack int64
+	Slack int64 `json:"slack" metric:"freq_window_slack" help:"Certified overestimate slack of the window."`
 	// BoundaryExpired is how many already-expired items the boundary
 	// (oldest) block still counts — Live − WindowN, between 0 and
 	// BlockLen for an unmerged window.
-	BoundaryExpired int64
+	BoundaryExpired int64 `json:"boundary_expired"`
 }
 
 // WindowStats reports the window's current shape and error accounting.

@@ -18,6 +18,7 @@ func FuzzMergeEncoded(f *testing.F) {
 	// fuzzer starts from deep-in-the-format corpus entries), a few
 	// cross-algorithm pairs, and classic corruptions.
 	var blobs [][]byte
+	byAlgo := map[string][]byte{}
 	for _, algo := range Algorithms() {
 		s := MustNew(algo, 0.02, 7)
 		UpdateAll(s, zipf.Sequential(2_000))
@@ -30,6 +31,7 @@ func FuzzMergeEncoded(f *testing.F) {
 			f.Fatal(err)
 		}
 		blobs = append(blobs, blob)
+		byAlgo[algo] = blob
 	}
 	for i, b := range blobs {
 		f.Add(b, blobs[(i+1)%len(blobs)]) // mixed-algorithm pairs
@@ -55,6 +57,14 @@ func FuzzMergeEncoded(f *testing.F) {
 		same := counterBlob(magic+"02", h, 7, 4, 0, 9, 6, 0)
 		f.Add(same, counterBlob(magic+"01", h, 7, 4, 0, 9, 6, 0))
 		f.Add(counterBlob(magic+"02", h, 7, 1<<62, 0, 9, 6, 0), same)
+	}
+
+	// Hostile sketch headers, each beside itself and beside a genuine
+	// CMH and CGT blob.
+	for _, blob := range hostileSketchBlobs(f) {
+		f.Add(blob, blob)
+		f.Add(byAlgo["CMH"], blob)
+		f.Add(blob, byAlgo["CGT"])
 	}
 
 	// The windowed format rides the same trust boundary: a genuine WN01

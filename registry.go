@@ -39,8 +39,10 @@ func CounterBased(name string) bool {
 // counters per the paper's equal-resource methodology (width 2/φ, depth
 // 4, plus the hierarchy/group-testing overheads inherent to each
 // structure). seed drives all hash randomness; equal (name, phi, seed)
-// summaries are mergeable. A φ whose counter budget exceeds
-// counters.MaxBudget, the largest its decoder accepts, is an error.
+// summaries are mergeable. A φ whose structure its decoder would refuse
+// is an error, never a clamp or a panic: a counter budget, a Tracked
+// roster or Lossy Counting's 2/φ past counters.MaxBudget
+// (counters.Budget), or a sketch past sketches.CheckSize's bound.
 func New(name string, phi float64, seed uint64) (Summary, error) {
 	if phi <= 0 || phi >= 1 {
 		return nil, fmt.Errorf("streamfreq: phi must be in (0,1), got %g", phi)
@@ -68,7 +70,9 @@ func MustNew(name string, phi float64, seed uint64) Summary {
 }
 
 // budgeted builds a counter summary over scale·k counters, k the
-// canonical budget for φ (counters.Budget).
+// canonical budget for φ (counters.Budget). Lossy Counting at ε = φ/2
+// passes scale 2 and ignores k: a budget within counters.MaxBudget
+// puts 1/ε within it too, the bound its constructor and decoder apply.
 func budgeted(phi float64, scale int, build func(k int) Summary) (Summary, error) {
 	k, err := counters.Budget(phi, scale)
 	if err != nil {
@@ -83,12 +87,13 @@ func budgeted(phi float64, scale int, build func(k int) Summary) (Summary, error
 // space.
 const sketchDepth = 4
 
+// sketchWidth is 2/φ, at least 8. 2/φ is capped at 2^40 before the
+// conversion, which would overflow past 2^63; a width that large is past
+// every sketch's bound (sketches.CheckSize), which the hierarchy
+// constructors and the CGT factory apply and counters.Budget implies for
+// the tracked sketches.
 func sketchWidth(phi float64) int {
-	w := int(2 / phi)
-	if w < 8 {
-		w = 8
-	}
-	return w
+	return max(int(min(2/phi, 1<<40)), 8)
 }
 
 var factories = map[string]func(phi float64, seed uint64) (Summary, error){
@@ -96,10 +101,10 @@ var factories = map[string]func(phi float64, seed uint64) (Summary, error){
 		return budgeted(phi, 1, func(k int) Summary { return counters.NewFrequent(k) })
 	},
 	"LC": func(phi float64, _ uint64) (Summary, error) {
-		return counters.NewLossyCounting(phi/2, counters.VariantLC), nil
+		return budgeted(phi, 2, func(int) Summary { return counters.NewLossyCounting(phi/2, counters.VariantLC) })
 	},
 	"LCD": func(phi float64, _ uint64) (Summary, error) {
-		return counters.NewLossyCounting(phi/2, counters.VariantLCD), nil
+		return budgeted(phi, 2, func(int) Summary { return counters.NewLossyCounting(phi/2, counters.VariantLCD) })
 	},
 	"SSH": func(phi float64, _ uint64) (Summary, error) {
 		return budgeted(phi, 1, func(k int) Summary { return counters.NewSpaceSavingHeap(k) })
@@ -130,7 +135,11 @@ var factories = map[string]func(phi float64, seed uint64) (Summary, error){
 		})
 	},
 	"CGT": func(phi float64, seed uint64) (Summary, error) {
-		return sketches.NewCGT(sketchDepth, sketchWidth(phi), 64, seed), nil
+		w := sketchWidth(phi)
+		if err := sketches.CheckSize(sketchDepth, uint64(w), 1+64); err != nil {
+			return nil, err
+		}
+		return sketches.NewCGT(sketchDepth, w, 64, seed), nil
 	},
 }
 

@@ -1,6 +1,7 @@
 package streamfreq
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -102,6 +103,42 @@ func TestDecodeStillDispatchesKnownMagics(t *testing.T) {
 		}
 		if dec.Estimate(5) != 3 {
 			t.Fatalf("%s: decoded Estimate(5) = %d, want 3", s.Name(), dec.Estimate(5))
+		}
+	}
+}
+
+// TestNewRefusesWhatItsDecoderRefuses: every registry factory returns an
+// error, never a clamp or a panic, for a φ whose structure its decoder
+// would refuse. At φ = 1e-300, 2/φ overflows an int, which the sketch
+// factories clamped to width 8, and Lossy Counting's bucket width
+// ⌈1/ε⌉ overflowed to −2^63, so it never pruned. CGT's 65-counter
+// buckets at depth 4 fit the 2^28-counter bound up to width 1,032,444
+// (φ ≥ about 1.94e-6), so φ = 1e-6's 520,000,000 counters are refused.
+// Lossy Counting's ε = φ/2 constructs, and round-trips, down to the
+// smallest φ whose doubled budget fits counters.MaxBudget.
+func TestNewRefusesWhatItsDecoderRefuses(t *testing.T) {
+	for _, name := range Algorithms() {
+		if s, err := New(name, 1e-300, 1); err == nil {
+			t.Fatalf("%s at φ = 1e-300 built %d bytes", name, s.Bytes())
+		}
+	}
+	for _, phi := range []float64{1e-6, 2 / 1_032_445.5} {
+		if _, err := New("CGT", phi, 1); err == nil {
+			t.Errorf("CGT at φ = %g built %d counters a row", phi, int(2/phi))
+		}
+	}
+	edge := math.Nextafter(1.0/(1<<21), 1) // ⌊1/φ⌋ + 1 = 2^21: a roster of 2^22
+	for _, name := range []string{"LC", "LCD"} {
+		if _, err := New(name, math.Nextafter(1.0/(1<<21), 0), 1); err == nil {
+			t.Errorf("%s one φ past the edge accepted", name)
+		}
+		s, err := New(name, edge, 1)
+		if err != nil {
+			t.Fatalf("%s at the edge φ = %g: %v", name, edge, err)
+		}
+		s.Update(3, 2)
+		if dec, err := Decode(marshal(t, name, s)); err != nil || dec.Estimate(3) != s.Estimate(3) {
+			t.Errorf("%s at the edge φ does not round-trip: %v", name, err)
 		}
 	}
 }
