@@ -650,7 +650,7 @@ func BenchmarkAblationMGOffset(b *testing.B) {
 func BenchmarkAblationHash(b *testing.B) {
 	for _, k := range []int{2, 4} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			h := hash.NewFamily(1, 4096, k, benchSeed).Buckets[0]
+			h := hash.NewFamily(1, 4096, k, benchSeed, false).Buckets[0]
 			sum := 0
 			for i := 0; b.Loop(); i++ {
 				sum += h.Hash(uint64(i))

@@ -163,8 +163,7 @@ func decodeCounters[S any](data []byte, f *counterFormat, init func(h counterHea
 // encode → decode → encode is byte-identical.
 func (f *Frequent) MarshalBinary() ([]byte, error) {
 	return encodeCounters(formatFQ, 0, []uint64{uint64(f.k), uint64(f.n), uint64(f.decs)}, len(f.st.heap), func(i int) (core.Item, int64, int64) {
-		nd := &f.st.nodes[f.st.heap[i]]
-		return nd.item, nd.count - f.offset, 0
+		return f.st.nodes[f.st.heap[i]].item, f.st.hcnt[i] - f.offset, 0
 	}), nil
 }
 
@@ -193,7 +192,7 @@ func DecodeFrequent(data []byte) (*Frequent, error) {
 func (s *SpaceSavingHeap) MarshalBinary() ([]byte, error) {
 	return encodeCounters(formatSS, 0, []uint64{uint64(s.k), uint64(s.n)}, len(s.st.heap), func(i int) (core.Item, int64, int64) {
 		nd := &s.st.nodes[s.st.heap[i]]
-		return nd.item, nd.count, nd.err
+		return nd.item, s.st.hcnt[i], nd.err
 	}), nil
 }
 
@@ -219,10 +218,14 @@ func DecodeSpaceSavingHeap(data []byte) (*SpaceSavingHeap, error) {
 // produce byte-equal blobs, the property the crash-recovery tests (and
 // any content-addressed checkpoint store) compare on.
 func (l *LossyCounting) MarshalBinary() ([]byte, error) {
-	nodes := slices.Clone(l.st.nodes)
-	slices.SortFunc(nodes, func(a, b ssNode) int { return cmp.Compare(a.item, b.item) })
-	return encodeCounters(formatLC, l.epsilon, []uint64{uint64(l.variant), uint64(l.n)}, len(nodes), func(i int) (core.Item, int64, int64) {
-		return nodes[i].item, nodes[i].count - nodes[i].err, nodes[i].err
+	entries := make([]counter, len(l.st.heap))
+	for i, id := range l.st.heap {
+		nd := &l.st.nodes[id]
+		entries[i] = counter{nd.item, l.st.hcnt[i] - nd.err, nd.err}
+	}
+	slices.SortFunc(entries, func(a, b counter) int { return cmp.Compare(a.item, b.item) })
+	return encodeCounters(formatLC, l.epsilon, []uint64{uint64(l.variant), uint64(l.n)}, len(entries), func(i int) (core.Item, int64, int64) {
+		return entries[i].item, entries[i].count, entries[i].err
 	}), nil
 }
 
@@ -267,8 +270,7 @@ func (s *SpaceSavingList) MarshalBinary() ([]byte, error) {
 		}
 	}
 	return encodeCounters(formatSL, 0, []uint64{uint64(s.k), uint64(s.n)}, len(ids), func(i int) (core.Item, int64, int64) {
-		nd := &s.t.nodes[ids[i]]
-		return nd.item, nd.count, nd.err
+		return s.t.nodes[ids[i]].item, s.count(ids[i]), s.t.nodes[ids[i]].err
 	}), nil
 }
 
@@ -276,29 +278,22 @@ func (s *SpaceSavingList) MarshalBinary() ([]byte, error) {
 // (*SpaceSavingList).MarshalBinary (SL02), or by an earlier build's
 // (SL01). Counts must be positive and non-decreasing (the structural
 // order MarshalBinary emits), so a shuffled or hand-forged blob is
-// rejected, and an err at most its count; the entries are then linked
-// from the last one back, each joining the head of the minimum bucket
-// or opening a new minimum, which rebuilds the written order exactly.
+// rejected, and an err at most its count; each entry is linked as it
+// is read, after the last one in the top bucket or opening a new top
+// bucket, which rebuilds the written order exactly.
 func DecodeSpaceSavingList(data []byte) (*SpaceSavingList, error) {
-	s, err := decodeCounters(data, formatSL, func(h counterHeader) (*SpaceSavingList, *nodeTable, error) {
+	return decodeCounters(data, formatSL, func(h counterHeader) (*SpaceSavingList, *nodeTable, error) {
 		s := newSpaceSavingList(int(h.k), h.entries)
 		s.n = int64(h.n)
 		return s, &s.t, nil
 	}, func(s *SpaceSavingList, item core.Item, count, errv int64) error {
-		if last := len(s.t.nodes) - 1; count <= 0 || errv > count || last >= 0 && count < s.t.nodes[last].count {
+		last := int32(len(s.t.nodes)) - 1
+		if count <= 0 || errv > count || last >= 0 && count < s.count(last) {
 			return fmt.Errorf("counters: invalid SpaceSavingList entry (count=%d err=%d), or out of count order", count, errv)
 		}
-		s.t.newNode(item, count, errv, -1)
-		s.links = append(s.links, listLink{})
+		s.link(s.t.newNode(item, errv), count, last)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for id := int32(len(s.t.nodes)) - 1; id >= 0; id-- {
-		s.attach(id, s.t.nodes[id].count, -1)
-	}
-	return s, nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler. The heap is stored
@@ -318,10 +313,9 @@ func (t *Tracked) MarshalBinary() ([]byte, error) {
 	out = append(out, "TK01"...)
 	out = le.AppendUint64(out, uint64(t.capacity))
 	out = le.AppendUint64(out, uint64(len(t.st.heap)))
-	for _, id := range t.st.heap {
-		nd := &t.st.nodes[id]
-		out = le.AppendUint64(out, uint64(nd.item))
-		out = le.AppendUint64(out, uint64(nd.count))
+	for i, id := range t.st.heap {
+		out = le.AppendUint64(out, uint64(t.st.nodes[id].item))
+		out = le.AppendUint64(out, uint64(t.st.hcnt[i]))
 	}
 	out = le.AppendUint64(out, uint64(len(innerBlob)))
 	return append(out, innerBlob...), nil

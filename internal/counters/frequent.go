@@ -99,7 +99,7 @@ func (f *Frequent) UpdateBatch(items []core.Item) {
 // (0 when x is not tracked). It never overestimates.
 func (f *Frequent) Estimate(x core.Item) int64 {
 	if id := f.st.lookup(x); id >= 0 {
-		return f.st.nodes[id].count - f.offset
+		return f.st.count(id) - f.offset
 	}
 	return 0
 }
@@ -115,11 +115,9 @@ func (f *Frequent) MaxError() int64 { return f.decs }
 // recall at threshold φn when k ≥ 1/φ.
 func (f *Frequent) Query(threshold int64) []core.ItemCount {
 	var out []core.ItemCount
-	for _, id := range f.st.heap {
-		nd := &f.st.nodes[id]
-		est := nd.count - f.offset
-		if est+f.decs >= threshold {
-			out = append(out, core.ItemCount{Item: nd.item, Count: est})
+	for i, id := range f.st.heap {
+		if est := f.st.hcnt[i] - f.offset; est+f.decs >= threshold {
+			out = append(out, core.ItemCount{Item: f.st.nodes[id].item, Count: est})
 		}
 	}
 	core.SortByCountDesc(out)
@@ -140,9 +138,8 @@ func (f *Frequent) Snapshot() core.Summary { return f.Clone() }
 // Entries returns all tracked (item, estimate) pairs in descending order.
 func (f *Frequent) Entries() []core.ItemCount {
 	out := make([]core.ItemCount, 0, len(f.st.heap))
-	for _, id := range f.st.heap {
-		nd := &f.st.nodes[id]
-		out = append(out, core.ItemCount{Item: nd.item, Count: nd.count - f.offset})
+	for i, id := range f.st.heap {
+		out = append(out, core.ItemCount{Item: f.st.nodes[id].item, Count: f.st.hcnt[i] - f.offset})
 	}
 	core.SortByCountDesc(out)
 	return out
@@ -169,16 +166,16 @@ func (f *Frequent) Merge(other core.Summary) error {
 		return core.Incompatible("Frequent: counter budget mismatch (k=%d/%d)", f.k, o.k)
 	}
 	all := make([]core.ItemCount, 0, len(f.st.nodes)+len(o.st.nodes))
-	for _, nd := range f.st.nodes {
-		c := nd.count - f.offset
-		if id := o.st.lookup(nd.item); id >= 0 {
-			c += o.st.nodes[id].count - o.offset
+	for id, nd := range f.st.nodes {
+		c := f.st.count(int32(id)) - f.offset
+		if oid := o.st.lookup(nd.item); oid >= 0 {
+			c += o.st.count(oid) - o.offset
 		}
 		all = append(all, core.ItemCount{Item: nd.item, Count: c})
 	}
-	for _, nd := range o.st.nodes {
+	for id, nd := range o.st.nodes {
 		if f.st.lookup(nd.item) < 0 {
-			all = append(all, core.ItemCount{Item: nd.item, Count: nd.count - o.offset})
+			all = append(all, core.ItemCount{Item: nd.item, Count: o.st.count(int32(id)) - o.offset})
 		}
 	}
 	core.SortByCountDesc(all)

@@ -99,7 +99,7 @@ func (s *FilteredSpaceSaving) Update(x core.Item, count int64) {
 // unmonitored items (both upper bounds on the true count).
 func (s *FilteredSpaceSaving) Estimate(x core.Item) int64 {
 	if id := s.st.lookup(x); id >= 0 {
-		return s.st.nodes[id].count
+		return s.st.count(id)
 	}
 	return s.filter[s.cells.Hash(uint64(x))]
 }
@@ -107,8 +107,7 @@ func (s *FilteredSpaceSaving) Estimate(x core.Item) int64 {
 // GuaranteedCount returns the certified lower bound on x's true count.
 func (s *FilteredSpaceSaving) GuaranteedCount(x core.Item) int64 {
 	if id := s.st.lookup(x); id >= 0 {
-		nd := &s.st.nodes[id]
-		return nd.count - nd.err
+		return s.st.count(id) - s.st.nodes[id].err
 	}
 	return 0
 }

@@ -128,18 +128,19 @@ func (l *LossyCounting) prune() {
 	}
 }
 
-// estimate is the variant's estimate for a tracked entry.
-func (l *LossyCounting) estimate(nd *ssNode) int64 {
+// estimate is the variant's estimate for a tracked entry whose heap
+// key is count (count + Δ) and whose Δ is delta.
+func (l *LossyCounting) estimate(count, delta int64) int64 {
 	if l.variant == VariantLCD {
-		return nd.count
+		return count
 	}
-	return nd.count - nd.err
+	return count - delta
 }
 
 // Estimate returns the variant-appropriate estimate (0 when untracked).
 func (l *LossyCounting) Estimate(x core.Item) int64 {
 	if id := l.st.lookup(x); id >= 0 {
-		return l.estimate(&l.st.nodes[id])
+		return l.estimate(l.st.count(id), l.st.nodes[id].err)
 	}
 	return 0
 }
@@ -149,9 +150,10 @@ func (l *LossyCounting) Estimate(x core.Item) int64 {
 // threshold = φN with φ > ε this has perfect recall.
 func (l *LossyCounting) Query(threshold int64) []core.ItemCount {
 	var out []core.ItemCount
-	for i := range l.st.nodes {
-		if nd := &l.st.nodes[i]; nd.count >= threshold {
-			out = append(out, core.ItemCount{Item: nd.item, Count: l.estimate(nd)})
+	for i, c := range l.st.hcnt {
+		if c >= threshold {
+			nd := &l.st.nodes[l.st.heap[i]]
+			out = append(out, core.ItemCount{Item: nd.item, Count: l.estimate(c, nd.err)})
 		}
 	}
 	core.SortByCountDesc(out)
@@ -198,14 +200,14 @@ func (l *LossyCounting) Merge(other core.Summary) error {
 		nd := &l.st.nodes[id]
 		add, delta := o.bucket-1, o.bucket-1
 		if oid := o.st.lookup(nd.item); oid >= 0 {
-			add, delta = o.st.nodes[oid].count, o.st.nodes[oid].err
+			add, delta = o.st.count(oid), o.st.nodes[oid].err
 		}
 		nd.err += delta
 		l.st.add(int32(id), add)
 	}
-	for i := range o.st.nodes {
-		if ond := &o.st.nodes[i]; l.st.lookup(ond.item) < 0 {
-			l.push(ond.item, ond.count-ond.err, ond.err+l.bucket-1)
+	for id, ond := range o.st.nodes {
+		if l.st.lookup(ond.item) < 0 {
+			l.push(ond.item, o.st.count(int32(id))-ond.err, ond.err+l.bucket-1)
 		}
 	}
 	l.n += o.n

@@ -23,9 +23,10 @@ import (
 // recall and counts overestimated by at most εn.
 //
 // Its counters live in the package's one counter store (store.go): a
-// pointer-free node slice, an int32 id heap and an open-addressed
-// index, three slice headers over flat memory, cheap enough to hold
-// thousands of tenants resident.
+// pointer-free node slice, an int32 id heap with each node's slot, the
+// counts in heap order and an open-addressed index, flat memory at 32 B
+// a counter plus the index, cheap enough to hold thousands of tenants
+// resident.
 type SpaceSavingHeap struct {
 	k  int
 	n  int64
@@ -33,16 +34,18 @@ type SpaceSavingHeap struct {
 }
 
 // NewSpaceSavingHeap returns an SSH summary with a budget of k
-// counters. Its store starts at ssStartCap slots and doubles, up to k,
-// as new items arrive (room), so a summary whose stream has reached few
-// distinct items holds, and reports in Bytes, a store sized to them.
-// Growth moves no counter, so answers and SS02 encodings equal those
-// of a store built at k.
+// counters. Its store starts with no slots; the first update grows it to
+// ssStartCap, and it doubles, up to k, as new items arrive (room), or a
+// first batch grows it once to the step that holds its distinct items
+// (fit). So a summary whose stream has reached few distinct items
+// holds, and reports in Bytes, a store sized to them. Growth moves no
+// counter, so answers and SS02 encodings equal those of a store built
+// at k.
 func NewSpaceSavingHeap(k int) *SpaceSavingHeap {
 	if k <= 0 {
 		panic("counters: SpaceSaving requires k > 0")
 	}
-	return &SpaceSavingHeap{k: k, st: newSSStorage(min(k, ssStartCap))}
+	return &SpaceSavingHeap{k: k, st: newSSStorage(0)}
 }
 
 // Name implements core.Summary.
@@ -89,9 +92,13 @@ func (s *SpaceSavingHeap) Update(x core.Item, count int64) {
 // Space-Saving invariants (no underestimates; per-entry err bounds the
 // inherited overcount; every item above n/k tracked) hold for the
 // aggregated replay exactly as for the scalar one, since a weighted
-// update is the unit rule applied with the arrivals adjacent.
+// update is the unit rule applied with the arrivals adjacent. A batch
+// into an empty store grows it once, to hold its distinct items (fit).
 func (s *SpaceSavingHeap) UpdateBatch(items []core.Item) {
 	core.Collapse(items, func(items []core.Item, counts []int64) {
+		if len(s.st.nodes) == 0 {
+			s.st.fit(len(items), s.k)
+		}
 		for i, x := range items {
 			s.Update(x, counts[i])
 		}
@@ -103,7 +110,7 @@ func (s *SpaceSavingHeap) UpdateBatch(items []core.Item) {
 // Space-Saving can certify.
 func (s *SpaceSavingHeap) Estimate(x core.Item) int64 {
 	if id := s.st.lookup(x); id >= 0 {
-		return s.st.nodes[id].count
+		return s.st.count(id)
 	}
 	return s.Min()
 }
@@ -112,8 +119,7 @@ func (s *SpaceSavingHeap) Estimate(x core.Item) int64 {
 // (count − err for tracked items, 0 otherwise).
 func (s *SpaceSavingHeap) GuaranteedCount(x core.Item) int64 {
 	if id := s.st.lookup(x); id >= 0 {
-		nd := &s.st.nodes[id]
-		return nd.count - nd.err
+		return s.st.count(id) - s.st.nodes[id].err
 	}
 	return 0
 }
@@ -151,14 +157,32 @@ func (s *SpaceSavingHeap) Merge(other core.Summary) error {
 		// what either summary advertises.
 		return core.Incompatible("SpaceSaving: counter budget mismatch (k=%d/%d)", s.k, o.k)
 	}
-	all := mergeSpaceSaving(&s.st.nodeTable, &o.st.nodeTable, s.Min(), o.Min(), s.k)
+	all := mergeSpaceSaving(s, o, s.k)
 	s.st.reset()
-	for _, nd := range all {
+	for _, c := range all {
 		s.st.room(s.k)
-		s.st.push(nd.item, nd.count, nd.err)
+		s.st.push(c.item, c.count, c.err)
 	}
 	s.n += o.n
 	return nil
+}
+
+// spaceSaving is what mergeSpaceSaving reads of either Space-Saving
+// organization: its Min bound, its node table and a counter's count.
+type spaceSaving interface {
+	Min() int64
+	table() *nodeTable
+	count(id int32) int64
+}
+
+func (s *SpaceSavingHeap) table() *nodeTable    { return &s.st.nodeTable }
+func (s *SpaceSavingHeap) count(id int32) int64 { return s.st.count(id) }
+
+// counter is one counter's fields together, as a merge or an encoder
+// collects them.
+type counter struct {
+	item       core.Item
+	count, err int64
 }
 
 // mergeSpaceSaving is the merge both Space-Saving organizations share,
@@ -168,23 +192,20 @@ func (s *SpaceSavingHeap) Merge(other core.Summary) error {
 // largest survive, returned in descending count order with ties broken
 // by ascending item (core.SortByCountDesc's order). The result
 // satisfies the Space-Saving invariants for the concatenated stream.
-func mergeSpaceSaving(a, b *nodeTable, aMin, bMin int64, k int) []ssNode {
-	all := make([]ssNode, 0, len(a.nodes)+len(b.nodes))
-	for _, nd := range a.nodes {
-		if id := b.lookup(nd.item); id >= 0 {
-			nd.count += b.nodes[id].count
-			nd.err += b.nodes[id].err
-		} else {
-			nd.count += bMin
-			nd.err += bMin
+func mergeSpaceSaving(a, b spaceSaving, k int) []counter {
+	at, bt := a.table(), b.table()
+	aMin, bMin := a.Min(), b.Min()
+	all := make([]counter, 0, len(at.nodes)+len(bt.nodes))
+	for id, nd := range at.nodes {
+		count, err := bMin, bMin
+		if bid := bt.lookup(nd.item); bid >= 0 {
+			count, err = b.count(bid), bt.nodes[bid].err
 		}
-		all = append(all, nd)
+		all = append(all, counter{nd.item, a.count(int32(id)) + count, nd.err + err})
 	}
-	for _, nd := range b.nodes {
-		if a.lookup(nd.item) < 0 {
-			nd.count += aMin
-			nd.err += aMin
-			all = append(all, nd)
+	for id, nd := range bt.nodes {
+		if at.lookup(nd.item) < 0 {
+			all = append(all, counter{nd.item, b.count(int32(id)) + aMin, nd.err + aMin})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {

@@ -9,61 +9,63 @@ import (
 // The counter store: every counter summary keeps its counters in one
 // node table — a pointer-free node slice and the open-addressed index
 // that finds an item's node — and orders them with one of two
-// structures over it. The indexed min-heap here, the module's only
-// heap, orders Space-Saving (SSH, and every tenant), Frequent
-// (Misra–Gries), Filtered Space-Saving, Lossy Counting (LC and LCD) and
-// Tracked's top-l roster, so the heap discipline, and with it the heap
-// order the FQ02, SS02 and TK01 wire formats write, lives in one place
-// (the sift's comment says why it must not change). The Stream-Summary
-// of streamsummary.go (SSL) orders the same nodes by int32 bucket
-// links. A heap store is four slices plus a tombstone count:
+// structures over it, which also holds each counter's count. The
+// indexed min-heap here, the module's only heap, orders Space-Saving
+// (SSH, and every tenant), Frequent (Misra–Gries), Filtered
+// Space-Saving, Lossy Counting (LC and LCD) and Tracked's top-l roster,
+// so the heap discipline, and with it the heap order the FQ02, SS02 and
+// TK01 wire formats write, lives in one place (the sift's comment says
+// why it must not change). The Stream-Summary of streamsummary.go (SSL)
+// orders the same nodes by int32 bucket links and keeps each count in
+// its bucket. A heap store is five slices plus a tombstone count:
 //
-//	nodes []ssNode — the counters themselves (item, count, err, heap
-//	                 position); node id = position, ids stay dense;
+//	nodes []ssNode — the counters' items and errors; node id =
+//	                 position, ids stay dense;
 //	index []int32  — an open-addressed hash table item → node id;
 //	heap  []int32  — a min-heap of node ids ordered by count;
-//	hcnt  []int64  — each heap slot's count, mirrored.
+//	pos   []int32  — each node's heap slot, by node id;
+//	hcnt  []int64  — each heap slot's count, the only copy.
 //
-// Five operations change it: push (a new counter), add (a count
-// change), replaceMin (Space-Saving's replacement, FSS's promotion,
-// Tracked's admission), popMin (Misra–Gries' eviction, Lossy
-// Counting's prune) and grow (more room). Lossy Counting keys each
-// entry by its upper bound count + Δ and keeps Δ in err, so the entries
-// a bucket boundary prunes (count + Δ ≤ b − 1) are the ones at the
-// root, popped without a sweep; and since no fixed k bounds its live
-// set, it grows the store by an eighth when a new entry finds it full.
-// Every other store has a budget of k counters. Frequent, FSS and
-// Tracked allocate all of it at construction. A Space-Saving store (SSH,
-// every tenant's, and SSL's) starts at ssStartCap slots, so it holds
-// what its stream has reached rather than what it may reach. A decoder
-// allocates only the entries its blob carries (so a forged header costs
-// O(len(data))). A store that fills below its budget grows to the next
-// of ssStartCap, 2·ssStartCap, 4·ssStartCap, ... up to the budget
-// (nextCap). Growth copies the slices in order, so node ids and heap
-// positions never move: answers and encodings do not depend on when a
-// store grew. Index deletions leave tombstones, compacted by an O(k)
-// rebuild when they accumulate. The layout is pointer-free below the
-// slice headers, so a million instances cost the GC a million objects,
-// not a hundred million: a
-// multi-tenant daemon holds many small SSH instances, and the
-// per-entry map buckets and heap pointers of a Go-map layout would
-// dominate its footprint. Every store owns its slices; dropping the
-// summary frees them.
+// heap and pos share one allocation. Five operations change the store:
+// push (a new counter), add (a count change), replaceMin (Space-Saving's
+// replacement, FSS's promotion, Tracked's admission), popMin
+// (Misra–Gries' eviction, Lossy Counting's prune) and grow (more room).
+// Lossy Counting keys each entry by its upper bound count + Δ and keeps
+// Δ in err, so the entries a bucket boundary prunes (count + Δ ≤ b − 1)
+// are the ones at the root, popped without a sweep; and since no fixed
+// k bounds its live set, it grows the store by an eighth when a new
+// entry finds it full. Every other store has a budget of k counters.
+// Frequent, FSS and Tracked allocate all of it at construction. A
+// Space-Saving store (SSH, every tenant's, and SSL's) starts with no
+// slots, so it holds what its stream has reached rather than what it
+// may reach: its first update grows it to ssStartCap slots, or its
+// first batch to the step that holds the batch's distinct items
+// (fit). A decoder allocates only the entries its blob carries (so
+// a forged header costs O(len(data))). A store that fills below its
+// budget grows to the next of ssStartCap, 2·ssStartCap, 4·ssStartCap,
+// ... up to the budget (nextCap). Growth copies the slices in order, so
+// node ids and heap positions never move: answers and encodings do not
+// depend on when a store grew. Index deletions leave tombstones,
+// compacted by an O(k) rebuild when they accumulate. The layout is
+// pointer-free below the slice headers, so a million instances cost the
+// GC a million objects, not a hundred million: a multi-tenant daemon
+// holds many small SSH instances, and the per-entry map buckets and
+// heap pointers of a Go-map layout would dominate its footprint. Every
+// store owns its slices; dropping the summary frees them.
 //
 // Every counter summary reports one space figure, its store's
-// footprint at its capacities (bytes): for a heap store, 44 B per node
-// slot plus 4 B per index slot.
+// footprint at its capacities (bytes): for a heap store, 32 B per slot
+// (a 16 B node, its heap id, heap slot and count) plus 4 B per index
+// slot.
 
-// ssNode is one counter: 32 bytes, pointer-free. err is the counter's
-// error term — Space-Saving's inherited overcount, FSS's filter error
-// at admission, Lossy Counting's Δ — and zero for Frequent and Tracked.
-// pos is the node's place in the structure that orders it: its heap
-// slot, or its Stream-Summary bucket.
+// ssNode is one counter's item and error: 16 bytes, pointer-free. err
+// is the counter's error term — Space-Saving's inherited overcount,
+// FSS's filter error at admission, Lossy Counting's Δ — and zero for
+// Frequent and Tracked. Its count lives in the structure that orders
+// it: its heap slot, or its Stream-Summary bucket.
 type ssNode struct {
-	item  core.Item
-	count int64
-	err   int64
-	pos   int32
+	item core.Item
+	err  int64
 }
 
 // nodeTable holds the counters and finds them. index slots hold node
@@ -76,15 +78,16 @@ type nodeTable struct {
 	shift uint  // 64 − log2(len(index)): hash top bits pick the slot
 }
 
-// ssStorage is one heap store: a node table ordered by a min-heap.
+// ssStorage is one heap store: a node table ordered by a min-heap. The
+// counts sit in heap order (hcnt[i] is slot i's), so sift comparisons
+// read one contiguous array instead of chasing heap[i] through the
+// node table, which is where a φ-provisioned summary's update time
+// goes; a node's count is hcnt[pos[id]].
 type ssStorage struct {
 	nodeTable
-	heap []int32
-	// hcnt mirrors each heap slot's count (hcnt[i] ==
-	// nodes[heap[i]].count): sift comparisons read one contiguous
-	// array instead of chasing heap[i] through the node table, which
-	// is where a φ-provisioned summary's update time goes.
-	hcnt []int64
+	heap []int32 // node id by heap slot
+	pos  []int32 // heap slot by node id; shares heap's allocation
+	hcnt []int64 // count by heap slot
 }
 
 const ssTombstone = int32(-1)
@@ -112,10 +115,20 @@ func newNodeTable(k int) nodeTable {
 
 // newSSStorage allocates a heap store for k counters.
 func newSSStorage(k int) ssStorage {
-	return ssStorage{nodeTable: newNodeTable(k), heap: make([]int32, 0, k), hcnt: make([]int64, 0, k)}
+	st := ssStorage{nodeTable: newNodeTable(k), hcnt: make([]int64, 0, k)}
+	st.heap, st.pos = heapAndPos(nil, nil, k)
+	return st
 }
 
-// ssStartCap is the node capacity a new Space-Saving store starts at
+// heapAndPos returns copies of heap and pos at capacity k, the two
+// slices in one allocation: heap in its first k int32s, pos in the
+// rest, each capped so that neither appends into the other.
+func heapAndPos(heap, pos []int32, k int) ([]int32, []int32) {
+	buf := make([]int32, 2*k)
+	return append(buf[:0:k], heap...), append(buf[k:k], pos...)
+}
+
+// ssStartCap is the node capacity a Space-Saving store first grows to
 // (less when its budget is smaller).
 const ssStartCap = 32
 
@@ -135,11 +148,11 @@ func nextCap(c, k int) int {
 	return min(next, k)
 }
 
-// ssNodeBytes is one node's footprint; a heap store's slot adds the
-// node's heap id and count mirror (ssSlotBytes).
+// ssNodeBytes is one node's footprint; a heap store's slot adds its
+// heap id, its heap slot and its count (ssSlotBytes).
 const (
-	ssNodeBytes = 32
-	ssSlotBytes = ssNodeBytes + 4 + 8
+	ssNodeBytes = 16
+	ssSlotBytes = ssNodeBytes + 4 + 4 + 8
 )
 
 // ssBlockBytes is the footprint of a heap store built for k counters.
@@ -229,12 +242,13 @@ func (t *nodeTable) unindex(x core.Item) {
 }
 
 // retrack rewrites node id, which must be tracked, to track x, which
-// must not be: the replacement every Space-Saving variant makes. The
-// node keeps its id and its place in the ordering structure.
-func (t *nodeTable) retrack(id int32, x core.Item, count, err int64) {
+// must not be, with error err: the replacement every Space-Saving
+// variant makes. The node keeps its id and its place in the ordering
+// structure, which sets its count.
+func (t *nodeTable) retrack(id int32, x core.Item, err int64) {
 	nd := &t.nodes[id]
 	t.unindex(nd.item)
-	nd.item, nd.count, nd.err = x, count, err
+	nd.item, nd.err = x, err
 	t.insert(x, id)
 	t.compact()
 }
@@ -261,11 +275,11 @@ func (t *nodeTable) reindex(index []int32) {
 	}
 }
 
-// newNode appends a node tracking x, which must be untracked, and
-// returns its id. The table must have room.
-func (t *nodeTable) newNode(x core.Item, count, err int64, pos int32) int32 {
+// newNode appends a node tracking x, which must be untracked, with
+// error err, and returns its id. The table must have room.
+func (t *nodeTable) newNode(x core.Item, err int64) int32 {
 	id := int32(len(t.nodes))
-	t.nodes = append(t.nodes, ssNode{item: x, count: count, err: err, pos: pos})
+	t.nodes = append(t.nodes, ssNode{item: x, err: err})
 	t.insert(x, id)
 	return id
 }
@@ -329,12 +343,15 @@ func (t *nodeTable) validate() bool {
 	return true
 }
 
+// count returns counter id's count.
+func (st *ssStorage) count(id int32) int64 { return st.hcnt[st.pos[id]] }
+
 // query returns the counters at or above threshold, descending.
-func (t *nodeTable) query(threshold int64) []core.ItemCount {
+func (st *ssStorage) query(threshold int64) []core.ItemCount {
 	var out []core.ItemCount
-	for i := range t.nodes {
-		if nd := &t.nodes[i]; nd.count >= threshold {
-			out = append(out, core.ItemCount{Item: nd.item, Count: nd.count})
+	for i, c := range st.hcnt {
+		if c >= threshold {
+			out = append(out, core.ItemCount{Item: st.nodes[st.heap[i]].item, Count: c})
 		}
 	}
 	core.SortByCountDesc(out)
@@ -344,17 +361,14 @@ func (t *nodeTable) query(threshold int64) []core.ItemCount {
 // reset empties the storage for reuse, keeping capacity.
 func (st *ssStorage) reset() {
 	st.nodeTable.reset()
-	st.heap = st.heap[:0]
-	st.hcnt = st.hcnt[:0]
+	st.heap, st.pos, st.hcnt = st.heap[:0], st.pos[:0], st.hcnt[:0]
 }
 
 // clone returns an independent deep copy at the same capacities.
 func (st *ssStorage) clone() ssStorage {
-	return ssStorage{
-		nodeTable: st.nodeTable.clone(),
-		heap:      resized(st.heap, cap(st.heap)),
-		hcnt:      resized(st.hcnt, cap(st.hcnt)),
-	}
+	nt := ssStorage{nodeTable: st.nodeTable.clone(), hcnt: resized(st.hcnt, cap(st.hcnt))}
+	nt.heap, nt.pos = heapAndPos(st.heap, st.pos, cap(st.heap))
+	return nt
 }
 
 // grow raises the capacity to k counters. Heap positions stay, so the
@@ -364,7 +378,7 @@ func (st *ssStorage) clone() ssStorage {
 // about eight slot moves per slot of the final capacity, once.
 func (st *ssStorage) grow(k int) {
 	st.nodeTable.grow(k)
-	st.heap = resized(st.heap, k)
+	st.heap, st.pos = heapAndPos(st.heap, st.pos, k)
 	st.hcnt = resized(st.hcnt, k)
 }
 
@@ -376,12 +390,23 @@ func (st *ssStorage) room(k int) {
 	}
 }
 
+// fit readies an empty store whose budget is k for d new counters: it
+// grows, in one copy, to the capacity d calls of room would reach. A
+// Space-Saving batch into an empty store fits its distinct items, all
+// of them new, so a new tenant's first batch allocates its store once.
+func (st *ssStorage) fit(d, k int) {
+	if c := nextCap(d-1, k); c > cap(st.nodes) {
+		st.grow(c)
+	}
+}
+
 // push adds x, which must be untracked, as a new counter. The store
 // must have room.
 func (st *ssStorage) push(x core.Item, count, err int64) {
 	i := len(st.heap)
-	id := st.newNode(x, count, err, int32(i))
+	id := st.newNode(x, err)
 	st.heap = append(st.heap, id)
+	st.pos = append(st.pos, int32(i))
 	st.hcnt = append(st.hcnt, count)
 	st.heapUp(i)
 }
@@ -389,10 +414,8 @@ func (st *ssStorage) push(x core.Item, count, err int64) {
 // add changes counter id's count by delta, of either sign, and restores
 // heap order.
 func (st *ssStorage) add(id int32, delta int64) {
-	nd := &st.nodes[id]
-	nd.count += delta
-	i := int(nd.pos)
-	st.hcnt[i] = nd.count
+	i := int(st.pos[id])
+	st.hcnt[i] += delta
 	if !st.heapDown(i) {
 		st.heapUp(i)
 	}
@@ -402,7 +425,7 @@ func (st *ssStorage) add(id int32, delta int64) {
 // must be untracked: Space-Saving's replacement, FSS's promotion and
 // Tracked's admission.
 func (st *ssStorage) replaceMin(x core.Item, count, err int64) {
-	st.retrack(st.heap[0], x, count, err)
+	st.retrack(st.heap[0], x, err)
 	st.hcnt[0] = count
 	st.heapDown(0)
 }
@@ -416,18 +439,18 @@ func (st *ssStorage) popMin() {
 	st.unindex(st.nodes[id].item)
 	last := len(st.heap) - 1
 	st.heap[0], st.hcnt[0] = st.heap[last], st.hcnt[last]
-	st.nodes[st.heap[0]].pos = 0
+	st.pos[st.heap[0]] = 0
 	st.heap, st.hcnt = st.heap[:last], st.hcnt[:last]
 	if last > 0 {
 		st.heapDown(0)
 	}
-	if lastID := int32(len(st.nodes) - 1); id != lastID {
+	if lastID := int32(last); id != lastID { // as many node ids as heap slots
 		moved := st.nodes[lastID]
 		st.index[st.slotOf(moved.item)] = id + 1
-		st.nodes[id] = moved
-		st.heap[moved.pos] = id
+		st.nodes[id], st.pos[id] = moved, st.pos[lastID]
+		st.heap[st.pos[id]] = id
 	}
-	st.nodes = st.nodes[:len(st.nodes)-1]
+	st.nodes, st.pos = st.nodes[:last], st.pos[:last]
 	st.compact()
 }
 
@@ -453,12 +476,12 @@ func (st *ssStorage) heapUp(i int) {
 			break
 		}
 		st.heap[i], st.hcnt[i] = st.heap[parent], st.hcnt[parent]
-		st.nodes[st.heap[i]].pos = int32(i)
+		st.pos[st.heap[i]] = int32(i)
 		i = parent
 	}
 	if i != start {
 		st.heap[i], st.hcnt[i] = id, cnt
-		st.nodes[id].pos = int32(i)
+		st.pos[id] = int32(i)
 	}
 }
 
@@ -480,31 +503,31 @@ func (st *ssStorage) heapDown(i int) bool {
 			break
 		}
 		st.heap[i], st.hcnt[i] = st.heap[small], sc
-		st.nodes[st.heap[i]].pos = int32(i)
+		st.pos[st.heap[i]] = int32(i)
 		i = small
 	}
 	if i != start {
 		st.heap[i], st.hcnt[i] = id, cnt
-		st.nodes[id].pos = int32(i)
+		st.pos[id] = int32(i)
 	}
 	return i != start
 }
 
 // validateStorage checks the structural invariants — the node table's,
-// then dense ids, heap order, the pos and hcnt mirrors, and one
-// capacity for the node-slot slices; used only by tests.
+// then one length and one capacity for the node-slot slices, heap and
+// pos each other's inverse (so ids are dense and every node has one
+// slot), and heap order; used only by tests.
 func (st *ssStorage) validateStorage() bool {
-	if !st.nodeTable.validate() || len(st.nodes) != len(st.heap) || len(st.hcnt) != len(st.heap) {
+	n := len(st.nodes)
+	if !st.nodeTable.validate() || len(st.heap) != n || len(st.pos) != n || len(st.hcnt) != n {
 		return false
 	}
-	if k := cap(st.nodes); cap(st.heap) != k || cap(st.hcnt) != k {
+	k := cap(st.nodes)
+	if cap(st.heap) != k || cap(st.pos) != k || cap(st.hcnt) != k {
 		return false
 	}
 	for i, id := range st.heap {
-		if id < 0 || int(id) >= len(st.nodes) || st.nodes[id].pos != int32(i) {
-			return false
-		}
-		if st.hcnt[i] != st.nodes[id].count {
+		if id < 0 || int(id) >= n || st.pos[id] != int32(i) {
 			return false
 		}
 		if l := 2*i + 1; l < len(st.heap) && st.hcnt[l] < st.hcnt[i] {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"streamfreq/internal/core"
 	"streamfreq/internal/exact"
@@ -131,7 +132,7 @@ func FuzzCounterStore(f *testing.F) {
 			lo := int64(math.MaxInt64)
 			for x, c := range ref {
 				id := st.lookup(x)
-				if id < 0 || st.nodes[id].count != c {
+				if id < 0 || st.count(id) != c {
 					t.Fatalf("item %d: store id %d, want count %d", x, id, c)
 				}
 				lo = min(lo, c)
@@ -218,8 +219,8 @@ func FuzzStreamSummary(f *testing.F) {
 				t.Fatalf("full summary reports %d bytes, a store built at its budget %d", s.Bytes(), full.Bytes())
 			}
 			var sum int64
-			for _, nd := range s.t.nodes {
-				sum += nd.count
+			for id := range s.t.nodes {
+				sum += s.count(int32(id))
 			}
 			if !merged && sum != s.N() {
 				t.Fatalf("counts sum to %d, N = %d", sum, s.N())
@@ -233,13 +234,13 @@ func FuzzStreamSummary(f *testing.F) {
 	})
 }
 
-// TestGrowthIsInvisible: a Space-Saving store that starts at ssStartCap
-// slots and doubles answers and encodes exactly as one built at its
-// budget k. At every doubling step up to k the two blobs are
-// byte-identical, encode→decode→encode is byte-identical, and Min,
-// Query, Estimate and GuaranteedCount agree; the summary decoded at
-// each step, fed the rest of the stream, doubles from its blob's size
-// and ends equal to the summary built at k as well.
+// TestGrowthIsInvisible: a Space-Saving store that starts with no slots,
+// grows to ssStartCap at its first item and doubles answers and encodes
+// exactly as one built at its budget k. At every step up to k the two
+// blobs are byte-identical, encode→decode→encode is byte-identical, and
+// Min, Query, Estimate and GuaranteedCount agree; the summary decoded
+// at each step, fed the rest of the stream, doubles from its blob's
+// size and ends equal to the summary built at k as well.
 func TestGrowthIsInvisible(t *testing.T) {
 	const k = 1001
 	g, err := zipf.NewGenerator(1<<16, 1.0, 5, true)
@@ -312,7 +313,7 @@ func TestGrowthIsInvisible(t *testing.T) {
 				}
 				decoded = append(decoded, d)
 			}
-			if want := []int{64, 128, 256, 512, k}; !slices.Equal(steps, want) {
+			if want := []int{ssStartCap, 64, 128, 256, 512, k}; !slices.Equal(steps, want) {
 				t.Fatalf("doubling steps %v, want %v", steps, want)
 			}
 			same("at the end", tc.grown)
@@ -323,5 +324,104 @@ func TestGrowthIsInvisible(t *testing.T) {
 				same(fmt.Sprintf("summary decoded at step %d, at the end", i), d)
 			}
 		})
+	}
+}
+
+// TestStoreLayout pins the counter store's layout: a 16 B node and a
+// 32 B heap-store slot, so SSH at φ = 0.001 (k = 1001) reports
+// 40,224 B; and heap and pos in one allocation, so building, cloning or
+// growing a store allocates four slices (nodes, index, heap with pos,
+// counts).
+func TestStoreLayout(t *testing.T) {
+	if got := unsafe.Sizeof(ssNode{}); got != 16 {
+		t.Fatalf("ssNode is %d B, want 16", got)
+	}
+	if got := ssBlockBytes(1001); got != 40_224 {
+		t.Fatalf("a store of 1001 counters is %d B, want 40,224", got)
+	}
+	oneAllocation := func(st *ssStorage) bool {
+		end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(st.heap)), 4*cap(st.heap))
+		return end == unsafe.Pointer(unsafe.SliceData(st.pos))
+	}
+	st := newSSStorage(100)
+	for i := range 100 {
+		st.push(core.Item(i), int64(i%7), 0)
+	}
+	var sink ssStorage
+	for _, tc := range []struct {
+		name   string
+		allocs float64
+		f      func()
+	}{
+		{"build", 4, func() { sink = newSSStorage(100) }},
+		{"clone", 4, func() { sink = st.clone() }},
+		{"clone, then grow", 8, func() { sink = st.clone(); sink.grow(200) }},
+	} {
+		if got := testing.AllocsPerRun(10, tc.f); got != tc.allocs {
+			t.Errorf("%s: %v allocations, want %v", tc.name, got, tc.allocs)
+		}
+		if !oneAllocation(&sink) || !sink.validateStorage() {
+			t.Errorf("%s: heap and pos are not one allocation, or the store is invalid", tc.name)
+		}
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go), where
+// allocation counts through a sync.Pool are not the program's.
+var raceEnabled bool
+
+// TestFirstBatchGrowsOnce: a batch into an empty Space-Saving store
+// grows it once, to the step that holds the batch's distinct items,
+// where the same updates one at a time leave it, so Bytes and the blob
+// equal theirs. A new summary and its first 512-item batch allocate six
+// times: the summary, its first index, and the four slices of the
+// grown store.
+func TestFirstBatchGrowsOnce(t *testing.T) {
+	const k = 1001
+	g, err := zipf.NewGenerator(1<<20, 1.1, 9, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type summary interface {
+		ssSummary
+		core.BatchUpdater
+		MarshalBinary() ([]byte, error)
+	}
+	for _, tc := range []struct {
+		name  string
+		new   func() summary
+		slots func(summary) int
+	}{
+		{"SSH", func() summary { return NewSpaceSavingHeap(k) }, func(s summary) int { return cap(s.(*SpaceSavingHeap).st.nodes) }},
+		{"SSL", func() summary { return NewSpaceSavingList(k) }, func(s summary) int { return cap(s.(*SpaceSavingList).t.nodes) }},
+	} {
+		for _, size := range []int{1, 32, 33, 512, 4096} {
+			batch := g.Stream(size)
+			once, stepped := tc.new(), tc.new()
+			once.UpdateBatch(batch)
+			distinct := 0
+			core.Collapse(batch, func(items []core.Item, counts []int64) {
+				distinct = len(items)
+				for i, x := range items {
+					stepped.Update(x, counts[i])
+				}
+			})
+			a, _ := once.MarshalBinary()
+			b, _ := stepped.MarshalBinary()
+			if tc.slots(once) != tc.slots(stepped) || once.Bytes() != stepped.Bytes() || !bytes.Equal(a, b) {
+				t.Fatalf("%s, %d distinct items: a batch leaves %d slots (%d B), one at a time %d (%d B), or the blobs differ",
+					tc.name, distinct, tc.slots(once), once.Bytes(), tc.slots(stepped), stepped.Bytes())
+			}
+			if want := nextCap(distinct-1, k); tc.slots(once) != want {
+				t.Fatalf("%s: %d distinct items grew the store to %d slots, want %d", tc.name, distinct, tc.slots(once), want)
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		batch := g.Stream(512)
+		if got := testing.AllocsPerRun(20, func() { tc.new().UpdateBatch(batch) }); got > 6 {
+			t.Errorf("%s: a new summary and its first batch allocate %v times, want at most 6", tc.name, got)
+		}
 	}
 }

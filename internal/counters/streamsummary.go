@@ -15,23 +15,24 @@ import "streamfreq/internal/core"
 // exactly the SSH/SSL comparison the paper measures.
 //
 // The entries are the nodes of the package's counter store (store.go),
-// found through its one index, each node's pos naming its bucket. The
-// links are int32 ids in flat arrays: an entry's neighbours within its
-// bucket, and a bucket's count, first entry and neighbours, with
-// emptied buckets chained on a free list. So an update allocates
-// nothing and the structure holds no pointer.
+// found through its one index. The links are int32 ids in flat arrays:
+// an entry's bucket and its neighbours within it, and a bucket's count,
+// first entry and neighbours, with emptied buckets chained on a free
+// list. An entry's count is its bucket's, held nowhere else. So an
+// update allocates nothing and the structure holds no pointer.
 type SpaceSavingList struct {
 	k       int
 	n       int64
-	t       nodeTable    // the entries; a node's pos is its bucket
+	t       nodeTable    // the entries' items and errors
 	links   []listLink   // by node id
 	buckets []listBucket // by bucket id
 	min     int32        // the smallest-count bucket, −1 while empty
 	free    int32        // the first free bucket, chained through next
 }
 
-// listLink is an entry's place in its bucket, head first; −1 ends it.
-type listLink struct{ prev, next int32 }
+// listLink is an entry's bucket and its place there, head first; −1
+// ends the list.
+type listLink struct{ bucket, prev, next int32 }
 
 // listBucket is one count: its entries from head, and its neighbours in
 // increasing count order; −1 ends either list.
@@ -40,10 +41,10 @@ type listBucket struct {
 	head, prev, next int32
 }
 
-// A Stream-Summary slot's footprint beyond its node: its links, and a
+// A Stream-Summary slot's footprint beyond its node: its link, and a
 // bucket (24 bytes with padding), since each of k entries may hold a
 // count of its own.
-const listSlotBytes = 8 + 24
+const listSlotBytes = 12 + 24
 
 // NewSpaceSavingList returns an SSL summary with a budget of k
 // counters, whose store grows as SpaceSavingHeap's does.
@@ -51,7 +52,7 @@ func NewSpaceSavingList(k int) *SpaceSavingList {
 	if k <= 0 {
 		panic("counters: SpaceSaving requires k > 0")
 	}
-	return newSpaceSavingList(k, min(k, ssStartCap))
+	return newSpaceSavingList(k, 0)
 }
 
 // newSpaceSavingList returns an empty summary with budget k and room
@@ -81,12 +82,18 @@ func (s *SpaceSavingList) Min() int64 {
 	return s.buckets[s.min].count
 }
 
+// count returns entry id's count, its bucket's.
+func (s *SpaceSavingList) count(id int32) int64 { return s.buckets[s.links[id].bucket].count }
+
+func (s *SpaceSavingList) table() *nodeTable { return &s.t }
+
 // detach unlinks entry id from its bucket, freeing the bucket if it
 // empties, and returns the bucket an upward search restarts from: the
 // entry's bucket if it survives, else the one below it (−1: the
 // minimum).
 func (s *SpaceSavingList) detach(id int32) int32 {
-	lk, b := s.links[id], s.t.nodes[id].pos
+	lk := s.links[id]
+	b := lk.bucket
 	bk := &s.buckets[b]
 	if lk.prev >= 0 {
 		s.links[lk.prev].next = lk.next
@@ -143,22 +150,46 @@ func (s *SpaceSavingList) attach(id int32, c int64, after int32) {
 		}
 	}
 	bk := &s.buckets[b]
-	s.links[id] = listLink{prev: -1, next: bk.head}
+	s.links[id] = listLink{bucket: b, prev: -1, next: bk.head}
 	if bk.head >= 0 {
 		s.links[bk.head].prev = id
 	}
 	bk.head = id
-	s.t.nodes[id].count, s.t.nodes[id].pos = c, b
+}
+
+// link puts entry id, the newest, at count c, which no entry's count
+// exceeds: after entry prev, the one before it, when prev's bucket
+// counts c, else alone in a new bucket above prev's (the minimum when
+// prev < 0). Linking a blob's entries in their structural order
+// rebuilds that order.
+func (s *SpaceSavingList) link(id int32, c int64, prev int32) {
+	top := int32(-1)
+	if prev >= 0 {
+		top = s.links[prev].bucket
+	}
+	if top >= 0 && s.buckets[top].count == c {
+		s.links[prev].next = id
+		s.links = append(s.links, listLink{bucket: top, prev: prev, next: -1})
+		return
+	}
+	b := int32(len(s.buckets))
+	s.buckets = append(s.buckets, listBucket{count: c, head: id, prev: top, next: -1})
+	if top >= 0 {
+		s.buckets[top].next = b
+	} else {
+		s.min = b
+	}
+	s.links = append(s.links, listLink{bucket: b, prev: -1, next: -1})
 }
 
 // raise moves entry id up to count c. An entry alone in its bucket,
 // with no bucket between it and c, keeps the bucket and recounts it —
 // the structure a detach and attach would build.
 func (s *SpaceSavingList) raise(id int32, c int64) {
-	b := s.t.nodes[id].pos
-	bk := &s.buckets[b]
-	if lk := s.links[id]; lk.prev < 0 && lk.next < 0 && (bk.next < 0 || s.buckets[bk.next].count > c) {
-		bk.count, s.t.nodes[id].count = c, c
+	lk := s.links[id]
+	bk := &s.buckets[lk.bucket]
+	if lk.prev < 0 && lk.next < 0 && (bk.next < 0 || s.buckets[bk.next].count > c) {
+		bk.count = c
 		return
 	}
 	s.attach(id, c, s.detach(id))
@@ -170,34 +201,45 @@ func (s *SpaceSavingList) Update(x core.Item, count int64) {
 	s.n += count
 
 	if id := s.t.lookup(x); id >= 0 {
-		s.raise(id, s.t.nodes[id].count+count)
+		s.raise(id, s.count(id)+count)
 		return
 	}
 	if len(s.t.nodes) < s.k {
 		s.room()
-		id := s.t.newNode(x, 0, 0, -1)
+		id := s.t.newNode(x, 0)
 		s.links = append(s.links, listLink{})
 		s.attach(id, count, -1)
 		return
 	}
 	// Replace the head of the minimum bucket: x inherits its count as
 	// error.
-	id := s.buckets[s.min].head
-	min := s.t.nodes[id].count
-	s.t.retrack(id, x, min, min)
+	id, min := s.buckets[s.min].head, s.buckets[s.min].count
+	s.t.retrack(id, x, min)
 	s.raise(id, min+count)
 }
 
 // room makes space for one more entry in a summary holding fewer than
-// k: a full store grows to nextCap, as ssStorage.room does. Entry and
-// bucket ids stay, so no link changes.
+// k: a full store grows to nextCap, as ssStorage.room does.
 func (s *SpaceSavingList) room() {
 	if c := cap(s.t.nodes); len(s.t.nodes) == c {
-		c = nextCap(c, s.k)
-		s.t.grow(c)
-		s.links = resized(s.links, c)
-		s.buckets = resized(s.buckets, c)
+		s.grow(nextCap(c, s.k))
 	}
+}
+
+// fit readies an empty summary for d new entries, as ssStorage.fit
+// does.
+func (s *SpaceSavingList) fit(d int) {
+	if c := nextCap(d-1, s.k); c > cap(s.t.nodes) {
+		s.grow(c)
+	}
+}
+
+// grow raises the entry capacity to c. Entry and bucket ids stay, so no
+// link changes.
+func (s *SpaceSavingList) grow(c int) {
+	s.t.grow(c)
+	s.links = resized(s.links, c)
+	s.buckets = resized(s.buckets, c)
 }
 
 // UpdateBatch implements core.BatchUpdater for unit-count arrivals,
@@ -208,6 +250,9 @@ func (s *SpaceSavingList) room() {
 // a unit-at-a-time walk would have created and destroyed.
 func (s *SpaceSavingList) UpdateBatch(items []core.Item) {
 	core.Collapse(items, func(items []core.Item, counts []int64) {
+		if len(s.t.nodes) == 0 {
+			s.fit(len(items))
+		}
 		for i, x := range items {
 			s.Update(x, counts[i])
 		}
@@ -217,7 +262,7 @@ func (s *SpaceSavingList) UpdateBatch(items []core.Item) {
 // Estimate mirrors SpaceSavingHeap.Estimate.
 func (s *SpaceSavingList) Estimate(x core.Item) int64 {
 	if id := s.t.lookup(x); id >= 0 {
-		return s.t.nodes[id].count
+		return s.count(id)
 	}
 	return s.Min()
 }
@@ -225,8 +270,7 @@ func (s *SpaceSavingList) Estimate(x core.Item) int64 {
 // GuaranteedCount returns the certified lower bound on x's true count.
 func (s *SpaceSavingList) GuaranteedCount(x core.Item) int64 {
 	if id := s.t.lookup(x); id >= 0 {
-		nd := &s.t.nodes[id]
-		return nd.count - nd.err
+		return s.count(id) - s.t.nodes[id].err
 	}
 	return 0
 }
@@ -282,16 +326,16 @@ func (s *SpaceSavingList) Merge(other core.Summary) error {
 	if o.k != s.k {
 		return core.Incompatible("SpaceSaving: counter budget mismatch (k=%d/%d)", s.k, o.k)
 	}
-	all := mergeSpaceSaving(&s.t, &o.t, s.Min(), o.Min(), s.k)
+	all := mergeSpaceSaving(s, o, s.k)
 	s.t.reset()
 	s.links, s.buckets, s.min, s.free = s.links[:0], s.buckets[:0], -1, -1
 	below := int32(-1) // the bucket under the top one
 	for i := len(all) - 1; i >= 0; i-- {
 		s.room()
-		id := s.t.newNode(all[i].item, 0, all[i].err, -1)
+		id := s.t.newNode(all[i].item, all[i].err)
 		s.links = append(s.links, listLink{})
 		s.attach(id, all[i].count, below)
-		below = s.buckets[s.t.nodes[id].pos].prev
+		below = s.buckets[s.links[id].bucket].prev
 	}
 	s.n += o.n
 	return nil
@@ -299,8 +343,8 @@ func (s *SpaceSavingList) Merge(other core.Summary) error {
 
 // validate checks structural invariants — the node table's, bucket
 // counts strictly increasing, every link mirrored, every entry in the
-// bucket its pos names at the bucket's count, and every bucket slot
-// either live or free; used only by tests.
+// bucket its link names, and every bucket slot either live or free;
+// used only by tests.
 func (s *SpaceSavingList) validate() bool {
 	if !s.t.validate() || len(s.links) != len(s.t.nodes) ||
 		cap(s.links) != cap(s.t.nodes) || cap(s.buckets) != cap(s.t.nodes) {
@@ -317,7 +361,7 @@ func (s *SpaceSavingList) validate() bool {
 		before := int32(-1)
 		for e := bk.head; e >= 0; e = s.links[e].next {
 			if entries++; entries > len(s.t.nodes) || s.links[e].prev != before ||
-				s.t.nodes[e].pos != b || s.t.nodes[e].count != bk.count {
+				s.links[e].bucket != b {
 				return false
 			}
 			before = e

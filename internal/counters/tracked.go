@@ -43,7 +43,7 @@ func (t *Tracked) Update(x core.Item, count int64) {
 // step shared by the scalar and batched ingest paths.
 func (t *Tracked) admit(x core.Item, est int64) {
 	if id := t.st.lookup(x); id >= 0 {
-		t.st.add(id, est-t.st.nodes[id].count)
+		t.st.add(id, est-t.st.count(id))
 		return
 	}
 	if len(t.st.heap) < t.capacity {

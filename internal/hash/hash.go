@@ -243,29 +243,36 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Family bundles d independent bucket hashes and d sign hashes sharing a
-// common base seed: row i uses deterministic sub-seeds, so two sketches
-// constructed with the same (d, width, k, seed) are mergeable.
+// Family bundles d independent bucket hashes, and for a signed family d
+// sign hashes, sharing a common base seed: row i uses deterministic
+// sub-seeds, so two sketches constructed with the same (d, width, k,
+// seed) are mergeable.
 type Family struct {
 	Buckets []Bucket
-	Signs   []Sign
+	Signs   []Sign // nil unless the family is signed
 	seed    uint64
 	k       int
 }
 
 // NewFamily constructs d rows of k-wise independent bucket hashes onto
-// [0, width) with matching sign hashes.
-func NewFamily(d, width, k int, seed uint64) *Family {
+// [0, width), each with a matching sign hash when signed. Only Count
+// Sketch reads signs, so only its family is signed. Row i draws its
+// sign seed after its bucket seed whether it builds the sign or not,
+// so the bucket hashes do not depend on signed.
+func NewFamily(d, width, k int, seed uint64, signed bool) *Family {
 	if d <= 0 {
 		panic("hash: family depth must be positive")
 	}
-	f := &Family{seed: seed, k: k}
+	f := &Family{Buckets: make([]Bucket, d), seed: seed, k: k}
+	if signed {
+		f.Signs = make([]Sign, d)
+	}
 	sm := prng.NewSplitMix64(seed)
-	for i := 0; i < d; i++ {
-		bseed := sm.Next()
-		sseed := sm.Next()
-		f.Buckets = append(f.Buckets, NewBucket(k, width, bseed))
-		f.Signs = append(f.Signs, NewSign(k, sseed))
+	for i := range d {
+		f.Buckets[i] = NewBucket(k, width, sm.Next())
+		if sseed := sm.Next(); signed {
+			f.Signs[i] = NewSign(k, sseed)
+		}
 	}
 	return f
 }

@@ -166,16 +166,16 @@ func TestMix64InjectiveOnSample(t *testing.T) {
 }
 
 func TestFamilyCompatible(t *testing.T) {
-	a := NewFamily(4, 128, 2, 9)
-	b := NewFamily(4, 128, 2, 9)
+	a := NewFamily(4, 128, 2, 9, false)
+	b := NewFamily(4, 128, 2, 9, false)
 	if err := a.Compatible(b); err != nil {
 		t.Errorf("identical families incompatible: %v", err)
 	}
 	cases := []*Family{
-		NewFamily(4, 128, 2, 10), // seed differs
-		NewFamily(5, 128, 2, 9),  // depth differs
-		NewFamily(4, 256, 2, 9),  // width differs
-		NewFamily(4, 128, 4, 9),  // independence differs
+		NewFamily(4, 128, 2, 10, false), // seed differs
+		NewFamily(5, 128, 2, 9, false),  // depth differs
+		NewFamily(4, 256, 2, 9, false),  // width differs
+		NewFamily(4, 128, 4, 9, false),  // independence differs
 	}
 	for i, c := range cases {
 		if err := a.Compatible(c); err == nil {
@@ -188,7 +188,7 @@ func TestFamilyCompatible(t *testing.T) {
 }
 
 func TestFamilyRowsIndependentlySeeded(t *testing.T) {
-	f := NewFamily(3, 1024, 2, 21)
+	f := NewFamily(3, 1024, 2, 21, false)
 	// Rows must not be identical functions.
 	same01, same12 := true, true
 	for x := uint64(0); x < 200; x++ {

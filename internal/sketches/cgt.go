@@ -32,7 +32,7 @@ func NewCGT(depth, width int, universeBits uint, seed uint64) *CGT {
 	if universeBits > 64 {
 		panic("sketches: CGT universe exceeds 64 bits")
 	}
-	return &CGT{newMatrix(depth, width, 1+int(universeBits), seed), universeBits}
+	return &CGT{newMatrix(depth, width, 1+int(universeBits), seed, false), universeBits}
 }
 
 // Name implements core.Summary.

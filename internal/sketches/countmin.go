@@ -24,7 +24,7 @@ type CountMin struct {
 // deterministically by seed. Sketches built with equal (depth, width,
 // seed) are mergeable. It panics on dimensions CheckSize refuses.
 func NewCountMin(depth, width int, seed uint64) *CountMin {
-	return &CountMin{matrix: newMatrix(depth, width, 1, seed)}
+	return &CountMin{matrix: newMatrix(depth, width, 1, seed, false)}
 }
 
 // NewCountMinConservative returns a Count-Min sketch using conservative
@@ -35,7 +35,7 @@ func NewCountMin(depth, width int, seed uint64) *CountMin {
 // which is why the paper's main roster uses the plain sketch; the
 // ablation bench quantifies the accuracy difference.
 func NewCountMinConservative(depth, width int, seed uint64) *CountMin {
-	return &CountMin{matrix: newMatrix(depth, width, 1, seed), conservative: true}
+	return &CountMin{matrix: newMatrix(depth, width, 1, seed, false), conservative: true}
 }
 
 // Name implements core.Summary.

@@ -25,7 +25,7 @@ type CountSketch struct {
 // seed) are mergeable and subtractable. It panics on dimensions
 // CheckSize refuses.
 func NewCountSketch(depth, width int, seed uint64) *CountSketch {
-	return &CountSketch{newMatrix(depth, width, 1, seed)}
+	return &CountSketch{newMatrix(depth, width, 1, seed, true)}
 }
 
 // Name implements core.Summary.

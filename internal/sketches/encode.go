@@ -50,7 +50,8 @@ func (m *matrix) marshal(magic string, header ...uint64) []byte {
 // decodeMatrix reads a matrix's cells, the rest of r, once the header r
 // has read is whole, its dimensions pass CheckSize and the payload holds
 // exactly their cells, so a forged header fails before it allocates.
-func decodeMatrix(r *wire.Reader, depth, width, stride, seed uint64, n int64) (matrix, error) {
+// signed is newMatrix's: whether the family has sign hashes.
+func decodeMatrix(r *wire.Reader, depth, width, stride, seed uint64, n int64, signed bool) (matrix, error) {
 	if err := r.Err(); err != nil {
 		return matrix{}, err
 	}
@@ -60,7 +61,7 @@ func decodeMatrix(r *wire.Reader, depth, width, stride, seed uint64, n int64) (m
 	if want := 8 * depth * width * stride; uint64(r.Len()) != want {
 		return matrix{}, fmt.Errorf("sketches: payload of %d bytes, want %d", r.Len(), want)
 	}
-	m := newMatrix(int(depth), int(width), int(stride), seed)
+	m := newMatrix(int(depth), int(width), int(stride), seed, signed)
 	m.n = n
 	for i := range m.cells {
 		m.cells[i] = r.I64()
@@ -91,7 +92,7 @@ func DecodeCountMin(data []byte) (*CountMin, error) {
 	r := wire.NewReader(data)
 	r.Magic(magicCM)
 	flags, depth, width, seed, n := r.U64(), r.U64(), r.U64(), r.U64(), r.I64()
-	m, err := decodeMatrix(r, depth, width, 1, seed, n)
+	m, err := decodeMatrix(r, depth, width, 1, seed, n, false)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +111,7 @@ func DecodeCountSketch(data []byte) (*CountSketch, error) {
 	r := wire.NewReader(data)
 	r.Magic(magicCS)
 	depth, width, seed, n := r.U64(), r.U64(), r.U64(), r.I64()
-	m, err := decodeMatrix(r, depth, width, 1, seed, n)
+	m, err := decodeMatrix(r, depth, width, 1, seed, n, true)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +131,7 @@ func DecodeCGT(data []byte) (*CGT, error) {
 	if r.Err() == nil && (ubits == 0 || ubits > 64) {
 		return nil, fmt.Errorf("sketches: implausible CGT universe of %d bits", ubits)
 	}
-	m, err := decodeMatrix(r, depth, width, 1+ubits, seed, n)
+	m, err := decodeMatrix(r, depth, width, 1+ubits, seed, n, false)
 	if err != nil {
 		return nil, err
 	}

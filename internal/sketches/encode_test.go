@@ -267,3 +267,67 @@ func TestConstructorsApplyTheBound(t *testing.T) {
 		t.Error("hierarchy past the bound built")
 	}
 }
+
+// TestSignsOnlyForCountSketch: Count Sketch's rows, alone of the
+// sketches', read a sign hash, so only its family builds them, in a
+// sketch built or decoded, flat or at every level of a hierarchy.
+func TestSignsOnlyForCountSketch(t *testing.T) {
+	const depth = 4
+	cmh, err := NewCountMinHierarchy(HierarchyConfig{Depth: depth, Width: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	csh, err := NewCountSketchHierarchy(HierarchyConfig{Depth: depth, Width: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		s      interface{ MarshalBinary() ([]byte, error) }
+		decode func([]byte) (any, error)
+		signs  int
+	}{
+		{NewCountMin(depth, 64, 3), func(b []byte) (any, error) { return DecodeCountMin(b) }, 0},
+		{NewCGT(depth, 64, 32, 3), func(b []byte) (any, error) { return DecodeCGT(b) }, 0},
+		{cmh, func(b []byte) (any, error) { return DecodeHierarchical(b) }, 0},
+		{NewCountSketch(depth, 64, 3), func(b []byte) (any, error) { return DecodeCountSketch(b) }, depth},
+		{csh, func(b []byte) (any, error) { return DecodeHierarchical(b) }, depth},
+	} {
+		blob, err := tc.s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := tc.decode(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := append(matrices(tc.s), matrices(decoded)...)
+		if len(ms) < 2 {
+			t.Fatalf("%T: no counter matrix found", tc.s)
+		}
+		for _, m := range ms {
+			if got := len(m.family.Signs); got != tc.signs {
+				t.Fatalf("%T: a family of %d rows has %d sign hashes, want %d", tc.s, depth, got, tc.signs)
+			}
+		}
+	}
+}
+
+// matrices returns the counter matrices of a flat or hierarchical
+// sketch.
+func matrices(s any) []*matrix {
+	switch s := s.(type) {
+	case *CountMin:
+		return []*matrix{&s.matrix}
+	case *CountSketch:
+		return []*matrix{&s.matrix}
+	case *CGT:
+		return []*matrix{&s.matrix}
+	case *Hierarchical:
+		var out []*matrix
+		for _, l := range s.levels {
+			out = append(out, matrices(l)...)
+		}
+		return out
+	}
+	return nil
+}

@@ -57,14 +57,15 @@ func CheckSize(depth, width, stride uint64) error {
 }
 
 // newMatrix allocates a zeroed matrix with the hash family seed
-// derives. It panics past CheckSize's bound.
-func newMatrix(depth, width, stride int, seed uint64) matrix {
+// derives, with sign hashes when signed (Count Sketch's). It panics
+// past CheckSize's bound.
+func newMatrix(depth, width, stride int, seed uint64, signed bool) matrix {
 	if err := CheckSize(uint64(depth), uint64(width), uint64(stride)); err != nil {
 		panic(err)
 	}
 	return matrix{
 		cells:  make([]int64, depth*width*stride),
-		family: hash.NewFamily(depth, width, 2, seed),
+		family: hash.NewFamily(depth, width, 2, seed, signed),
 		depth:  depth,
 		width:  width,
 		stride: stride,

@@ -3,11 +3,13 @@
 // share one write-ahead log and one checkpoint manifest.
 //
 // Namespaces are lazily instantiated on first ingest — creating a
-// tenant is a map insert plus one small counter store
-// (counters.NewSpaceSavingHeap), which doubles toward the tenant's
-// budget only as new items arrive, so a million namespaces can come
-// into existence without pre-provisioning and a tenant that has seen
-// few distinct items holds a store sized to them. A CLOCK
+// tenant is a map insert plus an empty counter store
+// (counters.NewSpaceSavingHeap, 32 B a counter slot plus its index).
+// The first batch grows the store once, to the step that holds the
+// batch's distinct items, and it doubles toward the tenant's budget
+// only as new items arrive, so a million namespaces can come into
+// existence without pre-provisioning and a tenant that has seen few
+// distinct items holds a store sized to them. A CLOCK
 // (second-chance) policy bounds how many tenants stay resident: when
 // the resident count exceeds the configured cap, cold tenants are
 // encoded to their compact wire blob (SS02) and their store is dropped.

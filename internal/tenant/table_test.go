@@ -18,6 +18,7 @@ import (
 	"streamfreq/internal/core"
 	"streamfreq/internal/counters"
 	"streamfreq/internal/persist"
+	"streamfreq/internal/prng"
 	"streamfreq/internal/tenant"
 	"streamfreq/internal/wire"
 	"streamfreq/internal/zipf"
@@ -398,7 +399,7 @@ func TestLegacyDirectoryAdoption(t *testing.T) {
 // their compact blobs. The documented bound: ≤ 48 bytes/tenant of
 // Bytes() (resident stores + evicted blobs) at 2 items/tenant. An
 // evicted tenant's SS02 blob is 17 bytes; the 1,024 resident stores
-// add ~1.7 KB each, spread over the tenants.
+// add ~1.3 KB each, spread over the tenants.
 func TestManyTenantsBounded(t *testing.T) {
 	total := 1_000_000
 	if testing.Short() {
@@ -433,6 +434,64 @@ func TestManyTenantsBounded(t *testing.T) {
 	}
 	if tb.N() != int64(2*total) {
 		t.Fatalf("table n=%d, want %d", tb.N(), 2*total)
+	}
+}
+
+// TestResidentDensity is the resident-density wall. It replays the
+// traffic shape of the benchmark's tenant-churn workload in-process:
+// 512-item Zipf(1.1) batches over 2^20 items, each into a namespace
+// drawn Zipf(1.0) over 20,000, at φ = 0.001 with 512 tenants resident.
+// The resident summaries' Bytes() must stay at most 56 B per live
+// counter: a heap-store slot is 32 B, and the index adds 4 B a slot at
+// most half full, plus the slots a growing store has not filled yet.
+func TestResidentDensity(t *testing.T) {
+	const (
+		namespaces = 20_000
+		resident   = 512
+		batches    = 6_000
+		maxDensity = 56.0
+	)
+	g, err := zipf.NewGenerator(1<<20, 1.1, 0xD0_5E, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([][]core.Item, 1024)
+	for i := range bodies {
+		bodies[i] = make([]core.Item, 512)
+		g.Fill(bodies[i])
+	}
+	nsGen, err := zipf.NewGenerator(namespaces, 1.0, 0xD0_5F, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := prng.New(0xD0_60)
+	tb := newTable(t, tenant.Options{DefaultPhi: 0.001, MaxResident: resident})
+	for range batches {
+		ns := fmt.Sprintf("t%05d", nsGen.Next())
+		if _, _, err := tb.IngestBatch(ns, bodies[rng.Uint64n(uint64(len(bodies)))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := tb.TableStats()
+	if st.Resident != resident {
+		t.Fatalf("%d tenants resident of %d, want %d", st.Resident, st.Tenants, resident)
+	}
+	residentBytes := tb.Bytes() - int(st.BlobBytes)
+	live := 0
+	for _, info := range tb.Namespaces(0) {
+		if info.Resident {
+			sum, _, err := tb.TenantSnapshot(info.NS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live += len(sum.Query(1))
+		}
+	}
+	density := float64(residentBytes) / float64(live)
+	t.Logf("%d tenants, %d resident: %d B for %d live counters, %.1f B a counter; %d B of blobs",
+		st.Tenants, st.Resident, residentBytes, live, density, st.BlobBytes)
+	if density > maxDensity {
+		t.Fatalf("resident summaries hold %.1f B per live counter, bound %.0f", density, maxDensity)
 	}
 }
 
@@ -553,9 +612,9 @@ func TestVolumeCheckpointReadsTableBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 16 namespaces of k = 1001 counters hold 835,776 B, so 8 × Bytes()
+	// 20 namespaces of k = 1001 counters hold 804,480 B, so 8 × Bytes()
 	// clears the floor by more than 2 MiB.
-	const namespaces = 16
+	const namespaces = 20
 	tb := newTable(t, tenant.Options{DefaultPhi: 0.001})
 	if _, err := st.Recover(tb); err != nil {
 		t.Fatal(err)
